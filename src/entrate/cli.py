@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import __version__, closedforms, models, rates, scattering, verify, wannier
-from .errors import EntrateError, UnstableSystemError
+from .errors import EntrateError, QuadratureError, UnstableSystemError
 from .sweep import (CSV_SCHEMA_LINE, SweepAxis, SweepConfig, format_float,
                     run_sweep)
 
@@ -301,7 +301,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UnstableSystemError as exc:
+    except (UnstableSystemError, QuadratureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (EntrateError, ValueError) as exc:

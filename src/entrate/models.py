@@ -15,12 +15,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.typing import NDArray
 
 FULL_ORDERING = ("a_plus", "a_plus_dag", "a_minus", "a_minus_dag", "b", "b_dag")
 EFFECTIVE_ORDERING = FULL_ORDERING[:4]
+#: Beam block of the drift: a+, a-^dag and (full model only) b.
+BEAM_BLOCK = ("a_plus", "a_minus_dag", "b")
 
 #: Eigenvalue real parts below this (in kappa units) count as strictly stable.
 STABILITY_TOL = 1e-9
@@ -121,6 +124,23 @@ class DriftMatrix:
     @property
     def dim(self) -> int:
         return self.m.shape[0]
+
+    @cached_property
+    def beam_block(self) -> tuple[NDArray[np.complex128], NDArray[np.float64]]:
+        """(m, decay) restricted to the beam block (a+, a-^dag[, b]).
+
+        m splits into this block and its conjugate partner
+        (a+^dag, a-[, b^dag]). The block comes from the operator labels,
+        not from the sparsity of m, which loses the mechanical channel at
+        g = 0. Raises ValueError when m couples the block to its partner.
+        """
+        idx = [self.ordering.index(name) for name in BEAM_BLOCK[:self.dim // 2]]
+        partner = [i for i in range(self.dim) if i not in idx]
+        # the pairing symmetry mirrors partner -> block couplings onto these
+        if np.any(self.m[np.ix_(idx, partner)]):
+            raise ValueError("drift matrix couples the beam block "
+                             f"{BEAM_BLOCK[:len(idx)]} to its conjugate partner")
+        return self.m[np.ix_(idx, idx)], self.decay[idx]
 
 
 def pairing_defect(m: np.ndarray) -> float:

@@ -60,12 +60,11 @@ def adaptive_gk(f_batch: Callable[[np.ndarray], np.ndarray],
     boundaries (e.g. known resonance positions) so that narrow features are
     bracketed from the start.
 
-    Returns (value, error_estimate). When refinement stalls -- the total
-    error stops shrinking because the integrand's own floating-point noise
-    floor exceeds epsabs -- the achieved estimate is returned instead of
-    looping forever; error_estimate is then honest but above epsabs.
-    Raises QuadratureError only when the panel budget is exhausted while
-    still making progress.
+    Returns (value, error_estimate). Panels whose error is at round-off
+    level are not split again; when only such panels remain, or after
+    max_sweeps sweeps, the achieved estimate is returned even if it is
+    above epsabs. Raises QuadratureError when the panel budget is
+    exhausted.
     """
     if not (b > a):
         raise ValueError("integration interval must have b > a")
@@ -79,24 +78,17 @@ def adaptive_gk(f_batch: Callable[[np.ndarray], np.ndarray],
         g7 = (vals * _W_G[None, :]).sum(axis=1) * half
         return k15, np.abs(k15 - g7)
 
+    def at_round_off(val: np.ndarray, err: np.ndarray) -> np.ndarray:
+        return err <= 1e-15 * np.abs(val) + 1e-300
+
     lo = np.array(edges[:-1])
     hi = np.array(edges[1:])
     val, err = evaluate(lo, hi)
-    # panels that can no longer improve (error at round-off level, or --
-    # below -- repeatedly failing to shrink under splits: the integrand's
-    # own noise floor)
-    converged = err <= 1e-15 * np.abs(val) + 1e-300
-    no_gain = np.zeros(lo.size, dtype=int)
+    converged = at_round_off(val, err)
 
-    prev_total = math.inf
-    stalled = 0
     for _ in range(max_sweeps):
         total_err = math.fsum(err.tolist())
         if total_err <= epsabs:
-            break
-        stalled = stalled + 1 if total_err > 0.99 * prev_total else 0
-        prev_total = total_err
-        if stalled >= 8:
             break
         active = np.nonzero(~converged)[0]
         if active.size == 0:
@@ -117,26 +109,12 @@ def adaptive_gk(f_batch: Callable[[np.ndarray], np.ndarray],
         new_lo = np.concatenate([lo[chosen], mid])
         new_hi = np.concatenate([mid, hi[chosen]])
         new_val, new_err = evaluate(new_lo, new_hi)
-        err_left = new_err[:chosen.size]
-        err_right = new_err[chosen.size:]
-        # a noise-floor split leaves the total error in place AND spreads it
-        # over both children; an unresolved smooth feature concentrates the
-        # error in one child, which must keep refining
-        both_noisy = (np.minimum(err_left, err_right)
-                      > 0.25 * np.maximum(err_left, err_right))
-        child_no_gain = np.where(
-            (err_left + err_right > 0.8 * err[chosen]) & both_noisy,
-            no_gain[chosen] + 1, 0)
-        child_no_gain = np.concatenate([child_no_gain, child_no_gain])
         keep = np.setdiff1d(np.arange(lo.size), chosen)
         lo = np.concatenate([lo[keep], new_lo])
         hi = np.concatenate([hi[keep], new_hi])
         val = np.concatenate([val[keep], new_val])
         err = np.concatenate([err[keep], new_err])
-        no_gain = np.concatenate([no_gain[keep], child_no_gain])
-        converged = np.concatenate([
-            converged[keep],
-            (new_err <= 1e-15 * np.abs(new_val) + 1e-300) | (child_no_gain >= 2)])
+        converged = np.concatenate([converged[keep], at_round_off(new_val, new_err)])
 
     order = np.argsort(lo)
     return math.fsum(val[order].tolist()), math.fsum(err[order].tolist())

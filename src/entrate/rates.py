@@ -26,7 +26,7 @@ from scipy.signal import find_peaks
 from .errors import QuadratureError, UnstableSystemError
 from .models import DriftMatrix, stability
 from .quadutil import adaptive_gk, bisect_all
-from .scattering import correlator_batch, log_negativity_mp, resonance_frequencies
+from .scattering import correlator_batch, resonance_frequencies
 
 _PEAK_OFFSETS = np.array([0.0, 0.25, -0.25, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0,
                           5.0, -5.0, 10.0, -10.0, 25.0, -25.0, 50.0, -50.0,
@@ -35,43 +35,29 @@ _PEAK_OFFSETS = np.array([0.0, 0.25, -0.25, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0,
 
 def two_eta_minus_batch(d: DriftMatrix, omegas: np.ndarray,
                         n_th: float = 0.0) -> np.ndarray:
-    """Un-clipped 2*eta_minus over a frequency grid (cancellation-free form)."""
-    n_plus, n_minus, xi = correlator_batch(d, omegas, n_th)
-    xi_abs = np.abs(xi)
-    q = n_plus * n_minus - xi_abs ** 2
-    root = np.hypot(n_plus - n_minus, 2.0 * xi_abs)
+    """Un-clipped 2*eta_minus = 4q / (n_plus + n_minus + root) over a
+    frequency grid, root = sqrt((n_plus - n_minus)^2 + 4|xi|^2).
+
+    q = n_plus n_minus - |xi|^2 comes from correlator_batch as a sum of
+    non-negative terms, and the denominator adds non-negative terms, so the
+    result is exact to float64 round-off at any cooperativity.
+    """
+    n_plus, n_minus, xi, q = correlator_batch(d, omegas, n_th)
+    root = np.hypot(n_plus - n_minus, 2.0 * np.abs(xi))
     return 4.0 * q / (n_plus + n_minus + root)
-
-
-def two_eta_minus(d: DriftMatrix, omega: float, n_th: float = 0.0) -> float:
-    return float(two_eta_minus_batch(d, np.array([omega]), n_th)[0])
 
 
 def spectral_density_batch(d: DriftMatrix, omegas: np.ndarray,
                            n_th: float = 0.0) -> np.ndarray:
     """E[omega] over a frequency grid; no stability check."""
-    two_eta = two_eta_minus_batch(d, omegas, n_th)
-    if np.any(two_eta <= 0):
-        raise UnstableSystemError(
-            float("nan"), "non-positive 2*eta_minus encountered; "
-            "the output covariance is unphysical (check stability)")
-    return np.maximum(0.0, -np.log(two_eta))
+    return np.maximum(0.0, -np.log(two_eta_minus_batch(d, omegas, n_th)))
 
 
-def spectral_density(d: DriftMatrix, omega: float, n_th: float = 0.0,
-                     dps: int | None = None) -> float:
-    """Spectral density of entanglement at one frequency.
-
-    dps switches the whole correlator pipeline to mpmath with that many
-    decimal digits; needed when comparing against closed forms at relative
-    1e-9 for large cooperativities, where float64 loses the cancellation
-    n+ n- - |xi|^2 (about 12 of 16 digits at C ~ 2.5e4).
-    """
+def spectral_density(d: DriftMatrix, omega: float, n_th: float = 0.0) -> float:
+    """Spectral density of entanglement at one frequency."""
     rep = stability(d)
     if not rep.stable:
         raise UnstableSystemError(rep.max_real_part)
-    if dps is not None:
-        return log_negativity_mp(d, omega, n_th, dps)
     return float(spectral_density_batch(d, np.array([omega]), n_th)[0])
 
 

@@ -6,24 +6,31 @@ Langevin system dA/dt = m A - sqrt(D) A_in gives
     A_out(omega) = S(omega) A_in(omega),
     S(omega) = I + D^{1/2} (m + i omega I)^{-1} D^{1/2},
 
-with D = diag(decay). Input channel correlations are bookkept by a single
-coefficient matrix C defined by <A_in(omega) A_in^T(omega')> =
-2 pi delta(omega + omega') C: the optical inputs are vacuum
-(C[a_in, a_in^dag] = 1), the mechanical input is thermal
-(C[b_in, b_in^dag] = n_th + 1, C[b_in^dag, b_in] = n_th).
+with D = diag(decay). The drift of both models splits into two conjugate
+blocks: the beam block (a+, a-^dag[, b]) and its partner
+(a+^dag, a-[, b^dag]), and S(-omega) on the partner block is the complex
+conjugate of S(+omega) on the beam block. The output-pair correlators
+therefore need one solve of the 3x3 (full) or 2x2 (effective) beam block
+at +omega. With s = S(omega) on that block, rows and columns indexed
++ (a+), - (a-^dag), b, vacuum optical inputs and a thermal mechanical
+input of occupation n_th:
 
-With W(omega) = S(omega) C S^T(-omega), the output-beam correlators read
-(1-based indices in the fixed ordering):
+    n_plus  = 1/2 + |s_+-|^2 + n_th |s_+b|^2
+    n_minus = 1/2 + |s_-+|^2 + (n_th + 1) |s_-b|^2
+    xi      = s_++ conj(s_-+) + (n_th + 1) s_+b conj(s_-b)
 
-    n_plus(omega)  - 1/2 = W_21(-omega)   (occupation of beam 1 at +omega)
-    n_minus(omega) - 1/2 = W_43(+omega)   (occupation of beam 2 at -omega)
-    xi(omega)             = W_13(+omega)  (<A_1,omega A_2,-omega>)
+The pair covariance has the Gram form G = X diag(1/2, 1/2, n_th + 1/2) X^dag
+over the rows X = (s_+, s_-). Cauchy-Binet writes q = det G =
+n_plus n_minus - |xi|^2 as a weighted sum of squared 2x2 minors of X, and
+the Bogoliubov inverse S^-1 = K S^dag K (K = diag(1, -1, 1)) with Jacobi's
+complementary-minor identity turns each minor into an entry of the
+mechanical output row; that row's flux relation
+|s_b+|^2 - |s_b-|^2 + |s_bb|^2 = 1 then leaves
 
-The -omega argument in n_plus comes from the conjugation pairing of the
-doubled basis; expanded over channels it is the familiar photon-number sum
-|S_12(omega)|^2 + |S_14(omega)|^2 + n_th |S_15(omega)|^2
-+ (n_th+1) |S_16(omega)|^2, which reproduces the effective-model closed
-form n_plus = |S_14(omega)|^2 + 1/2.
+    q = 1/4 + (n_th |s_b+|^2 + (n_th + 1) |s_b-|^2) / 2,
+
+a sum of non-negative terms, and exactly 1/4 for the effective model. The
+log-negativity built on q therefore loses no digits to cancellation.
 """
 
 from __future__ import annotations
@@ -31,7 +38,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import mpmath as mp
 import numpy as np
 from numpy.typing import NDArray
 
@@ -83,27 +89,31 @@ def _require_stable(d: DriftMatrix) -> None:
         raise UnstableSystemError(rep.max_real_part)
 
 
+def _stacked_s(m: np.ndarray, decay: np.ndarray,
+               omegas: np.ndarray) -> NDArray[np.complex128]:
+    """I + D^{1/2} (m + i omega I)^{-1} D^{1/2} for every omega, stacked.
+
+    A singular response matrix means the system sits at an instability
+    threshold for one of the frequencies.
+    """
+    eye = np.eye(m.shape[0])
+    try:
+        inv = np.linalg.inv(m + 1j * omegas[:, None, None] * eye)
+    except np.linalg.LinAlgError as exc:
+        raise UnstableSystemError(
+            float(np.max(np.linalg.eigvals(m).real)),
+            "singular response matrix: system at an instability threshold "
+            f"for a requested frequency ({exc})") from exc
+    sq = np.sqrt(decay)
+    return eye + np.outer(sq, sq) * inv
+
+
 def scattering_matrices(d: DriftMatrix, omegas: np.ndarray) -> NDArray[np.complex128]:
     """Stacked scattering matrices S(omega_k), shape (len(omegas), dim, dim).
 
     Vectorized over frequencies through a stacked matrix inverse.
     """
-    omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
-    n = d.dim
-    a = np.broadcast_to(d.m, (omegas.size, n, n)).copy()
-    idx = np.arange(n)
-    a[:, idx, idx] += 1j * omegas[:, None]
-    try:
-        inv = np.linalg.inv(a)
-    except np.linalg.LinAlgError as exc:
-        raise UnstableSystemError(
-            float(np.max(np.linalg.eigvals(d.m).real)),
-            "singular response matrix: system at an instability threshold "
-            f"for a requested frequency ({exc})") from exc
-    sq = np.sqrt(d.decay)
-    s = sq[None, :, None] * inv * sq[None, None, :]
-    s[:, idx, idx] += 1.0
-    return s
+    return _stacked_s(d.m, d.decay, np.atleast_1d(np.asarray(omegas, dtype=float)))
 
 
 def scattering_matrix(d: DriftMatrix, omega: float) -> ScatteringMatrix:
@@ -113,7 +123,8 @@ def scattering_matrix(d: DriftMatrix, omega: float) -> ScatteringMatrix:
 
 def input_noise_matrix(dim: int, n_th: float = 0.0) -> NDArray[np.float64]:
     """Delta-function coefficient matrix C of the input correlations in the
-    doubled ordering; mechanical channels exist only for dim = 6."""
+    doubled ordering, <A_in(omega) A_in^T(omega')> = 2 pi delta(omega + omega') C;
+    mechanical channels exist only for dim = 6."""
     if dim not in (4, 6):
         raise ValueError("expected a 4- or 6-dimensional doubled basis")
     c = np.zeros((dim, dim))
@@ -125,19 +136,37 @@ def input_noise_matrix(dim: int, n_th: float = 0.0) -> NDArray[np.float64]:
     return c
 
 
+def beam_block_scattering(d: DriftMatrix, omegas: np.ndarray) -> NDArray[np.complex128]:
+    """S(omega_k) restricted to the beam block (a+, a-^dag[, b]) of
+    d.beam_block, stacked as (len(omegas), k, k) with k = 3 (full model)
+    or 2 (effective model)."""
+    m, decay = d.beam_block
+    return _stacked_s(m, decay, np.atleast_1d(np.asarray(omegas, dtype=float)))
+
+
+def _abs2(z: np.ndarray) -> np.ndarray:
+    return z.real ** 2 + z.imag ** 2
+
+
 def correlator_batch(d: DriftMatrix, omegas: np.ndarray, n_th: float = 0.0,
-                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(n_plus, n_minus, xi) arrays over a frequency grid; no stability check
-    (meant for integrators that have already verified it)."""
-    omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
-    n = omegas.size
-    s_all = scattering_matrices(d, np.concatenate([omegas, -omegas]))
-    sp, sm = s_all[:n], s_all[n:]
-    c = input_noise_matrix(d.dim, n_th)
-    n_plus = 0.5 + np.einsum("kj,jl,kl->k", sm[:, 1, :], c, sp[:, 0, :]).real
-    n_minus = 0.5 + np.einsum("kj,jl,kl->k", sp[:, 3, :], c, sm[:, 2, :]).real
-    xi = np.einsum("kj,jl,kl->k", sp[:, 0, :], c, sm[:, 2, :])
-    return n_plus, n_minus, xi
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(n_plus, n_minus, xi, q) arrays over a frequency grid, where
+    q = n_plus n_minus - |xi|^2 comes from its sum of non-negative terms
+    (see the module docstring); no stability check (meant for integrators
+    that have already verified it)."""
+    s = beam_block_scattering(d, omegas)
+    s_p, s_m = s[:, 0], s[:, 1]
+    n_plus = 0.5 + _abs2(s_p[:, 1])
+    n_minus = 0.5 + _abs2(s_m[:, 0])
+    xi = s_p[:, 0] * s_m[:, 0].conj()
+    if s.shape[1] == 2:
+        return n_plus, n_minus, xi, np.full(n_plus.shape, 0.25)
+    s_b = s[:, 2]
+    n_plus += n_th * _abs2(s_p[:, 2])
+    n_minus += (n_th + 1.0) * _abs2(s_m[:, 2])
+    xi += (n_th + 1.0) * s_p[:, 2] * s_m[:, 2].conj()
+    q = 0.25 + 0.5 * (n_th * _abs2(s_b[:, 0]) + (n_th + 1.0) * _abs2(s_b[:, 1]))
+    return n_plus, n_minus, xi, q
 
 
 def output_correlators(d: DriftMatrix, omega: float, n_th: float = 0.0,
@@ -145,14 +174,15 @@ def output_correlators(d: DriftMatrix, omega: float, n_th: float = 0.0,
     """Correlator triple of the output beams at (omega, -omega)."""
     if check_stability:
         _require_stable(d)
-    n_plus, n_minus, xi = correlator_batch(d, np.array([omega]), n_th)
+    n_plus, n_minus, xi, _ = correlator_batch(d, np.array([omega]), n_th)
     return CorrelatorTriple(float(n_plus[0]), float(n_minus[0]), complex(xi[0]))
 
 
 def intra_beam_correlator(d: DriftMatrix, omega: float, n_th: float = 0.0,
                           beam: int = 1) -> complex:
-    """<a_out(omega) a_out(-omega)> within one beam (W_11 or W_33); vanishes
-    identically for these models -- no intra-beam squeezing."""
+    """<a_out(omega) a_out(-omega)> within one beam, (S(omega) C S^T(-omega))
+    at the (a+, a+) or (a-, a-) entry; vanishes identically for these
+    models -- no intra-beam squeezing."""
     row = 0 if beam == 1 else 2
     s_all = scattering_matrices(d, np.array([omega, -omega]))
     c = input_noise_matrix(d.dim, n_th)
@@ -162,16 +192,14 @@ def intra_beam_correlator(d: DriftMatrix, omega: float, n_th: float = 0.0,
 def output_spectrum(d: DriftMatrix, omega: float, n_th: float = 0.0) -> SpectrumPoint:
     """Channel-resolved output intensity spectrum of beam 1.
 
-    total = n_plus(omega) - 1/2; the optical part collects input channels
-    1-4, the mechanical part channels 5-6.
+    total = n_plus(omega) - 1/2; the optical part |s_+-|^2 comes from the
+    vacuum input of beam 2, the mechanical part n_th |s_+b|^2 from the
+    thermal mechanical input.
     """
     _require_stable(d)
-    s_all = scattering_matrices(d, np.array([omega, -omega]))
-    sp, sm = s_all[0], s_all[1]
-    c = input_noise_matrix(d.dim, n_th)
-    contrib = sm[1, :, None] * c * sp[0, None, :]   # terms W_21(-omega)[j, l]
-    optical = float(contrib[:4, :4].sum().real)
-    mechanical = float(contrib[4:, 4:].sum().real) if d.dim == 6 else 0.0
+    s_p = beam_block_scattering(d, np.array([omega]))[0, 0]
+    optical = float(_abs2(s_p[1]))
+    mechanical = float(n_th * _abs2(s_p[2])) if s_p.size == 3 else 0.0
     return SpectrumPoint(omega=float(omega), total=optical + mechanical,
                          optical_part=optical, mechanical_part=mechanical)
 
@@ -212,63 +240,3 @@ def pair_rate_numeric(p: EffectiveModelParams, rel_tol: float = 1e-9,
     raise QuadratureError("pair-rate window grew without the tail converging",
                           value=value / (2.0 * math.pi), error_estimate=err)
 
-
-# -- extended-precision path ------------------------------------------------
-
-def correlators_mp(d: DriftMatrix, omega: float, n_th: float = 0.0,
-                   dps: int = 50) -> tuple[mp.mpf, mp.mpf, mp.mpc]:
-    """Correlator triple evaluated with mpmath at `dps` decimal digits.
-
-    Mirrors correlator_batch exactly (same S/C/W pipeline); used where the
-    downstream log-negativity suffers a float64-fatal cancellation, e.g. at
-    cooperativities ~1e4 where ~12 digits cancel.
-    """
-    with mp.workdps(dps):
-        n = d.dim
-        sq = [mp.sqrt(mp.mpf(x)) for x in d.decay]
-
-        def smat(w: mp.mpf) -> mp.matrix:
-            a = mp.matrix(n)
-            for i in range(n):
-                for j in range(n):
-                    a[i, j] = mp.mpc(d.m[i, j])
-                a[i, i] += mp.mpc(0, 1) * w
-            inv = a ** -1
-            s = mp.matrix(n)
-            for i in range(n):
-                for j in range(n):
-                    s[i, j] = sq[i] * inv[i, j] * sq[j]
-                s[i, i] += 1
-            return s
-
-        w = mp.mpf(omega)
-        sp = smat(w)
-        sm = sp if omega == 0.0 else smat(-w)
-        weights = {(0, 1): mp.mpf(1), (2, 3): mp.mpf(1)}
-        if n == 6:
-            weights[(4, 5)] = mp.mpf(n_th) + 1
-            weights[(5, 4)] = mp.mpf(n_th)
-
-        def went(sa: mp.matrix, sb: mp.matrix, r: int, c: int) -> mp.mpc:
-            return mp.fsum(sa[r, j] * wt * sb[c, k] for (j, k), wt in weights.items())
-
-        n_plus = mp.mpf(0.5) + went(sm, sp, 1, 0).real
-        n_minus = mp.mpf(0.5) + went(sp, sm, 3, 2).real
-        xi = went(sp, sm, 0, 2)
-        return n_plus, n_minus, xi
-
-
-def log_negativity_mp(d: DriftMatrix, omega: float, n_th: float = 0.0,
-                      dps: int = 50) -> float:
-    """max(0, -ln(2 eta_minus)) of the output pair at (omega, -omega),
-    with the whole pipeline in extended precision."""
-    _require_stable(d)
-    n_plus, n_minus, xi = correlators_mp(d, omega, n_th, dps)
-    with mp.workdps(dps):
-        xi_sq = xi.real ** 2 + xi.imag ** 2
-        diff = n_plus - n_minus
-        root = mp.sqrt(diff * diff + 4 * xi_sq)
-        two_eta = 4 * (n_plus * n_minus - xi_sq) / (n_plus + n_minus + root)
-        if two_eta <= 0:
-            raise ValueError(f"unphysical 2*eta_minus = {two_eta}")
-        return float(max(mp.mpf(0), -mp.log(two_eta)))

@@ -8,6 +8,7 @@ column rather than aborting the sweep.
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import os
@@ -139,14 +140,16 @@ class SweepResult:
         return [c + " [kappa]" if c in _KAPPA_COLUMNS else c for c in self.columns()]
 
     def write_csv(self, fh: IO[str]) -> None:
+        """Schema line, header and one row per grid point; cells are quoted
+        only where they need it (a failure status can contain commas)."""
         fh.write(CSV_SCHEMA_LINE + "\n")
-        fh.write(",".join(self.header() + ["status"]) + "\n")
+        out = csv.writer(fh, lineterminator="\n")
+        out.writerow(self.header() + ["status"])
         for row in self.rows:
             cells = [format_float(v) for v in row.axis_values]
             cells += [format_float(row.values.get(c, math.nan)) for c in self.columns()
                       if c not in {a.name for a in self.config.axes}]
-            cells.append(row.status)
-            fh.write(",".join(cells) + "\n")
+            out.writerow(cells + [row.status])
 
     def grid_shape(self) -> tuple[int, ...]:
         return tuple(a.steps for a in self.config.axes)

@@ -215,7 +215,7 @@ def filtered_entanglement(d: DriftMatrix, n_th: float,
     widths = np.maximum(np.abs(np.linalg.eigvals(d.m).real), 1e-9)
 
     def parts_batch(nu: np.ndarray) -> np.ndarray:
-        n_plus, n_minus, xi = correlator_batch(d, nu, n_th)
+        n_plus, n_minus, xi, _ = correlator_batch(d, nu, n_th)
         return np.stack([n_plus - 0.5, n_minus - 0.5, xi.real, xi.imag])
 
     span0 = float(np.max(np.abs(res))) + 10.0 * float(np.max(d.decay))

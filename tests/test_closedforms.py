@@ -88,7 +88,8 @@ class TestFullModelResonantCorrelators:
         # The achievable agreement through float64 triples degrades with C as
         # ~eps*C^2/(n_th + 1/2) from the n+ n- - |xi|^2 cancellation, so the
         # tolerance is C-dependent; the exact algebraic identity is exercised
-        # at 1e-9 grade by acceptance criterion 1 in extended precision.
+        # at 1e-9 grade by acceptance criterion 1 on the cancellation-free
+        # float64 kernel.
         gamma = 1e-3
         for c, rel in ((1.0, 1e-12), (1e3, 1e-5), (2.5e4, 1e-2)):
             g = math.sqrt(c * KAPPA * gamma)

@@ -111,8 +111,8 @@ class TestLogNegativityTwoMode:
     def test_high_cooperativity_value(self):
         # triple of the resonant model at C = 2.5e4: frozen closed-form value.
         # A float64 triple of magnitude n determines E only to ~eps*n/(2 eta),
-        # about 3e-4 here; the 1e-9-grade comparison runs in the extended
-        # precision pipeline (acceptance criterion 1).
+        # about 3e-4 here; the 1e-9-grade comparison (acceptance criterion 1)
+        # goes through correlator_batch, whose q needs no subtraction.
         c = 2.5e4
         t = CorrelatorTriple(4 * c ** 2 + 0.5, 4 * c + 4 * c ** 2 + 0.5,
                              -4 * c * (c + 0.5))

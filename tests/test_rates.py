@@ -25,9 +25,9 @@ class TestSpectralDensity:
     def test_resonant_values_match_closed_form(self):
         d = full_drift()
         # frozen oracle values of the resonant closed form at C = 2.5e4
-        assert spectral_density(d, 0.0, 0.0, dps=50) == pytest.approx(
+        assert spectral_density(d, 0.0, 0.0) == pytest.approx(
             10.81979328442278, rel=1e-9)
-        assert spectral_density(d, 0.0, 50.0, dps=50) == pytest.approx(
+        assert spectral_density(d, 0.0, 50.0) == pytest.approx(
             6.206675680806784, rel=1e-9)
 
     def test_float64_path_close_at_moderate_C(self):
@@ -107,6 +107,23 @@ class TestEntanglementRate:
     def test_invalid_tol_rejected(self):
         with pytest.raises(ValueError):
             entanglement_rate(full_drift(), tol=0.0)
+
+    def test_resonant_anchor_peak_statistics(self):
+        # E_max is the resonant closed form at C = 2.5e4; float64 cancellation
+        # in q used to bias it to 10.906 and the FWHM to 1.690
+        rr = entanglement_rate(full_drift(), tol=1e-6)
+        assert rr.E_max == pytest.approx(10.81979328442278, rel=1e-9)
+        assert rr.fwhm == pytest.approx(1.7047, abs=1e-3)
+        assert rr.quadrature_error <= 1e-6
+
+    def test_rate_at_stable_points_next_to_the_boundary(self):
+        # effective model: stability margin 7.5e-5; full model: a 25x25
+        # rate-map point with max Re(eig) = -4.9e-7
+        for d in (drift_effective(EffectiveModelParams(g=5.0, delta=10.0, Delta=-0.2499)),
+                  full_drift(Delta=-0.25, delta=10.0)):
+            rr = entanglement_rate(d)
+            assert rr.gamma_E > 0 and rr.E_max > 0
+            assert rr.quadrature_error <= 1e-6
 
     def test_effective_model_rate_positive(self):
         d = drift_effective(EffectiveModelParams(g=5.0, delta=10.0))

@@ -1,16 +1,23 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from entrate.closedforms import full_model_correlators_resonant, pair_rate_closed
 from entrate.errors import UnstableSystemError
 from entrate.gaussian import covariance_from_correlators, symplectic_spectrum
-from entrate.models import (EffectiveModelParams, FullModelParams, drift_effective,
-                            drift_full)
-from entrate.scattering import (input_noise_matrix, intra_beam_correlator,
+from entrate.models import (DriftMatrix, EffectiveModelParams, FullModelParams,
+                            drift_effective, drift_full, stability)
+from entrate.rates import spectral_density
+from entrate.scattering import (beam_block_scattering, correlator_batch,
+                                input_noise_matrix, intra_beam_correlator,
                                 output_correlators, output_spectrum,
                                 pair_rate_numeric, scattering_matrix,
                                 scattering_matrices)
 from entrate.verify import effective_scattering_oracle
+from mp_reference import reference_point
 
 KAPPA = 1.0
 
@@ -215,3 +222,59 @@ class TestPairRate:
         with pytest.raises(UnstableSystemError):
             pair_rate_numeric(EffectiveModelParams(g=5.0, delta=10.0, kappa=KAPPA,
                                                    Delta=-0.5))
+
+
+# -- beam-block kernel against the extended-precision reference --------------
+
+@st.composite
+def stable_drifts(draw):
+    """(drift, n_th) at a random strictly stable point of either model:
+    full model with C up to 1e5 (near double resonance for half the draws),
+    effective model across its usual parameter box."""
+    if draw(st.booleans()):
+        c = 10.0 ** draw(st.floats(0.0, 5.0))
+        gamma = 10.0 ** draw(st.floats(-3.0, -0.5))
+        # near double resonance |delta|, |Delta| shrink with the stable window
+        scale = draw(st.sampled_from([1.0, 1e-3]))
+        p = FullModelParams(g=math.sqrt(c * gamma), Gamma=gamma, kappa=KAPPA,
+                            delta=scale * draw(st.floats(-15.0, 15.0)),
+                            Delta=scale * draw(st.floats(-1.5, 1.5)),
+                            n_th=draw(st.sampled_from([0.0, 1.0, 50.0, 1e3])))
+        d, n_th = drift_full(p), p.n_th
+    else:
+        d = eff_drift(g=draw(st.floats(0.5, 6.0)),
+                      delta=draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(2.0, 30.0)),
+                      Delta=draw(st.floats(-1.0, 1.0)))
+        n_th = 0.0
+    rep = stability(d)
+    assume(rep.stable and not rep.marginal)
+    return d, n_th
+
+
+class TestBlockKernel:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(stable_drifts(), st.floats(-20.0, 20.0))
+    def test_exact_against_extended_precision(self, drift_nth, omega):
+        d, n_th = drift_nth
+        q = correlator_batch(d, np.array([omega]), n_th)[3]
+        q_ref, e_ref = reference_point(d, omega, n_th)
+        # q inherits the conditioning of the solve (~1e-12 relative at high
+        # C); E does not, since the solve is backward stable and E is a
+        # well-conditioned function of the drift
+        assert q[0] > 0 and q[0] == pytest.approx(q_ref, rel=1e-9)
+        e = spectral_density(d, omega, n_th)
+        assert e >= 0.0
+        assert abs(e - e_ref) <= 1e-12 * max(1.0, e_ref)
+        s = beam_block_scattering(d, np.array([omega]))[0]
+        k_sig = np.diag([1.0, -1.0, 1.0][:s.shape[0]])
+        scale = max(1.0, float(np.max(np.abs(s))) ** 2)
+        assert np.max(np.abs(s @ k_sig @ s.conj().T - k_sig)) <= 1e-12 * scale
+
+    def test_block_coupled_to_partner_rejected(self):
+        d = full_drift(delta=10.0)
+        m = np.array(d.m)
+        m[0, 1] = 0.1j              # a+ <- a+^dag
+        m[1, 0] = np.conj(m[0, 1])  # its partner, keeps the pairing structure
+        coupled = DriftMatrix(m, d.decay, d.ordering)
+        with pytest.raises(ValueError, match="conjugate partner"):
+            correlator_batch(coupled, np.array([0.0, 1.0]))

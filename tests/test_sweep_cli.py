@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -134,6 +135,28 @@ class TestRunSweep:
         assert len(lines) == 5
         assert lines[2].endswith(",ok")
 
+    def test_failed_row_keeps_column_count(self, tmp_path, monkeypatch):
+        from entrate import sweep
+        from entrate.errors import QuadratureError
+
+        def fail(*args, **kwargs):
+            raise QuadratureError("did not converge", value=1.0, error_estimate=2.0)
+
+        monkeypatch.setattr(sweep.rates, "entanglement_rate", fail)
+        config = SweepConfig(model="full", fixed={"g": 1.0},
+                             axes=[SweepAxis("delta", -1.0, 1.0, 3)],
+                             quantities=["gamma_E", "stability_margin"], jobs=1)
+        result = run_sweep(config)
+        assert all(row.status.startswith("failed:") and ", " in row.status
+                   for row in result.rows)
+        out = tmp_path / "failed.csv"
+        with open(out, "w") as fh:
+            result.write_csv(fh)
+        with open(out) as fh:
+            rows = list(csv.reader(line for line in fh if not line.startswith("#")))
+        assert {len(r) for r in rows} == {4}
+        assert rows[1][-1] == result.rows[0].status
+
 
 class TestCliCommands:
     def test_spectrum_csv(self, tmp_path, capsys):
@@ -175,6 +198,17 @@ class TestCliCommands:
         doc = json.loads(capsys.readouterr().out)
         assert doc[0]["gamma_E [kappa]"] > 0
         assert doc[0]["fwhm [kappa]"] > 0
+
+    def test_quadrature_failure_exits_one(self, monkeypatch, capsys):
+        from entrate import rates
+        from entrate.errors import QuadratureError
+
+        def fail(*args, **kwargs):
+            raise QuadratureError("did not converge")
+
+        monkeypatch.setattr(rates, "entanglement_rate", fail)
+        assert run_cli(["rate", "--g", "1"]) == 1
+        assert "did not converge" in capsys.readouterr().err
 
     def test_stability_reports_roots(self, capsys):
         code = run_cli(["stability", "--model", "effective", "--g", "5",
@@ -231,7 +265,6 @@ class TestCliCommands:
 
     def test_entanglement_values_depend_only_on_C_and_nth(self, tmp_path):
         # fixed C = 2.5e4: E[0] identical across (Gamma, g) realizations
-        import csv
         vals = {}
         for gamma in ("5e-2", "1e-3"):
             for nth in ("0", "50"):
@@ -247,7 +280,7 @@ class TestCliCommands:
                 vals[(gamma, nth)] = float(rows[2][1])   # E at omega = 0
         for nth, expected in (("0", 10.81979328442278), ("50", 6.206675680806784)):
             for gamma in ("5e-2", "1e-3"):
-                assert vals[(gamma, nth)] == pytest.approx(expected, rel=5e-3)
+                assert vals[(gamma, nth)] == pytest.approx(expected, rel=1e-9)
 
     def test_verify_subset(self, capsys):
         code = run_cli(["verify", "--only", "wannier_norm"])
