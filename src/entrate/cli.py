@@ -12,13 +12,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
+from typing import Sequence
 
 import numpy as np
 
 from . import __version__, closedforms, models, rates, scattering, verify, wannier
 from .errors import EntrateError, QuadratureError, UnstableSystemError
-from .sweep import (CSV_SCHEMA_LINE, SweepAxis, SweepConfig, format_float,
-                    run_sweep)
+from .sweep import SweepAxis, SweepConfig, run_sweep, write_table
 
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
@@ -56,28 +57,14 @@ def _build_drift(args) -> tuple[models.DriftMatrix, float]:
     return models.drift_effective(params), 0.0
 
 
-def _open_output(args):
-    if args.output:
-        return open(args.output, "w", encoding="utf-8", newline="\n")
-    return sys.stdout
+def _output(path: str | None):
+    """The named file (closed on leaving the with block) or stdout."""
+    return open(path, "w", encoding="utf-8", newline="\n") if path else nullcontext(sys.stdout)
 
 
-def _emit(args, header: list[str], rows: list[list[float | str]]) -> None:
-    fh = _open_output(args)
-    try:
-        if args.format == "json":
-            doc = [dict(zip(header, row)) for row in rows]
-            json.dump(doc, fh, indent=2, default=float)
-            fh.write("\n")
-        else:
-            fh.write(CSV_SCHEMA_LINE + "\n")
-            fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(
-                    c if isinstance(c, str) else format_float(c) for c in row) + "\n")
-    finally:
-        if fh is not sys.stdout:
-            fh.close()
+def _emit(args, header: list[str], rows: Sequence[Sequence[float | str]]) -> None:
+    with _output(args.output) as fh:
+        write_table(fh, header, rows, args.format)
 
 
 def _require_stable_or_exit(drift: models.DriftMatrix) -> None:
@@ -90,11 +77,10 @@ def cmd_spectrum(args) -> int:
     drift, n_th = _build_drift(args)
     _require_stable_or_exit(drift)
     omegas = np.linspace(args.omega_min, args.omega_max, args.omega_steps)
+    optical, mechanical = scattering.spectrum_parts(drift, omegas, n_th)
     e_vals = rates.spectral_density_batch(drift, omegas, n_th)
-    rows = []
-    for w, e in zip(omegas, e_vals):
-        pt = scattering.output_spectrum(drift, float(w), n_th)
-        rows.append([pt.omega, pt.total, pt.optical_part, pt.mechanical_part, float(e)])
+    rows = list(zip(omegas.tolist(), (optical + mechanical).tolist(),
+                    optical.tolist(), mechanical.tolist(), e_vals.tolist()))
     _emit(args, ["omega [kappa]", "total", "optical", "mechanical", "E"], rows)
     return 0
 
@@ -104,8 +90,7 @@ def cmd_entanglement(args) -> int:
     _require_stable_or_exit(drift)
     omegas = np.linspace(args.omega_min, args.omega_max, args.omega_steps)
     e_vals = rates.spectral_density_batch(drift, omegas, n_th)
-    rows = [[float(w), float(e)] for w, e in zip(omegas, e_vals)]
-    _emit(args, ["omega [kappa]", "E"], rows)
+    _emit(args, ["omega [kappa]", "E"], list(zip(omegas.tolist(), e_vals.tolist())))
     return 0
 
 
@@ -180,24 +165,11 @@ def cmd_sweep(args) -> int:
     if args.output is not None:
         config.output = args.output
     result = run_sweep(config)
-    fh = open(config.output, "w", encoding="utf-8", newline="\n") \
-        if config.output else sys.stdout
-    try:
+    with _output(config.output) as fh:
         if args.format == "json":
-            doc = [dict(zip([*result.header(), "status"],
-                            [*row.axis_values,
-                             *[row.values.get(c, float("nan"))
-                               for c in result.columns()
-                               if c not in {a.name for a in config.axes}],
-                             row.status]))
-                   for row in result.rows]
-            json.dump(doc, fh, indent=2, default=float)
-            fh.write("\n")
+            write_table(fh, *result.table(), "json")
         else:
             result.write_csv(fh)
-    finally:
-        if fh is not sys.stdout:
-            fh.close()
     return 0
 
 
@@ -218,13 +190,9 @@ def cmd_verify(args) -> int:
             return 2
     results = verify.run_checks(names, jobs=args.jobs if args.jobs is not None else 0)
     if args.format == "json":
-        fh = _open_output(args)
-        try:
+        with _output(args.output) as fh:
             json.dump([r.to_dict() for r in results], fh, indent=2)
             fh.write("\n")
-        finally:
-            if fh is not sys.stdout:
-                fh.close()
     else:
         for r in results:
             status = "PASS" if r.passed else "FAIL"

@@ -158,3 +158,22 @@ def bisect_all(f_batch: Callable[[np.ndarray], np.ndarray],
         flo = np.where(same_as_lo, fm, flo)
         hi = np.where(same_as_lo, hi, mid)
     return 0.5 * (lo + hi)
+
+
+def minimize_scalar(f_batch: Callable[[np.ndarray], np.ndarray],
+                    lo: float, hi: float, *, xtol: float) -> tuple[float, float]:
+    """(x, f(x)) at the best sample of f on [lo, hi] by grid zooming: each
+    step evaluates 17 points across the bracket in one batched call and
+    keeps the two cells around the smallest sample, shrinking the bracket
+    8x, until it is xtol wide (so x is within xtol of a unimodal minimum)."""
+    best_x, best_f = float(lo), math.inf
+    for _ in range(100):     # ends on xtol long before; guards xtol below one ulp
+        x = np.linspace(lo, hi, 17)
+        f = np.asarray(f_batch(x), dtype=float)
+        k = int(np.argmin(f))
+        if f[k] < best_f:
+            best_x, best_f = float(x[k]), float(f[k])
+        if hi - lo <= xtol:
+            break
+        lo, hi = x[max(k - 1, 0)], x[min(k + 1, x.size - 1)]
+    return best_x, best_f

@@ -20,13 +20,11 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import minimize_scalar
-from scipy.signal import find_peaks
 
 from .errors import QuadratureError, UnstableSystemError
 from .models import DriftMatrix, stability
-from .quadutil import adaptive_gk, bisect_all
-from .scattering import correlator_batch, resonance_frequencies
+from .quadutil import adaptive_gk, bisect_all, minimize_scalar
+from .scattering import correlator_batch
 
 _PEAK_OFFSETS = np.array([0.0, 0.25, -0.25, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0,
                           5.0, -5.0, 10.0, -10.0, 25.0, -25.0, 50.0, -50.0,
@@ -75,12 +73,13 @@ def symmetrized_density(d: DriftMatrix, omega: float, n_th: float = 0.0) -> floa
 @dataclass
 class EntanglementSpectrum:
     """Sampled E[omega] curve. When built by sample_spectrum it keeps a
-    pointwise evaluator so that peak statistics can be refined beyond the
-    sampling grid; synthetic spectra are interpolated linearly instead."""
+    batched evaluator (array of omegas -> array of E) so that peak
+    statistics can be refined beyond the sampling grid; synthetic spectra
+    are interpolated linearly instead."""
 
     omegas: np.ndarray
     values: np.ndarray
-    evaluator: Callable[[float], float] | None = field(default=None, repr=False)
+    evaluator: Callable[[np.ndarray], np.ndarray] | None = field(default=None, repr=False)
     quadrature_error: float = 0.0
 
     def __post_init__(self):
@@ -103,7 +102,7 @@ def sample_spectrum(d: DriftMatrix, n_th: float, omegas: np.ndarray) -> Entangle
     vals = spectral_density_batch(d, omegas, n_th)
     return EntanglementSpectrum(
         omegas, vals,
-        evaluator=lambda w: float(spectral_density_batch(d, np.array([w]), n_th)[0]))
+        evaluator=lambda w: spectral_density_batch(d, np.asarray(w, dtype=float), n_th))
 
 
 @dataclass(frozen=True)
@@ -210,37 +209,25 @@ def entanglement_rate(d: DriftMatrix, n_th: float = 0.0, tol: float = 1e-6) -> R
     if not intervals:
         return RateResult(0.0, 0.0, 0.0, 0.0, 0.0, 0)
 
-    # panel edges seeded with the whole probe grid: the scan already resolved
-    # the spectral structure, so refinement only has to polish
-    seeds = np.unique(np.concatenate([resonance_frequencies(d), probes]))
+    # panel edges seeded with the whole probe grid, resonances included: the
+    # scan already resolved the spectral structure, refinement only polishes
     total = 0.0
     err = tail
     budget = tol * 2.0 * math.pi * 0.5
     lengths = np.array([b - a for a, b in intervals])
     for (a, b), ln in zip(intervals, lengths):
-        inner = [s for s in seeds if a < s < b]
+        inner = [s for s in probes if a < s < b]
         val, e = adaptive_gk(e_batch, a, b, epsabs=budget * ln / lengths.sum(),
                              initial_points=inner)
         total += val
         err += e
 
-    # peak statistics from the probe set, refined by a bounded minimizer
+    # peak statistics from the probe set
+    probe_e = e_batch(probes)
     mask = h > 0
-    cand = probes[mask]
-    cand_e = e_batch(cand)
-    k = int(np.argmax(cand_e))
-    lo = cand[k - 1] if k > 0 else cand[k] - 1e-6
-    hi = cand[k + 1] if k + 1 < cand.size else cand[k] + 1e-6
-    res = minimize_scalar(lambda w: -float(e_batch(np.array([w]))[0]),
-                          bounds=(lo, hi), method="bounded",
-                          options={"xatol": 1e-10 * max(1.0, abs(cand[k]))})
-    omega_max = float(res.x)
-    e_max = float(-res.fun)
-    if e_max < cand_e[k]:
-        omega_max, e_max = float(cand[k]), float(cand_e[k])
-
-    width = _fwhm_by_bisection(lambda w: e_batch(np.asarray(w, dtype=float)),
-                               probes, e_batch(probes), omega_max, e_max)
+    cand, cand_e = probes[mask], probe_e[mask]
+    omega_max, e_max = _refined_peak(e_batch, cand, cand_e, xtol=1e-10)
+    width = _fwhm_by_bisection(e_batch, probes, probe_e, omega_max, e_max)
     n_secondary = _count_local_maxima(cand, cand_e, e_max) - 1
     return RateResult(gamma_E=total / (2.0 * math.pi), E_max=e_max,
                       omega_max=omega_max, fwhm=width,
@@ -248,14 +235,37 @@ def entanglement_rate(d: DriftMatrix, n_th: float = 0.0, tol: float = 1e-6) -> R
                       secondary_peaks=max(n_secondary, 0))
 
 
+def _refined_peak(e_batch, grid: np.ndarray, vals: np.ndarray,
+                  xtol: float) -> tuple[float, float]:
+    """(omega_max, E_max): the largest sample of E on the sorted grid,
+    refined between that sample's neighbours to xtol * max(1, |omega|);
+    the sample itself when the refinement finds nothing higher."""
+    k = int(np.argmax(vals))
+    x, f = minimize_scalar(lambda w: -e_batch(w),
+                           grid[max(k - 1, 0)], grid[min(k + 1, grid.size - 1)],
+                           xtol=xtol * max(1.0, abs(grid[k])))
+    if -f < vals[k]:
+        return float(grid[k]), float(vals[k])
+    return x, -f
+
+
 def _count_local_maxima(x: np.ndarray, y: np.ndarray, e_max: float) -> int:
     """Peak count with a prominence floor of 1% of the dominant peak, so the
-    float-level jitter of strongly squeezed points does not register."""
+    float-level jitter of strongly squeezed points does not register. A
+    peak is an interior strict maximum once plateaus are collapsed; its
+    prominence is its height above the higher of the lowest samples on each
+    side, searched outward until a higher sample or the border."""
     if y.size < 3:
         return 1 if np.any(y > 0) else 0
-    prominence = max(1e-9, 1e-2 * e_max)
-    peaks, _ = find_peaks(y, prominence=prominence)
-    return max(int(peaks.size), 1)
+    floor = max(1e-9, 1e-2 * e_max)
+    z = y[np.r_[True, y[1:] != y[:-1]]]
+    count = 0
+    for p in np.flatnonzero((z[1:-1] > z[:-2]) & (z[1:-1] > z[2:])) + 1:
+        higher = np.flatnonzero(z > z[p])
+        lo = higher[higher < p].max(initial=-1) + 1
+        hi = higher[higher > p].min(initial=z.size)
+        count += z[p] - max(z[lo:p].min(), z[p + 1:hi].min()) >= floor
+    return max(int(count), 1)
 
 
 def _fwhm_by_bisection(e_batch, grid: np.ndarray, grid_vals: np.ndarray,
@@ -266,12 +276,9 @@ def _fwhm_by_bisection(e_batch, grid: np.ndarray, grid_vals: np.ndarray,
     half = 0.5 * e_max
 
     def crossing(direction: int) -> float:
-        if direction > 0:
-            outside = grid[(grid > omega_max) & (grid_vals < half)]
-            hi = outside.min() if outside.size else None
-        else:
-            outside = grid[(grid < omega_max) & (grid_vals < half)]
-            hi = outside.max() if outside.size else None
+        # nearest sample below half maximum on this side of the peak
+        outside = grid[(direction * (grid - omega_max) > 0) & (grid_vals < half)]
+        hi = (outside.min() if direction > 0 else outside.max()) if outside.size else None
         if hi is None:
             # expand geometrically until below half maximum
             step = max(abs(omega_max), 1.0)
@@ -282,11 +289,9 @@ def _fwhm_by_bisection(e_batch, grid: np.ndarray, grid_vals: np.ndarray,
                 hi = omega_max + direction * (abs(hi - omega_max) * 2.0)
             else:
                 raise QuadratureError("no half-maximum crossing found")
-        root = bisect_all(lambda w: e_batch(w) - half,
-                          np.array([min(omega_max, hi)]),
-                          np.array([max(omega_max, hi)]),
-                          xtol=xtol)[0]
-        return float(root)
+        return float(bisect_all(lambda w: e_batch(w) - half,
+                                np.array([min(omega_max, hi)]),
+                                np.array([max(omega_max, hi)]), xtol=xtol)[0])
 
     return crossing(+1) - crossing(-1)
 
@@ -301,25 +306,13 @@ def fwhm(spectrum: EntanglementSpectrum, xtol: float = 1e-6) -> float:
     vals = spectrum.values
     if np.all(vals <= 0):
         raise ValueError("spectrum has no peak (all values are zero)")
-    k = int(np.argmax(vals))
-    e_max = float(vals[k])
-    omega_max = float(spectrum.omegas[k])
-
     if spectrum.evaluator is not None:
-        def e_batch(w):
-            w = np.atleast_1d(np.asarray(w, dtype=float))
-            return np.array([spectrum.evaluator(x) for x in w])
+        omega_max, e_max = _refined_peak(spectrum.evaluator, spectrum.omegas, vals, xtol)
+        return _fwhm_by_bisection(spectrum.evaluator, spectrum.omegas, vals,
+                                  omega_max, e_max, xtol=xtol)
 
-        res = minimize_scalar(lambda w: -spectrum.evaluator(w),
-                              bounds=(spectrum.omegas[max(k - 1, 0)],
-                                      spectrum.omegas[min(k + 1, vals.size - 1)]),
-                              method="bounded")
-        if -res.fun > e_max:
-            e_max, omega_max = float(-res.fun), float(res.x)
-        return _fwhm_by_bisection(e_batch, spectrum.omegas, vals, omega_max, e_max,
-                                  xtol=xtol)
-
-    half = 0.5 * e_max
+    k = int(np.argmax(vals))
+    half = 0.5 * float(vals[k])
 
     def interp_cross(direction: int) -> float:
         idx = range(k, vals.size - 1) if direction > 0 else range(k - 1, -1, -1)

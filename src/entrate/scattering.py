@@ -189,17 +189,25 @@ def intra_beam_correlator(d: DriftMatrix, omega: float, n_th: float = 0.0,
     return complex(s_all[0, row, :] @ c @ s_all[1, row, :])
 
 
-def output_spectrum(d: DriftMatrix, omega: float, n_th: float = 0.0) -> SpectrumPoint:
-    """Channel-resolved output intensity spectrum of beam 1.
+def spectrum_parts(d: DriftMatrix, omegas: np.ndarray, n_th: float = 0.0,
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """(optical, mechanical) parts of the beam-1 output intensity spectrum
+    over a frequency grid, from one stacked solve of the beam block: the
+    optical part |s_+-|^2 comes from the vacuum input of beam 2, the
+    mechanical part n_th |s_+b|^2 from the thermal mechanical input (zero
+    for the effective model). No stability check."""
+    s_p = beam_block_scattering(d, omegas)[:, 0]
+    optical = _abs2(s_p[:, 1])
+    return optical, (n_th * _abs2(s_p[:, 2]) if s_p.shape[1] == 3
+                     else np.zeros_like(optical))
 
-    total = n_plus(omega) - 1/2; the optical part |s_+-|^2 comes from the
-    vacuum input of beam 2, the mechanical part n_th |s_+b|^2 from the
-    thermal mechanical input.
-    """
+
+def output_spectrum(d: DriftMatrix, omega: float, n_th: float = 0.0) -> SpectrumPoint:
+    """Channel-resolved output intensity spectrum of beam 1 at one
+    frequency, total = n_plus(omega) - 1/2: spectrum_parts at one point,
+    after a stability check."""
     _require_stable(d)
-    s_p = beam_block_scattering(d, np.array([omega]))[0, 0]
-    optical = float(_abs2(s_p[1]))
-    mechanical = float(n_th * _abs2(s_p[2])) if s_p.size == 3 else 0.0
+    optical, mechanical = np.concatenate(spectrum_parts(d, np.array([omega]), n_th)).tolist()
     return SpectrumPoint(omega=float(omega), total=optical + mechanical,
                          optical_part=optical, mechanical_part=mechanical)
 

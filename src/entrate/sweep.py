@@ -3,7 +3,8 @@
 Grid points are pure computations, evaluated by a process pool when
 jobs != 1 and emitted strictly in grid order, so the output is byte-stable
 regardless of the worker count. Unstable points are flagged in the status
-column rather than aborting the sweep.
+column rather than aborting the sweep, and so are points whose parameters
+are invalid.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import IO
+from typing import IO, Sequence
 
 import numpy as np
 
@@ -31,9 +32,27 @@ _KAPPA_COLUMNS = {"delta", "Delta", "Gamma", "g", "stability_margin", "gamma_E",
 CSV_SCHEMA_LINE = "# schema=1"
 
 
-def format_float(x: float) -> str:
-    """Fixed 17-significant-digit float formatting for byte-stable output."""
-    return format(float(x), ".17g")
+#: Fixed 17-significant-digit float formatting for byte-stable output; a C
+#: method, so mapping it over a column makes no Python call per cell.
+format_float = "%.17g".__mod__
+
+
+def write_table(fh: IO[str], header: list[str],
+                rows: Sequence[Sequence[float | str]], fmt: str = "csv") -> None:
+    """Write rows under header as CSV (schema line, header, cells quoted
+    only where they need it, numbers through format_float) or as a JSON
+    list of one object per row. Each column holds strings or numbers."""
+    if fmt == "json":
+        json.dump([dict(zip(header, row)) for row in rows], fh, indent=2, default=float)
+        fh.write("\n")
+        return
+    fh.write(CSV_SCHEMA_LINE + "\n")
+    out = csv.writer(fh, lineterminator="\n")
+    out.writerow(header)
+    # formatted a column at a time: per-cell Python calls would dominate
+    # the time of a 20k-row table
+    out.writerows(zip(*(col if isinstance(col[0], str) else map(format_float, col)
+                        for col in zip(*rows))))
 
 
 @dataclass(frozen=True)
@@ -139,17 +158,17 @@ class SweepResult:
     def header(self) -> list[str]:
         return [c + " [kappa]" if c in _KAPPA_COLUMNS else c for c in self.columns()]
 
+    def table(self) -> tuple[list[str], list[list[float | str]]]:
+        """Header and one row per grid point: axis values, quantities (NaN
+        where unavailable) and the status."""
+        quantities = self.columns()[len(self.config.axes):]
+        return self.header() + ["status"], [
+            [*row.axis_values, *(row.values.get(c, math.nan) for c in quantities), row.status]
+            for row in self.rows]
+
     def write_csv(self, fh: IO[str]) -> None:
-        """Schema line, header and one row per grid point; cells are quoted
-        only where they need it (a failure status can contain commas)."""
-        fh.write(CSV_SCHEMA_LINE + "\n")
-        out = csv.writer(fh, lineterminator="\n")
-        out.writerow(self.header() + ["status"])
-        for row in self.rows:
-            cells = [format_float(v) for v in row.axis_values]
-            cells += [format_float(row.values.get(c, math.nan)) for c in self.columns()
-                      if c not in {a.name for a in self.config.axes}]
-            out.writerow(cells + [row.status])
+        """The table as CSV (a failure status with commas is quoted)."""
+        write_table(fh, *self.table())
 
     def grid_shape(self) -> tuple[int, ...]:
         return tuple(a.steps for a in self.config.axes)
@@ -179,6 +198,9 @@ def _eval_point(payload: tuple[str, dict[str, float], tuple[float, ...],
     out: dict[str, float] = {}
     try:
         params = _build_params(model, fields)
+    except ValueError as exc:
+        return SweepRow(axis_values, out, f"failed: {exc}")
+    try:
         drift = (models.drift_full(params) if model == "full"
                  else models.drift_effective(params))
         rep = models.stability(drift)
@@ -187,14 +209,10 @@ def _eval_point(payload: tuple[str, dict[str, float], tuple[float, ...],
         if not rep.stable:
             return SweepRow(axis_values, out, "unstable")
         n_th = fields.get("n_th", 0.0) if model == "full" else 0.0
-        if {"E_max", "gamma_E", "fwhm"} & set(quantities):
+        rate_fields = [q for q in ("E_max", "gamma_E", "fwhm") if q in quantities]
+        if rate_fields:
             rr = rates.entanglement_rate(drift, n_th=n_th, tol=tol)
-            if "E_max" in quantities:
-                out["E_max"] = rr.E_max
-            if "gamma_E" in quantities:
-                out["gamma_E"] = rr.gamma_E
-            if "fwhm" in quantities:
-                out["fwhm"] = rr.fwhm
+            out.update({q: getattr(rr, q) for q in rate_fields})
         if "pair_rate" in quantities:
             out["pair_rate"] = scattering.pair_rate_numeric(params)
         if "spectrum" in quantities:
@@ -207,18 +225,12 @@ def _eval_point(payload: tuple[str, dict[str, float], tuple[float, ...],
 
 
 def _spectrum_peak(drift, n_th: float) -> tuple[float, float]:
-    """Location and height of the maximum of the beam-1 output spectrum,
-    from a resonance-seeded scan."""
-    res = scattering.resonance_frequencies(drift)
-    widths = np.maximum(np.abs(np.linalg.eigvals(drift.m).real), 1e-9)
-    span = float(np.max(np.abs(res))) + 10.0
-    grid = [np.linspace(-span, span, 201)]
-    for r, wd in zip(res, widths):
-        grid.append(r + wd * np.array([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0]))
-    omegas = np.unique(np.concatenate(grid))
-    n_plus = scattering.correlator_batch(drift, omegas, n_th)[0] - 0.5
-    k = int(np.argmax(n_plus))
-    return float(omegas[k]), float(n_plus[k])
+    """Location and height of the maximum of the beam-1 output spectrum
+    on the resonance-seeded probe grid of rates."""
+    omegas = rates._probe_points(drift)
+    optical, mechanical = scattering.spectrum_parts(drift, omegas, n_th)
+    k = int(np.argmax(optical + mechanical))
+    return float(omegas[k]), float(optical[k] + mechanical[k])
 
 
 def run_sweep(config: SweepConfig) -> SweepResult:

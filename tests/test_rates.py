@@ -2,13 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.signal import find_peaks
 
 from entrate.closedforms import eta_minus_resonant
 from entrate.errors import UnstableSystemError
 from entrate.models import EffectiveModelParams, FullModelParams, drift_effective, drift_full
-from entrate.rates import (EntanglementSpectrum, entanglement_rate, fwhm,
-                           sample_spectrum, spectral_density, symmetrized_density,
-                           to_nats_per_second)
+from entrate.rates import (EntanglementSpectrum, _count_local_maxima, _refined_peak,
+                           entanglement_rate, fwhm, sample_spectrum, spectral_density,
+                           symmetrized_density, to_nats_per_second)
 
 KAPPA = 1.0
 
@@ -125,6 +128,13 @@ class TestEntanglementRate:
             assert rr.gamma_E > 0 and rr.E_max > 0
             assert rr.quadrature_error <= 1e-6
 
+    def test_secondary_peak_counts(self):
+        # off mechanical resonance the full model's E[omega] has an optical
+        # and a mechanical peak; the effective model has one
+        assert entanglement_rate(full_drift(delta=10.0)).secondary_peaks == 1
+        d = drift_effective(EffectiveModelParams(g=5.0, delta=10.0, Delta=-0.2))
+        assert entanglement_rate(d).secondary_peaks == 0
+
     def test_effective_model_rate_positive(self):
         d = drift_effective(EffectiveModelParams(g=5.0, delta=10.0))
         rr = entanglement_rate(d, tol=1e-5)
@@ -175,6 +185,37 @@ class TestFwhm:
             EntanglementSpectrum(np.array([0.0, 1.0]), np.array([1.0, -0.5]))
         with pytest.raises(ValueError):
             EntanglementSpectrum(np.array([1.0, 0.0]), np.array([1.0, 0.5]))
+
+
+class TestPeakCount:
+    @staticmethod
+    def scipy_count(y, e_max):
+        if y.size < 3:
+            return 1 if np.any(y > 0) else 0
+        peaks, _ = find_peaks(y, prominence=max(1e-9, 1e-2 * e_max))
+        return max(int(peaks.size), 1)
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(st.one_of(st.lists(st.floats(0.0, 10.0), max_size=40),
+                     # small integers: plateaus and equal-height shoulders
+                     st.lists(st.integers(0, 3).map(float), max_size=40)),
+           st.floats(0.0, 400.0))
+    def test_matches_scipy_find_peaks(self, ys, e_max):
+        y = np.array(ys, dtype=float)
+        assert _count_local_maxima(np.arange(y.size), y, e_max) == self.scipy_count(y, e_max)
+
+    def test_plateau_peak_and_border_plateau(self):
+        y = np.array([0.0, 2.0, 2.0, 2.0, 0.0, 1.0, 1.0])
+        assert _count_local_maxima(np.arange(7), y, 2.0) == 1
+
+
+def test_refined_peak_keeps_a_sample_the_search_misses():
+    # a spike narrower than the search grid over its neighbours' bracket
+    def e(w):
+        return np.where(np.abs(w - 1e-3) < 1e-7, 5.0, 1.0 - np.abs(w - 0.5))
+
+    grid = np.array([0.0, 1e-3, 1.0])
+    assert _refined_peak(e, grid, e(grid), xtol=1e-10) == (1e-3, 5.0)
 
 
 def test_rate_unit_conversion():

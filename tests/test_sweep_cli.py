@@ -288,15 +288,48 @@ class TestCliCommands:
         assert "PASS" in capsys.readouterr().out
 
     def test_verify_json_report_fields(self, capsys):
-        code = run_cli(["verify", "--only", "pair_rate", "--format", "json"])
-        assert code == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc[0]["name"] == "pair_rate"
-        assert doc[0]["passed"] is True
-        assert doc[0]["seconds"] > 0
+        # the last two checks compute their verdicts with numpy scalars
+        for only, name in (("pair_rate", "pair_rate"),
+                           ("spectrum_two", "spectrum_two_peaks"),
+                           ("rate_map", "rate_map_argmax")):
+            code = run_cli(["verify", "--only", only, "--format", "json"])
+            assert code == 0
+            doc = json.loads(capsys.readouterr().out)
+            assert doc[0]["name"] == name
+            assert doc[0]["passed"] is True
+            assert doc[0]["seconds"] > 0
 
     def test_verify_unknown_filter(self, capsys):
         assert run_cli(["verify", "--only", "no_such_check"]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["--model", "effective", "--g", "5", "--delta", "10",
+         "--axis", "delta:-15:15:5"],                       # delta = 0 is invalid
+        ["--axis", "Gamma:0:0.1:3"]])                       # Gamma = 0 is invalid
+    def test_sweep_flags_invalid_points(self, tmp_path, argv):
+        out = tmp_path / "sweep.csv"
+        code = run_cli(["sweep", *argv, "--quantity", "E_max", "--jobs", "1",
+                        "--output", str(out)])
+        assert code == 0
+        with open(out) as fh:
+            rows = list(csv.reader(line for line in fh if not line.startswith("#")))
+        assert {len(r) for r in rows} == {3}
+        statuses = [r[-1] for r in rows[1:]]
+        assert sum(s.startswith("failed: ") for s in statuses) == 1
+        assert statuses.count("ok") == len(statuses) - 1
+
+    def test_import_loads_neither_scipy_nor_mpmath(self):
+        import os
+        import subprocess
+        import sys
+
+        import entrate
+        src = os.path.dirname(os.path.dirname(entrate.__file__))
+        code = ("import sys, entrate; "
+                "print(sorted({m.split('.')[0] for m in sys.modules} & {'scipy', 'mpmath'}))")
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, check=True)
+        assert done.stdout.strip() == "[]"
 
 
 class TestMutationSanity:
