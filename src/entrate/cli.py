@@ -133,10 +133,10 @@ def cmd_pair_rate(args) -> int:
 def cmd_wannier_check(args) -> int:
     rows = []
     ok = True
+    bound = wannier.kernel_tail_bound(args.M, args.cutoff)   # rejects M < 1, cutoff < 1
     l_values = range(args.M) if args.l is None else [args.l]
     for l in l_values:
         partial = wannier.kernel_normalization(args.M, l, args.cutoff)
-        bound = wannier.kernel_tail_bound(args.M, args.cutoff)
         gap = abs(1.0 - partial)
         ok = ok and gap <= bound
         rows.append([float(args.M), float(l), partial, gap, bound,

@@ -37,13 +37,6 @@ def eta_minus_resonant(C: float, n_th: float) -> float:
     return (4.0 * C * m + 0.25) / (4.0 * C * P + 0.5 + 2.0 * C * math.sqrt(1.0 + 4.0 * P * P))
 
 
-def eta_minus_resonant_naive(C: float, n_th: float) -> float:
-    """Direct evaluation of the resonant eta_minus expression; kept for
-    cross-checking the stable form at moderate C."""
-    P = C + n_th + 0.5
-    return 4.0 * C * P + 0.5 - 2.0 * C * math.sqrt(1.0 + 4.0 * P * P)
-
-
 def pair_rate_closed(g: float, kappa: float, delta: float, Delta: float = 0.0) -> float:
     """Photon pair creation rate of the effective optical model,
     (g^2/4delta)^2 (kappa/2) / [(kappa/2)^2 + (Delta + g^2/2delta) Delta].

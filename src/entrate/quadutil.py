@@ -120,21 +120,6 @@ def adaptive_gk(f_batch: Callable[[np.ndarray], np.ndarray],
     return math.fsum(val[order].tolist()), math.fsum(err[order].tolist())
 
 
-def geometric_ladder(center: float, scale: float, span: float,
-                     ratio: float = 4.0) -> set[float]:
-    """Panel-boundary ladder bracketing a feature of width `scale` at
-    `center`: points center +- scale * ratio^k out to span, plus one rung
-    inside the feature. Pre-adapts panel integration to features much
-    narrower than the window."""
-    pts = {center, center - scale / ratio, center + scale / ratio}
-    step = scale
-    while step <= span:
-        pts.add(center - step)
-        pts.add(center + step)
-        step *= ratio
-    return pts
-
-
 def bisect_all(f_batch: Callable[[np.ndarray], np.ndarray],
                lo: np.ndarray, hi: np.ndarray, *,
                xtol: float, max_iter: int = 200) -> np.ndarray:

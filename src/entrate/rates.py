@@ -117,9 +117,11 @@ class RateResult:
     secondary_peaks: int
 
 
-def _probe_points(d: DriftMatrix) -> np.ndarray:
-    """Scan grid seeded at drift resonances, with per-resonance offsets
-    scaled by the local linewidth, plus a coarse global grid."""
+def frequency_grid(d: DriftMatrix) -> np.ndarray:
+    """Sorted frequency grid seeded at the drift resonances: per-resonance
+    offsets scaled by the local linewidth plus a coarse global grid. The
+    one grid of the package: it seeds the Gamma_E scan, the sweep's
+    spectrum peak and the filter averages of wannier."""
     eigs = np.linalg.eigvals(d.m)
     centers = np.concatenate([-eigs.imag, [0.0]])
     widths = np.concatenate([np.maximum(np.abs(eigs.real), 1e-12), [np.max(d.decay)]])
@@ -140,7 +142,7 @@ def _positive_intervals(d: DriftMatrix, n_th: float, tol: float,
     def h_batch(w):
         return 1.0 - two_eta_minus_batch(d, np.asarray(w, dtype=float), n_th)
 
-    probes = _probe_points(d)
+    probes = frequency_grid(d)
     h = h_batch(probes)
 
     # grow the window while E at the boundary still matters; the decay

@@ -226,8 +226,8 @@ def _eval_point(payload: tuple[str, dict[str, float], tuple[float, ...],
 
 def _spectrum_peak(drift, n_th: float) -> tuple[float, float]:
     """Location and height of the maximum of the beam-1 output spectrum
-    on the resonance-seeded probe grid of rates."""
-    omegas = rates._probe_points(drift)
+    on rates.frequency_grid."""
+    omegas = rates.frequency_grid(drift)
     optical, mechanical = scattering.spectrum_parts(drift, omegas, n_th)
     k = int(np.argmax(optical + mechanical))
     return float(omegas[k]), float(optical[k] + mechanical[k])

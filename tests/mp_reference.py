@@ -1,10 +1,13 @@
-"""Extended-precision reference for the output-pair correlators.
+"""Extended-precision references for the output-pair correlators and for
+the Lorentzian-filtered entanglement.
 
-Evaluates the whole doubled-basis pipeline in mpmath: both 6x6 (or 4x4)
-scattering matrices S(+omega) and S(-omega), the input noise coefficients
-C, and W = S(omega) C S^T(-omega), then forms q = n_plus n_minus - |xi|^2
-by direct subtraction, which 50 digits survive at any cooperativity the
-tests use. Shares no code with the float64 block kernel it checks.
+correlators_mp evaluates the whole doubled-basis pipeline in mpmath: both
+6x6 (or 4x4) scattering matrices S(+omega) and S(-omega), the input noise
+coefficients C, and W = S(omega) C S^T(-omega), then forms
+q = n_plus n_minus - |xi|^2 by direct subtraction, which 50 digits survive
+at any cooperativity the tests use. Shares no code with the float64 block
+kernel it checks. lorentzian_filtered_mp solves the filtered pair as a
+Lyapunov equation instead of a frequency average.
 """
 
 from __future__ import annotations
@@ -64,3 +67,58 @@ def reference_point(d: DriftMatrix, omega: float, n_th: float = 0.0,
         root = mp.sqrt((n_plus - n_minus) ** 2 + 4 * xi_sq)
         two_eta = 4 * q / (n_plus + n_minus + root)
         return float(q), float(max(mp.mpf(0), -mp.log(two_eta)))
+
+
+def lorentzian_filtered_mp(d: DriftMatrix, n_th: float, omega_c: float, tau: float,
+                           dps: int = 60) -> float:
+    """E_N^tau of the Lorentzian filter pair (beam 1 at +omega_c, beam 2 at
+    -omega_c, filter time tau) from a Lyapunov equation, at `dps` digits.
+
+    The filter modes c_1 and c_2^dag obey dc/dt = (-1/tau - i omega_c) c +
+    sqrt(2/tau) a_out and join the beam block X = (a+, a-^dag[, b]) in one
+    linear system dY/dt = A Y + B xi. The stationary symmetrized covariance
+    P solves A P + P A^dag + B W B^dag = 0 with W = diag(1/2, 1/2[, n_th + 1/2]),
+    and its filter block holds (n_plus, n_minus, xi) of the filtered pair.
+    Solved as one vectorized linear system; shares no code with the angle
+    quadrature of wannier.filtered_entanglement.
+    """
+    m, decay = d.beam_block
+    k = m.shape[0]
+    n = k + 2
+    with mp.workdps(dps):
+        rate = mp.sqrt(2 / mp.mpf(tau))
+        sq = [mp.sqrt(mp.mpf(x)) for x in decay]
+        a = mp.matrix(n)
+        b = mp.matrix(n, k)
+        for i in range(k):
+            for j in range(k):
+                a[i, j] = mp.mpc(m[i, j])
+            b[i, i] = -sq[i]
+        for f in range(2):
+            a[k + f, f] = rate * sq[f]
+            a[k + f, k + f] = -1 / mp.mpf(tau) - mp.mpc(0, 1) * mp.mpf(omega_c)
+            b[k + f, f] = rate
+        w = [mp.mpf(0.5)] * 2 + [mp.mpf(n_th) + mp.mpf(0.5)] * (k - 2)
+        noise = mp.matrix(n)
+        for i in range(n):
+            for j in range(n):
+                noise[i, j] = mp.fsum(b[i, c] * w[c] * mp.conj(b[j, c]) for c in range(k))
+        # row-major vec: vec(A P + P A^dag) = (A (x) I + I (x) conj(A)) vec P
+        lhs = mp.matrix(n * n)
+        rhs = mp.matrix(n * n, 1)
+        for i in range(n):
+            for j in range(n):
+                row = i * n + j
+                rhs[row] = -noise[i, j]
+                for c in range(n):
+                    lhs[row, c * n + j] += a[i, c]
+                    lhs[row, i * n + c] += mp.conj(a[j, c])
+        p = mp.lu_solve(lhs, rhs)
+        n_plus = p[k * n + k].real
+        n_minus = p[(k + 1) * n + k + 1].real
+        xi = p[k * n + k + 1]
+        xi_sq = xi.real ** 2 + xi.imag ** 2
+        q = n_plus * n_minus - xi_sq
+        root = mp.sqrt((n_plus - n_minus) ** 2 + 4 * xi_sq)
+        two_eta = 4 * q / (n_plus + n_minus + root)
+        return float(max(mp.mpf(0), -mp.log(two_eta)))

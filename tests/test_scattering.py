@@ -204,13 +204,15 @@ class TestPairRate:
 
     def test_reference_value(self):
         p = EffectiveModelParams(g=5.0, delta=10.0, kappa=KAPPA)
-        assert pair_rate_numeric(p) == pytest.approx(0.78125, rel=1e-6)
+        assert pair_rate_numeric(p) == pytest.approx(0.78125, rel=1e-14)
 
     def test_matches_closed_form(self):
-        for (g, delta, big) in [(5.0, 10.0, -0.2), (2.0, -8.0, 0.3), (1.0, 30.0, 0.0)]:
+        # the last two sit at stability margins 7.5e-5 and 7.5e-6 (rates 2.6e3, 2.6e4)
+        for (g, delta, big) in [(5.0, 10.0, -0.2), (2.0, -8.0, 0.3), (1.0, 30.0, 0.0),
+                                (5.0, 10.0, -0.2499), (5.0, 10.0, -0.24999)]:
             p = EffectiveModelParams(g=g, delta=delta, kappa=KAPPA, Delta=big)
             assert pair_rate_numeric(p) == pytest.approx(
-                pair_rate_closed(g, KAPPA, delta, big), rel=1e-6)
+                pair_rate_closed(g, KAPPA, delta, big), rel=1e-9)
 
     def test_grows_towards_boundary(self):
         base = pair_rate_numeric(EffectiveModelParams(g=5.0, delta=10.0, kappa=KAPPA))
@@ -222,6 +224,10 @@ class TestPairRate:
         with pytest.raises(UnstableSystemError):
             pair_rate_numeric(EffectiveModelParams(g=5.0, delta=10.0, kappa=KAPPA,
                                                    Delta=-0.5))
+        # on the boundary itself the Gramian system is singular
+        with pytest.raises(UnstableSystemError):
+            pair_rate_numeric(EffectiveModelParams(g=5.0, delta=10.0, kappa=KAPPA,
+                                                   Delta=-0.25))
 
 
 # -- beam-block kernel against the extended-precision reference --------------

@@ -234,6 +234,30 @@ class TestCliCommands:
         assert len(out) == 5  # schema + header + one row per l
         assert all(line.endswith(",ok") for line in out[2:])
 
+    @pytest.mark.parametrize("argv", [
+        ["--M", "0"], ["--M", "-3"], ["--M", "2", "--l", "5"], ["--M", "2", "--l", "-1"],
+        ["--M", "2", "--cutoff", "0"]])
+    def test_wannier_check_rejects_invalid_input(self, argv, capsys):
+        assert run_cli(["wannier-check", *argv]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_pair_rate_near_boundary_exits_zero(self, capsys):
+        # stable with margin 7.5e-5; the rate is ~2.6e3
+        code = run_cli(["pair-rate", "--model", "effective", "--g", "5",
+                        "--delta", "10", "--Delta", "-0.2499", "--format", "json"])
+        assert code == 0
+        doc = json.loads(capsys.readouterr().out)[0]
+        assert doc["rel_deviation"] < 1e-9
+
+    def test_pair_rate_sweep_near_boundary_is_ok(self, capsys):
+        code = run_cli(["sweep", "--model", "effective", "--g", "5", "--delta", "10",
+                        "--axis", "Delta:-0.26:-0.2499:3", "--quantity", "pair_rate",
+                        "--jobs", "1", "--format", "json"])
+        assert code == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert [r["status"] for r in rows] == ["unstable", "unstable", "ok"]
+        assert rows[-1]["pair_rate [kappa]"] == pytest.approx(2603.8194907348, rel=1e-9)
+
     def test_determinism_across_runs_and_jobs(self, tmp_path):
         args = ["sweep", "--model", "effective", "--g", "5", "--delta", "10",
                 "--axis", "Delta:-0.2:0.2:5", "--quantity", "pair_rate"]

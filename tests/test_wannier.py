@@ -3,15 +3,71 @@ import math
 import numpy as np
 import pytest
 
-from entrate.models import FullModelParams, drift_full
+from entrate.models import EffectiveModelParams, FullModelParams, drift_effective, drift_full
 from entrate.rates import spectral_density
 from entrate.wannier import (DEFAULT_CUTOFF, FilterSpec, WannierGrid,
-                             coarse_grained_correlator, discrete_wannier_basis,
-                             filtered_entanglement, kernel_normalization,
-                             kernel_tail_bound, sinc_wavepacket, wannier_kernel,
+                             coarse_grained_correlator, filtered_entanglement,
+                             kernel_normalization, kernel_tail_bound, wannier_kernel,
                              wannier_kernel_array)
+from mp_reference import lorentzian_filtered_mp
 
 KAPPA = 1.0
+
+
+def sinc_wavepacket(m: int, tau: float, t: np.ndarray) -> np.ndarray:
+    """Time-domain Wannier packet f_m(t) = e^{-i omega_m t}
+    sin(delta_omega t / 2) / (delta_omega t / 2) / sqrt(tau) for slot n = 0;
+    slot n is f_m(t - n tau)."""
+    t = np.asarray(t, dtype=float)
+    dw = 2.0 * math.pi / tau
+    return np.exp(-1j * (m * dw) * t) * np.sinc(t / tau) / math.sqrt(tau)
+
+
+def discrete_wannier_basis(n_slots: int, m_values: np.ndarray | None = None,
+                           oversample: int = 16, tau: float = 1.0,
+                           ) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal realization of the wave-packet basis on a periodic
+    discrete time grid (n_slots slots, `oversample` samples per slot).
+
+    Each basis function is reconstructed by inverse FFT of its boxcar
+    spectrum. Returns (t, basis) with basis[j, i, :] the packet at frequency
+    slot m_values[j] and time slot i; rows are orthonormal under the
+    discrete inner product dt * sum conj(f) g.
+    """
+    if m_values is None:
+        m_values = np.arange(-2, 3)
+    m_values = np.asarray(m_values, dtype=int)
+    n = n_slots * oversample
+    dt = tau / oversample
+    t = np.arange(n) * dt
+    freqs = 2.0 * math.pi * np.fft.fftfreq(n, d=dt)
+    dw = 2.0 * math.pi / tau
+
+    if np.max(np.abs(m_values)) >= oversample // 2:
+        raise ValueError("frequency slots exceed the Nyquist range of the grid")
+
+    basis = np.empty((m_values.size, n_slots, n), dtype=complex)
+    for j, m in enumerate(m_values):
+        box = (freqs >= (m - 0.5) * dw) & (freqs < (m + 0.5) * dw)
+        for i in range(n_slots):
+            spec = np.zeros(n, dtype=complex)
+            spec[box] = np.exp(1j * freqs[box] * (i * tau)) / math.sqrt(dw)
+            # unitary convention: f(t) = int F(w) e^{-iwt} dw / sqrt(2 pi)
+            basis[j, i] = np.fft.fft(spec) * (freqs[1] - freqs[0]) / math.sqrt(2.0 * math.pi)
+    return t, basis
+
+
+def wannier_kernel_scalar(M: int, l: int, k: int) -> complex:
+    """Element-by-element reference for wannier_kernel_array, with the
+    phases reduced mod M on Python integers."""
+    if k == 0:
+        return complex(1.0 / math.sqrt(M))
+    r = k % M
+    if r == 0:
+        return 0j
+    phase = 2.0 * math.pi * r / M
+    return complex(math.sqrt(M) * (np.exp(1j * phase) - 1.0) / (2j * math.pi * k)
+                   * (-1.0) ** (k % 2) * np.exp(1j * (2.0 * math.pi * ((l * r) % M) / M)))
 
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(2048)
@@ -61,8 +117,9 @@ class TestWannierKernel:
         for m_fac in (2, 3, 8, 64):
             for l in (0, m_fac - 1):
                 vec = wannier_kernel_array(m_fac, l, ks)
-                sca = np.array([wannier_kernel(m_fac, l, int(k)) for k in ks])
+                sca = np.array([wannier_kernel_scalar(m_fac, l, int(k)) for k in ks])
                 np.testing.assert_allclose(vec, sca, atol=1e-15)
+                assert wannier_kernel(m_fac, l, 7) == vec[ks == 7][0]
 
     def test_invalid_l_rejected(self):
         with pytest.raises(ValueError):
@@ -78,6 +135,15 @@ class TestKernelNormalization:
             gap = abs(1.0 - kernel_normalization(m_fac, l, DEFAULT_CUTOFF))
             assert gap < 1e-4
             assert gap <= kernel_tail_bound(m_fac, DEFAULT_CUTOFF)
+
+    @pytest.mark.parametrize("fn, args", [
+        (kernel_normalization, (0, 0, 10)), (kernel_normalization, (2, 2, 10)),
+        (kernel_normalization, (2, 0, 0)), (coarse_grained_correlator, (1.0, 2, 0, -1)),
+        (kernel_tail_bound, (-3, 10)), (kernel_tail_bound, (2, 0)),
+        (wannier_kernel, (0, 0, 1))])
+    def test_invalid_arguments_rejected(self, fn, args):
+        with pytest.raises(ValueError):
+            fn(*args)
 
     def test_m2_analytic_sum(self):
         # K(0)^2 = 1/2 plus odd-k terms 2/(pi^2 k^2) summing to 1/2
@@ -218,3 +284,33 @@ class TestFilteredEntanglement:
         e_tau = filtered_entanglement(d, 0.0, FilterSpec(w, 2e3),
                                       FilterSpec(-w, 2e3))
         assert abs(e_tau - e_ref) < 0.05 * e_ref
+
+
+class TestLorentzianOracle:
+    """The Lorentzian average against a 60-digit Lyapunov solve of the
+    filtered pair. Both see the same float64 drift; the float64 average is
+    limited by the cancellation in n_plus n_minus - |xi|^2 (about 1e-6)."""
+
+    FULL = drift_full(FullModelParams(g=math.sqrt(300.0), Gamma=0.3, kappa=KAPPA))
+    EFFECTIVE = drift_effective(EffectiveModelParams(g=5.0, delta=10.0, kappa=KAPPA,
+                                                     Delta=-0.2))
+
+    @pytest.mark.parametrize("model", ["full", "effective"])
+    @pytest.mark.parametrize("tau", [10.0, 1e3, 1e5])
+    def test_matches_lyapunov_solution(self, model, tau):
+        d = self.FULL if model == "full" else self.EFFECTIVE
+        e_tau = filtered_entanglement(d, 0.0, FilterSpec(0.0, tau), FilterSpec(0.0, tau),
+                                      shape="lorentzian")
+        assert abs(e_tau - lorentzian_filtered_mp(d, 0.0, 0.0, tau)) <= 1e-5
+
+    def test_thermal_mechanics(self):
+        d = drift_full(FullModelParams(g=math.sqrt(300.0), Gamma=0.3, kappa=KAPPA,
+                                       n_th=50.0))
+        e_tau = filtered_entanglement(d, 50.0, FilterSpec(0.0, 1e3), FilterSpec(0.0, 1e3),
+                                      shape="lorentzian")
+        assert abs(e_tau - lorentzian_filtered_mp(d, 50.0, 0.0, 1e3)) <= 1e-5
+
+    def test_off_center_pair(self):
+        e_tau = filtered_entanglement(self.FULL, 0.0, FilterSpec(0.5, 2e3),
+                                      FilterSpec(-0.5, 2e3), shape="lorentzian")
+        assert abs(e_tau - lorentzian_filtered_mp(self.FULL, 0.0, 0.5, 2e3)) <= 1e-5
