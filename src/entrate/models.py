@@ -25,7 +25,8 @@ EFFECTIVE_ORDERING = FULL_ORDERING[:4]
 #: Beam block of the drift: a+, a-^dag and (full model only) b.
 BEAM_BLOCK = ("a_plus", "a_minus_dag", "b")
 
-#: Eigenvalue real parts below this (in kappa units) count as strictly stable.
+#: Eigenvalue real parts below minus this (in kappa units) count as stable;
+#: within this of zero a point is marginal.
 STABILITY_TOL = 1e-9
 #: Constructor tolerance on the (op, op^dag) pairing structure of drift matrices.
 PAIRING_DEFECT_TOL = 1e-12
@@ -198,11 +199,12 @@ class StabilityReport:
 def stability(d: DriftMatrix, tol: float = STABILITY_TOL) -> StabilityReport:
     """Numerical stability verdict from the drift eigenvalues.
 
-    stable means max Re(eig) < tol; points with |max Re(eig)| <= tol are
-    flagged marginal.
+    stable means max Re(eig) < -tol; points with |max Re(eig)| <= tol are
+    flagged marginal and are not stable, so every gate that asks for a
+    stable drift rejects a point on the instability boundary.
     """
     max_re = float(np.max(np.linalg.eigvals(d.m).real))
-    return StabilityReport(stable=max_re < tol, max_real_part=max_re,
+    return StabilityReport(stable=max_re < -tol, max_real_part=max_re,
                            marginal=abs(max_re) <= tol)
 
 

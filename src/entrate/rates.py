@@ -5,12 +5,15 @@ output mode pair at (omega, -omega); it is double-sided in omega. The rate
 Gamma_E = int domega/2pi E[omega] is reported in units of kappa, i.e. nats
 of entanglement per 1/kappa of time.
 
-The integrator first scans a grid seeded at the drift resonance frequencies
-(so narrow near-instability peaks are never missed), locates the boundary of
-the E > 0 region by bisection on 2 eta_minus = 1 where a crossing exists,
-and extends the window adaptively where E stays positive with a power-law
-tail (at delta = Delta = 0 that tail falls off like |omega|^-3 and never
-crosses zero).
+Gamma_E is integrated over the whole frequency line on one compact angle:
+omega = s tan(theta) with s = max(decay) maps the line onto (-pi/2, pi/2),
+and the integrand E(s tan theta) s / cos^2(theta) stays bounded at the ends
+because E falls off like |omega|^-3 (full model) or |omega|^-2 (effective
+model). One scan of a grid seeded at the drift resonance frequencies (so
+narrow near-instability peaks are never missed) finds the E > 0 region:
+sign changes of 1 - 2 eta_minus between probes are bisected, and a region
+still positive at the outermost probe runs to theta = +-pi/2. The probes,
+mapped to theta, seed the quadrature panels.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import QuadratureError, UnstableSystemError
+from .errors import UnstableSystemError
 from .models import DriftMatrix, stability
 from .quadutil import adaptive_gk, bisect_all, minimize_scalar
 from .scattering import correlator_batch
@@ -80,7 +83,6 @@ class EntanglementSpectrum:
     omegas: np.ndarray
     values: np.ndarray
     evaluator: Callable[[np.ndarray], np.ndarray] | None = field(default=None, repr=False)
-    quadrature_error: float = 0.0
 
     def __post_init__(self):
         self.omegas = np.asarray(self.omegas, dtype=float)
@@ -133,71 +135,36 @@ def frequency_grid(d: DriftMatrix) -> np.ndarray:
     return out[(out >= -span) & (out <= span)]
 
 
-def _positive_intervals(d: DriftMatrix, n_th: float, tol: float,
-                        ) -> tuple[list[tuple[float, float]], np.ndarray, np.ndarray, float]:
-    """Locate the E > 0 region: intervals where 1 - 2 eta_minus > 0, with
-    crossing edges refined by bisection, and the outer window grown until
-    the E tail estimate is below the tolerance budget."""
-
-    def h_batch(w):
-        return 1.0 - two_eta_minus_batch(d, np.asarray(w, dtype=float), n_th)
-
+def _positive_intervals(d: DriftMatrix, n_th: float,
+                        ) -> tuple[list[tuple[float, float]], np.ndarray, np.ndarray]:
+    """The E > 0 region of the whole line, where 1 - 2 eta_minus > 0, from
+    one scan of frequency_grid: (intervals, probes, E at the probes). Edges
+    between probes are bisected; a region still positive at the outermost
+    probe runs to -inf or +inf."""
     probes = frequency_grid(d)
-    h = h_batch(probes)
-
-    # grow the window while E at the boundary still matters; the decay
-    # exponent is measured on the outer octave so the tail estimate
-    # E(W) * W / (p - 1) tracks the actual power law
-    tail_budget = 0.25 * tol * 2.0 * math.pi
-    tail = 0.0
-    for _ in range(48):
-        w_edge = probes[-1]
-        if h[0] <= 0.0 and h[-1] <= 0.0:
-            tail = 0.0
-            break
-        e_edge = float(np.max(spectral_density_batch(
-            d, np.array([probes[0], w_edge]), n_th)))
-        w_half = 0.5 * w_edge
-        e_half = float(np.max(spectral_density_batch(
-            d, np.array([-w_half, w_half]), n_th)))
-        p = math.log2(e_half / e_edge) if e_half > e_edge > 0.0 else 3.0
-        p = min(max(p, 1.2), 8.0)
-        tail = 2.0 * e_edge * w_edge / (p - 1.0)
-        if tail <= tail_budget:
-            break
-        ext = np.geomspace(w_edge * 2.0, w_edge * 4.0, 5)
-        probes = np.unique(np.concatenate([probes, ext, -ext]))
-        h = h_batch(probes)
-    else:
-        raise QuadratureError("E[omega] tail did not fall below the tolerance budget",
-                              error_estimate=tail)
-
-    pos = h > 0.0
+    probe_e = spectral_density_batch(d, probes, n_th)
+    pos = probe_e > 0
     if not np.any(pos):
-        return [], probes, h, 0.0
+        return [], probes, probe_e
 
     # bisect sign changes between adjacent probes
     flips = np.nonzero(np.diff(pos.astype(int)) != 0)[0]
     lo, hi = probes[flips], probes[flips + 1]
-    edges = bisect_all(h_batch, lo, hi, xtol=1e-11 * max(1.0, probes[-1])) if flips.size else np.array([])
+    edges = (bisect_all(lambda w: 1.0 - two_eta_minus_batch(d, w, n_th), lo, hi,
+                        xtol=1e-11 * max(1.0, probes[-1])) if flips.size else np.array([]))
 
     # assemble intervals from the sign pattern
-    boundaries: list[float] = []
-    if pos[0]:
-        boundaries.append(probes[0])
-    boundaries.extend(edges.tolist())
-    if pos[-1]:
-        boundaries.append(probes[-1])
-    intervals = [(boundaries[i], boundaries[i + 1])
-                 for i in range(0, len(boundaries) - 1, 2)]
-    intervals = [(a, b) for a, b in intervals if b > a]
-    return intervals, probes, h, tail
+    boundaries = (([-math.inf] if pos[0] else []) + edges.tolist()
+                  + ([math.inf] if pos[-1] else []))
+    intervals = [(a, b) for a, b in zip(boundaries[::2], boundaries[1::2]) if b > a]
+    return intervals, probes, probe_e
 
 
 def entanglement_rate(d: DriftMatrix, n_th: float = 0.0, tol: float = 1e-6) -> RateResult:
-    """Gamma_E = int domega/2pi E[omega] by adaptive quadrature to absolute
-    tolerance tol (in kappa units), plus E_max, its location, and the FWHM
-    of the dominant peak."""
+    """Gamma_E = int domega/2pi E[omega] over the whole line by adaptive
+    quadrature in theta (module docstring) to absolute tolerance tol (in
+    kappa units), plus E_max, its location, and the FWHM of the dominant
+    peak."""
     if tol <= 0:
         raise ValueError("tol must be positive")
     rep = stability(d)
@@ -207,26 +174,28 @@ def entanglement_rate(d: DriftMatrix, n_th: float = 0.0, tol: float = 1e-6) -> R
     def e_batch(w):
         return spectral_density_batch(d, np.asarray(w, dtype=float), n_th)
 
-    intervals, probes, h, tail = _positive_intervals(d, n_th, tol)
+    intervals, probes, probe_e = _positive_intervals(d, n_th)
     if not intervals:
         return RateResult(0.0, 0.0, 0.0, 0.0, 0.0, 0)
 
+    scale = float(np.max(d.decay))
+
+    def integrand(theta):
+        t = np.tan(theta)
+        return e_batch(scale * t) * (scale * (1.0 + t * t))
+
     # panel edges seeded with the whole probe grid, resonances included: the
-    # scan already resolved the spectral structure, refinement only polishes
-    total = 0.0
-    err = tail
-    budget = tol * 2.0 * math.pi * 0.5
-    lengths = np.array([b - a for a, b in intervals])
-    for (a, b), ln in zip(intervals, lengths):
-        inner = [s for s in probes if a < s < b]
-        val, e = adaptive_gk(e_batch, a, b, epsabs=budget * ln / lengths.sum(),
-                             initial_points=inner)
-        total += val
-        err += e
+    # scan already resolved the spectral structure, refinement only polishes.
+    # Half of tol * 2 pi is the budget, shared in proportion to the angles.
+    spans = np.arctan(np.array(intervals) / scale)
+    shares = (spans[:, 1] - spans[:, 0]) / np.sum(spans[:, 1] - spans[:, 0])
+    parts = [adaptive_gk(integrand, a, b, epsabs=math.pi * tol * share,
+                         initial_points=np.arctan(probes / scale))
+             for (a, b), share in zip(spans, shares)]
+    total, err = (math.fsum(x) for x in zip(*parts))
 
     # peak statistics from the probe set
-    probe_e = e_batch(probes)
-    mask = h > 0
+    mask = probe_e > 0
     cand, cand_e = probes[mask], probe_e[mask]
     omega_max, e_max = _refined_peak(e_batch, cand, cand_e, xtol=1e-10)
     width = _fwhm_by_bisection(e_batch, probes, probe_e, omega_max, e_max)
@@ -272,28 +241,28 @@ def _count_local_maxima(x: np.ndarray, y: np.ndarray, e_max: float) -> int:
 
 def _fwhm_by_bisection(e_batch, grid: np.ndarray, grid_vals: np.ndarray,
                        omega_max: float, e_max: float, xtol: float = 1e-9) -> float:
-    """Half-maximum width of the dominant peak, bisected on both flanks."""
+    """Half-maximum width of the dominant peak, bisected on both flanks:
+    in omega towards the nearest sample below half maximum or, on a flank
+    with none, in theta with omega = omega_max + tan(theta) towards
+    theta = +-pi/2 (omega = +-inf), where E = 0."""
     if e_max <= 0:
         return 0.0
     half = 0.5 * e_max
 
     def crossing(direction: int) -> float:
-        # nearest sample below half maximum on this side of the peak
         outside = grid[(direction * (grid - omega_max) > 0) & (grid_vals < half)]
-        hi = (outside.min() if direction > 0 else outside.max()) if outside.size else None
-        if hi is None:
-            # expand geometrically until below half maximum
-            step = max(abs(omega_max), 1.0)
-            hi = omega_max + direction * step
-            for _ in range(120):
-                if float(e_batch(np.array([hi]))[0]) < half:
-                    break
-                hi = omega_max + direction * (abs(hi - omega_max) * 2.0)
-            else:
-                raise QuadratureError("no half-maximum crossing found")
-        return float(bisect_all(lambda w: e_batch(w) - half,
-                                np.array([min(omega_max, hi)]),
-                                np.array([max(omega_max, hi)]), xtol=xtol)[0])
+        if outside.size:
+            hi = outside.min() if direction > 0 else outside.max()
+            return float(bisect_all(lambda w: e_batch(w) - half,
+                                    np.array([min(omega_max, hi)]),
+                                    np.array([max(omega_max, hi)]), xtol=xtol)[0])
+        # theta to a few ulp of pi/2: omega - omega_max = tan(theta) then
+        # carries a relative error of about 1e-15 max(tan, 1/tan)
+        end = direction * 0.5 * math.pi
+        theta = bisect_all(lambda t: e_batch(omega_max + np.tan(t)) - half,
+                           np.array([min(0.0, end)]), np.array([max(0.0, end)]),
+                           xtol=4.0 * np.finfo(float).eps)[0]
+        return omega_max + math.tan(theta)
 
     return crossing(+1) - crossing(-1)
 

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import closedforms, gaussian, models, rates, scattering, sweep, wannier
+from . import closedforms, gaussian, models, quadutil, rates, scattering, sweep, wannier
 
 KAPPA = 1.0
 
@@ -139,19 +139,13 @@ def check_stability_boundary(**_) -> tuple[bool, float, float, str]:
             g=g, delta=delta, kappa=KAPPA, Delta=big_delta))
         return models.stability(d).max_real_part
 
+    def margins(xs: np.ndarray) -> np.ndarray:
+        return np.array([margin(x) for x in xs])
+
     grid = np.linspace(-1.3, 0.1, 141)
-    vals = np.array([margin(x) for x in grid])
-    roots = []
-    for i in np.nonzero(np.diff(np.sign(vals)) != 0)[0]:
-        lo, hi = grid[i], grid[i + 1]
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if margin(mid) * margin(lo) > 0:
-                lo = mid
-            else:
-                hi = mid
-        roots.append(0.5 * (lo + hi))
-    roots.sort()
+    flips = np.nonzero(np.diff(np.sign(margins(grid))) != 0)[0]
+    roots = sorted(quadutil.bisect_all(margins, grid[flips], grid[flips + 1],
+                                       xtol=1e-15).tolist())
     expected = models.stability_boundary_effective(g, KAPPA, delta)
     ok = len(roots) == 2
     worst = float("inf")
@@ -251,11 +245,11 @@ def check_wannier_norm(**_) -> tuple[bool, float, float, str]:
     cutoff = wannier.DEFAULT_CUTOFF
     worst = 0.0
     for m_fac in (1, 2, 3, 8, 64):
-        for l in range(m_fac):
-            gap = abs(1.0 - wannier.kernel_normalization(m_fac, l, cutoff))
-            worst = max(worst, gap)
-            if gap > wannier.kernel_tail_bound(m_fac, cutoff):
-                return False, gap, tol, f"tail bound violated at M={m_fac}, l={l}"
+        # one sum per M: it does not depend on the refinement index l
+        gap = abs(1.0 - wannier.kernel_normalization(m_fac, 0, cutoff))
+        worst = max(worst, gap)
+        if gap > wannier.kernel_tail_bound(m_fac, cutoff):
+            return False, gap, tol, f"tail bound violated at M={m_fac}"
     identity = (wannier.wannier_kernel(1, 0, 0) == 1.0
                 and wannier.wannier_kernel(1, 0, 5) == 0.0
                 and wannier.wannier_kernel(1, 0, -3) == 0.0)
@@ -358,8 +352,9 @@ def check_spectrum_two_peaks(**_) -> tuple[bool, float, float, str]:
 
 
 def check_temperature_slope(**_) -> tuple[bool, float, float, str]:
-    """ln Gamma_E vs ln n_th slope over [1e2, 1e4] equals -1 +- 0.1, with the
-    1/n_th prefactor proportional to the cooperativity.
+    """ln Gamma_E vs ln n_th slope over [1e2, 1e4] equals -1 +- 0.1
+    (measured as |slope + 1|), with the 1/n_th prefactor proportional to the
+    cooperativity.
 
     The 1/n_th law is the asymptotic (n_th >> C) behaviour; the check runs
     at C = 10, Gamma = 0.1k so the whole stated window lies in that regime
@@ -378,17 +373,19 @@ def check_temperature_slope(**_) -> tuple[bool, float, float, str]:
     slope = slopes[10.0]
     prefactor_ratio = tails[100.0] / tails[10.0]
     ok = abs(slope + 1.0) <= 0.1 and abs(prefactor_ratio / 10.0 - 1.0) < 0.05
-    return ok, slope, 0.1, (f"slope(C=10)={slope:.4f}, slope(C=100)={slopes[100.0]:.4f}, "
-                            f"prefactor ratio C=100/C=10 = {prefactor_ratio:.3f}")
+    return ok, abs(slope + 1.0), 0.1, (
+        f"slope(C=10)={slope:.4f}, slope(C=100)={slopes[100.0]:.4f}, "
+        f"prefactor ratio C=100/C=10 = {prefactor_ratio:.3f}")
 
 
 def check_fwhm_exceeds_mechanical(**_) -> tuple[bool, float, float, str]:
-    """FWHM of E[omega] at Delta = delta = 0 (C = 2.5e4) exceeds 100 Gamma."""
+    """FWHM of E[omega] at Delta = delta = 0 (C = 2.5e4) exceeds 100 Gamma;
+    measured as 100 Gamma / FWHM against 1."""
     gamma = 1e-3
     d = _full_drift(5.0, gamma, 0.0, 0.0)
     rr = rates.entanglement_rate(d, n_th=0.0)
     ratio = rr.fwhm / gamma
-    return ratio > 100.0, ratio, 100.0, f"fwhm={rr.fwhm:.4g}k = {ratio:.0f} Gamma"
+    return ratio > 100.0, 100.0 / ratio, 1.0, f"fwhm={rr.fwhm:.4g}k = {ratio:.0f} Gamma"
 
 
 # -- criterion 10 ------------------------------------------------------------

@@ -127,10 +127,11 @@ def wannier_kernel_array(M: int, l: int, ks: np.ndarray) -> np.ndarray:
 
 def kernel_normalization(M: int, l: int, cutoff: int = DEFAULT_CUTOFF) -> float:
     """Partial normalization sum over |k| <= cutoff of |K(k)|^2; the full sum
-    is exactly 1."""
+    is exactly 1. l enters K only through a unit-modulus phase, so the sum
+    is the same for every l and is taken at l = 0."""
     _check_kernel_args(M, l, cutoff)
     ks = np.arange(-cutoff, cutoff + 1)
-    return float(np.sum(np.abs(wannier_kernel_array(M, l, ks)) ** 2))
+    return float(np.sum(np.abs(wannier_kernel_array(M, 0, ks)) ** 2))
 
 
 def kernel_tail_bound(M: int, cutoff: int) -> float:

@@ -19,6 +19,10 @@ def _run(criterion: str, names: list[str], jobs: int = 0) -> None:
     assert ok, f"criterion {criterion} failed: " + "; ".join(
         f"{r.name}: measured={r.measured:.3e} vs tol={r.tolerance:.3e} [{r.detail}]"
         for r in results if not r.passed)
+    # one meaning for every check: a pass is a measured value within its bound
+    for r in results:
+        assert r.measured <= r.tolerance, (
+            f"{r.name} passed with measured={r.measured:.3e} above tol={r.tolerance:.3e}")
 
 
 def test_criterion_01_resonant_closed_form():

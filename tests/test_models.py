@@ -102,6 +102,11 @@ class TestStability:
         d = drift_effective(EffectiveModelParams(g=5.0, delta=10.0, Delta=-0.5))
         assert not stability(d).stable
 
+    def test_marginal_point_is_not_stable(self):
+        # exactly on the boundary: max Re(eig) = -2.5e-32
+        rep = stability(drift_effective(EffectiveModelParams(g=2.0, delta=2.0, Delta=-0.5)))
+        assert rep.marginal and not rep.stable
+
     def test_blue_points_of_stability_diagram(self):
         for (Delta, delta) in [(0.0, 10.0), (-0.2, 10.0), (0.0, 0.0)]:
             assert stability(drift_full(full(Delta=Delta, delta=delta))).stable

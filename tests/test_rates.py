@@ -10,8 +10,9 @@ from entrate.closedforms import eta_minus_resonant
 from entrate.errors import UnstableSystemError
 from entrate.models import EffectiveModelParams, FullModelParams, drift_effective, drift_full
 from entrate.rates import (EntanglementSpectrum, _count_local_maxima, _refined_peak,
-                           entanglement_rate, fwhm, sample_spectrum, spectral_density,
-                           symmetrized_density, to_nats_per_second)
+                           entanglement_rate, frequency_grid, fwhm, sample_spectrum,
+                           spectral_density, spectral_density_batch, symmetrized_density,
+                           to_nats_per_second)
 
 KAPPA = 1.0
 
@@ -135,6 +136,34 @@ class TestEntanglementRate:
         d = drift_effective(EffectiveModelParams(g=5.0, delta=10.0, Delta=-0.2))
         assert entanglement_rate(d).secondary_peaks == 0
 
+    @staticmethod
+    def whole_line_reference(d, n_th=0.0):
+        # scipy quad over every cell of the resonance grid plus both infinite
+        # tails, on the same float64 E
+        from scipy.integrate import quad
+
+        def f(w):
+            return float(spectral_density_batch(d, np.array([w]), n_th)[0])
+
+        pts = frequency_grid(d)
+        total = math.fsum(quad(f, a, b, epsabs=1e-15, epsrel=1e-14, limit=200)[0]
+                          for a, b in zip(pts[:-1], pts[1:]))
+        total += quad(f, pts[-1], np.inf, epsabs=1e-15, limit=400)[0]
+        total += quad(f, -np.inf, pts[0], epsabs=1e-15, limit=400)[0]
+        return total / (2 * math.pi)
+
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    @pytest.mark.parametrize("d, tol", [
+        # a truncated window with a power-law tail estimate missed 1.4e-9 here,
+        # 30x its reported error
+        (drift_effective(EffectiveModelParams(g=2.0, delta=-8.0, Delta=0.3)), 1e-10),
+        (full_drift(), 1e-6),
+        (full_drift(delta=10.0), 1e-6)])
+    def test_whole_line_integral_within_reported_error(self, d, tol):
+        rr = entanglement_rate(d, tol=tol)
+        assert rr.quadrature_error <= tol
+        assert abs(rr.gamma_E - self.whole_line_reference(d)) <= rr.quadrature_error + 1e-12
+
     def test_effective_model_rate_positive(self):
         d = drift_effective(EffectiveModelParams(g=5.0, delta=10.0))
         rr = entanglement_rate(d, tol=1e-5)
@@ -165,6 +194,14 @@ class TestFwhm:
         width = fwhm(spec)
         rr = entanglement_rate(d)
         assert width == pytest.approx(rr.fwhm, rel=1e-6)
+
+    def test_flank_without_sample_below_half_maximum(self):
+        # E stays above half maximum over the whole sampled grid (FWHM 1.705):
+        # both flanks are bracketed by omega = +-inf, where E = 0
+        d = full_drift()
+        spec = sample_spectrum(d, 0.0, np.linspace(-0.5, 0.5, 11))
+        assert np.all(spec.values > 0.5 * spec.values.max())
+        assert fwhm(spec) == pytest.approx(entanglement_rate(d).fwhm, abs=1e-6)
 
     def test_width_varies_smoothly_with_mechanical_damping(self):
         # fixed C = 2.5e4, Gamma scanned over [1e-3, 5e-2]

@@ -219,6 +219,27 @@ class TestCliCommands:
         assert doc["boundary_root_1 [kappa]"] == pytest.approx(-1.0)
         assert doc["boundary_root_2 [kappa]"] == pytest.approx(-0.25)
 
+    # effective g=2, delta=2, Delta=-0.5 sits on the stability boundary
+    # (max Re(eig) = -2.5e-32): marginal, and therefore not stable
+    MARGINAL = ["--model", "effective", "--g", "2", "--delta", "2"]
+
+    def test_stability_marginal_point_not_stable(self, capsys):
+        code = run_cli(["stability", *self.MARGINAL, "--Delta", "-0.5", "--format", "json"])
+        assert code == 0
+        doc = json.loads(capsys.readouterr().out)[0]
+        assert doc["stable"] == 0.0 and doc["marginal"] == 1.0
+
+    def test_pair_rate_marginal_point_exits_one(self, capsys):
+        assert run_cli(["pair-rate", *self.MARGINAL, "--Delta", "-0.5"]) == 1
+        assert "max eigenvalue real part" in capsys.readouterr().err
+
+    def test_pair_rate_sweep_marginal_row_unstable(self, capsys):
+        code = run_cli(["sweep", *self.MARGINAL, "--axis", "Delta:-0.6:-0.5:2",
+                        "--quantity", "pair_rate", "--jobs", "1", "--format", "json"])
+        assert code == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert [r["status"] for r in rows] == ["ok", "unstable"]
+
     def test_pair_rate_matches_closed_form(self, capsys):
         code = run_cli(["pair-rate", "--model", "effective", "--g", "5",
                         "--delta", "10", "--format", "json"])
