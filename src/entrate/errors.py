@@ -26,7 +26,8 @@ class UnstableSystemError(EntrateError, RuntimeError):
 
 
 class QuadratureError(EntrateError, RuntimeError):
-    """An adaptive integration did not converge to the requested tolerance."""
+    """An adaptive integration did not converge to the requested tolerance,
+    or a root search found no root where one must lie."""
 
     def __init__(self, message: str, value: float = float("nan"),
                  error_estimate: float = float("nan")):

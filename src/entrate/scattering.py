@@ -157,30 +157,32 @@ def _abs2(z: np.ndarray) -> np.ndarray:
 
 def correlator_batch(d: DriftMatrix, omegas: np.ndarray, n_th: float = 0.0,
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(n_plus, n_minus, xi, q) arrays over a frequency grid, where
-    q = n_plus n_minus - |xi|^2 comes from its sum of non-negative terms
-    (see the module docstring); no stability check (meant for integrators
-    that have already verified it)."""
+    """(nu_plus, nu_minus, xi, q - 1/4) arrays over a frequency grid: the
+    excesses nu = n - 1/2 of the occupations over vacuum and of
+    q = n_plus n_minus - |xi|^2 over its vacuum value, each a sum of
+    non-negative terms (see the module docstring), so none of them is
+    rounded against the vacuum's 1/2 or 1/4. No stability check (meant for
+    integrators that have already verified it)."""
     s = beam_block_scattering(d, omegas)
     s_p, s_m = s[:, 0], s[:, 1]
-    n_plus = 0.5 + _abs2(s_p[:, 1])
-    n_minus = 0.5 + _abs2(s_m[:, 0])
+    nu_plus = _abs2(s_p[:, 1])
+    nu_minus = _abs2(s_m[:, 0])
     xi = s_p[:, 0] * s_m[:, 0].conj()
     if s.shape[1] == 2:
-        return n_plus, n_minus, xi, np.full(n_plus.shape, 0.25)
+        return nu_plus, nu_minus, xi, np.zeros(nu_plus.shape)
     s_b = s[:, 2]
-    n_plus += n_th * _abs2(s_p[:, 2])
-    n_minus += (n_th + 1.0) * _abs2(s_m[:, 2])
+    nu_plus += n_th * _abs2(s_p[:, 2])
+    nu_minus += (n_th + 1.0) * _abs2(s_m[:, 2])
     xi += (n_th + 1.0) * s_p[:, 2] * s_m[:, 2].conj()
-    q = 0.25 + 0.5 * (n_th * _abs2(s_b[:, 0]) + (n_th + 1.0) * _abs2(s_b[:, 1]))
-    return n_plus, n_minus, xi, q
+    q_excess = 0.5 * (n_th * _abs2(s_b[:, 0]) + (n_th + 1.0) * _abs2(s_b[:, 1]))
+    return nu_plus, nu_minus, xi, q_excess
 
 
 def output_correlators(d: DriftMatrix, omega: float, n_th: float = 0.0) -> CorrelatorTriple:
     """Correlator triple of the output beams at (omega, -omega)."""
     _require_stable(d)
-    n_plus, n_minus, xi, _ = correlator_batch(d, np.array([omega]), n_th)
-    return CorrelatorTriple(float(n_plus[0]), float(n_minus[0]), complex(xi[0]))
+    nu_plus, nu_minus, xi, _ = correlator_batch(d, np.array([omega]), n_th)
+    return CorrelatorTriple(0.5 + float(nu_plus[0]), 0.5 + float(nu_minus[0]), complex(xi[0]))
 
 
 def intra_beam_correlator(d: DriftMatrix, omega: float, n_th: float = 0.0,

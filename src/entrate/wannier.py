@@ -186,8 +186,8 @@ def filtered_entanglement(d: DriftMatrix, n_th: float,
     def parts_batch(theta: np.ndarray) -> np.ndarray:
         key = theta.tobytes()
         if key not in evaluated:
-            n_plus, n_minus, xi, _ = correlator_batch(d, wc + warp(theta) / tau, n_th)
-            evaluated[key] = np.stack([n_plus - 0.5, n_minus - 0.5, xi.real, xi.imag])
+            nu_plus, nu_minus, xi, _ = correlator_batch(d, wc + warp(theta) / tau, n_th)
+            evaluated[key] = np.stack([nu_plus, nu_minus, xi.real, xi.imag])
         return evaluated[key]
 
     seeds = unwarp(tau * (frequency_grid(d) - wc))

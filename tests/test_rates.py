@@ -8,11 +8,16 @@ from scipy.signal import find_peaks
 
 from entrate.closedforms import eta_minus_resonant
 from entrate.errors import UnstableSystemError
-from entrate.models import EffectiveModelParams, FullModelParams, drift_effective, drift_full
-from entrate.rates import (EntanglementSpectrum, _count_local_maxima, _refined_peak,
-                           entanglement_rate, frequency_grid, fwhm, sample_spectrum,
-                           spectral_density, spectral_density_batch, symmetrized_density,
-                           to_nats_per_second)
+from entrate.models import (DriftMatrix, EffectiveModelParams, FullModelParams,
+                            drift_effective, drift_full, stability)
+from entrate.quadutil import bisect_all
+from entrate.rates import (EntanglementSpectrum, _beam_polynomials, _count_local_maxima,
+                           _fwhm, _refined_peak, entanglement_rate, frequency_grid, fwhm,
+                           sample_spectrum, spectral_density, spectral_density_batch,
+                           symmetrized_density, to_nats_per_second)
+from entrate.scattering import beam_block_scattering, correlator_batch
+from fwhm_reference import fwhm_by_bisection
+from strategies import stable_drifts
 
 KAPPA = 1.0
 
@@ -51,6 +56,90 @@ class TestSpectralDensity:
         d = drift_effective(EffectiveModelParams(g=5.0, delta=10.0, Delta=-0.5))
         with pytest.raises(UnstableSystemError):
             spectral_density(d, 0.0)
+
+
+class TestExcessForm:
+    @pytest.mark.parametrize("g, delta, Delta", [(2.0, -8.0, 0.3), (5.0, 10.0, -0.2499),
+                                                 (0.5, 30.0, 1.0)])
+    def test_effective_e_is_twice_asinh_of_s_plus_minus(self, g, delta, Delta):
+        # the effective output pair is a pure two-mode squeezed state, so
+        # E = 2 asinh|s_+-| with no cancellation; formed from n+- with their
+        # 1/2, E rounded to 0 beyond |omega| ~ 1e8
+        d = drift_effective(EffectiveModelParams(g=g, delta=delta, Delta=Delta))
+        w = np.geomspace(1e-3, 1e10, 80)
+        w = np.concatenate([-w[::-1], [0.0], w])
+        exact = 2.0 * np.arcsinh(np.abs(beam_block_scattering(d, w)[:, 0, 1]))
+        e = spectral_density_batch(d, w)
+        assert np.all(e > 0)
+        np.testing.assert_allclose(e, exact, rtol=1e-15, atol=0.0)
+
+
+class TestWholeLineAndCrossings:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(stable_drifts())
+    def test_positive_everywhere_exact_identity_and_root_fwhm(self, drift_nth):
+        d, n_th = drift_nth
+        probes = np.concatenate([frequency_grid(d), [-1e6, 1e6]])
+        e = spectral_density_batch(d, probes, n_th)
+        assert np.all(e > 0)
+        # the same drift with every coupling removed: E = +0.0 everywhere
+        uncoupled = DriftMatrix(np.diag(np.diag(d.m)), d.decay, d.ordering)
+        e0 = spectral_density_batch(uncoupled, probes, n_th)
+        assert np.all(e0 == 0) and not np.any(np.signbit(e0))
+
+        # K |det|^-2 = 2 (nu+ + nu- - 2 (q - 1/4)), with K from the adjugate
+        s, _, _, k_poly = _beam_polynomials(d, n_th)
+        nu_plus, nu_minus, _, q_excess = correlator_batch(d, probes, n_th)
+        m, _ = d.beam_block
+        det2 = np.abs(np.linalg.det(m + 1j * probes[:, None, None] * np.eye(len(m)))) ** 2
+        lhs = np.polyval(k_poly, probes / s) / det2
+        rhs = 2.0 * (nu_plus + nu_minus - 2.0 * q_excess)
+        assert np.all(np.abs(lhs - rhs) <= 1e-12 * (nu_plus + nu_minus))
+
+        def e_batch(w):
+            return spectral_density_batch(d, np.asarray(w, dtype=float), n_th)
+
+        omega_max, e_max = _refined_peak(e_batch, probes[:-2], e[:-2], xtol=1e-10)
+        assert abs(_fwhm(d, n_th, omega_max, e_max)
+                   - fwhm_by_bisection(d, n_th, omega_max, e_max)) <= 2e-9
+
+    def test_non_reciprocal_block_rejected(self):
+        d = full_drift(delta=10.0)
+        m = np.array(d.m)
+        m[0, 4] *= 2.0             # a+ <- b no longer matches b <- a+
+        m[1, 5] = np.conj(m[0, 4])
+        with pytest.raises(ValueError, match="not reciprocal"):
+            entanglement_rate(DriftMatrix(m, d.decay, d.ordering))
+
+
+def _full_near_boundary(distance):
+    # g = 5, delta = 10: Delta at `distance` inside the stable side of the
+    # instability edge near Delta = -0.25
+    def margin(deltas):
+        return np.array([stability(full_drift(Delta=x, delta=10.0)).max_real_part
+                         for x in deltas])
+    edge = bisect_all(margin, np.array([-0.3]), np.array([-0.2]), xtol=1e-15)[0]
+    return full_drift(Delta=edge + distance, delta=10.0)
+
+
+def _effective_near_boundary(distance):
+    d = drift_effective(EffectiveModelParams(g=5.0, delta=10.0, Delta=-0.25 + distance))
+    assert -1.1 * distance < stability(d).max_real_part < 0
+    return d
+
+
+@pytest.mark.parametrize("make", [
+    lambda: full_drift(),
+    lambda: full_drift(g=math.sqrt(3e3 * 1e-3), delta=0.02, Delta=-1e-3),
+    lambda: _full_near_boundary(1e-4), lambda: _full_near_boundary(1e-5),
+    lambda: _effective_near_boundary(1e-4), lambda: _effective_near_boundary(1e-5)],
+    ids=["anchor", "C3e3", "full_1e-4", "full_1e-5", "effective_1e-4", "effective_1e-5"])
+def test_rate_within_reported_error_of_tight_reference(make):
+    d = make()
+    rr = entanglement_rate(d, tol=1e-6)
+    ref = entanglement_rate(d, tol=1e-11)
+    assert rr.quadrature_error <= 1e-6
+    assert abs(rr.gamma_E - ref.gamma_E) <= rr.quadrature_error + 1e-6
 
 
 class TestSymmetrizedDensity:

@@ -1,8 +1,6 @@
-import math
-
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entrate.closedforms import full_model_correlators_resonant, pair_rate_closed
@@ -18,6 +16,7 @@ from entrate.scattering import (beam_block_scattering, correlator_batch,
                                 scattering_matrices)
 from entrate.verify import effective_scattering_oracle
 from mp_reference import reference_point
+from strategies import stable_drifts
 
 KAPPA = 1.0
 
@@ -63,7 +62,6 @@ class TestScatteringMatrix:
             delta = rng.uniform(-15.0, 15.0)
             big = rng.uniform(-1.0, 1.0)
             d = full_drift(g=g, Gamma=rng.uniform(1e-3, 0.2), Delta=big, delta=delta)
-            from entrate.models import stability
             if not stability(d).stable:
                 continue
             checked += 1
@@ -232,37 +230,12 @@ class TestPairRate:
 
 # -- beam-block kernel against the extended-precision reference --------------
 
-@st.composite
-def stable_drifts(draw):
-    """(drift, n_th) at a random strictly stable point of either model:
-    full model with C up to 1e5 (near double resonance for half the draws),
-    effective model across its usual parameter box."""
-    if draw(st.booleans()):
-        c = 10.0 ** draw(st.floats(0.0, 5.0))
-        gamma = 10.0 ** draw(st.floats(-3.0, -0.5))
-        # near double resonance |delta|, |Delta| shrink with the stable window
-        scale = draw(st.sampled_from([1.0, 1e-3]))
-        p = FullModelParams(g=math.sqrt(c * gamma), Gamma=gamma, kappa=KAPPA,
-                            delta=scale * draw(st.floats(-15.0, 15.0)),
-                            Delta=scale * draw(st.floats(-1.5, 1.5)),
-                            n_th=draw(st.sampled_from([0.0, 1.0, 50.0, 1e3])))
-        d, n_th = drift_full(p), p.n_th
-    else:
-        d = eff_drift(g=draw(st.floats(0.5, 6.0)),
-                      delta=draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(2.0, 30.0)),
-                      Delta=draw(st.floats(-1.0, 1.0)))
-        n_th = 0.0
-    rep = stability(d)
-    assume(rep.stable and not rep.marginal)
-    return d, n_th
-
-
 class TestBlockKernel:
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(stable_drifts(), st.floats(-20.0, 20.0))
     def test_exact_against_extended_precision(self, drift_nth, omega):
         d, n_th = drift_nth
-        q = correlator_batch(d, np.array([omega]), n_th)[3]
+        q = 0.25 + correlator_batch(d, np.array([omega]), n_th)[3]
         q_ref, e_ref = reference_point(d, omega, n_th)
         # q inherits the conditioning of the solve (~1e-12 relative at high
         # C); E does not, since the solve is backward stable and E is a

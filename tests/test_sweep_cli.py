@@ -327,6 +327,23 @@ class TestCliCommands:
             for gamma in ("5e-2", "1e-3"):
                 assert vals[(gamma, nth)] == pytest.approx(expected, rel=1e-9)
 
+    def test_no_negative_zero_e_cells(self, tmp_path):
+        # E = +0.0 at zero coupling, and the effective tail stays positive
+        # out to omega = 1e10 instead of rounding to -0
+        tail = ["entanglement", "--model", "effective", "--g", "2", "--delta", "-8",
+                "--Delta", "0.3", "--omega-min", "1e7", "--omega-max", "1e10",
+                "--omega-steps", "7"]
+        for argv in (["entanglement", "--g", "0", "--omega-steps", "5"],
+                     ["spectrum", "--g", "0", "--omega-steps", "5"], tail):
+            out = tmp_path / "e.csv"
+            assert run_cli([*argv, "--output", str(out)]) == 0
+            with open(out) as fh:
+                rows = list(csv.reader(line for line in fh if not line.startswith("#")))
+            cells = [r[rows[0].index("E")] for r in rows[1:]]
+            assert cells and not any(c.startswith("-") for c in cells)
+            if argv is tail:
+                assert all(float(c) > 0 for c in cells)
+
     def test_verify_subset(self, capsys):
         code = run_cli(["verify", "--only", "wannier_norm"])
         assert code == 0

@@ -131,10 +131,15 @@ class TestWannierKernel:
 class TestKernelNormalization:
     @pytest.mark.parametrize("m_fac", [1, 2, 3, 8, 64])
     def test_norm_within_tail_bound(self, m_fac):
-        for l in range(m_fac):
-            gap = abs(1.0 - kernel_normalization(m_fac, l, DEFAULT_CUTOFF))
-            assert gap < 1e-4
-            assert gap <= kernel_tail_bound(m_fac, DEFAULT_CUTOFF)
+        # |K(k)| does not depend on l, so one sum holds for every l
+        ks = np.arange(-64, 65)
+        size = np.abs(wannier_kernel_array(m_fac, 0, ks))
+        for l in range(1, m_fac):
+            np.testing.assert_allclose(np.abs(wannier_kernel_array(m_fac, l, ks)), size,
+                                       rtol=1e-14, atol=1e-17)
+        gap = abs(1.0 - kernel_normalization(m_fac, m_fac - 1, DEFAULT_CUTOFF))
+        assert gap < 1e-4
+        assert gap <= kernel_tail_bound(m_fac, DEFAULT_CUTOFF)
 
     @pytest.mark.parametrize("fn, args", [
         (kernel_normalization, (0, 0, 10)), (kernel_normalization, (2, 2, 10)),
