@@ -14,10 +14,11 @@ from .gaussian import (CorrelatorTriple, CovarianceMatrix, covariance_from_corre
                        symplectic_form, symplectic_spectrum)
 from .models import (CellMapping, CellParams, DriftMatrix, EffectiveModelParams,
                      FullModelParams, StabilityReport, drift_effective, drift_full,
-                     map_cell_params, stability, stability_boundary_effective)
-from .rates import (EntanglementSpectrum, RateResult, entanglement_rate, fwhm,
-                    sample_spectrum, spectral_density, symmetrized_density,
-                    to_nats_per_second)
+                     map_cell_params, stability, stability_batch,
+                     stability_boundary_effective)
+from .rates import (EntanglementSpectrum, RateResult, entanglement_rate,
+                    entanglement_rates, fwhm, sample_spectrum, spectral_density,
+                    symmetrized_density, to_nats_per_second)
 from .scattering import (ScatteringMatrix, SpectrumPoint, output_correlators,
                          output_spectrum, pair_rate_numeric, scattering_matrix)
 from .sweep import SweepAxis, SweepConfig, SweepResult, run_sweep

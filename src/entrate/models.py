@@ -14,8 +14,9 @@ the Langevin system reads dA/dt = m A - sqrt(decay) A_in per channel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -150,7 +151,7 @@ def pairing_defect(m: np.ndarray) -> float:
     m = np.asarray(m)
     n = m.shape[0]
     perm = np.arange(n).reshape(-1, 2)[:, ::-1].ravel()
-    return float(np.max(np.abs(m - np.conj(m)[np.ix_(perm, perm)])))
+    return float(np.max(np.abs(m - np.conj(m)[perm][:, perm])))
 
 
 def drift_full(p: FullModelParams) -> DriftMatrix:
@@ -194,6 +195,16 @@ class StabilityReport:
     stable: bool
     max_real_part: float
     marginal: bool
+    #: The drift eigenvalues behind the verdict; the rate path reads its
+    #: resonance grid and frequency scale off them instead of solving again.
+    eigenvalues: NDArray[np.complex128] | None = field(default=None, repr=False,
+                                                       compare=False)
+
+
+def _verdict(eigenvalues: np.ndarray, tol: float) -> StabilityReport:
+    max_re = float(np.max(eigenvalues.real))
+    return StabilityReport(stable=max_re < -tol, max_real_part=max_re,
+                           marginal=abs(max_re) <= tol, eigenvalues=eigenvalues)
 
 
 def stability(d: DriftMatrix, tol: float = STABILITY_TOL) -> StabilityReport:
@@ -203,9 +214,19 @@ def stability(d: DriftMatrix, tol: float = STABILITY_TOL) -> StabilityReport:
     flagged marginal and are not stable, so every gate that asks for a
     stable drift rejects a point on the instability boundary.
     """
-    max_re = float(np.max(np.linalg.eigvals(d.m).real))
-    return StabilityReport(stable=max_re < -tol, max_real_part=max_re,
-                           marginal=abs(max_re) <= tol)
+    return _verdict(np.linalg.eigvals(d.m), tol)
+
+
+def stability_batch(drifts: Sequence[DriftMatrix],
+                    tol: float = STABILITY_TOL) -> list[StabilityReport]:
+    """stability() of each drift from one stacked eigen-solve; the drifts
+    must share their dimension. LAPACK solves the stacked matrices one by
+    one, so each report equals stability() of its drift bit for bit."""
+    if not drifts:
+        return []
+    if len({d.dim for d in drifts}) != 1:
+        raise ValueError("a stacked stability solve needs drifts of one model")
+    return [_verdict(e, tol) for e in np.linalg.eigvals(np.stack([d.m for d in drifts]))]
 
 
 def stability_boundary_effective(g: float, kappa: float, delta: float) -> tuple[float, ...]:

@@ -47,7 +47,8 @@ g > 0 and E = 0 everywhere when g = 0; a probe scan tells the two apart.
 
 Crossings as polynomial roots. A(t) = t^2 I + t (tr m I - m) + adj m
 (k = 3) or t I + adj m (k = 2), and det(m + t) is the characteristic
-polynomial t^3 + t^2 tr m + t tr adj m + det m (or t^2 + t tr m + det m).
+polynomial t^3 + t^2 tr m + t tr adj m + det m (or t^2 + t tr m + det m);
+the kernel evaluates S from the same coefficients (scattering.BeamBlocks).
 So in y = omega / s, s = max |eig m| + max decay, the quantities
 D = |det|^2, V = (nu_plus + nu_minus) D and K are real polynomials, of
 degree 2k, 2k - 2 and 2k - 2. Multiplying the quadratic at x = c by D,
@@ -67,22 +68,34 @@ stays bounded at the ends because E falls off like |omega|^-3 (full model)
 or |omega|^-2 (effective model). The Gauss-Kronrod panels start at the
 drift resonances and at +-1 and +-5 linewidths around each; one scan of a
 grid seeded at the same resonances (so narrow near-instability peaks are
-never missed) finds E_max and the secondary peaks.
+never missed) finds E_max and the secondary peaks. When two mirror peaks
+are equal to 4 ulp, omega_max is the one at omega >= 0.
+
+The problem axis. entanglement_rates computes the rates of P drifts of one
+model together: one probe scan, the crossing polynomials and their roots
+(one stacked eigen-solve of the companion matrices), one Gauss-Kronrod loop
+whose panels carry a problem id, one peak zoom and one FWHM polish, each
+step one batched kernel pass over all problems. Every decision is taken per
+problem from that problem's numbers, and the kernel is elementwise, so a
+result does not depend on the batch it was computed in: entanglement_rate
+is the call with P = 1, and a sweep's rows equal it bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
 from .errors import QuadratureError, UnstableSystemError
-from .models import PAIRING_DEFECT_TOL, DriftMatrix, stability
-from .quadutil import adaptive_gk, minimize_scalar
-# unused here, but the benchmark tracer wraps rates.bisect_all
-from .quadutil import bisect_all  # noqa: F401
-from .scattering import correlator_batch
+from .models import (PAIRING_DEFECT_TOL, DriftMatrix, StabilityReport, stability,
+                     stability_batch)
+from .quadutil import adaptive_gk_batch, minimize_batch
+# unused here, but the benchmark tracer wraps these names in rates
+from .quadutil import adaptive_gk, bisect_all, minimize_scalar  # noqa: F401
+from .scattering import BeamBlocks, _chunks, _kernel, correlator_batch
 
 _PEAK_OFFSETS = np.array([0.0, 0.25, -0.25, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0,
                           5.0, -5.0, 10.0, -10.0, 25.0, -25.0, 50.0, -50.0,
@@ -95,14 +108,28 @@ _POLISH_STEPS = 3
 _RECIPROCITY_SIGNS = np.array([1.0, -1.0, 1.0])
 
 
+def _log_negativity(nu_plus: np.ndarray, nu_minus: np.ndarray, xi: np.ndarray,
+                    q_excess: np.ndarray) -> np.ndarray:
+    """E = log1p(N / 4q) from the excesses (module docstring)."""
+    root = np.hypot(nu_plus - nu_minus, 2.0 * np.hypot(xi.real, xi.imag))
+    gap = nu_plus + nu_minus + root - 4.0 * q_excess
+    return np.log1p(np.maximum(gap, 0.0) / (1.0 + 4.0 * q_excess))
+
+
+def _density(blocks: BeamBlocks, omegas: np.ndarray, pid: np.ndarray) -> np.ndarray:
+    """E at omegas[i] for problem pid[i] of the batch."""
+    out = []
+    for w, p in _chunks(omegas, pid):
+        optical, mechanical, nu_minus, xi, q_excess = _kernel(blocks, w, p)
+        out.append(_log_negativity(optical + mechanical, nu_minus, xi, q_excess))
+    return np.concatenate(out)
+
+
 def spectral_density_batch(d: DriftMatrix, omegas: np.ndarray,
                            n_th: float = 0.0) -> np.ndarray:
     """E[omega] over a frequency grid, log1p(N / 4q) from the excesses
     (module docstring); no stability check."""
-    nu_plus, nu_minus, xi, q_excess = correlator_batch(d, omegas, n_th)
-    root = np.hypot(nu_plus - nu_minus, 2.0 * np.abs(xi))
-    gap = nu_plus + nu_minus + root - 4.0 * q_excess
-    return np.log1p(np.maximum(gap, 0.0) / (1.0 + 4.0 * q_excess))
+    return _log_negativity(*correlator_batch(d, omegas, n_th))
 
 
 def spectral_density(d: DriftMatrix, omega: float, n_th: float = 0.0) -> float:
@@ -169,12 +196,16 @@ class RateResult:
     secondary_peaks: int
 
 
-def _resonances(d: DriftMatrix) -> tuple[np.ndarray, np.ndarray]:
+def _resonances(eigenvalues: np.ndarray, decay: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(centres, linewidths) of the drift resonances, -Im and |Re| of its
     eigenvalues, plus omega = 0 with the largest decay rate as its width."""
-    eigs = np.linalg.eigvals(d.m)
-    return (np.concatenate([-eigs.imag, [0.0]]),
-            np.concatenate([np.maximum(np.abs(eigs.real), 1e-12), [np.max(d.decay)]]))
+    return (np.concatenate([-eigenvalues.imag, [0.0]]),
+            np.concatenate([np.maximum(np.abs(eigenvalues.real), 1e-12), [np.max(decay)]]))
+
+
+def _scale(eigenvalues: np.ndarray, decay: np.ndarray) -> float:
+    """Frequency scale s of the crossing polynomials: max |eig| + max decay."""
+    return float(np.max(np.abs(eigenvalues)) + np.max(decay))
 
 
 def _around(centers: np.ndarray, widths: np.ndarray, offsets: np.ndarray) -> np.ndarray:
@@ -192,12 +223,15 @@ def _grid(d: DriftMatrix, centers: np.ndarray, widths: np.ndarray) -> np.ndarray
     return out[np.r_[True, np.diff(out) > 1e-12 * span]]
 
 
-def frequency_grid(d: DriftMatrix) -> np.ndarray:
+def frequency_grid(d: DriftMatrix, eigenvalues: np.ndarray | None = None) -> np.ndarray:
     """Sorted frequency grid seeded at the drift resonances: per-resonance
     offsets scaled by the local linewidth plus a coarse global grid. The
     one grid of the package: it is the Gamma_E probe scan, the sweep's
-    spectrum peak and the filter averages of wannier."""
-    return _grid(d, *_resonances(d))
+    spectrum peak and the filter averages of wannier. eigenvalues, the
+    eigenvalues of d.m when already known, saves the eigen-solve."""
+    if eigenvalues is None:
+        eigenvalues = np.linalg.eigvals(d.m)
+    return _grid(d, *_resonances(eigenvalues, d.decay))
 
 
 def _require_reciprocal(m: np.ndarray) -> None:
@@ -210,147 +244,264 @@ def _require_reciprocal(m: np.ndarray) -> None:
                          f"J = diag{tuple(j)})")
 
 
-def _beam_polynomials(d: DriftMatrix, n_th: float,
-                      ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-    """(s, D, V, K) of the module docstring: the scale s and the real
-    coefficients, highest power first, of D, V and K in y = omega / s."""
-    m, decay = d.beam_block
-    _require_reciprocal(m)
-    k = m.shape[0]
-    tr = np.trace(m)
+def _poly_abs2(p: np.ndarray) -> np.ndarray:
+    """Coefficients of |p(y)|^2 for real y, for every polynomial along the
+    last axis of p (highest power first): the anti-diagonal sums of the
+    outer product of p with its conjugate."""
+    n = p.shape[-1]
+    i, j = np.divmod(np.arange(n * n), n)
+    order = np.argsort(i + j, kind="stable")
+    prod = (p[..., :, None] * p[..., None, :].conj()).real.reshape(*p.shape[:-1], n * n)
+    return np.add.reduceat(prod[..., order], np.searchsorted((i + j)[order],
+                                                             np.arange(2 * n - 1)), axis=-1)
+
+
+def _beam_polynomials(blocks: BeamBlocks, s: np.ndarray,
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(D, V, K) of the module docstring: their real coefficients, highest
+    power first, in y = omega / s[p], one row per problem, from the
+    adjugate and characteristic-polynomial coefficients of the kernel."""
+    k = blocks.k
+    powers = (1j * s[:, None]) ** np.arange(k, -1, -1)   # t^j = (i s y)^j
+    # det, then the entries A_+-, A_-+ [, A_+b, A_-b] (degree k - 1, with a
+    # leading zero), all squared at once
+    rows, cols = ((0, 1), (1, 0)) if k == 2 else ((0, 1, 0, 1), (1, 0, 2, 2))
+    polys = np.zeros((s.size, 1 + len(rows), k + 1), dtype=complex)
+    polys[:, 0] = powers * blocks.char
+    polys[:, 1:, 1:] = powers[:, None, 1:] * blocks.adj[:, :, rows, cols].transpose(0, 2, 1)
+    sq = _poly_abs2(polys)
+    a2 = sq[:, 1:, 2:]                                  # |A_ij|^2, degree 2k - 2
+    kp, km = blocks.decay[:, :1], blocks.decay[:, 1:2]
+    pair = kp * km * (a2[:, 0] + a2[:, 1])
+    v = pair
     if k == 3:
-        cof = np.cross(m[[1, 2, 0]], m[[2, 0, 1]])      # cofactor rows
-        adj = cof.T
-        adj_t = np.stack([np.eye(3), tr * np.eye(3) - m, adj])
-        char = np.array([1.0, tr, np.trace(adj), np.sum(m[0] * cof[0])])
-    else:
-        adj = np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]])
-        adj_t = np.stack([np.eye(2), adj])
-        char = np.array([1.0, tr, m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]])
-    s = float(np.max(np.abs(np.linalg.eigvals(m))) + np.max(decay))
-    powers = (1j * s) ** np.arange(k, -1, -1)           # t^j = (i s y)^j
-
-    def abs2(p: np.ndarray) -> np.ndarray:
-        return np.convolve(p, p.conj()).real           # |p(y)|^2, real y
-
-    a2 = [[abs2(powers[1:] * adj_t[:, i, j]) for j in range(k)] for i in range(k)]
-    pair = decay[0] * decay[1] * (a2[0][1] + a2[1][0])
-    v = pair + (decay[2] * (n_th * decay[0] * a2[0][2] + (n_th + 1.0) * decay[1] * a2[1][2])
-                if k == 3 else 0.0)
-    return s, abs2(powers * char), v, 2.0 * pair
+        n = blocks.n_th[:, None]
+        v = pair + blocks.decay[:, 2:] * (n * kp * a2[:, 2] + (n + 1.0) * km * a2[:, 3])
+    return sq[:, 0], v, 2.0 * pair
 
 
-def _crossings(d: DriftMatrix, n_th: float, level: float) -> np.ndarray:
-    """Sorted frequencies where E = level > 0, i.e. 2 eta_minus = c =
-    e^-level: the real roots of P_c (module docstring), unpolished."""
-    s, d_poly, v_poly, k_poly = _beam_polynomials(d, n_th)
-    u = -math.expm1(-level)
+def _crossings(blocks: BeamBlocks, s: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    """Frequencies where E = levels[p] > 0 for each problem p, i.e.
+    2 eta_minus = c = e^-level: the real roots of P_c (module docstring),
+    unpolished, from one stacked eigen-solve of the companion matrices (the
+    matrix np.roots builds); NaN in place of a complex root."""
+    d_poly, v_poly, k_poly = _beam_polynomials(blocks, s)
+    u = -np.expm1(-levels)[:, None]
     p = u * u * d_poly
-    p[2:] += 2.0 * u * v_poly - k_poly
-    roots = np.roots(p)
-    return np.sort(s * roots.real[np.abs(roots.imag) <= 1e-8 * np.abs(roots)])
+    p[:, 2:] += 2.0 * u * v_poly - k_poly
+    n = p.shape[1] - 1
+    companion = np.zeros((len(p), n, n))
+    companion[:, 0] = -p[:, 1:] / p[:, :1]
+    companion[:, 1:, :-1] = np.eye(n - 1)
+    roots = np.linalg.eigvals(companion)
+    real = roots.imag ** 2 <= 1e-16 * (roots.real ** 2 + roots.imag ** 2)
+    return np.where(real, s[:, None] * roots.real, np.nan)
+
+
+def _fwhms(blocks: BeamBlocks, s: np.ndarray, omega_max: np.ndarray, e_max: np.ndarray,
+           ) -> tuple[np.ndarray, list[QuadratureError | None]]:
+    """Half-maximum width of the dominant peak of each problem (e_max > 0):
+    the distance between the crossings of E = e_max / 2 nearest omega_max
+    on either side, each polished by batched secant steps on the kernel
+    (the point with the smallest |E - e_max / 2| seen is kept). A problem
+    with no crossing on one side gets a QuadratureError and a NaN width."""
+    half = 0.5 * e_max
+    roots = _crossings(blocks, s, half)
+    left = np.max(np.where(roots < omega_max[:, None], roots, -np.inf), axis=1)
+    right = np.min(np.where(roots > omega_max[:, None], roots, np.inf), axis=1)
+    found = np.isfinite(left) & np.isfinite(right)
+    failures = [None if ok else QuadratureError(
+        f"no half-maximum crossing on one side of omega_max={w}")
+        for ok, w in zip(found, omega_max)]
+    widths = np.full(len(e_max), np.nan)
+    idx = np.flatnonzero(found)
+
+    def offset(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        # E - half at the flanks x (n, 2) of the problems idx[rows]
+        pid = np.repeat(idx[rows], 2)
+        return (_density(blocks, x.ravel(), pid) - half[pid]).reshape(x.shape)
+
+    x1 = np.stack([left[idx], right[idx]], axis=1)
+    x0 = x1 + 1e-8 * (np.abs(x1) + 1.0)
+    f0, f1 = np.split(offset(np.concatenate([x0, x1]),
+                             np.tile(np.arange(idx.size), 2)), 2)
+    best, f_best = x1.copy(), np.abs(f1)
+    active = np.arange(idx.size)
+    for _ in range(_POLISH_STEPS):
+        slope = f1[active] - f0[active]
+        step = np.divide(f1[active] * (x1[active] - x0[active]), slope,
+                         out=np.zeros(slope.shape), where=slope != 0)
+        moving = ~np.all(np.abs(step) <= 4.0 * np.finfo(float).eps * np.abs(x1[active]),
+                         axis=1)
+        active, step = active[moving], step[moving]
+        if not active.size:
+            break
+        x0[active], f0[active] = x1[active], f1[active]
+        x1[active] -= step
+        f1[active] = offset(x1[active], active)
+        better = np.abs(f1[active]) < f_best[active]
+        best[active] = np.where(better, x1[active], best[active])
+        f_best[active] = np.where(better, np.abs(f1[active]), f_best[active])
+    widths[idx] = best[:, 1] - best[:, 0]
+    return widths, failures
 
 
 def _fwhm(d: DriftMatrix, n_th: float, omega_max: float, e_max: float) -> float:
-    """Half-maximum width of the dominant peak: the distance between the
-    crossings of E = e_max / 2 nearest omega_max on either side, each
-    polished by batched secant steps on the kernel (the point with the
-    smallest |E - e_max / 2| seen is kept)."""
+    """_fwhms for one drift; 0 when e_max <= 0."""
     if e_max <= 0:
         return 0.0
-    half = 0.5 * e_max
-    roots = _crossings(d, n_th, half)
-    left, right = roots[roots < omega_max], roots[roots > omega_max]
-    if not (left.size and right.size):
-        raise QuadratureError(f"no half-maximum crossing on one side of omega_max={omega_max}")
-    x1 = np.array([left[-1], right[0]])
-    x0 = x1 + 1e-8 * (abs(x1) + 1.0)
-    f = spectral_density_batch(d, np.concatenate([x0, x1]), n_th) - half
-    f0, f1 = f[:2], f[2:]
-    best, f_best = x1.copy(), np.abs(f1)
-    for _ in range(_POLISH_STEPS):
-        slope = f1 - f0
-        step = np.divide(f1 * (x1 - x0), slope, out=np.zeros(2), where=slope != 0)
-        if np.all(np.abs(step) <= 4.0 * np.finfo(float).eps * np.abs(x1)):
-            break
-        x0, f0, x1 = x1, f1, x1 - step
-        f1 = spectral_density_batch(d, x1, n_th) - half
-        better = np.abs(f1) < f_best
-        best[better], f_best[better] = x1[better], np.abs(f1[better])
-    return float(best[1] - best[0])
+    (width,), (failure,) = _fwhms(
+        BeamBlocks.of([d], [n_th]), np.array([_scale(np.linalg.eigvals(d.m), d.decay)]),
+        np.array([omega_max]), np.array([e_max]))
+    if failure is not None:
+        raise failure
+    return float(width)
 
 
 # the benchmark tracer wraps this name; the flanks are polynomial roots now
 _fwhm_by_bisection = _fwhm
 
 
-def _positive_intervals(d: DriftMatrix, n_th: float, probes: np.ndarray,
-                        ) -> tuple[list[tuple[float, float]], np.ndarray]:
-    """The E > 0 region and E at the probes: the whole line when E > 0 at
-    any probe, else nothing, since E > 0 wherever K > 0 and K does not
-    depend on omega (module docstring)."""
-    _require_reciprocal(d.beam_block[0])
-    probe_e = spectral_density_batch(d, probes, n_th)
-    return ([(-math.inf, math.inf)] if np.any(probe_e > 0) else []), probe_e
+def _positive_intervals(blocks: BeamBlocks, grids: list[np.ndarray],
+                        ) -> tuple[list[np.ndarray], np.ndarray]:
+    """E at every probe of each problem's grid, from one batched pass, and
+    whether the problem's E > 0 region is the whole line: it is when E > 0
+    at any probe, else the region is empty, since E > 0 wherever K > 0 and
+    K does not depend on omega (module docstring)."""
+    counts = [g.size for g in grids]
+    e = _density(blocks, np.concatenate(grids), np.repeat(np.arange(len(grids)), counts))
+    probe_e = np.split(e, np.cumsum(counts)[:-1])
+    return probe_e, np.array([bool(np.any(v > 0)) for v in probe_e])
+
+
+def entanglement_rates(drifts: Sequence[DriftMatrix], n_ths: Sequence[float],
+                       tol: float = 1e-6, *,
+                       reports: Sequence[StabilityReport] | None = None,
+                       ) -> list[RateResult | Exception]:
+    """entanglement_rate of every drift (all of one model) in one batched
+    computation (module docstring); each result equals entanglement_rate of
+    its drift alone bit for bit. A problem that fails gets its exception in
+    its slot instead of a RateResult (UnstableSystemError, QuadratureError,
+    or the ValueError of a beam block that is not reciprocal), and the
+    others are unaffected. reports, the drifts' stability reports from
+    models.stability or models.stability_batch, saves the eigen-solve."""
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    drifts = list(drifts)
+    n_ths = [float(n) for n in n_ths]
+    if reports is None:
+        reports = stability_batch(drifts)
+    if not len(n_ths) == len(reports) == len(drifts):
+        raise ValueError("one n_th and one stability report per drift are needed")
+    out: list[RateResult | Exception | None] = [None] * len(drifts)
+    live = []
+    for i, (d, rep) in enumerate(zip(drifts, reports)):
+        try:
+            if not rep.stable:
+                raise UnstableSystemError(rep.max_real_part)
+            _require_reciprocal(d.beam_block[0])
+            live.append(i)
+        except (UnstableSystemError, ValueError) as exc:
+            out[i] = exc
+    if live:
+        results = _rates([drifts[i] for i in live], [n_ths[i] for i in live],
+                         [reports[i].eigenvalues for i in live], tol)
+        for i, result in zip(live, results):
+            out[i] = result
+    return out
+
+
+def _rates(drifts: list[DriftMatrix], n_ths: list[float], eigenvalues: list[np.ndarray],
+           tol: float) -> list[RateResult | Exception]:
+    """The batched rate of entanglement_rates for stable, reciprocal drifts."""
+    blocks = BeamBlocks.of(drifts, n_ths)
+    resonances = [_resonances(e, d.decay) for e, d in zip(eigenvalues, drifts)]
+    grids = [_grid(d, *r) for d, r in zip(drifts, resonances)]
+    probe_e, positive = _positive_intervals(blocks, grids)
+    out: list[RateResult | Exception] = [RateResult(0.0, 0.0, 0.0, 0.0, 0.0, 0)] * len(drifts)
+    pos = np.flatnonzero(positive)
+    if not pos.size:
+        return out
+    if pos.size < len(blocks):
+        blocks = blocks.take(pos)
+    # the peak candidates: the probes with E > 0
+    cand = [grids[p][probe_e[p] > 0] for p in pos]
+    cand_e = [probe_e[p][probe_e[p] > 0] for p in pos]
+    del grids, probe_e
+
+    def e_batch(w: np.ndarray, pid: np.ndarray) -> np.ndarray:
+        return _density(blocks, w, pid)
+
+    # E has all its structure at the resonances, so panels that start
+    # there only need polishing; half of tol * 2 pi is the budget
+    scale = np.max(blocks.decay, axis=1)
+    edges = []
+    for p, sc in zip(pos, scale):
+        seeds = np.arctan(_around(*resonances[p], _SEED_OFFSETS) / sc)
+        edges.append(np.unique(np.concatenate(
+            [[-0.5 * math.pi, 0.5 * math.pi], seeds[np.abs(seeds) < 0.5 * math.pi]])))
+
+    def integrand(theta: np.ndarray, pid: np.ndarray) -> np.ndarray:
+        t, sc = np.tan(theta), scale[pid]
+        return e_batch(sc * t, pid) * (sc * (1.0 + t * t))
+
+    totals, errors, gk_failures = adaptive_gk_batch(integrand, edges,
+                                                    np.full(pos.size, math.pi * tol))
+
+    # peak statistics from the probe set
+    omega_max, e_max = _refined_peaks(e_batch, cand, cand_e, xtol=1e-10)
+    # of two mirror peaks equal to round-off, report the one at omega >= 0
+    neg = np.flatnonzero(omega_max < 0)
+    e_mirror = e_batch(-omega_max[neg], neg)
+    tie = e_mirror >= e_max[neg] - 4.0 * np.spacing(e_max[neg])
+    omega_max[neg[tie]], e_max[neg[tie]] = -omega_max[neg[tie]], e_mirror[tie]
+    widths, fwhm_failures = _fwhms(
+        blocks, np.array([_scale(eigenvalues[p], drifts[p].decay) for p in pos]),
+        omega_max, e_max)
+    for i, p in enumerate(pos):
+        failure = gk_failures[i] or fwhm_failures[i]
+        out[p] = failure or RateResult(
+            gamma_E=float(totals[i]) / (2.0 * math.pi), E_max=float(e_max[i]),
+            omega_max=float(omega_max[i]), fwhm=float(widths[i]),
+            quadrature_error=float(errors[i]) / (2.0 * math.pi),
+            secondary_peaks=max(_count_local_maxima(cand[i], cand_e[i], e_max[i]) - 1, 0))
+    return out
 
 
 def entanglement_rate(d: DriftMatrix, n_th: float = 0.0, tol: float = 1e-6) -> RateResult:
     """Gamma_E = int domega/2pi E[omega] over the whole line by adaptive
     quadrature in theta (module docstring) to absolute tolerance tol (in
     kappa units), plus E_max, its location, and the FWHM of the dominant
-    peak."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    rep = stability(d)
-    if not rep.stable:
-        raise UnstableSystemError(rep.max_real_part)
+    peak: entanglement_rates for one drift."""
+    (result,) = entanglement_rates([d], [n_th], tol, reports=[stability(d)])
+    if isinstance(result, Exception):
+        raise result
+    return result
 
-    def e_batch(w):
-        return spectral_density_batch(d, np.asarray(w, dtype=float), n_th)
 
-    centers, widths = _resonances(d)
-    probes = _grid(d, centers, widths)
-    intervals, probe_e = _positive_intervals(d, n_th, probes)
-    if not intervals:
-        return RateResult(0.0, 0.0, 0.0, 0.0, 0.0, 0)
-
-    scale = float(np.max(d.decay))
-
-    def integrand(theta):
-        t = np.tan(theta)
-        return e_batch(scale * t) * (scale * (1.0 + t * t))
-
-    # E has all its structure at the resonances, so panels that start
-    # there only need polishing; half of tol * 2 pi is the budget
-    (lo, hi), = np.arctan(np.array(intervals) / scale)
-    total, err = adaptive_gk(integrand, lo, hi, epsabs=math.pi * tol,
-                             initial_points=np.arctan(
-                                 _around(centers, widths, _SEED_OFFSETS) / scale))
-
-    # peak statistics from the probe set
-    mask = probe_e > 0
-    cand, cand_e = probes[mask], probe_e[mask]
-    omega_max, e_max = _refined_peak(e_batch, cand, cand_e, xtol=1e-10)
-    width = _fwhm(d, n_th, omega_max, e_max)
-    n_secondary = _count_local_maxima(cand, cand_e, e_max) - 1
-    return RateResult(gamma_E=total / (2.0 * math.pi), E_max=e_max,
-                      omega_max=omega_max, fwhm=width,
-                      quadrature_error=err / (2.0 * math.pi),
-                      secondary_peaks=max(n_secondary, 0))
+def _refined_peaks(e_batch, grids: list[np.ndarray], values: list[np.ndarray],
+                   xtol: float) -> tuple[np.ndarray, np.ndarray]:
+    """(omega_max, E_max) per problem: the largest sample of its E on its
+    sorted grid, refined between that sample's neighbours to
+    xtol * max(1, |omega|) by one batched zoom (e_batch(w, pid) evaluates
+    problem pid[i] at w[i]); the sample itself when the refinement finds
+    nothing higher."""
+    ks = [int(np.argmax(v)) for v in values]
+    x_s = np.array([g[k] for g, k in zip(grids, ks)])
+    f_s = np.array([v[k] for v, k in zip(values, ks)])
+    x, f = minimize_batch(lambda w, pid: -e_batch(w, pid),
+                          [g[max(k - 1, 0)] for g, k in zip(grids, ks)],
+                          [g[min(k + 1, g.size - 1)] for g, k in zip(grids, ks)],
+                          xtol=xtol * np.maximum(1.0, np.abs(x_s)))
+    keep = -f < f_s
+    return np.where(keep, x_s, x), np.where(keep, f_s, -f)
 
 
 def _refined_peak(e_batch, grid: np.ndarray, vals: np.ndarray,
                   xtol: float) -> tuple[float, float]:
-    """(omega_max, E_max): the largest sample of E on the sorted grid,
-    refined between that sample's neighbours to xtol * max(1, |omega|);
-    the sample itself when the refinement finds nothing higher."""
-    k = int(np.argmax(vals))
-    x, f = minimize_scalar(lambda w: -e_batch(w),
-                           grid[max(k - 1, 0)], grid[min(k + 1, grid.size - 1)],
-                           xtol=xtol * max(1.0, abs(grid[k])))
-    if -f < vals[k]:
-        return float(grid[k]), float(vals[k])
-    return x, -f
+    """_refined_peaks for one problem, with e_batch(w)."""
+    (x,), (f,) = _refined_peaks(lambda w, _: e_batch(w), [grid], [vals], xtol)
+    return float(x), float(f)
 
 
 def _count_local_maxima(x: np.ndarray, y: np.ndarray, e_max: float) -> int:

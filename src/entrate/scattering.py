@@ -10,8 +10,8 @@ with D = diag(decay). The drift of both models splits into two conjugate
 blocks: the beam block (a+, a-^dag[, b]) and its partner
 (a+^dag, a-[, b^dag]), and S(-omega) on the partner block is the complex
 conjugate of S(+omega) on the beam block. The output-pair correlators
-therefore need one solve of the 3x3 (full) or 2x2 (effective) beam block
-at +omega. With s = S(omega) on that block, rows and columns indexed
+therefore need only the 3x3 (full) or 2x2 (effective) beam block at
++omega. With s = S(omega) on that block, rows and columns indexed
 + (a+), - (a-^dag), b, vacuum optical inputs and a thermal mechanical
 input of occupation n_th:
 
@@ -32,6 +32,24 @@ mechanical output row; that row's flux relation
 a sum of non-negative terms, and exactly 1/4 for the effective model. The
 log-negativity built on q therefore loses no digits to cancellation.
 
+The adjugate kernel. No matrix is inverted: with t = i omega and
+R = (m + t)^-1 = A(t) / det(m + t) on the k x k beam block,
+
+    A(t) = t^2 I + t (tr m I - m) + adj m   (k = 3),   t I + adj m   (k = 2),
+    det(m + t) = t^3 + t^2 tr m + t tr adj m + det m   (or t^2 + t tr m + det m),
+
+so s_ij = sqrt(d_i d_j) A_ij / det off the diagonal and
+s_++ = (det + kappa_+ A_++) / det (d the decay rates). The correlators need
+seven entries of A (s_+-, s_-+, s_++ and, full model only, s_+b, s_-b,
+s_b+, s_b-), each a polynomial of degree <= k - 1 in t evaluated by
+Horner's rule, plus det; every term above is then a product of these over
+|det|^2. BeamBlocks holds the coefficients of P beam blocks of one model
+side by side (the problem axis): the kernel takes one frequency array with
+a problem id per point, gathers each point's coefficients and is
+elementwise from there on, so a point's value does not depend on which
+other points or problems share the call. rates builds its crossing
+polynomials from the same coefficients.
+
 The photon pair rate of the effective model needs no quadrature. On its
 2x2 beam block n_plus - 1/2 = |s_+-|^2 = kappa_+ kappa_- |R_+-|^2 with
 R = (m + i omega)^-1, the Fourier transform of the impulse response
@@ -43,6 +61,8 @@ the Lyapunov equation m P + P m^dag + e_- e_-^T = 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -143,16 +163,146 @@ def input_noise_matrix(dim: int, n_th: float = 0.0) -> NDArray[np.float64]:
     return c
 
 
-def beam_block_scattering(d: DriftMatrix, omegas: np.ndarray) -> NDArray[np.complex128]:
-    """S(omega_k) restricted to the beam block (a+, a-^dag[, b]) of
-    d.beam_block, stacked as (len(omegas), k, k) with k = 3 (full model)
-    or 2 (effective model)."""
-    m, decay = d.beam_block
-    return _stacked_s(m, decay, np.atleast_1d(np.asarray(omegas, dtype=float)))
+#: Block entries (row, column) of A that the correlators use, with
+#: + = 0, - = 1, b = 2: the first three for the effective model, all seven
+#: for the full model; (0, 0) is the diagonal one.
+_ENTRIES = ((0, 1), (1, 0), (0, 0), (0, 2), (1, 2), (2, 0), (2, 1))
+#: Cyclic successor of each index of a 3x3 block.
+_NEXT = np.array([1, 2, 0])
+
+
+@dataclass(frozen=True)
+class BeamBlocks:
+    """Beam blocks of P drifts of one model, stacked along a problem axis,
+    with the polynomial coefficients of the adjugate kernel (module
+    docstring): adj[p, j] multiplies t^(k-1-j) in A(t) and char[p, j]
+    multiplies t^(k-j) in det(m + t)."""
+
+    m: NDArray[np.complex128]        # (P, k, k)
+    decay: NDArray[np.float64]       # (P, k)
+    n_th: NDArray[np.float64]        # (P,)
+    adj: NDArray[np.complex128]      # (P, k, k, k)
+    char: NDArray[np.complex128]     # (P, k + 1)
+
+    @classmethod
+    def of(cls, drifts: Sequence[DriftMatrix], n_ths: Sequence[float]) -> "BeamBlocks":
+        """The beam blocks of the drifts; raises ValueError when a drift
+        couples its block to the partner or the drifts mix the models."""
+        blocks = [d.beam_block for d in drifts]
+        if len({b[0].shape for b in blocks}) != 1:
+            raise ValueError("a batch of beam blocks needs drifts of one model")
+        m = np.stack([b[0] for b in blocks])
+        decay = np.stack([b[1] for b in blocks])
+        k = m.shape[1]
+        eye = np.broadcast_to(np.eye(k), m.shape)
+        ones = np.ones(m.shape[0])
+        if k == 3:
+            tr = m[:, 0, 0] + m[:, 1, 1] + m[:, 2, 2]
+            # cofactor rows: row i is the cross product of rows i + 1 and i + 2
+            a, b = m[:, _NEXT], m[:, _NEXT[_NEXT]]
+            cof = a[..., _NEXT] * b[..., _NEXT[_NEXT]] - a[..., _NEXT[_NEXT]] * b[..., _NEXT]
+            adj_m = cof.transpose(0, 2, 1)
+            adj = np.stack([eye, tr[:, None, None] * eye - m, adj_m], axis=1)
+            char = np.stack([ones, tr, adj_m[:, 0, 0] + adj_m[:, 1, 1] + adj_m[:, 2, 2],
+                             m[:, 0, 0] * cof[:, 0, 0] + m[:, 0, 1] * cof[:, 0, 1]
+                             + m[:, 0, 2] * cof[:, 0, 2]], axis=1)
+        else:
+            adj_m = np.stack([np.stack([m[:, 1, 1], -m[:, 0, 1]], axis=1),
+                              np.stack([-m[:, 1, 0], m[:, 0, 0]], axis=1)], axis=1)
+            adj = np.stack([eye, adj_m], axis=1)
+            char = np.stack([ones, m[:, 0, 0] + m[:, 1, 1],
+                             m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]], axis=1)
+        return cls(m, decay, np.asarray(n_ths, dtype=float), adj, char)
+
+    @property
+    def k(self) -> int:
+        return self.m.shape[1]
+
+    def __len__(self) -> int:
+        return self.m.shape[0]
+
+    def take(self, idx: np.ndarray) -> "BeamBlocks":
+        """The sub-batch of the problems idx."""
+        return BeamBlocks(self.m[idx], self.decay[idx], self.n_th[idx], self.adj[idx],
+                          self.char[idx])
+
+    @cached_property
+    def table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The kernel's inputs with one column per problem: the k - 1
+        coefficients below the leading t^(k-1) of every entry of _ENTRIES,
+        shape (k - 1, entries, P), the k below the leading t^k of det,
+        (k, P), and the real channel weights."""
+        k = self.k
+        rows, cols = zip(*_ENTRIES[:3 if k == 2 else 7])
+        entries = self.adj[:, 1:, rows, cols].transpose(1, 2, 0)
+        kp, km = self.decay[:, 0], self.decay[:, 1]
+        weights = [kp * km, kp, np.sqrt(kp * km)]
+        if k == 3:
+            gam, n = self.decay[:, 2], self.n_th
+            weights += [n * kp * gam, (n + 1.0) * km * gam, (n + 1.0) * gam,
+                        0.5 * n * gam * kp, 0.5 * (n + 1.0) * gam * km]
+        return np.ascontiguousarray(entries), self.char[:, 1:].T.copy(), np.array(weights)
+
+
+#: Points per kernel pass: its temporaries stay in cache and its memory
+#: does not grow with the batch.
+_CHUNK = 1024
+
+
+def _chunks(omegas: np.ndarray, pid: np.ndarray | None = None):
+    """(omegas, pid) in consecutive slices of at most _CHUNK points (one
+    empty slice for no points)."""
+    w = np.ascontiguousarray(omegas, dtype=float).ravel()
+    for i in range(0, max(w.size, 1), _CHUNK):
+        yield w[i:i + _CHUNK], None if pid is None else pid[i:i + _CHUNK]
+
+
+#: 1 for the diagonal entry of _ENTRIES, whose leading coefficient is 1.
+_MONIC = np.array([0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0])
 
 
 def _abs2(z: np.ndarray) -> np.ndarray:
-    return z.real ** 2 + z.imag ** 2
+    return z.real * z.real + z.imag * z.imag
+
+
+def _kernel(blocks: BeamBlocks, w: np.ndarray, pid: np.ndarray | None = None,
+            ) -> tuple[np.ndarray, ...]:
+    """(optical, mechanical, nu_minus, xi, q - 1/4) at each frequency of
+    one chunk, point i belonging to problem pid[i]: nu_plus = optical +
+    mechanical, the two parts being |s_+-|^2 and n_th |s_+b|^2. Each
+    point's inputs are gathered by its problem id (broadcast for a batch of
+    one), and every operation after that is elementwise, so a point's values
+    do not depend on the rest of the call. No stability check."""
+    entries, char, weights = blocks.table
+    if len(blocks) > 1:
+        entries, char, weights = entries[..., pid], char[:, pid], weights[:, pid]
+    t = 1j * w
+    # Horner's rule at t = i omega, all entries of A at once, then det
+    a = entries[0] + _MONIC[:len(entries[0]), None] * t
+    for c in entries[1:]:
+        a = a * t + c
+    det = char[0] + t
+    for c in char[1:]:
+        det = det * t + c
+    det2 = _abs2(det)
+    if not np.all(det2 > 0):
+        raise UnstableSystemError(
+            float(np.max(np.linalg.eigvals(blocks.m).real)),
+            "singular response matrix: system at an instability threshold "
+            "for a requested frequency")
+    inv = 1.0 / det2
+    a2 = _abs2(a)
+    kpm, kp, rpm = weights[:3]
+    # s_++ conj(s_-+) |det|^2 / sqrt(kappa_+ kappa_-), s_++ = (det + kappa_+ A_++) / det
+    xi = (det + kp * a[2]) * a[1].conj()
+    optical = kpm * a2[0] * inv
+    if len(a) == 3:
+        zero = np.zeros_like(optical)
+        return optical, zero, kpm * a2[1] * inv, xi * (rpm * inv), zero
+    w_pb, w_mb, w_x, q_bp, q_bm = weights[3:]
+    xi = xi + w_x * (a[3] * a[4].conj())
+    return (optical, w_pb * a2[3] * inv, (kpm * a2[1] + w_mb * a2[4]) * inv,
+            xi * (rpm * inv), (q_bp * a2[5] + q_bm * a2[6]) * inv)
 
 
 def correlator_batch(d: DriftMatrix, omegas: np.ndarray, n_th: float = 0.0,
@@ -161,21 +311,17 @@ def correlator_batch(d: DriftMatrix, omegas: np.ndarray, n_th: float = 0.0,
     excesses nu = n - 1/2 of the occupations over vacuum and of
     q = n_plus n_minus - |xi|^2 over its vacuum value, each a sum of
     non-negative terms (see the module docstring), so none of them is
-    rounded against the vacuum's 1/2 or 1/4. No stability check (meant for
-    integrators that have already verified it)."""
-    s = beam_block_scattering(d, omegas)
-    s_p, s_m = s[:, 0], s[:, 1]
-    nu_plus = _abs2(s_p[:, 1])
-    nu_minus = _abs2(s_m[:, 0])
-    xi = s_p[:, 0] * s_m[:, 0].conj()
-    if s.shape[1] == 2:
-        return nu_plus, nu_minus, xi, np.zeros(nu_plus.shape)
-    s_b = s[:, 2]
-    nu_plus += n_th * _abs2(s_p[:, 2])
-    nu_minus += (n_th + 1.0) * _abs2(s_m[:, 2])
-    xi += (n_th + 1.0) * s_p[:, 2] * s_m[:, 2].conj()
-    q_excess = 0.5 * (n_th * _abs2(s_b[:, 0]) + (n_th + 1.0) * _abs2(s_b[:, 1]))
-    return nu_plus, nu_minus, xi, q_excess
+    rounded against the vacuum's 1/2 or 1/4. The adjugate kernel for one
+    problem. No stability check (meant for integrators that have already
+    verified it)."""
+    optical, mechanical, nu_minus, xi, q_excess = _kernel_all(d, omegas, n_th)
+    return optical + mechanical, nu_minus, xi, q_excess
+
+
+def _kernel_all(d: DriftMatrix, omegas: np.ndarray, n_th: float) -> list[np.ndarray]:
+    """_kernel of one drift over any number of frequencies."""
+    blocks = BeamBlocks.of([d], [n_th])
+    return [np.concatenate(c) for c in zip(*(_kernel(blocks, w) for w, _ in _chunks(omegas)))]
 
 
 def output_correlators(d: DriftMatrix, omega: float, n_th: float = 0.0) -> CorrelatorTriple:
@@ -199,14 +345,11 @@ def intra_beam_correlator(d: DriftMatrix, omega: float, n_th: float = 0.0,
 def spectrum_parts(d: DriftMatrix, omegas: np.ndarray, n_th: float = 0.0,
                    ) -> tuple[np.ndarray, np.ndarray]:
     """(optical, mechanical) parts of the beam-1 output intensity spectrum
-    over a frequency grid, from one stacked solve of the beam block: the
-    optical part |s_+-|^2 comes from the vacuum input of beam 2, the
-    mechanical part n_th |s_+b|^2 from the thermal mechanical input (zero
-    for the effective model). No stability check."""
-    s_p = beam_block_scattering(d, omegas)[:, 0]
-    optical = _abs2(s_p[:, 1])
-    return optical, (n_th * _abs2(s_p[:, 2]) if s_p.shape[1] == 3
-                     else np.zeros_like(optical))
+    over a frequency grid, from the adjugate kernel: the optical part
+    |s_+-|^2 comes from the vacuum input of beam 2, the mechanical part
+    n_th |s_+b|^2 from the thermal mechanical input (zero for the effective
+    model). No stability check."""
+    return tuple(_kernel_all(d, omegas, n_th)[:2])
 
 
 def output_spectrum(d: DriftMatrix, omega: float, n_th: float = 0.0) -> SpectrumPoint:
@@ -226,6 +369,11 @@ def pair_rate_numeric(p: EffectiveModelParams) -> float:
     linear system (m (x) I + I (x) conj(m)) vec P = -vec(e_- e_-^T)."""
     d = drift_effective(p)
     _require_stable(d)
+    return _pair_rate(d)
+
+
+def _pair_rate(d: DriftMatrix) -> float:
+    """pair_rate_numeric of an effective-model drift, no stability check."""
     m, decay = d.beam_block
     eye = np.eye(2)
     rhs = np.array([0.0, 0.0, 0.0, -1.0])      # -vec(e_- e_-^T), row-major

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
-from entrate.quadutil import minimize_scalar
+from entrate.errors import QuadratureError
+from entrate.quadutil import adaptive_gk, adaptive_gk_batch, minimize_batch, minimize_scalar
 
 
 class Counted:
@@ -44,3 +47,67 @@ class TestMinimizeScalar:
         # 17 points per call, bracket shrinks 8x or more per call
         assert set(f.calls) == {17}
         assert len(f.calls) <= 12
+
+
+# three integrands of different difficulty, chosen by problem id
+_INTEGRANDS = [lambda x: np.exp(-x * x), lambda x: 1.0 / (1e-6 + x * x),
+               lambda x: np.sin(40.0 * x) ** 2]
+_EDGES = [np.array([-3.0, 0.0, 3.0]), np.array([-1.0, 1.0]), np.array([0.0, 0.5, 2.0])]
+_EPS = np.array([1e-12, 1e-8, 1e-10])
+
+
+def _by_problem(x, pid):
+    out = np.empty_like(x)
+    for p, f in enumerate(_INTEGRANDS):
+        mask = pid == p
+        out[mask] = f(x[mask])
+    return out
+
+
+class TestAdaptiveGkBatch:
+    def test_values_and_errors_per_problem(self):
+        values, errors, failures = adaptive_gk_batch(_by_problem, _EDGES, _EPS)
+        exact = [math.sqrt(math.pi) * math.erf(3.0), 2e3 * math.atan(1e3),
+                 1.0 - math.sin(160.0) / 160.0]
+        assert failures == [None, None, None]
+        assert np.all(errors <= _EPS)
+        for v, e, ref in zip(values, errors, exact):
+            assert abs(v - ref) <= e + 1e-13 * abs(ref)
+
+    def test_problems_do_not_interact(self):
+        values, errors, _ = adaptive_gk_batch(_by_problem, _EDGES, _EPS)
+        for p, f in enumerate(_INTEGRANDS):
+            alone = adaptive_gk_batch(lambda x, _, f=f: f(x), [_EDGES[p]], _EPS[p:p + 1])
+            assert (values[p], errors[p]) == (alone[0][0], alone[1][0])
+        # the batch in another order gives the same numbers
+        order = [2, 0, 1]
+        shuffled = adaptive_gk_batch(lambda x, pid: _by_problem(x, np.array(order)[pid]),
+                                     [_EDGES[p] for p in order], _EPS[order])
+        assert list(shuffled[0]) == list(values[order])
+
+    def test_panel_budget_fails_its_problem_only(self):
+        values, errors, failures = adaptive_gk_batch(_by_problem, _EDGES, _EPS, max_panels=12)
+        assert failures[0] is None and values[0] == pytest.approx(math.sqrt(math.pi)
+                                                                  * math.erf(3.0))
+        assert isinstance(failures[1], QuadratureError) and math.isnan(values[1])
+
+    def test_scalar_call_raises_on_budget(self):
+        with pytest.raises(QuadratureError, match="panel budget"):
+            adaptive_gk(_INTEGRANDS[1], -1.0, 1.0, epsabs=1e-8, max_panels=12)
+
+
+class TestMinimizeBatch:
+    def test_problems_do_not_interact(self):
+        def f(x, pid):
+            return np.where(pid == 0, np.abs(x - 0.3) + 1.0, (x - np.e) ** 2)
+
+        lo, hi, xtol = [-1.0, 0.0], [2.0, 5.0], np.array([1e-10, 1e-3])
+        calls = Counted(lambda x: x)
+        x, fx = minimize_batch(lambda w, pid: f(calls(w), pid), lo, hi, xtol=xtol)
+        assert abs(x[0] - 0.3) <= 1e-10 and abs(x[1] - np.e) <= 1e-3
+        for p in range(2):
+            alone = minimize_batch(lambda w, _, p=p: f(w, np.full(w.shape, p)), lo[p:p + 1],
+                                   hi[p:p + 1], xtol=xtol[p:p + 1])
+            assert (x[p], fx[p]) == (alone[0][0], alone[1][0])
+        # the looser problem leaves the batch once its bracket is xtol wide
+        assert calls.calls[0] == 34 and calls.calls[-1] == 17

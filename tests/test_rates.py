@@ -12,11 +12,13 @@ from entrate.models import (DriftMatrix, EffectiveModelParams, FullModelParams,
                             drift_effective, drift_full, stability)
 from entrate.quadutil import bisect_all
 from entrate.rates import (EntanglementSpectrum, _beam_polynomials, _count_local_maxima,
-                           _fwhm, _refined_peak, entanglement_rate, frequency_grid, fwhm,
-                           sample_spectrum, spectral_density, spectral_density_batch,
-                           symmetrized_density, to_nats_per_second)
-from entrate.scattering import beam_block_scattering, correlator_batch
+                           _fwhm, _refined_peak, _scale, entanglement_rate,
+                           entanglement_rates, frequency_grid, fwhm, sample_spectrum,
+                           spectral_density, spectral_density_batch, symmetrized_density,
+                           to_nats_per_second)
+from entrate.scattering import BeamBlocks, correlator_batch, spectrum_parts
 from fwhm_reference import fwhm_by_bisection
+from mp_reference import reference_point
 from strategies import stable_drifts
 
 KAPPA = 1.0
@@ -64,11 +66,13 @@ class TestExcessForm:
     def test_effective_e_is_twice_asinh_of_s_plus_minus(self, g, delta, Delta):
         # the effective output pair is a pure two-mode squeezed state, so
         # E = 2 asinh|s_+-| with no cancellation; formed from n+- with their
-        # 1/2, E rounded to 0 beyond |omega| ~ 1e8
+        # 1/2, E rounded to 0 beyond |omega| ~ 1e8. |s_+-| is the kernel's
+        # own: next to the boundary an LU solve's |s_+-| carries 2e-15 of
+        # conditioning error that the 50-digit reference does not
         d = drift_effective(EffectiveModelParams(g=g, delta=delta, Delta=Delta))
         w = np.geomspace(1e-3, 1e10, 80)
         w = np.concatenate([-w[::-1], [0.0], w])
-        exact = 2.0 * np.arcsinh(np.abs(beam_block_scattering(d, w)[:, 0, 1]))
+        exact = 2.0 * np.arcsinh(np.sqrt(spectrum_parts(d, w)[0]))
         e = spectral_density_batch(d, w)
         assert np.all(e > 0)
         np.testing.assert_allclose(e, exact, rtol=1e-15, atol=0.0)
@@ -88,11 +92,13 @@ class TestWholeLineAndCrossings:
         assert np.all(e0 == 0) and not np.any(np.signbit(e0))
 
         # K |det|^-2 = 2 (nu+ + nu- - 2 (q - 1/4)), with K from the adjugate
-        s, _, _, k_poly = _beam_polynomials(d, n_th)
+        # and |det|^2 from the kernel's own characteristic polynomial
+        blocks = BeamBlocks.of([d], [n_th])
+        s = _scale(np.linalg.eigvals(d.m), d.decay)
+        _, _, k_poly = _beam_polynomials(blocks, np.array([s]))
         nu_plus, nu_minus, _, q_excess = correlator_batch(d, probes, n_th)
-        m, _ = d.beam_block
-        det2 = np.abs(np.linalg.det(m + 1j * probes[:, None, None] * np.eye(len(m)))) ** 2
-        lhs = np.polyval(k_poly, probes / s) / det2
+        det2 = np.abs(np.polyval(blocks.char[0], 1j * probes)) ** 2
+        lhs = np.polyval(k_poly[0], probes / s) / det2
         rhs = 2.0 * (nu_plus + nu_minus - 2.0 * q_excess)
         assert np.all(np.abs(lhs - rhs) <= 1e-12 * (nu_plus + nu_minus))
 
@@ -128,18 +134,33 @@ def _effective_near_boundary(distance):
     return d
 
 
-@pytest.mark.parametrize("make", [
+_HARD_POINTS = [
     lambda: full_drift(),
     lambda: full_drift(g=math.sqrt(3e3 * 1e-3), delta=0.02, Delta=-1e-3),
     lambda: _full_near_boundary(1e-4), lambda: _full_near_boundary(1e-5),
-    lambda: _effective_near_boundary(1e-4), lambda: _effective_near_boundary(1e-5)],
-    ids=["anchor", "C3e3", "full_1e-4", "full_1e-5", "effective_1e-4", "effective_1e-5"])
+    lambda: _effective_near_boundary(1e-4), lambda: _effective_near_boundary(1e-5)]
+_HARD_IDS = ["anchor", "C3e3", "full_1e-4", "full_1e-5", "effective_1e-4", "effective_1e-5"]
+
+
+@pytest.mark.parametrize("make", _HARD_POINTS, ids=_HARD_IDS)
 def test_rate_within_reported_error_of_tight_reference(make):
     d = make()
     rr = entanglement_rate(d, tol=1e-6)
     ref = entanglement_rate(d, tol=1e-11)
     assert rr.quadrature_error <= 1e-6
     assert abs(rr.gamma_E - ref.gamma_E) <= rr.quadrature_error + 1e-6
+
+
+@pytest.mark.parametrize("make", _HARD_POINTS, ids=_HARD_IDS)
+def test_kernel_matches_extended_precision_at_hard_points(make):
+    # the adjugate kernel against the 50-digit doubled-basis pipeline, at
+    # the peak and on both flanks and tails
+    d = make()
+    omegas = np.array([0.0, entanglement_rate(d).omega_max, 0.3, -0.3, 1.0, -1.0,
+                       4.0, -12.0, 100.0])
+    for omega, e in zip(omegas, spectral_density_batch(d, omegas)):
+        _, e_ref = reference_point(d, omega)
+        assert abs(e - e_ref) <= 1e-12 * e_ref
 
 
 class TestSymmetrizedDensity:
@@ -258,6 +279,57 @@ class TestEntanglementRate:
         rr = entanglement_rate(d, tol=1e-5)
         assert rr.gamma_E > 0
         assert rr.E_max > 0 and rr.fwhm > 0
+
+
+class TestBatchedRates:
+    @staticmethod
+    def drifts():
+        # stable points of the full model, an unstable one and a g = 0 one
+        out = [full_drift(), full_drift(delta=10.0), full_drift(Delta=-0.25, delta=10.0),
+               full_drift(g=0.0), full_drift(Delta=-0.5, delta=10.0),
+               full_drift(g=2.0, Gamma=0.1, Delta=0.7, delta=-3.0)]
+        return out, [0.0, 50.0, 0.0, 0.0, 0.0, 1e3]
+
+    def test_each_result_equals_the_single_rate_bit_for_bit(self):
+        drifts, n_ths = self.drifts()
+        batch = entanglement_rates(drifts, n_ths)
+        for d, n, got in zip(drifts, n_ths, batch):
+            if not stability(d).stable:
+                assert isinstance(got, UnstableSystemError)
+                continue
+            assert got == entanglement_rate(d, n)
+        # composition and order of the batch do not matter either
+        order = [5, 2, 0, 1]
+        assert entanglement_rates([drifts[i] for i in order],
+                                  [n_ths[i] for i in order]) == [batch[i] for i in order]
+
+    def test_a_failure_stays_in_its_slot(self):
+        d = full_drift(delta=10.0)
+        m = np.array(d.m)
+        m[0, 4] *= 2.0             # not reciprocal
+        m[1, 5] = np.conj(m[0, 4])
+        bad = DriftMatrix(m, d.decay, d.ordering)
+        good, odd, good2 = entanglement_rates([d, bad, full_drift()], [0.0, 0.0, 0.0])
+        assert isinstance(odd, ValueError) and "not reciprocal" in str(odd)
+        assert good == entanglement_rate(d) and good2 == entanglement_rate(full_drift())
+
+    def test_drifts_of_two_models_rejected(self):
+        d_eff = drift_effective(EffectiveModelParams(g=5.0, delta=10.0, Delta=-0.2))
+        with pytest.raises(ValueError, match="one model"):
+            entanglement_rates([full_drift(), d_eff], [0.0, 0.0])
+
+
+class TestMirrorPeaks:
+    @pytest.mark.parametrize("d", [
+        full_drift(), drift_effective(EffectiveModelParams(g=1.5, delta=10.0, Delta=0.6))],
+        ids=["anchor", "effective_two_peaks"])
+    def test_omega_max_of_mirror_peaks_is_not_negative(self, d):
+        # E is even in omega here: the peak at -omega_max is as high to
+        # round-off, and the reported one is the one at omega >= 0
+        rr = entanglement_rate(d)
+        assert rr.omega_max >= 0.0
+        assert spectral_density(d, rr.omega_max) == rr.E_max
+        assert abs(spectral_density(d, -rr.omega_max) - rr.E_max) <= 4 * np.spacing(rr.E_max)
 
 
 class TestFwhm:

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import math
 
@@ -6,6 +7,8 @@ import numpy as np
 import pytest
 
 from entrate import cli
+from entrate.models import FullModelParams, drift_full
+from entrate.rates import entanglement_rate
 from entrate.sweep import (SweepAxis, SweepConfig, format_float, run_sweep)
 
 
@@ -107,6 +110,45 @@ class TestRunSweep:
             assert a.status == b.status
             assert a.values == b.values
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_no_stable_or_no_valid_point(self, jobs):
+        unstable = run_sweep(SweepConfig(model="effective", fixed={"g": 5.0, "delta": 10.0},
+                                         axes=[SweepAxis("Delta", -0.5, -0.4, 3)],
+                                         quantities=["gamma_E"], jobs=jobs))
+        assert [row.status for row in unstable.rows] == ["unstable"] * 3
+        invalid = run_sweep(SweepConfig(model="full", fixed={"g": 5.0},
+                                        axes=[SweepAxis("Gamma", -1.0, 0.0, 2)],
+                                        quantities=["gamma_E"], jobs=jobs))
+        assert all(row.status.startswith("failed: ") for row in invalid.rows)
+
+    def test_rate_map_independent_of_workers_and_batches(self):
+        # the 25x25 rate map: a sweep's rates come from batched calls, so
+        # neither the worker count nor the split of the grid into strips
+        # changes a byte, and a row holds the one-point rate bit for bit
+        def sweep(jobs, delta=(-15.0, 15.0, 25)):
+            config = SweepConfig(model="full", fixed={"g": 5.0, "Gamma": 1e-3, "n_th": 0.0},
+                                 axes=[SweepAxis("delta", *delta),
+                                       SweepAxis("Delta", -1.5, 1.5, 25)],
+                                 quantities=["gamma_E", "E_max", "fwhm"], jobs=jobs)
+            result = run_sweep(config)
+            buf = io.StringIO()
+            result.write_csv(buf)
+            return buf.getvalue(), result.rows
+
+        serial, rows = sweep(1)
+        deltas = np.linspace(-15.0, 15.0, 25)
+        strips = [sweep(1, (deltas[i], deltas[i + 4], 5))[0].splitlines(True)
+                  for i in range(0, 25, 5)]
+        assert "".join(strips[0][:2] + [line for s in strips for line in s[2:]]) == serial
+        assert sweep(2)[0] == serial
+        ok = [row for row in rows if row.status == "ok"]
+        assert len(ok) == 143
+        for row in ok[::24]:
+            delta, Delta = row.axis_values
+            rr = entanglement_rate(drift_full(FullModelParams(
+                g=5.0, Gamma=1e-3, delta=delta, Delta=Delta)), n_th=0.0, tol=1e-6)
+            assert row.values == {q: getattr(rr, q) for q in ("gamma_E", "E_max", "fwhm")}
+
     def test_log_spaced_temperature_sweep_slope(self):
         # 1-d n_th sweep at delta = Delta = 0: fitted slope -1 +- 0.1 in the
         # asymptotic regime n_th >> C (C = 10 here, see the rate checks)
@@ -139,10 +181,11 @@ class TestRunSweep:
         from entrate import sweep
         from entrate.errors import QuadratureError
 
-        def fail(*args, **kwargs):
-            raise QuadratureError("did not converge", value=1.0, error_estimate=2.0)
+        def fail(drifts, *args, **kwargs):
+            return [QuadratureError("did not converge", value=1.0, error_estimate=2.0)
+                    for _ in drifts]
 
-        monkeypatch.setattr(sweep.rates, "entanglement_rate", fail)
+        monkeypatch.setattr(sweep.rates, "entanglement_rates", fail)
         config = SweepConfig(model="full", fixed={"g": 1.0},
                              axes=[SweepAxis("delta", -1.0, 1.0, 3)],
                              quantities=["gamma_E", "stability_margin"], jobs=1)
