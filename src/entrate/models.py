@@ -197,8 +197,7 @@ class StabilityReport:
     marginal: bool
     #: The drift eigenvalues behind the verdict; the rate path reads its
     #: resonance grid and frequency scale off them instead of solving again.
-    eigenvalues: NDArray[np.complex128] | None = field(default=None, repr=False,
-                                                       compare=False)
+    eigenvalues: NDArray[np.complex128] = field(repr=False, compare=False)
 
 
 def _verdict(eigenvalues: np.ndarray, tol: float) -> StabilityReport:

@@ -7,8 +7,9 @@ whose panels carry a problem id, so every refinement sweep batches the
 nodes of the pending panels of all problems into calls of the vectorized
 integrand of up to _PANELS_PER_CALL panels each. Every decision (which
 panels to split, when to stop, the panel budget) is made per problem from
-that problem's panels alone, with exactly rounded math.fsum totals, so a
-problem's result does not depend on the other problems in the batch.
+that problem's panels alone, and its totals add its panels in the order of
+their positions, so a problem's result does not depend on the other
+problems in the batch.
 adaptive_gk and minimize_scalar are the one-problem calls of the batched
 loops.
 """
@@ -44,7 +45,10 @@ _NODES = np.concatenate([-_XGK[:-1], _XGK[::-1]])          # 15 nodes
 _W_K = np.concatenate([_WGK[:-1], _WGK[::-1]])             # Kronrod weights
 _W_G = np.zeros(15)
 _W_G[1:-1:2] = np.concatenate([_WG[:-1], _WG[::-1]])       # Gauss weights on odd slots
-#: Panels whose nodes go into one integrand call.
+#: Panels whose nodes go into one integrand call: 960 nodes, within one
+#: 1,024-point kernel chunk of the rate integrand, so the kernel never
+#: splits a call; without this bound a sweep over a batch of problems
+#: holds about 1 KB of node arrays per panel at once.
 _PANELS_PER_CALL = 64
 #: The 17 zoom points across a bracket, in units of its 16th.
 _ZOOM_STEPS = np.arange(17.0)
@@ -108,21 +112,21 @@ def adaptive_gk_batch(f_batch: Callable[[np.ndarray, np.ndarray], np.ndarray],
     failures: list[QuadratureError | None] = [None] * n_problems
 
     for sweep in range(max_sweeps + 1):
-        # per-problem totals: fsum is exactly rounded, so panel order is moot
-        order = np.argsort(pid, kind="stable")
+        # per-problem totals over the panels sorted by position: the same
+        # sum whatever else is in the batch
+        order = np.lexsort((lo, pid))
         count = np.bincount(pid, minlength=n_problems)
         start = np.cumsum(count) - count
         ids = np.flatnonzero(count)
-        err_list = err[order].tolist()
-        total = np.array([math.fsum(err_list[start[p]:start[p] + count[p]]) for p in ids])
+        total = np.add.reduceat(err[order], start[ids])
         n_active = np.bincount(pid[~converged], minlength=n_problems)[ids]
         done = (total <= epsabs[ids]) | (n_active == 0) | (sweep == max_sweeps)
         broke = ~done & (count[ids] >= max_panels)
         if np.any(done | broke):
-            val_list = val[order].tolist()
+            val_sum = np.add.reduceat(val[order], start[ids])
             for j in np.flatnonzero(done | broke):
                 p = ids[j]
-                value = math.fsum(val_list[start[p]:start[p] + count[p]])
+                value = float(val_sum[j])
                 if broke[j]:
                     failures[p] = QuadratureError("panel budget exhausted", value=value,
                                                   error_estimate=total[j])

@@ -72,10 +72,11 @@ never missed) finds E_max and the secondary peaks. When two mirror peaks
 are equal to 4 ulp, omega_max is the one at omega >= 0.
 
 The problem axis. entanglement_rates computes the rates of P drifts of one
-model together: one probe scan, the crossing polynomials and their roots
-(one stacked eigen-solve of the companion matrices), one Gauss-Kronrod loop
+model together: one probe scan (a few problems per kernel pass, so its
+arrays stay bounded), the crossing polynomials and their roots (one
+stacked eigen-solve of the companion matrices), one Gauss-Kronrod loop
 whose panels carry a problem id, one peak zoom and one FWHM polish, each
-step one batched kernel pass over all problems. Every decision is taken per
+step batched kernel passes over all problems. Every decision is taken per
 problem from that problem's numbers, and the kernel is elementwise, so a
 result does not depend on the batch it was computed in: entanglement_rate
 is the call with P = 1, and a sweep's rows equal it bit for bit.
@@ -104,6 +105,8 @@ _PEAK_OFFSETS = np.array([0.0, 0.25, -0.25, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0,
 _SEED_OFFSETS = np.array([0.0, 1.0, -1.0, 5.0, -5.0])
 #: Batched secant steps that polish the FWHM flanks on the kernel.
 _POLISH_STEPS = 3
+#: Problems per batched pass of the probe scan.
+_SCAN_PROBLEMS = 8
 #: Sign pattern J of the reciprocity m^T = J m J of the beam block.
 _RECIPROCITY_SIGNS = np.array([1.0, -1.0, 1.0])
 
@@ -362,16 +365,27 @@ def _fwhm(d: DriftMatrix, n_th: float, omega_max: float, e_max: float) -> float:
 _fwhm_by_bisection = _fwhm
 
 
-def _positive_intervals(blocks: BeamBlocks, grids: list[np.ndarray],
-                        ) -> tuple[list[np.ndarray], np.ndarray]:
-    """E at every probe of each problem's grid, from one batched pass, and
-    whether the problem's E > 0 region is the whole line: it is when E > 0
-    at any probe, else the region is empty, since E > 0 wherever K > 0 and
-    K does not depend on omega (module docstring)."""
-    counts = [g.size for g in grids]
-    e = _density(blocks, np.concatenate(grids), np.repeat(np.arange(len(grids)), counts))
-    probe_e = np.split(e, np.cumsum(counts)[:-1])
-    return probe_e, np.array([bool(np.any(v > 0)) for v in probe_e])
+def _positive_intervals(blocks: BeamBlocks, drifts: list[DriftMatrix],
+                        resonances: list[tuple[np.ndarray, np.ndarray]],
+                        ) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """(probes, E) of each problem at the probes of its resonance grid
+    where E > 0. The problem's E > 0 region is the whole line when any probe
+    is positive and empty otherwise, since E > 0 wherever K > 0 and K does
+    not depend on omega (module docstring). _SCAN_PROBLEMS problems are
+    scanned per batched pass, so the scan's arrays do not grow with the
+    batch."""
+    cand, cand_e = [], []
+    for start in range(0, len(drifts), _SCAN_PROBLEMS):
+        grids = [_grid(d, *r) for d, r in zip(drifts[start:start + _SCAN_PROBLEMS],
+                                              resonances[start:start + _SCAN_PROBLEMS])]
+        counts = [g.size for g in grids]
+        e = _density(blocks, np.concatenate(grids),
+                     np.repeat(np.arange(start, start + len(grids)), counts))
+        for g, v in zip(grids, np.split(e, np.cumsum(counts)[:-1])):
+            keep = v > 0
+            cand.append(g[keep])
+            cand_e.append(v[keep])
+    return cand, cand_e
 
 
 def entanglement_rates(drifts: Sequence[DriftMatrix], n_ths: Sequence[float],
@@ -416,18 +430,15 @@ def _rates(drifts: list[DriftMatrix], n_ths: list[float], eigenvalues: list[np.n
     """The batched rate of entanglement_rates for stable, reciprocal drifts."""
     blocks = BeamBlocks.of(drifts, n_ths)
     resonances = [_resonances(e, d.decay) for e, d in zip(eigenvalues, drifts)]
-    grids = [_grid(d, *r) for d, r in zip(drifts, resonances)]
-    probe_e, positive = _positive_intervals(blocks, grids)
+    # the peak candidates: the probes with E > 0
+    cand, cand_e = _positive_intervals(blocks, drifts, resonances)
     out: list[RateResult | Exception] = [RateResult(0.0, 0.0, 0.0, 0.0, 0.0, 0)] * len(drifts)
-    pos = np.flatnonzero(positive)
+    pos = np.flatnonzero([c.size > 0 for c in cand])
     if not pos.size:
         return out
     if pos.size < len(blocks):
         blocks = blocks.take(pos)
-    # the peak candidates: the probes with E > 0
-    cand = [grids[p][probe_e[p] > 0] for p in pos]
-    cand_e = [probe_e[p][probe_e[p] > 0] for p in pos]
-    del grids, probe_e
+        cand, cand_e = [cand[p] for p in pos], [cand_e[p] for p in pos]
 
     def e_batch(w: np.ndarray, pid: np.ndarray) -> np.ndarray:
         return _density(blocks, w, pid)

@@ -43,9 +43,13 @@ s_++ = (det + kappa_+ A_++) / det (d the decay rates). The correlators need
 seven entries of A (s_+-, s_-+, s_++ and, full model only, s_+b, s_-b,
 s_b+, s_b-), each a polynomial of degree <= k - 1 in t evaluated by
 Horner's rule, plus det; every term above is then a product of these over
-|det|^2. BeamBlocks holds the coefficients of P beam blocks of one model
-side by side (the problem axis): the kernel takes one frequency array with
-a problem id per point, gathers each point's coefficients and is
+|det|^2. Next to the instability boundary det m is small against its
+terms, so it is computed exactly from the float entries and rounded once;
+E then matches a 50-digit evaluation to a few ulp there, where a float64
+det m (or an LU solve) loses the ratio of terms to det in digits.
+BeamBlocks holds the coefficients of P beam blocks of one model side by
+side (the problem axis): the kernel takes one frequency array with a
+problem id per point, gathers each point's coefficients and is
 elementwise from there on, so a point's value does not depend on which
 other points or problems share the call. rates builds its crossing
 polynomials from the same coefficients.
@@ -60,6 +64,7 @@ the Lyapunov equation m P + P m^dag + e_- e_-^T = 0.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -163,6 +168,50 @@ def input_noise_matrix(dim: int, n_th: float = 0.0) -> NDArray[np.float64]:
     return c
 
 
+def _permutation_terms(k: int) -> list[tuple[int, list[int]]]:
+    """(sign, flat indices of the entries) of every term of a k x k det."""
+    terms = []
+    for p in itertools.permutations(range(k)):
+        odd = sum(p[i] > p[j] for i in range(k) for j in range(i + 1, k)) % 2
+        terms.append((-1 if odd else 1, [i * k + p[i] for i in range(k)]))
+    return terms
+
+
+_DET_TERMS = {k: _permutation_terms(k) for k in (2, 3)}
+
+
+def _det(m: NDArray[np.complex128]) -> NDArray[np.complex128]:
+    """det of each k x k matrix of the stack (P, k, k), correctly rounded.
+
+    Next to the instability boundary det m is small against its terms:
+    1e-4 from the edge a float64 sum of rounded products loses a factor of
+    5e3 to cancellation. Here every entry of a matrix is an integer
+    multiple of 2^low (low <= 0, the last place of its finest entry), the
+    det of those integers is expanded exactly, and one correctly rounded
+    integer division by 2^(-k low) gives the result."""
+    k = m.shape[1]
+    x = m.reshape(len(m), -1).view(float)       # real and imaginary parts
+    # x = f 2^e with 1/2 <= |f| < 1: the integer f 2^53 times 2^(e - 53)
+    f, e = np.frexp(x)
+    e -= 53
+    low = np.min(e, axis=1, where=x != 0, initial=0)
+    shift = np.where(x != 0, e - low[:, None], 0)
+    out = []
+    for mant, sh, lo in zip(np.ldexp(f, 53).astype(np.int64).tolist(), shift.tolist(),
+                            low.tolist()):
+        v = [a << b for a, b in zip(mant, sh)]
+        re = im = 0
+        for sign, idx in _DET_TERMS[k]:
+            pr, pi = v[2 * idx[0]], v[2 * idx[0] + 1]
+            for i in idx[1:]:
+                c, d = v[2 * i], v[2 * i + 1]
+                pr, pi = pr * c - pi * d, pr * d + pi * c
+            re, im = re + sign * pr, im + sign * pi
+        scale = 1 << (-k * lo)
+        out.append(complex(re / scale, im / scale))
+    return np.array(out, dtype=complex)
+
+
 #: Block entries (row, column) of A that the correlators use, with
 #: + = 0, - = 1, b = 2: the first three for the effective model, all seven
 #: for the full model; (0, 0) is the diagonal one.
@@ -204,14 +253,12 @@ class BeamBlocks:
             adj_m = cof.transpose(0, 2, 1)
             adj = np.stack([eye, tr[:, None, None] * eye - m, adj_m], axis=1)
             char = np.stack([ones, tr, adj_m[:, 0, 0] + adj_m[:, 1, 1] + adj_m[:, 2, 2],
-                             m[:, 0, 0] * cof[:, 0, 0] + m[:, 0, 1] * cof[:, 0, 1]
-                             + m[:, 0, 2] * cof[:, 0, 2]], axis=1)
+                             _det(m)], axis=1)
         else:
             adj_m = np.stack([np.stack([m[:, 1, 1], -m[:, 0, 1]], axis=1),
                               np.stack([-m[:, 1, 0], m[:, 0, 0]], axis=1)], axis=1)
             adj = np.stack([eye, adj_m], axis=1)
-            char = np.stack([ones, m[:, 0, 0] + m[:, 1, 1],
-                             m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]], axis=1)
+            char = np.stack([ones, m[:, 0, 0] + m[:, 1, 1], _det(m)], axis=1)
         return cls(m, decay, np.asarray(n_ths, dtype=float), adj, char)
 
     @property
@@ -274,16 +321,23 @@ def _kernel(blocks: BeamBlocks, w: np.ndarray, pid: np.ndarray | None = None,
     one), and every operation after that is elementwise, so a point's values
     do not depend on the rest of the call. No stability check."""
     entries, char, weights = blocks.table
-    if len(blocks) > 1:
-        entries, char, weights = entries[..., pid], char[:, pid], weights[:, pid]
+
+    def at(c: np.ndarray) -> np.ndarray:
+        # one coefficient (row) per point, gathered as it is needed so that
+        # only one gathered coefficient is alive at a time
+        return c[..., pid] if len(blocks) > 1 else c
+
     t = 1j * w
     # Horner's rule at t = i omega, all entries of A at once, then det
-    a = entries[0] + _MONIC[:len(entries[0]), None] * t
+    a = at(entries[0]) + _MONIC[:len(entries[0]), None] * t
     for c in entries[1:]:
-        a = a * t + c
-    det = char[0] + t
+        a *= t
+        a += at(c)
+    det = at(char[0]) + t
     for c in char[1:]:
-        det = det * t + c
+        det *= t
+        det += at(c)
+    weights = at(weights)
     det2 = _abs2(det)
     if not np.all(det2 > 0):
         raise UnstableSystemError(

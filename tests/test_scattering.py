@@ -1,3 +1,4 @@
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +10,7 @@ from entrate.gaussian import covariance_from_correlators, symplectic_spectrum
 from entrate.models import (BEAM_BLOCK, DriftMatrix, EffectiveModelParams,
                             FullModelParams, drift_effective, drift_full, stability)
 from entrate.rates import spectral_density
-from entrate.scattering import (correlator_batch, input_noise_matrix,
+from entrate.scattering import (_det, correlator_batch, input_noise_matrix,
                                 intra_beam_correlator, output_correlators,
                                 output_spectrum, pair_rate_numeric, scattering_matrix,
                                 scattering_matrices)
@@ -258,3 +259,25 @@ class TestBlockKernel:
         coupled = DriftMatrix(m, d.decay, d.ordering)
         with pytest.raises(ValueError, match="conjugate partner"):
             correlator_batch(coupled, np.array([0.0, 1.0]))
+
+
+class TestExactDeterminant:
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_correctly_rounded(self, k):
+        # near-singular matrices (det ~ 1e-9 of its terms), entries spread
+        # over many binades, a zero entry, a zero matrix, and entries at the
+        # ends of the float range
+        rng = np.random.default_rng(k)
+        m = (rng.normal(size=(40, k, k)) * np.exp(3.0 * rng.normal(size=(40, k, k)))
+             + 1j * rng.normal(size=(40, k, k)))
+        m[:, -1, -1] -= (np.linalg.det(m) / np.linalg.det(m[:, :-1, :-1])) * (1 - 1e-9)
+        m[0, 0, 1] = 0.0
+        m[1] = 0.0
+        m[2, 0, 0] += 1e-305j
+        m[3] *= 1e100
+        m[4, 1, 1] = 3e-320
+        m[5] = 2.0 ** 60
+        for got, block in zip(_det(m), m):
+            with mp.workdps(400):
+                ref = mp.det(mp.matrix([[mp.mpc(complex(z)) for z in row] for row in block]))
+                assert got == complex(float(mp.re(ref)), float(mp.im(ref)))
