@@ -67,12 +67,22 @@ def _emit(args, header: list[str], rows: Sequence[Sequence[float | str]]) -> Non
         write_table(fh, header, rows, args.format)
 
 
+def _omega_grid(args) -> np.ndarray:
+    """The --omega-min/--omega-max/--omega-steps grid; a non-finite end is
+    a usage error."""
+    for flag, value in (("--omega-min", args.omega_min), ("--omega-max", args.omega_max)):
+        if not np.isfinite(value):
+            raise ValueError(f"{flag} must be finite, got {value}")
+    return np.linspace(args.omega_min, args.omega_max, args.omega_steps)
+
+
 def cmd_spectrum(args) -> int:
+    """Beam-1 output spectrum (total, optical and mechanical parts) and E
+    over the grid, all from one kernel pass."""
     drift, n_th = _build_drift(args)
+    omegas = _omega_grid(args)
     scattering._require_stable(drift)
-    omegas = np.linspace(args.omega_min, args.omega_max, args.omega_steps)
-    optical, mechanical = scattering.spectrum_parts(drift, omegas, n_th)
-    e_vals = rates.spectral_density_batch(drift, omegas, n_th)
+    optical, mechanical, e_vals = rates.spectrum_and_density(drift, omegas, n_th)
     rows = list(zip(omegas.tolist(), (optical + mechanical).tolist(),
                     optical.tolist(), mechanical.tolist(), e_vals.tolist()))
     _emit(args, ["omega [kappa]", "total", "optical", "mechanical", "E"], rows)
@@ -81,8 +91,8 @@ def cmd_spectrum(args) -> int:
 
 def cmd_entanglement(args) -> int:
     drift, n_th = _build_drift(args)
+    omegas = _omega_grid(args)
     scattering._require_stable(drift)
-    omegas = np.linspace(args.omega_min, args.omega_max, args.omega_steps)
     e_vals = rates.spectral_density_batch(drift, omegas, n_th)
     _emit(args, ["omega [kappa]", "E"], list(zip(omegas.tolist(), e_vals.tolist())))
     return 0

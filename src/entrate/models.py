@@ -14,7 +14,7 @@ the Langevin system reads dA/dt = m A - sqrt(decay) A_in per channel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Sequence
 
@@ -31,6 +31,15 @@ BEAM_BLOCK = ("a_plus", "a_minus_dag", "b")
 STABILITY_TOL = 1e-9
 #: Constructor tolerance on the (op, op^dag) pairing structure of drift matrices.
 PAIRING_DEFECT_TOL = 1e-12
+
+
+def _require_finite(params) -> None:
+    """Raise ValueError naming the first field of a parameter set that is
+    not a finite number."""
+    for f in fields(params):
+        value = getattr(params, f.name)
+        if not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -51,6 +60,7 @@ class FullModelParams:
     n_th: float = 0.0
 
     def __post_init__(self):
+        _require_finite(self)
         if self.kappa <= 0:
             raise ValueError("kappa must be positive")
         if self.Gamma <= 0:
@@ -75,6 +85,7 @@ class EffectiveModelParams:
     Delta: float = 0.0
 
     def __post_init__(self):
+        _require_finite(self)
         if self.kappa <= 0:
             raise ValueError("kappa must be positive")
         if self.g < 0:

@@ -96,7 +96,7 @@ from .models import (PAIRING_DEFECT_TOL, DriftMatrix, StabilityReport, stability
 from .quadutil import adaptive_gk_batch, minimize_batch
 # unused here, but the benchmark tracer wraps these names in rates
 from .quadutil import adaptive_gk, bisect_all, minimize_scalar  # noqa: F401
-from .scattering import BeamBlocks, _chunks, _kernel, correlator_batch
+from .scattering import BeamBlocks, _chunks, _kernel, _kernel_all, correlator_batch
 
 _PEAK_OFFSETS = np.array([0.0, 0.25, -0.25, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0,
                           5.0, -5.0, 10.0, -10.0, 25.0, -25.0, 50.0, -50.0,
@@ -133,6 +133,16 @@ def spectral_density_batch(d: DriftMatrix, omegas: np.ndarray,
     """E[omega] over a frequency grid, log1p(N / 4q) from the excesses
     (module docstring); no stability check."""
     return _log_negativity(*correlator_batch(d, omegas, n_th))
+
+
+def spectrum_and_density(d: DriftMatrix, omegas: np.ndarray, n_th: float = 0.0,
+                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(optical, mechanical, E) over a frequency grid from one kernel pass:
+    scattering.spectrum_parts and spectral_density_batch at once, equal to
+    them bit for bit; no stability check."""
+    blocks = BeamBlocks.of([d], [n_th])
+    optical, mechanical, nu_minus, xi, q_excess = _kernel_all(blocks, omegas)
+    return optical, mechanical, _log_negativity(optical + mechanical, nu_minus, xi, q_excess)
 
 
 def spectral_density(d: DriftMatrix, omega: float, n_th: float = 0.0) -> float:

@@ -368,13 +368,19 @@ def correlator_batch(d: DriftMatrix, omegas: np.ndarray, n_th: float = 0.0,
     rounded against the vacuum's 1/2 or 1/4. The adjugate kernel for one
     problem. No stability check (meant for integrators that have already
     verified it)."""
-    optical, mechanical, nu_minus, xi, q_excess = _kernel_all(d, omegas, n_th)
+    return block_correlators(BeamBlocks.of([d], [n_th]), omegas)
+
+
+def block_correlators(blocks: BeamBlocks, omegas: np.ndarray,
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """correlator_batch of the one problem of blocks, for callers that
+    evaluate one drift many times and build its blocks once."""
+    optical, mechanical, nu_minus, xi, q_excess = _kernel_all(blocks, omegas)
     return optical + mechanical, nu_minus, xi, q_excess
 
 
-def _kernel_all(d: DriftMatrix, omegas: np.ndarray, n_th: float) -> list[np.ndarray]:
-    """_kernel of one drift over any number of frequencies."""
-    blocks = BeamBlocks.of([d], [n_th])
+def _kernel_all(blocks: BeamBlocks, omegas: np.ndarray) -> list[np.ndarray]:
+    """_kernel of a batch of one problem over any number of frequencies."""
     return [np.concatenate(c) for c in zip(*(_kernel(blocks, w) for w, _ in _chunks(omegas)))]
 
 
@@ -403,7 +409,7 @@ def spectrum_parts(d: DriftMatrix, omegas: np.ndarray, n_th: float = 0.0,
     |s_+-|^2 comes from the vacuum input of beam 2, the mechanical part
     n_th |s_+b|^2 from the thermal mechanical input (zero for the effective
     model). No stability check."""
-    return tuple(_kernel_all(d, omegas, n_th)[:2])
+    return tuple(_kernel_all(BeamBlocks.of([d], [n_th]), omegas)[:2])
 
 
 def output_spectrum(d: DriftMatrix, omega: float, n_th: float = 0.0) -> SpectrumPoint:

@@ -37,27 +37,85 @@ _KAPPA_COLUMNS = {"delta", "Delta", "Gamma", "g", "stability_margin", "gamma_E",
 CSV_SCHEMA_LINE = "# schema=1"
 
 
-#: Fixed 17-significant-digit float formatting for byte-stable output; a C
-#: method, so mapping it over a column makes no Python call per cell.
-format_float = "%.17g".__mod__
+#: Fixed 17-significant-digit float formatting of the number cells of CSV
+#: output, byte-stable.
+FLOAT_FORMAT = "%.17g"
+format_float = FLOAT_FORMAT.__mod__
+
+#: Rows formatted and written at a time: the writer holds the text of one
+#: block, never the whole table's.
+_BLOCK_ROWS = 2048
+#: JSON's tokens for the floats that float.__repr__ writes as nan and +-inf.
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def write_table(fh: IO[str], header: list[str],
                 rows: Sequence[Sequence[float | str]], fmt: str = "csv") -> None:
-    """Write rows under header as CSV (schema line, header, cells quoted
-    only where they need it, numbers through format_float) or as a JSON
-    list of one object per row. Each column holds strings or numbers."""
+    """Write rows under header (at least one column) as CSV or as JSON.
+    Each column holds strings or numbers, told apart by the first row.
+
+    CSV: the schema line, the header through csv.writer, then one line per
+    row: numbers as format_float writes them, strings quoted as csv.writer
+    quotes them. JSON: byte for byte what json.dump(..., indent=2,
+    default=float) writes for a list of one object per row, non-finite
+    floats as its NaN, Infinity and -Infinity tokens, and "[]" for no rows.
+
+    Both stream: every block of _BLOCK_ROWS rows is formatted column by
+    column, joined by one row template (one C-level % per row) and written
+    at once, so neither a dict per row nor the whole text is ever built."""
     if fmt == "json":
-        json.dump([dict(zip(header, row)) for row in rows], fh, indent=2, default=float)
-        fh.write("\n")
-        return
-    fh.write(CSV_SCHEMA_LINE + "\n")
-    out = csv.writer(fh, lineterminator="\n")
-    out.writerow(header)
-    # formatted a column at a time: per-cell Python calls would dominate
-    # the time of a 20k-row table
-    out.writerows(zip(*(col if isinstance(col[0], str) else map(format_float, col)
-                        for col in zip(*rows))))
+        if not rows:
+            fh.write("[]\n")
+            return
+        # as in dict(zip(header, row)): a repeated key keeps its first place
+        # and its last column
+        keys = {key: i for i, key in enumerate(header)}
+        template = "\n  {" + ",".join(
+            "\n    " + json.encoder.encode_basestring_ascii(key).replace("%", "%%") + ": %s"
+            for key in keys) + "\n  }"
+
+        def cells(block):
+            cols = list(zip(*block))
+            return zip(*(_json_column(cols[i]) for i in keys.values()))
+        lead, sep, tail = "[", ",", "\n]\n"
+    else:
+        fh.write(CSV_SCHEMA_LINE + "\n")
+        csv.writer(fh, lineterminator="\n").writerow(header)
+        if not rows:
+            return
+        text = [isinstance(c, str) for c in rows[0]]
+        template = ",".join("%s" if t else FLOAT_FORMAT for t in text) + "\n"
+        # csv.writer quotes a row of one empty field, and no other empty field
+        quote = _csv_cell if len(text) > 1 else lambda s: _csv_cell(s) or '""'
+
+        def cells(block):
+            return zip(*(map(quote, col) if t else col for t, col in zip(text, zip(*block))))
+        lead = sep = tail = ""
+    for i in range(0, len(rows), _BLOCK_ROWS):
+        fh.write(lead if i == 0 else sep)
+        fh.write(sep.join(map(template.__mod__, cells(rows[i:i + _BLOCK_ROWS]))))
+    fh.write(tail)
+
+
+def _csv_cell(s: str) -> str:
+    """A string cell as csv.writer writes it with "\\n" line ends: quoted
+    when it holds a comma, a quote (doubled) or a newline."""
+    if '"' in s:
+        return '"' + s.replace('"', '""') + '"'
+    return '"' + s + '"' if "," in s or "\n" in s else s
+
+
+def _json_column(col: Sequence) -> list[str]:
+    """A column's cells as json.dump(..., default=float) writes them: a
+    column of floats through float.__repr__ and the non-finite tokens,
+    any other cell by cell through json.dumps."""
+    try:
+        cells = list(map(float.__repr__, col))
+    except TypeError:       # strings, ints or other numbers
+        return [json.dumps(c, default=float) for c in col]
+    if not _JSON_NONFINITE.keys().isdisjoint(cells):
+        cells = [_JSON_NONFINITE.get(c, c) for c in cells]
+    return cells
 
 
 @dataclass(frozen=True)

@@ -45,7 +45,7 @@ from .gaussian import CorrelatorTriple, log_negativity_two_mode
 from .models import DriftMatrix
 from .quadutil import adaptive_gk
 from .rates import frequency_grid
-from .scattering import _require_stable, correlator_batch
+from .scattering import BeamBlocks, _require_stable, block_correlators
 
 DEFAULT_CUTOFF = 100_000
 
@@ -180,13 +180,14 @@ def filtered_entanglement(d: DriftMatrix, n_th: float,
         half, warp, unwarp = 0.5 * math.pi, np.tan, np.arctan
 
     # the four component integrals start on the same panels, so the
-    # spectra at those nodes are computed once
+    # spectra at those nodes are computed once, all from one set of blocks
+    blocks = BeamBlocks.of([d], [n_th])
     evaluated: dict[bytes, np.ndarray] = {}
 
     def parts_batch(theta: np.ndarray) -> np.ndarray:
         key = theta.tobytes()
         if key not in evaluated:
-            nu_plus, nu_minus, xi, _ = correlator_batch(d, wc + warp(theta) / tau, n_th)
+            nu_plus, nu_minus, xi, _ = block_correlators(blocks, wc + warp(theta) / tau)
             evaluated[key] = np.stack([nu_plus, nu_minus, xi.real, xi.imag])
         return evaluated[key]
 

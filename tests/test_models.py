@@ -183,5 +183,14 @@ class TestParamValidation:
         with pytest.raises(ValueError):
             FullModelParams(g=1.0, Gamma=1e-3, kappa=-1.0)
 
+    @pytest.mark.parametrize("cls, base", [
+        (FullModelParams, {"g": 1.0, "Gamma": 1e-3}),
+        (EffectiveModelParams, {"g": 1.0, "delta": 10.0})])
+    def test_non_finite_fields_rejected_by_name(self, cls, base):
+        for name in cls.__dataclass_fields__:
+            for bad in (math.nan, math.inf, -math.inf):
+                with pytest.raises(ValueError, match=f"^{name} must be finite"):
+                    cls(**{**base, name: bad})
+
     def test_cooperativity(self):
         assert full(g=5.0, Gamma=1e-3).cooperativity == pytest.approx(2.5e4)

@@ -14,9 +14,10 @@ from entrate.quadutil import bisect_all
 from entrate.rates import (EntanglementSpectrum, _beam_polynomials, _count_local_maxima,
                            _fwhm, _refined_peak, _scale, entanglement_rate,
                            entanglement_rates, frequency_grid, fwhm, sample_spectrum,
-                           spectral_density, spectral_density_batch, symmetrized_density,
-                           to_nats_per_second)
-from entrate.scattering import BeamBlocks, correlator_batch, scattering_matrices
+                           spectral_density, spectral_density_batch, spectrum_and_density,
+                           symmetrized_density, to_nats_per_second)
+from entrate.scattering import (BeamBlocks, correlator_batch, scattering_matrices,
+                                spectrum_parts)
 from fwhm_reference import fwhm_by_bisection
 from mp_reference import reference_point
 from strategies import stable_drifts
@@ -58,6 +59,17 @@ class TestSpectralDensity:
         d = drift_effective(EffectiveModelParams(g=5.0, delta=10.0, Delta=-0.5))
         with pytest.raises(UnstableSystemError):
             spectral_density(d, 0.0)
+
+    def test_one_pass_spectrum_equals_the_two_passes(self):
+        # more points than one kernel chunk
+        omegas = np.linspace(-3.0, 13.0, 2501)
+        for d, n_th in [(full_drift(delta=10.0), 50.0),
+                        (drift_effective(EffectiveModelParams(g=5.0, delta=10.0, Delta=-0.2)),
+                         0.0)]:
+            optical, mechanical, e = spectrum_and_density(d, omegas, n_th)
+            parts = spectrum_parts(d, omegas, n_th)
+            assert np.array_equal(optical, parts[0]) and np.array_equal(mechanical, parts[1])
+            assert np.array_equal(e, spectral_density_batch(d, omegas, n_th))
 
 
 class TestExcessForm:

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -231,6 +232,28 @@ class TestCliCommands:
         with pytest.raises(SystemExit) as exc:
             run_cli(["spectrum", "--model", "bogus"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv, message", [
+        (["spectrum", "--omega-steps", "3", "--omega-max", "nan"], "--omega-max must be finite"),
+        (["entanglement", "--omega-steps", "3", "--omega-max", "inf"],
+         "--omega-max must be finite"),
+        (["rate", "--g", "nan"], "g must be finite"),
+        (["rate", "--Delta", "inf"], "Delta must be finite")])
+    def test_non_finite_input_is_usage_error(self, argv, message, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(argv) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+
+    def test_spectrum_builds_its_beam_blocks_once(self, tmp_path, monkeypatch):
+        from entrate.scattering import BeamBlocks
+        built = []
+        of = BeamBlocks.of.__func__
+        monkeypatch.setattr(BeamBlocks, "of",
+                            classmethod(lambda cls, *a: built.append(1) or of(cls, *a)))
+        assert run_cli(["spectrum", "--omega-steps", "3000",
+                        "--output", str(tmp_path / "s.csv")]) == 0
+        assert len(built) == 1
 
     def test_missing_axis_usage_error(self, capsys):
         assert run_cli(["sweep"]) == 2

@@ -231,6 +231,17 @@ class TestFilteredEntanglement:
                                       FilterSpec(0.0, tau))
             assert e == pytest.approx(0.0, abs=1e-9)
 
+    def test_builds_its_beam_blocks_once(self, monkeypatch):
+        from entrate.scattering import BeamBlocks
+        built = []
+        of = BeamBlocks.of.__func__
+        monkeypatch.setattr(BeamBlocks, "of",
+                            classmethod(lambda cls, *a: built.append(1) or of(cls, *a)))
+        for shape in ("wannier", "lorentzian"):
+            filtered_entanglement(self.drift(), 1.0, FilterSpec(0.5, 1e2),
+                                  FilterSpec(-0.5, 1e2), shape)
+        assert len(built) == 2
+
     def test_converges_to_spectral_density(self):
         d = self.drift()
         e0 = spectral_density(d, 0.0, 0.0)
