@@ -4,13 +4,15 @@ Subcommands: spectrum, entanglement, rate, stability, sweep, verify,
 pair-rate, wannier-check. Output is CSV (schema-versioned header comment,
 17-significant-digit floats, deterministic row order) or JSON via
 --format json. Exit codes: 0 ok, 1 verification/physics failure, 2 usage
-error. All frequencies and rates are in units of kappa.
+error, 141 stdout closed by its reader. All frequencies and rates are in
+units of kappa.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from contextlib import nullcontext
 from typing import Sequence
@@ -190,7 +192,7 @@ def cmd_verify(args) -> int:
         if not names:
             print(f"no checks match {args.only!r}", file=sys.stderr)
             return 2
-    results = verify.run_checks(names, jobs=args.jobs if args.jobs is not None else 0)
+    results = verify.run_checks(names)
     if args.format == "json":
         with _output(args.output) as fh:
             json.dump([r.to_dict() for r in results], fh, indent=2)
@@ -260,7 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the oracle cross-check suite")
     _add_io_flags(p)
     p.add_argument("--only", default=None, help="substring filter on check names")
-    p.add_argument("--jobs", type=int, default=None)
     p.set_defaults(func=cmd_verify)
 
     return parser
@@ -271,6 +272,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # the reader closed stdout (`entrate ... | head`): send what is
+        # still buffered to devnull, so that the flush at exit prints
+        # nothing, and exit as a shell reports SIGPIPE (128 + 13)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (UnstableSystemError, QuadratureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

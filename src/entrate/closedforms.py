@@ -1,5 +1,5 @@
-"""Closed-form reference expressions for the resonant full model, the
-effective optical model, and the two-/three-mode comparison schemes.
+"""Closed-form reference expressions for the resonant full model and the
+effective optical model.
 
 These are independent of the frequency-domain numerical pipeline and serve
 as its oracle suite. Everything here is an explicit rational/algebraic
@@ -9,7 +9,6 @@ formula in the model rates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .gaussian import CorrelatorTriple
 
@@ -76,71 +75,3 @@ def full_model_correlators_resonant(g: float, kappa: float, Gamma: float,
     xi = (-coherent
           + (-kappa * Gamma * (n_th + 0.5) * g2 + 1j * (delta - omega) * kappa * g2) / d1)
     return CorrelatorTriple(n_plus, n_minus, xi)
-
-
-def two_mode_scheme_correlators(g: float, kappa: float, Gamma: float,
-                                Omega: float, n_th: float) -> CorrelatorTriple:
-    """Stokes/anti-Stokes filtered correlators of the single-cavity
-    (one optical + one mechanical mode) scheme at resonant drive, valid for
-    Omega >> Gamma."""
-    lor = Omega ** 2 + (kappa / 2.0) ** 2
-    hg = Gamma / 2.0
-    coherent = kappa ** 2 * g ** 4 / (lor ** 2 * hg ** 2)
-    thermal = kappa * g ** 2 / (lor * hg)
-    n_plus = coherent + 2.0 * n_th * thermal + 0.5
-    n_minus = coherent + 2.0 * (n_th + 1.0) * thermal + 0.5
-    xi = -coherent - (2.0 * n_th + 1.0) * thermal
-    return CorrelatorTriple(n_plus, n_minus, complex(xi))
-
-
-@dataclass(frozen=True)
-class EnhancementFactors:
-    vs_two_mode: float
-    vs_three_mode: float
-
-
-def enhancement_factors(Omega: float, kappa: float, delta: float) -> EnhancementFactors:
-    """Intensity enhancement of the entangled output of the triply resonant
-    scheme over the earlier schemes, at fixed input laser power and Delta = 0:
-    Omega^4/(delta^2 + (kappa/2)^2)^2 over the two-mode scheme and
-    (2 Omega/kappa)^4 over three-mode schemes (off-resonant drives).
-    """
-    if Omega <= 0 or kappa <= 0:
-        raise ValueError("Omega and kappa must be positive")
-    vs_two = Omega ** 4 / (delta ** 2 + (kappa / 2.0) ** 2) ** 2
-    vs_three = (2.0 * Omega / kappa) ** 4
-    return EnhancementFactors(vs_two_mode=vs_two, vs_three_mode=vs_three)
-
-
-@dataclass(frozen=True)
-class ComparisonResult:
-    """Side-by-side coherent (n_th-independent) sideband intensities of this
-    scheme and the two-mode scheme at matched g, plus the nominal
-    large-Omega enhancement factors."""
-
-    our_coherent_intensity: float
-    two_mode_coherent_intensity: float
-    enhancement_vs_two_mode: float
-    enhancement_vs_three_mode: float
-    Omega: float
-
-
-def compare_schemes(g: float, kappa: float, Gamma: float, Omega: float,
-                    delta: float) -> ComparisonResult:
-    """Assemble the scheme comparison at the sideband frequency omega = delta.
-
-    The coherent intensities come from the respective printed correlator
-    formulas; the enhancement factors are the nominal large-Omega ratios
-    (they absorb the different coupling normalizations of the two schemes,
-    so they do not literally equal the intensity ratio at matched g).
-    """
-    ours = full_model_correlators_resonant(g, kappa, Gamma, delta, 0.0, delta)
-    two = two_mode_scheme_correlators(g, kappa, Gamma, Omega, 0.0)
-    factors = enhancement_factors(Omega, kappa, delta)
-    return ComparisonResult(
-        our_coherent_intensity=ours.n_plus - 0.5,
-        two_mode_coherent_intensity=two.n_plus - 0.5,
-        enhancement_vs_two_mode=factors.vs_two_mode,
-        enhancement_vs_three_mode=factors.vs_three_mode,
-        Omega=Omega,
-    )

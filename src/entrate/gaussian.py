@@ -9,6 +9,10 @@ Conventions used throughout the package:
   vacuum with squeezing parameter r carries E = 2r;
 * partial transposition of "beam 2" modes is the sign flip of their p
   quadratures, a diagonal matrix in this ordering.
+
+The log-negativity of one mode pair, from the excesses of its correlator
+triple over vacuum, is rates.log_negativity; log_negativity_general here
+is its reference and covers any number of modes.
 """
 
 from __future__ import annotations
@@ -48,24 +52,6 @@ class CorrelatorTriple:
         if not (math.isfinite(self.n_plus) and math.isfinite(self.n_minus)
                 and math.isfinite(self.xi.real) and math.isfinite(self.xi.imag)):
             raise ValueError("correlator triple must be finite")
-
-    def min_symplectic_eigenvalue(self) -> float:
-        """Smaller symplectic eigenvalue of the physical (untransposed)
-        covariance matrix, computed in a cancellation-free form."""
-        d = self.n_plus - self.n_minus
-        q = self.n_plus * self.n_minus - abs(self.xi) ** 2
-        if q < 0.0:
-            return -math.sqrt(-q)
-        root = math.sqrt(d * d + 4.0 * q)
-        nu_sq = 2.0 * q * q / (d * d + 2.0 * q + abs(d) * root) if (d != 0 or q != 0) else 0.0
-        return math.sqrt(nu_sq)
-
-    def is_physical(self, tol: float = PHYSICALITY_TOL) -> bool:
-        floor = VACUUM - tol
-        if self.n_plus < floor or self.n_minus < floor:
-            return False
-        return self.min_symplectic_eigenvalue() >= floor
-
 
 @dataclass(frozen=True)
 class CovarianceMatrix:
@@ -146,26 +132,6 @@ def symplectic_spectrum(v: CovarianceMatrix | np.ndarray) -> NDArray[np.float64]
         raise UnphysicalStateError(
             f"could not pair conjugate eigenvalues of i*J*V: {vals}")
     return pairs.mean(axis=1)
-
-
-def log_negativity_two_mode(t: CorrelatorTriple) -> float:
-    """Logarithmic negativity of the two-mode state described by a
-    correlator triple: max(0, -ln(2*eta_minus)).
-
-    2*eta_minus = n+ + n- - sqrt((n+ - n-)^2 + 4|xi|^2) is evaluated through
-    the algebraically equivalent ratio 4*(n+ n- - |xi|^2) / (n+ + n- + sqrt(...)),
-    which avoids the catastrophic cancellation of the textbook form when the
-    state is strongly squeezed.
-    """
-    s = t.n_plus + t.n_minus
-    d = t.n_plus - t.n_minus
-    q = t.n_plus * t.n_minus - abs(t.xi) ** 2
-    root = math.hypot(d, 2.0 * abs(t.xi))
-    two_eta = 4.0 * q / (s + root)
-    if two_eta <= 0.0:
-        raise UnphysicalStateError(
-            f"2*eta_minus = {two_eta:.3g} <= 0: unphysical correlator triple")
-    return max(0.0, -math.log(two_eta))
 
 
 def partial_transpose_signs(mode_partition: tuple[int, ...]) -> NDArray[np.float64]:

@@ -93,14 +93,6 @@ class EffectiveModelParams:
         if self.delta == 0:
             raise ValueError("delta must be nonzero (the pair coupling is g^2/4delta)")
 
-    def in_validity_regime(self, factor: float = 5.0) -> bool:
-        """True when |delta| exceeds kappa and g by `factor` and dominates
-        |Delta| likewise -- the regime in which the adiabatic elimination
-        behind this model is controlled."""
-        big = abs(self.delta)
-        return big >= factor * max(self.kappa, self.g) and big >= factor * abs(self.Delta)
-
-
 @dataclass(frozen=True)
 class DriftMatrix:
     """Generator of the linear Langevin dynamics in the doubled operator
@@ -253,45 +245,3 @@ def stability_boundary_effective(g: float, kappa: float, delta: float) -> tuple[
     r1 = -(b + math.copysign(math.sqrt(disc), b)) / 2.0
     r2 = (kappa / 2.0) ** 2 / r1
     return tuple(sorted((r1, r2)))
-
-
-@dataclass(frozen=True)
-class CellParams:
-    """Microscopic parameters of the three coupled optomechanical cells:
-    tunneling rates K1, K2, bare single-photon coupling g0, and the coherent
-    amplitude of the driven center normal mode."""
-
-    K1: float
-    K2: float
-    g0: float
-    alpha: complex
-
-    def __post_init__(self):
-        if self.K1 ** 2 + self.K2 ** 2 <= 0:
-            raise ValueError("at least one tunneling rate must be nonzero")
-
-
-@dataclass(frozen=True)
-class CellMapping:
-    params: FullModelParams
-    J: float
-    g0_eff: float
-
-
-def map_cell_params(c: CellParams, kappa: float, Gamma: float, Omega: float,
-                    n_th: float, Delta: float = 0.0) -> CellMapping:
-    """Map the three-cell normal-mode parameters onto the full model.
-
-    J = sqrt(K1^2 + K2^2) is the optical normal-mode splitting,
-    g0_eff = g0 K1 K2 / (K1^2 + K2^2) the effective single-photon coupling
-    to the relevant mechanical normal mode, g = 2 g0_eff |alpha| the
-    linearized coupling, and delta = Omega - J. The drive detuning Delta is
-    not fixed by the cell geometry and defaults to 0.
-    """
-    ksq = c.K1 ** 2 + c.K2 ** 2
-    J = math.sqrt(ksq)
-    g0_eff = c.g0 * c.K1 * c.K2 / ksq
-    g = 2.0 * abs(g0_eff) * abs(c.alpha)
-    params = FullModelParams(g=g, Gamma=Gamma, kappa=kappa, Delta=Delta,
-                             delta=Omega - J, n_th=n_th)
-    return CellMapping(params=params, J=J, g0_eff=g0_eff)

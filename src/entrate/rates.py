@@ -3,7 +3,8 @@
 E[omega] = max(0, -ln(2 eta_minus(omega))) is the log-negativity of the
 output mode pair at (omega, -omega); it is double-sided in omega. The rate
 Gamma_E = int domega/2pi E[omega] is reported in units of kappa, i.e. nats
-of entanglement per 1/kappa of time.
+of entanglement per 1/kappa of time; Gamma_E kappa, with kappa in 1/s, is
+in nats per second.
 
 E from the excesses. 2 eta_minus and 2 eta_plus are the two roots x of
 
@@ -85,7 +86,7 @@ is the call with P = 1, and a sweep's rows equal it bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -111,9 +112,13 @@ _SCAN_PROBLEMS = 8
 _RECIPROCITY_SIGNS = np.array([1.0, -1.0, 1.0])
 
 
-def _log_negativity(nu_plus: np.ndarray, nu_minus: np.ndarray, xi: np.ndarray,
-                    q_excess: np.ndarray) -> np.ndarray:
-    """E = log1p(N / 4q) from the excesses (module docstring)."""
+def log_negativity(nu_plus: np.ndarray, nu_minus: np.ndarray, xi: np.ndarray,
+                   q_excess: np.ndarray) -> np.ndarray:
+    """Log-negativity of the two-mode state of a correlator triple, from its
+    excesses over vacuum: nu = n - 1/2 of both occupations, the
+    cross-correlator xi and q_excess = n_plus n_minus - |xi|^2 - 1/4.
+    E = log1p(N / 4q) (module docstring), 0 for a separable state;
+    elementwise, with no physicality check."""
     root = np.hypot(nu_plus - nu_minus, 2.0 * np.hypot(xi.real, xi.imag))
     gap = nu_plus + nu_minus + root - 4.0 * q_excess
     return np.log1p(np.maximum(gap, 0.0) / (1.0 + 4.0 * q_excess))
@@ -124,7 +129,7 @@ def _density(blocks: BeamBlocks, omegas: np.ndarray, pid: np.ndarray) -> np.ndar
     out = []
     for w, p in _chunks(omegas, pid):
         optical, mechanical, nu_minus, xi, q_excess = _kernel(blocks, w, p)
-        out.append(_log_negativity(optical + mechanical, nu_minus, xi, q_excess))
+        out.append(log_negativity(optical + mechanical, nu_minus, xi, q_excess))
     return np.concatenate(out)
 
 
@@ -132,7 +137,7 @@ def spectral_density_batch(d: DriftMatrix, omegas: np.ndarray,
                            n_th: float = 0.0) -> np.ndarray:
     """E[omega] over a frequency grid, log1p(N / 4q) from the excesses
     (module docstring); no stability check."""
-    return _log_negativity(*correlator_batch(d, omegas, n_th))
+    return log_negativity(*correlator_batch(d, omegas, n_th))
 
 
 def spectrum_and_density(d: DriftMatrix, omegas: np.ndarray, n_th: float = 0.0,
@@ -142,7 +147,7 @@ def spectrum_and_density(d: DriftMatrix, omegas: np.ndarray, n_th: float = 0.0,
     them bit for bit; no stability check."""
     blocks = BeamBlocks.of([d], [n_th])
     optical, mechanical, nu_minus, xi, q_excess = _kernel_all(blocks, omegas)
-    return optical, mechanical, _log_negativity(optical + mechanical, nu_minus, xi, q_excess)
+    return optical, mechanical, log_negativity(optical + mechanical, nu_minus, xi, q_excess)
 
 
 def spectral_density(d: DriftMatrix, omega: float, n_th: float = 0.0) -> float:
@@ -151,50 +156,6 @@ def spectral_density(d: DriftMatrix, omega: float, n_th: float = 0.0) -> float:
     if not rep.stable:
         raise UnstableSystemError(rep.max_real_part)
     return float(spectral_density_batch(d, np.array([omega]), n_th)[0])
-
-
-def symmetrized_density(d: DriftMatrix, omega: float, n_th: float = 0.0) -> float:
-    """One-sided density E_N[omega] = E[omega] + E[-omega], omega > 0."""
-    if omega <= 0:
-        raise ValueError("the symmetrized density is defined for omega > 0")
-    rep = stability(d)
-    if not rep.stable:
-        raise UnstableSystemError(rep.max_real_part)
-    vals = spectral_density_batch(d, np.array([omega, -omega]), n_th)
-    return float(vals.sum())
-
-
-@dataclass
-class EntanglementSpectrum:
-    """Sampled E[omega] curve. When built by sample_spectrum it keeps the
-    drift and n_th it was sampled from, so that peak statistics can be
-    computed beyond the sampling grid; synthetic spectra are interpolated
-    linearly instead."""
-
-    omegas: np.ndarray
-    values: np.ndarray
-    drift: DriftMatrix | None = field(default=None, repr=False)
-    n_th: float = 0.0
-
-    def __post_init__(self):
-        self.omegas = np.asarray(self.omegas, dtype=float)
-        self.values = np.asarray(self.values, dtype=float)
-        if self.omegas.shape != self.values.shape or self.omegas.ndim != 1:
-            raise ValueError("omegas and values must be 1-d arrays of equal length")
-        if np.any(np.diff(self.omegas) <= 0):
-            raise ValueError("samples must be sorted by omega")
-        if np.any(self.values < 0):
-            raise ValueError("spectral densities must be non-negative")
-
-
-def sample_spectrum(d: DriftMatrix, n_th: float, omegas: np.ndarray) -> EntanglementSpectrum:
-    """Evaluate E over a frequency grid, returning a refinable spectrum."""
-    rep = stability(d)
-    if not rep.stable:
-        raise UnstableSystemError(rep.max_real_part)
-    omegas = np.sort(np.asarray(omegas, dtype=float))
-    return EntanglementSpectrum(omegas, spectral_density_batch(d, omegas, n_th),
-                                drift=d, n_th=n_th)
 
 
 @dataclass(frozen=True)
@@ -359,20 +320,8 @@ def _fwhms(blocks: BeamBlocks, s: np.ndarray, omega_max: np.ndarray, e_max: np.n
     return widths, failures
 
 
-def _fwhm(d: DriftMatrix, n_th: float, omega_max: float, e_max: float) -> float:
-    """_fwhms for one drift; 0 when e_max <= 0."""
-    if e_max <= 0:
-        return 0.0
-    (width,), (failure,) = _fwhms(
-        BeamBlocks.of([d], [n_th]), np.array([_scale(np.linalg.eigvals(d.m), d.decay)]),
-        np.array([omega_max]), np.array([e_max]))
-    if failure is not None:
-        raise failure
-    return float(width)
-
-
 # the benchmark tracer wraps this name; the flanks are polynomial roots now
-_fwhm_by_bisection = _fwhm
+_fwhm_by_bisection = _fwhms
 
 
 def _positive_intervals(blocks: BeamBlocks, drifts: list[DriftMatrix],
@@ -518,13 +467,6 @@ def _refined_peaks(e_batch, grids: list[np.ndarray], values: list[np.ndarray],
     return np.where(keep, x_s, x), np.where(keep, f_s, -f)
 
 
-def _refined_peak(e_batch, grid: np.ndarray, vals: np.ndarray,
-                  xtol: float) -> tuple[float, float]:
-    """_refined_peaks for one problem, with e_batch(w)."""
-    (x,), (f,) = _refined_peaks(lambda w, _: e_batch(w), [grid], [vals], xtol)
-    return float(x), float(f)
-
-
 def _count_local_maxima(x: np.ndarray, y: np.ndarray, e_max: float) -> int:
     """Peak count with a prominence floor of 1% of the dominant peak, so the
     float-level jitter of strongly squeezed points does not register. A
@@ -542,42 +484,3 @@ def _count_local_maxima(x: np.ndarray, y: np.ndarray, e_max: float) -> int:
         hi = higher[higher > p].min(initial=z.size)
         count += z[p] - max(z[lo:p].min(), z[p + 1:hi].min()) >= floor
     return max(int(count), 1)
-
-
-def fwhm(spectrum: EntanglementSpectrum, xtol: float = 1e-6) -> float:
-    """Full width at half maximum of the dominant peak of a spectrum.
-
-    A spectrum from sample_spectrum carries its drift: the peak is refined
-    on the underlying E to xtol (in kappa units) and the flanks are the
-    exact half-maximum crossings that entanglement_rate uses. A synthetic
-    spectrum is interpolated linearly.
-    """
-    vals = spectrum.values
-    if np.all(vals <= 0):
-        raise ValueError("spectrum has no peak (all values are zero)")
-    if spectrum.drift is not None:
-        d, n_th = spectrum.drift, spectrum.n_th
-        omega_max, e_max = _refined_peak(lambda w: spectral_density_batch(d, w, n_th),
-                                         spectrum.omegas, vals, xtol)
-        return _fwhm(d, n_th, omega_max, e_max)
-
-    k = int(np.argmax(vals))
-    half = 0.5 * float(vals[k])
-
-    def interp_cross(direction: int) -> float:
-        idx = range(k, vals.size - 1) if direction > 0 else range(k - 1, -1, -1)
-        for i in idx:
-            y0, y1 = vals[i], vals[i + 1]
-            x0, x1 = spectrum.omegas[i], spectrum.omegas[i + 1]
-            if (y0 - half) * (y1 - half) <= 0.0:
-                if y1 == y0:
-                    return float(x1)
-                return float(x0 + (half - y0) * (x1 - x0) / (y1 - y0))
-        raise ValueError("spectrum does not fall below half maximum on one flank")
-
-    return interp_cross(+1) - interp_cross(-1)
-
-
-def to_nats_per_second(gamma_e_kappa_units: float, kappa_hz: float) -> float:
-    """Convert a rate in kappa units to nats per second, given kappa in 1/s."""
-    return gamma_e_kappa_units * kappa_hz

@@ -80,30 +80,6 @@ from .quadutil import adaptive_gk
 
 
 @dataclass(frozen=True)
-class ScatteringMatrix:
-    """Frequency-tagged linear map from input to output operators."""
-
-    omega: float
-    s: NDArray[np.complex128]
-
-    def __post_init__(self):
-        s = np.array(self.s, dtype=complex)
-        s.flags.writeable = False
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "omega", float(self.omega))
-
-    @property
-    def dim(self) -> int:
-        return self.s.shape[0]
-
-    def flux_relation_defect(self) -> float:
-        """Max-norm violation of the Bogoliubov relation S K S^dag = K with
-        K = diag(+1, -1, ...), which encodes commutator preservation."""
-        k_sig = np.diag([1.0, -1.0] * (self.dim // 2))
-        return float(np.max(np.abs(self.s @ k_sig @ self.s.conj().T - k_sig)))
-
-
-@dataclass(frozen=True)
 class SpectrumPoint:
     """Output intensity spectrum of beam 1 at one frequency, split into the
     contributions of the optical and mechanical input channels (the input
@@ -119,53 +95,6 @@ def _require_stable(d: DriftMatrix) -> None:
     rep = stability(d)
     if not rep.stable:
         raise UnstableSystemError(rep.max_real_part)
-
-
-def _stacked_s(m: np.ndarray, decay: np.ndarray,
-               omegas: np.ndarray) -> NDArray[np.complex128]:
-    """I + D^{1/2} (m + i omega I)^{-1} D^{1/2} for every omega, stacked.
-
-    A singular response matrix means the system sits at an instability
-    threshold for one of the frequencies.
-    """
-    eye = np.eye(m.shape[0])
-    try:
-        inv = np.linalg.inv(m + 1j * omegas[:, None, None] * eye)
-    except np.linalg.LinAlgError as exc:
-        raise UnstableSystemError(
-            float(np.max(np.linalg.eigvals(m).real)),
-            "singular response matrix: system at an instability threshold "
-            f"for a requested frequency ({exc})") from exc
-    sq = np.sqrt(decay)
-    return eye + np.outer(sq, sq) * inv
-
-
-def scattering_matrices(d: DriftMatrix, omegas: np.ndarray) -> NDArray[np.complex128]:
-    """Stacked scattering matrices S(omega_k), shape (len(omegas), dim, dim).
-
-    Vectorized over frequencies through a stacked matrix inverse.
-    """
-    return _stacked_s(d.m, d.decay, np.atleast_1d(np.asarray(omegas, dtype=float)))
-
-
-def scattering_matrix(d: DriftMatrix, omega: float) -> ScatteringMatrix:
-    """S(omega) = I + D^{1/2} (m + i omega I)^{-1} D^{1/2}."""
-    return ScatteringMatrix(omega, scattering_matrices(d, np.array([omega]))[0])
-
-
-def input_noise_matrix(dim: int, n_th: float = 0.0) -> NDArray[np.float64]:
-    """Delta-function coefficient matrix C of the input correlations in the
-    doubled ordering, <A_in(omega) A_in^T(omega')> = 2 pi delta(omega + omega') C;
-    mechanical channels exist only for dim = 6."""
-    if dim not in (4, 6):
-        raise ValueError("expected a 4- or 6-dimensional doubled basis")
-    c = np.zeros((dim, dim))
-    c[0, 1] = 1.0
-    c[2, 3] = 1.0
-    if dim == 6:
-        c[4, 5] = n_th + 1.0
-        c[5, 4] = n_th
-    return c
 
 
 def _permutation_terms(k: int) -> list[tuple[int, list[int]]]:
@@ -391,17 +320,6 @@ def output_correlators(d: DriftMatrix, omega: float, n_th: float = 0.0) -> Corre
     return CorrelatorTriple(0.5 + float(nu_plus[0]), 0.5 + float(nu_minus[0]), complex(xi[0]))
 
 
-def intra_beam_correlator(d: DriftMatrix, omega: float, n_th: float = 0.0,
-                          beam: int = 1) -> complex:
-    """<a_out(omega) a_out(-omega)> within one beam, (S(omega) C S^T(-omega))
-    at the (a+, a+) or (a-, a-) entry; vanishes identically for these
-    models -- no intra-beam squeezing."""
-    row = 0 if beam == 1 else 2
-    s_all = scattering_matrices(d, np.array([omega, -omega]))
-    c = input_noise_matrix(d.dim, n_th)
-    return complex(s_all[0, row, :] @ c @ s_all[1, row, :])
-
-
 def spectrum_parts(d: DriftMatrix, omegas: np.ndarray, n_th: float = 0.0,
                    ) -> tuple[np.ndarray, np.ndarray]:
     """(optical, mechanical) parts of the beam-1 output intensity spectrum
@@ -412,6 +330,7 @@ def spectrum_parts(d: DriftMatrix, omegas: np.ndarray, n_th: float = 0.0,
     return tuple(_kernel_all(BeamBlocks.of([d], [n_th]), omegas)[:2])
 
 
+# only tests call it; it stays bound because the benchmark tracer wraps it
 def output_spectrum(d: DriftMatrix, omega: float, n_th: float = 0.0) -> SpectrumPoint:
     """Channel-resolved output intensity spectrum of beam 1 at one
     frequency, total = n_plus(omega) - 1/2: spectrum_parts at one point,

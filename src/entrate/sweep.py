@@ -167,6 +167,10 @@ class SweepConfig:
             raise ValueError("at least one quantity is required")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
+        for name, value in self.fixed.items():
+            # one non-finite parameter would fail every grid point
+            if not (isinstance(value, (int, float)) and math.isfinite(value)):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if "pair_rate" in self.quantities and self.model != "effective":
             raise ValueError("pair_rate is defined for the effective model only")
         if self.model == "effective" and any(a.name in ("Gamma", "n_th") for a in self.axes):
@@ -282,13 +286,12 @@ def _eval_chunk(payload: tuple[tuple[str, ...], float,
     return out
 
 
-def _eval_point(payload: tuple[tuple[float, ...], tuple[str, ...],
-                               models.StabilityReport | None,
-                               dict[str, float] | str | None]) -> SweepRow:
+def _eval_point(axis_values: tuple[float, ...], quantities: tuple[str, ...],
+                rep: models.StabilityReport | None,
+                computed: dict[str, float] | str | None) -> SweepRow:
     """One grid point's row from its stability report (None for invalid
     parameters) and what its chunk computed: its quantities, or a failure
     status (also that of invalid parameters)."""
-    axis_values, quantities, rep, computed = payload
     out: dict[str, float] = {}
     if rep is not None and "stability_margin" in quantities:
         out["stability_margin"] = rep.max_real_part
@@ -349,6 +352,6 @@ def run_sweep(config: SweepConfig) -> SweepResult:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             chunks = list(pool.map(_eval_chunk, payloads))
     computed.update(zip(todo, (c for chunk in chunks for c in chunk)))
-    rows = [_eval_point((pt, quantities, reports.get(i), computed.get(i)))
+    rows = [_eval_point(pt, quantities, reports.get(i), computed.get(i))
             for i, pt in enumerate(points)]
     return SweepResult(config=config, rows=rows)

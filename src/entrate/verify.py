@@ -36,20 +36,29 @@ class CheckResult:
 
 def effective_scattering_oracle(g: float, kappa: float, delta: float,
                                 Delta: float, omega: float) -> np.ndarray:
-    """Closed-form effective-model scattering matrix, written out directly
-    from the model rates (independent of the matrix-inversion pipeline)."""
+    """Closed-form effective-model scattering matrix on the beam block
+    (a+, a-^dag), written out directly from the model rates (independent of
+    the kernel's polynomial coefficients)."""
     gp = g ** 2 / (4.0 * delta)
     m11 = 1j * (Delta + gp) - kappa / 2.0
     m22 = -1j * (Delta + gp) - kappa / 2.0
-    m14 = 1j * gp
-    den = m14 ** 2 + (m11 + 1j * omega) * (m22 + 1j * omega)
-    core = np.array([
-        [m22 + 1j * omega, 0, 0, -m14],
-        [0, m11 + 1j * omega, m14, 0],
-        [0, -m14, m22 + 1j * omega, 0],
-        [m14, 0, 0, m11 + 1j * omega],
-    ], dtype=complex)
-    return np.eye(4) + kappa / den * core
+    m12 = 1j * gp
+    den = m12 ** 2 + (m11 + 1j * omega) * (m22 + 1j * omega)
+    core = np.array([[m22 + 1j * omega, -m12], [m12, m11 + 1j * omega]])
+    return np.eye(2) + kappa / den * core
+
+
+def block_scattering(d: models.DriftMatrix, omegas: np.ndarray) -> np.ndarray:
+    """S(omega) on the beam block, shape (len(omegas), k, k), evaluated from
+    the kernel's own coefficients: S = I + D^1/2 A(t) D^1/2 / det(m + t) at
+    t = i omega, with A(t) = sum_j adj[j] t^(k-1-j) and det(m + t) the
+    characteristic polynomial char (scattering.BeamBlocks)."""
+    blocks = scattering.BeamBlocks.of([d], [0.0])
+    t = 1j * np.asarray(omegas, dtype=float)
+    adj = np.tensordot(t[:, None] ** np.arange(blocks.k - 1, -1, -1), blocks.adj[0], 1)
+    det = np.polyval(blocks.char[0], t)
+    sq = np.sqrt(blocks.decay[0])
+    return np.eye(blocks.k) + np.outer(sq, sq) * adj / det[:, None, None]
 
 
 def _full_drift(g: float, Gamma: float, Delta: float, delta: float) -> models.DriftMatrix:
@@ -63,7 +72,7 @@ def _rel(a: float, b: float) -> float:
 
 # -- criterion 1 -------------------------------------------------------------
 
-def check_resonant_closed_form(**_) -> tuple[bool, float, float, str]:
+def check_resonant_closed_form() -> tuple[bool, float, float, str]:
     """Full-model E[0] at Delta = delta = 0 vs the resonant closed form,
     relative 1e-9 over C x n_th, on the float64 path (its q = n+ n- - |xi|^2
     is a sum of non-negative terms, so no digits cancel at large C)."""
@@ -86,9 +95,10 @@ def check_resonant_closed_form(**_) -> tuple[bool, float, float, str]:
 
 # -- criterion 2 -------------------------------------------------------------
 
-def check_effective_scattering(**_) -> tuple[bool, float, float, str]:
-    """Numerically assembled effective-model S(omega) vs the closed form,
-    entrywise, at 50 random stable parameter points."""
+def check_effective_scattering() -> tuple[bool, float, float, str]:
+    """Effective-model S(omega) on the beam block, from the kernel's
+    polynomial coefficients, vs the closed form, entrywise, at 50 random
+    stable parameter points."""
     tol = 1e-12
     rng = np.random.default_rng(20240901)
     worst = 0.0
@@ -103,7 +113,7 @@ def check_effective_scattering(**_) -> tuple[bool, float, float, str]:
         if not models.stability(d).stable:
             continue
         count += 1
-        s_num = scattering.scattering_matrix(d, omega).s
+        s_num = block_scattering(d, np.array([omega]))[0]
         s_ref = effective_scattering_oracle(g, KAPPA, delta, big_delta, omega)
         worst = max(worst, float(np.max(np.abs(s_num - s_ref))))
     return worst < tol, worst, tol, f"{count} stable points"
@@ -111,7 +121,7 @@ def check_effective_scattering(**_) -> tuple[bool, float, float, str]:
 
 # -- criterion 3 -------------------------------------------------------------
 
-def check_pair_rate(**_) -> tuple[bool, float, float, str]:
+def check_pair_rate() -> tuple[bool, float, float, str]:
     tol = 1e-6
     cases = [(5.0, 10.0, 0.0), (5.0, 10.0, -0.2), (2.0, -8.0, 0.3), (5.0, 10.0, -0.24)]
     worst = 0.0
@@ -128,7 +138,7 @@ def check_pair_rate(**_) -> tuple[bool, float, float, str]:
 
 # -- criterion 4 -------------------------------------------------------------
 
-def check_stability_boundary(**_) -> tuple[bool, float, float, str]:
+def check_stability_boundary() -> tuple[bool, float, float, str]:
     """Eigenvalue scan of the effective model locates the analytic boundary
     roots at (g = 5k, delta = 10k) to 1e-3 kappa."""
     tol = 1e-3
@@ -161,7 +171,7 @@ def check_stability_boundary(**_) -> tuple[bool, float, float, str]:
 
 # -- criterion 5 -------------------------------------------------------------
 
-def check_full_correlators(**_) -> tuple[bool, float, float, str]:
+def check_full_correlators() -> tuple[bool, float, float, str]:
     """output_correlators vs the printed resonant-drive closed forms on a
     10 x 10 x 3 grid of (omega, delta, n_th)."""
     tol = 1e-9
@@ -204,26 +214,28 @@ def _random_stable_sets(rng: np.random.Generator, n: int):
     return out
 
 
-def check_physics_invariants(**_) -> tuple[bool, float, float, str]:
-    """Flux relation S K S^dag = K (1e-10); no intra-beam squeezing (1e-12);
-    output covariances physical (nu >= 1/2 - 1e-9); E >= 0 everywhere
-    sampled. Measured value is the worst ratio deviation/tolerance."""
+def check_physics_invariants() -> tuple[bool, float, float, str]:
+    """Flux relation S K S^dag = K of the beam-block S, K = diag(1, -1[, 1])
+    (1e-10); no intra-beam squeezing, i.e. no coupling of the beam block
+    to its conjugate partner in the drift (1e-12); output covariances
+    physical (nu >= 1/2 - 1e-9); E >= 0 everywhere sampled. Measured value
+    is the worst ratio deviation/tolerance."""
     rng = np.random.default_rng(7)
     sets = _random_stable_sets(rng, 20)
-    worst_ratio = 0.0
     flux_dev = squeeze_dev = nu_defect = 0.0
     e_min = float("inf")
     for d, n_th in sets:
         omegas = rng.uniform(-30.0, 30.0, size=20)
-        k_sig = np.diag([1.0, -1.0] * (d.dim // 2))
-        s_stack = scattering.scattering_matrices(d, omegas)
+        s = block_scattering(d, omegas)
+        k_sig = np.diag([1.0, -1.0, 1.0][:s.shape[1]])
         flux_dev = max(flux_dev, float(np.max(np.abs(
-            s_stack @ k_sig @ s_stack.conj().transpose(0, 2, 1) - k_sig))))
-        if d.dim == 6:
-            for w in omegas[:5]:
-                squeeze_dev = max(squeeze_dev,
-                                  abs(scattering.intra_beam_correlator(d, w, n_th, beam=1)),
-                                  abs(scattering.intra_beam_correlator(d, w, n_th, beam=2)))
+            s @ k_sig @ s.conj().transpose(0, 2, 1) - k_sig))))
+        # an output of the block mixes only the inputs a+, a-^dag, b at one
+        # frequency, and no two of them are correlated: zero coupling to
+        # the partner makes every intra-beam correlator vanish
+        block = [d.ordering.index(name) for name in models.BEAM_BLOCK[:d.dim // 2]]
+        partner = [i for i in range(d.dim) if i not in block]
+        squeeze_dev = max(squeeze_dev, float(np.max(np.abs(d.m[np.ix_(block, partner)]))))
         for w in omegas[:5]:
             t = scattering.output_correlators(d, float(w), n_th)
             v = gaussian.covariance_from_correlators(t)
@@ -240,7 +252,7 @@ def check_physics_invariants(**_) -> tuple[bool, float, float, str]:
 
 # -- criterion 7 -------------------------------------------------------------
 
-def check_wannier_norm(**_) -> tuple[bool, float, float, str]:
+def check_wannier_norm() -> tuple[bool, float, float, str]:
     tol = 1e-4
     cutoff = wannier.DEFAULT_CUTOFF
     worst = 0.0
@@ -258,7 +270,7 @@ def check_wannier_norm(**_) -> tuple[bool, float, float, str]:
 
 # -- criterion 8 -------------------------------------------------------------
 
-def check_filter_convergence(**_) -> tuple[bool, float, float, str]:
+def check_filter_convergence() -> tuple[bool, float, float, str]:
     """E_N^tau (Wannier wave-packet pair) vs E[0] at C = 1e3: strictly
     decreasing deviation over tau*kappa in {1e1..1e4}, final below 1%.
 
@@ -286,7 +298,7 @@ def check_filter_convergence(**_) -> tuple[bool, float, float, str]:
 
 # -- criterion 9 -------------------------------------------------------------
 
-def check_rate_map_argmax(jobs: int = 0, **_) -> tuple[bool, float, float, str]:
+def check_rate_map_argmax() -> tuple[bool, float, float, str]:
     """Gamma_E argmax on a 25 x 25 (delta, Delta) grid at n_th = 0 lies
     within one grid cell of (0, 0)."""
     config = sweep.SweepConfig(
@@ -294,7 +306,7 @@ def check_rate_map_argmax(jobs: int = 0, **_) -> tuple[bool, float, float, str]:
         fixed={"g": 5.0, "Gamma": 1e-3, "kappa": KAPPA, "n_th": 0.0},
         axes=[sweep.SweepAxis("delta", -15.0, 15.0, 25),
               sweep.SweepAxis("Delta", -1.5, 1.5, 25)],
-        quantities=["gamma_E"], tol=1e-6, jobs=jobs)
+        quantities=["gamma_E"], tol=1e-6, jobs=1)
     result = sweep.run_sweep(config)
     grid = result.value_grid("gamma_E")
     flat = np.nanargmax(grid)
@@ -309,7 +321,7 @@ def check_rate_map_argmax(jobs: int = 0, **_) -> tuple[bool, float, float, str]:
                           f"peak={np.nanmax(grid):.4g}k")
 
 
-def check_rate_vs_boundary(**_) -> tuple[bool, float, float, str]:
+def check_rate_vs_boundary() -> tuple[bool, float, float, str]:
     """Near the optical instability E_max is large but the rate stays below
     the doubly resonant one."""
     d_res = _full_drift(5.0, 1e-3, 0.0, 0.0)
@@ -322,7 +334,7 @@ def check_rate_vs_boundary(**_) -> tuple[bool, float, float, str]:
     return r_bnd.gamma_E < r_res.gamma_E, ratio, 1.0, detail
 
 
-def check_spectrum_two_peaks(**_) -> tuple[bool, float, float, str]:
+def check_spectrum_two_peaks() -> tuple[bool, float, float, str]:
     """Output spectrum at (Delta=0, delta=10k, g=5k, Gamma=1e-3k, n_th=50):
     two peaks separated by delta; of the two, the one at omega ~ delta is
     the mechanically dominated one (it hosts the mechanical noise maximum
@@ -351,7 +363,7 @@ def check_spectrum_two_peaks(**_) -> tuple[bool, float, float, str]:
     return ok, abs(sep - delta), 0.5, detail
 
 
-def check_temperature_slope(**_) -> tuple[bool, float, float, str]:
+def check_temperature_slope() -> tuple[bool, float, float, str]:
     """ln Gamma_E vs ln n_th slope over [1e2, 1e4] equals -1 +- 0.1
     (measured as |slope + 1|), with the 1/n_th prefactor proportional to the
     cooperativity.
@@ -378,7 +390,7 @@ def check_temperature_slope(**_) -> tuple[bool, float, float, str]:
         f"prefactor ratio C=100/C=10 = {prefactor_ratio:.3f}")
 
 
-def check_fwhm_exceeds_mechanical(**_) -> tuple[bool, float, float, str]:
+def check_fwhm_exceeds_mechanical() -> tuple[bool, float, float, str]:
     """FWHM of E[omega] at Delta = delta = 0 (C = 2.5e4) exceeds 100 Gamma;
     measured as 100 Gamma / FWHM against 1."""
     gamma = 1e-3
@@ -390,10 +402,10 @@ def check_fwhm_exceeds_mechanical(**_) -> tuple[bool, float, float, str]:
 
 # -- criterion 10 ------------------------------------------------------------
 
-def check_path_equivalence(**_) -> tuple[bool, float, float, str]:
-    """Fast two-mode formula vs general symplectic path on 100 random
-    physical triples (1e-10), and exact additivity on a block-diagonal
-    8x8 double pair."""
+def check_path_equivalence() -> tuple[bool, float, float, str]:
+    """Excess-form log-negativity (rates.log_negativity) vs the general
+    symplectic path on 100 random physical triples (1e-10), and exact
+    additivity on a block-diagonal 8x8 double pair."""
     tol = 1e-10
     rng = np.random.default_rng(11)
     worst = 0.0
@@ -401,11 +413,14 @@ def check_path_equivalence(**_) -> tuple[bool, float, float, str]:
         r = rng.uniform(0.0, 2.0)
         t1, t2 = rng.uniform(0.0, 3.0, size=2)
         phi = rng.uniform(0.0, 2.0 * math.pi)
-        triple = gaussian.CorrelatorTriple(
-            0.5 * math.cosh(2 * r) + t1, 0.5 * math.cosh(2 * r) + t2,
-            0.5 * math.sinh(2 * r) * np.exp(1j * phi))
-        fast = gaussian.log_negativity_two_mode(triple)
-        slow = gaussian.log_negativity_general(gaussian.covariance_from_correlators(triple))
+        # two-mode squeezed vacuum plus thermal noise: nu = sinh^2 r + t and
+        # q - 1/4 without cancellation
+        sh2 = math.sinh(r) ** 2
+        xi = 0.5 * math.sinh(2 * r) * np.exp(1j * phi)
+        fast = float(rates.log_negativity(sh2 + t1, sh2 + t2, xi,
+                                          0.5 * (t1 + t2) + t1 * t2 + sh2 * (t1 + t2)))
+        slow = gaussian.log_negativity_general(gaussian.covariance_from_correlators(
+            gaussian.CorrelatorTriple(0.5 + sh2 + t1, 0.5 + sh2 + t2, xi)))
         worst = max(worst, abs(fast - slow))
 
     r = 1.0
@@ -437,7 +452,7 @@ CHECKS: dict[str, Callable[..., tuple[bool, float, float, str]]] = {
 }
 
 
-def run_checks(names: list[str] | None = None, jobs: int = 0) -> list[CheckResult]:
+def run_checks(names: list[str] | None = None) -> list[CheckResult]:
     selected = names if names is not None else list(CHECKS)
     unknown = [n for n in selected if n not in CHECKS]
     if unknown:
@@ -446,7 +461,7 @@ def run_checks(names: list[str] | None = None, jobs: int = 0) -> list[CheckResul
     for name in selected:
         start = time.perf_counter()
         try:
-            passed, measured, tol, detail = CHECKS[name](jobs=jobs)
+            passed, measured, tol, detail = CHECKS[name]()
         except Exception as exc:  # a crashed check is a failed check
             passed, measured, tol = False, float("nan"), float("nan")
             detail = f"raised {type(exc).__name__}: {exc}"

@@ -41,10 +41,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import CorrelatorTriple, log_negativity_two_mode
 from .models import DriftMatrix
 from .quadutil import adaptive_gk
-from .rates import frequency_grid
+from .rates import frequency_grid, log_negativity
 from .scattering import BeamBlocks, _require_stable, block_correlators
 
 DEFAULT_CUTOFF = 100_000
@@ -53,25 +52,6 @@ DEFAULT_CUTOFF = 100_000
 #: mass, so EPSREL times the largest spectrum value is an absolute target
 #: that also holds for the odd components that average to about 0.
 EPSREL = 1e-13
-
-
-@dataclass(frozen=True)
-class WannierGrid:
-    """Time-frequency grid of the wave-packet basis: slot length tau,
-    coarse-graining factor M, frequency refinement index l in [0, M)."""
-
-    tau: float
-    M: int = 1
-    l: int = 0
-
-    def __post_init__(self):
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
-        _check_kernel_args(self.M, self.l)
-
-    @property
-    def delta_omega(self) -> float:
-        return 2.0 * math.pi / self.tau
 
 
 @dataclass(frozen=True)
@@ -141,15 +121,6 @@ def kernel_tail_bound(M: int, cutoff: int) -> float:
     return 2.0 * M / (math.pi ** 2 * cutoff)
 
 
-def coarse_grained_correlator(c: complex, M: int, l: int,
-                              cutoff: int = DEFAULT_CUTOFF) -> complex:
-    """Cross-beam correlator after coarse-graining, for uncorrelated slots
-    carrying the constant correlator c: sum_k K(k) conj(K(k)) c (beam 2
-    transforms with the conjugate kernel), i.e. c times the kernel
-    normalization. Equals c up to the kernel tail."""
-    return c * kernel_normalization(M, l, cutoff)
-
-
 def filtered_entanglement(d: DriftMatrix, n_th: float,
                           spec1: FilterSpec, spec2: FilterSpec,
                           shape: str = "wannier") -> float:
@@ -199,5 +170,8 @@ def filtered_entanglement(d: DriftMatrix, n_th: float,
                         epsabs=EPSREL * s_scale * 2.0 * half,
                         initial_points=seeds)[0] / (2.0 * half)
             for i in range(4)]
-    triple = CorrelatorTriple(0.5 + vals[0], 0.5 + vals[1], vals[2] + 1j * vals[3])
-    return log_negativity_two_mode(triple)
+    nu_plus, nu_minus, xi = vals[0], vals[1], complex(vals[2], vals[3])
+    # q - 1/4 of the filtered pair from its averaged correlators: q is not
+    # linear in them, so it is not the average of the kernel's q - 1/4
+    q_excess = 0.5 * (nu_plus + nu_minus) + nu_plus * nu_minus - abs(xi) ** 2
+    return float(log_negativity(nu_plus, nu_minus, xi, q_excess))

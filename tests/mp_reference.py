@@ -122,3 +122,23 @@ def lorentzian_filtered_mp(d: DriftMatrix, n_th: float, omega_c: float, tau: flo
         root = mp.sqrt((n_plus - n_minus) ** 2 + 4 * xi_sq)
         two_eta = 4 * q / (n_plus + n_minus + root)
         return float(max(mp.mpf(0), -mp.log(two_eta)))
+
+
+def squeezed_thermal_log_negativity_mp(r: float, t1: float, t2: float, phi: float,
+                                       dps: int = 50) -> float:
+    """Log-negativity of a two-mode squeezed vacuum (squeezing r, phase phi)
+    with thermal noise t1, t2 added to its modes, by the general symplectic
+    path at `dps` digits from the exact parameters: the smallest modulus
+    eta of the eigenvalues of i J V^T, V^T the covariance matrix with the
+    p quadrature of mode 2 flipped, and E = max(0, -ln 2 eta)."""
+    with mp.workdps(dps):
+        n1 = mp.cosh(2 * mp.mpf(r)) / 2 + mp.mpf(t1)
+        n2 = mp.cosh(2 * mp.mpf(r)) / 2 + mp.mpf(t2)
+        xi = mp.sinh(2 * mp.mpf(r)) / 2 * mp.expj(mp.mpf(phi))
+        re, im = xi.real, xi.imag
+        # quadrature ordering (x1, p1, x2, p2), p2 -> -p2
+        vt = mp.matrix([[n1, 0, re, -im], [0, n1, im, re], [re, im, n2, 0],
+                        [-im, re, 0, n2]])
+        j = mp.matrix([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]])
+        eta = min(abs(e) for e in mp.eig(mp.mpc(0, 1) * j * vt, left=False, right=False))
+        return float(max(mp.mpf(0), -mp.log(2 * eta)))

@@ -8,8 +8,8 @@ the CLI as `entrate verify`.
 from entrate import verify
 
 
-def _run(criterion: str, names: list[str], jobs: int = 0) -> None:
-    results = verify.run_checks(names, jobs=jobs)
+def _run(criterion: str, names: list[str]) -> None:
+    results = verify.run_checks(names)
     ok = all(r.passed for r in results)
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -32,8 +32,9 @@ def test_criterion_01_resonant_closed_form():
 
 
 def test_criterion_02_effective_scattering_matrix():
-    """S(omega) equals the effective-model closed form entrywise to 1e-12 at
-    50 random stable points."""
+    """The beam-block S(omega), from the kernel's polynomial coefficients,
+    equals the effective-model closed form entrywise to 1e-12 at 50 random
+    stable points."""
     _run("2", ["effective_scattering"])
 
 
@@ -56,8 +57,9 @@ def test_criterion_05_full_model_correlators():
 
 
 def test_criterion_06_physics_invariants():
-    """Flux relation to 1e-10; no intra-beam squeezing to 1e-12; output
-    covariances physical to 1e-9; E >= 0 everywhere sampled."""
+    """Flux relation of the beam-block S to 1e-10; no intra-beam squeezing
+    (no beam-block-to-partner coupling) to 1e-12; output covariances
+    physical to 1e-9; E >= 0 everywhere sampled."""
     _run("6", ["physics_invariants"])
 
 
@@ -83,6 +85,6 @@ def test_criterion_09_figure_level_reproduction():
 
 
 def test_criterion_10_path_equivalence():
-    """Fast two-mode formula vs general symplectic path to 1e-10 on 100
+    """Excess-form log-negativity vs general symplectic path to 1e-10 on 100
     random physical triples; 8x8 block additivity exact to 1e-10."""
     _run("10", ["path_equivalence"])

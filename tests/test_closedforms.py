@@ -2,11 +2,11 @@ import math
 
 import pytest
 
-from entrate.closedforms import (compare_schemes, enhancement_factors,
-                                 eta_minus_resonant,
-                                 full_model_correlators_resonant, pair_rate_closed,
-                                 two_mode_scheme_correlators)
-from entrate.gaussian import log_negativity_two_mode
+from entrate.gaussian import covariance_from_correlators, symplectic_spectrum
+from entrate.closedforms import (eta_minus_resonant, full_model_correlators_resonant,
+                                 pair_rate_closed)
+from paper_helpers import (compare_schemes, enhancement_factors, triple_log_negativity,
+                           two_mode_scheme_correlators)
 
 KAPPA = 1.0
 
@@ -103,7 +103,7 @@ class TestFullModelResonantCorrelators:
             c_val = g * g / (KAPPA * gamma)
             for n_th in (0.0, 50.0, 500.0):
                 t = full_model_correlators_resonant(g, KAPPA, gamma, 0.0, n_th, 0.0)
-                e = log_negativity_two_mode(t)
+                e = triple_log_negativity(t)
                 e_ref = -math.log(2 * eta_minus_resonant(c_val, n_th))
                 assert e == pytest.approx(e_ref, rel=rel)
 
@@ -128,8 +128,8 @@ class TestTwoModeScheme:
 
     def test_physical(self):
         t = two_mode_scheme_correlators(0.3, KAPPA, 1e-2, 100.0, 5.0)
-        assert t.is_physical()
-        assert log_negativity_two_mode(t) > 0
+        assert symplectic_spectrum(covariance_from_correlators(t)).min() >= 0.5
+        assert triple_log_negativity(t) > 0
 
 
 class TestEnhancementFactors:

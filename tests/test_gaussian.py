@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 from entrate.errors import UnphysicalStateError
 from entrate.gaussian import (CorrelatorTriple, CovarianceMatrix,
                               covariance_from_correlators, log_negativity_general,
-                              log_negativity_two_mode, partial_transpose_signs,
-                              symplectic_form, symplectic_spectrum)
+                              partial_transpose_signs, symplectic_form, symplectic_spectrum)
+from entrate.rates import log_negativity
+from mp_reference import squeezed_thermal_log_negativity_mp
 
 COSH2 = math.cosh(2.0) / 2.0
 SINH2 = math.sinh(2.0) / 2.0
@@ -20,11 +21,6 @@ def physical_triple(r, t1, t2, phi):
     return CorrelatorTriple(0.5 * math.cosh(2 * r) + t1,
                             0.5 * math.cosh(2 * r) + t2,
                             0.5 * math.sinh(2 * r) * complex(math.cos(phi), math.sin(phi)))
-
-
-triples = st.builds(physical_triple,
-                    st.floats(0.0, 2.0), st.floats(0.0, 3.0),
-                    st.floats(0.0, 3.0), st.floats(0.0, 2.0 * math.pi))
 
 
 class TestCovarianceFromCorrelators:
@@ -99,50 +95,73 @@ class TestSymplecticSpectrum:
         np.testing.assert_allclose(j.T, -j, atol=0)
 
 
+def excesses(r, t1, t2, phi):
+    """(nu_plus, nu_minus, xi, q - 1/4) of physical_triple, without
+    cancellation: nu = sinh^2 r + t, |xi|^2 = sinh^2 r (1 + sinh^2 r)."""
+    sh2 = math.sinh(r) ** 2
+    return (sh2 + t1, sh2 + t2, 0.5 * math.sinh(2 * r) * complex(math.cos(phi), math.sin(phi)),
+            0.5 * (t1 + t2) + t1 * t2 + sh2 * (t1 + t2))
+
+
+def excess_form(nu_plus, nu_minus, xi, q_excess):
+    return float(log_negativity(nu_plus, nu_minus, xi, q_excess))
+
+
+excess_sets = st.builds(excesses, st.floats(0.0, 2.0), st.floats(0.0, 3.0),
+                        st.floats(0.0, 3.0), st.floats(0.0, 2.0 * math.pi))
+
+
 class TestLogNegativityTwoMode:
+    """rates.log_negativity, the excess form that the runtime uses."""
+
     def test_vacuum_is_zero(self):
-        assert log_negativity_two_mode(CorrelatorTriple(0.5, 0.5, 0.0)) == 0.0
+        assert excess_form(0.0, 0.0, 0j, 0.0) == 0.0
 
     def test_two_mode_squeezed_value(self):
         # squeezing parameter r gives exactly 2r
-        t = CorrelatorTriple(COSH2, COSH2, SINH2)
-        assert log_negativity_two_mode(t) == pytest.approx(2.0, rel=1e-12)
+        for r in (0.5, 1.0, 4.0, 8.0):
+            assert excess_form(*excesses(r, 0.0, 0.0, 0.4)) == pytest.approx(2.0 * r, rel=1e-14)
 
     def test_high_cooperativity_value(self):
-        # triple of the resonant model at C = 2.5e4: frozen closed-form value.
-        # A float64 triple of magnitude n determines E only to ~eps*n/(2 eta),
-        # about 3e-4 here; the 1e-9-grade comparison (acceptance criterion 1)
-        # goes through correlator_batch, whose q needs no subtraction.
+        # resonant output pair at C = 2.5e4, n_th = 0: nu_plus = 4C^2,
+        # nu_minus = 4C + 4C^2, xi = -4C(C + 1/2) and q - 1/4 = 2C, the sum
+        # that the kernel forms without cancellation
         c = 2.5e4
-        t = CorrelatorTriple(4 * c ** 2 + 0.5, 4 * c + 4 * c ** 2 + 0.5,
-                             -4 * c * (c + 0.5))
-        assert log_negativity_two_mode(t) == pytest.approx(10.81979328442278,
-                                                           rel=1e-3)
-
-    def test_unphysical_raises(self):
-        with pytest.raises(UnphysicalStateError):
-            log_negativity_two_mode(CorrelatorTriple(0.5, 0.5, 1.0))
+        e = excess_form(4 * c ** 2, 4 * c + 4 * c ** 2, complex(-4 * c * (c + 0.5)), 2 * c)
+        assert e == pytest.approx(10.81979328442278, rel=1e-12)
 
     @settings(max_examples=150, deadline=None)
-    @given(triples)
-    def test_non_negative_and_zero_iff_separable(self, t):
-        e = log_negativity_two_mode(t)
+    @given(excess_sets)
+    def test_non_negative_and_zero_iff_separable(self, ex):
+        nu_plus, nu_minus, xi, _ = ex
+        e = excess_form(*ex)
         assert e >= 0.0
-        s = t.n_plus + t.n_minus
-        two_eta = s - math.hypot(t.n_plus - t.n_minus, 2 * abs(t.xi))
+        n_plus, n_minus = nu_plus + 0.5, nu_minus + 0.5
+        two_eta = n_plus + n_minus - math.hypot(n_plus - n_minus, 2 * abs(xi))
         if two_eta >= 1.0 + 1e-12:
             assert e == 0.0
         elif two_eta <= 1.0 - 1e-12:
             assert e > 0.0
 
     @settings(max_examples=100, deadline=None)
-    @given(triples, st.floats(1.001, 1.5))
-    def test_monotone_in_cross_correlator(self, t, scale):
-        bigger = CorrelatorTriple(t.n_plus, t.n_minus, t.xi * scale)
-        if not bigger.is_physical():
+    @given(excess_sets, st.floats(1.001, 1.5))
+    def test_monotone_in_cross_correlator(self, ex, scale):
+        nu_plus, nu_minus, xi, q_excess = ex
+        q_bigger = q_excess - (scale ** 2 - 1.0) * abs(xi) ** 2
+        # uncertainty relation of this state: q - 1/4 >= |nu_plus - nu_minus| / 2
+        if q_bigger < 0.5 * abs(nu_plus - nu_minus):
             return
-        assert (log_negativity_two_mode(bigger)
-                >= log_negativity_two_mode(t) - 1e-12)
+        assert excess_form(nu_plus, nu_minus, xi * scale, q_bigger) >= excess_form(*ex) - 1e-12
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.floats(0.0, 8.0), st.floats(0.0, 3.0), st.floats(0.0, 3.0),
+           st.floats(0.0, 2.0 * math.pi))
+    def test_matches_general_path_with_strong_squeezing(self, r, t1, t2, phi):
+        # the float64 general path loses digits as the covariance grows
+        # like e^2r (off by 1e-2 at r = 8), so the reference is the general
+        # path at 50 digits from the exact parameters
+        assert abs(excess_form(*excesses(r, t1, t2, phi))
+                   - squeezed_thermal_log_negativity_mp(r, t1, t2, phi)) <= 1e-10
 
 
 class TestLogNegativityGeneral:
@@ -152,10 +171,10 @@ class TestLogNegativityGeneral:
     def test_matches_fast_path_on_random_triples(self):
         rng = np.random.default_rng(11)
         for _ in range(100):
-            t = physical_triple(rng.uniform(0, 2), rng.uniform(0, 3),
-                                rng.uniform(0, 3), rng.uniform(0, 2 * math.pi))
-            fast = log_negativity_two_mode(t)
-            slow = log_negativity_general(covariance_from_correlators(t))
+            params = (rng.uniform(0, 2), rng.uniform(0, 3), rng.uniform(0, 3),
+                      rng.uniform(0, 2 * math.pi))
+            fast = excess_form(*excesses(*params))
+            slow = log_negativity_general(covariance_from_correlators(physical_triple(*params)))
             assert abs(fast - slow) < 1e-10
 
     def test_additive_over_decoupled_pairs(self):

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from entrate.models import (CellParams, DriftMatrix, EffectiveModelParams,
-                            FullModelParams, drift_effective, drift_full,
-                            map_cell_params, pairing_defect, stability,
+from entrate.models import (DriftMatrix, EffectiveModelParams, FullModelParams,
+                            drift_effective, drift_full, pairing_defect, stability,
                             stability_boundary_effective)
+from paper_helpers import CellParams, in_validity_regime, map_cell_params
 
 KAPPA = 1.0
 
@@ -86,8 +86,8 @@ class TestDriftEffective:
             EffectiveModelParams(g=5.0, delta=0.0)
 
     def test_validity_flag(self):
-        assert EffectiveModelParams(g=5.0, delta=50.0).in_validity_regime()
-        assert not EffectiveModelParams(g=5.0, delta=3.0).in_validity_regime()
+        assert in_validity_regime(EffectiveModelParams(g=5.0, delta=50.0))
+        assert not in_validity_regime(EffectiveModelParams(g=5.0, delta=3.0))
 
 
 class TestStability:

@@ -11,15 +11,14 @@ from entrate.errors import UnstableSystemError
 from entrate.models import (BEAM_BLOCK, DriftMatrix, EffectiveModelParams, FullModelParams,
                             drift_effective, drift_full, stability)
 from entrate.quadutil import bisect_all
-from entrate.rates import (EntanglementSpectrum, _beam_polynomials, _count_local_maxima,
-                           _fwhm, _refined_peak, _scale, entanglement_rate,
-                           entanglement_rates, frequency_grid, fwhm, sample_spectrum,
-                           spectral_density, spectral_density_batch, spectrum_and_density,
-                           symmetrized_density, to_nats_per_second)
-from entrate.scattering import (BeamBlocks, correlator_batch, scattering_matrices,
-                                spectrum_parts)
+from entrate.rates import (_beam_polynomials, _count_local_maxima, _fwhms, _refined_peaks,
+                           _scale, entanglement_rate, entanglement_rates, frequency_grid,
+                           spectral_density, spectral_density_batch, spectrum_and_density)
+from entrate.scattering import BeamBlocks, correlator_batch, spectrum_parts
 from fwhm_reference import fwhm_by_bisection
+from lu_reference import scattering_matrices
 from mp_reference import reference_point
+from paper_helpers import symmetrized_density, to_nats_per_second
 from strategies import stable_drifts
 
 KAPPA = 1.0
@@ -120,12 +119,12 @@ class TestWholeLineAndCrossings:
         rhs = 2.0 * (nu_plus + nu_minus - 2.0 * q_excess)
         assert np.all(np.abs(lhs - rhs) <= 1e-12 * (nu_plus + nu_minus))
 
-        def e_batch(w):
-            return spectral_density_batch(d, np.asarray(w, dtype=float), n_th)
-
-        omega_max, e_max = _refined_peak(e_batch, probes[:-2], e[:-2], xtol=1e-10)
-        assert abs(_fwhm(d, n_th, omega_max, e_max)
-                   - fwhm_by_bisection(d, n_th, omega_max, e_max)) <= 2e-9
+        (omega_max,), (e_max,) = _refined_peaks(lambda w, _: spectral_density_batch(d, w, n_th),
+                                                [probes[:-2]], [e[:-2]], xtol=1e-10)
+        (width,), (failure,) = _fwhms(blocks, np.array([s]), np.array([omega_max]),
+                                      np.array([e_max]))
+        assert failure is None
+        assert abs(width - fwhm_by_bisection(d, n_th, omega_max, e_max)) <= 2e-9
 
     def test_non_reciprocal_block_rejected(self):
         d = full_drift(delta=10.0)
@@ -353,36 +352,10 @@ class TestMirrorPeaks:
 
 
 class TestFwhm:
-    def test_triangular_spectrum(self):
-        # peak 1 at 0, zeros at +-w: FWHM = w
-        w = 0.8
-        spec = EntanglementSpectrum(np.array([-w, 0.0, w]), np.array([0.0, 1.0, 0.0]))
-        assert fwhm(spec) == pytest.approx(w, rel=1e-12)
-
-    def test_all_zero_raises(self):
-        spec = EntanglementSpectrum(np.array([-1.0, 0.0, 1.0]), np.zeros(3))
-        with pytest.raises(ValueError):
-            fwhm(spec)
-
     def test_resonant_width_far_exceeds_mechanical_linewidth(self):
         gamma = 1e-3
         rr = entanglement_rate(full_drift(Gamma=gamma))
         assert rr.fwhm > 100 * gamma
-
-    def test_sampled_spectrum_with_evaluator(self):
-        d = full_drift(g=1.0, Gamma=1e-3)
-        spec = sample_spectrum(d, 0.0, np.linspace(-6.0, 6.0, 201))
-        width = fwhm(spec)
-        rr = entanglement_rate(d)
-        assert width == pytest.approx(rr.fwhm, rel=1e-6)
-
-    def test_flank_without_sample_below_half_maximum(self):
-        # E stays above half maximum over the whole sampled grid (FWHM 1.705):
-        # both flanks are bracketed by omega = +-inf, where E = 0
-        d = full_drift()
-        spec = sample_spectrum(d, 0.0, np.linspace(-0.5, 0.5, 11))
-        assert np.all(spec.values > 0.5 * spec.values.max())
-        assert fwhm(spec) == pytest.approx(entanglement_rate(d).fwhm, abs=1e-6)
 
     def test_width_varies_smoothly_with_mechanical_damping(self):
         # fixed C = 2.5e4, Gamma scanned over [1e-3, 5e-2]
@@ -397,12 +370,6 @@ class TestFwhm:
         steps = np.abs(np.diff(np.log(widths)))
         assert np.all(steps < 1.5)  # no jumps on the log scale
         assert np.all(np.diff(widths) > 0) or np.all(np.diff(widths) < 0)
-
-    def test_spectrum_validation(self):
-        with pytest.raises(ValueError):
-            EntanglementSpectrum(np.array([0.0, 1.0]), np.array([1.0, -0.5]))
-        with pytest.raises(ValueError):
-            EntanglementSpectrum(np.array([1.0, 0.0]), np.array([1.0, 0.5]))
 
 
 class TestPeakCount:
@@ -433,7 +400,8 @@ def test_refined_peak_keeps_a_sample_the_search_misses():
         return np.where(np.abs(w - 1e-3) < 1e-7, 5.0, 1.0 - np.abs(w - 0.5))
 
     grid = np.array([0.0, 1e-3, 1.0])
-    assert _refined_peak(e, grid, e(grid), xtol=1e-10) == (1e-3, 5.0)
+    x, f = _refined_peaks(lambda w, _: e(w), [grid], [e(grid)], xtol=1e-10)
+    assert (x[0], f[0]) == (1e-3, 5.0)
 
 
 def test_rate_unit_conversion():

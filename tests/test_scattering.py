@@ -10,11 +10,11 @@ from entrate.gaussian import covariance_from_correlators, symplectic_spectrum
 from entrate.models import (BEAM_BLOCK, DriftMatrix, EffectiveModelParams,
                             FullModelParams, drift_effective, drift_full, stability)
 from entrate.rates import spectral_density
-from entrate.scattering import (_det, correlator_batch, input_noise_matrix,
-                                intra_beam_correlator, output_correlators,
-                                output_spectrum, pair_rate_numeric, scattering_matrix,
-                                scattering_matrices)
-from entrate.verify import effective_scattering_oracle
+from entrate.scattering import (_det, correlator_batch, output_correlators,
+                                output_spectrum, pair_rate_numeric)
+from entrate.verify import block_scattering, effective_scattering_oracle
+from lu_reference import (input_noise_matrix, intra_beam_correlator, scattering_matrices,
+                          scattering_matrix)
 from mp_reference import reference_point
 from strategies import stable_drifts
 
@@ -31,28 +31,37 @@ def eff_drift(g=5.0, delta=10.0, Delta=0.0):
                                                 Delta=Delta))
 
 
+def beam_block(d):
+    return [d.ordering.index(name) for name in BEAM_BLOCK[:d.dim // 2]]
+
+
 class TestScatteringMatrix:
+    """The beam-block S that verify evaluates from the kernel's polynomial
+    coefficients, and the doubled-basis LU reference behind the block
+    reduction."""
+
     def test_zero_coupling_is_pure_phase(self):
-        d = eff_drift(g=0.0, Delta=0.4)
-        for w in (-3.0, 0.0, 1.7):
-            s = scattering_matrix(d, w).s
-            np.testing.assert_allclose(np.abs(np.diag(s)), 1.0, atol=1e-12)
-            np.testing.assert_allclose(s - np.diag(np.diag(s)),
-                                       np.zeros((4, 4)), atol=1e-14)
+        for d in (eff_drift(g=0.0, Delta=0.4), full_drift(g=0.0, Delta=0.4, delta=3.0)):
+            for s in block_scattering(d, np.array([-3.0, 0.0, 1.7])):
+                np.testing.assert_allclose(np.abs(np.diag(s)), 1.0, atol=1e-12)
+                assert np.all(s - np.diag(np.diag(s)) == 0)
 
     def test_identity_at_large_frequency(self):
         for d in (eff_drift(), full_drift(delta=10.0)):
-            for w in (1e6, -1e6):
-                s = scattering_matrix(d, w).s
-                assert np.max(np.abs(s - np.eye(d.dim))) < 1e-5
+            for s in block_scattering(d, np.array([1e6, -1e6])):
+                assert np.max(np.abs(s - np.eye(len(s)))) < 1e-5
 
     def test_matches_effective_closed_form(self):
         d = eff_drift()
+        k_sig = np.diag([1.0, -1.0])
         for w in (0.0, 0.37, -2.2, 11.0):
             ref = effective_scattering_oracle(5.0, KAPPA, 10.0, 0.0, w)
-            sm = scattering_matrix(d, w)
-            np.testing.assert_allclose(sm.s, ref, atol=1e-12)
-            assert sm.flux_relation_defect() < 1e-10
+            s = block_scattering(d, np.array([w]))[0]
+            np.testing.assert_allclose(s, ref, atol=1e-12)
+            np.testing.assert_allclose(scattering_matrix(d, w)[np.ix_(beam_block(d),
+                                                                      beam_block(d))],
+                                       ref, atol=1e-12)
+            assert np.max(np.abs(s @ k_sig @ s.conj().T - k_sig)) < 1e-10
 
     def test_flux_relation(self):
         rng = np.random.default_rng(42)
@@ -65,19 +74,25 @@ class TestScatteringMatrix:
             if not stability(d).stable:
                 continue
             checked += 1
-            k_sig = np.diag([1.0, -1.0] * 3)
-            s = scattering_matrices(d, rng.uniform(-30, 30, size=20))
-            dev = np.max(np.abs(s @ k_sig @ s.conj().transpose(0, 2, 1) - k_sig))
-            assert dev < 1e-10
+            omegas = rng.uniform(-30, 30, size=20)
+            for s, k_sig in ((scattering_matrices(d, omegas), np.diag([1.0, -1.0] * 3)),
+                             (block_scattering(d, omegas), np.diag([1.0, -1.0, 1.0]))):
+                dev = np.max(np.abs(s @ k_sig @ s.conj().transpose(0, 2, 1) - k_sig))
+                assert dev < 1e-10
 
     def test_conjugation_pairing_between_opposite_frequencies(self):
+        # S(-omega) on the partner block is conj S(omega) on the beam block,
+        # which the beam-block S equals: the block at +omega is all of S
         d = full_drift(delta=10.0, Delta=-0.2)
         perm = [1, 0, 3, 2, 5, 4]
+        block = beam_block(d)
         for w in (0.0, 1.3, -7.7):
-            sp = scattering_matrix(d, w).s
-            sm = scattering_matrix(d, -w).s
+            sp = scattering_matrix(d, w)
+            sm = scattering_matrix(d, -w)
             np.testing.assert_allclose(sp, np.conj(sm)[np.ix_(perm, perm)],
                                        atol=1e-10)
+            np.testing.assert_allclose(block_scattering(d, np.array([w]))[0],
+                                       sp[np.ix_(block, block)], atol=1e-12)
 
 
 class TestOutputCorrelators:
@@ -90,11 +105,11 @@ class TestOutputCorrelators:
     def test_effective_occupation_equals_s14(self):
         d = eff_drift()
         for w in (0.0, 0.7, -4.0):
-            s = scattering_matrix(d, w).s
+            s = scattering_matrix(d, w)
             t = output_correlators(d, w)
             assert t.n_plus == pytest.approx(abs(s[0, 3]) ** 2 + 0.5, rel=1e-12)
             assert t.n_minus == pytest.approx(abs(s[0, 3]) ** 2 + 0.5, rel=1e-12)
-            sm = scattering_matrix(d, -w).s
+            sm = scattering_matrix(d, -w)
             assert t.xi == pytest.approx(s[0, 0] * sm[0, 3], rel=1e-12)
 
     def test_matches_resonant_closed_form(self):
@@ -244,9 +259,9 @@ class TestBlockKernel:
         e = spectral_density(d, omega, n_th)
         assert e >= 0.0
         assert abs(e - e_ref) <= 1e-12 * max(1.0, e_ref)
-        # the beam block's rows and columns of the doubled-basis S
-        block = [d.ordering.index(name) for name in BEAM_BLOCK[:d.dim // 2]]
-        s = scattering_matrices(d, np.array([omega]))[0][np.ix_(block, block)]
+        # the beam block's rows and columns of the doubled-basis LU S
+        block = beam_block(d)
+        s = scattering_matrix(d, omega)[np.ix_(block, block)]
         k_sig = np.diag([1.0, -1.0, 1.0][:s.shape[0]])
         scale = max(1.0, float(np.max(np.abs(s))) ** 2)
         assert np.max(np.abs(s @ k_sig @ s.conj().T - k_sig)) <= 1e-12 * scale

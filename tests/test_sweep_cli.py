@@ -238,7 +238,8 @@ class TestCliCommands:
         (["entanglement", "--omega-steps", "3", "--omega-max", "inf"],
          "--omega-max must be finite"),
         (["rate", "--g", "nan"], "g must be finite"),
-        (["rate", "--Delta", "inf"], "Delta must be finite")])
+        (["rate", "--Delta", "inf"], "Delta must be finite"),
+        (["sweep", "--g", "nan", "--axis", "delta:-1:1:3"], "g must be finite")])
     def test_non_finite_input_is_usage_error(self, argv, message, capsys):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -373,6 +374,15 @@ class TestCliCommands:
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"model": "full"}')
         assert run_cli(["sweep", "--config", str(cfg)]) == 2
+        # a non-finite fixed parameter would fail every grid point
+        for fixed, message in (({"g": math.nan}, "g must be finite, got nan"),
+                               ({"Gamma": "x"}, "Gamma must be finite, got 'x'")):
+            cfg.write_text(json.dumps({
+                "model": "full", "fixed": fixed, "quantities": ["E_max"],
+                "axes": [{"name": "delta", "min": -1, "max": 1, "steps": 3}]}))
+            capsys.readouterr()
+            assert run_cli(["sweep", "--config", str(cfg)]) == 2
+            assert f"error: {message}" in capsys.readouterr().err
 
     def test_entanglement_values_depend_only_on_C_and_nth(self, tmp_path):
         # fixed C = 2.5e4: E[0] identical across (Gamma, g) realizations
@@ -458,6 +468,27 @@ class TestCliCommands:
         done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env={**os.environ, "PYTHONPATH": src}, check=True)
         assert done.stdout.strip() == "[]"
+
+
+    @pytest.mark.parametrize("argv", [
+        ["entanglement", "--omega-steps", "200001"],
+        ["wannier-check", "--M", "5000", "--format", "json"]])
+    def test_closed_stdout_ends_quietly(self, argv):
+        # as in `entrate ... | head -c 20`: the reader leaves after 20 bytes
+        import os
+        import subprocess
+        import sys
+
+        import entrate
+        src = os.path.dirname(os.path.dirname(entrate.__file__))
+        proc = subprocess.Popen([sys.executable, "-m", "entrate.cli", *argv],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                env={**os.environ, "PYTHONPATH": src})
+        assert len(proc.stdout.read(20)) == 20
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 141
+        assert err == b""
 
 
 class TestMutationSanity:

@@ -5,11 +5,11 @@ import pytest
 
 from entrate.models import EffectiveModelParams, FullModelParams, drift_effective, drift_full
 from entrate.rates import spectral_density
-from entrate.wannier import (DEFAULT_CUTOFF, FilterSpec, WannierGrid,
-                             coarse_grained_correlator, filtered_entanglement,
+from entrate.wannier import (DEFAULT_CUTOFF, FilterSpec, filtered_entanglement,
                              kernel_normalization, kernel_tail_bound, wannier_kernel,
                              wannier_kernel_array)
 from mp_reference import lorentzian_filtered_mp
+from paper_helpers import WannierGrid, coarse_grained_correlator, triple_log_negativity
 
 KAPPA = 1.0
 
@@ -171,16 +171,16 @@ class TestCoarseGraining:
                                     rel=1e-12)
 
     def test_entanglement_invariant_under_coarse_graining(self):
-        from entrate.gaussian import CorrelatorTriple, log_negativity_two_mode
+        from entrate.gaussian import CorrelatorTriple
         t = CorrelatorTriple(0.5 * math.cosh(2.0), 0.5 * math.cosh(2.0),
                              0.5 * math.sinh(2.0) * np.exp(0.7j))
-        e0 = log_negativity_two_mode(t)
+        e0 = triple_log_negativity(t)
         for m_fac, l in [(2, 1), (8, 3)]:
             s = kernel_normalization(m_fac, l, DEFAULT_CUTOFF)
             coarse = CorrelatorTriple(0.5 + s * (t.n_plus - 0.5),
                                       0.5 + s * (t.n_minus - 0.5),
                                       coarse_grained_correlator(t.xi, m_fac, l))
-            assert log_negativity_two_mode(coarse) == pytest.approx(e0, abs=2e-4)
+            assert triple_log_negativity(coarse) == pytest.approx(e0, abs=2e-4)
 
 
 class TestDiscreteBasis:
