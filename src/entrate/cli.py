@@ -11,7 +11,7 @@ units of kappa.
 from __future__ import annotations
 
 import argparse
-import json
+import dataclasses
 import os
 import sys
 from contextlib import nullcontext
@@ -48,15 +48,9 @@ def _add_io_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
-def _build_drift(args) -> tuple[models.DriftMatrix, float]:
-    if args.model == "full":
-        params = models.FullModelParams(g=args.g, Gamma=args.gamma, kappa=args.kappa,
-                                        Delta=args.Delta, delta=args.delta,
-                                        n_th=args.nth)
-        return models.drift_full(params), args.nth
-    params = models.EffectiveModelParams(g=args.g, delta=args.delta,
-                                         kappa=args.kappa, Delta=args.Delta)
-    return models.drift_effective(params), 0.0
+def _model_params(args) -> dict[str, float]:
+    return {"g": args.g, "kappa": args.kappa, "Gamma": args.gamma, "Delta": args.Delta,
+            "delta": args.delta, "n_th": args.nth}
 
 
 def _output(path: str | None):
@@ -81,7 +75,7 @@ def _omega_grid(args) -> np.ndarray:
 def cmd_spectrum(args) -> int:
     """Beam-1 output spectrum (total, optical and mechanical parts) and E
     over the grid, all from one kernel pass."""
-    drift, n_th = _build_drift(args)
+    drift, n_th = models.build_drift(args.model, _model_params(args))
     omegas = _omega_grid(args)
     scattering._require_stable(drift)
     optical, mechanical, e_vals = rates.spectrum_and_density(drift, omegas, n_th)
@@ -92,7 +86,7 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_entanglement(args) -> int:
-    drift, n_th = _build_drift(args)
+    drift, n_th = models.build_drift(args.model, _model_params(args))
     omegas = _omega_grid(args)
     scattering._require_stable(drift)
     e_vals = rates.spectral_density_batch(drift, omegas, n_th)
@@ -101,7 +95,7 @@ def cmd_entanglement(args) -> int:
 
 
 def cmd_rate(args) -> int:
-    drift, n_th = _build_drift(args)
+    drift, n_th = models.build_drift(args.model, _model_params(args))
     rr = rates.entanglement_rate(drift, n_th=n_th, tol=args.tol)
     _emit(args, ["gamma_E [kappa]", "E_max", "omega_max [kappa]", "fwhm [kappa]",
                  "quadrature_error [kappa]", "secondary_peaks"],
@@ -111,7 +105,7 @@ def cmd_rate(args) -> int:
 
 
 def cmd_stability(args) -> int:
-    drift, _ = _build_drift(args)
+    drift, _ = models.build_drift(args.model, _model_params(args))
     rep = models.stability(drift)
     row: list[float | str] = [1.0 if rep.stable else 0.0, rep.max_real_part,
                               1.0 if rep.marginal else 0.0]
@@ -158,18 +152,15 @@ def cmd_sweep(args) -> int:
             return 2
         config = SweepConfig(
             model=args.model,
-            fixed={"g": args.g, "kappa": args.kappa, "Gamma": args.gamma,
-                   "Delta": args.Delta, "delta": args.delta, "n_th": args.nth},
+            fixed=_model_params(args),
             axes=[_parse_axis(s) for s in args.axis],
             quantities=args.quantity or ["gamma_E"],
             tol=args.tol)
-    # flags override config values of the same name
     if args.jobs is not None:
-        config.jobs = args.jobs
-    if args.output is not None:
-        config.output = args.output
+        # the flag overrides the config's value, checked as the config is
+        config = dataclasses.replace(config, jobs=args.jobs)
     result = run_sweep(config)
-    with _output(config.output) as fh:
+    with _output(args.output) as fh:
         if args.format == "json":
             write_table(fh, *result.table(), "json")
         else:
@@ -194,9 +185,8 @@ def cmd_verify(args) -> int:
             return 2
     results = verify.run_checks(names)
     if args.format == "json":
-        with _output(args.output) as fh:
-            json.dump([r.to_dict() for r in results], fh, indent=2)
-            fh.write("\n")
+        _emit(args, [f.name for f in dataclasses.fields(verify.CheckResult)],
+              [dataclasses.astuple(r) for r in results])
     else:
         for r in results:
             status = "PASS" if r.passed else "FAIL"

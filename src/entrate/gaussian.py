@@ -161,6 +161,11 @@ def log_negativity_general(v: CovarianceMatrix | np.ndarray,
     if len(partition) != m.shape[0] // 2:
         raise ValueError("partition length must equal the number of modes")
 
+    # the eigenvalue moduli of iJV can clear the vacuum floor when V is not positive definite
+    try:
+        np.linalg.cholesky(m)
+    except np.linalg.LinAlgError as exc:
+        raise UnphysicalStateError("covariance matrix is not positive definite") from exc
     scale = max(1.0, float(np.max(np.abs(m))))
     nu = symplectic_spectrum(m)
     if nu.min() < VACUUM - PHYSICALITY_TOL * scale:

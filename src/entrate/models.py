@@ -193,6 +193,22 @@ def drift_effective(p: EffectiveModelParams) -> DriftMatrix:
     return DriftMatrix(m, np.full(4, float(p.kappa)), EFFECTIVE_ORDERING)
 
 
+#: The parameter names of either model: the fields of their parameter sets.
+PARAMETER_NAMES = frozenset(f.name for cls in (FullModelParams, EffectiveModelParams)
+                            for f in fields(cls))
+
+
+def build_drift(model: str, params: dict[str, float]) -> tuple[DriftMatrix, float]:
+    """(drift, n_th) of model "full" or "effective" at the parameters named
+    as the fields of FullModelParams or EffectiveModelParams; names that
+    only the other model has are ignored, and n_th is 0 for the effective
+    model. Raises ValueError for invalid parameters."""
+    cls = FullModelParams if model == "full" else EffectiveModelParams
+    # __match_args__: the field names, in the order of the constructor
+    p = cls(**{k: params[k] for k in cls.__match_args__ if k in params})
+    return (drift_full(p), p.n_th) if cls is FullModelParams else (drift_effective(p), 0.0)
+
+
 @dataclass(frozen=True)
 class StabilityReport:
     stable: bool
@@ -203,24 +219,24 @@ class StabilityReport:
     eigenvalues: NDArray[np.complex128] = field(repr=False, compare=False)
 
 
-def _verdict(eigenvalues: np.ndarray, tol: float) -> StabilityReport:
+def _verdict(eigenvalues: np.ndarray) -> StabilityReport:
     max_re = float(np.max(eigenvalues.real))
-    return StabilityReport(stable=max_re < -tol, max_real_part=max_re,
-                           marginal=abs(max_re) <= tol, eigenvalues=eigenvalues)
+    return StabilityReport(stable=max_re < -STABILITY_TOL, max_real_part=max_re,
+                           marginal=abs(max_re) <= STABILITY_TOL, eigenvalues=eigenvalues)
 
 
-def stability(d: DriftMatrix, tol: float = STABILITY_TOL) -> StabilityReport:
+def stability(d: DriftMatrix) -> StabilityReport:
     """Numerical stability verdict from the drift eigenvalues.
 
-    stable means max Re(eig) < -tol; points with |max Re(eig)| <= tol are
-    flagged marginal and are not stable, so every gate that asks for a
-    stable drift rejects a point on the instability boundary.
+    stable means max Re(eig) < -STABILITY_TOL; points with
+    |max Re(eig)| <= STABILITY_TOL are flagged marginal and are not stable,
+    so every gate that asks for a stable drift rejects a point on the
+    instability boundary.
     """
-    return _verdict(np.linalg.eigvals(d.m), tol)
+    return _verdict(np.linalg.eigvals(d.m))
 
 
-def stability_batch(drifts: Sequence[DriftMatrix],
-                    tol: float = STABILITY_TOL) -> list[StabilityReport]:
+def stability_batch(drifts: Sequence[DriftMatrix]) -> list[StabilityReport]:
     """stability() of each drift from one stacked eigen-solve; the drifts
     must share their dimension. LAPACK solves the stacked matrices one by
     one, so each report equals stability() of its drift bit for bit."""
@@ -228,7 +244,7 @@ def stability_batch(drifts: Sequence[DriftMatrix],
         return []
     if len({d.dim for d in drifts}) != 1:
         raise ValueError("a stacked stability solve needs drifts of one model")
-    return [_verdict(e, tol) for e in np.linalg.eigvals(np.stack([d.m for d in drifts]))]
+    return [_verdict(e) for e in np.linalg.eigvals(np.stack([d.m for d in drifts]))]
 
 
 def stability_boundary_effective(g: float, kappa: float, delta: float) -> tuple[float, ...]:

@@ -52,6 +52,8 @@ _W_G[1:-1:2] = np.concatenate([_WG[:-1], _WG[::-1]])       # Gauss weights on od
 _PANELS_PER_CALL = 64
 #: The 17 zoom points across a bracket, in units of its 16th.
 _ZOOM_STEPS = np.arange(17.0)
+_MAX_SWEEPS = 200        # refinement sweeps of adaptive_gk_batch
+_MAX_BISECTIONS = 200    # halvings of bisect_all
 
 
 def _panel_nodes(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -67,7 +69,7 @@ def _at_round_off(val: np.ndarray, err: np.ndarray) -> np.ndarray:
 
 def adaptive_gk_batch(f_batch: Callable[[np.ndarray, np.ndarray], np.ndarray],
                       edges: Sequence[np.ndarray], epsabs: np.ndarray, *,
-                      max_panels: int = 20000, max_sweeps: int = 200,
+                      max_panels: int = 20000,
                       ) -> tuple[np.ndarray, np.ndarray, list[QuadratureError | None]]:
     """Integrate P problems at once: problem p over [edges[p][0],
     edges[p][-1]], starting from the panels between its sorted, distinct
@@ -79,7 +81,7 @@ def adaptive_gk_batch(f_batch: Callable[[np.ndarray, np.ndarray], np.ndarray],
     problem's excess over epsabs, and evaluates the new halves of all
     problems together, in calls of up to _PANELS_PER_CALL panels. Panels
     whose error is at round-off level are not split again; when only such
-    panels remain, or after max_sweeps sweeps, the achieved estimate stands
+    panels remain, or after _MAX_SWEEPS sweeps, the achieved estimate stands
     even if it is above epsabs.
 
     Returns (values, errors, failures): failures[p] is a QuadratureError
@@ -111,7 +113,7 @@ def adaptive_gk_batch(f_batch: Callable[[np.ndarray, np.ndarray], np.ndarray],
     values, errors = np.full(n_problems, math.nan), np.full(n_problems, math.nan)
     failures: list[QuadratureError | None] = [None] * n_problems
 
-    for sweep in range(max_sweeps + 1):
+    for sweep in range(_MAX_SWEEPS + 1):
         # per-problem totals over the panels sorted by position: the same
         # sum whatever else is in the batch
         order = np.lexsort((lo, pid))
@@ -120,7 +122,7 @@ def adaptive_gk_batch(f_batch: Callable[[np.ndarray, np.ndarray], np.ndarray],
         ids = np.flatnonzero(count)
         total = np.add.reduceat(err[order], start[ids])
         n_active = np.bincount(pid[~converged], minlength=n_problems)[ids]
-        done = (total <= epsabs[ids]) | (n_active == 0) | (sweep == max_sweeps)
+        done = (total <= epsabs[ids]) | (n_active == 0) | (sweep == _MAX_SWEEPS)
         broke = ~done & (count[ids] >= max_panels)
         if np.any(done | broke):
             val_sum = np.add.reduceat(val[order], start[ids])
@@ -177,8 +179,7 @@ def adaptive_gk(f_batch: Callable[[np.ndarray], np.ndarray],
                 a: float, b: float, *,
                 epsabs: float,
                 initial_points: Sequence[float] = (),
-                max_panels: int = 20000,
-                max_sweeps: int = 200) -> tuple[float, float]:
+                max_panels: int = 20000) -> tuple[float, float]:
     """Integrate f over [a, b] to absolute tolerance epsabs: the one-problem
     call of adaptive_gk_batch. initial_points seeds interior panel
     boundaries (e.g. known resonance positions) so that narrow features are
@@ -192,8 +193,7 @@ def adaptive_gk(f_batch: Callable[[np.ndarray], np.ndarray],
     edges = np.array(sorted({float(a), float(b),
                              *(float(p) for p in initial_points if a < p < b)}))
     (value,), (error,), (failure,) = adaptive_gk_batch(
-        lambda x, _: f_batch(x), [edges], epsabs,
-        max_panels=max_panels, max_sweeps=max_sweeps)
+        lambda x, _: f_batch(x), [edges], epsabs, max_panels=max_panels)
     if failure is not None:
         raise failure
     return float(value), float(error)
@@ -201,7 +201,7 @@ def adaptive_gk(f_batch: Callable[[np.ndarray], np.ndarray],
 
 def bisect_all(f_batch: Callable[[np.ndarray], np.ndarray],
                lo: np.ndarray, hi: np.ndarray, *,
-               xtol: float, max_iter: int = 200) -> np.ndarray:
+               xtol: float) -> np.ndarray:
     """Vectorized bisection: one root of f per bracket [lo_i, hi_i].
 
     f(lo) and f(hi) must have opposite signs elementwise.
@@ -212,7 +212,7 @@ def bisect_all(f_batch: Callable[[np.ndarray], np.ndarray],
     fhi = np.asarray(f_batch(hi), dtype=float)
     if np.any(np.sign(flo) == np.sign(fhi)):
         raise ValueError("bisection brackets must straddle a sign change")
-    for _ in range(max_iter):
+    for _ in range(_MAX_BISECTIONS):
         if np.max(hi - lo) <= xtol:
             break
         mid = 0.5 * (lo + hi)

@@ -97,7 +97,7 @@ from .models import (PAIRING_DEFECT_TOL, DriftMatrix, StabilityReport, stability
 from .quadutil import adaptive_gk_batch, minimize_batch
 # unused here, but the benchmark tracer wraps these names in rates
 from .quadutil import adaptive_gk, bisect_all, minimize_scalar  # noqa: F401
-from .scattering import BeamBlocks, _chunks, _kernel, _kernel_all, correlator_batch
+from .scattering import BeamBlocks, _kernel, _require_stable, correlator_batch
 
 _PEAK_OFFSETS = np.array([0.0, 0.25, -0.25, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0,
                           5.0, -5.0, 10.0, -10.0, 25.0, -25.0, 50.0, -50.0,
@@ -126,11 +126,8 @@ def log_negativity(nu_plus: np.ndarray, nu_minus: np.ndarray, xi: np.ndarray,
 
 def _density(blocks: BeamBlocks, omegas: np.ndarray, pid: np.ndarray) -> np.ndarray:
     """E at omegas[i] for problem pid[i] of the batch."""
-    out = []
-    for w, p in _chunks(omegas, pid):
-        optical, mechanical, nu_minus, xi, q_excess = _kernel(blocks, w, p)
-        out.append(log_negativity(optical + mechanical, nu_minus, xi, q_excess))
-    return np.concatenate(out)
+    optical, mechanical, nu_minus, xi, q_excess = _kernel(blocks, omegas, pid)
+    return log_negativity(optical + mechanical, nu_minus, xi, q_excess)
 
 
 def spectral_density_batch(d: DriftMatrix, omegas: np.ndarray,
@@ -145,16 +142,13 @@ def spectrum_and_density(d: DriftMatrix, omegas: np.ndarray, n_th: float = 0.0,
     """(optical, mechanical, E) over a frequency grid from one kernel pass:
     scattering.spectrum_parts and spectral_density_batch at once, equal to
     them bit for bit; no stability check."""
-    blocks = BeamBlocks.of([d], [n_th])
-    optical, mechanical, nu_minus, xi, q_excess = _kernel_all(blocks, omegas)
+    optical, mechanical, nu_minus, xi, q_excess = _kernel(BeamBlocks.of([d], [n_th]), omegas)
     return optical, mechanical, log_negativity(optical + mechanical, nu_minus, xi, q_excess)
 
 
 def spectral_density(d: DriftMatrix, omega: float, n_th: float = 0.0) -> float:
     """Spectral density of entanglement at one frequency."""
-    rep = stability(d)
-    if not rep.stable:
-        raise UnstableSystemError(rep.max_real_part)
+    _require_stable(d)
     return float(spectral_density_batch(d, np.array([omega]), n_th)[0])
 
 
@@ -358,8 +352,8 @@ def entanglement_rates(drifts: Sequence[DriftMatrix], n_ths: Sequence[float],
     or the ValueError of a beam block that is not reciprocal), and the
     others are unaffected. reports, the drifts' stability reports from
     models.stability or models.stability_batch, saves the eigen-solve."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be a finite positive number, got {tol}")
     drifts = list(drifts)
     n_ths = [float(n) for n in n_ths]
     if reports is None:

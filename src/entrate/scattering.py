@@ -74,7 +74,8 @@ from numpy.typing import NDArray
 
 from .errors import UnstableSystemError
 from .gaussian import CorrelatorTriple
-from .models import DriftMatrix, EffectiveModelParams, drift_effective, stability
+from .models import (DriftMatrix, EffectiveModelParams, StabilityReport, drift_effective,
+                     stability)
 # unused here, but the benchmark tracer wraps scattering.adaptive_gk
 from .quadutil import adaptive_gk
 
@@ -91,10 +92,12 @@ class SpectrumPoint:
     mechanical_part: float
 
 
-def _require_stable(d: DriftMatrix) -> None:
+def _require_stable(d: DriftMatrix) -> StabilityReport:
+    """d's stability report; raises UnstableSystemError unless d is stable."""
     rep = stability(d)
     if not rep.stable:
         raise UnstableSystemError(rep.max_real_part)
+    return rep
 
 
 def _permutation_terms(k: int) -> list[tuple[int, list[int]]]:
@@ -223,16 +226,6 @@ class BeamBlocks:
 #: Points per kernel pass: its temporaries stay in cache and its memory
 #: does not grow with the batch.
 _CHUNK = 1024
-
-
-def _chunks(omegas: np.ndarray, pid: np.ndarray | None = None):
-    """(omegas, pid) in consecutive slices of at most _CHUNK points (one
-    empty slice for no points)."""
-    w = np.ascontiguousarray(omegas, dtype=float).ravel()
-    for i in range(0, max(w.size, 1), _CHUNK):
-        yield w[i:i + _CHUNK], None if pid is None else pid[i:i + _CHUNK]
-
-
 #: 1 for the diagonal entry of _ENTRIES, whose leading coefficient is 1.
 _MONIC = np.array([0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0])
 
@@ -241,76 +234,70 @@ def _abs2(z: np.ndarray) -> np.ndarray:
     return z.real * z.real + z.imag * z.imag
 
 
-def _kernel(blocks: BeamBlocks, w: np.ndarray, pid: np.ndarray | None = None,
+def _kernel(blocks: BeamBlocks, omegas: np.ndarray, pid: np.ndarray | None = None,
             ) -> tuple[np.ndarray, ...]:
-    """(optical, mechanical, nu_minus, xi, q - 1/4) at each frequency of
-    one chunk, point i belonging to problem pid[i]: nu_plus = optical +
-    mechanical, the two parts being |s_+-|^2 and n_th |s_+b|^2. Each
-    point's inputs are gathered by its problem id (broadcast for a batch of
-    one), and every operation after that is elementwise, so a point's values
-    do not depend on the rest of the call. No stability check."""
+    """(optical, mechanical, nu_minus, xi, q - 1/4) at each frequency, point
+    i belonging to problem pid[i] (pid may be left out for a batch of one):
+    the excesses nu = n - 1/2 of the occupations over vacuum and of
+    q = n_plus n_minus - |xi|^2 over its vacuum value, each a sum of
+    non-negative terms (module docstring), with nu_plus = optical +
+    mechanical, the two parts being |s_+-|^2 and n_th |s_+b|^2. The points
+    go through in passes of _CHUNK; each point's inputs are gathered by its
+    problem id and every operation after that is elementwise, so a point's
+    values do not depend on the rest of the call. No stability check."""
     entries, char, weights = blocks.table
 
-    def at(c: np.ndarray) -> np.ndarray:
-        # one coefficient (row) per point, gathered as it is needed so that
-        # only one gathered coefficient is alive at a time
-        return c[..., pid] if len(blocks) > 1 else c
+    def one_pass(w: np.ndarray, p: np.ndarray | None) -> tuple[np.ndarray, ...]:
+        # its temporaries are freed before the next pass starts
+        def at(c: np.ndarray) -> np.ndarray:
+            # one coefficient (row) per point, gathered as it is needed so
+            # that only one gathered coefficient is alive at a time
+            return c[..., p] if len(blocks) > 1 else c
 
-    t = 1j * w
-    # Horner's rule at t = i omega, all entries of A at once, then det
-    a = at(entries[0]) + _MONIC[:len(entries[0]), None] * t
-    for c in entries[1:]:
-        a *= t
-        a += at(c)
-    det = at(char[0]) + t
-    for c in char[1:]:
-        det *= t
-        det += at(c)
-    weights = at(weights)
-    det2 = _abs2(det)
-    if not np.all(det2 > 0):
-        raise UnstableSystemError(
-            float(np.max(np.linalg.eigvals(blocks.m).real)),
-            "singular response matrix: system at an instability threshold "
-            "for a requested frequency")
-    inv = 1.0 / det2
-    a2 = _abs2(a)
-    kpm, kp, rpm = weights[:3]
-    # s_++ conj(s_-+) |det|^2 / sqrt(kappa_+ kappa_-), s_++ = (det + kappa_+ A_++) / det
-    xi = (det + kp * a[2]) * a[1].conj()
-    optical = kpm * a2[0] * inv
-    if len(a) == 3:
-        zero = np.zeros_like(optical)
-        return optical, zero, kpm * a2[1] * inv, xi * (rpm * inv), zero
-    w_pb, w_mb, w_x, q_bp, q_bm = weights[3:]
-    xi = xi + w_x * (a[3] * a[4].conj())
-    return (optical, w_pb * a2[3] * inv, (kpm * a2[1] + w_mb * a2[4]) * inv,
-            xi * (rpm * inv), (q_bp * a2[5] + q_bm * a2[6]) * inv)
+        t = 1j * w
+        # Horner's rule at t = i omega, all entries of A at once, then det
+        a = at(entries[0]) + _MONIC[:len(entries[0]), None] * t
+        for c in entries[1:]:
+            a *= t
+            a += at(c)
+        det = at(char[0]) + t
+        for c in char[1:]:
+            det *= t
+            det += at(c)
+        wt = at(weights)
+        det2 = _abs2(det)
+        if not np.all(det2 > 0):
+            raise UnstableSystemError(
+                float(np.max(np.linalg.eigvals(blocks.m).real)),
+                "singular response matrix: system at an instability threshold "
+                "for a requested frequency")
+        inv = 1.0 / det2
+        a2 = _abs2(a)
+        kpm, kp, rpm = wt[:3]
+        # s_++ conj(s_-+) |det|^2 / sqrt(kappa_+ kappa_-), s_++ = (det + kappa_+ A_++) / det
+        xi = (det + kp * a[2]) * a[1].conj()
+        optical = kpm * a2[0] * inv
+        if len(a) == 3:
+            zero = np.zeros_like(optical)
+            return optical, zero, kpm * a2[1] * inv, xi * (rpm * inv), zero
+        w_pb, w_mb, w_x, q_bp, q_bm = wt[3:]
+        xi = xi + w_x * (a[3] * a[4].conj())
+        return (optical, w_pb * a2[3] * inv, (kpm * a2[1] + w_mb * a2[4]) * inv,
+                xi * (rpm * inv), (q_bp * a2[5] + q_bm * a2[6]) * inv)
+
+    omegas = np.ascontiguousarray(omegas, dtype=float).ravel()
+    out = [one_pass(omegas[i:i + _CHUNK], None if pid is None else pid[i:i + _CHUNK])
+           for i in range(0, max(omegas.size, 1), _CHUNK)]
+    return out[0] if len(out) == 1 else tuple(np.concatenate(c) for c in zip(*out))
 
 
 def correlator_batch(d: DriftMatrix, omegas: np.ndarray, n_th: float = 0.0,
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(nu_plus, nu_minus, xi, q - 1/4) arrays over a frequency grid: the
-    excesses nu = n - 1/2 of the occupations over vacuum and of
-    q = n_plus n_minus - |xi|^2 over its vacuum value, each a sum of
-    non-negative terms (see the module docstring), so none of them is
-    rounded against the vacuum's 1/2 or 1/4. The adjugate kernel for one
-    problem. No stability check (meant for integrators that have already
-    verified it)."""
-    return block_correlators(BeamBlocks.of([d], [n_th]), omegas)
-
-
-def block_correlators(blocks: BeamBlocks, omegas: np.ndarray,
-                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """correlator_batch of the one problem of blocks, for callers that
-    evaluate one drift many times and build its blocks once."""
-    optical, mechanical, nu_minus, xi, q_excess = _kernel_all(blocks, omegas)
+    """(nu_plus, nu_minus, xi, q - 1/4) arrays over a frequency grid, from
+    the kernel for one problem (see _kernel). No stability check (meant for
+    integrators that have already verified it)."""
+    optical, mechanical, nu_minus, xi, q_excess = _kernel(BeamBlocks.of([d], [n_th]), omegas)
     return optical + mechanical, nu_minus, xi, q_excess
-
-
-def _kernel_all(blocks: BeamBlocks, omegas: np.ndarray) -> list[np.ndarray]:
-    """_kernel of a batch of one problem over any number of frequencies."""
-    return [np.concatenate(c) for c in zip(*(_kernel(blocks, w) for w, _ in _chunks(omegas)))]
 
 
 def output_correlators(d: DriftMatrix, omega: float, n_th: float = 0.0) -> CorrelatorTriple:
@@ -327,7 +314,7 @@ def spectrum_parts(d: DriftMatrix, omegas: np.ndarray, n_th: float = 0.0,
     |s_+-|^2 comes from the vacuum input of beam 2, the mechanical part
     n_th |s_+b|^2 from the thermal mechanical input (zero for the effective
     model). No stability check."""
-    return tuple(_kernel_all(BeamBlocks.of([d], [n_th]), omegas)[:2])
+    return _kernel(BeamBlocks.of([d], [n_th]), omegas)[:2]
 
 
 # only tests call it; it stays bound because the benchmark tracer wraps it

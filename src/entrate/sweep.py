@@ -19,7 +19,7 @@ import csv
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import IO, Sequence
 
 import numpy as np
@@ -35,6 +35,8 @@ _KAPPA_COLUMNS = {"delta", "Delta", "Gamma", "g", "stability_margin", "gamma_E",
                   "fwhm", "pair_rate", "spectrum_peak_omega", "omega"}
 
 CSV_SCHEMA_LINE = "# schema=1"
+#: Values for the parameters a model requires and a sweep config leaves out.
+_DEFAULTS = {"full": {"g": 1.0, "Gamma": 1e-3}, "effective": {"g": 1.0, "delta": 10.0}}
 
 
 #: Fixed 17-significant-digit float formatting of the number cells of CSV
@@ -129,8 +131,13 @@ class SweepAxis:
     def __post_init__(self):
         if self.name not in AXIS_NAMES:
             raise ValueError(f"axis name must be one of {AXIS_NAMES}, got {self.name!r}")
+        if not isinstance(self.steps, (int, np.integer)):
+            raise ValueError(f"axis {self.name} steps must be an integer, got {self.steps!r}")
         if self.steps < 2:
             raise ValueError("axis needs steps >= 2")
+        for bound, value in (("min", self.min), ("max", self.max)):
+            if not math.isfinite(value):
+                raise ValueError(f"axis {self.name} {bound} must be finite, got {value}")
         if not self.min < self.max:
             raise ValueError("axis needs min < max")
         if self.log and self.min <= 0:
@@ -150,7 +157,6 @@ class SweepConfig:
     quantities: list[str]
     tol: float = 1e-6
     jobs: int = 0          # 0 = all available cores
-    output: str | None = None
 
     def __post_init__(self):
         if self.model not in ("full", "effective"):
@@ -165,8 +171,14 @@ class SweepConfig:
             raise ValueError(f"unknown quantities {unknown}; allowed: {QUANTITIES}")
         if not self.quantities:
             raise ValueError("at least one quantity is required")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not 0 < self.tol < math.inf:
+            raise ValueError(f"tol must be a finite positive number, got {self.tol}")
+        if self.jobs < 0:
+            raise ValueError(f"jobs must be >= 0 (0 = all cores), got {self.jobs}")
+        unknown = sorted(set(self.fixed) - models.PARAMETER_NAMES)
+        if unknown:
+            raise ValueError(f"unknown parameters {unknown} in fixed; "
+                             f"allowed: {sorted(models.PARAMETER_NAMES)}")
         for name, value in self.fixed.items():
             # one non-finite parameter would fail every grid point
             if not (isinstance(value, (int, float)) and math.isfinite(value)):
@@ -179,12 +191,14 @@ class SweepConfig:
     @classmethod
     def from_dict(cls, doc: dict) -> "SweepConfig":
         try:
+            unknown = sorted(set(doc) - {f.name for f in fields(cls)})
+            if unknown:
+                raise ValueError(f"unknown sweep config keys {unknown}")
             axes = [SweepAxis(**ax) for ax in doc["axes"]]
             return cls(model=doc["model"], fixed=dict(doc.get("fixed", {})),
                        axes=axes, quantities=list(doc["quantities"]),
                        tol=float(doc.get("tol", 1e-6)),
-                       jobs=int(doc.get("jobs", 0)),
-                       output=doc.get("output"))
+                       jobs=int(doc.get("jobs", 0)))
         except KeyError as exc:
             raise ValueError(f"sweep config is missing required field {exc}") from exc
         except TypeError as exc:
@@ -244,17 +258,6 @@ class SweepResult:
         """Quantity as an array shaped like the grid (NaN where unavailable)."""
         vals = np.array([row.values.get(quantity, math.nan) for row in self.rows])
         return vals.reshape(self.grid_shape())
-
-
-def _build_params(model: str, fields: dict[str, float]):
-    if model == "full":
-        return models.FullModelParams(
-            g=fields.get("g", 1.0), Gamma=fields.get("Gamma", 1e-3),
-            kappa=fields.get("kappa", 1.0), Delta=fields.get("Delta", 0.0),
-            delta=fields.get("delta", 0.0), n_th=fields.get("n_th", 0.0))
-    return models.EffectiveModelParams(
-        g=fields.get("g", 1.0), delta=fields.get("delta", 10.0),
-        kappa=fields.get("kappa", 1.0), Delta=fields.get("Delta", 0.0))
 
 
 def _eval_chunk(payload: tuple[tuple[str, ...], float,
@@ -325,18 +328,13 @@ def run_sweep(config: SweepConfig) -> SweepResult:
 
     computed: dict[int, dict[str, float] | str] = {}
     valid: dict[int, tuple[models.DriftMatrix, float]] = {}
+    params = {**_DEFAULTS[config.model], **config.fixed}
     for i, pt in enumerate(points):
-        fields = dict(config.fixed)
-        fields.update(zip(axis_names, pt))
+        params.update(zip(axis_names, pt))
         try:
-            params = _build_params(config.model, fields)
+            valid[i] = models.build_drift(config.model, params)
         except ValueError as exc:
             computed[i] = f"failed: {exc}"
-            continue
-        if config.model == "full":
-            valid[i] = (models.drift_full(params), fields.get("n_th", 0.0))
-        else:
-            valid[i] = (models.drift_effective(params), 0.0)
     reports = dict(zip(valid, models.stability_batch([v[0] for v in valid.values()])))
 
     todo = [i for i in valid if reports[i].stable]

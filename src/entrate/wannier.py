@@ -30,8 +30,9 @@ Both averages are integrals over a finite angle with constant weight:
 nu = omega + theta/tau maps the boxcar onto theta in [-pi, pi], and
 nu = omega + tan(theta)/tau maps the whole Lorentzian line onto
 (-pi/2, pi/2) with weight exactly 1/pi, so no frequency window is cut off.
-The integration panels start at the resonance grid rates.frequency_grid,
-mapped to theta.
+The four averages (n_plus, n_minus, Re xi, Im xi) run as four problems of
+one batched Gauss-Kronrod loop, all starting on the panels of the
+resonance grid rates.frequency_grid mapped to theta.
 """
 
 from __future__ import annotations
@@ -42,9 +43,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import DriftMatrix
-from .quadutil import adaptive_gk
+from .quadutil import adaptive_gk_batch
 from .rates import frequency_grid, log_negativity
-from .scattering import BeamBlocks, _require_stable, block_correlators
+from .scattering import BeamBlocks, _kernel, _require_stable
 
 DEFAULT_CUTOFF = 100_000
 
@@ -140,7 +141,7 @@ def filtered_entanglement(d: DriftMatrix, n_th: float,
         raise ValueError("filters must sit at opposite centers (+omega, -omega)")
     if shape not in ("wannier", "lorentzian"):
         raise ValueError(f"unknown filter shape {shape!r}")
-    _require_stable(d)
+    rep = _require_stable(d)
 
     tau = spec1.tau
     wc = spec1.omega_center
@@ -149,28 +150,23 @@ def filtered_entanglement(d: DriftMatrix, n_th: float,
         half, warp, unwarp = math.pi, np.positive, np.positive
     else:
         half, warp, unwarp = 0.5 * math.pi, np.tan, np.arctan
-
-    # the four component integrals start on the same panels, so the
-    # spectra at those nodes are computed once, all from one set of blocks
     blocks = BeamBlocks.of([d], [n_th])
-    evaluated: dict[bytes, np.ndarray] = {}
 
-    def parts_batch(theta: np.ndarray) -> np.ndarray:
-        key = theta.tobytes()
-        if key not in evaluated:
-            nu_plus, nu_minus, xi, _ = block_correlators(blocks, wc + warp(theta) / tau)
-            evaluated[key] = np.stack([nu_plus, nu_minus, xi.real, xi.imag])
-        return evaluated[key]
+    def parts(theta: np.ndarray) -> np.ndarray:
+        optical, mechanical, nu_minus, xi, _ = _kernel(blocks, wc + warp(theta) / tau)
+        return np.stack([optical + mechanical, nu_minus, xi.real, xi.imag])
 
-    seeds = unwarp(tau * (frequency_grid(d) - wc))
+    seeds = unwarp(tau * (frequency_grid(d, rep.eigenvalues) - wc))
     seeds = seeds[np.abs(seeds) < half]
-    s_scale = float(np.max(np.abs(parts_batch(np.append(seeds, 0.0))))) + 1e-12
-
-    vals = [adaptive_gk(lambda t, i=i: parts_batch(t)[i], -half, half,
-                        epsabs=EPSREL * s_scale * 2.0 * half,
-                        initial_points=seeds)[0] / (2.0 * half)
-            for i in range(4)]
-    nu_plus, nu_minus, xi = vals[0], vals[1], complex(vals[2], vals[3])
+    s_scale = float(np.max(np.abs(parts(np.append(seeds, 0.0))))) + 1e-12
+    edges = np.array(sorted({-half, half, *seeds.tolist()}))
+    vals, _, failures = adaptive_gk_batch(
+        lambda theta, pid: parts(theta)[pid, np.arange(theta.size)], [edges] * 4,
+        EPSREL * s_scale * 2.0 * half)
+    for failure in filter(None, failures):
+        raise failure
+    nu_plus, nu_minus, xi_re, xi_im = (vals / (2.0 * half)).tolist()
+    xi = complex(xi_re, xi_im)
     # q - 1/4 of the filtered pair from its averaged correlators: q is not
     # linear in them, so it is not the average of the kernel's q - 1/4
     q_excess = 0.5 * (nu_plus + nu_minus) + nu_plus * nu_minus - abs(xi) ** 2

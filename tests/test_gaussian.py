@@ -189,6 +189,11 @@ class TestLogNegativityGeneral:
     def test_rejects_unphysical(self):
         with pytest.raises(UnphysicalStateError):
             log_negativity_general(0.3 * np.eye(4), partition=(1, 2))
+        # V has eigenvalues -0.5 and 1.5, yet both symplectic eigenvalues
+        # (0.866) clear the vacuum floor
+        with pytest.raises(UnphysicalStateError, match="not positive definite"):
+            log_negativity_general(covariance_from_correlators(
+                CorrelatorTriple(0.5, 0.5, 1.0)))
 
     def test_partition_required_for_ndarray(self):
         with pytest.raises(ValueError):

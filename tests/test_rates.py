@@ -11,7 +11,8 @@ from entrate.errors import UnstableSystemError
 from entrate.models import (BEAM_BLOCK, DriftMatrix, EffectiveModelParams, FullModelParams,
                             drift_effective, drift_full, stability)
 from entrate.quadutil import bisect_all
-from entrate.rates import (_beam_polynomials, _count_local_maxima, _fwhms, _refined_peaks,
+from entrate.rates import (_beam_polynomials, _count_local_maxima, _density, _fwhms,
+                           _refined_peaks,
                            _scale, entanglement_rate, entanglement_rates, frequency_grid,
                            spectral_density, spectral_density_batch, spectrum_and_density)
 from entrate.scattering import BeamBlocks, correlator_batch, spectrum_parts
@@ -321,6 +322,19 @@ class TestBatchedRates:
         order = [5, 2, 0, 1, 3] * 3
         assert entanglement_rates([drifts[i] for i in order],
                                   [n_ths[i] for i in order]) == [batch[i] for i in order]
+
+    def test_density_across_kernel_passes_equals_point_by_point(self):
+        # 2,500 points of four problems in one call cross two boundaries of
+        # the kernel's 1,024-point passes
+        drifts, n_ths = self.drifts()
+        keep = [i for i, d in enumerate(drifts) if stability(d).stable]
+        blocks = BeamBlocks.of([drifts[i] for i in keep], [n_ths[i] for i in keep])
+        rng = np.random.default_rng(5)
+        omegas = rng.uniform(-20.0, 20.0, 2500)
+        pid = rng.integers(0, len(keep), 2500)
+        got = _density(blocks, omegas, pid)
+        one = [_density(blocks, omegas[i:i + 1], pid[i:i + 1])[0] for i in range(2500)]
+        assert got.tobytes() == np.array(one).tobytes()
 
     def test_a_failure_stays_in_its_slot(self):
         d = full_drift(delta=10.0)

@@ -239,7 +239,13 @@ class TestCliCommands:
          "--omega-max must be finite"),
         (["rate", "--g", "nan"], "g must be finite"),
         (["rate", "--Delta", "inf"], "Delta must be finite"),
-        (["sweep", "--g", "nan", "--axis", "delta:-1:1:3"], "g must be finite")])
+        (["sweep", "--g", "nan", "--axis", "delta:-1:1:3"], "g must be finite"),
+        (["sweep", "--axis", "delta:-1:inf:3"], "axis delta max must be finite, got inf"),
+        (["rate", "--tol", "nan"], "tol must be a finite positive number, got nan"),
+        (["rate", "--tol", "inf"], "tol must be a finite positive number, got inf"),
+        (["sweep", "--tol", "nan", "--axis", "delta:-1:1:3"],
+         "tol must be a finite positive number, got nan"),
+        (["sweep", "--jobs", "-3", "--axis", "delta:-1:1:3"], "jobs must be >= 0")])
     def test_non_finite_input_is_usage_error(self, argv, message, capsys):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -374,12 +380,19 @@ class TestCliCommands:
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"model": "full"}')
         assert run_cli(["sweep", "--config", str(cfg)]) == 2
-        # a non-finite fixed parameter would fail every grid point
-        for fixed, message in (({"g": math.nan}, "g must be finite, got nan"),
-                               ({"Gamma": "x"}, "Gamma must be finite, got 'x'")):
-            cfg.write_text(json.dumps({
-                "model": "full", "fixed": fixed, "quantities": ["E_max"],
-                "axes": [{"name": "delta", "min": -1, "max": 1, "steps": 3}]}))
+        # a non-finite fixed parameter would fail every grid point, and an
+        # unknown name or key would be ignored
+        base = {"model": "full", "quantities": ["E_max"],
+                "axes": [{"name": "delta", "min": -1, "max": 1, "steps": 3}]}
+        for change, message in (
+                ({"fixed": {"g": math.nan}}, "g must be finite, got nan"),
+                ({"fixed": {"Gamma": "x"}}, "Gamma must be finite, got 'x'"),
+                ({"fixed": {"g": 5, "gamma": 0.3}}, "unknown parameters ['gamma'] in fixed"),
+                ({"jobz": 3}, "unknown sweep config keys ['jobz']"),
+                ({"output": 5}, "unknown sweep config keys ['output']"),
+                ({"axes": [{"name": "delta", "min": -1, "max": 1, "steps": 2.5}]},
+                 "axis delta steps must be an integer, got 2.5")):
+            cfg.write_text(json.dumps({**base, **change}))
             capsys.readouterr()
             assert run_cli(["sweep", "--config", str(cfg)]) == 2
             assert f"error: {message}" in capsys.readouterr().err
@@ -436,6 +449,33 @@ class TestCliCommands:
             assert doc[0]["name"] == name
             assert doc[0]["passed"] is True
             assert doc[0]["seconds"] > 0
+
+    def test_verify_json_is_json_dump_of_its_rows(self, monkeypatch, capsys):
+        from dataclasses import asdict
+
+        from entrate import verify
+        results = [verify.CheckResult("a", True, 1e-17, 1e-9, 0.25, 'd "q" 100%, \u00e9'),
+                   verify.CheckResult("b", False, math.nan, math.nan, 1.0, "raised \u2192"),
+                   verify.CheckResult("c", False, math.inf, 0.5, 2.0)]
+        monkeypatch.setattr(verify, "run_checks", lambda names: results)
+        assert run_cli(["verify", "--format", "json"]) == 1
+        assert capsys.readouterr().out == json.dumps([asdict(r) for r in results],
+                                                     indent=2) + "\n"
+
+    @pytest.mark.parametrize("measured, passed", [
+        (0.5, True), (1.0, True), (1.5, False), (math.nan, False), (math.inf, False)])
+    def test_check_passes_iff_measured_within_bound(self, monkeypatch, measured, passed):
+        from entrate import verify
+        monkeypatch.setitem(verify.CHECKS, "stub", lambda: (measured, 1.0, ""))
+        (result,) = verify.run_checks(["stub"])
+        assert result.passed is passed
+
+    def test_failed_side_condition_fails_the_check(self, monkeypatch):
+        # a broken M = 1 identity measures inf, whatever the normalization
+        from entrate import verify, wannier
+        monkeypatch.setattr(wannier, "wannier_kernel", lambda M, l, k: 0.5)
+        (result,) = verify.run_checks(["wannier_norm"])
+        assert result.measured == math.inf and not result.passed
 
     def test_verify_unknown_filter(self, capsys):
         assert run_cli(["verify", "--only", "no_such_check"]) == 2

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from entrate.models import EffectiveModelParams, FullModelParams, drift_effective, drift_full
-from entrate.rates import spectral_density
-from entrate.wannier import (DEFAULT_CUTOFF, FilterSpec, filtered_entanglement,
+from entrate.quadutil import adaptive_gk
+from entrate.rates import frequency_grid, log_negativity, spectral_density
+from entrate.scattering import correlator_batch
+from entrate.wannier import (DEFAULT_CUTOFF, EPSREL, FilterSpec, filtered_entanglement,
                              kernel_normalization, kernel_tail_bound, wannier_kernel,
                              wannier_kernel_array)
 from mp_reference import lorentzian_filtered_mp
@@ -241,6 +243,30 @@ class TestFilteredEntanglement:
             filtered_entanglement(self.drift(), 1.0, FilterSpec(0.5, 1e2),
                                   FilterSpec(-0.5, 1e2), shape)
         assert len(built) == 2
+
+    @pytest.mark.parametrize("shape", ["wannier", "lorentzian"])
+    @pytest.mark.parametrize("omega", [0.0, 0.5])
+    def test_equals_four_one_problem_averages(self, shape, omega):
+        # the four component averages as separate one-problem integrals
+        d, n_th, tau = self.drift(), 50.0, 1e2
+        half, warp, unwarp = ((math.pi, np.positive, np.positive) if shape == "wannier"
+                              else (0.5 * math.pi, np.tan, np.arctan))
+
+        def parts(theta):
+            nu_plus, nu_minus, xi, _ = correlator_batch(d, omega + warp(theta) / tau, n_th)
+            return np.stack([nu_plus, nu_minus, xi.real, xi.imag])
+
+        seeds = unwarp(tau * (frequency_grid(d) - omega))
+        seeds = seeds[np.abs(seeds) < half]
+        s_scale = float(np.max(np.abs(parts(np.append(seeds, 0.0))))) + 1e-12
+        vals = [adaptive_gk(lambda t, i=i: parts(t)[i], -half, half,
+                            epsabs=EPSREL * s_scale * 2.0 * half,
+                            initial_points=seeds)[0] / (2.0 * half) for i in range(4)]
+        nu_plus, nu_minus, xi = vals[0], vals[1], complex(vals[2], vals[3])
+        q_excess = 0.5 * (nu_plus + nu_minus) + nu_plus * nu_minus - abs(xi) ** 2
+        assert filtered_entanglement(d, n_th, FilterSpec(omega, tau), FilterSpec(-omega, tau),
+                                     shape) == float(log_negativity(nu_plus, nu_minus, xi,
+                                                                    q_excess))
 
     def test_converges_to_spectral_density(self):
         d = self.drift()
