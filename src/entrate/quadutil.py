@@ -1,5 +1,5 @@
-"""Adaptive panel integration on a Gauss-Kronrod (7, 15) pair, and a
-batched grid-zoom minimizer.
+"""Adaptive panel integration on a Gauss-Kronrod (7, 15) pair, plus a
+batched grid-zoom minimizer and a vectorized bisection.
 
 Built for integrands that are cheap to evaluate on whole arrays at once,
 over a problem axis: adaptive_gk_batch integrates P problems in one loop
@@ -11,7 +11,10 @@ that problem's panels alone, and its totals add its panels in the order of
 their positions, so a problem's result does not depend on the other
 problems in the batch.
 adaptive_gk and minimize_scalar are the one-problem calls of the batched
-loops.
+loops. The rates path finds its peaks and half-maximum flanks as
+polynomial roots, so the minimizer has no caller in the package: it is the
+zoom of the tests' sampled peak reference, and minimize_scalar stays bound
+in rates, where the benchmark tracer wraps it.
 """
 
 from __future__ import annotations

@@ -44,7 +44,7 @@ on the 2x2 block of the effective model. The full model does not couple a+
 to a-^dag directly (m_+- = 0), so A_+- = m_+b m_b- there, and K is a
 constant in both models: K = kappa^2 g^4 / 4 (full) or
 kappa^2 g^4 / (4 delta^2) (effective). So E > 0 at every frequency when
-g > 0 and E = 0 everywhere when g = 0; a probe scan tells the two apart.
+g > 0 and E = 0 everywhere when g = 0; the constant K tells the two apart.
 
 Crossings as polynomial roots. A(t) = t^2 I + t (tr m I - m) + adj m
 (k = 3) or t I + adj m (k = 2), and det(m + t) is the characteristic
@@ -52,8 +52,9 @@ polynomial t^3 + t^2 tr m + t tr adj m + det m (or t^2 + t tr m + det m);
 the kernel evaluates S from the same coefficients (scattering.BeamBlocks).
 So in y = omega / s, s = max |eig m| + max decay, the quantities
 D = |det|^2, V = (nu_plus + nu_minus) D and K are real polynomials, of
-degree 2k, 2k - 2 and 2k - 2. Multiplying the quadratic at x = c by D,
-2 eta_minus = c holds exactly where
+degree 2k, 2k - 4 and 0 (A_+- and A_-+ are constants, A_+b and A_-b
+linear). Multiplying the quadratic at x = c by D, 2 eta_minus = c holds
+exactly where
 
     P_c = u^2 D + 2 u V - K = 0,   u = 1 - c,
 
@@ -62,25 +63,49 @@ other root is 2 eta_plus >= 1 > c. The FWHM flanks are the real roots
 nearest omega_max at c = e^(-E_max / 2), polished by a few batched secant
 steps on the kernel.
 
+Peaks as polynomial roots. u = 1 - e^-E solves P_u = 0 at every y and
+rises with E, so E is stationary where u' = -(u^2 D' + 2 u V') / (2 (u D
++ V)) vanishes, i.e. at u = -2 V' / D'. Putting that u back into P_u = 0
+gives every stationary point of E among the real roots of
+
+    R = 4 V'^2 D - 4 V V' D' - K D'^2,
+
+of degree 4k - 2: 10 (full model; the terms with V reach degree 8) or 6
+(effective model, where V is a constant and R = -K D'^2). R also vanishes
+where 2 eta_plus, the other root of P_u, is stationary. The real part of
+every root is a candidate, and E is evaluated there. E > 0 falls to 0 at
+both ends of the line and is monotonic between its stationary points, so
+among the candidates sorted by omega, with E = 0 at both ends, every
+local maximum of E is a candidate and a candidate that is no stationary
+point of E is no strict local maximum: the peak count runs on that list,
+less each candidate within 4 ulp of the one before it (two roots on one
+flat top). E_max is the best candidate after Newton steps on u', each one
+batched kernel pass for u and the polynomials for u' and u''. A step
+longer than a thousandth of s is not taken: it starts from a candidate
+that is no stationary point of E. Newton steps may carry such a candidate
+onto a peak, which is why the count uses the candidates as found. Of two
+mirror peaks equal to 4 ulp, omega_max is the one at omega >= 0. The
+beam-1 output spectrum nu_plus = N / D,
+N = kappa_+ kappa_- |A_+-|^2 + n_th kappa_+ gamma |A_+b|^2, peaks at a real
+root of N' D - N D', found and polished the same way.
+
 The integral. Gamma_E is integrated over the whole frequency line on one
 compact angle: omega = s' tan(theta) with s' = max(decay) maps the line
 onto (-pi/2, pi/2), and the integrand E(s' tan theta) s' / cos^2(theta)
 stays bounded at the ends because E falls off like |omega|^-3 (full model)
 or |omega|^-2 (effective model). The Gauss-Kronrod panels start at the
-drift resonances and at +-1 and +-5 linewidths around each; one scan of a
-grid seeded at the same resonances (so narrow near-instability peaks are
-never missed) finds E_max and the secondary peaks. When two mirror peaks
-are equal to 4 ulp, omega_max is the one at omega >= 0.
+drift resonances and at +-1 and +-5 linewidths around each.
 
 The problem axis. entanglement_rates computes the rates of P drifts of one
-model together: one probe scan (a few problems per kernel pass, so its
-arrays stay bounded), the crossing polynomials and their roots (one
-stacked eigen-solve of the companion matrices), one Gauss-Kronrod loop
-whose panels carry a problem id, one peak zoom and one FWHM polish, each
-step batched kernel passes over all problems. Every decision is taken per
-problem from that problem's numbers, and the kernel is elementwise, so a
-result does not depend on the batch it was computed in: entanglement_rate
-is the call with P = 1, and a sweep's rows equal it bit for bit.
+model together: the polynomials D, V and K of every problem (computed
+once, for the peaks and the flanks), the peak and crossing polynomials
+and their roots (stacked eigen-solves of the companion matrices), one
+Gauss-Kronrod loop whose panels carry a problem id, one peak polish and
+one FWHM polish, each step batched kernel passes over all problems. Every
+decision is taken per problem from that problem's numbers, and the kernel
+is elementwise, so a result does not depend on the batch it was computed
+in: entanglement_rate is the call with P = 1, and a sweep's rows equal it
+bit for bit.
 """
 
 from __future__ import annotations
@@ -94,20 +119,22 @@ import numpy as np
 from .errors import QuadratureError, UnstableSystemError
 from .models import (PAIRING_DEFECT_TOL, DriftMatrix, StabilityReport, stability,
                      stability_batch)
-from .quadutil import adaptive_gk_batch, minimize_batch
+from .quadutil import adaptive_gk_batch
 # unused here, but the benchmark tracer wraps these names in rates
 from .quadutil import adaptive_gk, bisect_all, minimize_scalar  # noqa: F401
 from .scattering import BeamBlocks, _kernel, _require_stable, correlator_batch
 
-_PEAK_OFFSETS = np.array([0.0, 0.25, -0.25, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0,
+#: Grid points around each resonance of frequency_grid, in linewidths.
+_GRID_OFFSETS = np.array([0.0, 0.25, -0.25, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0,
                           5.0, -5.0, 10.0, -10.0, 25.0, -25.0, 50.0, -50.0,
                           100.0, -100.0])
 #: Gauss-Kronrod panel edges around each resonance, in linewidths.
 _SEED_OFFSETS = np.array([0.0, 1.0, -1.0, 5.0, -5.0])
-#: Batched secant steps that polish the FWHM flanks on the kernel.
+#: Batched secant steps that polish the FWHM flanks on the kernel, and
+#: kernel passes of the Newton polish of the stationary points.
 _POLISH_STEPS = 3
-#: Problems per batched pass of the probe scan.
-_SCAN_PROBLEMS = 8
+#: Longest Newton step of the stationary-point polish, in units of s.
+_NEWTON_REACH = 1e-3
 #: Sign pattern J of the reciprocity m^T = J m J of the beam block.
 _RECIPROCITY_SIGNS = np.array([1.0, -1.0, 1.0])
 
@@ -181,25 +208,22 @@ def _around(centers: np.ndarray, widths: np.ndarray, offsets: np.ndarray) -> np.
     return (centers[:, None] + widths[:, None] * offsets).ravel()
 
 
-def _grid(d: DriftMatrix, centers: np.ndarray, widths: np.ndarray) -> np.ndarray:
-    span = float(np.max(np.abs(centers)) + 20.0 * np.max(d.decay) + 1.0)
-    out = np.unique(np.concatenate([np.linspace(-span, span, 241),
-                                    _around(centers, widths, _PEAK_OFFSETS)]))
-    out = out[(out >= -span) & (out <= span)]
-    # a probe within round-off of its neighbour would let the peak search
-    # bracket the maximum by the pair on one side
-    return out[np.r_[True, np.diff(out) > 1e-12 * span]]
-
-
 def frequency_grid(d: DriftMatrix, eigenvalues: np.ndarray | None = None) -> np.ndarray:
     """Sorted frequency grid seeded at the drift resonances: per-resonance
-    offsets scaled by the local linewidth plus a coarse global grid. The
-    one grid of the package: it is the Gamma_E probe scan, the sweep's
-    spectrum peak and the filter averages of wannier. eigenvalues, the
-    eigenvalues of d.m when already known, saves the eigen-solve."""
+    offsets scaled by the local linewidth plus a coarse global grid. It
+    seeds the panels of the filter averages of wannier; the rate path
+    needs no grid (its peaks and flanks are polynomial roots).
+    eigenvalues, the eigenvalues of d.m when already known, saves the
+    eigen-solve."""
     if eigenvalues is None:
         eigenvalues = np.linalg.eigvals(d.m)
-    return _grid(d, *_resonances(eigenvalues, d.decay))
+    centers, widths = _resonances(eigenvalues, d.decay)
+    span = float(np.max(np.abs(centers)) + 20.0 * np.max(d.decay) + 1.0)
+    out = np.unique(np.concatenate([np.linspace(-span, span, 241),
+                                    _around(centers, widths, _GRID_OFFSETS)]))
+    out = out[(out >= -span) & (out <= span)]
+    # a point within round-off of its neighbour would make an empty panel
+    return out[np.r_[True, np.diff(out) > 1e-12 * span]]
 
 
 def _require_reciprocal(m: np.ndarray) -> None:
@@ -225,10 +249,11 @@ def _poly_abs2(p: np.ndarray) -> np.ndarray:
 
 
 def _beam_polynomials(blocks: BeamBlocks, s: np.ndarray,
-                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(D, V, K) of the module docstring: their real coefficients, highest
-    power first, in y = omega / s[p], one row per problem, from the
-    adjugate and characteristic-polynomial coefficients of the kernel."""
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(D, V, K, N) of the module docstring: their real coefficients,
+    highest power first, in y = omega / s[p], one row per problem, from the
+    adjugate and characteristic-polynomial coefficients of the kernel; V, K
+    and N with the leading zeros of 2k - 1 coefficients."""
     k = blocks.k
     powers = (1j * s[:, None]) ** np.arange(k, -1, -1)   # t^j = (i s y)^j
     # det, then the entries A_+-, A_-+ [, A_+b, A_-b] (degree k - 1, with a
@@ -240,33 +265,64 @@ def _beam_polynomials(blocks: BeamBlocks, s: np.ndarray,
     sq = _poly_abs2(polys)
     a2 = sq[:, 1:, 2:]                                  # |A_ij|^2, degree 2k - 2
     kp, km = blocks.decay[:, :1], blocks.decay[:, 1:2]
-    pair = kp * km * (a2[:, 0] + a2[:, 1])
+    n_plus = kp * km * a2[:, 0]
+    pair = n_plus + kp * km * a2[:, 1]
     v = pair
     if k == 3:
-        n = blocks.n_th[:, None]
-        v = pair + blocks.decay[:, 2:] * (n * kp * a2[:, 2] + (n + 1.0) * km * a2[:, 3])
-    return sq[:, 0], v, 2.0 * pair
+        n, gam = blocks.n_th[:, None], blocks.decay[:, 2:]
+        n_plus = n_plus + n * kp * gam * a2[:, 2]
+        v = pair + gam * (n * kp * a2[:, 2] + (n + 1.0) * km * a2[:, 3])
+    return sq[:, 0], v, 2.0 * pair, n_plus
 
 
-def _crossings(blocks: BeamBlocks, s: np.ndarray, levels: np.ndarray) -> np.ndarray:
-    """Frequencies where E = levels[p] > 0 for each problem p, i.e.
-    2 eta_minus = c = e^-level: the real roots of P_c (module docstring),
-    unpolished, from one stacked eigen-solve of the companion matrices (the
-    matrix np.roots builds); NaN in place of a complex root."""
-    d_poly, v_poly, k_poly = _beam_polynomials(blocks, s)
-    u = -np.expm1(-levels)[:, None]
-    p = u * u * d_poly
-    p[:, 2:] += 2.0 * u * v_poly - k_poly
+def _polyder(p: np.ndarray) -> np.ndarray:
+    """Coefficients of the derivative of every polynomial along the last axis."""
+    return p[..., :-1] * np.arange(p.shape[-1] - 1, 0, -1)
+
+
+def _polymul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Coefficients of the products of the polynomials of a and b, row by row."""
+    out = np.zeros((*a.shape[:-1], a.shape[-1] + b.shape[-1] - 1))
+    for j in range(b.shape[-1]):
+        out[..., j:j + a.shape[-1]] += a * b[..., j:j + 1]
+    return out
+
+
+def _polyval(p: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The polynomial of row p[i] at every y[i, :], by Horner's rule."""
+    out = np.zeros(y.shape)
+    for c in p.T:
+        out = out * y + c[:, None]
+    return out
+
+
+def _roots(p: np.ndarray) -> np.ndarray:
+    """Complex roots of the polynomial of every row of p (nonzero leading
+    coefficient), from one stacked eigen-solve of the companion matrices
+    (the matrix np.roots builds)."""
     n = p.shape[1] - 1
     companion = np.zeros((len(p), n, n))
     companion[:, 0] = -p[:, 1:] / p[:, :1]
     companion[:, 1:, :-1] = np.eye(n - 1)
-    roots = np.linalg.eigvals(companion)
+    return np.linalg.eigvals(companion)
+
+
+def _crossings(polys: tuple[np.ndarray, ...], s: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    """Frequencies where E = levels[p] > 0 for each problem p, i.e.
+    2 eta_minus = c = e^-level: the real roots of P_c (module docstring)
+    built from the problems' _beam_polynomials, unpolished; NaN in place of
+    a complex root."""
+    d_poly, v_poly, k_poly = polys[:3]
+    u = -np.expm1(-levels)[:, None]
+    p = u * u * d_poly
+    p[:, 2:] += 2.0 * u * v_poly - k_poly
+    roots = _roots(p)
     real = roots.imag ** 2 <= 1e-16 * (roots.real ** 2 + roots.imag ** 2)
     return np.where(real, s[:, None] * roots.real, np.nan)
 
 
-def _fwhms(blocks: BeamBlocks, s: np.ndarray, omega_max: np.ndarray, e_max: np.ndarray,
+def _fwhms(blocks: BeamBlocks, s: np.ndarray, polys: tuple[np.ndarray, ...],
+           omega_max: np.ndarray, e_max: np.ndarray,
            ) -> tuple[np.ndarray, list[QuadratureError | None]]:
     """Half-maximum width of the dominant peak of each problem (e_max > 0):
     the distance between the crossings of E = e_max / 2 nearest omega_max
@@ -274,7 +330,7 @@ def _fwhms(blocks: BeamBlocks, s: np.ndarray, omega_max: np.ndarray, e_max: np.n
     (the point with the smallest |E - e_max / 2| seen is kept). A problem
     with no crossing on one side gets a QuadratureError and a NaN width."""
     half = 0.5 * e_max
-    roots = _crossings(blocks, s, half)
+    roots = _crossings(polys, s, half)
     left = np.max(np.where(roots < omega_max[:, None], roots, -np.inf), axis=1)
     right = np.min(np.where(roots > omega_max[:, None], roots, np.inf), axis=1)
     found = np.isfinite(left) & np.isfinite(right)
@@ -314,31 +370,102 @@ def _fwhms(blocks: BeamBlocks, s: np.ndarray, omega_max: np.ndarray, e_max: np.n
     return widths, failures
 
 
-# the benchmark tracer wraps this name; the flanks are polynomial roots now
+def _polish(value, s: np.ndarray, y: np.ndarray, newton_step,
+            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Candidates y[p, j] (in units of s[p]) for the stationary points of
+    f = value(omega, pid) of problem p: f at all of them, sorted by omega
+    per problem, and (omega, f) of the best of each problem after Newton
+    steps, in at most _POLISH_STEPS kernel passes in all; of two
+    mirror peaks equal to 4 ulp, the one at omega >= 0 (one more pass).
+    newton_step(f, y) is the Newton step towards the stationary point of
+    each candidate. A step that is not finite or longer than _NEWTON_REACH
+    is not taken, and a candidate stops once its step is below 4 ulp or was
+    not taken."""
+    pid = np.broadcast_to(np.arange(s.size)[:, None], y.shape)
+    f = value((s[:, None] * y).ravel(), pid.ravel()).reshape(y.shape)
+    found = np.take_along_axis(f, np.argsort(y, axis=1, kind="stable"), axis=1)
+    active = np.ones(y.shape, dtype=bool)
+    for _ in range(_POLISH_STEPS - 1):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = newton_step(f, y)
+        active &= ((np.abs(step) <= _NEWTON_REACH)
+                   & (np.abs(step) > 4.0 * np.finfo(float).eps * np.abs(y)))
+        if not active.any():
+            break
+        y = np.where(active, y - step, y)
+        f[active] = value((s[:, None] * y)[active], pid[active])
+    best = np.argmax(f, axis=1)
+    rows = np.arange(s.size)
+    omega_max, f_max = s * y[rows, best], f[rows, best]
+    # of two mirror peaks equal to round-off, report the one at omega >= 0
+    neg = np.flatnonzero(omega_max < 0)
+    f_mirror = value(-omega_max[neg], neg)
+    tie = f_mirror >= f_max[neg] - 4.0 * np.spacing(f_max[neg])
+    omega_max[neg[tie]], f_max[neg[tie]] = -omega_max[neg[tie]], f_mirror[tie]
+    return found, omega_max, f_max
+
+
+def _stationary(blocks: BeamBlocks, s: np.ndarray, polys: tuple[np.ndarray, ...],
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The peak candidates of each problem (K > 0), by _polish: E at the
+    real parts of the roots of R (module docstring), sorted by omega, and
+    (omega_max, E_max) after Newton steps on u'."""
+    d, v, k = polys[:3]
+    d1, v1 = _polyder(d), _polyder(v)
+    d2, v2 = _polyder(d1), _polyder(v1)
+    # V has degree 2k - 4, so R has degree 4k - 2: the leading zeros go
+    r = 4.0 * (_polymul(_polymul(v1, v1), d)
+               - _polymul(_polymul(v, v1), d1))[:, -(4 * blocks.k - 1):]
+    r -= k[:, -1:] * _polymul(d1, d1)
+
+    def newton_step(e: np.ndarray, y: np.ndarray) -> np.ndarray:
+        # u' / u'' by implicit differentiation of P_u = 0 in y
+        u = -np.expm1(-e)
+        dy, vy, dy1, vy1 = (_polyval(c, y) for c in (d, v, d1, v1))
+        f_u = 2.0 * (u * dy + vy)
+        du = -u * (u * dy1 + 2.0 * vy1) / f_u
+        ddu = -(2.0 * dy * du * du + 4.0 * (u * dy1 + vy1) * du
+                + u * (u * _polyval(d2, y) + 2.0 * _polyval(v2, y))) / f_u
+        return du / ddu
+
+    return _polish(lambda w, pid: _density(blocks, w, pid), s, _roots(r).real, newton_step)
+
+
+# the benchmark tracer wraps these names; the peaks and the flanks are
+# polynomial roots now
 _fwhm_by_bisection = _fwhms
+_positive_intervals = _stationary
 
 
-def _positive_intervals(blocks: BeamBlocks, drifts: list[DriftMatrix],
-                        resonances: list[tuple[np.ndarray, np.ndarray]],
-                        ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """(probes, E) of each problem at the probes of its resonance grid
-    where E > 0. The problem's E > 0 region is the whole line when any probe
-    is positive and empty otherwise, since E > 0 wherever K > 0 and K does
-    not depend on omega (module docstring). _SCAN_PROBLEMS problems are
-    scanned per batched pass, so the scan's arrays do not grow with the
-    batch."""
-    cand, cand_e = [], []
-    for start in range(0, len(drifts), _SCAN_PROBLEMS):
-        grids = [_grid(d, *r) for d, r in zip(drifts[start:start + _SCAN_PROBLEMS],
-                                              resonances[start:start + _SCAN_PROBLEMS])]
-        counts = [g.size for g in grids]
-        e = _density(blocks, np.concatenate(grids),
-                     np.repeat(np.arange(start, start + len(grids)), counts))
-        for g, v in zip(grids, np.split(e, np.cumsum(counts)[:-1])):
-            keep = v > 0
-            cand.append(g[keep])
-            cand_e.append(v[keep])
-    return cand, cand_e
+def spectrum_peak(d: DriftMatrix, n_th: float = 0.0, eigenvalues: np.ndarray | None = None,
+                  ) -> tuple[float, float]:
+    """(omega, height) of the maximum of the beam-1 output spectrum
+    nu_plus = N / D (module docstring): the best real root of N' D - N D',
+    polished by Newton steps with nu_plus from the kernel; (0, 0) when the
+    spectrum vanishes (g = 0). No stability check. eigenvalues, the
+    eigenvalues of d.m when already known, saves the eigen-solve."""
+    if eigenvalues is None:
+        eigenvalues = np.linalg.eigvals(d.m)
+    blocks = BeamBlocks.of([d], [n_th])
+    s = np.array([_scale(eigenvalues, d.decay)])
+    dp, _, _, n = _beam_polynomials(blocks, s)
+    d1, n1 = _polyder(dp), _polyder(n)
+    # N has degree 2k - 4, or 0 without the thermal input: exact leading
+    # zeros, trimmed
+    r = np.trim_zeros((_polymul(n1, dp) - _polymul(n, d1))[0], "f")
+    if r.size < 2:
+        return 0.0, 0.0
+
+    def newton_step(f: np.ndarray, y: np.ndarray) -> np.ndarray:
+        # f' and f'' from N = f D
+        dy, dy1 = _polyval(dp, y), _polyval(d1, y)
+        df = (_polyval(n1, y) - f * dy1) / dy
+        return df / ((_polyval(_polyder(n1), y) - 2.0 * df * dy1 - f * _polyval(_polyder(d1), y))
+                     / dy)
+
+    _, (omega,), (height,) = _polish(lambda w, pid: np.add(*_kernel(blocks, w, pid)[:2]), s,
+                                     _roots(r[None]).real, newton_step)
+    return float(omega), float(height)
 
 
 def entanglement_rates(drifts: Sequence[DriftMatrix], n_ths: Sequence[float],
@@ -382,53 +509,47 @@ def _rates(drifts: list[DriftMatrix], n_ths: list[float], eigenvalues: list[np.n
            tol: float) -> list[RateResult | Exception]:
     """The batched rate of entanglement_rates for stable, reciprocal drifts."""
     blocks = BeamBlocks.of(drifts, n_ths)
-    resonances = [_resonances(e, d.decay) for e, d in zip(eigenvalues, drifts)]
-    # the peak candidates: the probes with E > 0
-    cand, cand_e = _positive_intervals(blocks, drifts, resonances)
+    s = np.array([_scale(e, d.decay) for e, d in zip(eigenvalues, drifts)])
+    polys = _beam_polynomials(blocks, s)
     out: list[RateResult | Exception] = [RateResult(0.0, 0.0, 0.0, 0.0, 0.0, 0)] * len(drifts)
-    pos = np.flatnonzero([c.size > 0 for c in cand])
+    # E > 0 on the whole line where K > 0, E = 0 everywhere where K = 0
+    pos = np.flatnonzero(polys[2][:, -1] > 0)
     if not pos.size:
         return out
     if pos.size < len(blocks):
-        blocks = blocks.take(pos)
-        cand, cand_e = [cand[p] for p in pos], [cand_e[p] for p in pos]
-
-    def e_batch(w: np.ndarray, pid: np.ndarray) -> np.ndarray:
-        return _density(blocks, w, pid)
+        blocks, s, polys = blocks.take(pos), s[pos], tuple(p[pos] for p in polys)
 
     # E has all its structure at the resonances, so panels that start
     # there only need polishing; half of tol * 2 pi is the budget
     scale = np.max(blocks.decay, axis=1)
     edges = []
     for p, sc in zip(pos, scale):
-        seeds = np.arctan(_around(*resonances[p], _SEED_OFFSETS) / sc)
+        seeds = np.arctan(_around(*_resonances(eigenvalues[p], drifts[p].decay),
+                                  _SEED_OFFSETS) / sc)
         edges.append(np.unique(np.concatenate(
             [[-0.5 * math.pi, 0.5 * math.pi], seeds[np.abs(seeds) < 0.5 * math.pi]])))
 
     def integrand(theta: np.ndarray, pid: np.ndarray) -> np.ndarray:
         t, sc = np.tan(theta), scale[pid]
-        return e_batch(sc * t, pid) * (sc * (1.0 + t * t))
+        return _density(blocks, sc * t, pid) * (sc * (1.0 + t * t))
 
     totals, errors, gk_failures = adaptive_gk_batch(integrand, edges,
                                                     np.full(pos.size, math.pi * tol))
 
-    # peak statistics from the probe set
-    omega_max, e_max = _refined_peaks(e_batch, cand, cand_e, xtol=1e-10)
-    # of two mirror peaks equal to round-off, report the one at omega >= 0
-    neg = np.flatnonzero(omega_max < 0)
-    e_mirror = e_batch(-omega_max[neg], neg)
-    tie = e_mirror >= e_max[neg] - 4.0 * np.spacing(e_max[neg])
-    omega_max[neg[tie]], e_max[neg[tie]] = -omega_max[neg[tie]], e_mirror[tie]
-    widths, fwhm_failures = _fwhms(
-        blocks, np.array([_scale(eigenvalues[p], drifts[p].decay) for p in pos]),
-        omega_max, e_max)
+    values, omega_max, e_max = _stationary(blocks, s, polys)
+    widths, fwhm_failures = _fwhms(blocks, s, polys, omega_max, e_max)
     for i, p in enumerate(pos):
         failure = gk_failures[i] or fwhm_failures[i]
+        # E = 0 at both ends of the line; a candidate within 4 ulp of the one
+        # before it lies on the same flat top
+        e = values[i]
+        e = e[np.r_[True, np.abs(np.diff(e)) > 4.0 * np.spacing(e[1:])]]
+        peaks = _count_local_maxima(np.r_[0.0, e, 0.0], e_max[i])
         out[p] = failure or RateResult(
             gamma_E=float(totals[i]) / (2.0 * math.pi), E_max=float(e_max[i]),
             omega_max=float(omega_max[i]), fwhm=float(widths[i]),
             quadrature_error=float(errors[i]) / (2.0 * math.pi),
-            secondary_peaks=max(_count_local_maxima(cand[i], cand_e[i], e_max[i]) - 1, 0))
+            secondary_peaks=max(peaks - 1, 0))
     return out
 
 
@@ -443,25 +564,7 @@ def entanglement_rate(d: DriftMatrix, n_th: float = 0.0, tol: float = 1e-6) -> R
     return result
 
 
-def _refined_peaks(e_batch, grids: list[np.ndarray], values: list[np.ndarray],
-                   xtol: float) -> tuple[np.ndarray, np.ndarray]:
-    """(omega_max, E_max) per problem: the largest sample of its E on its
-    sorted grid, refined between that sample's neighbours to
-    xtol * max(1, |omega|) by one batched zoom (e_batch(w, pid) evaluates
-    problem pid[i] at w[i]); the sample itself when the refinement finds
-    nothing higher."""
-    ks = [int(np.argmax(v)) for v in values]
-    x_s = np.array([g[k] for g, k in zip(grids, ks)])
-    f_s = np.array([v[k] for v, k in zip(values, ks)])
-    x, f = minimize_batch(lambda w, pid: -e_batch(w, pid),
-                          [g[max(k - 1, 0)] for g, k in zip(grids, ks)],
-                          [g[min(k + 1, g.size - 1)] for g, k in zip(grids, ks)],
-                          xtol=xtol * np.maximum(1.0, np.abs(x_s)))
-    keep = -f < f_s
-    return np.where(keep, x_s, x), np.where(keep, f_s, -f)
-
-
-def _count_local_maxima(x: np.ndarray, y: np.ndarray, e_max: float) -> int:
+def _count_local_maxima(y: np.ndarray, e_max: float) -> int:
     """Peak count with a prominence floor of 1% of the dominant peak, so the
     float-level jitter of strongly squeezed points does not register. A
     peak is an interior strict maximum once plateaus are collapsed; its

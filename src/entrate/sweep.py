@@ -120,6 +120,17 @@ def _json_column(col: Sequence) -> list[str]:
     return cells
 
 
+def _is_integer(value) -> bool:
+    """An int, but not a bool (JSON true and false)."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    """An int or a float, but not a bool: config values are checked, not
+    coerced."""
+    return _is_integer(value) or isinstance(value, (float, np.floating))
+
+
 @dataclass(frozen=True)
 class SweepAxis:
     name: str
@@ -131,13 +142,13 @@ class SweepAxis:
     def __post_init__(self):
         if self.name not in AXIS_NAMES:
             raise ValueError(f"axis name must be one of {AXIS_NAMES}, got {self.name!r}")
-        if not isinstance(self.steps, (int, np.integer)):
+        if not _is_integer(self.steps):
             raise ValueError(f"axis {self.name} steps must be an integer, got {self.steps!r}")
         if self.steps < 2:
             raise ValueError("axis needs steps >= 2")
         for bound, value in (("min", self.min), ("max", self.max)):
-            if not math.isfinite(value):
-                raise ValueError(f"axis {self.name} {bound} must be finite, got {value}")
+            if not (_is_number(value) and math.isfinite(value)):
+                raise ValueError(f"axis {self.name} {bound} must be finite, got {value!r}")
         if not self.min < self.max:
             raise ValueError("axis needs min < max")
         if self.log and self.min <= 0:
@@ -171,8 +182,10 @@ class SweepConfig:
             raise ValueError(f"unknown quantities {unknown}; allowed: {QUANTITIES}")
         if not self.quantities:
             raise ValueError("at least one quantity is required")
-        if not 0 < self.tol < math.inf:
-            raise ValueError(f"tol must be a finite positive number, got {self.tol}")
+        if not (_is_number(self.tol) and 0 < self.tol < math.inf):
+            raise ValueError(f"tol must be a finite positive number, got {self.tol!r}")
+        if not _is_integer(self.jobs):
+            raise ValueError(f"jobs must be an integer, got {self.jobs!r}")
         if self.jobs < 0:
             raise ValueError(f"jobs must be >= 0 (0 = all cores), got {self.jobs}")
         unknown = sorted(set(self.fixed) - models.PARAMETER_NAMES)
@@ -181,7 +194,7 @@ class SweepConfig:
                              f"allowed: {sorted(models.PARAMETER_NAMES)}")
         for name, value in self.fixed.items():
             # one non-finite parameter would fail every grid point
-            if not (isinstance(value, (int, float)) and math.isfinite(value)):
+            if not (_is_number(value) and math.isfinite(value)):
                 raise ValueError(f"{name} must be finite, got {value!r}")
         if "pair_rate" in self.quantities and self.model != "effective":
             raise ValueError("pair_rate is defined for the effective model only")
@@ -197,8 +210,7 @@ class SweepConfig:
             axes = [SweepAxis(**ax) for ax in doc["axes"]]
             return cls(model=doc["model"], fixed=dict(doc.get("fixed", {})),
                        axes=axes, quantities=list(doc["quantities"]),
-                       tol=float(doc.get("tol", 1e-6)),
-                       jobs=int(doc.get("jobs", 0)))
+                       tol=doc.get("tol", 1e-6), jobs=doc.get("jobs", 0))
         except KeyError as exc:
             raise ValueError(f"sweep config is missing required field {exc}") from exc
         except TypeError as exc:
@@ -281,7 +293,7 @@ def _eval_chunk(payload: tuple[tuple[str, ...], float,
             if "pair_rate" in quantities:
                 values["pair_rate"] = scattering._pair_rate(drift)
             if "spectrum" in quantities:
-                values["spectrum_peak_omega"], values["spectrum_peak"] = _spectrum_peak(
+                values["spectrum_peak_omega"], values["spectrum_peak"] = rates.spectrum_peak(
                     drift, n_th, rep.eigenvalues)
             out.append(values)
         except EntrateError as exc:
@@ -304,15 +316,6 @@ def _eval_point(axis_values: tuple[float, ...], quantities: tuple[str, ...],
         return SweepRow(axis_values, out, "unstable")
     out.update(computed)
     return SweepRow(axis_values, out, "ok")
-
-
-def _spectrum_peak(drift, n_th: float, eigenvalues: np.ndarray) -> tuple[float, float]:
-    """Location and height of the maximum of the beam-1 output spectrum
-    on rates.frequency_grid."""
-    omegas = rates.frequency_grid(drift, eigenvalues)
-    optical, mechanical = scattering.spectrum_parts(drift, omegas, n_th)
-    k = int(np.argmax(optical + mechanical))
-    return float(omegas[k]), float(optical[k] + mechanical[k])
 
 
 def run_sweep(config: SweepConfig) -> SweepResult:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.signal import find_peaks
 
@@ -12,13 +12,14 @@ from entrate.models import (BEAM_BLOCK, DriftMatrix, EffectiveModelParams, FullM
                             drift_effective, drift_full, stability)
 from entrate.quadutil import bisect_all
 from entrate.rates import (_beam_polynomials, _count_local_maxima, _density, _fwhms,
-                           _refined_peaks,
                            _scale, entanglement_rate, entanglement_rates, frequency_grid,
-                           spectral_density, spectral_density_batch, spectrum_and_density)
+                           spectral_density, spectral_density_batch, spectrum_and_density,
+                           spectrum_peak)
 from entrate.scattering import BeamBlocks, correlator_batch, spectrum_parts
 from fwhm_reference import fwhm_by_bisection
 from lu_reference import scattering_matrices
 from mp_reference import reference_point
+from peak_reference import refined_peaks
 from paper_helpers import symmetrized_density, to_nats_per_second
 from strategies import stable_drifts
 
@@ -112,17 +113,21 @@ class TestWholeLineAndCrossings:
         # K |det|^-2 = 2 (nu+ + nu- - 2 (q - 1/4)), with K from the adjugate
         # and |det|^2 from the kernel's own characteristic polynomial
         blocks = BeamBlocks.of([d], [n_th])
-        s = _scale(np.linalg.eigvals(d.m), d.decay)
-        _, _, k_poly = _beam_polynomials(blocks, np.array([s]))
+        s = np.array([_scale(np.linalg.eigvals(d.m), d.decay)])
+        polys = _beam_polynomials(blocks, s)
         nu_plus, nu_minus, _, q_excess = correlator_batch(d, probes, n_th)
         det2 = np.abs(np.polyval(blocks.char[0], 1j * probes)) ** 2
-        lhs = np.polyval(k_poly[0], probes / s) / det2
+        lhs = np.polyval(polys[2][0], probes / s[0]) / det2
         rhs = 2.0 * (nu_plus + nu_minus - 2.0 * q_excess)
         assert np.all(np.abs(lhs - rhs) <= 1e-12 * (nu_plus + nu_minus))
 
-        (omega_max,), (e_max,) = _refined_peaks(lambda w, _: spectral_density_batch(d, w, n_th),
-                                                [probes[:-2]], [e[:-2]], xtol=1e-10)
-        (width,), (failure,) = _fwhms(blocks, np.array([s]), np.array([omega_max]),
+        # the sampled scan and zoom as the peak reference: the stationary
+        # point is at least as high, up to the kernel's 1e-12 round-off at
+        # both points
+        (omega_max,), (e_max,) = refined_peaks(lambda w, _: spectral_density_batch(d, w, n_th),
+                                               [probes[:-2]], [e[:-2]], xtol=1e-10)
+        assert entanglement_rate(d, n_th).E_max >= e_max - 2e-12 * max(1.0, e_max)
+        (width,), (failure,) = _fwhms(blocks, s, polys, np.array([omega_max]),
                                       np.array([e_max]))
         assert failure is None
         assert abs(width - fwhm_by_bisection(d, n_th, omega_max, e_max)) <= 2e-9
@@ -365,6 +370,72 @@ class TestMirrorPeaks:
         assert abs(spectral_density(d, -rr.omega_max) - rr.E_max) <= 4 * np.spacing(rr.E_max)
 
 
+class TestStationaryPeaks:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(stable_drifts(), st.integers(0, 2 ** 32 - 1))
+    # a narrow mechanical peak at omega = 11.46 whose root of R is 1e-4 of
+    # the width off before the Newton steps
+    @example((full_drift(g=0.1429134375696507, Gamma=0.0025324393440224603,
+                         Delta=-0.4612045465808583, delta=11.460181182778033), 0.0), 0)
+    # kernel E 1.6e-12 above the 50-digit value next to this peak at omega = 4
+    @example((full_drift(g=math.sqrt(1e-3), Gamma=1e-3, Delta=1.0, delta=4.0), 1.0), 0)
+    def test_no_sample_exceeds_e_max(self, drift_nth, seed):
+        # 2,000 random frequencies, half uniform over the resonance span and
+        # half drawn around the resonances with their linewidths, and 100
+        # at 1e-9 to 1e-2 widths either side of omega_max
+        d, n_th = drift_nth
+        rr = entanglement_rate(d, n_th)
+        eig = np.linalg.eigvals(d.m)
+        span = np.max(np.abs(eig.imag)) + 20.0 * np.max(d.decay) + 1.0
+        rng = np.random.default_rng(seed)
+        near = rng.integers(eig.size, size=1000)
+        w = np.concatenate([rng.uniform(-span, span, 1000),
+                            -eig.imag[near] + np.abs(eig.real[near]) * rng.standard_normal(1000),
+                            rr.omega_max + rr.fwhm * np.geomspace(1e-9, 1e-2, 50),
+                            rr.omega_max - rr.fwhm * np.geomspace(1e-9, 1e-2, 50)])
+        # E carries the kernel's round-off, within 1e-12 max(1, E) of the
+        # 50-digit reference (test_scattering's TestBlockKernel) but
+        # far above 4 ulp at narrow resonances away from omega = 0: a sample
+        # near the top may have it and E_max not. A peak missed by 1e-5 of
+        # its width already shows
+        e = spectral_density_batch(d, w, n_th)
+        assert np.max(e) <= rr.E_max + 2e-12 * max(1.0, rr.E_max)
+
+    def test_flat_top_counts_once(self):
+        # twin maxima 6.5e-9 either side of omega = 0 with a dip of one ulp
+        # between them: one peak, not two
+        d = drift_effective(EffectiveModelParams(g=3.2030170506501308, delta=-26.914100684300678,
+                                                 Delta=-0.03103945095520999))
+        assert entanglement_rate(d).secondary_peaks == 0
+
+    @pytest.mark.parametrize("d, n_th", [
+        (full_drift(delta=10.0), 50.0), (full_drift(delta=10.0), 0.0), (full_drift(), 0.0),
+        (full_drift(g=2.0, Gamma=0.1, Delta=0.7, delta=-3.0), 1e3),
+        (drift_effective(EffectiveModelParams(g=5.0, delta=10.0, Delta=-0.2)), 0.0),
+        (drift_effective(EffectiveModelParams(g=1.5, delta=10.0, Delta=0.6)), 0.0)],
+        ids=["two_peaks", "two_peaks_nth0", "anchor", "thermal", "effective",
+             "effective_two_peaks"])
+    def test_spectrum_peak_against_dense_sampling(self, d, n_th):
+        omega, height = spectrum_peak(d, n_th)
+        assert height == np.sum(spectrum_parts(d, np.array([omega]), n_th))
+
+        def total(w):
+            return np.add(*spectrum_parts(d, w, n_th))
+        # a million-point scan, then 20,001 points across its best cell
+        grid = frequency_grid(d)
+        w = np.linspace(grid[0], grid[-1], 1_000_001)
+        k = int(np.argmax(total(w)))
+        fine = np.linspace(w[k - 1], w[k + 1], 20_001)
+        best = total(fine).max()
+        assert best <= height * (1.0 + 1e-13)
+        assert height <= best * (1.0 + 1e-9)
+        # of mirror twins the scan may find either; the one at omega >= 0
+        # is reported
+        at = fine[np.argmax(total(fine))]
+        assert min(abs(omega - at), abs(omega + at)) <= 1e-3 * (w[1] - w[0])
+        assert omega >= 0 or total(np.array([-omega]))[0] < height - 4.0 * np.spacing(height)
+
+
 class TestFwhm:
     def test_resonant_width_far_exceeds_mechanical_linewidth(self):
         gamma = 1e-3
@@ -401,11 +472,11 @@ class TestPeakCount:
            st.floats(0.0, 400.0))
     def test_matches_scipy_find_peaks(self, ys, e_max):
         y = np.array(ys, dtype=float)
-        assert _count_local_maxima(np.arange(y.size), y, e_max) == self.scipy_count(y, e_max)
+        assert _count_local_maxima(y, e_max) == self.scipy_count(y, e_max)
 
     def test_plateau_peak_and_border_plateau(self):
         y = np.array([0.0, 2.0, 2.0, 2.0, 0.0, 1.0, 1.0])
-        assert _count_local_maxima(np.arange(7), y, 2.0) == 1
+        assert _count_local_maxima(y, 2.0) == 1
 
 
 def test_refined_peak_keeps_a_sample_the_search_misses():
@@ -414,7 +485,7 @@ def test_refined_peak_keeps_a_sample_the_search_misses():
         return np.where(np.abs(w - 1e-3) < 1e-7, 5.0, 1.0 - np.abs(w - 0.5))
 
     grid = np.array([0.0, 1e-3, 1.0])
-    x, f = _refined_peaks(lambda w, _: e(w), [grid], [e(grid)], xtol=1e-10)
+    x, f = refined_peaks(lambda w, _: e(w), [grid], [e(grid)], xtol=1e-10)
     assert (x[0], f[0]) == (1e-3, 5.0)
 
 

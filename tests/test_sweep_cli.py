@@ -9,7 +9,8 @@ import pytest
 
 from entrate import cli
 from entrate.models import FullModelParams, drift_full
-from entrate.rates import entanglement_rate
+from entrate.rates import entanglement_rate, frequency_grid, spectrum_peak
+from entrate.scattering import spectrum_parts
 from entrate.sweep import (SweepAxis, SweepConfig, format_float, run_sweep)
 
 
@@ -149,6 +150,19 @@ class TestRunSweep:
             rr = entanglement_rate(drift_full(FullModelParams(
                 g=5.0, Gamma=1e-3, delta=delta, Delta=Delta)), n_th=0.0, tol=1e-6)
             assert row.values == {q: getattr(rr, q) for q in ("gamma_E", "E_max", "fwhm")}
+
+    def test_spectrum_quantity_is_the_stationary_peak(self):
+        # the sweep's spectrum columns are rates.spectrum_peak of the point,
+        # at least as high as every sample of the resonance grid
+        config = SweepConfig(model="full", fixed={"g": 5.0, "Gamma": 1e-3, "n_th": 50.0},
+                             axes=[SweepAxis("delta", 0.0, 10.0, 3)],
+                             quantities=["spectrum"], jobs=1)
+        for row in run_sweep(config).rows:
+            d = drift_full(FullModelParams(g=5.0, Gamma=1e-3, delta=row.axis_values[0]))
+            omega, height = spectrum_peak(d, 50.0)
+            assert (row.values["spectrum_peak_omega"], row.values["spectrum_peak"]) == (
+                omega, height)
+            assert height >= np.max(np.add(*spectrum_parts(d, frequency_grid(d), 50.0)))
 
     def test_log_spaced_temperature_sweep_slope(self):
         # 1-d n_th sweep at delta = Delta = 0: fitted slope -1 +- 0.1 in the
@@ -391,7 +405,14 @@ class TestCliCommands:
                 ({"jobz": 3}, "unknown sweep config keys ['jobz']"),
                 ({"output": 5}, "unknown sweep config keys ['output']"),
                 ({"axes": [{"name": "delta", "min": -1, "max": 1, "steps": 2.5}]},
-                 "axis delta steps must be an integer, got 2.5")):
+                 "axis delta steps must be an integer, got 2.5"),
+                # checked, not coerced: a string, a bool or a fraction of
+                # the right number type would otherwise run
+                ({"tol": "1e-3"}, "tol must be a finite positive number, got '1e-3'"),
+                ({"tol": True}, "tol must be a finite positive number, got True"),
+                ({"jobs": 2.5}, "jobs must be an integer, got 2.5"),
+                ({"jobs": True}, "jobs must be an integer, got True"),
+                ({"fixed": {"g": True}}, "g must be finite, got True")):
             cfg.write_text(json.dumps({**base, **change}))
             capsys.readouterr()
             assert run_cli(["sweep", "--config", str(cfg)]) == 2
