@@ -12,8 +12,8 @@ class UnphysicalStateError(EntrateError, ValueError):
 
 
 class UnstableSystemError(EntrateError, RuntimeError):
-    """The drift matrix has an eigenvalue with a real part that is positive
-    or within STABILITY_TOL of zero (a marginal point)."""
+    """The beam block of the drift, and so the drift, has an eigenvalue
+    whose real part is positive or within STABILITY_TOL of zero (marginal)."""
 
     def __init__(self, max_real_part: float, message: str | None = None):
         self.max_real_part = float(max_real_part)

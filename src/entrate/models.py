@@ -1,4 +1,5 @@
-"""Parameter sets and drift matrices for the linear bosonic network models.
+"""Parameter sets, beam blocks and drift matrices of the linear bosonic
+network models.
 
 Two models are provided: the "full" model with two localized optical modes
 coupled to one mechanical mode (6 doubled operators), and the "effective"
@@ -9,17 +10,25 @@ All rates are expressed in units of the optical intensity decay rate kappa,
 which is stored explicitly so that dimensional output remains possible.
 The operator ordering is fixed to (a+, a+^dag, a-, a-^dag[, b, b^dag]);
 the Langevin system reads dA/dt = m A - sqrt(decay) A_in per channel.
+
+The drift splits into the beam block (a+, a-^dag[, b]), which emits the
+two entangled beams, and its partner (a+^dag, a-[, b^dag]), the block's
+complex conjugate. Each model is written once, as the builder of its k x k
+beam block on parameter arrays (beam_blocks); drift_full and
+drift_effective are its case of one point with the partner placed by the
+ordering. The drift's eigenvalues are the block's and their conjugates, so
+stability is decided from the block's k eigenvalues.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from functools import cached_property
-from typing import Sequence
+from typing import Mapping
 
 import numpy as np
-from numpy.typing import NDArray
+from numpy.typing import ArrayLike, NDArray
 
 FULL_ORDERING = ("a_plus", "a_plus_dag", "a_minus", "a_minus_dag", "b", "b_dag")
 EFFECTIVE_ORDERING = FULL_ORDERING[:4]
@@ -33,13 +42,15 @@ STABILITY_TOL = 1e-9
 PAIRING_DEFECT_TOL = 1e-12
 
 
-def _require_finite(params) -> None:
-    """Raise ValueError naming the first field of a parameter set that is
-    not a finite number."""
+def _check(params) -> None:
+    """Raise the ValueError of the first check a parameter set fails."""
     for f in fields(params):
         value = getattr(params, f.name)
         if not math.isfinite(value):
             raise ValueError(f"{f.name} must be finite, got {value}")
+    for name, test, message in _CHECKS[type(params)]:
+        if not test(getattr(params, name)):
+            raise ValueError(message)
 
 
 @dataclass(frozen=True)
@@ -60,15 +71,7 @@ class FullModelParams:
     n_th: float = 0.0
 
     def __post_init__(self):
-        _require_finite(self)
-        if self.kappa <= 0:
-            raise ValueError("kappa must be positive")
-        if self.Gamma <= 0:
-            raise ValueError("Gamma must be positive")
-        if self.g < 0:
-            raise ValueError("g must be non-negative")
-        if self.n_th < 0:
-            raise ValueError("n_th must be non-negative")
+        _check(self)
 
     @property
     def cooperativity(self) -> float:
@@ -85,13 +88,87 @@ class EffectiveModelParams:
     Delta: float = 0.0
 
     def __post_init__(self):
-        _require_finite(self)
-        if self.kappa <= 0:
-            raise ValueError("kappa must be positive")
-        if self.g < 0:
-            raise ValueError("g must be non-negative")
-        if self.delta == 0:
-            raise ValueError("delta must be nonzero (the pair coupling is g^2/4delta)")
+        _check(self)
+
+
+#: What each parameter set requires of its finite fields, in the order
+#: checked: (field, test, message). The tests hold for valid values, on
+#: numbers and on arrays alike.
+_CHECKS = {
+    FullModelParams: (("kappa", lambda x: x > 0, "kappa must be positive"),
+                      ("Gamma", lambda x: x > 0, "Gamma must be positive"),
+                      ("g", lambda x: x >= 0, "g must be non-negative"),
+                      ("n_th", lambda x: x >= 0, "n_th must be non-negative")),
+    EffectiveModelParams: (("kappa", lambda x: x > 0, "kappa must be positive"),
+                           ("g", lambda x: x >= 0, "g must be non-negative"),
+                           ("delta", lambda x: x != 0,
+                            "delta must be nonzero (the pair coupling is g^2/4delta)")),
+}
+_MODELS = {"full": FullModelParams, "effective": EffectiveModelParams}
+#: The parameter names of either model: the fields of their parameter sets.
+PARAMETER_NAMES = frozenset(f.name for cls in _MODELS.values() for f in fields(cls))
+
+
+def _errors(cls, columns: Mapping[str, NDArray]) -> dict[int, str]:
+    """The ValueError message of the parameter set cls at each invalid
+    point of its parameter columns, by point index."""
+    ok = np.logical_and.reduce([np.isfinite(c) for c in columns.values()]
+                               + [test(columns[name]) for name, test, _ in _CHECKS[cls]])
+    errors = {}
+    for i in np.flatnonzero(~ok).tolist():
+        try:
+            cls(**{name: float(c[i]) for name, c in columns.items()})
+        except ValueError as exc:
+            errors[i] = str(exc)
+    return errors
+
+
+def _block_full(g, Gamma, kappa, Delta, delta, n_th):
+    """Beam block of the full model: da+/dt = (i Delta - kappa/2) a+ +
+    i(g/2) b - sqrt(kappa) a+_in, a-^dag with the conjugate detuning and
+    -i(g/2) b, and b with -i delta - Gamma/2 and i(g/2) (a+ + a-^dag)."""
+    hg = 0.5j * g
+    ka = 1j * Delta - kappa / 2
+    m = np.zeros((g.size, 3, 3), dtype=complex)
+    m[:, 0, 0] = ka;            m[:, 0, 2] = hg
+    m[:, 1, 1] = np.conj(ka);   m[:, 1, 2] = -hg
+    m[:, 2, 0] = hg;            m[:, 2, 1] = hg
+    m[:, 2, 2] = -1j * delta - Gamma / 2
+    return m, np.stack([kappa, kappa, Gamma], axis=1), n_th
+
+
+def _block_effective(g, delta, kappa, Delta):
+    """Beam block of the effective model: diagonal +-i(Delta + g^2/4delta)
+    - kappa/2 with the pair couplings +-i g^2/4delta off it; n_th = 0."""
+    gp = g ** 2 / (4.0 * delta)
+    dg = 1j * (Delta + gp) - kappa / 2
+    m = np.empty((g.size, 2, 2), dtype=complex)
+    m[:, 0, 0] = dg;            m[:, 0, 1] = 1j * gp
+    m[:, 1, 0] = -1j * gp;      m[:, 1, 1] = np.conj(dg)
+    return m, np.stack([kappa, kappa], axis=1), np.zeros(g.size)
+
+
+_BUILDERS = {"full": _block_full, "effective": _block_effective}
+
+
+def beam_blocks(model: str, params: Mapping[str, ArrayLike],
+                ) -> tuple[NDArray[np.complex128], NDArray[np.float64], NDArray[np.float64],
+                           dict[int, str]]:
+    """The beam blocks (a+, a-^dag[, b]) of model "full" or "effective" at
+    the P points of params: the fields of its parameter set as numbers or
+    arrays that broadcast (defaults where left out; the other model's names
+    are ignored). Returns m (V, k, k), decay (V, k) and n_th (V,) of the V
+    valid points in order, and the ValueError message of each invalid
+    point by index."""
+    cls = _MODELS[model]
+    cols = dict(zip(cls.__match_args__, np.broadcast_arrays(*(
+        np.atleast_1d(np.asarray(params[f.name] if f.default is MISSING
+                                 else params.get(f.name, f.default), dtype=float))
+        for f in fields(cls)))))
+    errors = _errors(cls, cols)
+    valid = np.delete(np.arange(cols["g"].size), list(errors))
+    return (*_BUILDERS[model](**{name: c[valid] for name, c in cols.items()}), errors)
+
 
 @dataclass(frozen=True)
 class DriftMatrix:
@@ -157,45 +234,30 @@ def pairing_defect(m: np.ndarray) -> float:
     return float(np.max(np.abs(m - np.conj(m)[perm][:, perm])))
 
 
-def drift_full(p: FullModelParams) -> DriftMatrix:
-    """6x6 drift matrix of the full model.
+def _doubled(model: str, p, ordering: tuple[str, ...]) -> DriftMatrix:
+    """The drift at p: the model's beam block (its builder at one point) at
+    the block's operators of ordering, and the block's complex conjugate at
+    their partners (rows and columns 2i <-> 2i + 1)."""
+    m, decay, _ = _BUILDERS[model](**{k: np.array([v], dtype=float) for k, v in vars(p).items()})
+    idx = np.array([ordering.index(name) for name in BEAM_BLOCK[:m.shape[-1]]])[:, None]
+    full = np.zeros((len(ordering),) * 2, dtype=complex)
+    full[idx, idx.T] = m[0]
+    full[idx ^ 1, idx.T ^ 1] = m[0].conj()
+    rates = np.empty(len(ordering))
+    rates[idx[:, 0]] = rates[idx[:, 0] ^ 1] = decay[0]
+    return DriftMatrix(full, rates, ordering)
 
-    Encodes da+/dt = i Delta a+ + i(g/2) b - (kappa/2) a+ - sqrt(kappa) a+_in
-    and its partners; the mechanical rows carry -i delta and couple to
-    (a+, a-^dag) with i g/2.
-    """
-    hg = 0.5j * p.g
-    ka = 1j * p.Delta - p.kappa / 2
-    m = np.zeros((6, 6), dtype=complex)
-    m[0, 0] = ka;            m[0, 4] = hg
-    m[1, 1] = np.conj(ka);   m[1, 5] = -hg
-    m[2, 2] = ka;            m[2, 5] = hg
-    m[3, 3] = np.conj(ka);   m[3, 4] = -hg
-    m[4, 4] = -1j * p.delta - p.Gamma / 2
-    m[4, 0] = hg;            m[4, 3] = hg
-    m[5, 5] = 1j * p.delta - p.Gamma / 2
-    m[5, 1] = -hg;           m[5, 2] = -hg
-    decay = np.array([p.kappa] * 4 + [p.Gamma] * 2)
-    return DriftMatrix(m, decay, FULL_ORDERING)
+
+def drift_full(p: FullModelParams) -> DriftMatrix:
+    """6x6 drift matrix of the full model: its beam block at p and the
+    conjugate partner."""
+    return _doubled("full", p, FULL_ORDERING)
 
 
 def drift_effective(p: EffectiveModelParams) -> DriftMatrix:
-    """4x4 drift matrix of the effective optical model: diagonal
-    +-i(Delta + g^2/4delta) - kappa/2 with anti-diagonal pair couplings
-    +-i g^2/4delta."""
-    gp = p.g ** 2 / (4.0 * p.delta)
-    dg = 1j * (p.Delta + gp) - p.kappa / 2
-    m = np.zeros((4, 4), dtype=complex)
-    m[0, 0] = dg;          m[0, 3] = 1j * gp
-    m[1, 1] = np.conj(dg); m[1, 2] = -1j * gp
-    m[2, 2] = dg;          m[2, 1] = 1j * gp
-    m[3, 3] = np.conj(dg); m[3, 0] = -1j * gp
-    return DriftMatrix(m, np.full(4, float(p.kappa)), EFFECTIVE_ORDERING)
-
-
-#: The parameter names of either model: the fields of their parameter sets.
-PARAMETER_NAMES = frozenset(f.name for cls in (FullModelParams, EffectiveModelParams)
-                            for f in fields(cls))
+    """4x4 drift matrix of the effective optical model: its beam block at p
+    and the conjugate partner."""
+    return _doubled("effective", p, EFFECTIVE_ORDERING)
 
 
 def build_drift(model: str, params: dict[str, float]) -> tuple[DriftMatrix, float]:
@@ -203,7 +265,7 @@ def build_drift(model: str, params: dict[str, float]) -> tuple[DriftMatrix, floa
     as the fields of FullModelParams or EffectiveModelParams; names that
     only the other model has are ignored, and n_th is 0 for the effective
     model. Raises ValueError for invalid parameters."""
-    cls = FullModelParams if model == "full" else EffectiveModelParams
+    cls = _MODELS[model]
     # __match_args__: the field names, in the order of the constructor
     p = cls(**{k: params[k] for k in cls.__match_args__ if k in params})
     return (drift_full(p), p.n_th) if cls is FullModelParams else (drift_effective(p), 0.0)
@@ -214,37 +276,34 @@ class StabilityReport:
     stable: bool
     max_real_part: float
     marginal: bool
-    #: The drift eigenvalues behind the verdict; the rate path reads its
-    #: resonance grid and frequency scale off them instead of solving again.
+    #: The k eigenvalues of the beam block behind the verdict (the drift's
+    #: other k are their conjugates); the rate path reads its resonances
+    #: and frequency scale off them instead of solving again.
     eigenvalues: NDArray[np.complex128] = field(repr=False, compare=False)
 
 
-def _verdict(eigenvalues: np.ndarray) -> StabilityReport:
-    max_re = float(np.max(eigenvalues.real))
-    return StabilityReport(stable=max_re < -STABILITY_TOL, max_real_part=max_re,
-                           marginal=abs(max_re) <= STABILITY_TOL, eigenvalues=eigenvalues)
-
-
 def stability(d: DriftMatrix) -> StabilityReport:
-    """Numerical stability verdict from the drift eigenvalues.
+    """Numerical stability verdict from the eigenvalues of d's beam block
+    (the drift's others are their conjugates, of the same real parts).
 
     stable means max Re(eig) < -STABILITY_TOL; points with
     |max Re(eig)| <= STABILITY_TOL are flagged marginal and are not stable,
     so every gate that asks for a stable drift rejects a point on the
-    instability boundary.
+    instability boundary. Raises ValueError when d couples the beam block
+    to its partner.
     """
-    return _verdict(np.linalg.eigvals(d.m))
+    return stability_batch(d.beam_block[0][None])[0]
 
 
-def stability_batch(drifts: Sequence[DriftMatrix]) -> list[StabilityReport]:
-    """stability() of each drift from one stacked eigen-solve; the drifts
-    must share their dimension. LAPACK solves the stacked matrices one by
+def stability_batch(m: NDArray[np.complex128]) -> list[StabilityReport]:
+    """The stability verdict of each beam block of the stack m (P, k, k),
+    from one stacked eigen-solve. LAPACK solves the stacked matrices one by
     one, so each report equals stability() of its drift bit for bit."""
-    if not drifts:
-        return []
-    if len({d.dim for d in drifts}) != 1:
-        raise ValueError("a stacked stability solve needs drifts of one model")
-    return [_verdict(e) for e in np.linalg.eigvals(np.stack([d.m for d in drifts]))]
+    eigenvalues = np.linalg.eigvals(m)
+    return [StabilityReport(stable=x < -STABILITY_TOL, max_real_part=x,
+                            marginal=abs(x) <= STABILITY_TOL, eigenvalues=e)
+            for x, e in zip(np.max(eigenvalues.real, axis=-1).tolist(),
+                            eigenvalues)]
 
 
 def stability_boundary_effective(g: float, kappa: float, delta: float) -> tuple[float, ...]:

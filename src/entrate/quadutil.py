@@ -1,5 +1,5 @@
-"""Adaptive panel integration on a Gauss-Kronrod (7, 15) pair, plus a
-batched grid-zoom minimizer and a vectorized bisection.
+"""Adaptive panel integration on a Gauss-Kronrod (7, 15) pair, and a
+vectorized bisection.
 
 Built for integrands that are cheap to evaluate on whole arrays at once,
 over a problem axis: adaptive_gk_batch integrates P problems in one loop
@@ -10,11 +10,6 @@ panels to split, when to stop, the panel budget) is made per problem from
 that problem's panels alone, and its totals add its panels in the order of
 their positions, so a problem's result does not depend on the other
 problems in the batch.
-adaptive_gk and minimize_scalar are the one-problem calls of the batched
-loops. The rates path finds its peaks and half-maximum flanks as
-polynomial roots, so the minimizer has no caller in the package: it is the
-zoom of the tests' sampled peak reference, and minimize_scalar stays bound
-in rates, where the benchmark tracer wraps it.
 """
 
 from __future__ import annotations
@@ -53,8 +48,6 @@ _W_G[1:-1:2] = np.concatenate([_WG[:-1], _WG[::-1]])       # Gauss weights on od
 #: splits a call; without this bound a sweep over a batch of problems
 #: holds about 1 KB of node arrays per panel at once.
 _PANELS_PER_CALL = 64
-#: The 17 zoom points across a bracket, in units of its 16th.
-_ZOOM_STEPS = np.arange(17.0)
 _MAX_SWEEPS = 200        # refinement sweeps of adaptive_gk_batch
 _MAX_BISECTIONS = 200    # halvings of bisect_all
 
@@ -178,30 +171,6 @@ def adaptive_gk_batch(f_batch: Callable[[np.ndarray, np.ndarray], np.ndarray],
     return values, errors, failures
 
 
-def adaptive_gk(f_batch: Callable[[np.ndarray], np.ndarray],
-                a: float, b: float, *,
-                epsabs: float,
-                initial_points: Sequence[float] = (),
-                max_panels: int = 20000) -> tuple[float, float]:
-    """Integrate f over [a, b] to absolute tolerance epsabs: the one-problem
-    call of adaptive_gk_batch. initial_points seeds interior panel
-    boundaries (e.g. known resonance positions) so that narrow features are
-    bracketed from the start.
-
-    Returns (value, error_estimate); raises QuadratureError when the panel
-    budget is exhausted.
-    """
-    if not (b > a):
-        raise ValueError("integration interval must have b > a")
-    edges = np.array(sorted({float(a), float(b),
-                             *(float(p) for p in initial_points if a < p < b)}))
-    (value,), (error,), (failure,) = adaptive_gk_batch(
-        lambda x, _: f_batch(x), [edges], epsabs, max_panels=max_panels)
-    if failure is not None:
-        raise failure
-    return float(value), float(error)
-
-
 def bisect_all(f_batch: Callable[[np.ndarray], np.ndarray],
                lo: np.ndarray, hi: np.ndarray, *,
                xtol: float) -> np.ndarray:
@@ -225,43 +194,3 @@ def bisect_all(f_batch: Callable[[np.ndarray], np.ndarray],
         flo = np.where(same_as_lo, fm, flo)
         hi = np.where(same_as_lo, hi, mid)
     return 0.5 * (lo + hi)
-
-
-def minimize_batch(f_batch: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                   lo: np.ndarray, hi: np.ndarray, *,
-                   xtol: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(x, f(x)) at the best sample of problem p's f on [lo[p], hi[p]] for
-    every p, by grid zooming: each step evaluates 17 points across the
-    bracket of every problem still open, all in one call f_batch(x, pid),
-    and keeps the two cells around the problem's smallest sample, shrinking
-    its bracket 8x, until the bracket is within its xtol (so x is within
-    xtol of a unimodal minimum)."""
-    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
-    xtol = np.broadcast_to(np.asarray(xtol, dtype=float), lo.shape)
-    best_x, best_f = lo.copy(), np.full(lo.shape, math.inf)
-    ids = np.arange(lo.size)                 # the open problems
-    for _ in range(100):     # ends on xtol long before; guards xtol below one ulp
-        width = hi - lo
-        # np.linspace(lo, hi, 17) per bracket, flattened row by row
-        x = (_ZOOM_STEPS * (width / 16.0)[:, None] + lo[:, None])
-        x[:, -1] = hi
-        x = x.ravel()
-        f = np.asarray(f_batch(x, np.repeat(ids, 17)), dtype=float)
-        k = f.reshape(-1, 17).argmin(axis=1)
-        best = 17 * np.arange(ids.size) + k     # flat index of each row's best sample
-        better = f[best] < best_f[ids]
-        best_x[ids[better]], best_f[ids[better]] = x[best[better]], f[best[better]]
-        wide = width > xtol[ids]
-        if not wide.any():
-            break
-        lo, hi = x[(best - (k > 0))[wide]], x[(best + (k < 16))[wide]]
-        ids = ids[wide]
-    return best_x, best_f
-
-
-def minimize_scalar(f_batch: Callable[[np.ndarray], np.ndarray],
-                    lo: float, hi: float, *, xtol: float) -> tuple[float, float]:
-    """(x, f(x)) at the best sample of f on [lo, hi]: the one-problem call
-    of minimize_batch."""
-    x, f = minimize_batch(lambda w, _: f_batch(w), [lo], [hi], xtol=xtol)
-    return float(x[0]), float(f[0])

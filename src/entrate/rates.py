@@ -94,10 +94,14 @@ compact angle: omega = s' tan(theta) with s' = max(decay) maps the line
 onto (-pi/2, pi/2), and the integrand E(s' tan theta) s' / cos^2(theta)
 stays bounded at the ends because E falls off like |omega|^-3 (full model)
 or |omega|^-2 (effective model). The Gauss-Kronrod panels start at the
-drift resonances and at +-1 and +-5 linewidths around each.
+beam-block resonances (omega = -Im of its k eigenvalues; the conjugates
+of the partner block resonate in S at -omega, never at +omega) and at +-1
+and +-5 linewidths around each.
 
-The problem axis. entanglement_rates computes the rates of P drifts of one
-model together: the polynomials D, V and K of every problem (computed
+The problem axis. _rates computes the rates of P stable beam blocks of one
+model (scattering.BeamBlocks with their eigenvalues: entanglement_rates
+gates its drifts onto it, a sweep calls it on the blocks of its grid)
+together: the polynomials D, V and K of every problem (computed
 once, for the peaks and the flanks), the peak and crossing polynomials
 and their roots (stacked eigen-solves of the companion matrices), one
 Gauss-Kronrod loop whose panels carry a problem id, one peak polish and
@@ -117,11 +121,10 @@ from typing import Sequence
 import numpy as np
 
 from .errors import QuadratureError, UnstableSystemError
-from .models import (PAIRING_DEFECT_TOL, DriftMatrix, StabilityReport, stability,
-                     stability_batch)
+from .models import PAIRING_DEFECT_TOL, DriftMatrix, StabilityReport, stability
 from .quadutil import adaptive_gk_batch
 # unused here, but the benchmark tracer wraps these names in rates
-from .quadutil import adaptive_gk, bisect_all, minimize_scalar  # noqa: F401
+from .quadutil import adaptive_gk_batch as adaptive_gk, bisect_all  # noqa: F401
 from .scattering import BeamBlocks, _kernel, _require_stable, correlator_batch
 
 #: Grid points around each resonance of frequency_grid, in linewidths.
@@ -192,15 +195,16 @@ class RateResult:
 
 
 def _resonances(eigenvalues: np.ndarray, decay: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(centres, linewidths) of the drift resonances, -Im and |Re| of its
-    eigenvalues, plus omega = 0 with the largest decay rate as its width."""
+    """(centres, linewidths) of the beam-block resonances, -Im and |Re| of
+    its eigenvalues, plus omega = 0 with the largest decay rate as width."""
     return (np.concatenate([-eigenvalues.imag, [0.0]]),
             np.concatenate([np.maximum(np.abs(eigenvalues.real), 1e-12), [np.max(decay)]]))
 
 
-def _scale(eigenvalues: np.ndarray, decay: np.ndarray) -> float:
-    """Frequency scale s of the crossing polynomials: max |eig| + max decay."""
-    return float(np.max(np.abs(eigenvalues)) + np.max(decay))
+def _scale(eigenvalues: np.ndarray, decay: np.ndarray) -> np.ndarray:
+    """Frequency scale s of the crossing polynomials, one per row of the
+    beam-block eigenvalues and decays: max |eig| + max decay."""
+    return np.max(np.abs(eigenvalues), axis=-1) + np.max(decay, axis=-1)
 
 
 def _around(centers: np.ndarray, widths: np.ndarray, offsets: np.ndarray) -> np.ndarray:
@@ -209,14 +213,14 @@ def _around(centers: np.ndarray, widths: np.ndarray, offsets: np.ndarray) -> np.
 
 
 def frequency_grid(d: DriftMatrix, eigenvalues: np.ndarray | None = None) -> np.ndarray:
-    """Sorted frequency grid seeded at the drift resonances: per-resonance
-    offsets scaled by the local linewidth plus a coarse global grid. It
-    seeds the panels of the filter averages of wannier; the rate path
-    needs no grid (its peaks and flanks are polynomial roots).
-    eigenvalues, the eigenvalues of d.m when already known, saves the
-    eigen-solve."""
+    """Sorted frequency grid seeded at the beam-block resonances:
+    per-resonance offsets scaled by the local linewidth plus a coarse
+    global grid. It seeds the panels of the filter averages of wannier;
+    the rate path needs no grid (its peaks and flanks are polynomial
+    roots). eigenvalues, the beam-block eigenvalues of d when already
+    known (StabilityReport.eigenvalues), saves the eigen-solve."""
     if eigenvalues is None:
-        eigenvalues = np.linalg.eigvals(d.m)
+        eigenvalues = np.linalg.eigvals(d.beam_block[0])
     centers, widths = _resonances(eigenvalues, d.decay)
     span = float(np.max(np.abs(centers)) + 20.0 * np.max(d.decay) + 1.0)
     out = np.unique(np.concatenate([np.linspace(-span, span, 241),
@@ -434,20 +438,19 @@ def _stationary(blocks: BeamBlocks, s: np.ndarray, polys: tuple[np.ndarray, ...]
 # the benchmark tracer wraps these names; the peaks and the flanks are
 # polynomial roots now
 _fwhm_by_bisection = _fwhms
-_positive_intervals = _stationary
+_positive_intervals = minimize_scalar = _stationary
 
 
-def spectrum_peak(d: DriftMatrix, n_th: float = 0.0, eigenvalues: np.ndarray | None = None,
+def spectrum_peak(blocks: BeamBlocks, eigenvalues: np.ndarray | None = None,
                   ) -> tuple[float, float]:
     """(omega, height) of the maximum of the beam-1 output spectrum
-    nu_plus = N / D (module docstring): the best real root of N' D - N D',
-    polished by Newton steps with nu_plus from the kernel; (0, 0) when the
-    spectrum vanishes (g = 0). No stability check. eigenvalues, the
-    eigenvalues of d.m when already known, saves the eigen-solve."""
+    nu_plus = N / D (module docstring) of the one block of blocks: the best
+    real root of N' D - N D', polished by Newton steps with nu_plus from the
+    kernel; (0, 0) when the spectrum vanishes (g = 0). No stability check.
+    eigenvalues, the block's when already known, saves the eigen-solve."""
     if eigenvalues is None:
-        eigenvalues = np.linalg.eigvals(d.m)
-    blocks = BeamBlocks.of([d], [n_th])
-    s = np.array([_scale(eigenvalues, d.decay)])
+        eigenvalues = np.linalg.eigvals(blocks.m[0])
+    s = _scale(eigenvalues[None], blocks.decay)
     dp, _, _, n = _beam_polynomials(blocks, s)
     d1, n1 = _polyder(dp), _polyder(n)
     # N has degree 2k - 4, or 0 without the thermal input: exact leading
@@ -478,40 +481,40 @@ def entanglement_rates(drifts: Sequence[DriftMatrix], n_ths: Sequence[float],
     its slot instead of a RateResult (UnstableSystemError, QuadratureError,
     or the ValueError of a beam block that is not reciprocal), and the
     others are unaffected. reports, the drifts' stability reports from
-    models.stability or models.stability_batch, saves the eigen-solve."""
+    models.stability, saves their eigen-solves."""
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be a finite positive number, got {tol}")
     drifts = list(drifts)
     n_ths = [float(n) for n in n_ths]
-    if reports is None:
-        reports = stability_batch(drifts)
+    reports = [None] * len(drifts) if reports is None else reports
     if not len(n_ths) == len(reports) == len(drifts):
         raise ValueError("one n_th and one stability report per drift are needed")
     out: list[RateResult | Exception | None] = [None] * len(drifts)
-    live = []
+    live, eigenvalues = [], []
     for i, (d, rep) in enumerate(zip(drifts, reports)):
         try:
+            rep = stability(d) if rep is None else rep
             if not rep.stable:
                 raise UnstableSystemError(rep.max_real_part)
             _require_reciprocal(d.beam_block[0])
             live.append(i)
+            eigenvalues.append(rep.eigenvalues)
         except (UnstableSystemError, ValueError) as exc:
             out[i] = exc
     if live:
-        results = _rates([drifts[i] for i in live], [n_ths[i] for i in live],
-                         [reports[i].eigenvalues for i in live], tol)
-        for i, result in zip(live, results):
+        blocks = BeamBlocks.of([drifts[i] for i in live], [n_ths[i] for i in live])
+        for i, result in zip(live, _rates(blocks, np.stack(eigenvalues), tol)):
             out[i] = result
     return out
 
 
-def _rates(drifts: list[DriftMatrix], n_ths: list[float], eigenvalues: list[np.ndarray],
-           tol: float) -> list[RateResult | Exception]:
-    """The batched rate of entanglement_rates for stable, reciprocal drifts."""
-    blocks = BeamBlocks.of(drifts, n_ths)
-    s = np.array([_scale(e, d.decay) for e, d in zip(eigenvalues, drifts)])
+def _rates(blocks: BeamBlocks, eigenvalues: np.ndarray, tol: float,
+           ) -> list[RateResult | Exception]:
+    """The batched rate of entanglement_rates for stable, reciprocal beam
+    blocks with their eigenvalues (P, k)."""
+    s = _scale(eigenvalues, blocks.decay)
     polys = _beam_polynomials(blocks, s)
-    out: list[RateResult | Exception] = [RateResult(0.0, 0.0, 0.0, 0.0, 0.0, 0)] * len(drifts)
+    out: list[RateResult | Exception] = [RateResult(0.0, 0.0, 0.0, 0.0, 0.0, 0)] * len(blocks)
     # E > 0 on the whole line where K > 0, E = 0 everywhere where K = 0
     pos = np.flatnonzero(polys[2][:, -1] > 0)
     if not pos.size:
@@ -523,9 +526,8 @@ def _rates(drifts: list[DriftMatrix], n_ths: list[float], eigenvalues: list[np.n
     # there only need polishing; half of tol * 2 pi is the budget
     scale = np.max(blocks.decay, axis=1)
     edges = []
-    for p, sc in zip(pos, scale):
-        seeds = np.arctan(_around(*_resonances(eigenvalues[p], drifts[p].decay),
-                                  _SEED_OFFSETS) / sc)
+    for e, decay, sc in zip(eigenvalues[pos], blocks.decay, scale):
+        seeds = np.arctan(_around(*_resonances(e, decay), _SEED_OFFSETS) / sc)
         edges.append(np.unique(np.concatenate(
             [[-0.5 * math.pi, 0.5 * math.pi], seeds[np.abs(seeds) < 0.5 * math.pi]])))
 

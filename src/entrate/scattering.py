@@ -77,7 +77,7 @@ from .gaussian import CorrelatorTriple
 from .models import (DriftMatrix, EffectiveModelParams, StabilityReport, drift_effective,
                      stability)
 # unused here, but the benchmark tracer wraps scattering.adaptive_gk
-from .quadutil import adaptive_gk
+from .quadutil import adaptive_gk_batch as adaptive_gk  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -169,11 +169,16 @@ class BeamBlocks:
     def of(cls, drifts: Sequence[DriftMatrix], n_ths: Sequence[float]) -> "BeamBlocks":
         """The beam blocks of the drifts; raises ValueError when a drift
         couples its block to the partner or the drifts mix the models."""
-        blocks = [d.beam_block for d in drifts]
-        if len({b[0].shape for b in blocks}) != 1:
+        m, decay = zip(*(d.beam_block for d in drifts))
+        if len({b.shape for b in m}) != 1:
             raise ValueError("a batch of beam blocks needs drifts of one model")
-        m = np.stack([b[0] for b in blocks])
-        decay = np.stack([b[1] for b in blocks])
+        return cls.stack(np.stack(m), np.stack(decay), np.asarray(n_ths, dtype=float))
+
+    @classmethod
+    def stack(cls, m: NDArray[np.complex128], decay: NDArray[np.float64],
+              n_th: NDArray[np.float64]) -> "BeamBlocks":
+        """The stacked beam blocks m (P, k, k) with their decays (P, k) and
+        n_th (P,), as models.beam_blocks builds them."""
         k = m.shape[1]
         eye = np.broadcast_to(np.eye(k), m.shape)
         ones = np.ones(m.shape[0])
@@ -191,7 +196,7 @@ class BeamBlocks:
                               np.stack([-m[:, 1, 0], m[:, 0, 0]], axis=1)], axis=1)
             adj = np.stack([eye, adj_m], axis=1)
             char = np.stack([ones, m[:, 0, 0] + m[:, 1, 1], _det(m)], axis=1)
-        return cls(m, decay, np.asarray(n_ths, dtype=float), adj, char)
+        return cls(m, decay, n_th, adj, char)
 
     @property
     def k(self) -> int:
@@ -335,12 +340,12 @@ def pair_rate_numeric(p: EffectiveModelParams) -> float:
     linear system (m (x) I + I (x) conj(m)) vec P = -vec(e_- e_-^T)."""
     d = drift_effective(p)
     _require_stable(d)
-    return _pair_rate(d)
+    return _pair_rate(*d.beam_block)
 
 
-def _pair_rate(d: DriftMatrix) -> float:
-    """pair_rate_numeric of an effective-model drift, no stability check."""
-    m, decay = d.beam_block
+def _pair_rate(m: NDArray[np.complex128], decay: NDArray[np.float64]) -> float:
+    """pair_rate_numeric of an effective-model beam block m (2 x 2) with
+    its decays, no stability check."""
     eye = np.eye(2)
     rhs = np.array([0.0, 0.0, 0.0, -1.0])      # -vec(e_- e_-^T), row-major
     try:

@@ -1,10 +1,12 @@
 """Deterministic parameter sweeps over 1-d or 2-d grids.
 
-A sweep builds the drift of every grid point, gates all of them on one
-stacked eigen-solve (models.stability_batch), and computes the stable
-points' quantities in contiguous chunks, one chunk per worker of a process
-pool when jobs != 1: each chunk gets its rate fields from one batched
-rates.entanglement_rates call (the problem axis), then its pair rates and
+A sweep builds the beam blocks of the valid grid points from the grid's
+parameter columns in one models.beam_blocks call, gates them on one
+stacked k x k eigen-solve (models.stability_batch), and computes the
+stable points' quantities in contiguous chunks, one chunk per worker of a
+process pool when jobs != 1. A chunk is arrays (blocks, decays, n_th and
+block eigenvalues; no DriftMatrix is built): it gets its rate fields from
+one batched rates._rates call (the problem axis), then its pair rates and
 spectrum peaks point by point. A batched rate equals the one-point rate bit
 for bit, so the rows, emitted strictly in grid order, are byte-stable
 whatever the worker count and however the grid is split into sweeps.
@@ -208,9 +210,17 @@ class SweepConfig:
             if unknown:
                 raise ValueError(f"unknown sweep config keys {unknown}")
             axes = [SweepAxis(**ax) for ax in doc["axes"]]
-            return cls(model=doc["model"], fixed=dict(doc.get("fixed", {})),
-                       axes=axes, quantities=list(doc["quantities"]),
-                       tol=doc.get("tol", 1e-6), jobs=doc.get("jobs", 0))
+            fixed, quantities = doc.get("fixed", {}), doc["quantities"]
+            # checked, not coerced: dict() and list() would take pairs and
+            # the keys of an object
+            if not isinstance(fixed, dict):
+                raise ValueError(f"fixed must be an object of parameter values, got {fixed!r}")
+            if not (isinstance(quantities, list)
+                    and all(isinstance(q, str) for q in quantities)):
+                raise ValueError(f"quantities must be a list of names, got {quantities!r}")
+            return cls(model=doc["model"], fixed=dict(fixed), axes=axes,
+                       quantities=list(quantities), tol=doc.get("tol", 1e-6),
+                       jobs=doc.get("jobs", 0))
         except KeyError as exc:
             raise ValueError(f"sweep config is missing required field {exc}") from exc
         except TypeError as exc:
@@ -272,29 +282,29 @@ class SweepResult:
         return vals.reshape(self.grid_shape())
 
 
-def _eval_chunk(payload: tuple[tuple[str, ...], float,
-                               list[tuple[models.DriftMatrix, float, models.StabilityReport]]],
-                ) -> list[dict[str, float] | str]:
-    """The quantities of a contiguous chunk of stable points, each given as
-    (drift, n_th, stability report): the rate fields from one batched rate
-    call, then pair rate and spectrum peak per point. A point whose
-    computation fails gets its `failed: ...` status instead."""
-    quantities, tol, points = payload
-    drifts, n_ths, reports = zip(*points)
+def _eval_chunk(payload: tuple[tuple[str, ...], float, np.ndarray, np.ndarray, np.ndarray,
+                               np.ndarray]) -> list[dict[str, float] | str]:
+    """The quantities of a contiguous chunk of stable points, given as
+    their stacked beam blocks, decays, n_th and block eigenvalues: the
+    rate fields from one batched rate call, then pair rate and spectrum
+    peak per point. A point whose computation fails gets its
+    `failed: ...` status instead."""
+    quantities, tol, m, decay, n_th, eigenvalues = payload
     rate_fields = [q for q in ("E_max", "gamma_E", "fwhm") if q in quantities]
-    results = (rates.entanglement_rates(drifts, n_ths, tol, reports=reports)
-               if rate_fields else [None] * len(points))
+    if rate_fields or "spectrum" in quantities:
+        blocks = scattering.BeamBlocks.stack(m, decay, n_th)
+    results = rates._rates(blocks, eigenvalues, tol) if rate_fields else [None] * len(m)
     out: list[dict[str, float] | str] = []
-    for (drift, n_th, rep), rr in zip(points, results):
+    for i, rr in enumerate(results):
         try:
             if isinstance(rr, Exception):
                 raise rr
             values = {q: getattr(rr, q) for q in rate_fields}
             if "pair_rate" in quantities:
-                values["pair_rate"] = scattering._pair_rate(drift)
+                values["pair_rate"] = scattering._pair_rate(m[i], decay[i])
             if "spectrum" in quantities:
                 values["spectrum_peak_omega"], values["spectrum_peak"] = rates.spectrum_peak(
-                    drift, n_th, rep.eigenvalues)
+                    blocks.take([i]), eigenvalues[i])
             out.append(values)
         except EntrateError as exc:
             out.append(f"failed: {exc}")
@@ -320,39 +330,36 @@ def _eval_point(axis_values: tuple[float, ...], quantities: tuple[str, ...],
 
 def run_sweep(config: SweepConfig) -> SweepResult:
     """Evaluate the grid; row order is the row-major product of axis values."""
-    axis_values = [a.values() for a in config.axes]
-    axis_names = tuple(a.name for a in config.axes)
-    points: list[tuple[float, ...]] = []
-    if len(axis_values) == 1:
-        points = [(float(x),) for x in axis_values[0]]
-    else:
-        points = [(float(x), float(y)) for x in axis_values[0] for y in axis_values[1]]
+    grid = [c.ravel() for c in np.meshgrid(*(a.values() for a in config.axes), indexing="ij")]
+    points = list(zip(*(c.tolist() for c in grid)))
     quantities = tuple(config.quantities)
 
-    computed: dict[int, dict[str, float] | str] = {}
-    valid: dict[int, tuple[models.DriftMatrix, float]] = {}
-    params = {**_DEFAULTS[config.model], **config.fixed}
-    for i, pt in enumerate(points):
-        params.update(zip(axis_names, pt))
-        try:
-            valid[i] = models.build_drift(config.model, params)
-        except ValueError as exc:
-            computed[i] = f"failed: {exc}"
-    reports = dict(zip(valid, models.stability_batch([v[0] for v in valid.values()])))
+    m, decay, n_th, errors = models.beam_blocks(config.model, {
+        **_DEFAULTS[config.model], **config.fixed,
+        **{a.name: c for a, c in zip(config.axes, grid)}})
+    computed: dict[int, dict[str, float] | str] = {
+        i: f"failed: {message}" for i, message in errors.items()}
+    valid = np.delete(np.arange(len(points)), list(errors))
+    reports = models.stability_batch(m)
 
-    todo = [i for i in valid if reports[i].stable]
-    jobs = min(config.jobs if config.jobs > 0 else (os.cpu_count() or 1), len(todo))
-    payloads = [(quantities, config.tol, [(*valid[i], reports[i]) for i in chunk])
-                for chunk in np.array_split(todo, max(jobs, 1)) if chunk.size]
-    if jobs <= 1 or len(todo) < 4:
-        chunks = [_eval_chunk(p) for p in payloads]
+    stable = np.flatnonzero([rep.stable for rep in reports])
+    # jobs = 0: the CPUs this process may run on
+    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1)
+    jobs = min(config.jobs if config.jobs > 0 else cores, stable.size)
+    payloads = [(quantities, config.tol, m[c], decay[c], n_th[c],
+                 np.array([reports[i].eigenvalues for i in c]))
+                for c in np.array_split(stable, max(jobs, 1)) if c.size]
+    if jobs <= 1 or stable.size < 4:
+        results = [_eval_chunk(p) for p in payloads]
     else:
         # imported here: only a pooled sweep needs it, and it is a fifth of
         # the package's import time
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(_eval_chunk, payloads))
-    computed.update(zip(todo, (c for chunk in chunks for c in chunk)))
-    rows = [_eval_point(pt, quantities, reports.get(i), computed.get(i))
+            results = list(pool.map(_eval_chunk, payloads))
+    computed.update(zip(valid[stable].tolist(), (c for chunk in results for c in chunk)))
+    report_of = dict(zip(valid.tolist(), reports))
+    rows = [_eval_point(pt, quantities, report_of.get(i), computed.get(i))
             for i, pt in enumerate(points)]
     return SweepResult(config=config, rows=rows)

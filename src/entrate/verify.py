@@ -143,13 +143,10 @@ def check_stability_boundary() -> tuple[float, float, str]:
     tol = 1e-3
     g, delta = 5.0, 10.0
 
-    def margin(big_delta: float) -> float:
-        d = models.drift_effective(models.EffectiveModelParams(
-            g=g, delta=delta, kappa=KAPPA, Delta=big_delta))
-        return models.stability(d).max_real_part
-
     def margins(xs: np.ndarray) -> np.ndarray:
-        return np.array([margin(x) for x in xs])
+        m = models.beam_blocks("effective", {"g": g, "delta": delta, "kappa": KAPPA,
+                                             "Delta": xs})[0]
+        return np.array([rep.max_real_part for rep in models.stability_batch(m)])
 
     grid = np.linspace(-1.3, 0.1, 141)
     flips = np.nonzero(np.diff(np.sign(margins(grid))) != 0)[0]

@@ -1,13 +1,13 @@
 """Sampled peak search, the reference for the stationary-point peaks of
 entrate.rates: a scan of rates.frequency_grid, then a grid zoom
-(quadutil.minimize_batch) between the neighbours of the best sample.
+(quad_reference.minimize_batch) between the neighbours of the best sample.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from entrate.quadutil import minimize_batch
+from quad_reference import minimize_batch
 
 
 def refined_peaks(e_batch, grids: list[np.ndarray], values: list[np.ndarray],

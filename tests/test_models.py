@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from scipy.optimize import linear_sum_assignment
 
-from entrate.models import (DriftMatrix, EffectiveModelParams, FullModelParams,
-                            drift_effective, drift_full, pairing_defect, stability,
-                            stability_boundary_effective)
+from entrate.models import (STABILITY_TOL, DriftMatrix, EffectiveModelParams, FullModelParams,
+                            beam_blocks, drift_effective, drift_full, pairing_defect,
+                            stability, stability_batch, stability_boundary_effective)
 from paper_helpers import CellParams, in_validity_regime, map_cell_params
+from strategies import stable_drifts
 
 KAPPA = 1.0
 
@@ -126,6 +129,106 @@ class TestStability:
                 near_boundary = bool(roots) and min(abs(dd - r) for r in roots) <= cell
                 if not near_boundary:
                     assert verdict == analytic, (de, dd)
+
+
+def _box_drifts(seed, n):
+    """n drifts of each model from the parameter box of stable_drifts, drawn
+    by a seeded generator, stable or not."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(n):
+        gamma = 10.0 ** rng.uniform(-3.0, -0.5)
+        scale = rng.choice([1.0, 1e-3])
+        out.append(drift_full(full(g=math.sqrt(10.0 ** rng.uniform(0.0, 5.0) * gamma),
+                                   Gamma=gamma, delta=scale * rng.uniform(-15.0, 15.0),
+                                   Delta=scale * rng.uniform(-1.5, 1.5))))
+        out.append(drift_effective(EffectiveModelParams(
+            g=rng.uniform(0.5, 6.0), delta=rng.choice([-1.0, 1.0]) * rng.uniform(2.0, 30.0),
+            Delta=rng.uniform(-1.0, 1.0))))
+    return out
+
+
+UNSTABLE = [d for dim in (4, 6) for d in
+            [d for d in _box_drifts(7, 200) if d.dim == dim and not stability(d).stable][:12]]
+
+
+def _check_block_against_doubled_drift(d):
+    # the drift's 2k eigenvalues are the block's k and their conjugates,
+    # and both eigen-solves are backward stable: each eigenvalue agrees to
+    # round-off of m times its condition number (up to 1e4 near double
+    # resonance at high C, where neither solve is the more accurate one)
+    rep = stability(d)
+    block = d.beam_block[0]
+    values, right = np.linalg.eig(block)
+    left = np.linalg.inv(right).conj().T
+    cond = (np.linalg.norm(left, axis=0) * np.linalg.norm(right, axis=0)
+            / np.abs(np.sum(left.conj() * right, axis=0)))
+    bound = 1e-14 * max(1.0, np.linalg.norm(d.m, 2)) * np.max(cond)
+    doubled = np.linalg.eigvals(d.m)
+    expected = np.concatenate([rep.eigenvalues, rep.eigenvalues.conj()])
+    cost = np.abs(doubled[:, None] - expected[None, :])
+    assert np.max(cost[linear_sum_assignment(cost)]) <= bound
+    margin = float(np.max(doubled.real))
+    assert abs(rep.max_real_part - margin) <= bound
+    if min(abs(margin - STABILITY_TOL), abs(margin + STABILITY_TOL)) > bound:
+        assert rep.stable == (margin < -STABILITY_TOL)
+        assert rep.marginal == (abs(margin) <= STABILITY_TOL)
+
+
+class TestBeamBlock:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(stable_drifts())
+    # eigenvalues with condition number 1.1e4 near double resonance at
+    # C = 9e4: the two solves differ by 5.6e-13 |m|
+    @example((drift_full(full(g=62.54635382206832, Gamma=0.04368983708925621,
+                              delta=0.012201932038553067, Delta=9.11823041278348e-06)), 0.0))
+    def test_stable_block_eigenvalues_are_half_the_drift_spectrum(self, drift_nth):
+        _check_block_against_doubled_drift(drift_nth[0])
+
+    @pytest.mark.parametrize("d", UNSTABLE, ids=lambda d: f"k{d.dim // 2}")
+    def test_unstable_block_eigenvalues_are_half_the_drift_spectrum(self, d):
+        _check_block_against_doubled_drift(d)
+
+    def test_unstable_points_of_both_models(self):
+        assert {d.dim for d in UNSTABLE} == {4, 6} and len(UNSTABLE) == 24
+
+    def test_stacked_blocks_equal_the_drift_blocks_bit_for_bit(self):
+        # one call at P points, each block as drift_full builds it alone
+        g, delta = np.meshgrid([0.0, 0.3, 5.0], [-7.0, 0.0, 10.0])
+        params = {"g": g.ravel(), "Gamma": 1e-3, "Delta": -0.2, "delta": delta.ravel(),
+                  "n_th": 3.0, "kappa": 1.0}
+        m, decay, n_th, errors = beam_blocks("full", params)
+        reports = stability_batch(m)
+        assert errors == {} and np.all(n_th == 3.0)
+        for i in range(g.size):
+            d = drift_full(full(g=g.flat[i], Delta=-0.2, delta=delta.flat[i]))
+            block, rates = d.beam_block
+            assert m[i].tobytes() == block.tobytes() and decay[i].tobytes() == rates.tobytes()
+            assert reports[i].eigenvalues.tobytes() == stability(d).eigenvalues.tobytes()
+        m, decay, n_th, errors = beam_blocks("effective", {"g": 5.0, "delta": [10.0, -4.0]})
+        for i, delta in enumerate((10.0, -4.0)):
+            block, rates = drift_effective(EffectiveModelParams(g=5.0, delta=delta)).beam_block
+            assert m[i].tobytes() == block.tobytes() and decay[i].tobytes() == rates.tobytes()
+        assert errors == {} and np.all(n_th == 0.0)
+
+    def test_invalid_points_carry_the_parameter_set_message(self):
+        # the valid points keep their order; names of the other model are
+        # ignored
+        m, decay, _, errors = beam_blocks("full", {"g": [1.0, -1.0, math.nan, 1.0, 1.0, 2.0],
+                                                   "Gamma": [1e-3, 1e-3, -1.0, 0.0, 1e-3, 0.5],
+                                                   "n_th": [0.0, 0.0, 0.0, 0.0, -2.0, 0.0],
+                                                   "bogus": 1.0})
+        assert errors == {1: "g must be non-negative", 2: "g must be finite, got nan",
+                          3: "Gamma must be positive", 4: "n_th must be non-negative"}
+        assert m.shape == (2, 3, 3) and decay[:, 2].tolist() == [1e-3, 0.5]
+        for i, message in errors.items():
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                FullModelParams(g=[1.0, -1.0, math.nan, 1.0, 1.0][i],
+                                Gamma=[1e-3, 1e-3, -1.0, 0.0, 1e-3][i],
+                                n_th=[0.0, 0.0, 0.0, 0.0, -2.0][i])
+        m, _, _, errors = beam_blocks("effective", {"g": 5.0, "delta": [1.0, 0.0], "Gamma": -1.0})
+        assert errors == {1: "delta must be nonzero (the pair coupling is g^2/4delta)"}
+        assert m.shape == (1, 2, 2)
 
 
 class TestStabilityBoundary:

@@ -416,7 +416,7 @@ class TestStationaryPeaks:
         ids=["two_peaks", "two_peaks_nth0", "anchor", "thermal", "effective",
              "effective_two_peaks"])
     def test_spectrum_peak_against_dense_sampling(self, d, n_th):
-        omega, height = spectrum_peak(d, n_th)
+        omega, height = spectrum_peak(BeamBlocks.of([d], [n_th]))
         assert height == np.sum(spectrum_parts(d, np.array([omega]), n_th))
 
         def total(w):

@@ -10,7 +10,7 @@ import pytest
 from entrate import cli
 from entrate.models import FullModelParams, drift_full
 from entrate.rates import entanglement_rate, frequency_grid, spectrum_peak
-from entrate.scattering import spectrum_parts
+from entrate.scattering import BeamBlocks, spectrum_parts
 from entrate.sweep import (SweepAxis, SweepConfig, format_float, run_sweep)
 
 
@@ -159,7 +159,7 @@ class TestRunSweep:
                              quantities=["spectrum"], jobs=1)
         for row in run_sweep(config).rows:
             d = drift_full(FullModelParams(g=5.0, Gamma=1e-3, delta=row.axis_values[0]))
-            omega, height = spectrum_peak(d, 50.0)
+            omega, height = spectrum_peak(BeamBlocks.of([d], [50.0]))
             assert (row.values["spectrum_peak_omega"], row.values["spectrum_peak"]) == (
                 omega, height)
             assert height >= np.max(np.add(*spectrum_parts(d, frequency_grid(d), 50.0)))
@@ -192,15 +192,68 @@ class TestRunSweep:
         assert len(lines) == 5
         assert lines[2].endswith(",ok")
 
+    def test_works_on_beam_blocks_only(self, monkeypatch):
+        # no DriftMatrix, and no complex eigen-solve larger than the k x k
+        # beam block (the companion matrices of the peak polynomials are real)
+        from entrate import models
+        built, solved = [], []
+        post_init = models.DriftMatrix.__post_init__
+        eigvals = np.linalg.eigvals
+        monkeypatch.setattr(models.DriftMatrix, "__post_init__",
+                            lambda self: built.append(self) or post_init(self))
+        monkeypatch.setattr(np.linalg, "eigvals",
+                            lambda a: solved.append(a) or eigvals(a))
+        for model, fixed, quantities, k in (
+                ("full", {"g": 5.0, "n_th": 2.0},
+                 ["gamma_E", "E_max", "fwhm", "spectrum", "stability_margin"], 3),
+                ("effective", {"g": 5.0}, ["pair_rate", "spectrum", "gamma_E"], 2)):
+            solved.clear()
+            rows = run_sweep(SweepConfig(
+                model=model, fixed=fixed, quantities=quantities, jobs=1,
+                axes=[SweepAxis("delta", -15.0, 15.0, 4), SweepAxis("Delta", -1.5, 1.5, 5)])).rows
+            assert {row.status for row in rows} == {"ok", "unstable"}
+            complex_sizes = {a.shape[-1] for a in solved if np.iscomplexobj(a)}
+            assert complex_sizes == {k}
+        assert built == []
+
+    def test_all_cores_are_the_cpus_this_process_may_use(self, monkeypatch):
+        import concurrent.futures
+        import os
+        workers = []
+
+        class Pool:
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, payloads):
+                return map(fn, payloads)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+        config = SweepConfig(model="effective", fixed={"g": 5.0, "delta": 10.0},
+                             axes=[SweepAxis("Delta", -0.2, 0.2, 8)],
+                             quantities=["pair_rate"], jobs=0)
+        pooled = run_sweep(config).rows
+        assert workers == [3]
+        config.jobs = 1
+        assert run_sweep(config).rows == pooled and workers == [3]
+
     def test_failed_row_keeps_column_count(self, tmp_path, monkeypatch):
         from entrate import sweep
         from entrate.errors import QuadratureError
 
-        def fail(drifts, *args, **kwargs):
+        def fail(blocks, *args, **kwargs):
             return [QuadratureError("did not converge", value=1.0, error_estimate=2.0)
-                    for _ in drifts]
+                    for _ in range(len(blocks))]
 
-        monkeypatch.setattr(sweep.rates, "entanglement_rates", fail)
+        monkeypatch.setattr(sweep.rates, "_rates", fail)
         config = SweepConfig(model="full", fixed={"g": 1.0},
                              axes=[SweepAxis("delta", -1.0, 1.0, 3)],
                              quantities=["gamma_E", "stability_margin"], jobs=1)
@@ -412,7 +465,14 @@ class TestCliCommands:
                 ({"tol": True}, "tol must be a finite positive number, got True"),
                 ({"jobs": 2.5}, "jobs must be an integer, got 2.5"),
                 ({"jobs": True}, "jobs must be an integer, got True"),
-                ({"fixed": {"g": True}}, "g must be finite, got True")):
+                ({"fixed": {"g": True}}, "g must be finite, got True"),
+                # dict() would take pairs and list() the keys of an object
+                ({"fixed": [["g", 2.0]]},
+                 "fixed must be an object of parameter values, got [['g', 2.0]]"),
+                ({"quantities": {"gamma_E": 1}},
+                 "quantities must be a list of names, got {'gamma_E': 1}"),
+                ({"quantities": ["E_max", 3]},
+                 "quantities must be a list of names, got ['E_max', 3]")):
             cfg.write_text(json.dumps({**base, **change}))
             capsys.readouterr()
             assert run_cli(["sweep", "--config", str(cfg)]) == 2

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from entrate.models import EffectiveModelParams, FullModelParams, drift_effective, drift_full
-from entrate.quadutil import adaptive_gk
 from entrate.rates import frequency_grid, log_negativity, spectral_density
 from entrate.scattering import correlator_batch
 from entrate.wannier import (DEFAULT_CUTOFF, EPSREL, FilterSpec, filtered_entanglement,
                              kernel_normalization, kernel_tail_bound, wannier_kernel,
                              wannier_kernel_array)
 from mp_reference import lorentzian_filtered_mp
+from quad_reference import adaptive_gk
 from paper_helpers import WannierGrid, coarse_grained_correlator, triple_log_negativity
 
 KAPPA = 1.0
