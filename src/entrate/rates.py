@@ -6,7 +6,7 @@ Gamma_E = int domega/2pi E[omega] is reported in units of kappa, i.e. nats
 of entanglement per 1/kappa of time; Gamma_E kappa, with kappa in 1/s, is
 in nats per second.
 
-E from the excesses. 2 eta_minus and 2 eta_plus are the two roots x of
+E from the Gram form. 2 eta_minus and 2 eta_plus are the two roots x of
 
     x^2 - 2 (n_plus + n_minus) x + 4 q = 0,
 
@@ -19,7 +19,22 @@ nu_minus + root), so
 
 which equals -log1p(-x) with x = N / (1 + nu_plus + nu_minus + root) and
 keeps every digit at both ends: E >> 1 near an instability, and E ~ 1e-17
-far out on a tail, where n_plus + n_minus rounds to 1.
+far out on a tail, where n_plus + n_minus rounds to 1. log_negativity
+evaluates it from a correlator triple (the filter averages of wannier).
+But N is a difference, and it cancels where the thermal terms dominate
+(38,155 ulp of E at g = 0.6, Gamma = 0.02, delta = 3.9, Delta = -0.4,
+n_th = 1e4, omega = 3.95). The Gram form of scattering writes each excess
+over D = |det(m + i omega)|^2 with the constant K below and a thermal
+weight T >= 0, so that with S = K/2 + T, N D = K/2 - T + sqrt(S^2 + K D)
+and
+
+    E = log1p(K (1 + D / (S + sqrt(S^2 + K D))) / (D + 2T)),
+
+every term non-negative (_gram_density): the E of the rate path and of
+spectral_density. It rests on the reciprocity below, which both check.
+What is left is the Horner pass for det, which cancels terms of size
+|omega|^k down to |det| at a narrow resonance away from omega = 0 (up to
+7e-14 relative in E there).
 
 E > 0 on the whole line. x = 1 lies between the two roots, i.e. E > 0,
 exactly when the quadratic is negative there:
@@ -37,7 +52,7 @@ with t = i omega, A(t) = adj(m + t) and s_ij = sqrt(d_i d_j) A_ij / det(m + t)
 off the diagonal (d the decay rates),
 
     K = 2 (nu_plus + nu_minus - 2 (q - 1/4)) |det(m + t)|^2
-      = 2 kappa_+ kappa_- (|A_+-|^2 + |A_-+|^2).
+      = 2 kappa_+ kappa_- (|A_+-|^2 + |A_-+|^2) = 4 kappa_+ kappa_- |A_+-|^2.
 
 A_+- = -t m_+- + adj(m)_+- on the 3x3 block of the full model and -m_+-
 on the 2x2 block of the effective model. The full model does not couple a+
@@ -51,10 +66,11 @@ Crossings as polynomial roots. A(t) = t^2 I + t (tr m I - m) + adj m
 polynomial t^3 + t^2 tr m + t tr adj m + det m (or t^2 + t tr m + det m);
 the kernel evaluates S from the same coefficients (scattering.BeamBlocks).
 So in y = omega / s, s = max |eig m| + max decay, the quantities
-D = |det|^2, V = (nu_plus + nu_minus) D and K are real polynomials, of
-degree 2k, 2k - 4 and 0 (A_+- and A_-+ are constants, A_+b and A_-b
-linear). Multiplying the quadratic at x = c by D, 2 eta_minus = c holds
-exactly where
+D = |det|^2, V = (nu_plus + nu_minus) D = K/2 + T and K are real
+polynomials, of degree 2k, 2k - 4 and 0 (A_+- and A_-+ are constants,
+A_+b and A_-b linear), from the coefficients of the Gram form.
+Multiplying the quadratic at x = c by D, 2 eta_minus = c holds exactly
+where
 
     P_c = u^2 D + 2 u V - K = 0,   u = 1 - c,
 
@@ -125,7 +141,9 @@ from .models import PAIRING_DEFECT_TOL, DriftMatrix, StabilityReport, stability
 from .quadutil import adaptive_gk_batch
 # unused here, but the benchmark tracer wraps these names in rates
 from .quadutil import adaptive_gk_batch as adaptive_gk, bisect_all  # noqa: F401
-from .scattering import BeamBlocks, _kernel, _require_stable, correlator_batch
+from .scattering import BeamBlocks, _gram, _require_stable, _spectrum
+# unused here, but the benchmark tracer wraps it in rates
+from .scattering import correlator_batch  # noqa: F401
 
 #: Grid points around each resonance of frequency_grid, in linewidths.
 _GRID_OFFSETS = np.array([0.0, 0.25, -0.25, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0,
@@ -140,6 +158,8 @@ _POLISH_STEPS = 3
 _NEWTON_REACH = 1e-3
 #: Sign pattern J of the reciprocity m^T = J m J of the beam block.
 _RECIPROCITY_SIGNS = np.array([1.0, -1.0, 1.0])
+#: Floor of the one denominator of _gram_density that vanishes (where K = 0).
+_TINY = np.finfo(float).tiny
 
 
 def log_negativity(nu_plus: np.ndarray, nu_minus: np.ndarray, xi: np.ndarray,
@@ -154,26 +174,42 @@ def log_negativity(nu_plus: np.ndarray, nu_minus: np.ndarray, xi: np.ndarray,
     return np.log1p(np.maximum(gap, 0.0) / (1.0 + 4.0 * q_excess))
 
 
+def _gram_density(d2: np.ndarray, k_pair: np.ndarray, thermal, _mechanical) -> np.ndarray:
+    """E from the Gram terms of scattering._gram (module docstring): every
+    term is non-negative, and E = +0.0 where K = 0."""
+    s = 0.5 * k_pair + thermal
+    # K / (S + sqrt(S^2 + K D)) <= 2
+    r = k_pair / np.maximum(s + np.sqrt(s * s + k_pair * d2), _TINY)
+    return np.log1p((k_pair + r * d2) / (d2 + 2.0 * thermal))
+
+
 def _density(blocks: BeamBlocks, omegas: np.ndarray, pid: np.ndarray) -> np.ndarray:
-    """E at omegas[i] for problem pid[i] of the batch."""
-    optical, mechanical, nu_minus, xi, q_excess = _kernel(blocks, omegas, pid)
-    return log_negativity(optical + mechanical, nu_minus, xi, q_excess)
+    """E at omegas[i] for problem pid[i] of the batch (reciprocal blocks)."""
+    return _gram(blocks, omegas, _gram_density, pid)
+
+
+def _reciprocal_blocks(d: DriftMatrix, n_th: float) -> BeamBlocks:
+    """The beam block of d as a batch of one, after _require_reciprocal."""
+    _require_reciprocal(d.beam_block[0])
+    return BeamBlocks.of([d], [n_th])
 
 
 def spectral_density_batch(d: DriftMatrix, omegas: np.ndarray,
                            n_th: float = 0.0) -> np.ndarray:
-    """E[omega] over a frequency grid, log1p(N / 4q) from the excesses
-    (module docstring); no stability check."""
-    return log_negativity(*correlator_batch(d, omegas, n_th))
+    """E[omega] over a frequency grid from the Gram form (module
+    docstring); raises ValueError when the beam block is not reciprocal,
+    no stability check."""
+    return _gram(_reciprocal_blocks(d, n_th), omegas, _gram_density)
 
 
 def spectrum_and_density(d: DriftMatrix, omegas: np.ndarray, n_th: float = 0.0,
                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(optical, mechanical, E) over a frequency grid from one kernel pass:
     scattering.spectrum_parts and spectral_density_batch at once, equal to
-    them bit for bit; no stability check."""
-    optical, mechanical, nu_minus, xi, q_excess = _kernel(BeamBlocks.of([d], [n_th]), omegas)
-    return optical, mechanical, log_negativity(optical + mechanical, nu_minus, xi, q_excess)
+    them bit for bit; raises ValueError when the beam block is not
+    reciprocal, no stability check."""
+    return _gram(_reciprocal_blocks(d, n_th), omegas,
+                 lambda *terms: (*_spectrum(*terms), _gram_density(*terms)))
 
 
 def spectral_density(d: DriftMatrix, omega: float, n_th: float = 0.0) -> float:
@@ -223,11 +259,18 @@ def frequency_grid(d: DriftMatrix, eigenvalues: np.ndarray | None = None) -> np.
         eigenvalues = np.linalg.eigvals(d.beam_block[0])
     centers, widths = _resonances(eigenvalues, d.decay)
     span = float(np.max(np.abs(centers)) + 20.0 * np.max(d.decay) + 1.0)
-    out = np.unique(np.concatenate([np.linspace(-span, span, 241),
-                                    _around(centers, widths, _GRID_OFFSETS)]))
+    out = _sorted_unique(np.concatenate([np.linspace(-span, span, 241),
+                                         _around(centers, widths, _GRID_OFFSETS)]))
     out = out[(out >= -span) & (out <= span)]
     # a point within round-off of its neighbour would make an empty panel
     return out[np.r_[True, np.diff(out) > 1e-12 * span]]
+
+
+def _sorted_unique(a: np.ndarray) -> np.ndarray:
+    """np.unique of a 1-d float array without NaN; np.unique would import
+    numpy.ma on its first call."""
+    a = np.sort(a)
+    return a[np.concatenate(([True], a[1:] != a[:-1]))]
 
 
 def _require_reciprocal(m: np.ndarray) -> None:
@@ -254,29 +297,26 @@ def _poly_abs2(p: np.ndarray) -> np.ndarray:
 
 def _beam_polynomials(blocks: BeamBlocks, s: np.ndarray,
                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(D, V, K, N) of the module docstring: their real coefficients,
-    highest power first, in y = omega / s[p], one row per problem, from the
-    adjugate and characteristic-polynomial coefficients of the kernel; V, K
-    and N with the leading zeros of 2k - 1 coefficients."""
+    """(D, V, K, N) of the module docstring: the real coefficients of D, V
+    and N, highest power first, in y = omega / s[p], one row per problem,
+    from the coefficients of the kernel's Gram form (V and N with the
+    leading zeros of 2k - 1 coefficients), and the constant K per
+    problem."""
     k = blocks.k
-    powers = (1j * s[:, None]) ** np.arange(k, -1, -1)   # t^j = (i s y)^j
-    # det, then the entries A_+-, A_-+ [, A_+b, A_-b] (degree k - 1, with a
-    # leading zero), all squared at once
-    rows, cols = ((0, 1), (1, 0)) if k == 2 else ((0, 1, 0, 1), (1, 0, 2, 2))
-    polys = np.zeros((s.size, 1 + len(rows), k + 1), dtype=complex)
-    polys[:, 0] = powers * blocks.char
-    polys[:, 1:, 1:] = powers[:, None, 1:] * blocks.adj[:, :, rows, cols].transpose(0, 2, 1)
-    sq = _poly_abs2(polys)
-    a2 = sq[:, 1:, 2:]                                  # |A_ij|^2, degree 2k - 2
-    kp, km = blocks.decay[:, :1], blocks.decay[:, 1:2]
-    n_plus = kp * km * a2[:, 0]
-    pair = n_plus + kp * km * a2[:, 1]
-    v = pair
+    coef, weights = blocks.gram_table
+    # t^j = (i s y)^j times det [, A_+b, A_-b] (degree k - 1, with a leading
+    # zero), all squared at once
+    powers = (1j * s[:, None]) ** np.arange(k, -1, -1)
+    sq = _poly_abs2(powers[:, None] * coef.transpose(2, 1, 0))
+    k_pair = weights[0]
+    v = np.zeros((s.size, 2 * k - 1))
+    v[:, -1] = 0.5 * k_pair
+    n_plus = 0.5 * v
     if k == 3:
-        n, gam = blocks.n_th[:, None], blocks.decay[:, 2:]
-        n_plus = n_plus + n * kp * gam * a2[:, 2]
-        v = pair + gam * (n * kp * a2[:, 2] + (n + 1.0) * km * a2[:, 3])
-    return sq[:, 0], v, 2.0 * pair, n_plus
+        mechanical = weights[1][:, None] * sq[:, 1, 2:]  # |A_+b|^2, degree 2k - 2
+        v += mechanical + weights[2][:, None] * sq[:, 2, 2:]
+        n_plus += mechanical
+    return sq[:, 0], v, k_pair, n_plus
 
 
 def _polyder(p: np.ndarray) -> np.ndarray:
@@ -319,7 +359,8 @@ def _crossings(polys: tuple[np.ndarray, ...], s: np.ndarray, levels: np.ndarray)
     d_poly, v_poly, k_poly = polys[:3]
     u = -np.expm1(-levels)[:, None]
     p = u * u * d_poly
-    p[:, 2:] += 2.0 * u * v_poly - k_poly
+    p[:, 2:] += 2.0 * u * v_poly
+    p[:, -1] -= k_poly
     roots = _roots(p)
     real = roots.imag ** 2 <= 1e-16 * (roots.real ** 2 + roots.imag ** 2)
     return np.where(real, s[:, None] * roots.real, np.nan)
@@ -420,7 +461,7 @@ def _stationary(blocks: BeamBlocks, s: np.ndarray, polys: tuple[np.ndarray, ...]
     # V has degree 2k - 4, so R has degree 4k - 2: the leading zeros go
     r = 4.0 * (_polymul(_polymul(v1, v1), d)
                - _polymul(_polymul(v, v1), d1))[:, -(4 * blocks.k - 1):]
-    r -= k[:, -1:] * _polymul(d1, d1)
+    r -= k[:, None] * _polymul(d1, d1)
 
     def newton_step(e: np.ndarray, y: np.ndarray) -> np.ndarray:
         # u' / u'' by implicit differentiation of P_u = 0 in y
@@ -466,8 +507,9 @@ def spectrum_peak(blocks: BeamBlocks, eigenvalues: np.ndarray | None = None,
         return df / ((_polyval(_polyder(n1), y) - 2.0 * df * dy1 - f * _polyval(_polyder(d1), y))
                      / dy)
 
-    _, (omega,), (height,) = _polish(lambda w, pid: np.add(*_kernel(blocks, w, pid)[:2]), s,
-                                     _roots(r[None]).real, newton_step)
+    _, (omega,), (height,) = _polish(
+        lambda w, pid: _gram(blocks, w, lambda *g: np.add(*_spectrum(*g)), pid), s,
+        _roots(r[None]).real, newton_step)
     return float(omega), float(height)
 
 
@@ -516,7 +558,7 @@ def _rates(blocks: BeamBlocks, eigenvalues: np.ndarray, tol: float,
     polys = _beam_polynomials(blocks, s)
     out: list[RateResult | Exception] = [RateResult(0.0, 0.0, 0.0, 0.0, 0.0, 0)] * len(blocks)
     # E > 0 on the whole line where K > 0, E = 0 everywhere where K = 0
-    pos = np.flatnonzero(polys[2][:, -1] > 0)
+    pos = np.flatnonzero(polys[2] > 0)
     if not pos.size:
         return out
     if pos.size < len(blocks):
@@ -528,7 +570,7 @@ def _rates(blocks: BeamBlocks, eigenvalues: np.ndarray, tol: float,
     edges = []
     for e, decay, sc in zip(eigenvalues[pos], blocks.decay, scale):
         seeds = np.arctan(_around(*_resonances(e, decay), _SEED_OFFSETS) / sc)
-        edges.append(np.unique(np.concatenate(
+        edges.append(_sorted_unique(np.concatenate(
             [[-0.5 * math.pi, 0.5 * math.pi], seeds[np.abs(seeds) < 0.5 * math.pi]])))
 
     def integrand(theta: np.ndarray, pid: np.ndarray) -> np.ndarray:
@@ -545,8 +587,8 @@ def _rates(blocks: BeamBlocks, eigenvalues: np.ndarray, tol: float,
         # E = 0 at both ends of the line; a candidate within 4 ulp of the one
         # before it lies on the same flat top
         e = values[i]
-        e = e[np.r_[True, np.abs(np.diff(e)) > 4.0 * np.spacing(e[1:])]]
-        peaks = _count_local_maxima(np.r_[0.0, e, 0.0], e_max[i])
+        e = e[np.concatenate(([True], np.abs(np.diff(e)) > 4.0 * np.spacing(e[1:])))]
+        peaks = _count_local_maxima(np.concatenate(([0.0], e, [0.0])), e_max[i])
         out[p] = failure or RateResult(
             gamma_E=float(totals[i]) / (2.0 * math.pi), E_max=float(e_max[i]),
             omega_max=float(omega_max[i]), fwhm=float(widths[i]),
@@ -575,7 +617,7 @@ def _count_local_maxima(y: np.ndarray, e_max: float) -> int:
     if y.size < 3:
         return 1 if np.any(y > 0) else 0
     floor = max(1e-9, 1e-2 * e_max)
-    z = y[np.r_[True, y[1:] != y[:-1]]]
+    z = y[np.concatenate(([True], y[1:] != y[:-1]))]
     count = 0
     for p in np.flatnonzero((z[1:-1] > z[:-2]) & (z[1:-1] > z[2:])) + 1:
         higher = np.flatnonzero(z > z[p])

@@ -29,8 +29,25 @@ mechanical output row; that row's flux relation
 
     q = 1/4 + (n_th |s_b+|^2 + (n_th + 1) |s_b-|^2) / 2,
 
-a sum of non-negative terms, and exactly 1/4 for the effective model. The
-log-negativity built on q therefore loses no digits to cancellation.
+a sum of non-negative terms, and exactly 1/4 for the effective model.
+
+The Gram form of E. The beam block is reciprocal (see rates), so
+|s_ij| = |s_ji|, and on the adjugate A(t) below, with
+D = |det(m + i omega)|^2, the pair constant K = 4 kappa_+ kappa_- |A_+-|^2
+(A_+- is a constant in both models) and the thermal weight
+
+    T = Gamma (n_th kappa_+ |A_+b|^2 + (n_th + 1) kappa_- |A_-b|^2)
+
+(T = 0 for the effective model), the excesses over vacuum are
+
+    nu_plus + nu_minus = (K/2 + T) / D,    q - 1/4 = T / (2D),
+    (nu_plus - nu_minus)^2 + 4 |xi|^2 = (nu_plus + nu_minus)^2 + K / D,
+
+the last from q = n_plus n_minus - |xi|^2 and the first two. E (rates)
+and the beam-1 spectrum, K / 4D from the optical input and
+n_th kappa_+ Gamma |A_+b|^2 / D from the mechanical one, thus need det,
+A_+b and A_-b only (_gram); nu_minus and xi themselves (_kernel) only
+the callers that use them.
 
 The adjugate kernel. No matrix is inverted: with t = i omega and
 R = (m + t)^-1 = A(t) / det(m + t) on the k x k beam block,
@@ -41,9 +58,10 @@ R = (m + t)^-1 = A(t) / det(m + t) on the k x k beam block,
 so s_ij = sqrt(d_i d_j) A_ij / det off the diagonal and
 s_++ = (det + kappa_+ A_++) / det (d the decay rates). The correlators need
 seven entries of A (s_+-, s_-+, s_++ and, full model only, s_+b, s_-b,
-s_b+, s_b-), each a polynomial of degree <= k - 1 in t evaluated by
-Horner's rule, plus det; every term above is then a product of these over
-|det|^2. Next to the instability boundary det m is small against its
+s_b+, s_b-), the Gram form two (A_+b and A_-b, full model only), each a
+polynomial of degree <= k - 1 in t evaluated by Horner's rule in one pass
+with det; every term above is then a product of these over |det|^2. Next
+to the instability boundary det m is small against its
 terms, so it is computed exactly from the float entries and rounded once;
 E then matches a 50-digit evaluation to a few ulp there, where a float64
 det m (or an LU solve) loses the ratio of terms to det in digits.
@@ -144,9 +162,9 @@ def _det(m: NDArray[np.complex128]) -> NDArray[np.complex128]:
     return np.array(out, dtype=complex)
 
 
-#: Block entries (row, column) of A that the correlators use, with
-#: + = 0, - = 1, b = 2: the first three for the effective model, all seven
-#: for the full model; (0, 0) is the diagonal one.
+#: Block entries (row, column) of A besides det, with + = 0, - = 1, b = 2:
+#: the correlators use the first three (effective model) or all seven
+#: (full model), the Gram form only A_+b and A_-b (full model).
 _ENTRIES = ((0, 1), (1, 0), (0, 0), (0, 2), (1, 2), (2, 0), (2, 1))
 #: Cyclic successor of each index of a 3x3 block.
 _NEXT = np.array([1, 2, 0])
@@ -210,90 +228,151 @@ class BeamBlocks:
         return BeamBlocks(self.m[idx], self.decay[idx], self.n_th[idx], self.adj[idx],
                           self.char[idx])
 
+    def _table(self, entries: Sequence[tuple[int, int]], weights: list[np.ndarray],
+               ) -> tuple[np.ndarray, np.ndarray]:
+        """A kernel form's inputs, one column per problem: coef[j, 0]
+        multiplies t^(k-j) in det(m + t) and coef[j, 1 + e] multiplies
+        t^(k-j) in A(t) at entries[e], shape (k + 1, 1 + entries, P), and
+        the real channel weights, (weights, P)."""
+        coef = np.zeros((self.k + 1, 1 + len(entries), len(self)), dtype=complex)
+        coef[:, 0] = self.char.T
+        if entries:
+            rows, cols = zip(*entries)
+            coef[1:, 1:] = self.adj[:, :, rows, cols].transpose(1, 2, 0)
+        return coef, np.array(weights)
+
     @cached_property
-    def table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The kernel's inputs with one column per problem: the k - 1
-        coefficients below the leading t^(k-1) of every entry of _ENTRIES,
-        shape (k - 1, entries, P), the k below the leading t^k of det,
-        (k, P), and the real channel weights."""
-        k = self.k
-        rows, cols = zip(*_ENTRIES[:3 if k == 2 else 7])
-        entries = self.adj[:, 1:, rows, cols].transpose(1, 2, 0)
+    def correlator_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """The inputs of the correlator form (_correlators)."""
         kp, km = self.decay[:, 0], self.decay[:, 1]
         weights = [kp * km, kp, np.sqrt(kp * km)]
-        if k == 3:
-            gam, n = self.decay[:, 2], self.n_th
-            weights += [n * kp * gam, (n + 1.0) * km * gam, (n + 1.0) * gam,
-                        0.5 * n * gam * kp, 0.5 * (n + 1.0) * gam * km]
-        return np.ascontiguousarray(entries), self.char[:, 1:].T.copy(), np.array(weights)
+        if self.k == 2:
+            return self._table(_ENTRIES[:3], weights)
+        gam, n = self.decay[:, 2], self.n_th
+        weights += [n * kp * gam, (n + 1.0) * km * gam, (n + 1.0) * gam,
+                    0.5 * n * gam * kp, 0.5 * (n + 1.0) * gam * km]
+        return self._table(_ENTRIES, weights)
+
+    @cached_property
+    def gram_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """The inputs of the Gram form (_gram): det, the pair constant
+        K = 4 kappa_+ kappa_- |A_+-|^2 (A_+- = adj(m)_+-, since the full
+        model has m_+- = 0) and, on the full model, A_+b and A_-b with
+        their thermal weights n_th kappa_+ Gamma and (n_th + 1) kappa_- Gamma."""
+        kp, km = self.decay[:, 0], self.decay[:, 1]
+        k_pair = 4.0 * kp * km * _abs2(self.adj[:, -1, 0, 1])
+        if self.k == 2:
+            return self._table((), [k_pair])
+        gam, n = self.decay[:, 2], self.n_th
+        return self._table(_ENTRIES[3:5], [k_pair, n * kp * gam, (n + 1.0) * km * gam])
 
 
 #: Points per kernel pass: its temporaries stay in cache and its memory
 #: does not grow with the batch.
 _CHUNK = 1024
-#: 1 for the diagonal entry of _ENTRIES, whose leading coefficient is 1.
-_MONIC = np.array([0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0])
 
 
 def _abs2(z: np.ndarray) -> np.ndarray:
     return z.real * z.real + z.imag * z.imag
 
 
-def _kernel(blocks: BeamBlocks, omegas: np.ndarray, pid: np.ndarray | None = None,
-            ) -> tuple[np.ndarray, ...]:
-    """(optical, mechanical, nu_minus, xi, q - 1/4) at each frequency, point
-    i belonging to problem pid[i] (pid may be left out for a batch of one):
-    the excesses nu = n - 1/2 of the occupations over vacuum and of
-    q = n_plus n_minus - |xi|^2 over its vacuum value, each a sum of
-    non-negative terms (module docstring), with nu_plus = optical +
-    mechanical, the two parts being |s_+-|^2 and n_th |s_+b|^2. The points
-    go through in passes of _CHUNK; each point's inputs are gathered by its
-    problem id and every operation after that is elementwise, so a point's
-    values do not depend on the rest of the call. No stability check."""
-    entries, char, weights = blocks.table
+def _passes(blocks: BeamBlocks, omegas: np.ndarray, pid: np.ndarray | None,
+            table: tuple[np.ndarray, np.ndarray], finish):
+    """finish(h, |det|^2, weights) at each frequency, point i belonging to
+    problem pid[i] (pid may be left out for a batch of one): h holds
+    det(m + i omega) in row 0 and the table's entries of A
+    (BeamBlocks._table) in the rows after it, by Horner's rule, and weights
+    the table's weights of each point. The points go through in passes of
+    _CHUNK; each point's inputs are gathered by its problem id and every
+    operation after that is elementwise, so a point's values do not depend
+    on the rest of the call. Raises UnstableSystemError at a root of det;
+    no other stability check."""
+    coef, weights = table
+    gather = len(blocks) > 1
 
-    def one_pass(w: np.ndarray, p: np.ndarray | None) -> tuple[np.ndarray, ...]:
+    def one_pass(w: np.ndarray, p: np.ndarray | None):
         # its temporaries are freed before the next pass starts
         def at(c: np.ndarray) -> np.ndarray:
             # one coefficient (row) per point, gathered as it is needed so
             # that only one gathered coefficient is alive at a time
-            return c[..., p] if len(blocks) > 1 else c
+            return c.take(p, axis=-1) if gather else c
 
         t = 1j * w
-        # Horner's rule at t = i omega, all entries of A at once, then det
-        a = at(entries[0]) + _MONIC[:len(entries[0]), None] * t
-        for c in entries[1:]:
-            a *= t
-            a += at(c)
-        det = at(char[0]) + t
-        for c in char[1:]:
-            det *= t
-            det += at(c)
-        wt = at(weights)
-        det2 = _abs2(det)
+        # Horner's rule at t = i omega, det and the entries at once
+        h = at(coef[0]) * t
+        for c in coef[1:-1]:
+            h += at(c)
+            h *= t
+        h += at(coef[-1])
+        det2 = _abs2(h[0])
         if not np.all(det2 > 0):
             raise UnstableSystemError(
                 float(np.max(np.linalg.eigvals(blocks.m).real)),
                 "singular response matrix: system at an instability threshold "
                 "for a requested frequency")
-        inv = 1.0 / det2
-        a2 = _abs2(a)
-        kpm, kp, rpm = wt[:3]
-        # s_++ conj(s_-+) |det|^2 / sqrt(kappa_+ kappa_-), s_++ = (det + kappa_+ A_++) / det
-        xi = (det + kp * a[2]) * a[1].conj()
-        optical = kpm * a2[0] * inv
-        if len(a) == 3:
-            zero = np.zeros_like(optical)
-            return optical, zero, kpm * a2[1] * inv, xi * (rpm * inv), zero
-        w_pb, w_mb, w_x, q_bp, q_bm = wt[3:]
-        xi = xi + w_x * (a[3] * a[4].conj())
-        return (optical, w_pb * a2[3] * inv, (kpm * a2[1] + w_mb * a2[4]) * inv,
-                xi * (rpm * inv), (q_bp * a2[5] + q_bm * a2[6]) * inv)
+        return finish(h, det2, at(weights))
 
     omegas = np.ascontiguousarray(omegas, dtype=float).ravel()
     out = [one_pass(omegas[i:i + _CHUNK], None if pid is None else pid[i:i + _CHUNK])
            for i in range(0, max(omegas.size, 1), _CHUNK)]
-    return out[0] if len(out) == 1 else tuple(np.concatenate(c) for c in zip(*out))
+    if len(out) == 1:
+        return out[0]
+    if isinstance(out[0], tuple):
+        return tuple(np.concatenate(c) for c in zip(*out))
+    return np.concatenate(out)
+
+
+def _correlators(h: np.ndarray, det2: np.ndarray, wt: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(nu_plus, nu_minus, xi, q - 1/4) of a correlator-table pass: the
+    excesses nu = n - 1/2 of the occupations over vacuum and of
+    q = n_plus n_minus - |xi|^2 over its vacuum value, each a sum of
+    non-negative terms (module docstring)."""
+    det, a = h[0], h[1:]
+    inv = 1.0 / det2
+    a2 = _abs2(a)
+    kpm, kp, rpm = wt[:3]
+    # s_++ conj(s_-+) |det|^2 / sqrt(kappa_+ kappa_-), s_++ = (det + kappa_+ A_++) / det
+    xi = (det + kp * a[2]) * a[1].conj()
+    optical = kpm * a2[0] * inv
+    if len(a) == 3:
+        return optical, kpm * a2[1] * inv, xi * (rpm * inv), np.zeros_like(optical)
+    w_pb, w_mb, w_x, q_bp, q_bm = wt[3:]
+    xi = xi + w_x * (a[3] * a[4].conj())
+    return (optical + w_pb * a2[3] * inv, (kpm * a2[1] + w_mb * a2[4]) * inv,
+            xi * (rpm * inv), (q_bp * a2[5] + q_bm * a2[6]) * inv)
+
+
+def _kernel(blocks: BeamBlocks, omegas: np.ndarray, pid: np.ndarray | None = None,
+            ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(nu_plus, nu_minus, xi, q - 1/4) at each frequency of problem pid[i]
+    (_correlators over the passes of _passes): the full correlator output,
+    for callers that need nu_minus or xi themselves."""
+    return _passes(blocks, omegas, pid, blocks.correlator_table, _correlators)
+
+
+def _gram(blocks: BeamBlocks, omegas: np.ndarray, finish, pid: np.ndarray | None = None):
+    """finish(D, K, T, M) at each frequency of problem pid[i], from the Gram
+    form (module docstring): D = |det(m + i omega)|^2, the pair constant K,
+    T = Gamma (n_th kappa_+ |A_+b|^2 + (n_th + 1) kappa_- |A_-b|^2) and the
+    mechanical part of the spectrum times D, M = n_th kappa_+ Gamma
+    |A_+b|^2; T = M = 0 on the effective model. One Horner pass evaluates
+    det, A_+b and A_-b only. Needs a reciprocal block (|A_b+-| = |A_+-b|)
+    for E; no stability check."""
+    def terms(h: np.ndarray, det2: np.ndarray, wt: np.ndarray):
+        if len(h) == 1:
+            return finish(det2, wt[0], 0.0, 0.0)
+        a2 = _abs2(h[1:])
+        mechanical = wt[1] * a2[0]
+        return finish(det2, wt[0], mechanical + wt[2] * a2[1], mechanical)
+
+    return _passes(blocks, omegas, pid, blocks.gram_table, terms)
+
+
+def _spectrum(d2: np.ndarray, k_pair: np.ndarray, thermal, mechanical,
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """(optical, mechanical) parts of the beam-1 spectrum from the Gram
+    terms (_gram): kappa_+ kappa_- |A_+-|^2 / D = K / 4D and M / D."""
+    return 0.25 * k_pair / d2, mechanical / d2
 
 
 def correlator_batch(d: DriftMatrix, omegas: np.ndarray, n_th: float = 0.0,
@@ -301,8 +380,7 @@ def correlator_batch(d: DriftMatrix, omegas: np.ndarray, n_th: float = 0.0,
     """(nu_plus, nu_minus, xi, q - 1/4) arrays over a frequency grid, from
     the kernel for one problem (see _kernel). No stability check (meant for
     integrators that have already verified it)."""
-    optical, mechanical, nu_minus, xi, q_excess = _kernel(BeamBlocks.of([d], [n_th]), omegas)
-    return optical + mechanical, nu_minus, xi, q_excess
+    return _kernel(BeamBlocks.of([d], [n_th]), omegas)
 
 
 def output_correlators(d: DriftMatrix, omega: float, n_th: float = 0.0) -> CorrelatorTriple:
@@ -315,11 +393,11 @@ def output_correlators(d: DriftMatrix, omega: float, n_th: float = 0.0) -> Corre
 def spectrum_parts(d: DriftMatrix, omegas: np.ndarray, n_th: float = 0.0,
                    ) -> tuple[np.ndarray, np.ndarray]:
     """(optical, mechanical) parts of the beam-1 output intensity spectrum
-    over a frequency grid, from the adjugate kernel: the optical part
+    over a frequency grid, from the Gram form: the optical part
     |s_+-|^2 comes from the vacuum input of beam 2, the mechanical part
     n_th |s_+b|^2 from the thermal mechanical input (zero for the effective
     model). No stability check."""
-    return _kernel(BeamBlocks.of([d], [n_th]), omegas)[:2]
+    return _gram(BeamBlocks.of([d], [n_th]), omegas, _spectrum)
 
 
 # only tests call it; it stays bound because the benchmark tracer wraps it

@@ -153,8 +153,8 @@ def filtered_entanglement(d: DriftMatrix, n_th: float,
     blocks = BeamBlocks.of([d], [n_th])
 
     def parts(theta: np.ndarray) -> np.ndarray:
-        optical, mechanical, nu_minus, xi, _ = _kernel(blocks, wc + warp(theta) / tau)
-        return np.stack([optical + mechanical, nu_minus, xi.real, xi.imag])
+        nu_plus, nu_minus, xi, _ = _kernel(blocks, wc + warp(theta) / tau)
+        return np.stack([nu_plus, nu_minus, xi.real, xi.imag])
 
     seeds = unwarp(tau * (frequency_grid(d, rep.eigenvalues) - wc))
     seeds = seeds[np.abs(seeds) < half]

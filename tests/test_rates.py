@@ -117,7 +117,7 @@ class TestWholeLineAndCrossings:
         polys = _beam_polynomials(blocks, s)
         nu_plus, nu_minus, _, q_excess = correlator_batch(d, probes, n_th)
         det2 = np.abs(np.polyval(blocks.char[0], 1j * probes)) ** 2
-        lhs = np.polyval(polys[2][0], probes / s[0]) / det2
+        lhs = polys[2][0] / det2
         rhs = 2.0 * (nu_plus + nu_minus - 2.0 * q_excess)
         assert np.all(np.abs(lhs - rhs) <= 1e-12 * (nu_plus + nu_minus))
 
@@ -137,8 +137,13 @@ class TestWholeLineAndCrossings:
         m = np.array(d.m)
         m[0, 4] *= 2.0             # a+ <- b no longer matches b <- a+
         m[1, 5] = np.conj(m[0, 4])
-        with pytest.raises(ValueError, match="not reciprocal"):
-            entanglement_rate(DriftMatrix(m, d.decay, d.ordering))
+        bad = DriftMatrix(m, d.decay, d.ordering)
+        # the Gram form of E rests on reciprocity, so every E path checks it
+        for call in (lambda: entanglement_rate(bad), lambda: spectral_density(bad, 0.3),
+                     lambda: spectral_density_batch(bad, np.array([0.0, 0.3])),
+                     lambda: spectrum_and_density(bad, np.array([0.0, 0.3]))):
+            with pytest.raises(ValueError, match="not reciprocal"):
+                call()
 
 
 def _full_near_boundary(distance):
@@ -393,11 +398,12 @@ class TestStationaryPeaks:
                             -eig.imag[near] + np.abs(eig.real[near]) * rng.standard_normal(1000),
                             rr.omega_max + rr.fwhm * np.geomspace(1e-9, 1e-2, 50),
                             rr.omega_max - rr.fwhm * np.geomspace(1e-9, 1e-2, 50)])
-        # E carries the kernel's round-off, within 1e-12 max(1, E) of the
-        # 50-digit reference (test_scattering's TestBlockKernel) but
-        # far above 4 ulp at narrow resonances away from omega = 0: a sample
-        # near the top may have it and E_max not. A peak missed by 1e-5 of
-        # its width already shows
+        # E carries the kernel's round-off, within 2e-13 E of the 50-digit
+        # reference (test_scattering's TestBlockKernel) and far above 4 ulp
+        # on a narrow resonance away from omega = 0, where the Horner pass
+        # for det cancels (samples 5.4e-14 above E_max seen): a sample near
+        # the top may have it and E_max not. A peak missed by 1e-5 of its
+        # width already shows
         e = spectral_density_batch(d, w, n_th)
         assert np.max(e) <= rr.E_max + 2e-12 * max(1.0, rr.E_max)
 

@@ -590,6 +590,28 @@ class TestCliCommands:
                               env={**os.environ, "PYTHONPATH": src}, check=True)
         assert done.stdout.strip() == "[]"
 
+    def test_rate_and_sweep_load_no_numpy_ma(self):
+        # np.unique imports numpy.ma on its first call, 11-22 ms that every
+        # `entrate rate` and `entrate sweep` would pay
+        import os
+        import subprocess
+        import sys
+
+        import entrate
+        src = os.path.dirname(os.path.dirname(entrate.__file__))
+        code = ("import sys, entrate\n"
+                "from entrate.sweep import SweepAxis, SweepConfig, run_sweep\n"
+                "p = entrate.FullModelParams(g=5.0, Gamma=1e-3)\n"
+                "entrate.entanglement_rate(entrate.drift_full(p))\n"
+                "run_sweep(SweepConfig(model='full', fixed={'g': 5.0}, axes=[\n"
+                "    SweepAxis('delta', -15.0, 15.0, 5), SweepAxis('Delta', -1.5, 1.5, 5)],\n"
+                "    quantities=['gamma_E', 'E_max', 'fwhm'], jobs=1))\n"
+                "print(sorted({m for m in sys.modules if m.split('.')[0] in ('scipy', 'mpmath')}\n"
+                "             | {'numpy.ma'} & set(sys.modules)))")
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, check=True)
+        assert done.stdout.strip() == "[]"
+
 
     @pytest.mark.parametrize("argv", [
         ["entanglement", "--omega-steps", "200001"],
