@@ -15,7 +15,7 @@ problems in the batch.
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -64,13 +64,14 @@ def _at_round_off(val: np.ndarray, err: np.ndarray) -> np.ndarray:
 
 
 def adaptive_gk_batch(f_batch: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                      edges: Sequence[np.ndarray], epsabs: np.ndarray, *,
+                      edges: np.ndarray, epsabs: np.ndarray, *,
                       max_panels: int = 20000,
                       ) -> tuple[np.ndarray, np.ndarray, list[QuadratureError | None]]:
-    """Integrate P problems at once: problem p over [edges[p][0],
-    edges[p][-1]], starting from the panels between its sorted, distinct
-    edges, to absolute tolerance epsabs[p]. f_batch(x, pid) returns the
-    integrand of problem pid[i] at x[i].
+    """Integrate P problems at once: problem p over its row edges[p] of a
+    (P, n) array, ascending and NaN-padded at the end, starting from the
+    panels between its consecutive distinct edges, to absolute tolerance
+    epsabs[p]. f_batch(x, pid) returns the integrand of problem pid[i] at
+    x[i].
 
     Worst-first refinement, per problem: every sweep splits the smallest
     set of its panels, largest error first, whose errors cover most of the
@@ -84,6 +85,7 @@ def adaptive_gk_batch(f_batch: Callable[[np.ndarray, np.ndarray], np.ndarray],
     when problem p exhausted its panel budget (its value and error are then
     NaN), else None.
     """
+    edges = np.asarray(edges, dtype=float)
     n_problems = len(edges)
     epsabs = np.broadcast_to(np.asarray(epsabs, dtype=float), (n_problems,))
 
@@ -101,9 +103,10 @@ def adaptive_gk_batch(f_batch: Callable[[np.ndarray, np.ndarray], np.ndarray],
             g7[part] = (vals * _W_G[None, :]).sum(axis=1) * half
         return k15, np.abs(k15 - g7)
 
-    lo = np.concatenate([e[:-1] for e in edges])
-    hi = np.concatenate([e[1:] for e in edges])
-    pid = np.repeat(np.arange(n_problems), [len(e) - 1 for e in edges])
+    # repeated edges and the NaN padding make no panel
+    panel = edges[:, 1:] > edges[:, :-1]
+    pid = np.nonzero(panel)[0]
+    lo, hi = edges[:, :-1][panel], edges[:, 1:][panel]
     val, err = evaluate(lo, hi, pid)
     converged = _at_round_off(val, err)
     values, errors = np.full(n_problems, math.nan), np.full(n_problems, math.nan)
@@ -122,14 +125,11 @@ def adaptive_gk_batch(f_batch: Callable[[np.ndarray, np.ndarray], np.ndarray],
         broke = ~done & (count[ids] >= max_panels)
         if np.any(done | broke):
             val_sum = np.add.reduceat(val[order], start[ids])
-            for j in np.flatnonzero(done | broke):
-                p = ids[j]
-                value = float(val_sum[j])
-                if broke[j]:
-                    failures[p] = QuadratureError("panel budget exhausted", value=value,
-                                                  error_estimate=total[j])
-                else:
-                    values[p], errors[p] = value, total[j]
+            values[ids[done]], errors[ids[done]] = val_sum[done], total[done]
+            for j in np.flatnonzero(broke):
+                failures[ids[j]] = QuadratureError("panel budget exhausted",
+                                                   value=float(val_sum[j]),
+                                                   error_estimate=total[j])
             going = np.zeros(n_problems, dtype=bool)
             going[ids[~(done | broke)]] = True
             if not going.any():

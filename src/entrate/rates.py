@@ -108,11 +108,20 @@ root of N' D - N D', found and polished the same way.
 The integral. Gamma_E is integrated over the whole frequency line on one
 compact angle: omega = s' tan(theta) with s' = max(decay) maps the line
 onto (-pi/2, pi/2), and the integrand E(s' tan theta) s' / cos^2(theta)
-stays bounded at the ends because E falls off like |omega|^-3 (full model)
-or |omega|^-2 (effective model). The Gauss-Kronrod panels start at the
-beam-block resonances (omega = -Im of its k eigenvalues; the conjugates
-of the partner block resonate in S at -omega, never at +omega) and at +-1
-and +-5 linewidths around each.
+stays bounded at the ends because E falls off like |omega|^-3 (full
+model) or |omega|^-2 (effective model). The Gauss-Kronrod panels start
+on a mesh graded geometrically towards the resonance centres, omega = 0
+and the beam-block resonances (omega = -Im of its k eigenvalues; the
+conjugates of the partner block resonate in S at -omega, never at
++omega). Each centre gets edges at its linewidth times 4^j either side,
+out to the half-way point to the next centre, or to two spans beyond the
+outermost, and an edge there (_panel_edges). Around a narrow mechanical
+resonance E has a skirt many linewidths wide (FWHM 0.044 for a linewidth
+of 5e-4 at g = 5, Gamma = 1e-3, delta = -15), and worst-first refinement
+from a few fixed edges reaches that scale one bisection per sweep; the
+graded mesh starts on every scale at once (as QUADPACK does towards a
+singular point, Piessens et al. 1983). Centres closer than a linewidth
+merge into the narrowest.
 
 The problem axis. _rates computes the rates of P stable beam blocks of one
 model (scattering.BeamBlocks with their eigenvalues: entanglement_rates
@@ -149,8 +158,17 @@ from .scattering import correlator_batch  # noqa: F401
 _GRID_OFFSETS = np.array([0.0, 0.25, -0.25, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0,
                           5.0, -5.0, 10.0, -10.0, 25.0, -25.0, 50.0, -50.0,
                           100.0, -100.0])
-#: Gauss-Kronrod panel edges around each resonance, in linewidths.
-_SEED_OFFSETS = np.array([0.0, 1.0, -1.0, 5.0, -5.0])
+#: Ratio of consecutive Gauss-Kronrod panel edges going out from a resonance.
+_GRADING = 4.0
+#: Reach of the edges beyond the outermost resonances, in units of the span
+#: max |centre| + max decay.
+_OUTER_REACH = 2.0
+#: The edges on one side of a resonance in linewidths, the centre first,
+#: and the signs of the two sides.
+_RUNGS = np.concatenate([[0.0], _GRADING ** np.arange(64)])
+_SIDES = np.array([-1.0, 1.0])
+#: j < i at [i, j], for the k + 1 <= 4 resonance centres of a beam block.
+_EARLIER = np.tri(4, k=-1, dtype=bool)
 #: Batched secant steps that polish the FWHM flanks on the kernel, and
 #: kernel passes of the Newton polish of the stationary points.
 _POLISH_STEPS = 3
@@ -232,9 +250,15 @@ class RateResult:
 
 def _resonances(eigenvalues: np.ndarray, decay: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(centres, linewidths) of the beam-block resonances, -Im and |Re| of
-    its eigenvalues, plus omega = 0 with the largest decay rate as width."""
-    return (np.concatenate([-eigenvalues.imag, [0.0]]),
-            np.concatenate([np.maximum(np.abs(eigenvalues.real), 1e-12), [np.max(decay)]]))
+    its eigenvalues, plus omega = 0 with the largest decay rate as width,
+    along the last axis of the eigenvalues and decays."""
+    shape = (*eigenvalues.shape[:-1], eigenvalues.shape[-1] + 1)
+    centres, widths = np.empty(shape), np.empty(shape)
+    np.negative(eigenvalues.imag, out=centres[..., :-1])
+    centres[..., -1] = 0.0
+    np.maximum(np.abs(eigenvalues.real), 1e-12, out=widths[..., :-1])
+    widths[..., -1] = decay.max(axis=-1)
+    return centres, widths
 
 
 def _scale(eigenvalues: np.ndarray, decay: np.ndarray) -> np.ndarray:
@@ -243,9 +267,39 @@ def _scale(eigenvalues: np.ndarray, decay: np.ndarray) -> np.ndarray:
     return np.max(np.abs(eigenvalues), axis=-1) + np.max(decay, axis=-1)
 
 
-def _around(centers: np.ndarray, widths: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Each centre plus its width times every offset."""
-    return (centers[:, None] + widths[:, None] * offsets).ravel()
+def _panel_edges(eigenvalues: np.ndarray, decay: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """Starting Gauss-Kronrod edges in theta = arctan(omega / scale[p]) of
+    every problem p, from its block eigenvalues (P, k) and decays: one row
+    per problem, ascending from -pi/2 to pi/2 and NaN-padded at the end
+    (repeated edges make no panel in quadutil.adaptive_gk_batch). Each
+    resonance centre (_resonances) gets edges at its linewidth times
+    _GRADING^j either side, out to the half-way point to the neighbouring
+    centre, or to _OUTER_REACH spans on the outer sides, and an edge there.
+    Coincident centres merge: a centre within the linewidth of a narrower
+    one (or of an earlier one as narrow) gives way to it. Elementwise along
+    the problem axis, so a row does not depend on the batch."""
+    c, w = _resonances(eigenvalues, decay)
+    outer = _OUTER_REACH * (np.abs(c).max(axis=1) + scale)
+    m = c.shape[1]
+    # [p, i, j]: centre j is narrower than centre i, or as narrow and earlier
+    w_i, w_j = w[:, :, None], w[:, None, :]
+    narrower = np.where(_EARLIER[:m, :m], w_j <= w_i, w_j < w_i)
+    c[(narrower & (np.abs(c[:, None, :] - c[:, :, None]) <= w_j)).any(axis=2)] = np.nan
+    # signed by the side, [p, side, i]: each centre, the nearest remaining
+    # centre on that side, and the half-way point to it (the same float from
+    # both centres) or, with none, the outer reach
+    sc = _SIDES[:, None] * c[:, None, :]
+    ahead = np.where(sc[:, :, None, :] > sc[..., None], sc[:, :, None, :], np.inf).min(axis=3)
+    limit = np.minimum(0.5 * (sc + ahead), sc + outer[:, None, None])
+    rungs = w[:, None, :, None] * _RUNGS[:2 + int(math.log(outer.max() / w.min(), _GRADING))]
+    ladder = np.where(rungs < (limit - sc)[..., None], sc[..., None] + rungs, np.nan)
+    omega = np.concatenate([ladder, limit[..., None]], axis=3) * _SIDES[:, None, None]
+    edges = np.empty((len(c), omega[0].size + 2))
+    edges[:, :2] = -0.5 * math.pi, 0.5 * math.pi
+    # + 0.0 makes -0.0 a 0.0: equal edges of two signs sort in either order
+    np.arctan(omega.reshape(len(c), -1) / scale[:, None] + 0.0, out=edges[:, 2:])
+    edges.sort(axis=1)
+    return edges
 
 
 def frequency_grid(d: DriftMatrix, eigenvalues: np.ndarray | None = None) -> np.ndarray:
@@ -260,7 +314,8 @@ def frequency_grid(d: DriftMatrix, eigenvalues: np.ndarray | None = None) -> np.
     centers, widths = _resonances(eigenvalues, d.decay)
     span = float(np.max(np.abs(centers)) + 20.0 * np.max(d.decay) + 1.0)
     out = _sorted_unique(np.concatenate([np.linspace(-span, span, 241),
-                                         _around(centers, widths, _GRID_OFFSETS)]))
+                                         (centers[:, None] + widths[:, None]
+                                          * _GRID_OFFSETS).ravel()]))
     out = out[(out >= -span) & (out <= span)]
     # a point within round-off of its neighbour would make an empty panel
     return out[np.r_[True, np.diff(out) > 1e-12 * span]]
@@ -567,11 +622,7 @@ def _rates(blocks: BeamBlocks, eigenvalues: np.ndarray, tol: float,
     # E has all its structure at the resonances, so panels that start
     # there only need polishing; half of tol * 2 pi is the budget
     scale = np.max(blocks.decay, axis=1)
-    edges = []
-    for e, decay, sc in zip(eigenvalues[pos], blocks.decay, scale):
-        seeds = np.arctan(_around(*_resonances(e, decay), _SEED_OFFSETS) / sc)
-        edges.append(_sorted_unique(np.concatenate(
-            [[-0.5 * math.pi, 0.5 * math.pi], seeds[np.abs(seeds) < 0.5 * math.pi]])))
+    edges = _panel_edges(eigenvalues[pos], blocks.decay, scale)
 
     def integrand(theta: np.ndarray, pid: np.ndarray) -> np.ndarray:
         t, sc = np.tan(theta), scale[pid]
@@ -582,18 +633,14 @@ def _rates(blocks: BeamBlocks, eigenvalues: np.ndarray, tol: float,
 
     values, omega_max, e_max = _stationary(blocks, s, polys)
     widths, fwhm_failures = _fwhms(blocks, s, polys, omega_max, e_max)
+    peaks = _count_local_maxima(values, e_max)
     for i, p in enumerate(pos):
         failure = gk_failures[i] or fwhm_failures[i]
-        # E = 0 at both ends of the line; a candidate within 4 ulp of the one
-        # before it lies on the same flat top
-        e = values[i]
-        e = e[np.concatenate(([True], np.abs(np.diff(e)) > 4.0 * np.spacing(e[1:])))]
-        peaks = _count_local_maxima(np.concatenate(([0.0], e, [0.0])), e_max[i])
         out[p] = failure or RateResult(
             gamma_E=float(totals[i]) / (2.0 * math.pi), E_max=float(e_max[i]),
             omega_max=float(omega_max[i]), fwhm=float(widths[i]),
             quadrature_error=float(errors[i]) / (2.0 * math.pi),
-            secondary_peaks=max(peaks - 1, 0))
+            secondary_peaks=int(peaks[i]) - 1)
     return out
 
 
@@ -608,20 +655,34 @@ def entanglement_rate(d: DriftMatrix, n_th: float = 0.0, tol: float = 1e-6) -> R
     return result
 
 
-def _count_local_maxima(y: np.ndarray, e_max: float) -> int:
-    """Peak count with a prominence floor of 1% of the dominant peak, so the
+def _count_local_maxima(values: np.ndarray, e_max: np.ndarray) -> np.ndarray:
+    """Peak count of every row of peak candidates (E at the candidates of a
+    problem, sorted by omega; module docstring), with E = 0 at both ends of
+    the line and a prominence floor of 1% of the row's e_max, so the
     float-level jitter of strongly squeezed points does not register. A
+    candidate within 4 ulp of the one before it is on the same flat top. A
     peak is an interior strict maximum once plateaus are collapsed; its
-    prominence is its height above the higher of the lowest samples on each
-    side, searched outward until a higher sample or the border."""
-    if y.size < 3:
-        return 1 if np.any(y > 0) else 0
-    floor = max(1e-9, 1e-2 * e_max)
-    z = y[np.concatenate(([True], y[1:] != y[:-1]))]
-    count = 0
-    for p in np.flatnonzero((z[1:-1] > z[:-2]) & (z[1:-1] > z[2:])) + 1:
-        higher = np.flatnonzero(z > z[p])
-        lo = higher[higher < p].max(initial=-1) + 1
-        hi = higher[higher > p].min(initial=z.size)
-        count += z[p] - max(z[lo:p].min(), z[p + 1:hi].min()) >= floor
-    return max(int(count), 1)
+    prominence is its height above the higher of the lowest values on each
+    side, searched outward until a higher value or the border. At least 1
+    per row."""
+    rows, n = values.shape
+    y = np.zeros((rows, n + 2))
+    y[:, 1:-1] = values
+    # a candidate on the flat top of the one before it takes the value of
+    # the last one that is not
+    own = np.ones(y.shape, dtype=bool)
+    own[:, 2:-1] = np.abs(values[:, 1:] - values[:, :-1]) > 4.0 * np.spacing(values[:, 1:])
+    y = y[np.arange(rows)[:, None], np.maximum.accumulate(own * np.arange(n + 2), axis=1)]
+    # the first value of each plateau stands for it
+    first = np.ones(y.shape, dtype=bool)
+    first[:, 1:] = y[:, 1:] != y[:, :-1]
+    # [row, i, j]: value j is higher than value i; j lies before i
+    higher = y[:, None, :] > y[:, :, None]
+    before = np.arange(n + 2) < np.arange(n + 2)[:, None]
+    # no higher value between i and j, i excluded, on either side
+    left = before & ~np.logical_or.accumulate((higher & before)[..., ::-1], axis=2)[..., ::-1]
+    right = before.T & ~np.logical_or.accumulate(higher & before.T, axis=2)
+    lows = np.maximum(np.where(left, y[:, None, :], np.inf).min(axis=2),
+                      np.where(right, y[:, None, :], np.inf).min(axis=2))
+    floor = np.maximum(1e-9, 1e-2 * e_max)[:, None]
+    return np.maximum((first & (y - lows >= floor)).sum(axis=1), 1)

@@ -53,7 +53,8 @@ class TestMinimizeScalar:
 # three integrands of different difficulty, chosen by problem id
 _INTEGRANDS = [lambda x: np.exp(-x * x), lambda x: 1.0 / (1e-6 + x * x),
                lambda x: np.sin(40.0 * x) ** 2]
-_EDGES = [np.array([-3.0, 0.0, 3.0]), np.array([-1.0, 1.0]), np.array([0.0, 0.5, 2.0])]
+# one row of edges per problem, NaN-padded at the end
+_EDGES = np.array([[-3.0, 0.0, 3.0], [-1.0, 1.0, np.nan], [0.0, 0.5, 2.0]])
 _EPS = np.array([1e-12, 1e-8, 1e-10])
 
 
@@ -78,12 +79,12 @@ class TestAdaptiveGkBatch:
     def test_problems_do_not_interact(self):
         values, errors, _ = adaptive_gk_batch(_by_problem, _EDGES, _EPS)
         for p, f in enumerate(_INTEGRANDS):
-            alone = adaptive_gk_batch(lambda x, _, f=f: f(x), [_EDGES[p]], _EPS[p:p + 1])
+            alone = adaptive_gk_batch(lambda x, _, f=f: f(x), _EDGES[p:p + 1], _EPS[p:p + 1])
             assert (values[p], errors[p]) == (alone[0][0], alone[1][0])
         # the batch in another order gives the same numbers
         order = [2, 0, 1]
         shuffled = adaptive_gk_batch(lambda x, pid: _by_problem(x, np.array(order)[pid]),
-                                     [_EDGES[p] for p in order], _EPS[order])
+                                     _EDGES[order], _EPS[order])
         assert list(shuffled[0]) == list(values[order])
 
     def test_panel_budget_fails_its_problem_only(self):

@@ -10,18 +10,21 @@ from entrate.closedforms import eta_minus_resonant
 from entrate.errors import UnstableSystemError
 from entrate.models import (BEAM_BLOCK, DriftMatrix, EffectiveModelParams, FullModelParams,
                             drift_effective, drift_full, stability)
+from entrate import quadutil, rates
 from entrate.quadutil import bisect_all
 from entrate.rates import (_beam_polynomials, _count_local_maxima, _density, _fwhms,
-                           _scale, entanglement_rate, entanglement_rates, frequency_grid,
-                           spectral_density, spectral_density_batch, spectrum_and_density,
-                           spectrum_peak)
+                           _panel_edges, _scale, entanglement_rate, entanglement_rates,
+                           frequency_grid, spectral_density, spectral_density_batch,
+                           spectrum_and_density, spectrum_peak)
 from entrate.scattering import BeamBlocks, correlator_batch, spectrum_parts
+from entrate.sweep import SweepAxis, SweepConfig, run_sweep
 from fwhm_reference import fwhm_by_bisection
 from lu_reference import scattering_matrices
 from mp_reference import reference_point
-from peak_reference import refined_peaks
+from peak_reference import candidate_peak_count, count_local_maxima, refined_peaks
 from paper_helpers import symmetrized_density, to_nats_per_second
 from strategies import stable_drifts
+import workloads
 
 KAPPA = 1.0
 
@@ -362,6 +365,101 @@ class TestBatchedRates:
             entanglement_rates([full_drift(), d_eff], [0.0, 0.0])
 
 
+class TestPanelEdges:
+    @staticmethod
+    def edges(d):
+        rep = stability(d)
+        blocks = BeamBlocks.of([d], [0.0])
+        (row,) = _panel_edges(rep.eigenvalues[None], blocks.decay,
+                              np.max(blocks.decay, axis=1))
+        return row[np.isfinite(row)]
+
+    def test_merged_centre_keeps_the_smallest_width(self):
+        # at delta = Delta = 0 all four centres sit within 1e-7 of omega = 0,
+        # with widths 5e-4 (mechanical), 0.5, 0.5 and 1: the merged centre
+        # carries the ladder of the narrowest, 5e-4 * 4^j
+        omega = np.tan(self.edges(full_drift()))
+        inner = np.sort(np.abs(omega[np.abs(omega) < 1.0]))
+        ladder = 5e-4 * 4.0 ** np.arange(5)
+        for side in (omega[omega > 1e-9], -omega[omega < -1e-9]):
+            first = np.sort(side)[:5]
+            assert np.allclose(first, ladder, rtol=1e-9, atol=1e-12)
+        assert inner[0] <= 1e-12
+
+    def test_mechanical_ladder_stops_half_way_to_the_next_centre(self):
+        # delta = -15: a mechanical centre at -15 (width 5e-4) and the merged
+        # optical centre within 1e-8 of 0 (width 0.5); both ladders end at
+        # the one half-way edge, -7.5
+        omega = np.unique(np.tan(self.edges(full_drift(delta=-15.0))))
+        between = omega[(omega > -15.0 + 1e-9) & (omega < -1e-6)]
+        expected = np.concatenate([-15.0 + 5e-4 * 4.0 ** np.arange(7), [-7.5, -2.0, -0.5]])
+        assert np.allclose(between, expected, rtol=1e-9, atol=1e-7)
+
+    def test_each_row_equals_the_row_built_alone_bit_for_bit(self):
+        # the stable points of the paper's 25 x 25 rate map
+        drifts = [full_drift(delta=x, Delta=y) for x in np.linspace(-15.0, 15.0, 25)
+                  for y in np.linspace(-1.5, 1.5, 25)]
+        reps = [stability(d) for d in drifts]
+        keep = [i for i, r in enumerate(reps) if r.stable]
+        blocks = BeamBlocks.of([drifts[i] for i in keep], [0.0] * len(keep))
+        eigenvalues = np.stack([reps[i].eigenvalues for i in keep])
+        scale = np.max(blocks.decay, axis=1)
+        batch = _panel_edges(eigenvalues, blocks.decay, scale)
+        for p in range(len(eigenvalues)):
+            (alone,) = _panel_edges(eigenvalues[p:p + 1], blocks.decay[p:p + 1],
+                                    scale[p:p + 1])
+            row = batch[p]
+            assert row[np.isfinite(row)].tobytes() == alone[np.isfinite(alone)].tobytes()
+            assert np.all(np.isnan(row[np.isfinite(row).sum():]))
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(stable_drifts())
+    # the map's outer strip: a mechanical resonance at omega = -15 whose E
+    # skirt (FWHM 0.044) is 90 linewidths wide
+    @example((full_drift(delta=-15.0), 0.0))
+    @example((full_drift(), 0.0))
+    def test_rate_within_tol_of_a_tight_rate(self, drift_nth):
+        d, n_th = drift_nth
+        rr = entanglement_rate(d, n_th, tol=1e-6)
+        assert rr.quadrature_error <= 1e-6
+        assert abs(rr.gamma_E - entanglement_rate(d, n_th, tol=1e-11).gamma_E) <= 1e-6
+
+
+class TestCountedWork:
+    def test_rate_map_gk_work(self, monkeypatch):
+        # the paper's 25 x 25 map with the benchmark's quantities, as its five
+        # 5 x 25 strips along delta; sweeps counted as the round-off checks
+        # of adaptive_gk_batch after its first evaluation (one per sweep)
+        work = {"points": 0, "problems": 0, "sweeps": 0}
+        gk, at_round_off = rates.adaptive_gk_batch, quadutil._at_round_off
+
+        def counted_gk(f_batch, edges, epsabs, **kwargs):
+            def counted(x, pid):
+                work["points"] += x.size
+                return f_batch(x, pid)
+            work["problems"] += len(epsabs)
+            work["sweeps"] -= 1
+            return gk(counted, edges, epsabs, **kwargs)
+
+        def counted_round_off(val, err):
+            work["sweeps"] += 1
+            return at_round_off(val, err)
+
+        monkeypatch.setattr(rates, "adaptive_gk_batch", counted_gk)
+        monkeypatch.setattr(quadutil, "_at_round_off", counted_round_off)
+        deltas = np.linspace(-15.0, 15.0, 25)
+        for i in range(0, 25, 5):
+            run_sweep(SweepConfig(
+                model="full", fixed={"g": 5.0, "Gamma": 1e-3, "n_th": 0.0},
+                axes=[SweepAxis("delta", float(deltas[i]), float(deltas[i + 4]), 5),
+                      SweepAxis("Delta", -1.5, 1.5, 25)],
+                quantities=["gamma_E", "E_max", "fwhm", "stability_margin"], tol=1e-6,
+                jobs=1))
+        assert work["problems"] == 143
+        assert work["points"] / work["problems"] <= 500
+        assert work["sweeps"] <= 30
+
+
 class TestMirrorPeaks:
     @pytest.mark.parametrize("d", [
         full_drift(), drift_effective(EffectiveModelParams(g=1.5, delta=10.0, Delta=0.6))],
@@ -384,6 +482,9 @@ class TestStationaryPeaks:
                          Delta=-0.4612045465808583, delta=11.460181182778033), 0.0), 0)
     # kernel E 1.6e-12 above the 50-digit value next to this peak at omega = 4
     @example((full_drift(g=math.sqrt(1e-3), Gamma=1e-3, Delta=1.0, delta=4.0), 1.0), 0)
+    # a sample 5.4e-14 above E_max = 0.004 seen here in a full run, under a
+    # trial bound of 5e-14 E_max
+    @example((full_drift(g=0.0158, Gamma=1e-3, Delta=0.125, delta=5.0), 0.0), 0)
     def test_no_sample_exceeds_e_max(self, drift_nth, seed):
         # 2,000 random frequencies, half uniform over the resonance span and
         # half drawn around the resonances with their linewidths, and 100
@@ -478,11 +579,63 @@ class TestPeakCount:
            st.floats(0.0, 400.0))
     def test_matches_scipy_find_peaks(self, ys, e_max):
         y = np.array(ys, dtype=float)
-        assert _count_local_maxima(y, e_max) == self.scipy_count(y, e_max)
+        assert count_local_maxima(y, e_max) == self.scipy_count(y, e_max)
 
     def test_plateau_peak_and_border_plateau(self):
         y = np.array([0.0, 2.0, 2.0, 2.0, 0.0, 1.0, 1.0])
-        assert _count_local_maxima(y, 2.0) == 1
+        assert count_local_maxima(y, 2.0) == 1
+
+    @staticmethod
+    @st.composite
+    def candidate_rows(draw):
+        """Equal-length rows of candidate values: random heights, small
+        integers (plateaus and exact ties), and runs within 4 ulp."""
+        n = draw(st.integers(1, 14))
+        rows = []
+        for _ in range(draw(st.integers(1, 4))):
+            kind = draw(st.sampled_from(["floats", "integers", "ulps"]))
+            if kind == "floats":
+                row = draw(st.lists(st.floats(0.0, 10.0), min_size=n, max_size=n))
+            elif kind == "integers":
+                row = draw(st.lists(st.integers(0, 3).map(float), min_size=n, max_size=n))
+            else:
+                base = draw(st.lists(st.sampled_from([0.5, 1.0, 1.5, 3.0]), min_size=n,
+                                     max_size=n))
+                ulps = draw(st.lists(st.integers(-6, 6), min_size=n, max_size=n))
+                row = [b + u * np.spacing(b) for b, u in zip(base, ulps)]
+            rows.append(row)
+        e_max = draw(st.lists(st.floats(0.0, 12.0), min_size=len(rows), max_size=len(rows)))
+        return np.array(rows), np.array(e_max)
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(candidate_rows())
+    def test_batched_count_equals_the_one_row_reference(self, rows_e_max):
+        rows, e_max = rows_e_max
+        got = _count_local_maxima(rows, e_max)
+        assert got.tolist() == [candidate_peak_count(r, e) for r, e in zip(rows, e_max)]
+
+    def test_batched_count_on_rate_points_candidates(self, monkeypatch):
+        # the candidate rows that the rates of the benchmark's rate_points
+        # seeds 1-3 count peaks on
+        seen = []
+
+        def spy(values, e_max):
+            seen.append((values.copy(), e_max.copy()))
+            return _count_local_maxima(values, e_max)
+
+        monkeypatch.setattr(rates, "_count_local_maxima", spy)
+        for seed in (1, 2, 3):
+            for _, model, p in workloads.rate_point_set(seed):
+                if model == "full":
+                    entanglement_rate(drift_full(FullModelParams(**p)), p["n_th"])
+                else:
+                    entanglement_rate(drift_effective(EffectiveModelParams(**p)))
+        assert len(seen) >= 150
+        for values, e_max in seen:
+            assert _count_local_maxima(values, e_max).tolist() == [
+                candidate_peak_count(v, e) for v, e in zip(values, e_max)]
+        # two or more peaks occur
+        assert any(_count_local_maxima(v, e).max() > 1 for v, e in seen)
 
 
 def test_refined_peak_keeps_a_sample_the_search_misses():
