@@ -77,7 +77,9 @@ where
 and for c < 1 every real root is a crossing of 2 eta_minus, because the
 other root is 2 eta_plus >= 1 > c. The FWHM flanks are the real roots
 nearest omega_max at c = e^(-E_max / 2), polished by a few batched secant
-steps on the kernel.
+steps on the kernel, which start at the roots for the polynomials' E_max,
+measured in the peaks' pass below (afresh where omega_max is outside them
+or that E_max is off the kernel's).
 
 Peaks as polynomial roots. u = 1 - e^-E solves P_u = 0 at every y and
 rises with E, so E is stationary where u' = -(u^2 D' + 2 u V') / (2 (u D
@@ -95,15 +97,18 @@ among the candidates sorted by omega, with E = 0 at both ends, every
 local maximum of E is a candidate and a candidate that is no stationary
 point of E is no strict local maximum: the peak count runs on that list,
 less each candidate within 4 ulp of the one before it (two roots on one
-flat top). E_max is the best candidate after Newton steps on u', each one
-batched kernel pass for u and the polynomials for u' and u''. A step
+flat top). Newton steps on u' polish the candidates without the kernel:
+u = K / (V + sqrt(V^2 + K D)) solves P_u = 0, and u' and u'' follow by
+implicit differentiation from D, V and their first two derivatives. A step
 longer than a thousandth of s is not taken: it starts from a candidate
 that is no stationary point of E. Newton steps may carry such a candidate
-onto a peak, which is why the count uses the candidates as found. Of two
-mirror peaks equal to 4 ulp, omega_max is the one at omega >= 0. The
-beam-1 output spectrum nu_plus = N / D,
-N = kappa_+ kappa_- |A_+-|^2 + n_th kappa_+ gamma |A_+b|^2, peaks at a real
-root of N' D - N D', found and polished the same way.
+onto a peak, which is why the count uses the candidates as found. One
+kernel pass then measures E at the candidates as found, the polished ones
+and their mirrors; E_max is the best polished one, and of two mirror peaks
+equal to 4 ulp, omega_max is the one at omega >= 0. The beam-1 output
+spectrum nu_plus = N / D, N = kappa_+ kappa_- |A_+-|^2 + n_th kappa_+ gamma
+|A_+b|^2, peaks at a real root of N' D - N D', found, polished on N and D
+and measured the same way.
 
 The integral. Gamma_E is integrated over the whole frequency line on one
 compact angle: omega = s' tan(theta) with s' = max(decay) maps the line
@@ -129,16 +134,17 @@ gates its drifts onto it, a sweep calls it on the blocks of its grid)
 together: the polynomials D, V and K of every problem (computed
 once, for the peaks and the flanks), the peak and crossing polynomials
 and their roots (stacked eigen-solves of the companion matrices), one
-Gauss-Kronrod loop whose panels carry a problem id, one peak polish and
-one FWHM polish, each step batched kernel passes over all problems. Every
-decision is taken per problem from that problem's numbers, and the kernel
-is elementwise, so a result does not depend on the batch it was computed
-in: entanglement_rate is the call with P = 1, and a sweep's rows equal it
-bit for bit.
+Gauss-Kronrod loop whose panels carry a problem id, one kernel pass for
+the peaks and one FWHM polish, each step batched kernel passes over all
+problems. Every decision is taken per problem from that problem's
+numbers, and the kernel and the polynomial steps are elementwise, so a
+result does not depend on the batch it was computed in: entanglement_rate
+is the call with P = 1, and a sweep's rows equal it bit for bit.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -169,11 +175,21 @@ _RUNGS = np.concatenate([[0.0], _GRADING ** np.arange(64)])
 _SIDES = np.array([-1.0, 1.0])
 #: j < i at [i, j], for the k + 1 <= 4 resonance centres of a beam block.
 _EARLIER = np.tri(4, k=-1, dtype=bool)
-#: Batched secant steps that polish the FWHM flanks on the kernel, and
-#: kernel passes of the Newton polish of the stationary points.
+#: Batched secant steps that polish the FWHM flanks on the kernel, and the
+#: offsets of their two starts from a flank x, times |x| + 1.
 _POLISH_STEPS = 3
-#: Longest Newton step of the stationary-point polish, in units of s.
+_SECANT_STARTS = np.array([[1e-8], [0.0]])
+#: Relative difference between the polynomials' E_max and the kernel's up to
+#: which the flank starts at half the former are kept: a level off by that
+#: fraction moves a flank by about half of it times the width, less than the
+#: roots' own error.
+_LEVEL_TOL = 1e-6
+#: Newton steps of the peak polish on the beam polynomials.
+_NEWTON_STEPS = 2
+#: Longest Newton step of the peak polish, in units of s.
 _NEWTON_REACH = 1e-3
+#: The step below which a Newton or secant step is not taken, relative.
+_EPS4 = 4.0 * np.finfo(float).eps
 #: Sign pattern J of the reciprocity m^T = J m J of the beam block.
 _RECIPROCITY_SIGNS = np.array([1.0, -1.0, 1.0])
 #: Floor of the one denominator of _gram_density that vanishes (where K = 0).
@@ -338,16 +354,23 @@ def _require_reciprocal(m: np.ndarray) -> None:
                          f"J = diag{tuple(j)})")
 
 
-def _poly_abs2(p: np.ndarray) -> np.ndarray:
-    """Coefficients of |p(y)|^2 for real y, for every polynomial along the
-    last axis of p (highest power first): the anti-diagonal sums of the
-    outer product of p with its conjugate."""
-    n = p.shape[-1]
-    i, j = np.divmod(np.arange(n * n), n)
-    order = np.argsort(i + j, kind="stable")
-    prod = (p[..., :, None] * p[..., None, :].conj()).real.reshape(*p.shape[:-1], n * n)
-    return np.add.reduceat(prod[..., order], np.searchsorted((i + j)[order],
-                                                             np.arange(2 * n - 1)), axis=-1)
+@functools.cache
+def _anti_diagonals(na: int, nb: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Index tables [m, t] into the coefficients of a (na) and of b (nb):
+    term t of anti-diagonal m of their outer product is a[m - j] b[j], j
+    ascending, and a mask of the terms within the anti-diagonal."""
+    m, t = np.ogrid[:na + nb - 1, :min(na, nb)]
+    j = np.maximum(m - na + 1, 0) + t
+    inside = (j < nb) & (j <= m)
+    return np.where(inside, m - j, 0), np.where(inside, j, 0), inside.astype(float)
+
+
+def _polymul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Coefficients of the products of the polynomials along the last axes
+    of a and b (highest power first, the other axes broadcast): the
+    anti-diagonal sums of their outer products, summed in order."""
+    ia, ib, inside = _anti_diagonals(a.shape[-1], b.shape[-1])
+    return np.add.accumulate(a[..., ia] * b[..., ib] * inside, axis=-1)[..., -1]
 
 
 def _beam_polynomials(blocks: BeamBlocks, s: np.ndarray,
@@ -360,9 +383,10 @@ def _beam_polynomials(blocks: BeamBlocks, s: np.ndarray,
     k = blocks.k
     coef, weights = blocks.gram_table
     # t^j = (i s y)^j times det [, A_+b, A_-b] (degree k - 1, with a leading
-    # zero), all squared at once
-    powers = (1j * s[:, None]) ** np.arange(k, -1, -1)
-    sq = _poly_abs2(powers[:, None] * coef.transpose(2, 1, 0))
+    # zero), all of them |.|^2 at once
+    p = (1j * s[:, None]) ** np.arange(k, -1, -1)
+    p = p[:, None] * coef.transpose(2, 1, 0)
+    sq = _polymul(p.conj(), p).real
     k_pair = weights[0]
     v = np.zeros((s.size, 2 * k - 1))
     v[:, -1] = 0.5 * k_pair
@@ -379,20 +403,35 @@ def _polyder(p: np.ndarray) -> np.ndarray:
     return p[..., :-1] * np.arange(p.shape[-1] - 1, 0, -1)
 
 
-def _polymul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Coefficients of the products of the polynomials of a and b, row by row."""
-    out = np.zeros((*a.shape[:-1], a.shape[-1] + b.shape[-1] - 1))
-    for j in range(b.shape[-1]):
-        out[..., j:j + a.shape[-1]] += a * b[..., j:j + 1]
-    return out
-
-
-def _polyval(p: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """The polynomial of row p[i] at every y[i, :], by Horner's rule."""
-    out = np.zeros(y.shape)
-    for c in p.T:
-        out = out * y + c[:, None]
-    return out
+def _newton(polys: Sequence[np.ndarray], y: np.ndarray, step) -> tuple[np.ndarray, object]:
+    """The candidates y[p, :] (in units of s[p]) after at most _NEWTON_STEPS
+    Newton steps, and the aux of the last: step(values) gives (the step,
+    aux) from the polynomials polys (a row per problem each), their first
+    and their second derivatives at y, all from one Horner loop. A step not
+    finite or longer than _NEWTON_REACH is not taken, and a candidate stops
+    once its step is below 4 ulp or was not taken."""
+    n = max(p.shape[-1] for p in polys)
+    table = np.zeros((3, len(polys), len(y), n))
+    for i, p in enumerate(polys):
+        table[0, i, :, n - p.shape[-1]:] = p
+    table[1, ..., 1:] = _polyder(table[0])
+    table[2, ..., 2:] = _polyder(table[1, ..., 1:])
+    table = table.reshape(-1, len(y), n).transpose(2, 0, 1)[..., None]
+    active = np.ones(y.shape, dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(_NEWTON_STEPS):
+            values = table[0] * y
+            for c in table[1:-1]:
+                values += c
+                values *= y
+            values += table[-1]
+            dy, aux = step(values)
+            size = np.abs(dy)
+            active &= (size <= _NEWTON_REACH) & (size > _EPS4 * np.abs(y))
+            if not active.any():
+                break
+            y = np.where(active, y - dy, y)
+    return y, aux
 
 
 def _roots(p: np.ndarray) -> np.ndarray:
@@ -421,114 +460,124 @@ def _crossings(polys: tuple[np.ndarray, ...], s: np.ndarray, levels: np.ndarray)
     return np.where(real, s[:, None] * roots.real, np.nan)
 
 
+def _secant_starts(roots: np.ndarray, centres: np.ndarray) -> np.ndarray:
+    """The secant starts of _fwhms [p, centre, point, side] at the roots x
+    (P, n) nearest the centres (P, m) on either side: x + 1e-8 (|x| + 1),
+    then x; NaN where there is no root."""
+    r, c = roots[:, None, :], centres[..., None]
+    x = np.empty((*centres.shape, 1, 2))
+    np.fmax.reduce(np.where(r < c, r, np.nan), axis=2, out=x[..., 0, 0])
+    np.fmin.reduce(np.where(r > c, r, np.nan), axis=2, out=x[..., 0, 1])
+    return x + _SECANT_STARTS * (np.abs(x) + 1.0)
+
+
 def _fwhms(blocks: BeamBlocks, s: np.ndarray, polys: tuple[np.ndarray, ...],
            omega_max: np.ndarray, e_max: np.ndarray,
+           starts: tuple[np.ndarray, np.ndarray] | None = None,
            ) -> tuple[np.ndarray, list[QuadratureError | None]]:
     """Half-maximum width of the dominant peak of each problem (e_max > 0):
     the distance between the crossings of E = e_max / 2 nearest omega_max
     on either side, each polished by batched secant steps on the kernel
-    (the point with the smallest |E - e_max / 2| seen is kept). A problem
-    with no crossing on one side gets a QuadratureError and a NaN width."""
+    (the point with the smallest |E - e_max / 2| seen is kept), from the
+    starts [p, point, side] and E there of _stationary, or where those are
+    NaN (or not given) afresh. A problem with no crossing on one side gets
+    a QuadratureError and a NaN width."""
     half = 0.5 * e_max
-    roots = _crossings(polys, s, half)
-    left = np.max(np.where(roots < omega_max[:, None], roots, -np.inf), axis=1)
-    right = np.min(np.where(roots > omega_max[:, None], roots, np.inf), axis=1)
-    found = np.isfinite(left) & np.isfinite(right)
+    x, e = starts or (np.full((len(e_max), 2, 2), np.nan), np.full((len(e_max), 2, 2), np.nan))
+    fresh = np.flatnonzero(np.isnan(x[:, 0, 0]))
+    if fresh.size:
+        x[fresh] = _secant_starts(_crossings(tuple(p[fresh] for p in polys[:3]), s[fresh],
+                                             half[fresh]), omega_max[fresh, None])[:, 0]
+        fresh = fresh[~np.isnan(x[fresh]).any(axis=(1, 2))]
+        e[fresh] = _density(blocks, x[fresh].ravel(), np.repeat(fresh, 4)).reshape(-1, 2, 2)
+    found = ~np.isnan(x).any(axis=(1, 2))
     failures = [None if ok else QuadratureError(
         f"no half-maximum crossing on one side of omega_max={w}")
         for ok, w in zip(found, omega_max)]
-    widths = np.full(len(e_max), np.nan)
     idx = np.flatnonzero(found)
-
-    def offset(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        # E - half at the flanks x (n, 2) of the problems idx[rows]
-        pid = np.repeat(idx[rows], 2)
-        return (_density(blocks, x.ravel(), pid) - half[pid]).reshape(x.shape)
-
-    x1 = np.stack([left[idx], right[idx]], axis=1)
-    x0 = x1 + 1e-8 * (np.abs(x1) + 1.0)
-    f0, f1 = np.split(offset(np.concatenate([x0, x1]),
-                             np.tile(np.arange(idx.size), 2)), 2)
+    widths = np.full(len(e_max), np.nan)
+    x0, x1 = x[idx, 0], x[idx, 1]
+    f0, f1 = e[idx, 0] - half[idx, None], e[idx, 1] - half[idx, None]
     best, f_best = x1.copy(), np.abs(f1)
-    active = np.arange(idx.size)
+    # a problem that stops keeps its state, so it stops again
     for _ in range(_POLISH_STEPS):
-        slope = f1[active] - f0[active]
-        step = np.divide(f1[active] * (x1[active] - x0[active]), slope,
-                         out=np.zeros(slope.shape), where=slope != 0)
-        moving = ~np.all(np.abs(step) <= 4.0 * np.finfo(float).eps * np.abs(x1[active]),
-                         axis=1)
-        active, step = active[moving], step[moving]
-        if not active.size:
+        slope = f1 - f0
+        step = np.divide(f1 * (x1 - x0), slope, out=np.zeros(slope.shape), where=slope != 0)
+        moving = np.flatnonzero(~np.all(np.abs(step) <= _EPS4 * np.abs(x1), axis=1))
+        if not moving.size:
             break
-        x0[active], f0[active] = x1[active], f1[active]
-        x1[active] -= step
-        f1[active] = offset(x1[active], active)
-        better = np.abs(f1[active]) < f_best[active]
-        best[active] = np.where(better, x1[active], best[active])
-        f_best[active] = np.where(better, np.abs(f1[active]), f_best[active])
+        x0[moving], f0[moving] = x1[moving], f1[moving]
+        x1[moving] -= step[moving]
+        pid = np.repeat(idx[moving], 2)
+        f1[moving] = (_density(blocks, x1[moving].ravel(), pid) - half[pid]).reshape(-1, 2)
+        better = np.abs(f1) < f_best
+        best, f_best = np.where(better, x1, best), np.where(better, np.abs(f1), f_best)
     widths[idx] = best[:, 1] - best[:, 0]
     return widths, failures
 
 
-def _polish(value, s: np.ndarray, y: np.ndarray, newton_step,
-            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Candidates y[p, j] (in units of s[p]) for the stationary points of
-    f = value(omega, pid) of problem p: f at all of them, sorted by omega
-    per problem, and (omega, f) of the best of each problem after Newton
-    steps, in at most _POLISH_STEPS kernel passes in all; of two
-    mirror peaks equal to 4 ulp, the one at omega >= 0 (one more pass).
-    newton_step(f, y) is the Newton step towards the stationary point of
-    each candidate. A step that is not finite or longer than _NEWTON_REACH
-    is not taken, and a candidate stops once its step is below 4 ulp or was
-    not taken."""
-    pid = np.broadcast_to(np.arange(s.size)[:, None], y.shape)
-    f = value((s[:, None] * y).ravel(), pid.ravel()).reshape(y.shape)
-    found = np.take_along_axis(f, np.argsort(y, axis=1, kind="stable"), axis=1)
-    active = np.ones(y.shape, dtype=bool)
-    for _ in range(_POLISH_STEPS - 1):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = newton_step(f, y)
-        active &= ((np.abs(step) <= _NEWTON_REACH)
-                   & (np.abs(step) > 4.0 * np.finfo(float).eps * np.abs(y)))
-        if not active.any():
-            break
-        y = np.where(active, y - step, y)
-        f[active] = value((s[:, None] * y)[active], pid[active])
-    best = np.argmax(f, axis=1)
+def _peak(s: np.ndarray, y: np.ndarray, f: np.ndarray, f_mirror: np.ndarray,
+          ) -> tuple[np.ndarray, np.ndarray]:
+    """(omega, f) of the best of the candidates y[p, :] (in units of s[p])
+    of each problem: the largest f, and of two mirror peaks equal to 4 ulp
+    the one at omega >= 0 (f_mirror is f at -omega)."""
     rows = np.arange(s.size)
-    omega_max, f_max = s * y[rows, best], f[rows, best]
-    # of two mirror peaks equal to round-off, report the one at omega >= 0
-    neg = np.flatnonzero(omega_max < 0)
-    f_mirror = value(-omega_max[neg], neg)
-    tie = f_mirror >= f_max[neg] - 4.0 * np.spacing(f_max[neg])
-    omega_max[neg[tie]], f_max[neg[tie]] = -omega_max[neg[tie]], f_mirror[tie]
-    return found, omega_max, f_max
+    best = np.argmax(f, axis=1)
+    omega, top, mirror = s * y[rows, best], f[rows, best], f_mirror[rows, best]
+    tie = (omega < 0) & (mirror >= top - 4.0 * np.spacing(top))
+    return np.where(tie, -omega, omega), np.where(tie, mirror, top)
 
 
 def _stationary(blocks: BeamBlocks, s: np.ndarray, polys: tuple[np.ndarray, ...],
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The peak candidates of each problem (K > 0), by _polish: E at the
-    real parts of the roots of R (module docstring), sorted by omega, and
-    (omega_max, E_max) after Newton steps on u'."""
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """The peaks of each problem (K > 0, module docstring) from one kernel
+    pass: E at the real parts of the roots of R, sorted by omega, (omega_max,
+    E_max) of the best after Newton steps on the polynomials, and the starts
+    of _fwhms at the crossings of P_c for half the polynomials' E_max around
+    their omega_max or its mirror, where that holds the kernel's omega_max."""
     d, v, k = polys[:3]
     d1, v1 = _polyder(d), _polyder(v)
-    d2, v2 = _polyder(d1), _polyder(v1)
     # V has degree 2k - 4, so R has degree 4k - 2: the leading zeros go
     r = 4.0 * (_polymul(_polymul(v1, v1), d)
                - _polymul(_polymul(v, v1), d1))[:, -(4 * blocks.k - 1):]
     r -= k[:, None] * _polymul(d1, d1)
+    y0 = _roots(r).real
+    k2, k4 = 2.0 * k[:, None], 4.0 * k[:, None]
 
-    def newton_step(e: np.ndarray, y: np.ndarray) -> np.ndarray:
-        # u' / u'' by implicit differentiation of P_u = 0 in y
-        u = -np.expm1(-e)
-        dy, vy, dy1, vy1 = (_polyval(c, y) for c in (d, v, d1, v1))
-        f_u = 2.0 * (u * dy + vy)
-        du = -u * (u * dy1 + 2.0 * vy1) / f_u
-        ddu = -(2.0 * dy * du * du + 4.0 * (u * dy1 + vy1) * du
-                + u * (u * _polyval(d2, y) + 2.0 * _polyval(v2, y))) / f_u
-        return du / ddu
+    def step(values):
+        # u' / u'' from P_u = 0 with W = 2V: a = u D' + W', q = -u' =
+        # u a / (2uD + W), u' / u'' = u a / (2 (D q - a - u D') q + u (u D'' + W''))
+        dy, wy, dy1, wy1, dy2, wy2 = values
+        u = k2 / (wy + np.sqrt(wy * wy + k4 * dy))
+        ud1 = u * dy1
+        a = ud1 + wy1
+        ua = u * a
+        ud = u * dy
+        q = ua / (ud + ud + wy)
+        return ua / (2.0 * (dy * q - (a + ud1)) * q + u * (u * dy2 + wy2)), u
 
-    return _polish(lambda w, pid: _density(blocks, w, pid), s, _roots(r).real, newton_step)
+    y, u = _newton([d, 2.0 * v], y0, step)
+    rows, n = np.arange(s.size), y.shape[1]
+    guess = np.argmax(u, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        e_guess = -np.log1p(-u[rows, guess])
+    # where u rounds to 1 the polynomials cannot tell E_max: any level serves
+    x = _secant_starts(_crossings(polys, s, np.where(np.isfinite(e_guess), 0.5 * e_guess, 1.0)),
+                       (s * y[rows, guess])[:, None] * _SIDES)
+    sy = s[:, None] * y
+    # a point in the pass must be finite: 0 stands in for a missing crossing
+    w = np.concatenate([s[:, None] * y0, sy, -sy,
+                        np.where(np.isnan(x), 0.0, x).reshape(s.size, -1)], axis=1)
+    e = _density(blocks, w.ravel(), np.repeat(rows, w.shape[1])).reshape(w.shape)
+    found = e[rows[:, None], np.argsort(y0, axis=1, kind="stable")]
+    omega_max, e_max = _peak(s, y, e[:, n:2 * n], e[:, 2 * n:3 * n])
+    # the starts around omega_max, if it lies between them and their level
+    # is half the kernel's E_max to _LEVEL_TOL
+    inside = (x[:, :, 1, 0] < omega_max[:, None]) & (omega_max[:, None] < x[:, :, 1, 1])
+    c = np.argmax(inside, axis=1)
+    x, e = x[rows, c], e[:, 3 * n:].reshape(x.shape)[rows, c]
+    x[~inside[rows, c] | ~(np.abs(e_guess - e_max) <= _LEVEL_TOL * e_max)] = np.nan
+    return found, omega_max, e_max, (x, e)
 
 
 # the benchmark tracer wraps these names; the peaks and the flanks are
@@ -541,30 +590,30 @@ def spectrum_peak(blocks: BeamBlocks, eigenvalues: np.ndarray | None = None,
                   ) -> tuple[float, float]:
     """(omega, height) of the maximum of the beam-1 output spectrum
     nu_plus = N / D (module docstring) of the one block of blocks: the best
-    real root of N' D - N D', polished by Newton steps with nu_plus from the
-    kernel; (0, 0) when the spectrum vanishes (g = 0). No stability check.
-    eigenvalues, the block's when already known, saves the eigen-solve."""
+    real root of N' D - N D' after Newton steps on the polynomials,
+    measured on the kernel in one pass with the mirrors; (0, 0) when the
+    spectrum vanishes (g = 0). No stability check. eigenvalues, the
+    block's when already known, saves the eigen-solve."""
     if eigenvalues is None:
         eigenvalues = np.linalg.eigvals(blocks.m[0])
     s = _scale(eigenvalues[None], blocks.decay)
     dp, _, _, n = _beam_polynomials(blocks, s)
-    d1, n1 = _polyder(dp), _polyder(n)
     # N has degree 2k - 4, or 0 without the thermal input: exact leading
     # zeros, trimmed
-    r = np.trim_zeros((_polymul(n1, dp) - _polymul(n, d1))[0], "f")
+    r = np.trim_zeros((_polymul(_polyder(n), dp) - _polymul(n, _polyder(dp)))[0], "f")
     if r.size < 2:
         return 0.0, 0.0
 
-    def newton_step(f: np.ndarray, y: np.ndarray) -> np.ndarray:
-        # f' and f'' from N = f D
-        dy, dy1 = _polyval(dp, y), _polyval(d1, y)
-        df = (_polyval(n1, y) - f * dy1) / dy
-        return df / ((_polyval(_polyder(n1), y) - 2.0 * df * dy1 - f * _polyval(_polyder(d1), y))
-                     / dy)
+    def step(values):
+        # Newton on N' D - N D', whose derivative is N'' D - N D''
+        ny, dy, ny1, dy1, ny2, dy2 = values
+        return (ny1 * dy - ny * dy1) / (ny2 * dy - ny * dy2), None
 
-    _, (omega,), (height,) = _polish(
-        lambda w, pid: _gram(blocks, w, lambda *g: np.add(*_spectrum(*g)), pid), s,
-        _roots(r[None]).real, newton_step)
+    y, _ = _newton([n, dp], _roots(r[None]).real, step)
+    w = s[:, None] * y
+    f = _gram(blocks, np.concatenate([w, -w], axis=1).ravel(),
+              lambda *g: np.add(*_spectrum(*g))).reshape(1, -1)
+    (omega,), (height,) = _peak(s, y, *np.split(f, 2, axis=1))
     return float(omega), float(height)
 
 
@@ -631,8 +680,8 @@ def _rates(blocks: BeamBlocks, eigenvalues: np.ndarray, tol: float,
     totals, errors, gk_failures = adaptive_gk_batch(integrand, edges,
                                                     np.full(pos.size, math.pi * tol))
 
-    values, omega_max, e_max = _stationary(blocks, s, polys)
-    widths, fwhm_failures = _fwhms(blocks, s, polys, omega_max, e_max)
+    values, omega_max, e_max, starts = _stationary(blocks, s, polys)
+    widths, fwhm_failures = _fwhms(blocks, s, polys, omega_max, e_max, starts)
     peaks = _count_local_maxima(values, e_max)
     for i, p in enumerate(pos):
         failure = gk_failures[i] or fwhm_failures[i]

@@ -1,14 +1,22 @@
 """References for the peaks of entrate.rates: the sampled peak search for
 its stationary-point peaks (a scan of rates.frequency_grid, then a grid
 zoom, quad_reference.minimize_batch, between the neighbours of the best
-sample), and the one-row peak count for its batched count.
+sample); the Newton polish of the stationary points with u from the
+kernel, a kernel pass per step, for its polish on the beam polynomials;
+and the one-row peak count for its batched count.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from entrate.rates import _density, _polyder, _polymul, _roots
 from quad_reference import minimize_batch
+
+#: Kernel passes of the Newton polish, the mirror check aside.
+POLISH_PASSES = 3
+#: Longest Newton step, in units of s.
+NEWTON_REACH = 1e-3
 
 
 def refined_peaks(e_batch, grids: list[np.ndarray], values: list[np.ndarray],
@@ -54,3 +62,70 @@ def candidate_peak_count(e: np.ndarray, e_max: float) -> int:
     within 4 ulp of the one before it lies on the same flat top."""
     e = e[np.concatenate(([True], np.abs(np.diff(e)) > 4.0 * np.spacing(e[1:])))]
     return count_local_maxima(np.concatenate(([0.0], e, [0.0])), e_max)
+
+
+def polyval(p: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The polynomial of row p[i] at every y[i, :], by Horner's rule."""
+    out = np.zeros(y.shape)
+    for c in p.T:
+        out = out * y + c[:, None]
+    return out
+
+
+def polish(value, s: np.ndarray, y: np.ndarray, newton_step,
+           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Candidates y[p, j] (in units of s[p]) for the stationary points of
+    f = value(omega, pid) of problem p: f at all of them, sorted by omega
+    per problem, and (omega, f) of the best of each problem after Newton
+    steps, in at most POLISH_PASSES kernel passes in all; of two mirror
+    peaks equal to 4 ulp, the one at omega >= 0 (one more pass).
+    newton_step(f, y) is the Newton step towards the stationary point of
+    each candidate. A step that is not finite or longer than NEWTON_REACH
+    is not taken, and a candidate stops once its step is below 4 ulp or was
+    not taken."""
+    pid = np.broadcast_to(np.arange(s.size)[:, None], y.shape)
+    f = value((s[:, None] * y).ravel(), pid.ravel()).reshape(y.shape)
+    found = np.take_along_axis(f, np.argsort(y, axis=1, kind="stable"), axis=1)
+    active = np.ones(y.shape, dtype=bool)
+    for _ in range(POLISH_PASSES - 1):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = newton_step(f, y)
+        active &= ((np.abs(step) <= NEWTON_REACH)
+                   & (np.abs(step) > 4.0 * np.finfo(float).eps * np.abs(y)))
+        if not active.any():
+            break
+        y = np.where(active, y - step, y)
+        f[active] = value((s[:, None] * y)[active], pid[active])
+    best = np.argmax(f, axis=1)
+    rows = np.arange(s.size)
+    omega_max, f_max = s * y[rows, best], f[rows, best]
+    neg = np.flatnonzero(omega_max < 0)
+    f_mirror = value(-omega_max[neg], neg)
+    tie = f_mirror >= f_max[neg] - 4.0 * np.spacing(f_max[neg])
+    omega_max[neg[tie]], f_max[neg[tie]] = -omega_max[neg[tie]], f_mirror[tie]
+    return found, omega_max, f_max
+
+
+def stationary_peaks(blocks, s: np.ndarray, polys: tuple[np.ndarray, ...],
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The peak candidates of each problem (K > 0) by polish: E at the real
+    parts of the roots of R (entrate.rates docstring), sorted by omega, and
+    (omega_max, E_max) after Newton steps on u' with u from the kernel."""
+    d, v, k = polys[:3]
+    d1, v1 = _polyder(d), _polyder(v)
+    d2, v2 = _polyder(d1), _polyder(v1)
+    r = 4.0 * (_polymul(_polymul(v1, v1), d)
+               - _polymul(_polymul(v, v1), d1))[:, -(4 * blocks.k - 1):]
+    r -= k[:, None] * _polymul(d1, d1)
+
+    def newton_step(e: np.ndarray, y: np.ndarray) -> np.ndarray:
+        # u' / u'' by implicit differentiation of P_u = 0 in y
+        u = -np.expm1(-e)
+        dy, vy, dy1, vy1 = (polyval(c, y) for c in (d, v, d1, v1))
+        f_u = 2.0 * (u * dy + vy)
+        du = -u * (u * dy1 + 2.0 * vy1) / f_u
+        ddu = -(2.0 * dy * du * du + 4.0 * (u * dy1 + vy1) * du
+                + u * (u * polyval(d2, y) + 2.0 * polyval(v2, y))) / f_u
+        return du / ddu
+
+    return polish(lambda w, pid: _density(blocks, w, pid), s, _roots(r).real, newton_step)

@@ -9,19 +9,21 @@ from scipy.signal import find_peaks
 from entrate.closedforms import eta_minus_resonant
 from entrate.errors import UnstableSystemError
 from entrate.models import (BEAM_BLOCK, DriftMatrix, EffectiveModelParams, FullModelParams,
-                            drift_effective, drift_full, stability)
+                            beam_blocks, drift_effective, drift_full, stability,
+                            stability_batch)
 from entrate import quadutil, rates
 from entrate.quadutil import bisect_all
 from entrate.rates import (_beam_polynomials, _count_local_maxima, _density, _fwhms,
-                           _panel_edges, _scale, entanglement_rate, entanglement_rates,
-                           frequency_grid, spectral_density, spectral_density_batch,
-                           spectrum_and_density, spectrum_peak)
+                           _panel_edges, _scale, _stationary, entanglement_rate,
+                           entanglement_rates, frequency_grid, spectral_density,
+                           spectral_density_batch, spectrum_and_density, spectrum_peak)
 from entrate.scattering import BeamBlocks, correlator_batch, spectrum_parts
 from entrate.sweep import SweepAxis, SweepConfig, run_sweep
 from fwhm_reference import fwhm_by_bisection
 from lu_reference import scattering_matrices
 from mp_reference import reference_point
-from peak_reference import candidate_peak_count, count_local_maxima, refined_peaks
+from peak_reference import (candidate_peak_count, count_local_maxima, refined_peaks,
+                            stationary_peaks)
 from paper_helpers import symmetrized_density, to_nats_per_second
 from strategies import stable_drifts
 import workloads
@@ -459,6 +461,52 @@ class TestCountedWork:
         assert work["points"] / work["problems"] <= 500
         assert work["sweeps"] <= 30
 
+    @staticmethod
+    def count_passes(monkeypatch, name: str) -> list[int]:
+        # the points of every kernel pass that rates makes through name
+        passes, kernel = [], getattr(rates, name)
+
+        def counted(blocks, omegas, *args):
+            passes.append(len(omegas))
+            return kernel(blocks, omegas, *args)
+
+        monkeypatch.setattr(rates, name, counted)
+        return passes
+
+    def test_peaks_take_one_kernel_pass(self, monkeypatch):
+        # a batch of one, then the 143 stable blocks of the paper's 25 x 25
+        # map in one batch: the candidates, the polished peaks, their
+        # mirrors and the flank starts all go through one pass
+        passes = self.count_passes(monkeypatch, "_density")
+        d = full_drift()
+        blocks = BeamBlocks.of([d], [0.0])
+        s = _scale(stability(d).eigenvalues[None], blocks.decay)
+        _stationary(blocks, s, _beam_polynomials(blocks, s))
+        assert len(passes) == 1
+
+        delta, Delta = (c.ravel() for c in np.meshgrid(np.linspace(-15.0, 15.0, 25),
+                                                        np.linspace(-1.5, 1.5, 25)))
+        m, decay, n_th, _ = beam_blocks("full", {"g": 5.0, "Gamma": 1e-3, "n_th": 0.0,
+                                                 "delta": delta, "Delta": Delta})
+        reports = stability_batch(m)
+        stable = np.flatnonzero([rep.stable for rep in reports])
+        assert stable.size == 143
+        blocks = BeamBlocks.stack(m[stable], decay[stable], n_th[stable])
+        s = _scale(np.stack([reports[i].eigenvalues for i in stable]), blocks.decay)
+        _stationary(blocks, s, _beam_polynomials(blocks, s))
+        assert len(passes) == 2
+
+    def test_spectrum_peak_takes_one_kernel_pass(self, monkeypatch):
+        passes = self.count_passes(monkeypatch, "_gram")
+        spectrum_peak(BeamBlocks.of([full_drift(delta=10.0)], [50.0]))
+        assert len(passes) == 1
+
+    def test_anchor_rate_kernel_passes(self, monkeypatch):
+        # the Gamma_E quadrature, the peaks and the FWHM secant steps
+        passes = self.count_passes(monkeypatch, "_density")
+        entanglement_rate(full_drift())
+        assert len(passes) <= 4
+
 
 class TestMirrorPeaks:
     @pytest.mark.parametrize("d", [
@@ -508,6 +556,33 @@ class TestStationaryPeaks:
         e = spectral_density_batch(d, w, n_th)
         assert np.max(e) <= rr.E_max + 2e-12 * max(1.0, rr.E_max)
 
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(stable_drifts())
+    @example((full_drift(), 0.0))
+    # 1e-4 in Delta from the optical instability at g = 5, delta = 10
+    @example((_effective_near_boundary(1e-4), 0.0))
+    # E_max 3 ulp below the reference at the mechanical resonance
+    # omega = -13.714
+    @example((full_drift(g=0.5882220509186006, Gamma=0.0030294391439698496,
+                         delta=-13.715031269895197, Delta=-1.2316922824500818), 0.0))
+    def test_polish_on_the_polynomials_against_the_kernel_newton(self, drift_nth):
+        # the reference takes its Newton steps with u from the kernel, one
+        # kernel pass per step. Both land within a few floats of the same
+        # stationary point, where the kernel's E jitters by tens of ulp from
+        # one float to the next (-44 to +76 ulp over 41 floats at g = 0.177,
+        # Gamma = 1.46e-3, delta = 1.58, Delta = -0.948): E_max is held
+        # against the lowest E within 16 floats of the reference's omega_max
+        d, n_th = drift_nth
+        rr = entanglement_rate(d, n_th)
+        blocks = BeamBlocks.of([d], [n_th])
+        s = _scale(stability(d).eigenvalues[None], blocks.decay)
+        found, (omega_ref,), (e_ref,) = stationary_peaks(blocks, s, _beam_polynomials(blocks, s))
+        near = spectral_density_batch(d, omega_ref + np.arange(-16, 17) * np.spacing(omega_ref),
+                                      n_th)
+        assert rr.E_max >= min(e_ref, near.min()) - 4.0 * np.spacing(e_ref)
+        assert spectral_density(d, rr.omega_max, n_th) == rr.E_max
+        assert rr.secondary_peaks == _count_local_maxima(found, np.array([e_ref]))[0] - 1
+
     def test_flat_top_counts_once(self):
         # twin maxima 6.5e-9 either side of omega = 0 with a dip of one ulp
         # between them: one peak, not two
@@ -544,6 +619,16 @@ class TestStationaryPeaks:
 
 
 class TestFwhm:
+    @pytest.mark.parametrize("distance", [1e-4, 1e-6, 1e-8])
+    def test_width_next_to_the_boundary(self, distance):
+        # E_max = 19.4, 28.7 and 37.9: the polynomials' E_max carries their
+        # round-off over 1 - u = e^-E, and at 1e-8 u rounds to 1 (flank
+        # starts at half of it gave a width of 1.79 there); where it is off
+        # the flanks start afresh from the kernel's E_max
+        d = _effective_near_boundary(distance)
+        rr = entanglement_rate(d)
+        assert abs(rr.fwhm - fwhm_by_bisection(d, 0.0, rr.omega_max, rr.E_max)) <= 2e-9
+
     def test_resonant_width_far_exceeds_mechanical_linewidth(self):
         gamma = 1e-3
         rr = entanglement_rate(full_drift(Gamma=gamma))
