@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import os
 import sys
 from contextlib import nullcontext
@@ -209,32 +210,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="output intensity spectrum and E[omega]")
     _add_model_flags(p); _add_grid_flags(p); _add_io_flags(p)
-    p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("entanglement", help="spectral density of entanglement E[omega]")
     _add_model_flags(p); _add_grid_flags(p); _add_io_flags(p)
-    p.set_defaults(func=cmd_entanglement)
 
     p = sub.add_parser("rate", help="total entanglement rate and peak statistics")
     _add_model_flags(p); _add_io_flags(p)
     p.add_argument("--tol", type=float, default=1e-6,
                    help="absolute quadrature tolerance on gamma_E [kappa]")
-    p.set_defaults(func=cmd_rate)
 
     p = sub.add_parser("stability", help="drift eigenvalue stability report")
     _add_model_flags(p); _add_io_flags(p)
-    p.set_defaults(func=cmd_stability)
 
     p = sub.add_parser("pair-rate", help="effective-model photon pair rate")
     _add_model_flags(p); _add_io_flags(p)
-    p.set_defaults(func=cmd_pair_rate)
 
     p = sub.add_parser("wannier-check", help="coarse-graining kernel normalization")
     p.add_argument("--M", type=int, required=True)
     p.add_argument("--l", type=int, default=None)
     p.add_argument("--cutoff", type=int, default=wannier.DEFAULT_CUTOFF)
     _add_io_flags(p)
-    p.set_defaults(func=cmd_wannier_check)
 
     p = sub.add_parser("sweep", help="grid sweep over model parameters")
     _add_model_flags(p); _add_io_flags(p)
@@ -247,21 +242,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--jobs", type=int, default=None,
                    help="worker processes (0 = all cores)")
-    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("verify", help="run the oracle cross-check suite")
     _add_io_flags(p)
     p.add_argument("--only", default=None, help="substring filter on check names")
-    p.set_defaults(func=cmd_verify)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser's parser, built once per process, on the first main call."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    # looked up by name at each call, so that a patched cmd_ function is the one run
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return command(args)
     except BrokenPipeError:
         # the reader closed stdout (`entrate ... | head`): send what is
         # still buffered to devnull, so that the flush at exit prints

@@ -134,7 +134,7 @@ def _block_full(g, Gamma, kappa, Delta, delta, n_th):
     m[:, 1, 1] = np.conj(ka);   m[:, 1, 2] = -hg
     m[:, 2, 0] = hg;            m[:, 2, 1] = hg
     m[:, 2, 2] = -1j * delta - Gamma / 2
-    return m, np.stack([kappa, kappa, Gamma], axis=1), n_th
+    return m, np.array([kappa, kappa, Gamma]).T, n_th
 
 
 def _block_effective(g, delta, kappa, Delta):
@@ -145,7 +145,7 @@ def _block_effective(g, delta, kappa, Delta):
     m = np.empty((g.size, 2, 2), dtype=complex)
     m[:, 0, 0] = dg;            m[:, 0, 1] = 1j * gp
     m[:, 1, 0] = -1j * gp;      m[:, 1, 1] = np.conj(dg)
-    return m, np.stack([kappa, kappa], axis=1), np.zeros(g.size)
+    return m, np.array([kappa, kappa]).T, np.zeros(g.size)
 
 
 _BUILDERS = {"full": _block_full, "effective": _block_effective}
@@ -190,11 +190,11 @@ class DriftMatrix:
             raise ValueError(f"drift matrix must be square with even dim, got {m.shape}")
         if decay.shape != (m.shape[0],):
             raise ValueError("decay must hold one rate per operator row")
-        if np.any(decay < 0):
+        if (decay < 0).any():
             raise ValueError("decay rates must be non-negative")
         if len(self.ordering) != m.shape[0]:
             raise ValueError("ordering must label every operator row")
-        scale = max(1.0, float(np.max(np.abs(m))))
+        scale = max(1.0, float(np.abs(m).max()))
         if pairing_defect(m) > PAIRING_DEFECT_TOL * scale:
             raise ValueError("drift matrix breaks the (op, op^dag) pairing structure")
         m.flags.writeable = False
@@ -228,16 +228,17 @@ class DriftMatrix:
 def pairing_defect(m: np.ndarray) -> float:
     """Max-norm violation of m = P conj(m) P, where P swaps each operator
     with its daggered partner (rows and columns 2i <-> 2i+1)."""
-    m = np.asarray(m)
-    n = m.shape[0]
-    perm = np.arange(n).reshape(-1, 2)[:, ::-1].ravel()
-    return float(np.max(np.abs(m - np.conj(m)[perm][:, perm])))
+    n = len(m) // 2
+    # [i, a, j, b]: row 2i + a, column 2j + b; the swap reverses a and b
+    v = np.asarray(m).reshape(n, 2, n, 2)
+    return float(np.abs(v - np.conj(v[:, ::-1, :, ::-1])).max())
 
 
 def _doubled(model: str, p, ordering: tuple[str, ...]) -> DriftMatrix:
     """The drift at p: the model's beam block (its builder at one point) at
     the block's operators of ordering, and the block's complex conjugate at
-    their partners (rows and columns 2i <-> 2i + 1)."""
+    their partners (rows and columns 2i <-> 2i + 1). The drift keeps the
+    block as built, so beam_block does not extract it again."""
     m, decay, _ = _BUILDERS[model](**{k: np.array([v], dtype=float) for k, v in vars(p).items()})
     idx = np.array([ordering.index(name) for name in BEAM_BLOCK[:m.shape[-1]]])[:, None]
     full = np.zeros((len(ordering),) * 2, dtype=complex)
@@ -245,7 +246,9 @@ def _doubled(model: str, p, ordering: tuple[str, ...]) -> DriftMatrix:
     full[idx ^ 1, idx.T ^ 1] = m[0].conj()
     rates = np.empty(len(ordering))
     rates[idx[:, 0]] = rates[idx[:, 0] ^ 1] = decay[0]
-    return DriftMatrix(full, rates, ordering)
+    d = DriftMatrix(full, rates, ordering)
+    d.__dict__["beam_block"] = m[0], decay[0]      # the cached_property's slot
+    return d
 
 
 def drift_full(p: FullModelParams) -> DriftMatrix:
@@ -302,7 +305,7 @@ def stability_batch(m: NDArray[np.complex128]) -> list[StabilityReport]:
     eigenvalues = np.linalg.eigvals(m)
     return [StabilityReport(stable=x < -STABILITY_TOL, max_real_part=x,
                             marginal=abs(x) <= STABILITY_TOL, eigenvalues=e)
-            for x, e in zip(np.max(eigenvalues.real, axis=-1).tolist(),
+            for x, e in zip(eigenvalues.real.max(axis=-1).tolist(),
                             eigenvalues)]
 
 

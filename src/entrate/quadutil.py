@@ -52,13 +52,6 @@ _MAX_SWEEPS = 200        # refinement sweeps of adaptive_gk_batch
 _MAX_BISECTIONS = 200    # halvings of bisect_all
 
 
-def _panel_nodes(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Node matrix (n_panels, 15) for panels [a_i, b_i]."""
-    mid = 0.5 * (a + b)[:, None]
-    half = 0.5 * (b - a)[:, None]
-    return mid + half * _NODES[None, :]
-
-
 def _at_round_off(val: np.ndarray, err: np.ndarray) -> np.ndarray:
     return err <= 1e-15 * np.abs(val) + 1e-300
 
@@ -95,10 +88,10 @@ def adaptive_gk_batch(f_batch: Callable[[np.ndarray, np.ndarray], np.ndarray],
         # independent of the batch size
         for i in range(0, lo.size, _PANELS_PER_CALL):
             part = slice(i, i + _PANELS_PER_CALL)
-            nodes = _panel_nodes(lo[part], hi[part])
+            half = 0.5 * (hi[part] - lo[part])
+            nodes = 0.5 * (lo[part] + hi[part])[:, None] + half[:, None] * _NODES[None, :]
             vals = np.asarray(f_batch(nodes.ravel(), np.repeat(pid[part], _NODES.size)),
                               dtype=float).reshape(nodes.shape)
-            half = 0.5 * (hi[part] - lo[part])
             k15[part] = (vals * _W_K[None, :]).sum(axis=1) * half
             g7[part] = (vals * _W_G[None, :]).sum(axis=1) * half
         return k15, np.abs(k15 - g7)
@@ -114,43 +107,46 @@ def adaptive_gk_batch(f_batch: Callable[[np.ndarray, np.ndarray], np.ndarray],
 
     for sweep in range(_MAX_SWEEPS + 1):
         # per-problem totals over the panels sorted by position: the same
-        # sum whatever else is in the batch
-        order = np.lexsort((lo, pid))
+        # sum whatever else is in the batch (the starting panels are in
+        # that order)
+        order = np.lexsort((lo, pid)) if sweep else slice(None)
         count = np.bincount(pid, minlength=n_problems)
-        start = np.cumsum(count) - count
-        ids = np.flatnonzero(count)
-        total = np.add.reduceat(err[order], start[ids])
-        n_active = np.bincount(pid[~converged], minlength=n_problems)[ids]
-        done = (total <= epsabs[ids]) | (n_active == 0) | (sweep == _MAX_SWEEPS)
+        ids = count.nonzero()[0]
+        start = (count.cumsum() - count)[ids]
+        total = np.add.reduceat(err[order], start)
+        # done too: a problem whose panels are all at round-off level
+        done = ((total <= epsabs[ids]) | np.logical_and.reduceat(converged[order], start)
+                | (sweep == _MAX_SWEEPS))
         broke = ~done & (count[ids] >= max_panels)
-        if np.any(done | broke):
-            val_sum = np.add.reduceat(val[order], start[ids])
+        stop = done | broke
+        if stop.any():
+            val_sum = np.add.reduceat(val[order], start)
             values[ids[done]], errors[ids[done]] = val_sum[done], total[done]
-            for j in np.flatnonzero(broke):
+            for j in broke.nonzero()[0]:
                 failures[ids[j]] = QuadratureError("panel budget exhausted",
                                                    value=float(val_sum[j]),
                                                    error_estimate=total[j])
-            going = np.zeros(n_problems, dtype=bool)
-            going[ids[~(done | broke)]] = True
-            if not going.any():
+            if stop.all():
                 break
+            going = np.zeros(n_problems, dtype=bool)
+            going[ids[~stop]] = True
             keep = going[pid]
             lo, hi, val, err, converged, pid = (
                 a[keep] for a in (lo, hi, val, err, converged, pid))
 
         # per problem: its active panels largest error first (ties by
         # position), then the shortest prefix covering 3/4 of its excess
-        act = np.flatnonzero(~converged)
+        act = (~converged).nonzero()[0]
         act = act[np.lexsort((lo[act], -err[act], pid[act]))]
         act_count = np.bincount(pid[act], minlength=n_problems)
-        rows = np.flatnonzero(act_count)
+        rows = act_count.nonzero()[0]
         row = np.repeat(np.arange(rows.size), act_count[rows])
-        rank = np.arange(act.size) - (np.cumsum(act_count) - act_count)[pid[act]]
+        rank = np.arange(act.size) - (act_count.cumsum() - act_count)[pid[act]]
         padded = np.zeros((rows.size, int(act_count.max())))
         padded[row, rank] = err[act]
         at = np.searchsorted(ids, rows)
         target = np.maximum(0.75 * (total[at] - epsabs[rows]), 0.5 * padded[:, 0])
-        covering = (np.cumsum(padded, axis=1) < target[:, None]).sum(axis=1) + 1
+        covering = (padded.cumsum(axis=1) < target[:, None]).sum(axis=1) + 1
         n_split = np.minimum(np.minimum(covering, act_count[rows]),
                              np.minimum(512, np.maximum(1, max_panels - count[rows])))
         chosen = act[rank < n_split[row]]

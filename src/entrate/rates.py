@@ -184,14 +184,19 @@ _SECANT_STARTS = np.array([[1e-8], [0.0]])
 #: fraction moves a flank by about half of it times the width, less than the
 #: roots' own error.
 _LEVEL_TOL = 1e-6
+#: n - 1, ..., 1: the powers of the coefficients, highest first, of a
+#: polynomial of n coefficients, less the constant.
+_exponents = functools.cache(lambda n: np.arange(n - 1, 0, -1))
 #: Newton steps of the peak polish on the beam polynomials.
 _NEWTON_STEPS = 2
 #: Longest Newton step of the peak polish, in units of s.
 _NEWTON_REACH = 1e-3
 #: The step below which a Newton or secant step is not taken, relative.
 _EPS4 = 4.0 * np.finfo(float).eps
-#: Sign pattern J of the reciprocity m^T = J m J of the beam block.
+#: Sign pattern J of the reciprocity m^T = J m J of the beam block, and
+#: J_i J_j, the signs of J m J.
 _RECIPROCITY_SIGNS = np.array([1.0, -1.0, 1.0])
+_RECIPROCITY = np.outer(_RECIPROCITY_SIGNS, _RECIPROCITY_SIGNS)
 #: Floor of the one denominator of _gram_density that vanishes (where K = 0).
 _TINY = np.finfo(float).tiny
 
@@ -280,7 +285,7 @@ def _resonances(eigenvalues: np.ndarray, decay: np.ndarray) -> tuple[np.ndarray,
 def _scale(eigenvalues: np.ndarray, decay: np.ndarray) -> np.ndarray:
     """Frequency scale s of the crossing polynomials, one per row of the
     beam-block eigenvalues and decays: max |eig| + max decay."""
-    return np.max(np.abs(eigenvalues), axis=-1) + np.max(decay, axis=-1)
+    return np.abs(eigenvalues).max(axis=-1) + decay.max(axis=-1)
 
 
 def _panel_edges(eigenvalues: np.ndarray, decay: np.ndarray, scale: np.ndarray) -> np.ndarray:
@@ -347,11 +352,11 @@ def _sorted_unique(a: np.ndarray) -> np.ndarray:
 def _require_reciprocal(m: np.ndarray) -> None:
     """Raise ValueError unless the beam block obeys m^T = J m J, which the
     whole-line E > 0 region and the crossing polynomial rest on."""
-    j = _RECIPROCITY_SIGNS[:m.shape[0]]
-    if np.max(np.abs(m.T - np.outer(j, j) * m)) > PAIRING_DEFECT_TOL * max(
-            1.0, float(np.max(np.abs(m)))):
+    k = len(m)
+    if np.abs(m.T - _RECIPROCITY[:k, :k] * m).max() > PAIRING_DEFECT_TOL * max(
+            1.0, float(np.abs(m).max())):
         raise ValueError("beam block is not reciprocal (m^T != J m J, "
-                         f"J = diag{tuple(j)})")
+                         f"J = diag{tuple(_RECIPROCITY_SIGNS[:k])})")
 
 
 @functools.cache
@@ -400,7 +405,7 @@ def _beam_polynomials(blocks: BeamBlocks, s: np.ndarray,
 
 def _polyder(p: np.ndarray) -> np.ndarray:
     """Coefficients of the derivative of every polynomial along the last axis."""
-    return p[..., :-1] * np.arange(p.shape[-1] - 1, 0, -1)
+    return p[..., :-1] * _exponents(p.shape[-1])
 
 
 def _newton(polys: Sequence[np.ndarray], y: np.ndarray, step) -> tuple[np.ndarray, object]:
@@ -409,28 +414,28 @@ def _newton(polys: Sequence[np.ndarray], y: np.ndarray, step) -> tuple[np.ndarra
     aux) from the polynomials polys (a row per problem each), their first
     and their second derivatives at y, all from one Horner loop. A step not
     finite or longer than _NEWTON_REACH is not taken, and a candidate stops
-    once its step is below 4 ulp or was not taken."""
+    once its step is below 4 ulp or was not taken. The caller ignores the
+    floating-point errors of the steps not taken."""
     n = max(p.shape[-1] for p in polys)
     table = np.zeros((3, len(polys), len(y), n))
     for i, p in enumerate(polys):
         table[0, i, :, n - p.shape[-1]:] = p
-    table[1, ..., 1:] = _polyder(table[0])
-    table[2, ..., 2:] = _polyder(table[1, ..., 1:])
+    np.multiply(table[0, ..., :-1], _exponents(n), out=table[1, ..., 1:])
+    np.multiply(table[1, ..., 1:-1], _exponents(n - 1), out=table[2, ..., 2:])
     table = table.reshape(-1, len(y), n).transpose(2, 0, 1)[..., None]
-    active = np.ones(y.shape, dtype=bool)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(_NEWTON_STEPS):
-            values = table[0] * y
-            for c in table[1:-1]:
-                values += c
-                values *= y
-            values += table[-1]
-            dy, aux = step(values)
-            size = np.abs(dy)
-            active &= (size <= _NEWTON_REACH) & (size > _EPS4 * np.abs(y))
-            if not active.any():
-                break
-            y = np.where(active, y - dy, y)
+    y, active = y.copy(), np.ones(y.shape, dtype=bool)
+    for _ in range(_NEWTON_STEPS):
+        values = table[0] * y
+        for c in table[1:-1]:
+            values += c
+            values *= y
+        values += table[-1]
+        dy, aux = step(values)
+        size = np.abs(dy)
+        active &= (size <= _NEWTON_REACH) & (size > _EPS4 * np.abs(y))
+        if not active.any():
+            break
+        np.subtract(y, dy, out=y, where=active)
     return y, aux
 
 
@@ -484,7 +489,7 @@ def _fwhms(blocks: BeamBlocks, s: np.ndarray, polys: tuple[np.ndarray, ...],
     a QuadratureError and a NaN width."""
     half = 0.5 * e_max
     x, e = starts or (np.full((len(e_max), 2, 2), np.nan), np.full((len(e_max), 2, 2), np.nan))
-    fresh = np.flatnonzero(np.isnan(x[:, 0, 0]))
+    fresh = np.isnan(x[:, 0, 0]).nonzero()[0]
     if fresh.size:
         x[fresh] = _secant_starts(_crossings(tuple(p[fresh] for p in polys[:3]), s[fresh],
                                              half[fresh]), omega_max[fresh, None])[:, 0]
@@ -494,7 +499,7 @@ def _fwhms(blocks: BeamBlocks, s: np.ndarray, polys: tuple[np.ndarray, ...],
     failures = [None if ok else QuadratureError(
         f"no half-maximum crossing on one side of omega_max={w}")
         for ok, w in zip(found, omega_max)]
-    idx = np.flatnonzero(found)
+    idx = found.nonzero()[0]
     widths = np.full(len(e_max), np.nan)
     x0, x1 = x[idx, 0], x[idx, 1]
     f0, f1 = e[idx, 0] - half[idx, None], e[idx, 1] - half[idx, None]
@@ -503,12 +508,12 @@ def _fwhms(blocks: BeamBlocks, s: np.ndarray, polys: tuple[np.ndarray, ...],
     for _ in range(_POLISH_STEPS):
         slope = f1 - f0
         step = np.divide(f1 * (x1 - x0), slope, out=np.zeros(slope.shape), where=slope != 0)
-        moving = np.flatnonzero(~np.all(np.abs(step) <= _EPS4 * np.abs(x1), axis=1))
+        moving = (~(np.abs(step) <= _EPS4 * np.abs(x1)).all(axis=1)).nonzero()[0]
         if not moving.size:
             break
         x0[moving], f0[moving] = x1[moving], f1[moving]
         x1[moving] -= step[moving]
-        pid = np.repeat(idx[moving], 2)
+        pid = idx[moving].repeat(2)
         f1[moving] = (_density(blocks, x1[moving].ravel(), pid) - half[pid]).reshape(-1, 2)
         better = np.abs(f1) < f_best
         best, f_best = np.where(better, x1, best), np.where(better, np.abs(f1), f_best)
@@ -522,7 +527,7 @@ def _peak(s: np.ndarray, y: np.ndarray, f: np.ndarray, f_mirror: np.ndarray,
     of each problem: the largest f, and of two mirror peaks equal to 4 ulp
     the one at omega >= 0 (f_mirror is f at -omega)."""
     rows = np.arange(s.size)
-    best = np.argmax(f, axis=1)
+    best = f.argmax(axis=1)
     omega, top, mirror = s * y[rows, best], f[rows, best], f_mirror[rows, best]
     tie = (omega < 0) & (mirror >= top - 4.0 * np.spacing(top))
     return np.where(tie, -omega, omega), np.where(tie, mirror, top)
@@ -556,10 +561,10 @@ def _stationary(blocks: BeamBlocks, s: np.ndarray, polys: tuple[np.ndarray, ...]
         q = ua / (ud + ud + wy)
         return ua / (2.0 * (dy * q - (a + ud1)) * q + u * (u * dy2 + wy2)), u
 
-    y, u = _newton([d, 2.0 * v], y0, step)
-    rows, n = np.arange(s.size), y.shape[1]
-    guess = np.argmax(u, axis=1)
+    rows, n = np.arange(s.size), y0.shape[1]
     with np.errstate(divide="ignore", invalid="ignore"):
+        y, u = _newton([d, 2.0 * v], y0, step)
+        guess = u.argmax(axis=1)
         e_guess = -np.log1p(-u[rows, guess])
     # where u rounds to 1 the polynomials cannot tell E_max: any level serves
     x = _secant_starts(_crossings(polys, s, np.where(np.isfinite(e_guess), 0.5 * e_guess, 1.0)),
@@ -568,13 +573,13 @@ def _stationary(blocks: BeamBlocks, s: np.ndarray, polys: tuple[np.ndarray, ...]
     # a point in the pass must be finite: 0 stands in for a missing crossing
     w = np.concatenate([s[:, None] * y0, sy, -sy,
                         np.where(np.isnan(x), 0.0, x).reshape(s.size, -1)], axis=1)
-    e = _density(blocks, w.ravel(), np.repeat(rows, w.shape[1])).reshape(w.shape)
-    found = e[rows[:, None], np.argsort(y0, axis=1, kind="stable")]
+    e = _density(blocks, w.ravel(), rows.repeat(w.shape[1])).reshape(w.shape)
+    found = e[rows[:, None], y0.argsort(axis=1, kind="stable")]
     omega_max, e_max = _peak(s, y, e[:, n:2 * n], e[:, 2 * n:3 * n])
     # the starts around omega_max, if it lies between them and their level
     # is half the kernel's E_max to _LEVEL_TOL
     inside = (x[:, :, 1, 0] < omega_max[:, None]) & (omega_max[:, None] < x[:, :, 1, 1])
-    c = np.argmax(inside, axis=1)
+    c = inside.argmax(axis=1)
     x, e = x[rows, c], e[:, 3 * n:].reshape(x.shape)[rows, c]
     x[~inside[rows, c] | ~(np.abs(e_guess - e_max) <= _LEVEL_TOL * e_max)] = np.nan
     return found, omega_max, e_max, (x, e)
@@ -609,12 +614,19 @@ def spectrum_peak(blocks: BeamBlocks, eigenvalues: np.ndarray | None = None,
         ny, dy, ny1, dy1, ny2, dy2 = values
         return (ny1 * dy - ny * dy1) / (ny2 * dy - ny * dy2), None
 
-    y, _ = _newton([n, dp], _roots(r[None]).real, step)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        y, _ = _newton([n, dp], _roots(r[None]).real, step)
     w = s[:, None] * y
     f = _gram(blocks, np.concatenate([w, -w], axis=1).ravel(),
               lambda *g: np.add(*_spectrum(*g))).reshape(1, -1)
     (omega,), (height,) = _peak(s, y, *np.split(f, 2, axis=1))
     return float(omega), float(height)
+
+
+def _check_tol(tol: float) -> None:
+    """Raise ValueError unless tol is a finite positive number."""
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be a finite positive number, got {tol}")
 
 
 def entanglement_rates(drifts: Sequence[DriftMatrix], n_ths: Sequence[float],
@@ -628,8 +640,7 @@ def entanglement_rates(drifts: Sequence[DriftMatrix], n_ths: Sequence[float],
     or the ValueError of a beam block that is not reciprocal), and the
     others are unaffected. reports, the drifts' stability reports from
     models.stability, saves their eigen-solves."""
-    if not 0 < tol < math.inf:
-        raise ValueError(f"tol must be a finite positive number, got {tol}")
+    _check_tol(tol)
     drifts = list(drifts)
     n_ths = [float(n) for n in n_ths]
     reports = [None] * len(drifts) if reports is None else reports
@@ -662,7 +673,7 @@ def _rates(blocks: BeamBlocks, eigenvalues: np.ndarray, tol: float,
     polys = _beam_polynomials(blocks, s)
     out: list[RateResult | Exception] = [RateResult(0.0, 0.0, 0.0, 0.0, 0.0, 0)] * len(blocks)
     # E > 0 on the whole line where K > 0, E = 0 everywhere where K = 0
-    pos = np.flatnonzero(polys[2] > 0)
+    pos = (polys[2] > 0).nonzero()[0]
     if not pos.size:
         return out
     if pos.size < len(blocks):
@@ -670,7 +681,7 @@ def _rates(blocks: BeamBlocks, eigenvalues: np.ndarray, tol: float,
 
     # E has all its structure at the resonances, so panels that start
     # there only need polishing; half of tol * 2 pi is the budget
-    scale = np.max(blocks.decay, axis=1)
+    scale = blocks.decay.max(axis=1)
     edges = _panel_edges(eigenvalues[pos], blocks.decay, scale)
 
     def integrand(theta: np.ndarray, pid: np.ndarray) -> np.ndarray:
@@ -697,8 +708,15 @@ def entanglement_rate(d: DriftMatrix, n_th: float = 0.0, tol: float = 1e-6) -> R
     """Gamma_E = int domega/2pi E[omega] over the whole line by adaptive
     quadrature in theta (module docstring) to absolute tolerance tol (in
     kappa units), plus E_max, its location, and the FWHM of the dominant
-    peak: entanglement_rates for one drift."""
-    (result,) = entanglement_rates([d], [n_th], tol, reports=[stability(d)])
+    peak: entanglement_rates for one drift, gated and stacked on its own."""
+    rep = stability(d)
+    _check_tol(tol)
+    if not rep.stable:
+        raise UnstableSystemError(rep.max_real_part)
+    m, decay = d.beam_block
+    _require_reciprocal(m)
+    blocks = BeamBlocks.stack(m[None], decay[None], np.array([float(n_th)]))
+    (result,) = _rates(blocks, rep.eigenvalues[None], tol)
     if isinstance(result, Exception):
         raise result
     return result
@@ -715,6 +733,10 @@ def _count_local_maxima(values: np.ndarray, e_max: np.ndarray) -> np.ndarray:
     side, searched outward until a higher value or the border. At least 1
     per row."""
     rows, n = values.shape
+    # a row that never rises after it falls has one maximum, so one peak
+    step = np.diff(values, axis=1)
+    if not (np.logical_or.accumulate(step < 0, axis=1)[:, :-1] & (step[:, 1:] > 0)).any():
+        return np.ones(rows, dtype=int)
     y = np.zeros((rows, n + 2))
     y[:, 1:-1] = values
     # a candidate on the flat top of the one before it takes the value of

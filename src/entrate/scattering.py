@@ -166,8 +166,11 @@ def _det(m: NDArray[np.complex128]) -> NDArray[np.complex128]:
 #: the correlators use the first three (effective model) or all seven
 #: (full model), the Gram form only A_+b and A_-b (full model).
 _ENTRIES = ((0, 1), (1, 0), (0, 0), (0, 2), (1, 2), (2, 0), (2, 1))
-#: Cyclic successor of each index of a 3x3 block.
+#: adj(m)_ji = m_i'j' m_i''j'' - m_i'j'' m_i''j' of a 3x3 block, i' the cyclic
+#: successor of i: factor f of term [j, i] is m[_COF_ROWS[f, 0, i], _COF_COLS[f, j, 0]].
 _NEXT = np.array([1, 2, 0])
+_COF_ROWS = np.array([_NEXT, _NEXT[_NEXT]] * 2)[:, None, :]
+_COF_COLS = np.array([_NEXT, _NEXT[_NEXT], _NEXT[_NEXT], _NEXT])[:, :, None]
 
 
 @dataclass(frozen=True)
@@ -197,23 +200,23 @@ class BeamBlocks:
               n_th: NDArray[np.float64]) -> "BeamBlocks":
         """The stacked beam blocks m (P, k, k) with their decays (P, k) and
         n_th (P,), as models.beam_blocks builds them."""
-        k = m.shape[1]
-        eye = np.broadcast_to(np.eye(k), m.shape)
-        ones = np.ones(m.shape[0])
+        n, k = m.shape[:2]
+        eye = np.eye(k)
+        adj = np.empty((n, k, k, k), dtype=complex)
+        char = np.empty((n, k + 1), dtype=complex)
+        adj[:, 0], char[:, 0], adj_m = eye, 1.0, adj[:, -1]
         if k == 3:
             tr = m[:, 0, 0] + m[:, 1, 1] + m[:, 2, 2]
-            # cofactor rows: row i is the cross product of rows i + 1 and i + 2
-            a, b = m[:, _NEXT], m[:, _NEXT[_NEXT]]
-            cof = a[..., _NEXT] * b[..., _NEXT[_NEXT]] - a[..., _NEXT[_NEXT]] * b[..., _NEXT]
-            adj_m = cof.transpose(0, 2, 1)
-            adj = np.stack([eye, tr[:, None, None] * eye - m, adj_m], axis=1)
-            char = np.stack([ones, tr, adj_m[:, 0, 0] + adj_m[:, 1, 1] + adj_m[:, 2, 2],
-                             _det(m)], axis=1)
+            f = m[:, _COF_ROWS, _COF_COLS]
+            np.subtract(f[:, 0] * f[:, 1], f[:, 2] * f[:, 3], out=adj_m)
+            adj[:, 1] = tr[:, None, None] * eye - m
+            char[:, 2] = adj_m[:, 0, 0] + adj_m[:, 1, 1] + adj_m[:, 2, 2]
         else:
-            adj_m = np.stack([np.stack([m[:, 1, 1], -m[:, 0, 1]], axis=1),
-                              np.stack([-m[:, 1, 0], m[:, 0, 0]], axis=1)], axis=1)
-            adj = np.stack([eye, adj_m], axis=1)
-            char = np.stack([ones, m[:, 0, 0] + m[:, 1, 1], _det(m)], axis=1)
+            tr = m[:, 0, 0] + m[:, 1, 1]
+            adj_m[:, 0, 0], adj_m[:, 0, 1] = m[:, 1, 1], -m[:, 0, 1]
+            adj_m[:, 1, 0], adj_m[:, 1, 1] = -m[:, 1, 0], m[:, 0, 0]
+        char[:, 1] = tr
+        char[:, -1] = _det(m)
         return cls(m, decay, n_th, adj, char)
 
     @property
@@ -305,7 +308,7 @@ def _passes(blocks: BeamBlocks, omegas: np.ndarray, pid: np.ndarray | None,
             h *= t
         h += at(coef[-1])
         det2 = _abs2(h[0])
-        if not np.all(det2 > 0):
+        if not (det2 > 0).all():
             raise UnstableSystemError(
                 float(np.max(np.linalg.eigvals(blocks.m).real)),
                 "singular response matrix: system at an instability threshold "

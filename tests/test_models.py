@@ -8,6 +8,7 @@ from scipy.optimize import linear_sum_assignment
 from entrate.models import (STABILITY_TOL, DriftMatrix, EffectiveModelParams, FullModelParams,
                             beam_blocks, drift_effective, drift_full, pairing_defect,
                             stability, stability_batch, stability_boundary_effective)
+from entrate.rates import entanglement_rate
 from paper_helpers import CellParams, in_validity_regime, map_cell_params
 from strategies import stable_drifts
 
@@ -210,6 +211,35 @@ class TestBeamBlock:
             block, rates = drift_effective(EffectiveModelParams(g=5.0, delta=delta)).beam_block
             assert m[i].tobytes() == block.tobytes() and decay[i].tobytes() == rates.tobytes()
         assert errors == {} and np.all(n_th == 0.0)
+
+    @pytest.mark.parametrize("d, n_th", [
+        (drift_full(full()), 0.0),
+        (drift_full(full(g=2.0, Gamma=0.1, Delta=0.7, delta=-3.0, n_th=1e3)), 1e3),
+        (drift_effective(EffectiveModelParams(g=2.0, delta=-8.0, Delta=0.3)), 0.0)],
+        ids=["anchor", "full", "effective"])
+    def test_handed_over_block_equals_the_extracted_block(self, d, n_th):
+        # the model builders hand their block to the drift; the public
+        # constructor extracts it from the operator labels
+        public = DriftMatrix(d.m, d.decay, d.ordering)
+        assert "beam_block" in vars(d) and "beam_block" not in vars(public)
+        for got, extracted in zip(d.beam_block, public.beam_block):
+            assert got.dtype == extracted.dtype and got.tobytes() == extracted.tobytes()
+        fields = ("gamma_E", "E_max", "omega_max", "fwhm", "quadrature_error")
+        handed, built = entanglement_rate(d, n_th), entanglement_rate(public, n_th)
+        assert [float(getattr(handed, f)).hex() for f in fields] == [
+            float(getattr(built, f)).hex() for f in fields]
+        assert handed.secondary_peaks == built.secondary_peaks
+
+    def test_public_drift_coupling_the_block_to_its_partner_raises(self):
+        d = drift_full(full(delta=2.0))
+        m = np.array(d.m)
+        m[0, 1] = 0.25j                 # a+ -> a+^dag
+        m[1, 0] = np.conj(m[0, 1])      # its partner, keeps the pairing structure
+        coupled = DriftMatrix(m, d.decay, d.ordering)
+        with pytest.raises(ValueError, match="conjugate partner"):
+            coupled.beam_block
+        with pytest.raises(ValueError, match="conjugate partner"):
+            entanglement_rate(coupled)
 
     def test_invalid_points_carry_the_parameter_set_message(self):
         # the valid points keep their order; names of the other model are

@@ -11,7 +11,7 @@ from entrate.errors import UnstableSystemError
 from entrate.models import (BEAM_BLOCK, DriftMatrix, EffectiveModelParams, FullModelParams,
                             beam_blocks, drift_effective, drift_full, stability,
                             stability_batch)
-from entrate import quadutil, rates
+from entrate import quadutil, rates, scattering
 from entrate.quadutil import bisect_all
 from entrate.rates import (_beam_polynomials, _count_local_maxima, _density, _fwhms,
                            _panel_edges, _scale, _stationary, entanglement_rate,
@@ -507,6 +507,32 @@ class TestCountedWork:
         entanglement_rate(full_drift())
         assert len(passes) <= 4
 
+    def test_one_drift_rate_fixed_work(self, monkeypatch):
+        # the fixed work of a rate: three eigen-solves (the stability gate,
+        # the roots of R and those of P_c), one exact det of the block and
+        # at most three kernel passes at the anchor (the GK start, the peaks
+        # and a flank step), 2.73 on average over seed 1
+        points = [(stratum, drift_full(FullModelParams(**p)), p["n_th"]) if model == "full"
+                  else (stratum, drift_effective(EffectiveModelParams(**p)), 0.0)
+                  for stratum, model, p in workloads.rate_point_set(1)]
+        anchor = points[0]
+        generic = next(pt for pt in points if pt[0] == "generic" and pt[1].dim == 6)
+        effective = next(pt for pt in points if pt[1].dim == 4)
+        solves, dets = [], []
+        eigvals, det = np.linalg.eigvals, scattering._det
+        monkeypatch.setattr(np.linalg, "eigvals", lambda a: solves.append(1) or eigvals(a))
+        monkeypatch.setattr(scattering, "_det", lambda m: dets.append(1) or det(m))
+        passes = self.count_passes(monkeypatch, "_density")
+        for stratum, d, n_th in (anchor, generic, effective):
+            solves.clear(), dets.clear(), passes.clear()
+            entanglement_rate(d, n_th)
+            assert (len(solves), len(dets)) == (3, 1), stratum
+            assert stratum != "anchor" or len(passes) <= 3
+        passes.clear()
+        for _, d, n_th in points:
+            entanglement_rate(d, n_th)
+        assert len(passes) <= 2.73 * len(points)
+
 
 class TestMirrorPeaks:
     @pytest.mark.parametrize("d", [
@@ -694,6 +720,12 @@ class TestPeakCount:
 
     @settings(max_examples=400, deadline=None, derandomize=True)
     @given(candidate_rows())
+    # a unimodal row in one batch with a two-peak row; a plateau top; a twin
+    # top whose second candidate is 2 ulp below the first
+    @example((np.array([[0.5, 1.0, 3.0, 2.0, 0.2], [0.5, 3.0, 1.0, 3.0, 0.2]]),
+              np.array([3.0, 3.0])))
+    @example((np.array([[0.5, 2.0, 2.0, 2.0, 1.0]]), np.array([2.0])))
+    @example((np.array([[1.0, 3.0, 3.0 - 2.0 * np.spacing(3.0), 3.0, 1.0]]), np.array([3.0])))
     def test_batched_count_equals_the_one_row_reference(self, rows_e_max):
         rows, e_max = rows_e_max
         got = _count_local_maxima(rows, e_max)

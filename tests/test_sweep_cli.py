@@ -329,6 +329,26 @@ class TestCliCommands:
                         "--output", str(tmp_path / "s.csv")]) == 0
         assert len(built) == 1
 
+    def test_parser_is_built_once_per_process(self, tmp_path, monkeypatch):
+        # two commands through main share one parser and write the bytes the
+        # commands write with a parser of their own; a cmd_ function patched
+        # after the parser is built is still the one that runs
+        built, build = [], cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+        cli._parser.cache_clear()
+        argvs = {"rate": ["rate", "--g", "2", "--delta", "3", "--nth", "5"],
+                 "stability": ["stability", "--model", "effective", "--g", "2",
+                               "--delta", "2", "--Delta", "-0.4"]}
+        for name, argv in argvs.items():
+            via_main, alone = tmp_path / f"{name}.main", tmp_path / f"{name}.alone"
+            assert run_cli([*argv, "--output", str(via_main)]) == 0
+            args = build().parse_args([*argv, "--output", str(alone)])
+            assert getattr(cli, f"cmd_{name}")(args) == 0
+            assert via_main.read_bytes() == alone.read_bytes()
+        monkeypatch.setattr(cli, "cmd_rate", lambda args: 7)
+        assert run_cli(argvs["rate"]) == 7
+        assert len(built) == 1
+
     def test_missing_axis_usage_error(self, capsys):
         assert run_cli(["sweep"]) == 2
 
