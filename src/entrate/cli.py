@@ -59,9 +59,9 @@ def _output(path: str | None):
     return open(path, "w", encoding="utf-8", newline="\n") if path else nullcontext(sys.stdout)
 
 
-def _emit(args, header: list[str], rows: Sequence[Sequence[float | str]]) -> None:
+def _emit(args, header: list[str], columns: Sequence[Sequence[float | str]]) -> None:
     with _output(args.output) as fh:
-        write_table(fh, header, rows, args.format)
+        write_table(fh, header, columns, args.format)
 
 
 def _omega_grid(args) -> np.ndarray:
@@ -80,9 +80,8 @@ def cmd_spectrum(args) -> int:
     omegas = _omega_grid(args)
     scattering._require_stable(drift)
     optical, mechanical, e_vals = rates.spectrum_and_density(drift, omegas, n_th)
-    rows = list(zip(omegas.tolist(), (optical + mechanical).tolist(),
-                    optical.tolist(), mechanical.tolist(), e_vals.tolist()))
-    _emit(args, ["omega [kappa]", "total", "optical", "mechanical", "E"], rows)
+    _emit(args, ["omega [kappa]", "total", "optical", "mechanical", "E"],
+          [omegas, optical + mechanical, optical, mechanical, e_vals])
     return 0
 
 
@@ -91,7 +90,7 @@ def cmd_entanglement(args) -> int:
     omegas = _omega_grid(args)
     scattering._require_stable(drift)
     e_vals = rates.spectral_density_batch(drift, omegas, n_th)
-    _emit(args, ["omega [kappa]", "E"], list(zip(omegas.tolist(), e_vals.tolist())))
+    _emit(args, ["omega [kappa]", "E"], [omegas, e_vals])
     return 0
 
 
@@ -100,8 +99,8 @@ def cmd_rate(args) -> int:
     rr = rates.entanglement_rate(drift, n_th=n_th, tol=args.tol)
     _emit(args, ["gamma_E [kappa]", "E_max", "omega_max [kappa]", "fwhm [kappa]",
                  "quadrature_error [kappa]", "secondary_peaks"],
-          [[rr.gamma_E, rr.E_max, rr.omega_max, rr.fwhm, rr.quadrature_error,
-            float(rr.secondary_peaks)]])
+          [[rr.gamma_E], [rr.E_max], [rr.omega_max], [rr.fwhm], [rr.quadrature_error],
+           [float(rr.secondary_peaks)]])
     return 0
 
 
@@ -116,7 +115,7 @@ def cmd_stability(args) -> int:
         header += ["boundary_root_1 [kappa]", "boundary_root_2 [kappa]"]
         row += [roots[0] if roots else float("nan"),
                 roots[1] if roots else float("nan")]
-    _emit(args, header, [row])
+    _emit(args, header, [[cell] for cell in row])
     return 0
 
 
@@ -127,7 +126,7 @@ def cmd_pair_rate(args) -> int:
     closed = closedforms.pair_rate_closed(args.g, args.kappa, args.delta, args.Delta)
     rel = abs(numeric - closed) / abs(closed) if closed else 0.0
     _emit(args, ["numeric [kappa]", "closed_form [kappa]", "rel_deviation"],
-          [[numeric, closed, rel]])
+          [[numeric], [closed], [rel]])
     return 0
 
 
@@ -140,7 +139,7 @@ def cmd_wannier_check(args) -> int:
     ok = gap <= bound
     rows = [[float(args.M), float(l), partial, gap, bound, "ok" if ok else "fail"]
             for l in l_values]
-    _emit(args, ["M", "l", "partial_sum", "deviation", "tail_bound", "status"], rows)
+    _emit(args, ["M", "l", "partial_sum", "deviation", "tail_bound", "status"], list(zip(*rows)))
     return 0 if ok else 1
 
 
@@ -187,7 +186,7 @@ def cmd_verify(args) -> int:
     results = verify.run_checks(names)
     if args.format == "json":
         _emit(args, [f.name for f in dataclasses.fields(verify.CheckResult)],
-              [dataclasses.astuple(r) for r in results])
+              list(zip(*map(dataclasses.astuple, results))))
     else:
         for r in results:
             status = "PASS" if r.passed else "FAIL"

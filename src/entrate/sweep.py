@@ -41,64 +41,118 @@ CSV_SCHEMA_LINE = "# schema=1"
 _DEFAULTS = {"full": {"g": 1.0, "Gamma": 1e-3}, "effective": {"g": 1.0, "delta": 10.0}}
 
 
-#: Fixed 17-significant-digit float formatting of the number cells of CSV
-#: output, byte-stable.
-FLOAT_FORMAT = "%.17g"
-format_float = FLOAT_FORMAT.__mod__
-
 #: Rows formatted and written at a time: the writer holds the text of one
 #: block, never the whole table's.
 _BLOCK_ROWS = 2048
-#: JSON's tokens for the floats that float.__repr__ writes as nan and +-inf.
-_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def write_table(fh: IO[str], header: list[str],
-                rows: Sequence[Sequence[float | str]], fmt: str = "csv") -> None:
-    """Write rows under header (at least one column) as CSV or as JSON.
-    Each column holds strings or numbers, told apart by the first row.
+def write_table(fh: IO[str], header: list[str], columns: Sequence[Sequence[float | str]],
+                fmt: str = "csv") -> None:
+    """Write a table given as columns of equal length, one per header name
+    (at least one), as CSV or as JSON. A column holds strings or numbers,
+    told apart by its first cell.
 
     CSV: the schema line, the header through csv.writer, then one line per
-    row: numbers as format_float writes them, strings quoted as csv.writer
+    row: numbers as "%.17g" writes them, strings quoted as csv.writer
     quotes them. JSON: byte for byte what json.dump(..., indent=2,
     default=float) writes for a list of one object per row, non-finite
     floats as its NaN, Infinity and -Infinity tokens, and "[]" for no rows.
 
-    Both stream: every block of _BLOCK_ROWS rows is formatted column by
-    column, joined by one row template (one C-level % per row) and written
-    at once, so neither a dict per row nor the whole text is ever built."""
-    if fmt == "json":
-        if not rows:
+    Both stream in blocks of _BLOCK_ROWS rows, each turned into text at
+    once (_block_text), so neither a dict or a string per cell nor the
+    whole text is ever built."""
+    n = len(columns[0])
+    json_ = fmt == "json"
+    if json_:
+        if not n:
             fh.write("[]\n")
             return
         # as in dict(zip(header, row)): a repeated key keeps its first place
         # and its last column
         keys = {key: i for i, key in enumerate(header)}
-        template = "\n  {" + ",".join(
-            "\n    " + json.encoder.encode_basestring_ascii(key).replace("%", "%%") + ": %s"
-            for key in keys) + "\n  }"
-
-        def cells(block):
-            cols = list(zip(*block))
-            return zip(*(_json_column(cols[i]) for i in keys.values()))
-        lead, sep, tail = "[", ",", "\n]\n"
+        columns = [columns[i] for i in keys.values()]
+        # each row starts with the "," that joins it to the one before
+        literals = [("," if j else ",\n  {") + "\n    "
+                    + json.encoder.encode_basestring_ascii(key) + ": "
+                    for j, key in enumerate(keys)] + ["\n  }"]
+        quotes = [None] * len(columns)
     else:
         fh.write(CSV_SCHEMA_LINE + "\n")
         csv.writer(fh, lineterminator="\n").writerow(header)
-        if not rows:
+        if not n:
             return
-        text = [isinstance(c, str) for c in rows[0]]
-        template = ",".join("%s" if t else FLOAT_FORMAT for t in text) + "\n"
+        literals = [""] + [","] * (len(columns) - 1) + ["\n"]
         # csv.writer quotes a row of one empty field, and no other empty field
-        quote = _csv_cell if len(text) > 1 else lambda s: _csv_cell(s) or '""'
+        quote = _csv_cell if len(columns) > 1 else lambda s: _csv_cell(s) or '""'
+        quotes = [quote if isinstance(col[0], str) else None for col in columns]
+    literals = [np.frombuffer(s.encode(), np.uint8) for s in literals]
+    for i in range(0, n, _BLOCK_ROWS):
+        text = _block_text([col[i:i + _BLOCK_ROWS] for col in columns], literals, quotes, json_)
+        fh.write("[" + text[1:] if json_ and i == 0 else text)
+    if json_:
+        fh.write("\n]\n")
 
-        def cells(block):
-            return zip(*(map(quote, col) if t else col for t, col in zip(text, zip(*block))))
-        lead = sep = tail = ""
-    for i in range(0, len(rows), _BLOCK_ROWS):
-        fh.write(lead if i == 0 else sep)
-        fh.write(sep.join(map(template.__mod__, cells(rows[i:i + _BLOCK_ROWS]))))
-    fh.write(tail)
+
+def _block_text(block: list[Sequence], literals: list[np.ndarray], quotes: list,
+                json_: bool) -> str:
+    """The text of a block of rows, given as columns: a byte matrix with
+    one row per table row, holding each column's literal text (separator,
+    or JSON's indent and key) and then its cell, left-aligned in zero
+    bytes, which are dropped at the end. All of the block's floats go
+    through one floattext.float_slots call; strings (csv-quoted, their NUL
+    bytes carried as 0xff, a byte UTF-8 never uses) and JSON's other cells
+    are formatted cell by cell."""
+    rows = len(block[0])
+    split = [_split_cells(cells, quote, json_) for cells, quote in zip(block, quotes)]
+    floats = [f for f, _ in split if f is not None]
+    if floats:
+        # imported on first use: the rate API, which `import entrate` also
+        # loads, never writes a table
+        from .floattext import float_slots
+        slots = iter(float_slots(np.concatenate(floats), json_).reshape(len(floats), rows, -1))
+    parts = []
+    for literal, (f, texts) in zip(literals, split):
+        parts.append(np.broadcast_to(literal, (rows, literal.size)))
+        cells = None if f is None else next(slots)
+        if texts is not None:
+            raw = [b"" if t is None else t.encode("utf-8", "surrogatepass").replace(b"\0", b"\xff")
+                   for t in texts]
+            width = max(max(map(len, raw)), 0 if cells is None else cells.shape[1])
+            matrix = np.frombuffer(b"".join(t.ljust(width, b"\0") for t in raw),
+                                   np.uint8).reshape(rows, width)
+            if cells is not None:
+                matrix = matrix.copy()
+                kernel = np.array([t is None for t in texts])
+                matrix[kernel, :cells.shape[1]] = cells[kernel]
+            cells = matrix
+        parts.append(cells)
+    parts.append(np.broadcast_to(literals[-1], (rows, literals[-1].size)))
+    flat = np.concatenate(parts, axis=1).ravel()
+    return flat[flat != 0].tobytes().replace(b"\xff", b"\0").decode("utf-8", "surrogatepass")
+
+
+def _split_cells(cells: Sequence, quote, json_: bool) -> tuple[np.ndarray | None,
+                                                                list[str | None] | None]:
+    """A column's cells in a block as the floats for the kernel and the
+    texts of the other cells (None where a float is), either None when it
+    has no such cells."""
+    if quote is not None:
+        return None, [quote(c) for c in cells]
+    if isinstance(cells, np.ndarray) and cells.dtype == np.float64:
+        return cells, None
+    if not json_:
+        values = np.asarray(cells)
+        if values.dtype.kind in "biuf":
+            return values.astype(np.float64), None
+        return None, ["%.17g" % c for c in cells]
+    # json.dump writes a float (np.float64 too) by float.__repr__
+    is_float = [isinstance(c, float) for c in cells]
+    if all(is_float):
+        return np.array(cells, np.float64), None
+    texts = [None if t else json.dumps(c, default=float) for c, t in zip(cells, is_float)]
+    if not any(is_float):
+        return None, texts
+    return np.array([c if t else 0.0 for c, t in zip(cells, is_float)]), texts
 
 
 def _csv_cell(s: str) -> str:
@@ -107,19 +161,6 @@ def _csv_cell(s: str) -> str:
     if '"' in s:
         return '"' + s.replace('"', '""') + '"'
     return '"' + s + '"' if "," in s or "\n" in s else s
-
-
-def _json_column(col: Sequence) -> list[str]:
-    """A column's cells as json.dump(..., default=float) writes them: a
-    column of floats through float.__repr__ and the non-finite tokens,
-    any other cell by cell through json.dumps."""
-    try:
-        cells = list(map(float.__repr__, col))
-    except TypeError:       # strings, ints or other numbers
-        return [json.dumps(c, default=float) for c in col]
-    if not _JSON_NONFINITE.keys().isdisjoint(cells):
-        cells = [_JSON_NONFINITE.get(c, c) for c in cells]
-    return cells
 
 
 def _is_integer(value) -> bool:
@@ -262,12 +303,13 @@ class SweepResult:
         return [c + " [kappa]" if c in _KAPPA_COLUMNS else c for c in self.columns()]
 
     def table(self) -> tuple[list[str], list[list[float | str]]]:
-        """Header and one row per grid point: axis values, quantities (NaN
-        where unavailable) and the status."""
+        """Header and columns, one cell per grid point: axis values,
+        quantities (NaN where unavailable) and the status."""
         quantities = self.columns()[len(self.config.axes):]
         return self.header() + ["status"], [
-            [*row.axis_values, *(row.values.get(c, math.nan) for c in quantities), row.status]
-            for row in self.rows]
+            *([row.axis_values[i] for row in self.rows] for i in range(len(self.config.axes))),
+            *([row.values.get(c, math.nan) for row in self.rows] for c in quantities),
+            [row.status for row in self.rows]]
 
     def write_csv(self, fh: IO[str]) -> None:
         """The table as CSV (a failure status with commas is quoted)."""

@@ -11,7 +11,7 @@ from entrate import cli
 from entrate.models import FullModelParams, drift_full
 from entrate.rates import entanglement_rate, frequency_grid, spectrum_peak
 from entrate.scattering import BeamBlocks, spectrum_parts
-from entrate.sweep import (SweepAxis, SweepConfig, format_float, run_sweep)
+from entrate.sweep import SweepAxis, SweepConfig, run_sweep
 
 
 def run_cli(argv):
@@ -672,7 +672,3 @@ class TestMutationSanity:
         monkeypatch.setattr(models, "drift_full", corrupted)
         result = verify.run_checks(["resonant_closed_form"])[0]
         assert not result.passed
-
-    def test_format_float_is_17_digits(self):
-        assert format_float(math.pi) == "3.1415926535897931"
-        assert format_float(1.0) == "1"

@@ -1,44 +1,47 @@
-"""entrate.sweep.write_table against the csv.writer/json.dump reference."""
+"""entrate.sweep.write_table against the csv.writer/json.dump reference, and
+its float kernel against "%.17g" and float.__repr__."""
 
 import csv
 import io
 import json
+import math
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entrate import cli, sweep
+from entrate import cli, floattext, sweep
 from table_reference import write_table as reference_write_table
 
 SPECIAL_FLOATS = [0.0, -0.0, float("nan"), float("inf"), float("-inf"), 5e-324,
                   -2.225073858507201e-308, 1e308, -1e308, 1.7976931348623157e308, 1e-308,
-                  0.1, 1.0, 123456789.0, 3.1415926535897931]
+                  0.1, 1.0, 123456789.0, 3.1415926535897931, 2.0**-24, 1e-11, 1e15, 1e17]
 floats = st.one_of(st.floats(), st.sampled_from(SPECIAL_FLOATS))
 number_cells = st.one_of(floats, floats.map(np.float64))
 # the characters csv.writer and json.dump treat specially, and non-ASCII ones
-text = st.text(st.one_of(st.sampled_from(',"\n\r%\\ \té∑ 😀'), st.characters()),
+text = st.text(st.one_of(st.sampled_from(',"\n\r%\\ \t\x00é∑ 😀'), st.characters()),
                max_size=8)
 
 
 @st.composite
 def tables(draw):
-    """(header, rows): one to four columns of numbers or strings, zero to
-    twelve rows; header names may repeat."""
+    """(header, columns): one to four columns of numbers or strings, zero
+    to twelve rows; header names may repeat."""
     kinds = draw(st.lists(st.booleans(), min_size=1, max_size=4))
     header = [draw(st.one_of(st.sampled_from(["a", "E", "omega [kappa]", "%s"]), text))
               for _ in kinds]
     n = draw(st.integers(0, 12))
-    cols = [draw(st.lists(text if is_text else number_cells, min_size=n, max_size=n))
-            for is_text in kinds]
-    row_type = draw(st.sampled_from([list, tuple]))
-    return header, [row_type(r) for r in zip(*cols)]
+    col_type = draw(st.sampled_from([list, tuple]))
+    return header, [col_type(draw(st.lists(text if is_text else number_cells,
+                                           min_size=n, max_size=n)))
+                    for is_text in kinds]
 
 
-def render(writer, header, rows, fmt):
+def render(writer, header, columns, fmt):
     fh = io.StringIO()
-    writer(fh, header, rows, fmt)
+    writer(fh, header, columns, fmt)
     return fh.getvalue()
 
 
@@ -52,19 +55,111 @@ class TestWriteTable:
                         == render(reference_write_table, *table, fmt))
 
     def test_blocks_join_on_a_long_table(self):
+        """Several blocks of floats in and out of the kernel's exact range,
+        NaN and infinities, next to strings that need quoting or escaping;
+        float columns as arrays and as lists."""
         rng = np.random.default_rng(5)
         n = 2 * sweep._BLOCK_ROWS + 3
-        rows = list(zip(rng.standard_normal(n).tolist(),
-                        [f"failed: row {i}, \"x\"" if i % 7 else "ok" for i in range(n)],
-                        (rng.standard_normal(n) * 1e-300).tolist()))
-        header = ["x [kappa]", "status", "y"]
+        y = rng.standard_normal(n) * 10.0 ** rng.integers(-320, 300, n)
+        y[::11] = np.nan
+        y[5::13] = np.inf
+        y[7::17] = -np.inf
+        y[9::19] = -0.0
+        status = [f"failed: row {i}, \"x\"\r\n\x00é∑😀" if i % 7 else "ok" for i in range(n)]
+        columns = [rng.standard_normal(n), status, y, y.tolist()]
+        header = ["x [kappa]", "status", "y", "y as list"]
         for fmt in ("csv", "json"):
-            assert (render(sweep.write_table, header, rows, fmt)
-                    == render(reference_write_table, header, rows, fmt))
+            assert (render(sweep.write_table, header, columns, fmt)
+                    == render(reference_write_table, header, columns, fmt))
+
+    def test_json_cells_that_are_not_floats(self):
+        """ints, bools, None and numpy scalars next to floats in one column."""
+        columns = [[1.5, 2, True, None, np.int64(3), np.float32(0.1), "s", math.nan],
+                   np.array([1, 2, 3, 4, 5, 6, 7, 8])]
+        assert (render(sweep.write_table, ["a", "b"], columns, "json")
+                == render(reference_write_table, ["a", "b"], columns, "json"))
 
     def test_empty_table(self):
-        assert render(sweep.write_table, ["a", "b"], [], "json") == "[]\n"
-        assert render(sweep.write_table, ["a", "b"], [], "csv") == "# schema=1\na,b\n"
+        assert render(sweep.write_table, ["a", "b"], [[], []], "json") == "[]\n"
+        assert render(sweep.write_table, ["a", "b"], [[], []], "csv") == "# schema=1\na,b\n"
+
+    def test_csv_floats_are_17_digits(self):
+        assert (render(sweep.write_table, ["x"], [[math.pi, 1.0]], "csv")
+                == "# schema=1\nx\n3.1415926535897931\n1\n")
+
+
+def kernel_lines(x: np.ndarray, json_: bool) -> list[str]:
+    slots = floattext.float_slots(x, json_)
+    flat = np.column_stack([slots, np.full(len(x), ord("\n"), np.uint8)]).ravel()
+    return flat[flat != 0].tobytes().decode().splitlines()
+
+
+JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def assert_kernel_exact(x: np.ndarray) -> None:
+    """The kernel's text of every float equals "%.17g" % x (CSV) and
+    float.__repr__ (JSON), with no tolerance."""
+    values = x.tolist()
+    for json_, reference in ((False, "%.17g".__mod__), (True, float.__repr__)):
+        expected = [JSON_NONFINITE.get(t, t) if json_ else t for t in map(reference, values)]
+        got = kernel_lines(x, json_)
+        bad = [(v, g, e) for v, g, e in zip(values, got, expected) if g != e]
+        assert not bad and len(got) == len(values), (json_, bad[:5])
+
+
+def ulp_neighbours(x: np.ndarray) -> np.ndarray:
+    return np.concatenate([x, np.nextafter(x, -np.inf), np.nextafter(x, np.inf)])
+
+
+class TestFloatKernel:
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_random_bit_patterns(self, seed):
+        """2**19 patterns per seed with the exponent field across the
+        exact range and beyond, 2**16 with all 64 bits random."""
+        rng = np.random.default_rng(seed)
+        for _ in range(4):
+            bits = rng.integers(0, 2**64, 2**17, dtype=np.uint64)
+            exponent = rng.integers(1023 - 45, 1023 + 65, bits.size).astype(np.uint64)
+            bits = bits & np.uint64(0x800F_FFFF_FFFF_FFFF) | exponent << np.uint64(52)
+            assert_kernel_exact(bits.view(np.float64))
+        assert_kernel_exact(rng.integers(0, 2**64, 2**16, dtype=np.uint64).view(np.float64))
+
+    def test_special_values(self):
+        tiny = np.array([5e-324, 1e-323, 2.2250738585072009e-308, 2.2250738585072014e-308])
+        big = np.array([1.7976931348623157e308, 1e308])
+        assert_kernel_exact(np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf,
+                                      *tiny, *-tiny, *big, *-big]))
+
+    def test_powers_of_two_and_ten(self):
+        twos = np.ldexp(1.0, np.arange(-1074, 1024))
+        tens = np.array([float(f"1e{k}") for k in range(-323, 309)])
+        x = ulp_neighbours(np.concatenate([twos, tens]))
+        assert_kernel_exact(np.concatenate([x, -x]))
+
+    def test_exact_ties(self):
+        """a * 2**-m with a odd whose decimal has 17 digits (a tie between
+        two 16-digit decimals) or 18 digits (between two 17-digit ones)."""
+        assert kernel_lines(np.array([2.0**-24]), True) == ["5.960464477539063e-08"]
+        x = []
+        for m in range(1, 60):
+            for lo, hi in ((10**16, 10**17), (10**17, 10**18)):
+                first = -(-lo // 5**m) | 1
+                last = min(hi // 5**m, 2**53 - 1)
+                a = np.unique(np.linspace(first, last, 200).astype(np.int64) | 1)
+                a = a[(a >= first) & (a <= last)]
+                x.append(np.ldexp(a.astype(np.float64), -m))
+        x = ulp_neighbours(np.concatenate(x))
+        assert_kernel_exact(np.concatenate([x, -x]))
+
+    def test_ends_of_the_exact_range(self):
+        """Four ulps each side of 10**-11, 10**15 and 10**17 (and of the
+        powers of ten next to them)."""
+        ends = np.array([1e-11, 1e-10, 1e14, 1e15, 1e16, 1e17, 1e18])
+        bits = ends.view(np.int64)[:, None] + np.arange(-4, 5)
+        x = bits.ravel().view(np.float64)
+        assert floattext._LOW in x
+        assert_kernel_exact(np.concatenate([x, -x]))
 
 
 class TestCliJson:
