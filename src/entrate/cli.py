@@ -172,8 +172,9 @@ def _parse_axis(raw: str) -> SweepAxis:
     parts = raw.split(":")
     if len(parts) not in (4, 5):
         raise ValueError(f"axis must be name:min:max:steps[:log], got {raw!r}")
-    log = len(parts) == 5 and parts[4] == "log"
-    return SweepAxis(parts[0], float(parts[1]), float(parts[2]), int(parts[3]), log)
+    if parts[4:] not in ([], ["log"]):
+        raise ValueError(f"axis field after steps must be 'log', got {parts[4]!r} in {raw!r}")
+    return SweepAxis(parts[0], float(parts[1]), float(parts[2]), int(parts[3]), len(parts) == 5)
 
 
 def cmd_verify(args) -> int:

@@ -120,10 +120,11 @@ and the beam-block resonances (omega = -Im of its k eigenvalues; the
 conjugates of the partner block resonate in S at -omega, never at
 +omega). Each centre gets edges at its linewidth times 4^j either side,
 out to the half-way point to the next centre, or to two spans beyond the
-outermost, and an edge there (_panel_edges). Around a narrow mechanical
-resonance E has a skirt many linewidths wide (FWHM 0.044 for a linewidth
-of 5e-4 at g = 5, Gamma = 1e-3, delta = -15), and worst-first refinement
-from a few fixed edges reaches that scale one bisection per sweep; the
+outermost, and an edge there (_panel_omegas; the filter averages of
+wannier start on the same edges). Around a narrow mechanical resonance E
+has a skirt many linewidths wide (FWHM 0.044 for a linewidth of 5e-4 at
+g = 5, Gamma = 1e-3, delta = -15), and worst-first refinement from a few
+fixed edges reaches that scale one bisection per sweep; the
 graded mesh starts on every scale at once (as QUADPACK does towards a
 singular point, Piessens et al. 1983). Centres closer than a linewidth
 merge into the narrowest.
@@ -140,6 +141,8 @@ problems. Every decision is taken per problem from that problem's
 numbers, and the kernel and the polynomial steps are elementwise, so a
 result does not depend on the batch it was computed in: entanglement_rate
 is the call with P = 1, and a sweep's rows equal it bit for bit.
+spectrum_peak runs on the same axis, one kernel pass per degree of
+N' D - N D'.
 """
 
 from __future__ import annotations
@@ -160,10 +163,6 @@ from .scattering import BeamBlocks, _gram, _require_stable, _spectrum
 # unused here, but the benchmark tracer wraps it in rates
 from .scattering import correlator_batch  # noqa: F401
 
-#: Grid points around each resonance of frequency_grid, in linewidths.
-_GRID_OFFSETS = np.array([0.0, 0.25, -0.25, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0,
-                          5.0, -5.0, 10.0, -10.0, 25.0, -25.0, 50.0, -50.0,
-                          100.0, -100.0])
 #: Ratio of consecutive Gauss-Kronrod panel edges going out from a resonance.
 _GRADING = 4.0
 #: Reach of the edges beyond the outermost resonances, in units of the span
@@ -288,17 +287,17 @@ def _scale(eigenvalues: np.ndarray, decay: np.ndarray) -> np.ndarray:
     return np.abs(eigenvalues).max(axis=-1) + decay.max(axis=-1)
 
 
-def _panel_edges(eigenvalues: np.ndarray, decay: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    """Starting Gauss-Kronrod edges in theta = arctan(omega / scale[p]) of
-    every problem p, from its block eigenvalues (P, k) and decays: one row
-    per problem, ascending from -pi/2 to pi/2 and NaN-padded at the end
-    (repeated edges make no panel in quadutil.adaptive_gk_batch). Each
-    resonance centre (_resonances) gets edges at its linewidth times
-    _GRADING^j either side, out to the half-way point to the neighbouring
-    centre, or to _OUTER_REACH spans on the outer sides, and an edge there.
-    Coincident centres merge: a centre within the linewidth of a narrower
-    one (or of an earlier one as narrow) gives way to it. Elementwise along
-    the problem axis, so a row does not depend on the batch."""
+def _panel_omegas(eigenvalues: np.ndarray, decay: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """The resonance-graded frequency edges of every problem p, from its
+    block eigenvalues (P, k), decays and span scale[p]: one row per
+    problem, unsorted, NaN where a ladder has no rung. Each resonance
+    centre (_resonances) gets edges at its linewidth times _GRADING^j
+    either side, out to the half-way point to the neighbouring centre, or
+    to _OUTER_REACH times (max |centre| + scale[p]) on the outer sides, and
+    an edge there. Coincident centres merge: a centre within the linewidth
+    of a narrower one (or of an earlier one as narrow) gives way to it.
+    Elementwise along the problem axis, so a row does not depend on the
+    batch."""
     c, w = _resonances(eigenvalues, decay)
     outer = _OUTER_REACH * (np.abs(c).max(axis=1) + scale)
     m = c.shape[1]
@@ -315,38 +314,21 @@ def _panel_edges(eigenvalues: np.ndarray, decay: np.ndarray, scale: np.ndarray) 
     rungs = w[:, None, :, None] * _RUNGS[:2 + int(math.log(outer.max() / w.min(), _GRADING))]
     ladder = np.where(rungs < (limit - sc)[..., None], sc[..., None] + rungs, np.nan)
     omega = np.concatenate([ladder, limit[..., None]], axis=3) * _SIDES[:, None, None]
-    edges = np.empty((len(c), omega[0].size + 2))
+    return omega.reshape(len(c), -1)
+
+
+def _panel_edges(eigenvalues: np.ndarray, decay: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """Starting Gauss-Kronrod edges of Gamma_E in theta = arctan(omega /
+    scale[p]): the edges of _panel_omegas, one row per problem, ascending
+    from -pi/2 to pi/2 and NaN-padded at the end (repeated edges make no
+    panel in quadutil.adaptive_gk_batch)."""
+    omega = _panel_omegas(eigenvalues, decay, scale)
+    edges = np.empty((len(omega), omega.shape[1] + 2))
     edges[:, :2] = -0.5 * math.pi, 0.5 * math.pi
     # + 0.0 makes -0.0 a 0.0: equal edges of two signs sort in either order
-    np.arctan(omega.reshape(len(c), -1) / scale[:, None] + 0.0, out=edges[:, 2:])
+    np.arctan(omega / scale[:, None] + 0.0, out=edges[:, 2:])
     edges.sort(axis=1)
     return edges
-
-
-def frequency_grid(d: DriftMatrix, eigenvalues: np.ndarray | None = None) -> np.ndarray:
-    """Sorted frequency grid seeded at the beam-block resonances:
-    per-resonance offsets scaled by the local linewidth plus a coarse
-    global grid. It seeds the panels of the filter averages of wannier;
-    the rate path needs no grid (its peaks and flanks are polynomial
-    roots). eigenvalues, the beam-block eigenvalues of d when already
-    known (StabilityReport.eigenvalues), saves the eigen-solve."""
-    if eigenvalues is None:
-        eigenvalues = np.linalg.eigvals(d.beam_block[0])
-    centers, widths = _resonances(eigenvalues, d.decay)
-    span = float(np.max(np.abs(centers)) + 20.0 * np.max(d.decay) + 1.0)
-    out = _sorted_unique(np.concatenate([np.linspace(-span, span, 241),
-                                         (centers[:, None] + widths[:, None]
-                                          * _GRID_OFFSETS).ravel()]))
-    out = out[(out >= -span) & (out <= span)]
-    # a point within round-off of its neighbour would make an empty panel
-    return out[np.r_[True, np.diff(out) > 1e-12 * span]]
-
-
-def _sorted_unique(a: np.ndarray) -> np.ndarray:
-    """np.unique of a 1-d float array without NaN; np.unique would import
-    numpy.ma on its first call."""
-    a = np.sort(a)
-    return a[np.concatenate(([True], a[1:] != a[:-1]))]
 
 
 def _require_reciprocal(m: np.ndarray) -> None:
@@ -591,36 +573,38 @@ _fwhm_by_bisection = _fwhms
 _positive_intervals = minimize_scalar = _stationary
 
 
-def spectrum_peak(blocks: BeamBlocks, eigenvalues: np.ndarray | None = None,
-                  ) -> tuple[float, float]:
+def spectrum_peak(blocks: BeamBlocks, eigenvalues: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(omega, height) of the maximum of the beam-1 output spectrum
-    nu_plus = N / D (module docstring) of the one block of blocks: the best
-    real root of N' D - N D' after Newton steps on the polynomials,
-    measured on the kernel in one pass with the mirrors; (0, 0) when the
-    spectrum vanishes (g = 0). No stability check. eigenvalues, the
-    block's when already known, saves the eigen-solve."""
-    if eigenvalues is None:
-        eigenvalues = np.linalg.eigvals(blocks.m[0])
-    s = _scale(eigenvalues[None], blocks.decay)
+    nu_plus = N / D (module docstring) of each block, from the blocks with
+    their eigenvalues (P, k): the best real root of N' D - N D' after
+    Newton steps on the polynomials, measured on the kernel in one pass
+    with the mirrors; (0, 0) where the spectrum vanishes (g = 0). N' D -
+    N D' keeps its exact leading zeros (N has degree 2k - 4, or 0 without
+    the thermal input), so the rows go through in groups of one degree, a
+    kernel pass each; elementwise along the problem axis, so a row does
+    not depend on the batch. No stability check."""
+    s = _scale(eigenvalues, blocks.decay)
     dp, _, _, n = _beam_polynomials(blocks, s)
-    # N has degree 2k - 4, or 0 without the thermal input: exact leading
-    # zeros, trimmed
-    r = np.trim_zeros((_polymul(_polyder(n), dp) - _polymul(n, _polyder(dp)))[0], "f")
-    if r.size < 2:
-        return 0.0, 0.0
+    r = _polymul(_polyder(n), dp) - _polymul(n, _polyder(dp))
+    # the leading zeros of each row: the place of its leading coefficient
+    lead = np.logical_and.accumulate(r == 0, axis=1).sum(axis=1)
+    omega, height = np.zeros(len(blocks)), np.zeros(len(blocks))
 
     def step(values):
         # Newton on N' D - N D', whose derivative is N'' D - N D''
         ny, dy, ny1, dy1, ny2, dy2 = values
         return (ny1 * dy - ny * dy1) / (ny2 * dy - ny * dy2), None
 
-    with np.errstate(divide="ignore", invalid="ignore"):
-        y, _ = _newton([n, dp], _roots(r[None]).real, step)
-    w = s[:, None] * y
-    f = _gram(blocks, np.concatenate([w, -w], axis=1).ravel(),
-              lambda *g: np.add(*_spectrum(*g))).reshape(1, -1)
-    (omega,), (height,) = _peak(s, y, *np.split(f, 2, axis=1))
-    return float(omega), float(height)
+    # a constant (or zero) row has no root
+    for first in sorted(set(lead[lead < r.shape[1] - 1].tolist())):
+        idx = (lead == first).nonzero()[0]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            y, _ = _newton([n[idx], dp[idx]], _roots(r[idx, first:]).real, step)
+        w = s[idx, None] * y
+        f = _gram(blocks, np.concatenate([w, -w], axis=1).ravel(),
+                  lambda *g: np.add(*_spectrum(*g)), idx.repeat(2 * y.shape[1]))
+        omega[idx], height[idx] = _peak(s[idx], y, *np.split(f.reshape(idx.size, -1), 2, axis=1))
+    return omega, height
 
 
 def _check_tol(tol: float) -> None:

@@ -421,18 +421,22 @@ def pair_rate_numeric(p: EffectiveModelParams) -> float:
     linear system (m (x) I + I (x) conj(m)) vec P = -vec(e_- e_-^T)."""
     d = drift_effective(p)
     _require_stable(d)
-    return _pair_rate(*d.beam_block)
+    m, decay = d.beam_block
+    return float(_pair_rate(m[None], decay[None])[0])
 
 
-def _pair_rate(m: NDArray[np.complex128], decay: NDArray[np.float64]) -> float:
-    """pair_rate_numeric of an effective-model beam block m (2 x 2) with
-    its decays, no stability check."""
+def _pair_rate(m: NDArray[np.complex128], decay: NDArray[np.float64]) -> NDArray[np.float64]:
+    """pair_rate_numeric of each effective-model beam block of the stack m
+    (P, 2, 2) with its decays (P, 2), from one stacked solve; no stability
+    check. LAPACK solves the stacked systems one by one, so each rate equals
+    that of its block alone bit for bit."""
     eye = np.eye(2)
     rhs = np.array([0.0, 0.0, 0.0, -1.0])      # -vec(e_- e_-^T), row-major
     try:
+        # np.kron of a stack is the stack of the blocks' products
         gram = np.linalg.solve(np.kron(m, eye) + np.kron(eye, m.conj()), rhs)
     except np.linalg.LinAlgError as exc:
         raise UnstableSystemError(
             float(np.max(np.linalg.eigvals(m).real)),
             f"singular Lyapunov system: system at an instability threshold ({exc})") from exc
-    return float(decay[0] * decay[1] * gram[0].real)
+    return decay[:, 0] * decay[:, 1] * gram[:, 0].real

@@ -5,9 +5,10 @@ parameter columns in one models.beam_blocks call, gates them on one
 stacked k x k eigen-solve (models.stability_batch), and computes the
 stable points' quantities in contiguous chunks, one chunk per worker of a
 process pool when jobs != 1. A chunk is arrays (blocks, decays, n_th and
-block eigenvalues; no DriftMatrix is built): it gets its rate fields from
-one batched rates._rates call (the problem axis), then its pair rates and
-spectrum peaks point by point. A batched rate equals the one-point rate bit
+block eigenvalues; no DriftMatrix is built), and each quantity runs once
+per chunk on that problem axis: the rate fields in one rates._rates call,
+the pair rates in one stacked solve and the spectrum peaks in one
+rates.spectrum_peak call. A batched value equals the one-point value bit
 for bit, so the rows, emitted strictly in grid order, are byte-stable
 whatever the worker count and however the grid is split into sweeps.
 Unstable points are flagged in the status column rather than aborting the
@@ -27,7 +28,6 @@ from typing import IO, Sequence
 import numpy as np
 
 from . import models, rates, scattering
-from .errors import EntrateError
 
 AXIS_NAMES = ("delta", "Delta", "n_th", "Gamma", "g")
 QUANTITIES = ("stability_margin", "E_max", "gamma_E", "fwhm", "pair_rate", "spectrum")
@@ -194,6 +194,8 @@ class SweepAxis:
                 raise ValueError(f"axis {self.name} {bound} must be finite, got {value!r}")
         if not self.min < self.max:
             raise ValueError("axis needs min < max")
+        if not isinstance(self.log, (bool, np.bool_)):
+            raise ValueError(f"axis {self.name} log must be true or false, got {self.log!r}")
         if self.log and self.min <= 0:
             raise ValueError("log axis needs min > 0")
 
@@ -327,30 +329,26 @@ class SweepResult:
 def _eval_chunk(payload: tuple[tuple[str, ...], float, np.ndarray, np.ndarray, np.ndarray,
                                np.ndarray]) -> list[dict[str, float] | str]:
     """The quantities of a contiguous chunk of stable points, given as
-    their stacked beam blocks, decays, n_th and block eigenvalues: the
-    rate fields from one batched rate call, then pair rate and spectrum
-    peak per point. A point whose computation fails gets its
-    `failed: ...` status instead."""
+    their stacked beam blocks, decays, n_th and block eigenvalues, each
+    quantity from one batched call over the chunk: the rate fields from
+    rates._rates, the pair rates from scattering._pair_rate and the
+    spectrum peaks from rates.spectrum_peak. A point whose rate fails gets
+    its `failed: ...` status instead; the pair rate and the spectrum peak
+    cannot fail at a stable point."""
     quantities, tol, m, decay, n_th, eigenvalues = payload
     rate_fields = [q for q in ("E_max", "gamma_E", "fwhm") if q in quantities]
     if rate_fields or "spectrum" in quantities:
         blocks = scattering.BeamBlocks.stack(m, decay, n_th)
+    columns: dict[str, list[float]] = {}
+    if "pair_rate" in quantities:
+        columns["pair_rate"] = scattering._pair_rate(m, decay).tolist()
+    if "spectrum" in quantities:
+        omega, height = rates.spectrum_peak(blocks, eigenvalues)
+        columns["spectrum_peak_omega"], columns["spectrum_peak"] = omega.tolist(), height.tolist()
     results = rates._rates(blocks, eigenvalues, tol) if rate_fields else [None] * len(m)
-    out: list[dict[str, float] | str] = []
-    for i, rr in enumerate(results):
-        try:
-            if isinstance(rr, Exception):
-                raise rr
-            values = {q: getattr(rr, q) for q in rate_fields}
-            if "pair_rate" in quantities:
-                values["pair_rate"] = scattering._pair_rate(m[i], decay[i])
-            if "spectrum" in quantities:
-                values["spectrum_peak_omega"], values["spectrum_peak"] = rates.spectrum_peak(
-                    blocks.take([i]), eigenvalues[i])
-            out.append(values)
-        except EntrateError as exc:
-            out.append(f"failed: {exc}")
-    return out
+    return [f"failed: {rr}" if isinstance(rr, Exception) else
+            {**{q: getattr(rr, q) for q in rate_fields}, **{c: v[i] for c, v in columns.items()}}
+            for i, rr in enumerate(results)]
 
 
 def _eval_point(axis_values: tuple[float, ...], quantities: tuple[str, ...],

@@ -31,8 +31,9 @@ nu = omega + theta/tau maps the boxcar onto theta in [-pi, pi], and
 nu = omega + tan(theta)/tau maps the whole Lorentzian line onto
 (-pi/2, pi/2) with weight exactly 1/pi, so no frequency window is cut off.
 The four averages (n_plus, n_minus, Re xi, Im xi) run as four problems of
-one batched Gauss-Kronrod loop, all starting on the panels of the
-resonance grid rates.frequency_grid mapped to theta.
+one batched Gauss-Kronrod loop, all starting on the frequency edges of the
+rate's panels (rates._panel_omegas: ladders graded towards each beam-block
+resonance and omega = 0) mapped to theta and clipped to its angle.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ import numpy as np
 
 from .models import DriftMatrix
 from .quadutil import adaptive_gk_batch
-from .rates import frequency_grid, log_negativity
+from .rates import _panel_omegas, log_negativity
 from .scattering import BeamBlocks, _kernel, _require_stable
 
 DEFAULT_CUTOFF = 100_000
@@ -156,7 +157,9 @@ def filtered_entanglement(d: DriftMatrix, n_th: float,
         nu_plus, nu_minus, xi, _ = _kernel(blocks, wc + warp(theta) / tau)
         return np.stack([nu_plus, nu_minus, xi.real, xi.imag])
 
-    seeds = unwarp(tau * (frequency_grid(d, rep.eigenvalues) - wc))
+    # the rate's resonance-graded edges (rates._panel_omegas), in theta
+    (omegas,) = _panel_omegas(rep.eigenvalues[None], blocks.decay, blocks.decay.max(axis=1))
+    seeds = unwarp(tau * (omegas[np.isfinite(omegas)] - wc))
     seeds = seeds[np.abs(seeds) < half]
     s_scale = float(np.max(np.abs(parts(np.append(seeds, 0.0))))) + 1e-12
     edges = np.array(sorted({-half, half, *seeds.tolist()}))

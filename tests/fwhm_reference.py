@@ -2,7 +2,7 @@
 crossing polynomial that entrate.rates solves.
 
 Each flank is bisected on E - E_max/2, in omega towards the nearest probe
-of rates.frequency_grid below half maximum or, on a flank with none, in
+of grid_reference.frequency_grid below half maximum or, on a flank with none, in
 theta with omega = omega_max + tan(theta) towards theta = +-pi/2
 (omega = +-inf), where E = 0.
 """
@@ -15,7 +15,8 @@ import numpy as np
 
 from entrate.models import DriftMatrix
 from entrate.quadutil import bisect_all
-from entrate.rates import frequency_grid, spectral_density_batch
+from entrate.rates import spectral_density_batch
+from grid_reference import frequency_grid
 
 
 def fwhm_by_bisection(d: DriftMatrix, n_th: float, omega_max: float, e_max: float,

@@ -1,7 +1,7 @@
 """References for the peaks of entrate.rates: the sampled peak search for
-its stationary-point peaks (a scan of rates.frequency_grid, then a grid
-zoom, quad_reference.minimize_batch, between the neighbours of the best
-sample); the Newton polish of the stationary points with u from the
+its stationary-point peaks (a scan of grid_reference.frequency_grid, then
+a grid zoom, quad_reference.minimize_batch, between the neighbours of the
+best sample); the Newton polish of the stationary points with u from the
 kernel, a kernel pass per step, for its polish on the beam polynomials;
 and the one-row peak count for its batched count.
 """

@@ -15,11 +15,12 @@ from entrate import quadutil, rates, scattering
 from entrate.quadutil import bisect_all
 from entrate.rates import (_beam_polynomials, _count_local_maxima, _density, _fwhms,
                            _panel_edges, _scale, _stationary, entanglement_rate,
-                           entanglement_rates, frequency_grid, spectral_density,
+                           entanglement_rates, spectral_density,
                            spectral_density_batch, spectrum_and_density, spectrum_peak)
 from entrate.scattering import BeamBlocks, correlator_batch, spectrum_parts
 from entrate.sweep import SweepAxis, SweepConfig, run_sweep
 from fwhm_reference import fwhm_by_bisection
+from grid_reference import frequency_grid
 from lu_reference import scattering_matrices
 from mp_reference import reference_point
 from peak_reference import (candidate_peak_count, count_local_maxima, refined_peaks,
@@ -497,9 +498,18 @@ class TestCountedWork:
         assert len(passes) == 2
 
     def test_spectrum_peak_takes_one_kernel_pass(self, monkeypatch):
+        # one pass per degree of N' D - N D' in the batch: 7 where n_th > 0,
+        # 5 where n_th = 0, and none where g = 0 (it vanishes); each pass
+        # holds the roots of its rows and their mirrors
         passes = self.count_passes(monkeypatch, "_gram")
-        spectrum_peak(BeamBlocks.of([full_drift(delta=10.0)], [50.0]))
-        assert len(passes) == 1
+        d = full_drift(delta=10.0)
+        spectrum_peak(BeamBlocks.of([d], [50.0]), stability(d).eigenvalues[None])
+        assert passes == [2 * 7]
+        drifts = [d, full_drift(g=0.0), full_drift(delta=-3.0), full_drift(Delta=0.7),
+                  full_drift(delta=5.0)]
+        eigenvalues = np.stack([stability(d).eigenvalues for d in drifts])
+        spectrum_peak(BeamBlocks.of(drifts, [50.0, 50.0, 0.0, 10.0, 0.0]), eigenvalues)
+        assert passes == [2 * 7, 2 * 2 * 7, 2 * 2 * 5]
 
     def test_anchor_rate_kernel_passes(self, monkeypatch):
         # the Gamma_E quadrature, the peaks and the FWHM secant steps
@@ -624,7 +634,8 @@ class TestStationaryPeaks:
         ids=["two_peaks", "two_peaks_nth0", "anchor", "thermal", "effective",
              "effective_two_peaks"])
     def test_spectrum_peak_against_dense_sampling(self, d, n_th):
-        omega, height = spectrum_peak(BeamBlocks.of([d], [n_th]))
+        (omega,), (height,) = spectrum_peak(BeamBlocks.of([d], [n_th]),
+                                            stability(d).eigenvalues[None])
         assert height == np.sum(spectrum_parts(d, np.array([omega]), n_th))
 
         def total(w):
@@ -642,6 +653,36 @@ class TestStationaryPeaks:
         at = fine[np.argmax(total(fine))]
         assert min(abs(omega - at), abs(omega + at)) <= 1e-3 * (w[1] - w[0])
         assert omega >= 0 or total(np.array([-omega]))[0] < height - 4.0 * np.spacing(height)
+
+    @pytest.mark.parametrize("model", ["full", "effective"])
+    def test_spectrum_peak_batch_equals_one_problem_calls(self, model):
+        # rows of every degree of N' D - N D' in one batch, interleaved (the
+        # full model's n_th > 0, n_th = 0 and g = 0): each row is the call
+        # on its block alone, to the bit, and the g = 0 rows read (0, 0)
+        if model == "full":
+            # (g, Gamma, delta, Delta, n_th)
+            points = [(5.0, 1e-3, 10.0, 0.0, 50.0), (0.0, 1e-3, 4.0, 0.0, 50.0),
+                      (5.0, 1e-3, 0.0, 0.0, 0.0), (2.0, 0.1, -3.0, 0.7, 1e3),
+                      (5.0, 1e-3, -6.0, 0.0, 0.0), (0.0, 1e-3, 0.0, 0.0, 0.0)]
+            drifts = [full_drift(g=g, Gamma=gam, delta=delta, Delta=big)
+                      for g, gam, delta, big, _ in points]
+        else:
+            # (g, delta, Delta, n_th)
+            points = [(5.0, 10.0, -0.2, 0.0), (0.0, 10.0, 0.3, 0.0), (1.5, 10.0, 0.6, 0.0),
+                      (3.0, 10.0, -1.0, 0.0)]
+            drifts = [drift_effective(EffectiveModelParams(g=g, delta=delta, Delta=big))
+                      for g, delta, big, _ in points]
+        n_ths = [pt[-1] for pt in points]
+        reports = [stability(d) for d in drifts]
+        assert all(rep.stable for rep in reports)
+        eigenvalues = np.stack([rep.eigenvalues for rep in reports])
+        batch = spectrum_peak(BeamBlocks.of(drifts, n_ths), eigenvalues)
+        for p, (d, n_th) in enumerate(zip(drifts, n_ths)):
+            alone = spectrum_peak(BeamBlocks.of([d], [n_th]), eigenvalues[p:p + 1])
+            assert [float(c[p]).hex() for c in batch] == [float(c[0]).hex() for c in alone]
+        uncoupled = [pt[0] == 0.0 for pt in points]
+        assert (batch[1] == 0).tolist() == uncoupled
+        assert not batch[0][uncoupled].any()
 
 
 class TestFwhm:

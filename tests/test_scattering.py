@@ -10,7 +10,7 @@ from entrate.gaussian import covariance_from_correlators, symplectic_spectrum
 from entrate.models import (BEAM_BLOCK, DriftMatrix, EffectiveModelParams,
                             FullModelParams, drift_effective, drift_full, stability)
 from entrate.rates import spectral_density
-from entrate.scattering import (_det, correlator_batch, output_correlators,
+from entrate.scattering import (_det, _pair_rate, correlator_batch, output_correlators,
                                 output_spectrum, pair_rate_numeric)
 from entrate.verify import block_scattering, effective_scattering_oracle
 from lu_reference import (input_noise_matrix, intra_beam_correlator, scattering_matrices,
@@ -226,6 +226,17 @@ class TestPairRate:
             p = EffectiveModelParams(g=g, delta=delta, kappa=KAPPA, Delta=big)
             assert pair_rate_numeric(p) == pytest.approx(
                 pair_rate_closed(g, KAPPA, delta, big), rel=1e-9)
+
+    def test_stacked_rates_equal_one_point_rates(self):
+        # one stacked solve; each rate is pair_rate_numeric of its point to
+        # the bit, down to 1e-4 from the boundary at Delta = -0.25
+        params = [EffectiveModelParams(g=g, delta=delta, kappa=KAPPA, Delta=big)
+                  for g, delta, big in [(5.0, 10.0, -0.2), (2.0, -8.0, 0.3), (0.0, 10.0, 0.0),
+                                        (5.0, 10.0, -0.2499), (1.0, 30.0, 0.0),
+                                        (5.0, 10.0, 1.5)]]
+        m, decay = (np.stack(c) for c in zip(*(drift_effective(p).beam_block for p in params)))
+        stacked = _pair_rate(m, decay)
+        assert [x.hex() for x in stacked.tolist()] == [pair_rate_numeric(p).hex() for p in params]
 
     def test_grows_towards_boundary(self):
         base = pair_rate_numeric(EffectiveModelParams(g=5.0, delta=10.0, kappa=KAPPA))

@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 
 from entrate import cli
-from entrate.models import FullModelParams, drift_full
-from entrate.rates import entanglement_rate, frequency_grid, spectrum_peak
+from entrate.models import FullModelParams, drift_full, stability
+from entrate.rates import entanglement_rate, spectrum_peak
 from entrate.scattering import BeamBlocks, spectrum_parts
 from entrate.sweep import SweepAxis, SweepConfig, run_sweep
+from grid_reference import frequency_grid
 
 
 def run_cli(argv):
@@ -159,7 +160,8 @@ class TestRunSweep:
                              quantities=["spectrum"], jobs=1)
         for row in run_sweep(config).rows:
             d = drift_full(FullModelParams(g=5.0, Gamma=1e-3, delta=row.axis_values[0]))
-            omega, height = spectrum_peak(BeamBlocks.of([d], [50.0]))
+            (omega,), (height,) = spectrum_peak(BeamBlocks.of([d], [50.0]),
+                                                stability(d).eigenvalues[None])
             assert (row.values["spectrum_peak_omega"], row.values["spectrum_peak"]) == (
                 omega, height)
             assert height >= np.max(np.add(*spectrum_parts(d, frequency_grid(d), 50.0)))
@@ -312,7 +314,10 @@ class TestCliCommands:
         (["rate", "--tol", "inf"], "tol must be a finite positive number, got inf"),
         (["sweep", "--tol", "nan", "--axis", "delta:-1:1:3"],
          "tol must be a finite positive number, got nan"),
-        (["sweep", "--jobs", "-3", "--axis", "delta:-1:1:3"], "jobs must be >= 0")])
+        (["sweep", "--jobs", "-3", "--axis", "delta:-1:1:3"], "jobs must be >= 0"),
+        # a fifth field other than log would otherwise build a linear axis
+        (["sweep", "--axis", "delta:1:10:3:lgo"],
+         "axis field after steps must be 'log', got 'lgo' in 'delta:1:10:3:lgo'")])
     def test_non_finite_input_is_usage_error(self, argv, message, capsys):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -479,6 +484,11 @@ class TestCliCommands:
                 ({"output": 5}, "unknown sweep config keys ['output']"),
                 ({"axes": [{"name": "delta", "min": -1, "max": 1, "steps": 2.5}]},
                  "axis delta steps must be an integer, got 2.5"),
+                # a truthy string or number would otherwise build a log axis
+                ({"axes": [{"name": "delta", "min": 1, "max": 10, "steps": 3, "log": "false"}]},
+                 "axis delta log must be true or false, got 'false'"),
+                ({"axes": [{"name": "delta", "min": 1, "max": 10, "steps": 3, "log": 1}]},
+                 "axis delta log must be true or false, got 1"),
                 # checked, not coerced: a string, a bool or a fraction of
                 # the right number type would otherwise run
                 ({"tol": "1e-3"}, "tol must be a finite positive number, got '1e-3'"),

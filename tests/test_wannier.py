@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from entrate.models import EffectiveModelParams, FullModelParams, drift_effective, drift_full
-from entrate.rates import frequency_grid, log_negativity, spectral_density
+from entrate.models import (EffectiveModelParams, FullModelParams, drift_effective, drift_full,
+                            stability)
+from entrate.rates import _panel_omegas, log_negativity, spectral_density
 from entrate.scattering import correlator_batch
 from entrate.wannier import (DEFAULT_CUTOFF, EPSREL, FilterSpec, filtered_entanglement,
                              kernel_normalization, kernel_tail_bound, wannier_kernel,
@@ -256,7 +257,10 @@ class TestFilteredEntanglement:
             nu_plus, nu_minus, xi, _ = correlator_batch(d, omega + warp(theta) / tau, n_th)
             return np.stack([nu_plus, nu_minus, xi.real, xi.imag])
 
-        seeds = unwarp(tau * (frequency_grid(d) - omega))
+        # the runtime's edges: the rate's resonance ladders in omega
+        decay = d.beam_block[1][None]
+        (omegas,) = _panel_omegas(stability(d).eigenvalues[None], decay, decay.max(axis=1))
+        seeds = unwarp(tau * (omegas[np.isfinite(omegas)] - omega))
         seeds = seeds[np.abs(seeds) < half]
         s_scale = float(np.max(np.abs(parts(np.append(seeds, 0.0))))) + 1e-12
         vals = [adaptive_gk(lambda t, i=i: parts(t)[i], -half, half,
