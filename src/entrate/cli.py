@@ -54,13 +54,11 @@ def _model_params(args) -> dict[str, float]:
             "delta": args.delta, "n_th": args.nth}
 
 
-def _output(path: str | None):
-    """The named file (closed on leaving the with block) or stdout."""
-    return open(path, "w", encoding="utf-8", newline="\n") if path else nullcontext(sys.stdout)
-
-
 def _emit(args, header: list[str], columns: Sequence[Sequence[float | str]]) -> None:
-    with _output(args.output) as fh:
+    """Write the table as --format says to the --output file (closed
+    afterwards) or to stdout."""
+    with (open(args.output, "w", encoding="utf-8", newline="\n") if args.output
+          else nullcontext(sys.stdout)) as fh:
         write_table(fh, header, columns, args.format)
 
 
@@ -159,12 +157,7 @@ def cmd_sweep(args) -> int:
     if args.jobs is not None:
         # the flag overrides the config's value, checked as the config is
         config = dataclasses.replace(config, jobs=args.jobs)
-    result = run_sweep(config)
-    with _output(args.output) as fh:
-        if args.format == "json":
-            write_table(fh, *result.table(), "json")
-        else:
-            result.write_csv(fh)
+    _emit(args, *run_sweep(config).table())
     return 0
 
 

@@ -96,19 +96,21 @@ both ends of the line and is monotonic between its stationary points, so
 among the candidates sorted by omega, with E = 0 at both ends, every
 local maximum of E is a candidate and a candidate that is no stationary
 point of E is no strict local maximum: the peak count runs on that list,
-less each candidate within 4 ulp of the one before it (two roots on one
-flat top). Newton steps on u' polish the candidates without the kernel:
-u = K / (V + sqrt(V^2 + K D)) solves P_u = 0, and u' and u'' follow by
-implicit differentiation from D, V and their first two derivatives. A step
-longer than a thousandth of s is not taken: it starts from a candidate
-that is no stationary point of E. Newton steps may carry such a candidate
-onto a peak, which is why the count uses the candidates as found. One
-kernel pass then measures E at the candidates as found, the polished ones
-and their mirrors; E_max is the best polished one, and of two mirror peaks
-equal to 4 ulp, omega_max is the one at omega >= 0. The beam-1 output
-spectrum nu_plus = N / D, N = kappa_+ kappa_- |A_+-|^2 + n_th kappa_+ gamma
-|A_+b|^2, peaks at a real root of N' D - N D', found, polished on N and D
-and measured the same way.
+by prominence with ties broken by position (_count_local_maxima: of equal
+values the leftmost is the higher). So two equal mirror peaks count once
+unless the dip between them reaches the prominence floor, and a root
+doubled on one flat top (R = -K D'^2) adds no peak. Newton steps on u'
+polish the candidates without the kernel: u = K / (V + sqrt(V^2 + K D))
+solves P_u = 0, and u' and u'' follow by implicit differentiation from D,
+V and their first two derivatives. A step longer than a thousandth of s
+is not taken: it starts from a candidate that is no stationary point of
+E. Newton steps may carry such a candidate onto a peak, which is why the
+count uses the candidates as found. One kernel pass then measures E at the
+candidates as found, the polished ones and their mirrors; E_max is the
+best polished one, and of two mirror peaks equal to 4 ulp, omega_max is
+the one at omega >= 0. The beam-1 output spectrum nu_plus = N / D,
+N = kappa_+ kappa_- |A_+-|^2 + n_th kappa_+ gamma |A_+b|^2, peaks at a real
+root of N' D - N D', found, polished on N and D and measured the same way.
 
 The integral. Gamma_E is integrated over the whole frequency line on one
 compact angle: omega = s' tan(theta) with s' = max(decay) maps the line
@@ -155,12 +157,12 @@ from typing import Sequence
 import numpy as np
 
 from .errors import QuadratureError, UnstableSystemError
-from .models import PAIRING_DEFECT_TOL, DriftMatrix, StabilityReport, stability
-from .quadutil import adaptive_gk_batch
+from .models import PAIRING_DEFECT_TOL, DriftMatrix
 # unused here, but the benchmark tracer wraps these names in rates
+from .models import stability  # noqa: F401
+from .quadutil import adaptive_gk_batch
 from .quadutil import adaptive_gk_batch as adaptive_gk, bisect_all  # noqa: F401
 from .scattering import BeamBlocks, _gram, _require_stable, _spectrum
-# unused here, but the benchmark tracer wraps it in rates
 from .scattering import correlator_batch  # noqa: F401
 
 #: Ratio of consecutive Gauss-Kronrod panel edges going out from a resonance.
@@ -614,34 +616,29 @@ def _check_tol(tol: float) -> None:
 
 
 def entanglement_rates(drifts: Sequence[DriftMatrix], n_ths: Sequence[float],
-                       tol: float = 1e-6, *,
-                       reports: Sequence[StabilityReport] | None = None,
-                       ) -> list[RateResult | Exception]:
+                       tol: float = 1e-6) -> list[RateResult | Exception]:
     """entanglement_rate of every drift (all of one model) in one batched
     computation (module docstring); each result equals entanglement_rate of
     its drift alone bit for bit. A problem that fails gets its exception in
     its slot instead of a RateResult (UnstableSystemError, QuadratureError,
     or the ValueError of a beam block that is not reciprocal), and the
-    others are unaffected. reports, the drifts' stability reports from
-    models.stability, saves their eigen-solves."""
+    others are unaffected."""
     _check_tol(tol)
     drifts = list(drifts)
     n_ths = [float(n) for n in n_ths]
-    reports = [None] * len(drifts) if reports is None else reports
-    if not len(n_ths) == len(reports) == len(drifts):
-        raise ValueError("one n_th and one stability report per drift are needed")
+    if len(n_ths) != len(drifts):
+        raise ValueError("one n_th per drift is needed")
     out: list[RateResult | Exception | None] = [None] * len(drifts)
     live, eigenvalues = [], []
-    for i, (d, rep) in enumerate(zip(drifts, reports)):
+    for i, d in enumerate(drifts):
         try:
-            rep = stability(d) if rep is None else rep
-            if not rep.stable:
-                raise UnstableSystemError(rep.max_real_part)
+            rep = _require_stable(d)
             _require_reciprocal(d.beam_block[0])
-            live.append(i)
-            eigenvalues.append(rep.eigenvalues)
         except (UnstableSystemError, ValueError) as exc:
             out[i] = exc
+        else:
+            live.append(i)
+            eigenvalues.append(rep.eigenvalues)
     if live:
         blocks = BeamBlocks.of([drifts[i] for i in live], [n_ths[i] for i in live])
         for i, result in zip(live, _rates(blocks, np.stack(eigenvalues), tol)):
@@ -692,15 +689,8 @@ def entanglement_rate(d: DriftMatrix, n_th: float = 0.0, tol: float = 1e-6) -> R
     """Gamma_E = int domega/2pi E[omega] over the whole line by adaptive
     quadrature in theta (module docstring) to absolute tolerance tol (in
     kappa units), plus E_max, its location, and the FWHM of the dominant
-    peak: entanglement_rates for one drift, gated and stacked on its own."""
-    rep = stability(d)
-    _check_tol(tol)
-    if not rep.stable:
-        raise UnstableSystemError(rep.max_real_part)
-    m, decay = d.beam_block
-    _require_reciprocal(m)
-    blocks = BeamBlocks.stack(m[None], decay[None], np.array([float(n_th)]))
-    (result,) = _rates(blocks, rep.eigenvalues[None], tol)
+    peak: entanglement_rates for one drift, its failure raised."""
+    (result,) = entanglement_rates([d], [n_th], tol)
     if isinstance(result, Exception):
         raise result
     return result
@@ -711,11 +701,12 @@ def _count_local_maxima(values: np.ndarray, e_max: np.ndarray) -> np.ndarray:
     problem, sorted by omega; module docstring), with E = 0 at both ends of
     the line and a prominence floor of 1% of the row's e_max, so the
     float-level jitter of strongly squeezed points does not register. A
-    candidate within 4 ulp of the one before it is on the same flat top. A
-    peak is an interior strict maximum once plateaus are collapsed; its
-    prominence is its height above the higher of the lowest values on each
-    side, searched outward until a higher value or the border. At least 1
-    per row."""
+    peak is a value above its left neighbour and not below its right one;
+    its prominence is its height above the higher of the lowest values on
+    each side, searched outward to the left until a value at least as high,
+    to the right until a higher one, or the border. Of equal values the
+    leftmost is the higher: of two equal peaks only the first can stand on
+    its own, the other counts by its dip from it. At least 1 per row."""
     rows, n = values.shape
     # a row that never rises after it falls has one maximum, so one peak
     step = np.diff(values, axis=1)
@@ -723,21 +714,14 @@ def _count_local_maxima(values: np.ndarray, e_max: np.ndarray) -> np.ndarray:
         return np.ones(rows, dtype=int)
     y = np.zeros((rows, n + 2))
     y[:, 1:-1] = values
-    # a candidate on the flat top of the one before it takes the value of
-    # the last one that is not
-    own = np.ones(y.shape, dtype=bool)
-    own[:, 2:-1] = np.abs(values[:, 1:] - values[:, :-1]) > 4.0 * np.spacing(values[:, 1:])
-    y = y[np.arange(rows)[:, None], np.maximum.accumulate(own * np.arange(n + 2), axis=1)]
-    # the first value of each plateau stands for it
-    first = np.ones(y.shape, dtype=bool)
-    first[:, 1:] = y[:, 1:] != y[:, :-1]
-    # [row, i, j]: value j is higher than value i; j lies before i
-    higher = y[:, None, :] > y[:, :, None]
+    # [row, i, j]: j lies before i (after it in before.T); left and right:
+    # the search from i reaches value j, not past a value that stops it
     before = np.arange(n + 2) < np.arange(n + 2)[:, None]
-    # no higher value between i and j, i excluded, on either side
-    left = before & ~np.logical_or.accumulate((higher & before)[..., ::-1], axis=2)[..., ::-1]
-    right = before.T & ~np.logical_or.accumulate(higher & before.T, axis=2)
-    lows = np.maximum(np.where(left, y[:, None, :], np.inf).min(axis=2),
-                      np.where(right, y[:, None, :], np.inf).min(axis=2))
+    y_i, y_j = y[:, :, None], y[:, None, :]
+    left = before & ~np.logical_or.accumulate(((y_j >= y_i) & before)[..., ::-1], axis=2)[..., ::-1]
+    right = before.T & ~np.logical_or.accumulate((y_j > y_i) & before.T, axis=2)
+    # a value that is no peak has nothing on one side: its low is inf
+    lows = np.maximum(np.where(left, y_j, np.inf).min(axis=2),
+                      np.where(right, y_j, np.inf).min(axis=2))
     floor = np.maximum(1e-9, 1e-2 * e_max)[:, None]
-    return np.maximum((first & (y - lows >= floor)).sum(axis=1), 1)
+    return np.maximum((y - lows >= floor).sum(axis=1), 1)

@@ -3,7 +3,8 @@ its stationary-point peaks (a scan of grid_reference.frequency_grid, then
 a grid zoom, quad_reference.minimize_batch, between the neighbours of the
 best sample); the Newton polish of the stationary points with u from the
 kernel, a kernel pass per step, for its polish on the beam polynomials;
-and the one-row peak count for its batched count.
+and two one-row peak counts for its batched count, a search per peak and
+a hysteresis walk.
 """
 
 from __future__ import annotations
@@ -40,28 +41,48 @@ def refined_peaks(e_batch, grids: list[np.ndarray], values: list[np.ndarray],
 def count_local_maxima(y: np.ndarray, e_max: float) -> int:
     """Peak count with a prominence floor of 1% of the dominant peak, so the
     float-level jitter of strongly squeezed points does not register. A
-    peak is an interior strict maximum once plateaus are collapsed; its
-    prominence is its height above the higher of the lowest samples on each
-    side, searched outward until a higher sample or the border."""
+    peak is an interior sample above its left neighbour and not below its
+    right one; its prominence is its height above the higher of the lowest
+    samples on each side, searched outward to the left until a sample at
+    least as high, to the right until a higher one, or the border: of equal
+    samples the leftmost is the higher."""
     if y.size < 3:
         return 1 if np.any(y > 0) else 0
     floor = max(1e-9, 1e-2 * e_max)
-    z = y[np.concatenate(([True], y[1:] != y[:-1]))]
     count = 0
-    for p in np.flatnonzero((z[1:-1] > z[:-2]) & (z[1:-1] > z[2:])) + 1:
-        higher = np.flatnonzero(z > z[p])
-        lo = higher[higher < p].max(initial=-1) + 1
-        hi = higher[higher > p].min(initial=z.size)
-        count += z[p] - max(z[lo:p].min(), z[p + 1:hi].min()) >= floor
+    for p in np.flatnonzero((y[1:-1] > y[:-2]) & (y[1:-1] >= y[2:])) + 1:
+        lo = np.flatnonzero(y[:p] >= y[p]).max(initial=-1) + 1
+        hi = p + 1 + np.flatnonzero(y[p + 1:] > y[p]).min(initial=y.size - p - 1)
+        count += y[p] - max(y[lo:p].min(), y[p + 1:hi].min()) >= floor
     return max(int(count), 1)
 
 
-def candidate_peak_count(e: np.ndarray, e_max: float) -> int:
-    """count_local_maxima of one problem's peak candidates e (sorted by
-    omega), one at a time: E = 0 at both ends of the line, and a candidate
-    within 4 ulp of the one before it lies on the same flat top."""
-    e = e[np.concatenate(([True], np.abs(np.diff(e)) > 4.0 * np.spacing(e[1:])))]
-    return count_local_maxima(np.concatenate(([0.0], e, [0.0])), e_max)
+def hysteresis_count(y: np.ndarray, e_max: float) -> int:
+    """count_local_maxima by a walk from left to right instead of a search
+    per peak: a peak is counted each time the samples rise by the floor
+    from the lowest one since the last peak (or the start) and then fall
+    by the floor from the highest one since."""
+    if y.size < 3:
+        return 1 if np.any(y > 0) else 0
+    floor = max(1e-9, 1e-2 * e_max)
+    count, rising, low, high = 0, False, y[0], y[0]
+    for v in y[1:]:
+        if rising and v > high:
+            high = v
+        elif rising and high - v >= floor:
+            count, rising, low = count + 1, False, v
+        elif not rising and v < low:
+            low = v
+        elif not rising and v - low >= floor:
+            rising, high = True, v
+    return max(count, 1)
+
+
+def candidate_peak_count(e: np.ndarray, e_max: float, count=count_local_maxima) -> int:
+    """count (count_local_maxima by default) of one problem's peak
+    candidates e (sorted by omega), one at a time, with E = 0 at both ends
+    of the line."""
+    return count(np.concatenate(([0.0], e, [0.0])), e_max)
 
 
 def polyval(p: np.ndarray, y: np.ndarray) -> np.ndarray:
