@@ -63,11 +63,13 @@ def _emit(args, header: list[str], columns: Sequence[Sequence[float | str]]) -> 
 
 
 def _omega_grid(args) -> np.ndarray:
-    """The --omega-min/--omega-max/--omega-steps grid; a non-finite end is
-    a usage error."""
+    """The --omega-min/--omega-max/--omega-steps grid; a non-finite end or
+    fewer than one step is a usage error."""
     for flag, value in (("--omega-min", args.omega_min), ("--omega-max", args.omega_max)):
         if not np.isfinite(value):
             raise ValueError(f"{flag} must be finite, got {value}")
+    if args.omega_steps < 1:
+        raise ValueError(f"--omega-steps must be at least 1, got {args.omega_steps}")
     return np.linspace(args.omega_min, args.omega_max, args.omega_steps)
 
 

@@ -89,7 +89,8 @@ gives every stationary point of E among the real roots of
     R = 4 V'^2 D - 4 V V' D' - K D'^2,
 
 of degree 4k - 2: 10 (full model; the terms with V reach degree 8) or 6
-(effective model, where V is a constant and R = -K D'^2). R also vanishes
+(effective model, where V is a constant and R = -K D'^2, so its
+candidates are the three roots of D', each taken once). R also vanishes
 where 2 eta_plus, the other root of P_u, is stationary. The real part of
 every root is a candidate, and E is evaluated there. E > 0 falls to 0 at
 both ends of the line and is monotonic between its stationary points, so
@@ -98,8 +99,7 @@ local maximum of E is a candidate and a candidate that is no stationary
 point of E is no strict local maximum: the peak count runs on that list,
 by prominence with ties broken by position (_count_local_maxima: of equal
 values the leftmost is the higher). So two equal mirror peaks count once
-unless the dip between them reaches the prominence floor, and a root
-doubled on one flat top (R = -K D'^2) adds no peak. Newton steps on u'
+unless the dip between them reaches the prominence floor. Newton steps on u'
 polish the candidates without the kernel: u = K / (V + sqrt(V^2 + K D))
 solves P_u = 0, and u' and u'' follow by implicit differentiation from D,
 V and their first two derivatives. A step longer than a thousandth of s
@@ -526,11 +526,15 @@ def _stationary(blocks: BeamBlocks, s: np.ndarray, polys: tuple[np.ndarray, ...]
     their omega_max or its mirror, where that holds the kernel's omega_max."""
     d, v, k = polys[:3]
     d1, v1 = _polyder(d), _polyder(v)
-    # V has degree 2k - 4, so R has degree 4k - 2: the leading zeros go
-    r = 4.0 * (_polymul(_polymul(v1, v1), d)
-               - _polymul(_polymul(v, v1), d1))[:, -(4 * blocks.k - 1):]
-    r -= k[:, None] * _polymul(d1, d1)
-    y0 = _roots(r).real
+    if blocks.k == 2:
+        # V is a constant, so R = -K D'^2 has the roots of D', each twice
+        y0 = _roots(d1).real
+    else:
+        # V has degree 2k - 4, so R has degree 4k - 2: the leading zeros go
+        r = 4.0 * (_polymul(_polymul(v1, v1), d)
+                   - _polymul(_polymul(v, v1), d1))[:, -(4 * blocks.k - 1):]
+        r -= k[:, None] * _polymul(d1, d1)
+        y0 = _roots(r).real
     k2, k4 = 2.0 * k[:, None], 4.0 * k[:, None]
 
     def step(values):

@@ -85,7 +85,9 @@ def write_table(fh: IO[str], header: list[str], columns: Sequence[Sequence[float
         # csv.writer quotes a row of one empty field, and no other empty field
         quote = _csv_cell if len(columns) > 1 else lambda s: _csv_cell(s) or '""'
         quotes = [quote if isinstance(col[0], str) else None for col in columns]
-    literals = [np.frombuffer(s.encode(), np.uint8) for s in literals]
+    # each literal as a block's column of rows, built once
+    literals = [np.broadcast_to(np.frombuffer(b, np.uint8), (min(n, _BLOCK_ROWS), len(b)))
+                for b in (s.encode() for s in literals)]
     for i in range(0, n, _BLOCK_ROWS):
         text = _block_text([col[i:i + _BLOCK_ROWS] for col in columns], literals, quotes, json_)
         fh.write("[" + text[1:] if json_ and i == 0 else text)
@@ -99,20 +101,26 @@ def _block_text(block: list[Sequence], literals: list[np.ndarray], quotes: list,
     one row per table row, holding each column's literal text (separator,
     or JSON's indent and key) and then its cell, left-aligned in zero
     bytes, which are dropped at the end. All of the block's floats go
-    through one floattext.float_slots call; strings (csv-quoted, their NUL
-    bytes carried as 0xff, a byte UTF-8 never uses) and JSON's other cells
-    are formatted cell by cell."""
+    through one floattext.float_slots call, and a float column spans only
+    the byte places of the slot its cells use; strings (csv-quoted, their
+    NUL bytes carried as 0xff, a byte UTF-8 never uses) and JSON's other
+    cells are formatted cell by cell."""
     rows = len(block[0])
     split = [_split_cells(cells, quote, json_) for cells, quote in zip(block, quotes)]
     floats = [f for f, _ in split if f is not None]
     if floats:
         # imported on first use: the rate API, which `import entrate` also
         # loads, never writes a table
-        from .floattext import float_slots
-        slots = iter(float_slots(np.concatenate(floats), json_).reshape(len(floats), rows, -1))
+        from .floattext import SLOT, float_slots
+        slots = float_slots(np.concatenate(floats), json_).reshape(len(floats), rows, SLOT)
+        # from the first to the last byte place any cell of the column uses:
+        # fewer zero bytes to drop (a number fills at most 23 of 32)
+        used = np.bitwise_or.reduce(slots.view("<u8").transpose(0, 2, 1).copy(), axis=2)
+        slots = iter(cells[:, places[0]:places[-1] + 1] for cells, places
+                     in zip(slots, map(np.flatnonzero, used.view(np.uint8))))
     parts = []
     for literal, (f, texts) in zip(literals, split):
-        parts.append(np.broadcast_to(literal, (rows, literal.size)))
+        parts.append(literal[:rows])
         cells = None if f is None else next(slots)
         if texts is not None:
             raw = [b"" if t is None else t.encode("utf-8", "surrogatepass").replace(b"\0", b"\xff")
@@ -126,9 +134,12 @@ def _block_text(block: list[Sequence], literals: list[np.ndarray], quotes: list,
                 matrix[kernel, :cells.shape[1]] = cells[kernel]
             cells = matrix
         parts.append(cells)
-    parts.append(np.broadcast_to(literals[-1], (rows, literals[-1].size)))
+    parts.append(literals[-1][:rows])
     flat = np.concatenate(parts, axis=1).ravel()
-    return flat[flat != 0].tobytes().replace(b"\xff", b"\0").decode("utf-8", "surrogatepass")
+    text = flat[flat != 0]
+    if any(texts is not None for _, texts in split):
+        text = text.tobytes().replace(b"\xff", b"\0")
+    return str(text, "utf-8", "surrogatepass")
 
 
 def _split_cells(cells: Sequence, quote, json_: bool) -> tuple[np.ndarray | None,

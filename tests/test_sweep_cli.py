@@ -317,7 +317,13 @@ class TestCliCommands:
         (["sweep", "--jobs", "-3", "--axis", "delta:-1:1:3"], "jobs must be >= 0"),
         # a fifth field other than log would otherwise build a linear axis
         (["sweep", "--axis", "delta:1:10:3:lgo"],
-         "axis field after steps must be 'log', got 'lgo' in 'delta:1:10:3:lgo'")])
+         "axis field after steps must be 'log', got 'lgo' in 'delta:1:10:3:lgo'"),
+        # numpy's own message for a negative count names no flag, and zero
+        # steps would write a header-only table
+        (["spectrum", "--omega-steps", "-3"], "--omega-steps must be at least 1, got -3"),
+        (["spectrum", "--omega-steps", "0"], "--omega-steps must be at least 1, got 0"),
+        (["entanglement", "--omega-steps", "0", "--format", "json"],
+         "--omega-steps must be at least 1, got 0")])
     def test_non_finite_input_is_usage_error(self, argv, message, capsys):
         with warnings.catch_warnings():
             warnings.simplefilter("error")

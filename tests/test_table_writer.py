@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from entrate import cli, floattext, sweep
@@ -138,12 +138,13 @@ class TestFloatKernel:
         assert_kernel_exact(np.concatenate([x, -x]))
 
     def test_exact_ties(self):
-        """a * 2**-m with a odd whose decimal has 17 digits (a tie between
-        two 16-digit decimals) or 18 digits (between two 17-digit ones)."""
+        """a * 2**-m with a odd whose decimal has 16 digits (a tie between
+        two 15-digit decimals), 17 digits (between two 16-digit ones) or 18
+        digits (between two 17-digit ones)."""
         assert kernel_lines(np.array([2.0**-24]), True) == ["5.960464477539063e-08"]
         x = []
         for m in range(1, 60):
-            for lo, hi in ((10**16, 10**17), (10**17, 10**18)):
+            for lo, hi in ((10**15, 10**16), (10**16, 10**17), (10**17, 10**18)):
                 first = -(-lo // 5**m) | 1
                 last = min(hi // 5**m, 2**53 - 1)
                 a = np.unique(np.linspace(first, last, 200).astype(np.int64) | 1)
@@ -151,6 +152,53 @@ class TestFloatKernel:
                 x.append(np.ldexp(a.astype(np.float64), -m))
         x = ulp_neighbours(np.concatenate(x))
         assert_kernel_exact(np.concatenate([x, -x]))
+
+    # the remainder's shift r = 1075 - b - s is largest at the bottom of the
+    # exact range: 62 on [1e-11, 2**-36), 61 and 60 on the binades above
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.floats(min_value=1e-11, max_value=1e-9) | st.floats())
+    @example(float(floattext._LOW))
+    @example(1.2345678901234567e-11)
+    @example(float(np.nextafter(2.0**-36, 0.0)))
+    @example(2.0**-36)
+    @example(1.5e-11)
+    @example(2.0**-35 * 1.5)
+    @example(2.0**-34 - 2.0**-87)
+    @example(1.4e-11)
+    def test_any_float(self, x):
+        assert_kernel_exact(np.array([x, -x]))
+
+    def test_shift_stays_below_64(self, monkeypatch):
+        """The exact range's floats reach r = 62 and never more (the bound
+        in _scaled's docstring), so no shift in the kernel reaches 64."""
+        shifts, scaled = [], floattext._scaled
+
+        def spy(f, e, s):
+            product = scaled(f, e, s)
+            shifts.append(product[-1].max())
+            return product
+        monkeypatch.setattr(floattext, "_scaled", spy)
+        x = np.geomspace(1e-11, 1e17, 100_000)
+        for json_ in (False, True):
+            floattext.float_slots(np.concatenate([x, ulp_neighbours(floattext._LOW[None])]), json_)
+        assert max(shifts) == 62
+
+    def test_one_product_per_float(self, monkeypatch):
+        """Each float of a table goes through _scaled's product once, in
+        CSV and in JSON, and so do only the floats in the exact range."""
+        products, scaled = [], floattext._scaled
+        monkeypatch.setattr(floattext, "_scaled",
+                            lambda f, e, s: products.append(f.size) or scaled(f, e, s))
+        rng = np.random.default_rng(3)
+        n = 2 * sweep._BLOCK_ROWS + 5
+        y = rng.standard_normal(n) * 10.0 ** rng.integers(-13, 19, n)
+        y[::7] = 10.0 ** rng.integers(-11, 17, y[::7].size)        # powers of ten
+        columns = [rng.standard_normal(n), y]
+        for fmt, high in (("csv", 1e17), ("json", 1e15)):
+            products.clear()
+            render(sweep.write_table, ["x", "y"], columns, fmt)
+            exact = sum(((np.abs(c) >= floattext._LOW) & (np.abs(c) < high)).sum() for c in columns)
+            assert sum(products) == exact and len(products) == 3
 
     def test_ends_of_the_exact_range(self):
         """Four ulps each side of 10**-11, 10**15 and 10**17 (and of the
