@@ -100,15 +100,14 @@ def cmd_rate(args) -> int:
     _emit(args, ["gamma_E [kappa]", "E_max", "omega_max [kappa]", "fwhm [kappa]",
                  "quadrature_error [kappa]", "secondary_peaks"],
           [[rr.gamma_E], [rr.E_max], [rr.omega_max], [rr.fwhm], [rr.quadrature_error],
-           [float(rr.secondary_peaks)]])
+           [rr.secondary_peaks]])
     return 0
 
 
 def cmd_stability(args) -> int:
     drift, _ = models.build_drift(args.model, _model_params(args))
     rep = models.stability(drift)
-    row: list[float | str] = [1.0 if rep.stable else 0.0, rep.max_real_part,
-                              1.0 if rep.marginal else 0.0]
+    row: list[float | bool] = [rep.stable, rep.max_real_part, rep.marginal]
     header = ["stable", "max_real_part [kappa]", "marginal"]
     if args.model == "effective":
         roots = models.stability_boundary_effective(args.g, args.kappa, args.delta)
@@ -120,6 +119,8 @@ def cmd_stability(args) -> int:
 
 
 def cmd_pair_rate(args) -> int:
+    if args.model != "effective":
+        raise ValueError("pair-rate is defined for the effective model only (--model effective)")
     params = models.EffectiveModelParams(g=args.g, delta=args.delta,
                                          kappa=args.kappa, Delta=args.Delta)
     numeric = scattering.pair_rate_numeric(params)

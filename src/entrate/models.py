@@ -305,7 +305,7 @@ def stability_batch(m: NDArray[np.complex128]) -> list[StabilityReport]:
     eigenvalues = np.linalg.eigvals(m)
     return [StabilityReport(stable=x < -STABILITY_TOL, max_real_part=x,
                             marginal=abs(x) <= STABILITY_TOL, eigenvalues=e)
-            for x, e in zip(eigenvalues.real.max(axis=-1).tolist(),
+            for x, e in zip(np.maximum.reduce(eigenvalues.real, axis=-1).tolist(),
                             eigenvalues)]
 
 

@@ -58,13 +58,14 @@ def _at_round_off(val: np.ndarray, err: np.ndarray) -> np.ndarray:
 
 def adaptive_gk_batch(f_batch: Callable[[np.ndarray, np.ndarray], np.ndarray],
                       edges: np.ndarray, epsabs: np.ndarray, *,
-                      max_panels: int = 20000,
+                      max_panels: int = 20000, first: Callable | None = None,
                       ) -> tuple[np.ndarray, np.ndarray, list[QuadratureError | None]]:
     """Integrate P problems at once: problem p over its row edges[p] of a
     (P, n) array, ascending and NaN-padded at the end, starting from the
     panels between its consecutive distinct edges, to absolute tolerance
     epsabs[p]. f_batch(x, pid) returns the integrand of problem pid[i] at
-    x[i].
+    x[i]. first, when given, takes its place in the first call, on the
+    first starting panels: a caller can evaluate other points in that pass.
 
     Worst-first refinement, per problem: every sweep splits the smallest
     set of its panels, largest error first, whose errors cover most of the
@@ -80,9 +81,9 @@ def adaptive_gk_batch(f_batch: Callable[[np.ndarray, np.ndarray], np.ndarray],
     """
     edges = np.asarray(edges, dtype=float)
     n_problems = len(edges)
-    epsabs = np.broadcast_to(np.asarray(epsabs, dtype=float), (n_problems,))
+    epsabs = np.full(n_problems, epsabs, dtype=float)
 
-    def evaluate(lo: np.ndarray, hi: np.ndarray, pid: np.ndarray):
+    def evaluate(lo: np.ndarray, hi: np.ndarray, pid: np.ndarray, f=f_batch):
         k15, g7 = np.empty(lo.size), np.empty(lo.size)
         # a bounded number of panels per call keeps the memory of a sweep
         # independent of the batch size
@@ -90,17 +91,18 @@ def adaptive_gk_batch(f_batch: Callable[[np.ndarray, np.ndarray], np.ndarray],
             part = slice(i, i + _PANELS_PER_CALL)
             half = 0.5 * (hi[part] - lo[part])
             nodes = 0.5 * (lo[part] + hi[part])[:, None] + half[:, None] * _NODES[None, :]
-            vals = np.asarray(f_batch(nodes.ravel(), np.repeat(pid[part], _NODES.size)),
+            vals = np.asarray(f(nodes.ravel(), np.repeat(pid[part], _NODES.size)),
                               dtype=float).reshape(nodes.shape)
-            k15[part] = (vals * _W_K[None, :]).sum(axis=1) * half
-            g7[part] = (vals * _W_G[None, :]).sum(axis=1) * half
+            f = f_batch
+            k15[part] = np.add.reduce(vals * _W_K[None, :], axis=1) * half
+            g7[part] = np.add.reduce(vals * _W_G[None, :], axis=1) * half
         return k15, np.abs(k15 - g7)
 
     # repeated edges and the NaN padding make no panel
     panel = edges[:, 1:] > edges[:, :-1]
     pid = np.nonzero(panel)[0]
     lo, hi = edges[:, :-1][panel], edges[:, 1:][panel]
-    val, err = evaluate(lo, hi, pid)
+    val, err = evaluate(lo, hi, pid, first or f_batch)
     converged = _at_round_off(val, err)
     values, errors = np.full(n_problems, math.nan), np.full(n_problems, math.nan)
     failures: list[QuadratureError | None] = [None] * n_problems
@@ -117,16 +119,18 @@ def adaptive_gk_batch(f_batch: Callable[[np.ndarray, np.ndarray], np.ndarray],
         # done too: a problem whose panels are all at round-off level
         done = ((total <= epsabs[ids]) | np.logical_and.reduceat(converged[order], start)
                 | (sweep == _MAX_SWEEPS))
-        broke = ~done & (count[ids] >= max_panels)
-        stop = done | broke
-        if stop.any():
+        stop = done | (count[ids] >= max_panels)
+        if np.logical_or.reduce(stop):
             val_sum = np.add.reduceat(val[order], start)
-            values[ids[done]], errors[ids[done]] = val_sum[done], total[done]
-            for j in broke.nonzero()[0]:
+            finished = ids[done]
+            values[finished], errors[finished] = val_sum[done], total[done]
+            if np.logical_and.reduce(done):
+                break
+            for j in (stop & ~done).nonzero()[0]:
                 failures[ids[j]] = QuadratureError("panel budget exhausted",
                                                    value=float(val_sum[j]),
                                                    error_estimate=total[j])
-            if stop.all():
+            if np.logical_and.reduce(stop):
                 break
             going = np.zeros(n_problems, dtype=bool)
             going[ids[~stop]] = True

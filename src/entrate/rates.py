@@ -105,7 +105,8 @@ solves P_u = 0, and u' and u'' follow by implicit differentiation from D,
 V and their first two derivatives. A step longer than a thousandth of s
 is not taken: it starts from a candidate that is no stationary point of
 E. Newton steps may carry such a candidate onto a peak, which is why the
-count uses the candidates as found. One kernel pass then measures E at the
+count uses the candidates as found. No kernel is needed up to here: the
+quadrature's first kernel pass, on its start mesh, also measures E at the
 candidates as found, the polished ones and their mirrors; E_max is the
 best polished one, and of two mirror peaks equal to 4 ulp, omega_max is
 the one at omega >= 0. The beam-1 output spectrum nu_plus = N / D,
@@ -134,15 +135,16 @@ merge into the narrowest.
 The problem axis. _rates computes the rates of P stable beam blocks of one
 model (scattering.BeamBlocks with their eigenvalues: entanglement_rates
 gates its drifts onto it, a sweep calls it on the blocks of its grid)
-together: the polynomials D, V and K of every problem (computed
-once, for the peaks and the flanks), the peak and crossing polynomials
-and their roots (stacked eigen-solves of the companion matrices), one
-Gauss-Kronrod loop whose panels carry a problem id, one kernel pass for
-the peaks and one FWHM polish, each step batched kernel passes over all
-problems. Every decision is taken per problem from that problem's
-numbers, and the kernel and the polynomial steps are elementwise, so a
-result does not depend on the batch it was computed in: entanglement_rate
-is the call with P = 1, and a sweep's rows equal it bit for bit.
+together: the polynomials D, V and K of every problem (computed once, for
+the peaks and the flanks), the peak and crossing polynomials and their
+roots (stacked eigen-solves of the companion matrices), one Gauss-Kronrod
+loop whose panels carry a problem id and whose first kernel pass measures
+the peaks and the flank starts too, and one FWHM polish, each step batched
+kernel passes over all problems. Every decision
+is taken per problem from that problem's numbers, and the kernel and the
+polynomial steps are elementwise, so a result does not depend on the
+batch it was computed in: entanglement_rate is the call with P = 1, and a
+sweep's rows equal it bit for bit.
 spectrum_peak runs on the same axis, one kernel pass per degree of
 N' D - N D'.
 """
@@ -188,6 +190,9 @@ _LEVEL_TOL = 1e-6
 #: n - 1, ..., 1: the powers of the coefficients, highest first, of a
 #: polynomial of n coefficients, less the constant.
 _exponents = functools.cache(lambda n: np.arange(n - 1, 0, -1))
+#: [0, i, j]: j < i, and j > i, for n values.
+_BEFORE = functools.cache(lambda n: (np.tri(n, k=-1, dtype=bool)[None],
+                                     ~np.tri(n, dtype=bool)[None]))
 #: Newton steps of the peak polish on the beam polynomials.
 _NEWTON_STEPS = 2
 #: Longest Newton step of the peak polish, in units of s.
@@ -279,14 +284,14 @@ def _resonances(eigenvalues: np.ndarray, decay: np.ndarray) -> tuple[np.ndarray,
     np.negative(eigenvalues.imag, out=centres[..., :-1])
     centres[..., -1] = 0.0
     np.maximum(np.abs(eigenvalues.real), 1e-12, out=widths[..., :-1])
-    widths[..., -1] = decay.max(axis=-1)
+    widths[..., -1] = np.maximum.reduce(decay, axis=-1)
     return centres, widths
 
 
 def _scale(eigenvalues: np.ndarray, decay: np.ndarray) -> np.ndarray:
     """Frequency scale s of the crossing polynomials, one per row of the
     beam-block eigenvalues and decays: max |eig| + max decay."""
-    return np.abs(eigenvalues).max(axis=-1) + decay.max(axis=-1)
+    return np.maximum.reduce(np.abs(eigenvalues), axis=-1) + np.maximum.reduce(decay, axis=-1)
 
 
 def _panel_omegas(eigenvalues: np.ndarray, decay: np.ndarray, scale: np.ndarray) -> np.ndarray:
@@ -301,7 +306,7 @@ def _panel_omegas(eigenvalues: np.ndarray, decay: np.ndarray, scale: np.ndarray)
     Elementwise along the problem axis, so a row does not depend on the
     batch."""
     c, w = _resonances(eigenvalues, decay)
-    outer = _OUTER_REACH * (np.abs(c).max(axis=1) + scale)
+    outer = _OUTER_REACH * (np.maximum.reduce(np.abs(c), axis=1) + scale)
     m = c.shape[1]
     # [p, i, j]: centre j is narrower than centre i, or as narrow and earlier
     w_i, w_j = w[:, :, None], w[:, None, :]
@@ -337,8 +342,8 @@ def _require_reciprocal(m: np.ndarray) -> None:
     """Raise ValueError unless the beam block obeys m^T = J m J, which the
     whole-line E > 0 region and the crossing polynomial rest on."""
     k = len(m)
-    if np.abs(m.T - _RECIPROCITY[:k, :k] * m).max() > PAIRING_DEFECT_TOL * max(
-            1.0, float(np.abs(m).max())):
+    if np.maximum.reduce(np.abs(m.T - _RECIPROCITY[:k, :k] * m), axis=None) > (
+            PAIRING_DEFECT_TOL * max(1.0, float(np.maximum.reduce(np.abs(m), axis=None)))):
         raise ValueError("beam block is not reciprocal (m^T != J m J, "
                          f"J = diag{tuple(_RECIPROCITY_SIGNS[:k])})")
 
@@ -359,7 +364,7 @@ def _polymul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     of a and b (highest power first, the other axes broadcast): the
     anti-diagonal sums of their outer products, summed in order."""
     ia, ib, inside = _anti_diagonals(a.shape[-1], b.shape[-1])
-    return np.add.accumulate(a[..., ia] * b[..., ib] * inside, axis=-1)[..., -1]
+    return np.add.accumulate(a.take(ia, axis=-1) * b.take(ib, axis=-1) * inside, axis=-1)[..., -1]
 
 
 def _beam_polynomials(blocks: BeamBlocks, s: np.ndarray,
@@ -387,37 +392,42 @@ def _beam_polynomials(blocks: BeamBlocks, s: np.ndarray,
     return sq[:, 0], v, k_pair, n_plus
 
 
-def _polyder(p: np.ndarray) -> np.ndarray:
-    """Coefficients of the derivative of every polynomial along the last axis."""
-    return p[..., :-1] * _exponents(p.shape[-1])
-
-
-def _newton(polys: Sequence[np.ndarray], y: np.ndarray, step) -> tuple[np.ndarray, object]:
-    """The candidates y[p, :] (in units of s[p]) after at most _NEWTON_STEPS
-    Newton steps, and the aux of the last: step(values) gives (the step,
-    aux) from the polynomials polys (a row per problem each), their first
-    and their second derivatives at y, all from one Horner loop. A step not
-    finite or longer than _NEWTON_REACH is not taken, and a candidate stops
-    once its step is below 4 ulp or was not taken. The caller ignores the
-    floating-point errors of the steps not taken."""
+def _derivatives(polys: Sequence[np.ndarray]) -> np.ndarray:
+    """[derivative, polynomial, p, :]: the coefficients of polys (a row per
+    problem each) and of their first two derivatives, in one length."""
     n = max(p.shape[-1] for p in polys)
-    table = np.zeros((3, len(polys), len(y), n))
+    table = np.zeros((3, len(polys), len(polys[0]), n))
     for i, p in enumerate(polys):
         table[0, i, :, n - p.shape[-1]:] = p
     np.multiply(table[0, ..., :-1], _exponents(n), out=table[1, ..., 1:])
     np.multiply(table[1, ..., 1:-1], _exponents(n - 1), out=table[2, ..., 2:])
-    table = table.reshape(-1, len(y), n).transpose(2, 0, 1)[..., None]
-    y, active = y.copy(), np.ones(y.shape, dtype=bool)
+    return table
+
+
+def _newton(table: np.ndarray, y: np.ndarray, step) -> tuple[np.ndarray, object]:
+    """The candidates y[p, :] (in units of s[p]) after at most _NEWTON_STEPS
+    Newton steps, and the aux of the last: step(values) gives (the step,
+    aux) from the polynomials of the _derivatives table, their first and
+    their second derivatives at y, all from one Horner loop. A step not
+    finite or longer than _NEWTON_REACH is not taken, and a candidate stops
+    once its step is below 4 ulp or was not taken. The caller ignores the
+    floating-point errors of the steps not taken."""
+    # [power, polynomial, p, candidate], repeated to y's shape: an operation
+    # on arrays of one shape takes less time than a broadcast one
+    table = table.reshape(-1, *table.shape[2:]).transpose(2, 0, 1)[..., None].repeat(
+        y.shape[1], axis=3)
+    y, active, at = y.copy(), np.ones(y.shape, dtype=bool), np.empty(table.shape[1:])
     for _ in range(_NEWTON_STEPS):
-        values = table[0] * y
+        at[...] = y
+        values = table[0] * at
         for c in table[1:-1]:
             values += c
-            values *= y
+            values *= at
         values += table[-1]
         dy, aux = step(values)
         size = np.abs(dy)
         active &= (size <= _NEWTON_REACH) & (size > _EPS4 * np.abs(y))
-        if not active.any():
+        if not np.logical_or.reduce(active, axis=None):
             break
         np.subtract(y, dy, out=y, where=active)
     return y, aux
@@ -430,7 +440,7 @@ def _roots(p: np.ndarray) -> np.ndarray:
     n = p.shape[1] - 1
     companion = np.zeros((len(p), n, n))
     companion[:, 0] = -p[:, 1:] / p[:, :1]
-    companion[:, 1:, :-1] = np.eye(n - 1)
+    companion.reshape(len(p), -1)[:, n::n + 1] = 1.0     # the subdiagonal
     return np.linalg.eigvals(companion)
 
 
@@ -445,8 +455,8 @@ def _crossings(polys: tuple[np.ndarray, ...], s: np.ndarray, levels: np.ndarray)
     p[:, 2:] += 2.0 * u * v_poly
     p[:, -1] -= k_poly
     roots = _roots(p)
-    real = roots.imag ** 2 <= 1e-16 * (roots.real ** 2 + roots.imag ** 2)
-    return np.where(real, s[:, None] * roots.real, np.nan)
+    re, im2 = roots.real, roots.imag ** 2
+    return np.where(im2 <= 1e-16 * (re ** 2 + im2), s[:, None] * re, np.nan)
 
 
 def _secant_starts(roots: np.ndarray, centres: np.ndarray) -> np.ndarray:
@@ -479,22 +489,24 @@ def _fwhms(blocks: BeamBlocks, s: np.ndarray, polys: tuple[np.ndarray, ...],
                                              half[fresh]), omega_max[fresh, None])[:, 0]
         fresh = fresh[~np.isnan(x[fresh]).any(axis=(1, 2))]
         e[fresh] = _density(blocks, x[fresh].ravel(), np.repeat(fresh, 4)).reshape(-1, 2, 2)
-    found = ~np.isnan(x).any(axis=(1, 2))
+    found = ~np.logical_or.reduce(np.isnan(x.reshape(len(x), -1)), axis=1)
     failures = [None if ok else QuadratureError(
         f"no half-maximum crossing on one side of omega_max={w}")
-        for ok, w in zip(found, omega_max)]
+        for ok, w in zip(found.tolist(), omega_max.tolist())]
     idx = found.nonzero()[0]
     widths = np.full(len(e_max), np.nan)
-    x0, x1 = x[idx, 0], x[idx, 1]
-    f0, f1 = e[idx, 0] - half[idx, None], e[idx, 1] - half[idx, None]
+    x, f = x.take(idx, axis=0), e.take(idx, axis=0) - half.take(idx)[:, None, None]
+    (x0, x1), (f0, f1) = x.transpose(1, 0, 2), f.transpose(1, 0, 2)
     best, f_best = x1.copy(), np.abs(f1)
     # a problem that stops keeps its state, so it stops again
     for _ in range(_POLISH_STEPS):
         slope = f1 - f0
         step = np.divide(f1 * (x1 - x0), slope, out=np.zeros(slope.shape), where=slope != 0)
-        moving = (~(np.abs(step) <= _EPS4 * np.abs(x1)).all(axis=1)).nonzero()[0]
+        moving = np.logical_or.reduce(~(np.abs(step) <= _EPS4 * np.abs(x1)), axis=1).nonzero()[0]
         if not moving.size:
             break
+        if moving.size == idx.size:
+            moving = slice(None)
         x0[moving], f0[moving] = x1[moving], f1[moving]
         x1[moving] -= step[moving]
         pid = idx[moving].repeat(2)
@@ -517,25 +529,31 @@ def _peak(s: np.ndarray, y: np.ndarray, f: np.ndarray, f_mirror: np.ndarray,
     return np.where(tie, -omega, omega), np.where(tie, mirror, top)
 
 
-def _stationary(blocks: BeamBlocks, s: np.ndarray, polys: tuple[np.ndarray, ...],
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]:
-    """The peaks of each problem (K > 0, module docstring) from one kernel
-    pass: E at the real parts of the roots of R, sorted by omega, (omega_max,
-    E_max) of the best after Newton steps on the polynomials, and the starts
-    of _fwhms at the crossings of P_c for half the polynomials' E_max around
-    their omega_max or its mirror, where that holds the kernel's omega_max."""
-    d, v, k = polys[:3]
-    d1, v1 = _polyder(d), _polyder(v)
-    if blocks.k == 2:
+def _stationary(s: np.ndarray, polys: tuple[np.ndarray, ...], k: int):
+    """The peaks of each problem (K > 0, module docstring) around a kernel pass
+    that the caller makes at w: the real parts of the roots of R, the same
+    after Newton steps on the polynomials and mirrored, and the starts of
+    _fwhms at the crossings of P_c for half the polynomials' E_max around
+    their omega_max or its mirror; peaks(E at w) gives E at the first sorted
+    by omega, (omega_max, E_max) of the best of the second, and the starts
+    that hold the kernel's omega_max, with E there."""
+    d, v, k_pair = polys[:3]
+    # D, W = 2V and their first two derivatives: R's and the Newton steps'
+    table = _derivatives([d, 2.0 * v])
+    if k == 2:
         # V is a constant, so R = -K D'^2 has the roots of D', each twice
-        y0 = _roots(d1).real
+        y0 = _roots(table[1, 0, :, 1:]).real
     else:
-        # V has degree 2k - 4, so R has degree 4k - 2: the leading zeros go
-        r = 4.0 * (_polymul(_polymul(v1, v1), d)
-                   - _polymul(_polymul(v, v1), d1))[:, -(4 * blocks.k - 1):]
-        r -= k[:, None] * _polymul(d1, d1)
-        y0 = _roots(r).real
-    k2, k4 = 2.0 * k[:, None], 4.0 * k[:, None]
+        # R = W'^2 D - W W' D' - K D'^2 (4 V'^2 D - 4 V V' D' exactly) from two
+        # stacked products; V has degree 2k - 4, so R has 4k - 2: the leading zeros go
+        flat = table.reshape(-1, *table.shape[2:])     # D, W, D', W', D'', W''
+        first = _polymul(flat.take((3, 1, 2), axis=0), flat.take((3, 3, 2), axis=0))
+        r = _polymul(first[:2], flat[:3:2])[..., -(4 * k - 1):]
+        r[0] -= r[1]
+        r[0] -= k_pair[:, None] * first[2, :, -(4 * k - 1):]
+        y0 = _roots(r[0]).real
+    rows, n = np.arange(s.size), y0.shape[1]
+    k2, k4 = (2.0 * k_pair[:, None]).repeat(n, axis=1), (4.0 * k_pair[:, None]).repeat(n, axis=1)
 
     def step(values):
         # u' / u'' from P_u = 0 with W = 2V: a = u D' + W', q = -u' =
@@ -549,9 +567,8 @@ def _stationary(blocks: BeamBlocks, s: np.ndarray, polys: tuple[np.ndarray, ...]
         q = ua / (ud + ud + wy)
         return ua / (2.0 * (dy * q - (a + ud1)) * q + u * (u * dy2 + wy2)), u
 
-    rows, n = np.arange(s.size), y0.shape[1]
     with np.errstate(divide="ignore", invalid="ignore"):
-        y, u = _newton([d, 2.0 * v], y0, step)
+        y, u = _newton(table, y0, step)
         guess = u.argmax(axis=1)
         e_guess = -np.log1p(-u[rows, guess])
     # where u rounds to 1 the polynomials cannot tell E_max: any level serves
@@ -561,16 +578,19 @@ def _stationary(blocks: BeamBlocks, s: np.ndarray, polys: tuple[np.ndarray, ...]
     # a point in the pass must be finite: 0 stands in for a missing crossing
     w = np.concatenate([s[:, None] * y0, sy, -sy,
                         np.where(np.isnan(x), 0.0, x).reshape(s.size, -1)], axis=1)
-    e = _density(blocks, w.ravel(), rows.repeat(w.shape[1])).reshape(w.shape)
-    found = e[rows[:, None], y0.argsort(axis=1, kind="stable")]
-    omega_max, e_max = _peak(s, y, e[:, n:2 * n], e[:, 2 * n:3 * n])
-    # the starts around omega_max, if it lies between them and their level
-    # is half the kernel's E_max to _LEVEL_TOL
-    inside = (x[:, :, 1, 0] < omega_max[:, None]) & (omega_max[:, None] < x[:, :, 1, 1])
-    c = inside.argmax(axis=1)
-    x, e = x[rows, c], e[:, 3 * n:].reshape(x.shape)[rows, c]
-    x[~inside[rows, c] | ~(np.abs(e_guess - e_max) <= _LEVEL_TOL * e_max)] = np.nan
-    return found, omega_max, e_max, (x, e)
+
+    def peaks(e: np.ndarray):
+        found = e[rows[:, None], y0.argsort(axis=1, kind="stable")]
+        omega_max, e_max = _peak(s, y, e[:, n:2 * n], e[:, 2 * n:3 * n])
+        # the starts around omega_max, if it lies between them and their
+        # level is half the kernel's E_max to _LEVEL_TOL
+        inside = (x[:, :, 1, 0] < omega_max[:, None]) & (omega_max[:, None] < x[:, :, 1, 1])
+        c = inside.argmax(axis=1)
+        starts, e_starts = x[rows, c], e[:, 3 * n:].reshape(x.shape)[rows, c]
+        starts[~inside[rows, c] | ~(np.abs(e_guess - e_max) <= _LEVEL_TOL * e_max)] = np.nan
+        return found, omega_max, e_max, (starts, e_starts)
+
+    return w, peaks
 
 
 # the benchmark tracer wraps these names; the peaks and the flanks are
@@ -591,7 +611,8 @@ def spectrum_peak(blocks: BeamBlocks, eigenvalues: np.ndarray) -> tuple[np.ndarr
     not depend on the batch. No stability check."""
     s = _scale(eigenvalues, blocks.decay)
     dp, _, _, n = _beam_polynomials(blocks, s)
-    r = _polymul(_polyder(n), dp) - _polymul(n, _polyder(dp))
+    table = _derivatives([n, dp])
+    r = _polymul(table[1, 0], table[0, 1]) - _polymul(table[0, 0], table[1, 1])
     # the leading zeros of each row: the place of its leading coefficient
     lead = np.logical_and.accumulate(r == 0, axis=1).sum(axis=1)
     omega, height = np.zeros(len(blocks)), np.zeros(len(blocks))
@@ -605,7 +626,7 @@ def spectrum_peak(blocks: BeamBlocks, eigenvalues: np.ndarray) -> tuple[np.ndarr
     for first in sorted(set(lead[lead < r.shape[1] - 1].tolist())):
         idx = (lead == first).nonzero()[0]
         with np.errstate(divide="ignore", invalid="ignore"):
-            y, _ = _newton([n[idx], dp[idx]], _roots(r[idx, first:]).real, step)
+            y, _ = _newton(table[:, :, idx], _roots(r[idx, first:]).real, step)
         w = s[idx, None] * y
         f = _gram(blocks, np.concatenate([w, -w], axis=1).ravel(),
                   lambda *g: np.add(*_spectrum(*g)), idx.repeat(2 * y.shape[1]))
@@ -645,7 +666,7 @@ def entanglement_rates(drifts: Sequence[DriftMatrix], n_ths: Sequence[float],
             eigenvalues.append(rep.eigenvalues)
     if live:
         blocks = BeamBlocks.of([drifts[i] for i in live], [n_ths[i] for i in live])
-        for i, result in zip(live, _rates(blocks, np.stack(eigenvalues), tol)):
+        for i, result in zip(live, _rates(blocks, np.array(eigenvalues), tol)):
             out[i] = result
     return out
 
@@ -666,22 +687,31 @@ def _rates(blocks: BeamBlocks, eigenvalues: np.ndarray, tol: float,
 
     # E has all its structure at the resonances, so panels that start
     # there only need polishing; half of tol * 2 pi is the budget
-    scale = blocks.decay.max(axis=1)
+    scale = np.maximum.reduce(blocks.decay, axis=1)
     edges = _panel_edges(eigenvalues[pos], blocks.decay, scale)
+    w, peaks = _stationary(s, polys, blocks.k)
+    at_w = []
 
     def integrand(theta: np.ndarray, pid: np.ndarray) -> np.ndarray:
         t, sc = np.tan(theta), scale[pid]
         return _density(blocks, sc * t, pid) * (sc * (1.0 + t * t))
 
-    totals, errors, gk_failures = adaptive_gk_batch(integrand, edges,
-                                                    np.full(pos.size, math.pi * tol))
+    def first(theta: np.ndarray, pid: np.ndarray) -> np.ndarray:
+        # one kernel pass: the quadrature's first start nodes (all of them for
+        # up to quadutil._PANELS_PER_CALL panels), then w
+        t, sc = np.tan(theta), scale[pid]
+        e = _density(blocks, np.concatenate([sc * t, w.ravel()]), None if pos.size == 1 else
+                     np.concatenate([pid, np.arange(pos.size).repeat(w.shape[1])]))
+        at_w.append(e[t.size:].reshape(w.shape))
+        return e[:t.size] * (sc * (1.0 + t * t))
 
-    values, omega_max, e_max, starts = _stationary(blocks, s, polys)
+    totals, errors, gk_failures = adaptive_gk_batch(integrand, edges,
+                                                    np.full(pos.size, math.pi * tol), first=first)
+    values, omega_max, e_max, starts = peaks(*at_w)
     widths, fwhm_failures = _fwhms(blocks, s, polys, omega_max, e_max, starts)
     peaks = _count_local_maxima(values, e_max)
-    for i, p in enumerate(pos):
-        failure = gk_failures[i] or fwhm_failures[i]
-        out[p] = failure or RateResult(
+    for i, p in enumerate(pos.tolist()):
+        out[p] = gk_failures[i] or fwhm_failures[i] or RateResult(
             gamma_E=float(totals[i]) / (2.0 * math.pi), E_max=float(e_max[i]),
             omega_max=float(omega_max[i]), fwhm=float(widths[i]),
             quadrature_error=float(errors[i]) / (2.0 * math.pi),
@@ -713,19 +743,21 @@ def _count_local_maxima(values: np.ndarray, e_max: np.ndarray) -> np.ndarray:
     its own, the other counts by its dip from it. At least 1 per row."""
     rows, n = values.shape
     # a row that never rises after it falls has one maximum, so one peak
-    step = np.diff(values, axis=1)
+    step = values[:, 1:] - values[:, :-1]
     if not (np.logical_or.accumulate(step < 0, axis=1)[:, :-1] & (step[:, 1:] > 0)).any():
         return np.ones(rows, dtype=int)
     y = np.zeros((rows, n + 2))
     y[:, 1:-1] = values
-    # [row, i, j]: j lies before i (after it in before.T); left and right:
-    # the search from i reaches value j, not past a value that stops it
-    before = np.arange(n + 2) < np.arange(n + 2)[:, None]
-    y_i, y_j = y[:, :, None], y[:, None, :]
+    # [row, i, j]: j lies before i (after it in after), y_i and y_j repeated
+    # to that shape (as in _newton); left and right: the search from i
+    # reaches value j, not past a value that stops it
+    before, after = _BEFORE(n + 2)
+    y_j = y[:, None, :].repeat(n + 2, axis=1)
+    y_i = y_j.transpose(0, 2, 1).copy()
     left = before & ~np.logical_or.accumulate(((y_j >= y_i) & before)[..., ::-1], axis=2)[..., ::-1]
-    right = before.T & ~np.logical_or.accumulate((y_j > y_i) & before.T, axis=2)
+    right = after & ~np.logical_or.accumulate((y_j > y_i) & after, axis=2)
     # a value that is no peak has nothing on one side: its low is inf
-    lows = np.maximum(np.where(left, y_j, np.inf).min(axis=2),
-                      np.where(right, y_j, np.inf).min(axis=2))
+    lows = np.maximum(np.minimum.reduce(y_j, axis=2, where=left, initial=np.inf),
+                      np.minimum.reduce(y_j, axis=2, where=right, initial=np.inf))
     floor = np.maximum(1e-9, 1e-2 * e_max)[:, None]
-    return np.maximum((y - lows >= floor).sum(axis=1), 1)
+    return np.maximum(np.add.reduce(y - lows >= floor, axis=1), 1)

@@ -136,20 +136,16 @@ def _det(m: NDArray[np.complex128]) -> NDArray[np.complex128]:
     Next to the instability boundary det m is small against its terms:
     1e-4 from the edge a float64 sum of rounded products loses a factor of
     5e3 to cancellation. Here every entry of a matrix is an integer
-    multiple of 2^low (low <= 0, the last place of its finest entry), the
-    det of those integers is expanded exactly, and one correctly rounded
-    integer division by 2^(-k low) gives the result."""
+    multiple of 1/2^j (2^j the largest denominator of its real and
+    imaginary parts), the det of those integers is expanded exactly, and
+    one correctly rounded integer division by 2^(k j) gives the result."""
     k = m.shape[1]
-    x = m.reshape(len(m), -1).view(float)       # real and imaginary parts
-    # x = f 2^e with 1/2 <= |f| < 1: the integer f 2^53 times 2^(e - 53)
-    f, e = np.frexp(x)
-    e -= 53
-    low = np.min(e, axis=1, where=x != 0, initial=0)
-    shift = np.where(x != 0, e - low[:, None], 0)
     out = []
-    for mant, sh, lo in zip(np.ldexp(f, 53).astype(np.int64).tolist(), shift.tolist(),
-                            low.tolist()):
-        v = [a << b for a, b in zip(mant, sh)]
+    # the real and imaginary parts of each matrix as exact fractions
+    for x in m.reshape(len(m), -1).view(float).tolist():
+        nums, dens = zip(*[a.as_integer_ratio() for a in x])
+        den = max(dens)
+        v = [a * (den // b) for a, b in zip(nums, dens)]
         re = im = 0
         for sign, idx in _DET_TERMS[k]:
             pr, pi = v[2 * idx[0]], v[2 * idx[0] + 1]
@@ -157,7 +153,7 @@ def _det(m: NDArray[np.complex128]) -> NDArray[np.complex128]:
                 c, d = v[2 * i], v[2 * i + 1]
                 pr, pi = pr * c - pi * d, pr * d + pi * c
             re, im = re + sign * pr, im + sign * pi
-        scale = 1 << (-k * lo)
+        scale = den ** k
         out.append(complex(re / scale, im / scale))
     return np.array(out, dtype=complex)
 
@@ -171,6 +167,8 @@ _ENTRIES = ((0, 1), (1, 0), (0, 0), (0, 2), (1, 2), (2, 0), (2, 1))
 _NEXT = np.array([1, 2, 0])
 _COF_ROWS = np.array([_NEXT, _NEXT[_NEXT]] * 2)[:, None, :]
 _COF_COLS = np.array([_NEXT, _NEXT[_NEXT], _NEXT[_NEXT], _NEXT])[:, :, None]
+_COF = 3 * _COF_ROWS + _COF_COLS           # flat places in m
+_EYE = {k: np.eye(k) for k in (2, 3)}
 
 
 @dataclass(frozen=True)
@@ -193,7 +191,7 @@ class BeamBlocks:
         m, decay = zip(*(d.beam_block for d in drifts))
         if len({b.shape for b in m}) != 1:
             raise ValueError("a batch of beam blocks needs drifts of one model")
-        return cls.stack(np.stack(m), np.stack(decay), np.asarray(n_ths, dtype=float))
+        return cls.stack(np.array(m), np.array(decay), np.asarray(n_ths, dtype=float))
 
     @classmethod
     def stack(cls, m: NDArray[np.complex128], decay: NDArray[np.float64],
@@ -201,13 +199,13 @@ class BeamBlocks:
         """The stacked beam blocks m (P, k, k) with their decays (P, k) and
         n_th (P,), as models.beam_blocks builds them."""
         n, k = m.shape[:2]
-        eye = np.eye(k)
+        eye = _EYE[k]
         adj = np.empty((n, k, k, k), dtype=complex)
         char = np.empty((n, k + 1), dtype=complex)
         adj[:, 0], char[:, 0], adj_m = eye, 1.0, adj[:, -1]
         if k == 3:
             tr = m[:, 0, 0] + m[:, 1, 1] + m[:, 2, 2]
-            f = m[:, _COF_ROWS, _COF_COLS]
+            f = m.reshape(n, -1).take(_COF, axis=1)
             np.subtract(f[:, 0] * f[:, 1], f[:, 2] * f[:, 3], out=adj_m)
             adj[:, 1] = tr[:, None, None] * eye - m
             char[:, 2] = adj_m[:, 0, 0] + adj_m[:, 1, 1] + adj_m[:, 2, 2]
@@ -240,8 +238,8 @@ class BeamBlocks:
         coef = np.zeros((self.k + 1, 1 + len(entries), len(self)), dtype=complex)
         coef[:, 0] = self.char.T
         if entries:
-            rows, cols = zip(*entries)
-            coef[1:, 1:] = self.adj[:, :, rows, cols].transpose(1, 2, 0)
+            adj = self.adj.reshape(*self.adj.shape[:2], -1)
+            coef[1:, 1:] = adj.take([self.k * i + j for i, j in entries], axis=2).transpose(1, 2, 0)
         return coef, np.array(weights)
 
     @cached_property

@@ -252,6 +252,10 @@ class SweepConfig:
             # one non-finite parameter would fail every grid point
             if not (_is_number(value) and math.isfinite(value)):
                 raise ValueError(f"{name} must be finite, got {value!r}")
+        # a fixed parameter that fails the model's rules would fail every point
+        for name, test, message in models._CHECKS[models._MODELS[self.model]]:
+            if name in self.fixed and name not in names and not test(self.fixed[name]):
+                raise ValueError(message)
         if "pair_rate" in self.quantities and self.model != "effective":
             raise ValueError("pair_rate is defined for the effective model only")
         if self.model == "effective" and any(a.name in ("Gamma", "n_th") for a in self.axes):

@@ -11,13 +11,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from entrate.rates import _density, _polyder, _polymul, _roots
+from entrate.rates import _density, _polymul, _roots
 from quad_reference import minimize_batch
+
 
 #: Kernel passes of the Newton polish, the mirror check aside.
 POLISH_PASSES = 3
 #: Longest Newton step, in units of s.
 NEWTON_REACH = 1e-3
+
+
+def _polyder(p: np.ndarray) -> np.ndarray:
+    """Coefficients of the derivative of every polynomial along the last axis."""
+    return p[..., :-1] * np.arange(p.shape[-1] - 1, 0, -1)
 
 
 def refined_peaks(e_batch, grids: list[np.ndarray], values: list[np.ndarray],

@@ -34,6 +34,18 @@ class TestSweepConfig:
             SweepConfig(model="full", fixed={}, axes=[SweepAxis("delta", 0, 1, 3)],
                         quantities=["pair_rate"])   # effective-only quantity
 
+    def test_fixed_parameter_checked_unless_an_axis(self):
+        # a fixed delta = 0 fails the effective model's rule at every point
+        with pytest.raises(ValueError, match="delta must be nonzero"):
+            SweepConfig(model="effective", fixed={"g": 5.0, "delta": 0.0},
+                        axes=[SweepAxis("Delta", -0.6, -0.5, 2)], quantities=["gamma_E"])
+        # on an axis it is checked per point: its invalid points get failed rows
+        SweepConfig(model="effective", fixed={"g": 5.0, "delta": 0.0},
+                    axes=[SweepAxis("delta", -1.0, 1.0, 3)], quantities=["gamma_E"])
+        # the other model's parameters are not checked
+        SweepConfig(model="effective", fixed={"g": 5.0, "Gamma": 0.0},
+                    axes=[SweepAxis("Delta", -0.6, -0.5, 2)], quantities=["gamma_E"])
+
     def test_from_dict_missing_field(self):
         with pytest.raises(ValueError, match="missing required field"):
             SweepConfig.from_dict({"model": "full", "axes": []})
@@ -323,7 +335,17 @@ class TestCliCommands:
         (["spectrum", "--omega-steps", "-3"], "--omega-steps must be at least 1, got -3"),
         (["spectrum", "--omega-steps", "0"], "--omega-steps must be at least 1, got 0"),
         (["entanglement", "--omega-steps", "0", "--format", "json"],
-         "--omega-steps must be at least 1, got 0")])
+         "--omega-steps must be at least 1, got 0"),
+        # the pair rate is the effective model's: --gamma and --nth would be
+        # ignored, and the default delta = 0 fails the effective model's rule
+        (["pair-rate", "--model", "full", "--delta", "10"],
+         "pair-rate is defined for the effective model only"),
+        (["pair-rate", "--model", "full"], "pair-rate is defined for the effective model only"),
+        # a fixed parameter (delta left at 0, not an axis) that fails the
+        # model's rules fails every point: a usage error, as for rate
+        (["sweep", "--model", "effective", "--axis", "Delta:-0.6:-0.5:2"],
+         "delta must be nonzero"),
+        (["sweep", "--gamma", "0", "--axis", "delta:-1:1:3"], "Gamma must be positive")])
     def test_non_finite_input_is_usage_error(self, argv, message, capsys):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -398,7 +420,13 @@ class TestCliCommands:
         code = run_cli(["stability", *self.MARGINAL, "--Delta", "-0.5", "--format", "json"])
         assert code == 0
         doc = json.loads(capsys.readouterr().out)[0]
-        assert doc["stable"] == 0.0 and doc["marginal"] == 1.0
+        # the flags are JSON booleans
+        assert doc["stable"] is False and doc["marginal"] is True
+
+    def test_rate_json_counts_peaks_as_an_integer(self, capsys):
+        assert run_cli(["rate", "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)[0]
+        assert type(doc["secondary_peaks"]) is int
 
     def test_pair_rate_marginal_point_exits_one(self, capsys):
         assert run_cli(["pair-rate", *self.MARGINAL, "--Delta", "-0.5"]) == 1
