@@ -58,14 +58,13 @@ def _at_round_off(val: np.ndarray, err: np.ndarray) -> np.ndarray:
 
 def adaptive_gk_batch(f_batch: Callable[[np.ndarray, np.ndarray], np.ndarray],
                       edges: np.ndarray, epsabs: np.ndarray, *,
-                      max_panels: int = 20000, first: Callable | None = None,
+                      max_panels: int = 20000,
                       ) -> tuple[np.ndarray, np.ndarray, list[QuadratureError | None]]:
     """Integrate P problems at once: problem p over its row edges[p] of a
     (P, n) array, ascending and NaN-padded at the end, starting from the
     panels between its consecutive distinct edges, to absolute tolerance
     epsabs[p]. f_batch(x, pid) returns the integrand of problem pid[i] at
-    x[i]. first, when given, takes its place in the first call, on the
-    first starting panels: a caller can evaluate other points in that pass.
+    x[i].
 
     Worst-first refinement, per problem: every sweep splits the smallest
     set of its panels, largest error first, whose errors cover most of the
@@ -83,7 +82,7 @@ def adaptive_gk_batch(f_batch: Callable[[np.ndarray, np.ndarray], np.ndarray],
     n_problems = len(edges)
     epsabs = np.full(n_problems, epsabs, dtype=float)
 
-    def evaluate(lo: np.ndarray, hi: np.ndarray, pid: np.ndarray, f=f_batch):
+    def evaluate(lo: np.ndarray, hi: np.ndarray, pid: np.ndarray):
         k15, g7 = np.empty(lo.size), np.empty(lo.size)
         # a bounded number of panels per call keeps the memory of a sweep
         # independent of the batch size
@@ -91,9 +90,8 @@ def adaptive_gk_batch(f_batch: Callable[[np.ndarray, np.ndarray], np.ndarray],
             part = slice(i, i + _PANELS_PER_CALL)
             half = 0.5 * (hi[part] - lo[part])
             nodes = 0.5 * (lo[part] + hi[part])[:, None] + half[:, None] * _NODES[None, :]
-            vals = np.asarray(f(nodes.ravel(), np.repeat(pid[part], _NODES.size)),
+            vals = np.asarray(f_batch(nodes.ravel(), np.repeat(pid[part], _NODES.size)),
                               dtype=float).reshape(nodes.shape)
-            f = f_batch
             k15[part] = np.add.reduce(vals * _W_K[None, :], axis=1) * half
             g7[part] = np.add.reduce(vals * _W_G[None, :], axis=1) * half
         return k15, np.abs(k15 - g7)
@@ -102,7 +100,7 @@ def adaptive_gk_batch(f_batch: Callable[[np.ndarray, np.ndarray], np.ndarray],
     panel = edges[:, 1:] > edges[:, :-1]
     pid = np.nonzero(panel)[0]
     lo, hi = edges[:, :-1][panel], edges[:, 1:][panel]
-    val, err = evaluate(lo, hi, pid, first or f_batch)
+    val, err = evaluate(lo, hi, pid)
     converged = _at_round_off(val, err)
     values, errors = np.full(n_problems, math.nan), np.full(n_problems, math.nan)
     failures: list[QuadratureError | None] = [None] * n_problems
@@ -124,8 +122,6 @@ def adaptive_gk_batch(f_batch: Callable[[np.ndarray, np.ndarray], np.ndarray],
             val_sum = np.add.reduceat(val[order], start)
             finished = ids[done]
             values[finished], errors[finished] = val_sum[done], total[done]
-            if np.logical_and.reduce(done):
-                break
             for j in (stop & ~done).nonzero()[0]:
                 failures[ids[j]] = QuadratureError("panel budget exhausted",
                                                    value=float(val_sum[j]),

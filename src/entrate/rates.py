@@ -689,25 +689,23 @@ def _rates(blocks: BeamBlocks, eigenvalues: np.ndarray, tol: float,
     # there only need polishing; half of tol * 2 pi is the budget
     scale = np.maximum.reduce(blocks.decay, axis=1)
     edges = _panel_edges(eigenvalues[pos], blocks.decay, scale)
-    w, peaks = _stationary(s, polys, blocks.k)
+    w, peaks_at = _stationary(s, polys, blocks.k)
     at_w = []
 
     def integrand(theta: np.ndarray, pid: np.ndarray) -> np.ndarray:
         t, sc = np.tan(theta), scale[pid]
-        return _density(blocks, sc * t, pid) * (sc * (1.0 + t * t))
-
-    def first(theta: np.ndarray, pid: np.ndarray) -> np.ndarray:
-        # one kernel pass: the quadrature's first start nodes (all of them for
-        # up to quadutil._PANELS_PER_CALL panels), then w
-        t, sc = np.tan(theta), scale[pid]
-        e = _density(blocks, np.concatenate([sc * t, w.ravel()]), None if pos.size == 1 else
+        if at_w:
+            return _density(blocks, sc * t, pid) * (sc * (1.0 + t * t))
+        # the first call, on the quadrature's first start nodes (all of them
+        # for up to quadutil._PANELS_PER_CALL panels), measures w in its pass
+        e = _density(blocks, np.concatenate([sc * t, w.ravel()]),
                      np.concatenate([pid, np.arange(pos.size).repeat(w.shape[1])]))
         at_w.append(e[t.size:].reshape(w.shape))
         return e[:t.size] * (sc * (1.0 + t * t))
 
     totals, errors, gk_failures = adaptive_gk_batch(integrand, edges,
-                                                    np.full(pos.size, math.pi * tol), first=first)
-    values, omega_max, e_max, starts = peaks(*at_w)
+                                                    np.full(pos.size, math.pi * tol))
+    values, omega_max, e_max, starts = peaks_at(*at_w)
     widths, fwhm_failures = _fwhms(blocks, s, polys, omega_max, e_max, starts)
     peaks = _count_local_maxima(values, e_max)
     for i, p in enumerate(pos.tolist()):

@@ -491,16 +491,12 @@ class TestCountedWork:
         gk, at_round_off = rates.adaptive_gk_batch, quadutil._at_round_off
 
         def counted_gk(f_batch, edges, epsabs, **kwargs):
-            def counted(f):
-                def call(x, pid):
-                    work["points"] += x.size
-                    return f(x, pid)
-                return call
+            def counted(x, pid):
+                work["points"] += x.size
+                return f_batch(x, pid)
             work["problems"] += len(epsabs)
             work["sweeps"] -= 1
-            # the start nodes go through the caller's first pass
-            kwargs["first"] = counted(kwargs["first"])
-            return gk(counted(f_batch), edges, epsabs, **kwargs)
+            return gk(counted, edges, epsabs, **kwargs)
 
         def counted_round_off(val, err):
             work["sweeps"] += 1
