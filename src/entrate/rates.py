@@ -705,7 +705,7 @@ def _rates(blocks: BeamBlocks, eigenvalues: np.ndarray, tol: float,
 
     totals, errors, gk_failures = adaptive_gk_batch(integrand, edges,
                                                     np.full(pos.size, math.pi * tol))
-    values, omega_max, e_max, starts = peaks_at(*at_w)
+    values, omega_max, e_max, starts = peaks_at(at_w[0])
     widths, fwhm_failures = _fwhms(blocks, s, polys, omega_max, e_max, starts)
     peaks = _count_local_maxima(values, e_max)
     for i, p in enumerate(pos.tolist()):
