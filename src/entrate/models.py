@@ -17,17 +17,24 @@ complex conjugate. Each model is written once, as the builder of its k x k
 beam block on parameter arrays (beam_blocks); drift_full and
 drift_effective are its case of one point with the partner placed by the
 ordering. The drift's eigenvalues are the block's and their conjugates, so
-stability is decided from the block's k eigenvalues.
+stability is decided from the block's k eigenvalues: stability_gate solves
+a stack of beam blocks at once and gives the verdicts as arrays, which the
+rate and the sweep gate on and stability_batch turns into reports. Every
+eigen-solve of the package's rate path goes through eigvals.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import MISSING, dataclass, field, fields
 from functools import cached_property
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
+from numpy.linalg import LinAlgError
+# the stacked LAPACK gufunc that np.linalg.eigvals wraps
+from numpy.linalg._umath_linalg import eigvals as _geev
 from numpy.typing import ArrayLike, NDArray
 
 FULL_ORDERING = ("a_plus", "a_plus_dag", "a_minus", "a_minus_dag", "b", "b_dag")
@@ -107,6 +114,20 @@ _CHECKS = {
 _MODELS = {"full": FullModelParams, "effective": EffectiveModelParams}
 #: The parameter names of either model: the fields of their parameter sets.
 PARAMETER_NAMES = frozenset(f.name for cls in _MODELS.values() for f in fields(cls))
+
+
+def n_th_errors(n_th: Sequence[float]) -> dict[int, str]:
+    """FullModelParams's ValueError message for each bath occupation of
+    n_th that is not a finite number >= 0, by index: the check of every
+    n_th that enters the kernel apart from a parameter set."""
+    errors = {}
+    for i, x in enumerate(n_th):
+        if not 0.0 <= x < math.inf:
+            try:
+                FullModelParams(g=0.0, Gamma=1.0, n_th=x)
+            except ValueError as exc:
+                errors[i] = str(exc)
+    return errors
 
 
 def _errors(cls, columns: Mapping[str, NDArray]) -> dict[int, str]:
@@ -234,20 +255,38 @@ def pairing_defect(m: np.ndarray) -> float:
     return float(np.abs(v - np.conj(v[:, ::-1, :, ::-1])).max())
 
 
+@functools.cache
+def _placement(ordering: tuple[str, ...], k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Where _doubled puts a k x k beam block in a drift of ordering: the
+    flat places of the block's entries and of their partners', and the
+    rows of the block's operators and of their partners'."""
+    idx = np.array([ordering.index(name) for name in BEAM_BLOCK[:k]])
+    n = len(ordering)
+    return (np.concatenate([(idx[:, None] * n + idx).ravel(),
+                            ((idx[:, None] ^ 1) * n + (idx ^ 1)).ravel()]),
+            np.concatenate([idx, idx ^ 1]))
+
+
 def _doubled(model: str, p, ordering: tuple[str, ...]) -> DriftMatrix:
     """The drift at p: the model's beam block (its builder at one point) at
     the block's operators of ordering, and the block's complex conjugate at
     their partners (rows and columns 2i <-> 2i + 1). The drift keeps the
-    block as built, so beam_block does not extract it again."""
+    block as built, so beam_block does not extract it again, and is built
+    without __post_init__'s checks, which hold by construction: the
+    partner is the block's conjugate, so the pairing defect is exactly 0."""
     m, decay, _ = _BUILDERS[model](**{k: np.array([v], dtype=float) for k, v in vars(p).items()})
-    idx = np.array([ordering.index(name) for name in BEAM_BLOCK[:m.shape[-1]]])[:, None]
+    block, rates = m[0], decay[0]
+    entries, rows = _placement(ordering, len(block))
     full = np.zeros((len(ordering),) * 2, dtype=complex)
-    full[idx, idx.T] = m[0]
-    full[idx ^ 1, idx.T ^ 1] = m[0].conj()
-    rates = np.empty(len(ordering))
-    rates[idx[:, 0]] = rates[idx[:, 0] ^ 1] = decay[0]
-    d = DriftMatrix(full, rates, ordering)
-    d.__dict__["beam_block"] = m[0], decay[0]      # the cached_property's slot
+    full.put(entries, np.concatenate([block.ravel(), block.conj().ravel()]))
+    both = np.concatenate([rates, rates])
+    decays = np.empty(len(ordering))
+    decays[rows] = both
+    full.flags.writeable = decays.flags.writeable = False
+    d = DriftMatrix.__new__(DriftMatrix)
+    for name, value in (("m", full), ("decay", decays), ("ordering", ordering),
+                        ("beam_block", (block, rates))):   # the cached_property's slot
+        object.__setattr__(d, name, value)
     return d
 
 
@@ -299,14 +338,43 @@ def stability(d: DriftMatrix) -> StabilityReport:
 
 
 def stability_batch(m: NDArray[np.complex128]) -> list[StabilityReport]:
-    """The stability verdict of each beam block of the stack m (P, k, k),
-    from one stacked eigen-solve. LAPACK solves the stacked matrices one by
-    one, so each report equals stability() of its drift bit for bit."""
-    eigenvalues = np.linalg.eigvals(m)
-    return [StabilityReport(stable=x < -STABILITY_TOL, max_real_part=x,
-                            marginal=abs(x) <= STABILITY_TOL, eigenvalues=e)
-            for x, e in zip(np.maximum.reduce(eigenvalues.real, axis=-1).tolist(),
-                            eigenvalues)]
+    """The stability report of each beam block of the stack m (P, k, k):
+    stability_gate's verdicts, each equal to stability() of its drift bit
+    for bit."""
+    eigenvalues, margin, stable, marginal = stability_gate(m)
+    return [StabilityReport(stable=s, max_real_part=x, marginal=b, eigenvalues=e)
+            for s, x, b, e in zip(stable.tolist(), margin.tolist(), marginal.tolist(),
+                                  eigenvalues)]
+
+
+def stability_gate(m: NDArray[np.complex128]) -> tuple[NDArray[np.complex128], NDArray[np.float64],
+                                                       NDArray[np.bool_], NDArray[np.bool_]]:
+    """The stability verdicts of the stacked beam blocks m (P, k, k) as
+    arrays, from one stacked eigen-solve: the eigenvalues (P, k), the
+    margin max Re(eig) (P,), stable (margin < -STABILITY_TOL) and marginal
+    (|margin| <= STABILITY_TOL). LAPACK solves the stacked matrices one by
+    one, so a block's verdict does not depend on the others."""
+    eigenvalues = eigvals(m)
+    margin = np.maximum.reduce(eigenvalues.real, axis=-1)
+    return eigenvalues, margin, margin < -STABILITY_TOL, np.abs(margin) <= STABILITY_TOL
+
+
+def _not_converged(err, flag):
+    raise LinAlgError("Eigenvalues did not converge")
+
+
+def eigvals(a: NDArray) -> NDArray[np.complex128]:
+    """The complex eigenvalues of each matrix of the stack a (..., n, n),
+    real or complex, as np.linalg.eigvals finds them (the same LAPACK
+    gufunc, bit for bit) without its wrapper's work on the array's type,
+    and complex even where they are all real. Keeps its two checks: raises
+    LinAlgError on a non-finite entry, and when a solve does not converge."""
+    if not np.isfinite(a).all():
+        raise LinAlgError("Array must not contain infs or NaNs")
+    # the gufunc flags a solve that did not converge as an invalid operation
+    with np.errstate(call=_not_converged, invalid="call", over="ignore", divide="ignore",
+                     under="ignore"):
+        return _geev(a, signature="D->D" if np.iscomplexobj(a) else "d->D")
 
 
 def stability_boundary_effective(g: float, kappa: float, delta: float) -> tuple[float, ...]:

@@ -96,7 +96,9 @@ def adaptive_gk_batch(f_batch: Callable[[np.ndarray, np.ndarray], np.ndarray],
             g7[part] = np.add.reduce(vals * _W_G[None, :], axis=1) * half
         return k15, np.abs(k15 - g7)
 
-    # repeated edges and the NaN padding make no panel
+    # repeated edges and the NaN padding make no panel; the panels stay in
+    # order, by problem and then by position, so a problem's totals add its
+    # panels in the order of their positions, whatever else is in the batch
     panel = edges[:, 1:] > edges[:, :-1]
     pid = np.nonzero(panel)[0]
     lo, hi = edges[:, :-1][panel], edges[:, 1:][panel]
@@ -106,20 +108,16 @@ def adaptive_gk_batch(f_batch: Callable[[np.ndarray, np.ndarray], np.ndarray],
     failures: list[QuadratureError | None] = [None] * n_problems
 
     for sweep in range(_MAX_SWEEPS + 1):
-        # per-problem totals over the panels sorted by position: the same
-        # sum whatever else is in the batch (the starting panels are in
-        # that order)
-        order = np.lexsort((lo, pid)) if sweep else slice(None)
         count = np.bincount(pid, minlength=n_problems)
         ids = count.nonzero()[0]
         start = (count.cumsum() - count)[ids]
-        total = np.add.reduceat(err[order], start)
+        total = np.add.reduceat(err, start)
         # done too: a problem whose panels are all at round-off level
-        done = ((total <= epsabs[ids]) | np.logical_and.reduceat(converged[order], start)
+        done = ((total <= epsabs[ids]) | np.logical_and.reduceat(converged, start)
                 | (sweep == _MAX_SWEEPS))
         stop = done | (count[ids] >= max_panels)
         if np.logical_or.reduce(stop):
-            val_sum = np.add.reduceat(val[order], start)
+            val_sum = np.add.reduceat(val, start)
             finished = ids[done]
             values[finished], errors[finished] = val_sum[done], total[done]
             for j in (stop & ~done).nonzero()[0]:
@@ -134,10 +132,11 @@ def adaptive_gk_batch(f_batch: Callable[[np.ndarray, np.ndarray], np.ndarray],
             lo, hi, val, err, converged, pid = (
                 a[keep] for a in (lo, hi, val, err, converged, pid))
 
-        # per problem: its active panels largest error first (ties by
-        # position), then the shortest prefix covering 3/4 of its excess
+        # per problem: its active panels largest error first (a stable sort,
+        # so ties go by position), then the shortest prefix covering 3/4 of
+        # its excess
         act = (~converged).nonzero()[0]
-        act = act[np.lexsort((lo[act], -err[act], pid[act]))]
+        act = act[np.lexsort((-err[act], pid[act]))]
         act_count = np.bincount(pid[act], minlength=n_problems)
         rows = act_count.nonzero()[0]
         row = np.repeat(np.arange(rows.size), act_count[rows])
@@ -152,18 +151,20 @@ def adaptive_gk_batch(f_batch: Callable[[np.ndarray, np.ndarray], np.ndarray],
         chosen = act[rank < n_split[row]]
 
         mid = 0.5 * (lo[chosen] + hi[chosen])
-        new_lo = np.concatenate([lo[chosen], mid])
-        new_hi = np.concatenate([mid, hi[chosen]])
-        new_pid = np.concatenate([pid[chosen], pid[chosen]])
-        new_val, new_err = evaluate(new_lo, new_hi, new_pid)
-        rest = np.ones(lo.size, dtype=bool)
-        rest[chosen] = False
-        lo = np.concatenate([lo[rest], new_lo])
-        hi = np.concatenate([hi[rest], new_hi])
-        pid = np.concatenate([pid[rest], new_pid])
-        val = np.concatenate([val[rest], new_val])
-        err = np.concatenate([err[rest], new_err])
-        converged = np.concatenate([converged[rest], _at_round_off(new_val, new_err)])
+        new_val, new_err = evaluate(np.concatenate([lo[chosen], mid]),
+                                    np.concatenate([mid, hi[chosen]]),
+                                    np.concatenate([pid[chosen], pid[chosen]]))
+        new_converged = _at_round_off(new_val, new_err)
+        # each chosen panel gives way to its two halves, in its place
+        split = np.zeros(lo.size, dtype=np.intp)
+        split[chosen] = 1
+        idx = np.arange(lo.size).repeat(split + 1)
+        first = chosen + (split.cumsum() - split)[chosen]
+        halves = np.concatenate([first, first + 1])
+        lo, hi, pid, val, err, converged = (
+            a[idx] for a in (lo, hi, pid, val, err, converged))
+        hi[first] = lo[first + 1] = mid
+        val[halves], err[halves], converged[halves] = new_val, new_err, new_converged
     return values, errors, failures
 
 

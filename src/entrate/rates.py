@@ -159,12 +159,12 @@ from typing import Sequence
 import numpy as np
 
 from .errors import QuadratureError, UnstableSystemError
-from .models import PAIRING_DEFECT_TOL, DriftMatrix
+from .models import PAIRING_DEFECT_TOL, DriftMatrix, eigvals, n_th_errors, stability_gate
 # unused here, but the benchmark tracer wraps these names in rates
 from .models import stability  # noqa: F401
 from .quadutil import adaptive_gk_batch
 from .quadutil import adaptive_gk_batch as adaptive_gk, bisect_all  # noqa: F401
-from .scattering import BeamBlocks, _gram, _require_stable, _spectrum
+from .scattering import BeamBlocks, _gram, _one_model, _require_stable, _spectrum
 from .scattering import correlator_batch  # noqa: F401
 
 #: Ratio of consecutive Gauss-Kronrod panel edges going out from a resonance.
@@ -234,9 +234,12 @@ def _density(blocks: BeamBlocks, omegas: np.ndarray, pid: np.ndarray) -> np.ndar
 
 
 def _reciprocal_blocks(d: DriftMatrix, n_th: float) -> BeamBlocks:
-    """The beam block of d as a batch of one, after _require_reciprocal."""
-    _require_reciprocal(d.beam_block[0])
-    return BeamBlocks.of([d], [n_th])
+    """The beam block of d as a batch of one; raises ValueError unless it
+    is reciprocal (_reciprocal)."""
+    blocks = BeamBlocks.of([d], [n_th])
+    if not _reciprocal(blocks.m)[0]:
+        raise _not_reciprocal(blocks.k)
+    return blocks
 
 
 def spectral_density_batch(d: DriftMatrix, omegas: np.ndarray,
@@ -338,14 +341,20 @@ def _panel_edges(eigenvalues: np.ndarray, decay: np.ndarray, scale: np.ndarray) 
     return edges
 
 
-def _require_reciprocal(m: np.ndarray) -> None:
-    """Raise ValueError unless the beam block obeys m^T = J m J, which the
-    whole-line E > 0 region and the crossing polynomial rest on."""
-    k = len(m)
-    if np.maximum.reduce(np.abs(m.T - _RECIPROCITY[:k, :k] * m), axis=None) > (
-            PAIRING_DEFECT_TOL * max(1.0, float(np.maximum.reduce(np.abs(m), axis=None)))):
-        raise ValueError("beam block is not reciprocal (m^T != J m J, "
-                         f"J = diag{tuple(_RECIPROCITY_SIGNS[:k])})")
+def _reciprocal(m: np.ndarray) -> np.ndarray:
+    """Whether each beam block of the stack m (P, k, k) obeys m^T = J m J
+    (to PAIRING_DEFECT_TOL of its largest entry), which the whole-line
+    E > 0 region and the crossing polynomial rest on."""
+    k = m.shape[-1]
+    defect = np.maximum.reduce(np.abs(m.transpose(0, 2, 1) - _RECIPROCITY[:k, :k] * m),
+                               axis=(1, 2))
+    scale = np.maximum(1.0, np.maximum.reduce(np.abs(m), axis=(1, 2)))
+    return ~(defect > PAIRING_DEFECT_TOL * scale)
+
+
+def _not_reciprocal(k: int) -> ValueError:
+    return ValueError("beam block is not reciprocal (m^T != J m J, "
+                      f"J = diag{tuple(_RECIPROCITY_SIGNS[:k])})")
 
 
 @functools.cache
@@ -441,7 +450,7 @@ def _roots(p: np.ndarray) -> np.ndarray:
     companion = np.zeros((len(p), n, n))
     companion[:, 0] = -p[:, 1:] / p[:, :1]
     companion.reshape(len(p), -1)[:, n::n + 1] = 1.0     # the subdiagonal
-    return np.linalg.eigvals(companion)
+    return eigvals(companion)
 
 
 def _crossings(polys: tuple[np.ndarray, ...], s: np.ndarray, levels: np.ndarray) -> np.ndarray:
@@ -645,28 +654,44 @@ def entanglement_rates(drifts: Sequence[DriftMatrix], n_ths: Sequence[float],
     """entanglement_rate of every drift (all of one model) in one batched
     computation (module docstring); each result equals entanglement_rate of
     its drift alone bit for bit. A problem that fails gets its exception in
-    its slot instead of a RateResult (UnstableSystemError, QuadratureError,
-    or the ValueError of a beam block that is not reciprocal), and the
-    others are unaffected."""
+    its slot instead of a RateResult, and the others are unaffected: the
+    ValueError of a beam block coupled to its partner or of an n_th that is
+    not a finite number >= 0, the UnstableSystemError of a block that
+    models.stability_gate does not pass, the ValueError of a block that is
+    not reciprocal, or a QuadratureError."""
     _check_tol(tol)
     drifts = list(drifts)
     n_ths = [float(n) for n in n_ths]
     if len(n_ths) != len(drifts):
         raise ValueError("one n_th per drift is needed")
     out: list[RateResult | Exception | None] = [None] * len(drifts)
-    live, eigenvalues = [], []
+    bad_n_th = n_th_errors(n_ths)
+    live, m, decay = [], [], []
     for i, d in enumerate(drifts):
         try:
-            rep = _require_stable(d)
-            _require_reciprocal(d.beam_block[0])
-        except (UnstableSystemError, ValueError) as exc:
+            block, rates = d.beam_block
+        except ValueError as exc:
             out[i] = exc
-        else:
-            live.append(i)
-            eigenvalues.append(rep.eigenvalues)
-    if live:
-        blocks = BeamBlocks.of([drifts[i] for i in live], [n_ths[i] for i in live])
-        for i, result in zip(live, _rates(blocks, np.array(eigenvalues), tol)):
+            continue
+        if i in bad_n_th:
+            out[i] = ValueError(bad_n_th[i])
+            continue
+        live.append(i)
+        m.append(block)
+        decay.append(rates)
+    if not live:
+        return out
+    m = _one_model(m)
+    eigenvalues, margin, stable, _ = stability_gate(m)
+    ok = stable & _reciprocal(m)
+    for j in (~ok).nonzero()[0].tolist():
+        out[live[j]] = UnstableSystemError(margin[j]) if not stable[j] else _not_reciprocal(
+            m.shape[-1])
+    go = ok.nonzero()[0]
+    if go.size:
+        live = np.array(live)[go]
+        blocks = BeamBlocks.stack(m[go], np.array(decay)[go], np.array(n_ths)[live])
+        for i, result in zip(live.tolist(), _rates(blocks, eigenvalues[go], tol)):
             out[i] = result
     return out
 

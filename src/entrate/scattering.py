@@ -93,7 +93,7 @@ from numpy.typing import NDArray
 from .errors import UnstableSystemError
 from .gaussian import CorrelatorTriple
 from .models import (DriftMatrix, EffectiveModelParams, StabilityReport, drift_effective,
-                     stability)
+                     eigvals, n_th_errors, stability)
 # unused here, but the benchmark tracer wraps scattering.adaptive_gk
 from .quadutil import adaptive_gk_batch as adaptive_gk  # noqa: F401
 
@@ -158,6 +158,14 @@ def _det(m: NDArray[np.complex128]) -> NDArray[np.complex128]:
     return np.array(out, dtype=complex)
 
 
+def _one_model(m: Sequence[np.ndarray]) -> np.ndarray:
+    """The beam blocks m stacked (P, k, k); raises ValueError when they
+    mix the models."""
+    if len({b.shape for b in m}) != 1:
+        raise ValueError("a batch of beam blocks needs drifts of one model")
+    return np.array(m)
+
+
 #: Block entries (row, column) of A besides det, with + = 0, - = 1, b = 2:
 #: the correlators use the first three (effective model) or all seven
 #: (full model), the Gram form only A_+b and A_-b (full model).
@@ -187,11 +195,13 @@ class BeamBlocks:
     @classmethod
     def of(cls, drifts: Sequence[DriftMatrix], n_ths: Sequence[float]) -> "BeamBlocks":
         """The beam blocks of the drifts; raises ValueError when a drift
-        couples its block to the partner or the drifts mix the models."""
+        couples its block to the partner, an n_th is not a finite number
+        >= 0 (models.n_th_errors) or the drifts mix the models."""
         m, decay = zip(*(d.beam_block for d in drifts))
-        if len({b.shape for b in m}) != 1:
-            raise ValueError("a batch of beam blocks needs drifts of one model")
-        return cls.stack(np.array(m), np.array(decay), np.asarray(n_ths, dtype=float))
+        errors = n_th_errors(n_ths)
+        if errors:
+            raise ValueError(next(iter(errors.values())))
+        return cls.stack(_one_model(m), np.array(decay), np.asarray(n_ths, dtype=float))
 
     @classmethod
     def stack(cls, m: NDArray[np.complex128], decay: NDArray[np.float64],
@@ -280,41 +290,39 @@ def _abs2(z: np.ndarray) -> np.ndarray:
 def _passes(blocks: BeamBlocks, omegas: np.ndarray, pid: np.ndarray | None,
             table: tuple[np.ndarray, np.ndarray], finish):
     """finish(h, |det|^2, weights) at each frequency, point i belonging to
-    problem pid[i] (pid may be left out for a batch of one): h holds
+    problem pid[i] (problem 0 where pid is left out): h holds
     det(m + i omega) in row 0 and the table's entries of A
     (BeamBlocks._table) in the rows after it, by Horner's rule, and weights
     the table's weights of each point. The points go through in passes of
     _CHUNK; each point's inputs are gathered by its problem id and every
-    operation after that is elementwise, so a point's values do not depend
-    on the rest of the call. Raises UnstableSystemError at a root of det;
-    no other stability check."""
+    operation after that is elementwise on arrays of the pass's length, so
+    a point's values do not depend on the rest of the call. Raises
+    UnstableSystemError at a root of det; no other stability check."""
     coef, weights = table
-    gather = len(blocks) > 1
+    omegas = np.ascontiguousarray(omegas, dtype=float).ravel()
+    if pid is None:
+        pid = np.zeros(omegas.size, dtype=np.intp)
 
-    def one_pass(w: np.ndarray, p: np.ndarray | None):
-        # its temporaries are freed before the next pass starts
-        def at(c: np.ndarray) -> np.ndarray:
-            # one coefficient (row) per point, gathered as it is needed so
-            # that only one gathered coefficient is alive at a time
-            return c.take(p, axis=-1) if gather else c
-
+    def one_pass(w: np.ndarray, p: np.ndarray):
+        # its temporaries are freed before the next pass starts; one
+        # coefficient (row) per point, gathered as it is needed so that only
+        # one gathered coefficient is alive at a time
         t = 1j * w
         # Horner's rule at t = i omega, det and the entries at once
-        h = at(coef[0]) * t
+        h = coef[0].take(p, axis=-1) * t
         for c in coef[1:-1]:
-            h += at(c)
+            h += c.take(p, axis=-1)
             h *= t
-        h += at(coef[-1])
+        h += coef[-1].take(p, axis=-1)
         det2 = _abs2(h[0])
         if not (det2 > 0).all():
             raise UnstableSystemError(
-                float(np.max(np.linalg.eigvals(blocks.m).real)),
+                float(np.max(eigvals(blocks.m).real)),
                 "singular response matrix: system at an instability threshold "
                 "for a requested frequency")
-        return finish(h, det2, at(weights))
+        return finish(h, det2, weights.take(p, axis=-1))
 
-    omegas = np.ascontiguousarray(omegas, dtype=float).ravel()
-    out = [one_pass(omegas[i:i + _CHUNK], None if pid is None else pid[i:i + _CHUNK])
+    out = [one_pass(omegas[i:i + _CHUNK], pid[i:i + _CHUNK])
            for i in range(0, max(omegas.size, 1), _CHUNK)]
     if len(out) == 1:
         return out[0]
@@ -435,6 +443,6 @@ def _pair_rate(m: NDArray[np.complex128], decay: NDArray[np.float64]) -> NDArray
         gram = np.linalg.solve(np.kron(m, eye) + np.kron(eye, m.conj()), rhs)
     except np.linalg.LinAlgError as exc:
         raise UnstableSystemError(
-            float(np.max(np.linalg.eigvals(m).real)),
+            float(np.max(eigvals(m).real)),
             f"singular Lyapunov system: system at an instability threshold ({exc})") from exc
     return decay[:, 0] * decay[:, 1] * gram[:, 0].real

@@ -2,7 +2,7 @@
 
 A sweep builds the beam blocks of the valid grid points from the grid's
 parameter columns in one models.beam_blocks call, gates them on one
-stacked k x k eigen-solve (models.stability_batch), and computes the
+stacked k x k eigen-solve (models.stability_gate), and computes the
 stable points' quantities in contiguous chunks, one chunk per worker of a
 process pool when jobs != 1. A chunk is arrays (blocks, decays, n_th and
 block eigenvalues; no DriftMatrix is built), and each quantity runs once
@@ -367,17 +367,17 @@ def _eval_chunk(payload: tuple[tuple[str, ...], float, np.ndarray, np.ndarray, n
 
 
 def _eval_point(axis_values: tuple[float, ...], quantities: tuple[str, ...],
-                rep: models.StabilityReport | None,
-                computed: dict[str, float] | str | None) -> SweepRow:
-    """One grid point's row from its stability report (None for invalid
-    parameters) and what its chunk computed: its quantities, or a failure
-    status (also that of invalid parameters)."""
+                margin: float | None, computed: dict[str, float] | str | None) -> SweepRow:
+    """One grid point's row from its stability margin (None for invalid
+    parameters) and what its chunk computed: its quantities, a failure
+    status (also that of invalid parameters), or None where it is not
+    stable."""
     out: dict[str, float] = {}
-    if rep is not None and "stability_margin" in quantities:
-        out["stability_margin"] = rep.max_real_part
+    if margin is not None and "stability_margin" in quantities:
+        out["stability_margin"] = margin
     if isinstance(computed, str):
         return SweepRow(axis_values, out, computed)
-    if not rep.stable:
+    if computed is None:
         return SweepRow(axis_values, out, "unstable")
     out.update(computed)
     return SweepRow(axis_values, out, "ok")
@@ -395,15 +395,13 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     computed: dict[int, dict[str, float] | str] = {
         i: f"failed: {message}" for i, message in errors.items()}
     valid = np.delete(np.arange(len(points)), list(errors))
-    reports = models.stability_batch(m)
-
-    stable = np.flatnonzero([rep.stable for rep in reports])
+    eigenvalues, margin, verdict, _ = models.stability_gate(m)
+    stable = verdict.nonzero()[0]
     # jobs = 0: the CPUs this process may run on
     cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
              else os.cpu_count() or 1)
     jobs = min(config.jobs if config.jobs > 0 else cores, stable.size)
-    payloads = [(quantities, config.tol, m[c], decay[c], n_th[c],
-                 np.array([reports[i].eigenvalues for i in c]))
+    payloads = [(quantities, config.tol, m[c], decay[c], n_th[c], eigenvalues[c])
                 for c in np.array_split(stable, max(jobs, 1)) if c.size]
     if jobs <= 1 or stable.size < 4:
         results = [_eval_chunk(p) for p in payloads]
@@ -414,7 +412,7 @@ def run_sweep(config: SweepConfig) -> SweepResult:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_eval_chunk, payloads))
     computed.update(zip(valid[stable].tolist(), (c for chunk in results for c in chunk)))
-    report_of = dict(zip(valid.tolist(), reports))
-    rows = [_eval_point(pt, quantities, report_of.get(i), computed.get(i))
+    margin_of = dict(zip(valid.tolist(), margin.tolist()))
+    rows = [_eval_point(pt, quantities, margin_of.get(i), computed.get(i))
             for i, pt in enumerate(points)]
     return SweepResult(config=config, rows=rows)

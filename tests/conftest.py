@@ -16,3 +16,19 @@ sys.path.append(str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 import entrate.cli  # noqa: E402,F401  (imports every module of the package)
 import workloads  # noqa: E402,F401  (the benchmark's seeded point sets)
+
+import pytest  # noqa: E402
+
+from entrate import models  # noqa: E402
+
+
+@pytest.fixture
+def solves(monkeypatch) -> list:
+    """The stack of every eigen-solve the package makes while the test
+    runs: each goes through models.eigvals, under whichever module's
+    name for it."""
+    solved, eigvals = [], models.eigvals
+    for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "entrate"]:
+        if getattr(module, "eigvals", None) is eigvals:
+            monkeypatch.setattr(module, "eigvals", lambda a: solved.append(a) or eigvals(a))
+    return solved

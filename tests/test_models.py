@@ -5,8 +5,9 @@ import pytest
 from hypothesis import example, given, settings
 from scipy.optimize import linear_sum_assignment
 
+from entrate import models
 from entrate.models import (STABILITY_TOL, DriftMatrix, EffectiveModelParams, FullModelParams,
-                            beam_blocks, drift_effective, drift_full, pairing_defect,
+                            beam_blocks, drift_effective, drift_full, eigvals, pairing_defect,
                             stability, stability_batch, stability_boundary_effective)
 from entrate.rates import entanglement_rate
 from paper_helpers import CellParams, in_validity_regime, map_cell_params
@@ -55,12 +56,23 @@ class TestDriftFull:
             DriftMatrix(broken, d.decay, d.ordering)
 
     def test_random_parameters_keep_pairing(self):
+        # the model builders skip DriftMatrix's checks: each drift they
+        # build holds them, the pairing exactly, and the public constructor
+        # accepts it as it is
         rng = np.random.default_rng(5)
         for _ in range(20):
-            d = drift_full(full(g=rng.uniform(0, 8), Gamma=rng.uniform(1e-3, 0.5),
-                                Delta=rng.uniform(-2, 2), delta=rng.uniform(-20, 20),
-                                n_th=rng.uniform(0, 10)))
-            assert pairing_defect(d.m) <= 1e-12
+            for d in (drift_full(full(g=rng.uniform(0, 8), Gamma=rng.uniform(1e-3, 0.5),
+                                      Delta=rng.uniform(-2, 2), delta=rng.uniform(-20, 20),
+                                      n_th=rng.uniform(0, 10))),
+                      drift_effective(EffectiveModelParams(
+                          g=rng.uniform(0, 8), delta=rng.choice([-1, 1]) * rng.uniform(0.5, 30),
+                          Delta=rng.uniform(-2, 2)))):
+                assert pairing_defect(d.m) == 0.0
+                public = DriftMatrix(d.m, d.decay, d.ordering)
+                assert public.m.tobytes() == d.m.tobytes() and public.m.dtype == d.m.dtype
+                assert public.decay.tobytes() == d.decay.tobytes()
+                assert public.ordering == d.ordering and type(d.ordering) is tuple
+                assert not d.m.flags.writeable and not d.decay.flags.writeable
 
 
 class TestDriftEffective:
@@ -327,3 +339,53 @@ class TestParamValidation:
 
     def test_cooperativity(self):
         assert full(g=5.0, Gamma=1e-3).cooperativity == pytest.approx(2.5e4)
+
+
+class TestEigvals:
+    @staticmethod
+    def companions(rng, n, count=40):
+        # the companion matrices of random monic polynomials, as rates builds
+        # them, and of polynomials with n real roots, whose eigenvalues
+        # np.linalg.eigvals returns as a real array
+        p = np.concatenate([np.ones((count, 1)), rng.standard_normal((count, n))], axis=1)
+        real = np.array([np.poly(np.sort(rng.uniform(-3.0, 3.0, n))) for _ in range(count)])
+        out = []
+        for q in (p, real):
+            c = np.zeros((count, n, n))
+            c[:, 0] = -q[:, 1:] / q[:, :1]
+            c.reshape(count, -1)[:, n::n + 1] = 1.0
+            out.append(c)
+        return out
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_complex_blocks_equal_numpy(self, k):
+        rng = np.random.default_rng(k)
+        a = rng.standard_normal((200, k, k)) + 1j * rng.standard_normal((200, k, k))
+        got = eigvals(a)
+        assert got.dtype == complex and got.tobytes() == np.linalg.eigvals(a).tobytes()
+
+    @pytest.mark.parametrize("n", [3, 4, 6, 10])
+    def test_real_companions_equal_numpy(self, n):
+        for c in self.companions(np.random.default_rng(n), n):
+            got, expected = eigvals(c), np.linalg.eigvals(c)
+            assert got.dtype == complex
+            assert got.tobytes() == expected.astype(complex).tobytes()
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_non_finite_entry_raises(self, bad, dtype):
+        a = np.eye(3, dtype=dtype)[None].repeat(2, axis=0)
+        a[1, 2, 0] = bad
+        with pytest.raises(np.linalg.LinAlgError, match="infs or NaNs"):
+            eigvals(a)
+
+    def test_solve_that_does_not_converge_raises(self, monkeypatch):
+        # LAPACK reports a solve that did not converge by NaN eigenvalues
+        # and the floating-point invalid flag; a stand-in gufunc raises the
+        # flag the same way
+        def not_converged(a, signature):
+            return np.subtract(np.full(a.shape[:-1], np.inf), np.inf).astype(complex)
+
+        monkeypatch.setattr(models, "_geev", not_converged)
+        with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+            eigvals(np.eye(3)[None])

@@ -32,6 +32,7 @@ from strategies import stable_drifts
 import workloads
 
 KAPPA = 1.0
+_RATE_FIELDS = ("gamma_E", "E_max", "omega_max", "fwhm", "quadrature_error", "secondary_peaks")
 
 
 def full_drift(g=5.0, Gamma=1e-3, Delta=0.0, delta=0.0):
@@ -400,21 +401,73 @@ class TestBatchedRates:
         assert isinstance(odd, ValueError) and "not reciprocal" in str(odd)
         assert good == entanglement_rate(d) and good2 == entanglement_rate(full_drift())
 
-    @pytest.mark.parametrize("case", ["unstable", "not_reciprocal", "bad_tol"])
+    @staticmethod
+    def coupled():
+        d = full_drift(delta=2.0)
+        m = np.array(d.m)
+        m[0, 1] = 0.25j                 # a+ -> a+^dag
+        m[1, 0] = np.conj(m[0, 1])      # its partner, keeps the pairing structure
+        return DriftMatrix(m, d.decay, d.ordering)
+
+    @pytest.mark.parametrize("case", ["unstable", "not_reciprocal", "coupled", "bad_n_th",
+                                      "bad_tol"])
     def test_single_rate_raises_what_the_batch_reports(self, case):
         # the slot's exception for a drift the gate rejects, the raised one
         # for a tol that no drift can meet
-        d, tol = {"unstable": (full_drift(Delta=-0.5, delta=10.0), 1e-6),
-                  "not_reciprocal": (self.not_reciprocal(), 1e-6),
-                  "bad_tol": (full_drift(), 0.0)}[case]
+        d, n_th, tol = {"unstable": (full_drift(Delta=-0.5, delta=10.0), 0.0, 1e-6),
+                        "not_reciprocal": (self.not_reciprocal(), 0.0, 1e-6),
+                        "coupled": (self.coupled(), 0.0, 1e-6),
+                        "bad_n_th": (full_drift(), -0.4, 1e-6),
+                        "bad_tol": (full_drift(), 0.0, 0.0)}[case]
         try:
-            (expected,) = entanglement_rates([d], [0.0], tol)
+            (expected,) = entanglement_rates([d], [n_th], tol)
         except ValueError as exc:
             expected = exc
         assert isinstance(expected, (UnstableSystemError, ValueError))
         with pytest.raises(type(expected)) as got:
-            entanglement_rate(d, 0.0, tol)
+            entanglement_rate(d, n_th, tol)
         assert type(got.value) is type(expected) and str(got.value) == str(expected)
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-9])
+    def test_failing_slots_among_stable_drifts(self, tol):
+        # an unstable drift, one that is not reciprocal, one coupled to its
+        # partner and a bad n_th amid stable drifts: each failing slot holds
+        # what its single call raises, each stable one its single rate
+        drifts, n_ths = self.drifts()
+        stable = [(d, n) for d, n in zip(drifts, n_ths) if stability(d).stable]
+        failing = [(full_drift(Delta=-0.5, delta=10.0), 0.0), (self.not_reciprocal(), 0.0),
+                   (self.coupled(), 0.0), (full_drift(), math.nan), (full_drift(), -1.0)]
+        batch = stable[:2] + failing[:2] + stable[2:3] + failing[2:] + stable[3:]
+        fails = [False] * 2 + [True] * 2 + [False] + [True] * 3 + [False] * len(stable[3:])
+        for (d, n_th), fail, got in zip(batch, fails, entanglement_rates(*zip(*batch), tol=tol)):
+            assert isinstance(got, Exception) == fail
+            if fail:
+                with pytest.raises(type(got)) as single:
+                    entanglement_rate(d, n_th, tol)
+                assert type(single.value) is type(got) and str(single.value) == str(got)
+            else:
+                single = entanglement_rate(d, n_th, tol)
+                assert [float(getattr(got, f)).hex() for f in _RATE_FIELDS] == [
+                    float(getattr(single, f)).hex() for f in _RATE_FIELDS]
+
+    @pytest.mark.parametrize("n_th", [-1.0, -0.4, -math.inf, math.inf, math.nan])
+    def test_invalid_n_th_raises_the_parameter_set_error(self, n_th):
+        # n_th is checked where it enters the kernel, with the message
+        # FullModelParams gives, before any arithmetic on it
+        with pytest.raises(ValueError) as params:
+            FullModelParams(g=5.0, Gamma=1e-3, n_th=n_th)
+        d = full_drift()
+        calls = [lambda: entanglement_rate(d, n_th=n_th),
+                 lambda: spectral_density(d, 0.3, n_th=n_th),
+                 lambda: spectral_density_batch(d, np.array([0.3]), n_th),
+                 lambda: correlator_batch(d, np.array([0.3]), n_th),
+                 lambda: spectrum_parts(d, np.array([0.3]), n_th)]
+        for call in calls:
+            with pytest.raises(ValueError) as got:
+                call()
+            assert type(got.value) is ValueError and str(got.value) == str(params.value)
+        (slot,) = entanglement_rates([d], [n_th])
+        assert type(slot) is ValueError and str(slot) == str(params.value)
 
     def test_drifts_of_two_models_rejected(self):
         d_eff = drift_effective(EffectiveModelParams(g=5.0, delta=10.0, Delta=-0.2))
@@ -575,7 +628,7 @@ class TestCountedWork:
         entanglement_rate(full_drift())
         assert len(passes) <= 4
 
-    def test_one_drift_rate_fixed_work(self, monkeypatch):
+    def test_one_drift_rate_fixed_work(self, monkeypatch, solves):
         # the fixed work of a rate: three eigen-solves (the stability gate,
         # the roots of R and those of P_c), one exact det of the block and
         # at most two kernel passes at the anchor (the GK start with the
@@ -586,9 +639,7 @@ class TestCountedWork:
         anchor = points[0]
         generic = next(pt for pt in points if pt[0] == "generic" and pt[1].dim == 6)
         effective = next(pt for pt in points if pt[1].dim == 4)
-        solves, dets = [], []
-        eigvals, det = np.linalg.eigvals, scattering._det
-        monkeypatch.setattr(np.linalg, "eigvals", lambda a: solves.append(1) or eigvals(a))
+        dets, det = [], scattering._det
         monkeypatch.setattr(scattering, "_det", lambda m: dets.append(1) or det(m))
         passes = self.count_passes(monkeypatch, "_density")
         for stratum, d, n_th in (anchor, generic, effective):

@@ -206,17 +206,18 @@ class TestRunSweep:
         assert len(lines) == 5
         assert lines[2].endswith(",ok")
 
-    def test_works_on_beam_blocks_only(self, monkeypatch):
+    def test_works_on_beam_blocks_only(self, monkeypatch, solves):
         # no DriftMatrix, and no complex eigen-solve larger than the k x k
         # beam block (the companion matrices of the peak polynomials are real)
         from entrate import models
-        built, solved = [], []
-        post_init = models.DriftMatrix.__post_init__
-        eigvals = np.linalg.eigvals
-        monkeypatch.setattr(models.DriftMatrix, "__post_init__",
-                            lambda self: built.append(self) or post_init(self))
-        monkeypatch.setattr(np.linalg, "eigvals",
-                            lambda a: solved.append(a) or eigvals(a))
+        built, solved = [], solves
+        # every instance, also those the model builders make without
+        # __post_init__
+        monkeypatch.setattr(models.DriftMatrix, "__new__",
+                            lambda cls, *args, **kwargs: built.append(cls) or object.__new__(cls))
+        models.drift_full(FullModelParams(g=5.0, Gamma=1e-3))
+        assert built == [models.DriftMatrix]
+        built.clear()
         for model, fixed, quantities, k in (
                 ("full", {"g": 5.0, "n_th": 2.0},
                  ["gamma_E", "E_max", "fwhm", "spectrum", "stability_margin"], 3),
