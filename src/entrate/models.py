@@ -369,7 +369,7 @@ def eigvals(a: NDArray) -> NDArray[np.complex128]:
     gufunc, bit for bit) without its wrapper's work on the array's type,
     and complex even where they are all real. Keeps its two checks: raises
     LinAlgError on a non-finite entry, and when a solve does not converge."""
-    if not np.isfinite(a).all():
+    if not np.logical_and.reduce(np.isfinite(a), axis=None):
         raise LinAlgError("Array must not contain infs or NaNs")
     # the gufunc flags a solve that did not converge as an invalid operation
     with np.errstate(call=_not_converged, invalid="call", over="ignore", divide="ignore",

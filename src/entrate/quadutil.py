@@ -103,68 +103,67 @@ def adaptive_gk_batch(f_batch: Callable[[np.ndarray, np.ndarray], np.ndarray],
     pid = np.nonzero(panel)[0]
     lo, hi = edges[:, :-1][panel], edges[:, 1:][panel]
     val, err = evaluate(lo, hi, pid)
-    converged = _at_round_off(val, err)
     values, errors = np.full(n_problems, math.nan), np.full(n_problems, math.nan)
     failures: list[QuadratureError | None] = [None] * n_problems
 
     for sweep in range(_MAX_SWEEPS + 1):
+        converged = _at_round_off(val, err)
+        # the problems with panels, with the start of their panels
         count = np.bincount(pid, minlength=n_problems)
         ids = count.nonzero()[0]
-        start = (count.cumsum() - count)[ids]
+        count = count[ids]
+        start = np.searchsorted(pid, ids)
         total = np.add.reduceat(err, start)
         # done too: a problem whose panels are all at round-off level
-        done = ((total <= epsabs[ids]) | np.logical_and.reduceat(converged, start)
-                | (sweep == _MAX_SWEEPS))
-        stop = done | (count[ids] >= max_panels)
+        done = (total <= epsabs[ids]) | np.logical_and.reduceat(converged, start)
+        if sweep == _MAX_SWEEPS:
+            done[:] = True
+        stop = done | (count >= max_panels)
         if np.logical_or.reduce(stop):
             val_sum = np.add.reduceat(val, start)
             finished = ids[done]
             values[finished], errors[finished] = val_sum[done], total[done]
-            for j in (stop & ~done).nonzero()[0]:
+            for j in (stop ^ done).nonzero()[0]:
                 failures[ids[j]] = QuadratureError("panel budget exhausted",
                                                    value=float(val_sum[j]),
                                                    error_estimate=total[j])
             if np.logical_and.reduce(stop):
                 break
-            going = np.zeros(n_problems, dtype=bool)
-            going[ids[~stop]] = True
-            keep = going[pid]
+            going = ~stop
+            keep = going.repeat(count)
             lo, hi, val, err, converged, pid = (
                 a[keep] for a in (lo, hi, val, err, converged, pid))
+            ids, count, total = ids[going], count[going], total[going]
 
-        # per problem: its active panels largest error first (a stable sort,
-        # so ties go by position), then the shortest prefix covering 3/4 of
-        # its excess
+        # per problem (each has an active panel, or it is done): its active
+        # panels largest error first (a stable sort, so ties go by
+        # position), then the shortest prefix covering 3/4 of its excess
         act = (~converged).nonzero()[0]
         act = act[np.lexsort((-err[act], pid[act]))]
-        act_count = np.bincount(pid[act], minlength=n_problems)
-        rows = act_count.nonzero()[0]
-        row = np.repeat(np.arange(rows.size), act_count[rows])
-        rank = np.arange(act.size) - (act_count.cumsum() - act_count)[pid[act]]
-        padded = np.zeros((rows.size, int(act_count.max())))
+        act_count = np.bincount(pid[act], minlength=n_problems)[ids]
+        row = np.arange(ids.size).repeat(act_count)
+        rank = np.arange(act.size) - (act_count.cumsum() - act_count)[row]
+        padded = np.zeros((ids.size, int(act_count.max())))
         padded[row, rank] = err[act]
-        at = np.searchsorted(ids, rows)
-        target = np.maximum(0.75 * (total[at] - epsabs[rows]), 0.5 * padded[:, 0])
-        covering = (padded.cumsum(axis=1) < target[:, None]).sum(axis=1) + 1
-        n_split = np.minimum(np.minimum(covering, act_count[rows]),
-                             np.minimum(512, np.maximum(1, max_panels - count[rows])))
+        target = np.maximum(0.75 * (total - epsabs[ids]), 0.5 * padded[:, 0])
+        covering = np.add.reduce(padded.cumsum(axis=1) < target[:, None], axis=1) + 1
+        n_split = np.minimum(np.minimum(covering, act_count),
+                             np.minimum(512, np.maximum(1, max_panels - count)))
         chosen = act[rank < n_split[row]]
 
         mid = 0.5 * (lo[chosen] + hi[chosen])
         new_val, new_err = evaluate(np.concatenate([lo[chosen], mid]),
                                     np.concatenate([mid, hi[chosen]]),
                                     np.concatenate([pid[chosen], pid[chosen]]))
-        new_converged = _at_round_off(new_val, new_err)
         # each chosen panel gives way to its two halves, in its place
         split = np.zeros(lo.size, dtype=np.intp)
         split[chosen] = 1
         idx = np.arange(lo.size).repeat(split + 1)
         first = chosen + (split.cumsum() - split)[chosen]
         halves = np.concatenate([first, first + 1])
-        lo, hi, pid, val, err, converged = (
-            a[idx] for a in (lo, hi, pid, val, err, converged))
+        lo, hi, pid, val, err = (a[idx] for a in (lo, hi, pid, val, err))
         hi[first] = lo[first + 1] = mid
-        val[halves], err[halves], converged[halves] = new_val, new_err, new_converged
+        val[halves], err[halves] = new_val, new_err
     return values, errors, failures
 
 

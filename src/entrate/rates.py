@@ -348,7 +348,7 @@ def _reciprocal(m: np.ndarray) -> np.ndarray:
     k = m.shape[-1]
     defect = np.maximum.reduce(np.abs(m.transpose(0, 2, 1) - _RECIPROCITY[:k, :k] * m),
                                axis=(1, 2))
-    scale = np.maximum(1.0, np.maximum.reduce(np.abs(m), axis=(1, 2)))
+    scale = np.fmax(np.maximum.reduce(np.abs(m), axis=(1, 2)), 1.0)
     return ~(defect > PAIRING_DEFECT_TOL * scale)
 
 
@@ -684,14 +684,15 @@ def entanglement_rates(drifts: Sequence[DriftMatrix], n_ths: Sequence[float],
     m = _one_model(m)
     eigenvalues, margin, stable, _ = stability_gate(m)
     ok = stable & _reciprocal(m)
-    for j in (~ok).nonzero()[0].tolist():
-        out[live[j]] = UnstableSystemError(margin[j]) if not stable[j] else _not_reciprocal(
-            m.shape[-1])
-    go = ok.nonzero()[0]
-    if go.size:
-        live = np.array(live)[go]
-        blocks = BeamBlocks.stack(m[go], np.array(decay)[go], np.array(n_ths)[live])
-        for i, result in zip(live.tolist(), _rates(blocks, eigenvalues[go], tol)):
+    decay, n_th = np.array(decay), np.array([n_ths[i] for i in live])
+    if not np.logical_and.reduce(ok):
+        for j in (~ok).nonzero()[0].tolist():
+            out[live[j]] = UnstableSystemError(margin[j]) if not stable[j] else _not_reciprocal(
+                m.shape[-1])
+        live = [i for i, good in zip(live, ok.tolist()) if good]
+        m, decay, n_th, eigenvalues = m[ok], decay[ok], n_th[ok], eigenvalues[ok]
+    if live:
+        for i, result in zip(live, _rates(BeamBlocks.stack(m, decay, n_th), eigenvalues, tol)):
             out[i] = result
     return out
 
@@ -709,11 +710,12 @@ def _rates(blocks: BeamBlocks, eigenvalues: np.ndarray, tol: float,
         return out
     if pos.size < len(blocks):
         blocks, s, polys = blocks.take(pos), s[pos], tuple(p[pos] for p in polys)
+        eigenvalues = eigenvalues[pos]
 
     # E has all its structure at the resonances, so panels that start
     # there only need polishing; half of tol * 2 pi is the budget
     scale = np.maximum.reduce(blocks.decay, axis=1)
-    edges = _panel_edges(eigenvalues[pos], blocks.decay, scale)
+    edges = _panel_edges(eigenvalues, blocks.decay, scale)
     w, peaks_at = _stationary(s, polys, blocks.k)
     at_w = []
 

@@ -304,16 +304,16 @@ def _passes(blocks: BeamBlocks, omegas: np.ndarray, pid: np.ndarray | None,
         pid = np.zeros(omegas.size, dtype=np.intp)
 
     def one_pass(w: np.ndarray, p: np.ndarray):
-        # its temporaries are freed before the next pass starts; one
-        # coefficient (row) per point, gathered as it is needed so that only
-        # one gathered coefficient is alive at a time
+        # its temporaries, the gathered coefficients too, are freed before
+        # the next pass starts
         t = 1j * w
+        c = coef.take(p, axis=-1)
         # Horner's rule at t = i omega, det and the entries at once
-        h = coef[0].take(p, axis=-1) * t
-        for c in coef[1:-1]:
-            h += c.take(p, axis=-1)
+        h = c[0] * t
+        for row in c[1:-1]:
+            h += row
             h *= t
-        h += coef[-1].take(p, axis=-1)
+        h += c[-1]
         det2 = _abs2(h[0])
         if not (det2 > 0).all():
             raise UnstableSystemError(
