@@ -51,10 +51,10 @@ PAIRING_DEFECT_TOL = 1e-12
 
 def _check(params) -> None:
     """Raise the ValueError of the first check a parameter set fails."""
-    for f in fields(params):
-        value = getattr(params, f.name)
+    for name in type(params).__match_args__:      # the field names
+        value = getattr(params, name)
         if not math.isfinite(value):
-            raise ValueError(f"{f.name} must be finite, got {value}")
+            raise ValueError(f"{name} must be finite, got {value}")
     for name, test, message in _CHECKS[type(params)]:
         if not test(getattr(params, name)):
             raise ValueError(message)
@@ -338,25 +338,27 @@ def stability(d: DriftMatrix) -> StabilityReport:
 
 
 def stability_batch(m: NDArray[np.complex128]) -> list[StabilityReport]:
-    """The stability report of each beam block of the stack m (P, k, k):
-    stability_gate's verdicts, each equal to stability() of its drift bit
-    for bit."""
-    eigenvalues, margin, stable, marginal = stability_gate(m)
+    """The stability report of each beam block of the stack m (P, k, k),
+    from stability_gate: each equals stability() of its drift bit for
+    bit."""
+    eigenvalues, margin, stable = stability_gate(m)
+    marginal = np.abs(margin) <= STABILITY_TOL
     return [StabilityReport(stable=s, max_real_part=x, marginal=b, eigenvalues=e)
             for s, x, b, e in zip(stable.tolist(), margin.tolist(), marginal.tolist(),
                                   eigenvalues)]
 
 
-def stability_gate(m: NDArray[np.complex128]) -> tuple[NDArray[np.complex128], NDArray[np.float64],
-                                                       NDArray[np.bool_], NDArray[np.bool_]]:
-    """The stability verdicts of the stacked beam blocks m (P, k, k) as
-    arrays, from one stacked eigen-solve: the eigenvalues (P, k), the
-    margin max Re(eig) (P,), stable (margin < -STABILITY_TOL) and marginal
-    (|margin| <= STABILITY_TOL). LAPACK solves the stacked matrices one by
-    one, so a block's verdict does not depend on the others."""
+def stability_gate(m: NDArray[np.complex128],
+                   ) -> tuple[NDArray[np.complex128], NDArray[np.float64], NDArray[np.bool_]]:
+    """The eigenvalues (P, k) of the stacked beam blocks m (P, k, k) from
+    one stacked eigen-solve, with each block's margin max Re(eig) (P,) and
+    its verdict stable, margin < -STABILITY_TOL (P,). A block within
+    STABILITY_TOL of the boundary is marginal: not stable. LAPACK solves
+    the stacked matrices one by one, so a block's verdict does not depend
+    on the others. Raises LinAlgError when a block has a non-finite entry."""
     eigenvalues = eigvals(m)
     margin = np.maximum.reduce(eigenvalues.real, axis=-1)
-    return eigenvalues, margin, margin < -STABILITY_TOL, np.abs(margin) <= STABILITY_TOL
+    return eigenvalues, margin, margin < -STABILITY_TOL
 
 
 def _not_converged(err, flag):

@@ -157,6 +157,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from numpy.linalg import LinAlgError
 
 from .errors import QuadratureError, UnstableSystemError
 from .models import PAIRING_DEFECT_TOL, DriftMatrix, eigvals, n_th_errors, stability_gate
@@ -314,14 +315,16 @@ def _panel_omegas(eigenvalues: np.ndarray, decay: np.ndarray, scale: np.ndarray)
     # [p, i, j]: centre j is narrower than centre i, or as narrow and earlier
     w_i, w_j = w[:, :, None], w[:, None, :]
     narrower = np.where(_EARLIER[:m, :m], w_j <= w_i, w_j < w_i)
-    c[(narrower & (np.abs(c[:, None, :] - c[:, :, None]) <= w_j)).any(axis=2)] = np.nan
+    c[np.logical_or.reduce(narrower & (np.abs(c[:, None, :] - c[:, :, None]) <= w_j), axis=2)] = np.nan
     # signed by the side, [p, side, i]: each centre, the nearest remaining
     # centre on that side, and the half-way point to it (the same float from
     # both centres) or, with none, the outer reach
     sc = _SIDES[:, None] * c[:, None, :]
-    ahead = np.where(sc[:, :, None, :] > sc[..., None], sc[:, :, None, :], np.inf).min(axis=3)
+    ahead = np.minimum.reduce(np.where(sc[:, :, None, :] > sc[..., None], sc[:, :, None, :], np.inf),
+                              axis=3)
     limit = np.minimum(0.5 * (sc + ahead), sc + outer[:, None, None])
-    rungs = w[:, None, :, None] * _RUNGS[:2 + int(math.log(outer.max() / w.min(), _GRADING))]
+    reach = np.maximum.reduce(outer, axis=None) / np.minimum.reduce(w, axis=None)
+    rungs = w[:, None, :, None] * _RUNGS[:2 + int(math.log(reach, _GRADING))]
     ladder = np.where(rungs < (limit - sc)[..., None], sc[..., None] + rungs, np.nan)
     omega = np.concatenate([ladder, limit[..., None]], axis=3) * _SIDES[:, None, None]
     return omega.reshape(len(c), -1)
@@ -520,8 +523,9 @@ def _fwhms(blocks: BeamBlocks, s: np.ndarray, polys: tuple[np.ndarray, ...],
         x1[moving] -= step[moving]
         pid = idx[moving].repeat(2)
         f1[moving] = (_density(blocks, x1[moving].ravel(), pid) - half[pid]).reshape(-1, 2)
-        better = np.abs(f1) < f_best
-        best, f_best = np.where(better, x1, best), np.where(better, np.abs(f1), f_best)
+        size = np.abs(f1)
+        better = size < f_best
+        best, f_best = np.where(better, x1, best), np.where(better, size, f_best)
     widths[idx] = best[:, 1] - best[:, 0]
     return widths, failures
 
@@ -656,9 +660,10 @@ def entanglement_rates(drifts: Sequence[DriftMatrix], n_ths: Sequence[float],
     its drift alone bit for bit. A problem that fails gets its exception in
     its slot instead of a RateResult, and the others are unaffected: the
     ValueError of a beam block coupled to its partner or of an n_th that is
-    not a finite number >= 0, the UnstableSystemError of a block that
-    models.stability_gate does not pass, the ValueError of a block that is
-    not reciprocal, or a QuadratureError."""
+    not a finite number >= 0, the LinAlgError of a block with a non-finite
+    entry, the UnstableSystemError of a block that models.stability_gate
+    does not pass, the ValueError of a block that is not reciprocal, or a
+    QuadratureError."""
     _check_tol(tol)
     drifts = list(drifts)
     n_ths = [float(n) for n in n_ths]
@@ -675,14 +680,17 @@ def entanglement_rates(drifts: Sequence[DriftMatrix], n_ths: Sequence[float],
             continue
         if i in bad_n_th:
             out[i] = ValueError(bad_n_th[i])
-            continue
-        live.append(i)
-        m.append(block)
-        decay.append(rates)
+        elif not np.logical_and.reduce(np.isfinite(block), axis=None):
+            # the stacked eigen-solve would raise for the whole batch
+            out[i] = LinAlgError("Array must not contain infs or NaNs")
+        else:
+            live.append(i)
+            m.append(block)
+            decay.append(rates)
     if not live:
         return out
     m = _one_model(m)
-    eigenvalues, margin, stable, _ = stability_gate(m)
+    eigenvalues, margin, stable = stability_gate(m)
     ok = stable & _reciprocal(m)
     decay, n_th = np.array(decay), np.array([n_ths[i] for i in live])
     if not np.logical_and.reduce(ok):

@@ -395,7 +395,7 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     computed: dict[int, dict[str, float] | str] = {
         i: f"failed: {message}" for i, message in errors.items()}
     valid = np.delete(np.arange(len(points)), list(errors))
-    eigenvalues, margin, verdict, _ = models.stability_gate(m)
+    eigenvalues, margin, verdict = models.stability_gate(m)
     stable = verdict.nonzero()[0]
     # jobs = 0: the CPUs this process may run on
     cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")

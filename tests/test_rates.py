@@ -428,18 +428,29 @@ class TestBatchedRates:
             entanglement_rate(d, n_th, tol)
         assert type(got.value) is type(expected) and str(got.value) == str(expected)
 
+    @staticmethod
+    def non_finite():
+        d = full_drift()
+        m = np.array(d.m)
+        m[0, 4] = m[1, 5] = math.inf
+        with np.errstate(invalid="ignore"):     # its pairing defect is NaN
+            return DriftMatrix(m, d.decay, d.ordering)
+
     @pytest.mark.parametrize("tol", [1e-6, 1e-9])
     def test_failing_slots_among_stable_drifts(self, tol):
         # an unstable drift, one that is not reciprocal, one coupled to its
-        # partner and a bad n_th amid stable drifts: each failing slot holds
-        # what its single call raises, each stable one its single rate
+        # partner, one with an infinite entry and bad n_th amid stable
+        # drifts: each failing slot holds what its single call raises, each
+        # stable one its single rate
         drifts, n_ths = self.drifts()
-        stable = [(d, n) for d, n in zip(drifts, n_ths) if stability(d).stable]
-        failing = [(full_drift(Delta=-0.5, delta=10.0), 0.0), (self.not_reciprocal(), 0.0),
-                   (self.coupled(), 0.0), (full_drift(), math.nan), (full_drift(), -1.0)]
+        stable = [(d, n, False) for d, n in zip(drifts, n_ths) if stability(d).stable]
+        failing = [(d, n, True) for d, n in (
+            (full_drift(Delta=-0.5, delta=10.0), 0.0), (self.not_reciprocal(), 0.0),
+            (self.coupled(), 0.0), (self.non_finite(), 0.0), (full_drift(), math.nan),
+            (full_drift(), -1.0))]
         batch = stable[:2] + failing[:2] + stable[2:3] + failing[2:] + stable[3:]
-        fails = [False] * 2 + [True] * 2 + [False] + [True] * 3 + [False] * len(stable[3:])
-        for (d, n_th), fail, got in zip(batch, fails, entanglement_rates(*zip(*batch), tol=tol)):
+        d_s, n_s, fails = zip(*batch)
+        for d, n_th, fail, got in zip(d_s, n_s, fails, entanglement_rates(d_s, n_s, tol=tol)):
             assert isinstance(got, Exception) == fail
             if fail:
                 with pytest.raises(type(got)) as single:
