@@ -103,7 +103,7 @@ def adaptive_gk_batch(f_batch: Callable[[np.ndarray, np.ndarray], np.ndarray],
     pid = np.nonzero(panel)[0]
     lo, hi = edges[:, :-1][panel], edges[:, 1:][panel]
     val, err = evaluate(lo, hi, pid)
-    values, errors = np.full(n_problems, math.nan), np.full(n_problems, math.nan)
+    values, errors = np.full((2, n_problems), math.nan)
     failures: list[QuadratureError | None] = [None] * n_problems
 
     for sweep in range(_MAX_SWEEPS + 1):
@@ -112,7 +112,7 @@ def adaptive_gk_batch(f_batch: Callable[[np.ndarray, np.ndarray], np.ndarray],
         count = np.bincount(pid, minlength=n_problems)
         ids = count.nonzero()[0]
         count = count[ids]
-        start = np.searchsorted(pid, ids)
+        start = count.cumsum() - count
         total = np.add.reduceat(err, start)
         # done too: a problem whose panels are all at round-off level
         done = (total <= epsabs[ids]) | np.logical_and.reduceat(converged, start)

@@ -743,12 +743,12 @@ def _rates(blocks: BeamBlocks, eigenvalues: np.ndarray, tol: float,
     values, omega_max, e_max, starts = peaks_at(at_w[0])
     widths, fwhm_failures = _fwhms(blocks, s, polys, omega_max, e_max, starts)
     peaks = _count_local_maxima(values, e_max)
-    for i, p in enumerate(pos.tolist()):
-        out[p] = gk_failures[i] or fwhm_failures[i] or RateResult(
-            gamma_E=float(totals[i]) / (2.0 * math.pi), E_max=float(e_max[i]),
-            omega_max=float(omega_max[i]), fwhm=float(widths[i]),
-            quadrature_error=float(errors[i]) / (2.0 * math.pi),
-            secondary_peaks=int(peaks[i]) - 1)
+    for p, gk_failure, fwhm_failure, total, top, where, width, error, count in zip(
+            pos.tolist(), gk_failures, fwhm_failures, totals.tolist(), e_max.tolist(),
+            omega_max.tolist(), widths.tolist(), errors.tolist(), peaks.tolist()):
+        out[p] = gk_failure or fwhm_failure or RateResult(
+            gamma_E=total / (2.0 * math.pi), E_max=top, omega_max=where, fwhm=width,
+            quadrature_error=error / (2.0 * math.pi), secondary_peaks=count - 1)
     return out
 
 

@@ -82,7 +82,6 @@ the Lyapunov equation m P + P m^dag + e_- e_-^T = 0.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -118,18 +117,6 @@ def _require_stable(d: DriftMatrix) -> StabilityReport:
     return rep
 
 
-def _permutation_terms(k: int) -> list[tuple[int, list[int]]]:
-    """(sign, flat indices of the entries) of every term of a k x k det."""
-    terms = []
-    for p in itertools.permutations(range(k)):
-        odd = sum(p[i] > p[j] for i in range(k) for j in range(i + 1, k)) % 2
-        terms.append((-1 if odd else 1, [i * k + p[i] for i in range(k)]))
-    return terms
-
-
-_DET_TERMS = {k: _permutation_terms(k) for k in (2, 3)}
-
-
 def _det(m: NDArray[np.complex128]) -> NDArray[np.complex128]:
     """det of each k x k matrix of the stack (P, k, k), correctly rounded.
 
@@ -145,17 +132,26 @@ def _det(m: NDArray[np.complex128]) -> NDArray[np.complex128]:
     for x in m.reshape(len(m), -1).view(float).tolist():
         nums, dens = zip(*[a.as_integer_ratio() for a in x])
         den = max(dens)
-        v = [a * (den // b) for a, b in zip(nums, dens)]
-        re = im = 0
-        for sign, idx in _DET_TERMS[k]:
-            pr, pi = v[2 * idx[0]], v[2 * idx[0] + 1]
-            for i in idx[1:]:
-                c, d = v[2 * i], v[2 * i + 1]
-                pr, pi = pr * c - pi * d, pr * d + pi * c
-            re, im = re + sign * pr, im + sign * pi
+        re, im = _gaussian_det(k, [a * (den // b) for a, b in zip(nums, dens)])
         scale = den ** k
         out.append(complex(re / scale, im / scale))
     return np.array(out, dtype=complex)
+
+
+def _gaussian_det(k: int, v: list[int]) -> tuple[int, int]:
+    """(re, im) of the det of the k x k matrix (k = 2 or 3) of Gaussian
+    integers whose real and imaginary parts v lists row by row, entry by
+    entry: a d - b c, or along the first row of [[a, b, c], [d, e, f],
+    [g, h, i]], a (e i - f h) - b (d i - f g) + c (d h - e g)."""
+    if k == 2:
+        ar, ai, br, bi, cr, ci, dr, di = v
+        return ar * dr - ai * di - (br * cr - bi * ci), ar * di + ai * dr - (br * ci + bi * cr)
+    ar, ai, br, bi, cr, ci, dr, di, er, ei, fr, fi, gr, gi, hr, hi, ir, ii = v
+    ur, ui = er * ir - ei * ii - (fr * hr - fi * hi), er * ii + ei * ir - (fr * hi + fi * hr)
+    vr, vi = dr * ir - di * ii - (fr * gr - fi * gi), dr * ii + di * ir - (fr * gi + fi * gr)
+    wr, wi = dr * hr - di * hi - (er * gr - ei * gi), dr * hi + di * hr - (er * gi + ei * gr)
+    return (ar * ur - ai * ui - (br * vr - bi * vi) + cr * wr - ci * wi,
+            ar * ui + ai * ur - (br * vi + bi * vr) + cr * wi + ci * wr)
 
 
 def _one_model(m: Sequence[np.ndarray]) -> np.ndarray:
@@ -315,7 +311,7 @@ def _passes(blocks: BeamBlocks, omegas: np.ndarray, pid: np.ndarray | None,
             h *= t
         h += c[-1]
         det2 = _abs2(h[0])
-        if not (det2 > 0).all():
+        if not np.logical_and.reduce(det2 > 0):
             raise UnstableSystemError(
                 float(np.max(eigvals(blocks.m).real)),
                 "singular response matrix: system at an instability threshold "
