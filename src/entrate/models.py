@@ -256,15 +256,15 @@ def pairing_defect(m: np.ndarray) -> float:
 
 
 @functools.cache
-def _placement(ordering: tuple[str, ...], k: int) -> tuple[np.ndarray, np.ndarray]:
+def _placement(ordering: tuple[str, ...], k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Where _doubled puts a k x k beam block in a drift of ordering: the
-    flat places of the block's entries and of their partners', and the
-    rows of the block's operators and of their partners'."""
+    flat places of the block's entries, those of their partners, and for
+    each row of the drift the block operator it or its partner is."""
     idx = np.array([ordering.index(name) for name in BEAM_BLOCK[:k]])
+    rows = np.empty(len(ordering), dtype=np.intp)
+    rows[idx] = rows[idx ^ 1] = np.arange(k)
     n = len(ordering)
-    return (np.concatenate([(idx[:, None] * n + idx).ravel(),
-                            ((idx[:, None] ^ 1) * n + (idx ^ 1)).ravel()]),
-            np.concatenate([idx, idx ^ 1]))
+    return idx[:, None] * n + idx, (idx[:, None] ^ 1) * n + (idx ^ 1), rows
 
 
 def _doubled(model: str, p, ordering: tuple[str, ...]) -> DriftMatrix:
@@ -274,14 +274,15 @@ def _doubled(model: str, p, ordering: tuple[str, ...]) -> DriftMatrix:
     block as built, so beam_block does not extract it again, and is built
     without __post_init__'s checks, which hold by construction: the
     partner is the block's conjugate, so the pairing defect is exactly 0."""
-    m, decay, _ = _BUILDERS[model](**{k: np.array([v], dtype=float) for k, v in vars(p).items()})
+    # each parameter as an array of one point, a row of one column
+    point = np.array(list(vars(p).values()), dtype=float)[:, None]
+    m, decay, _ = _BUILDERS[model](**dict(zip(vars(p), point)))
     block, rates = m[0], decay[0]
-    entries, rows = _placement(ordering, len(block))
+    entries, partners, rows = _placement(ordering, len(block))
     full = np.zeros((len(ordering),) * 2, dtype=complex)
-    full.put(entries, np.concatenate([block.ravel(), block.conj().ravel()]))
-    both = np.concatenate([rates, rates])
-    decays = np.empty(len(ordering))
-    decays[rows] = both
+    full.put(entries, block)
+    full.put(partners, block.conj())
+    decays = rates.take(rows)
     full.flags.writeable = decays.flags.writeable = False
     d = DriftMatrix.__new__(DriftMatrix)
     for name, value in (("m", full), ("decay", decays), ("ordering", ordering),
