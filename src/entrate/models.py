@@ -25,10 +25,9 @@ eigen-solve of the package's rate path goes through eigvals.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import MISSING, dataclass, field, fields
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -255,7 +254,7 @@ def pairing_defect(m: np.ndarray) -> float:
     return float(np.abs(v - np.conj(v[:, ::-1, :, ::-1])).max())
 
 
-@functools.cache
+@cache
 def _placement(ordering: tuple[str, ...], k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Where _doubled puts a k x k beam block in a drift of ordering: the
     flat places of the block's entries, those of their partners, and for
@@ -274,7 +273,7 @@ def _doubled(model: str, p, ordering: tuple[str, ...]) -> DriftMatrix:
     block as built, so beam_block does not extract it again, and is built
     without __post_init__'s checks, which hold by construction: the
     partner is the block's conjugate, so the pairing defect is exactly 0."""
-    # each parameter as an array of one point, a row of one column
+    # each parameter as an array of one point
     point = np.array(list(vars(p).values()), dtype=float)[:, None]
     m, decay, _ = _BUILDERS[model](**dict(zip(vars(p), point)))
     block, rates = m[0], decay[0]

@@ -123,7 +123,7 @@ def adaptive_gk_batch(f_batch: Callable[[np.ndarray, np.ndarray], np.ndarray],
             val_sum = np.add.reduceat(val, start)
             finished = ids[done]
             values[finished], errors[finished] = val_sum[done], total[done]
-            for j in (stop ^ done).nonzero()[0]:
+            for j in (stop & ~done).nonzero()[0]:
                 failures[ids[j]] = QuadratureError("panel budget exhausted",
                                                    value=float(val_sum[j]),
                                                    error_estimate=total[j])

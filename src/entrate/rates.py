@@ -315,13 +315,14 @@ def _panel_omegas(eigenvalues: np.ndarray, decay: np.ndarray, scale: np.ndarray)
     # [p, i, j]: centre j is narrower than centre i, or as narrow and earlier
     w_i, w_j = w[:, :, None], w[:, None, :]
     narrower = np.where(_EARLIER[:m, :m], w_j <= w_i, w_j < w_i)
-    c[np.logical_or.reduce(narrower & (np.abs(c[:, None, :] - c[:, :, None]) <= w_j), axis=2)] = np.nan
+    merged = narrower & (np.abs(c[:, None, :] - c[:, :, None]) <= w_j)
+    c[np.logical_or.reduce(merged, axis=2)] = np.nan
     # signed by the side, [p, side, i]: each centre, the nearest remaining
     # centre on that side, and the half-way point to it (the same float from
     # both centres) or, with none, the outer reach
     sc = _SIDES[:, None] * c[:, None, :]
-    ahead = np.minimum.reduce(np.where(sc[:, :, None, :] > sc[..., None], sc[:, :, None, :], np.inf),
-                              axis=3)
+    ahead = np.where(sc[:, :, None, :] > sc[..., None], sc[:, :, None, :], np.inf)
+    ahead = np.minimum.reduce(ahead, axis=3)
     limit = np.minimum(0.5 * (sc + ahead), sc + outer[:, None, None])
     reach = np.maximum.reduce(outer, axis=None) / np.minimum.reduce(w, axis=None)
     rungs = w[:, None, :, None] * _RUNGS[:2 + int(math.log(reach, _GRADING))]
