@@ -376,7 +376,7 @@ def eigvals(a: NDArray) -> NDArray[np.complex128]:
     # the gufunc flags a solve that did not converge as an invalid operation
     with np.errstate(call=_not_converged, invalid="call", over="ignore", divide="ignore",
                      under="ignore"):
-        return _geev(a, signature="D->D" if np.iscomplexobj(a) else "d->D")
+        return _geev(a, signature="D->D" if a.dtype.kind == "c" else "d->D")
 
 
 def stability_boundary_effective(g: float, kappa: float, delta: float) -> tuple[float, ...]:

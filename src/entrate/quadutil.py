@@ -90,7 +90,7 @@ def adaptive_gk_batch(f_batch: Callable[[np.ndarray, np.ndarray], np.ndarray],
             part = slice(i, i + _PANELS_PER_CALL)
             half = 0.5 * (hi[part] - lo[part])
             nodes = 0.5 * (lo[part] + hi[part])[:, None] + half[:, None] * _NODES[None, :]
-            vals = np.asarray(f_batch(nodes.ravel(), np.repeat(pid[part], _NODES.size)),
+            vals = np.asarray(f_batch(nodes.ravel(), pid[part].repeat(_NODES.size)),
                               dtype=float).reshape(nodes.shape)
             k15[part] = np.add.reduce(vals * _W_K[None, :], axis=1) * half
             g7[part] = np.add.reduce(vals * _W_G[None, :], axis=1) * half
@@ -100,7 +100,7 @@ def adaptive_gk_batch(f_batch: Callable[[np.ndarray, np.ndarray], np.ndarray],
     # order, by problem and then by position, so a problem's totals add its
     # panels in the order of their positions, whatever else is in the batch
     panel = edges[:, 1:] > edges[:, :-1]
-    pid = np.nonzero(panel)[0]
+    pid = panel.nonzero()[0]
     lo, hi = edges[:, :-1][panel], edges[:, 1:][panel]
     val, err = evaluate(lo, hi, pid)
     values, errors = np.full((2, n_problems), math.nan)

@@ -279,6 +279,10 @@ class RateResult:
     secondary_peaks: int
 
 
+#: The rate of a drift whose pair constant K is 0: E = 0 on the whole line.
+_NO_ENTANGLEMENT = RateResult(0.0, 0.0, 0.0, 0.0, 0.0, 0)
+
+
 def _resonances(eigenvalues: np.ndarray, decay: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(centres, linewidths) of the beam-block resonances, -Im and |Re| of
     its eigenvalues, plus omega = 0 with the largest decay rate as width,
@@ -712,7 +716,7 @@ def _rates(blocks: BeamBlocks, eigenvalues: np.ndarray, tol: float,
     blocks with their eigenvalues (P, k)."""
     s = _scale(eigenvalues, blocks.decay)
     polys = _beam_polynomials(blocks, s)
-    out: list[RateResult | Exception] = [RateResult(0.0, 0.0, 0.0, 0.0, 0.0, 0)] * len(blocks)
+    out: list[RateResult | Exception] = [_NO_ENTANGLEMENT] * len(blocks)
     # E > 0 on the whole line where K > 0, E = 0 everywhere where K = 0
     pos = (polys[2] > 0).nonzero()[0]
     if not pos.size:
