@@ -700,8 +700,8 @@ def entanglement_rates(drifts: Sequence[DriftMatrix], n_ths: Sequence[float],
     decay, n_th = np.array(decay), np.array([n_ths[i] for i in live])
     if not np.logical_and.reduce(ok):
         for j in (~ok).nonzero()[0].tolist():
-            out[live[j]] = UnstableSystemError(margin[j]) if not stable[j] else _not_reciprocal(
-                m.shape[-1])
+            out[live[j]] = (_not_reciprocal(m.shape[-1]) if stable[j]
+                            else UnstableSystemError(margin[j]))
         live = [i for i, good in zip(live, ok.tolist()) if good]
         m, decay, n_th, eigenvalues = m[ok], decay[ok], n_th[ok], eigenvalues[ok]
     if live:

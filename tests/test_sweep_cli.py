@@ -210,7 +210,7 @@ class TestRunSweep:
         # no DriftMatrix, and no complex eigen-solve larger than the k x k
         # beam block (the companion matrices of the peak polynomials are real)
         from entrate import models
-        built, solved = [], solves
+        built = []
         # every instance, also those the model builders make without
         # __post_init__
         monkeypatch.setattr(models.DriftMatrix, "__new__",
@@ -222,12 +222,12 @@ class TestRunSweep:
                 ("full", {"g": 5.0, "n_th": 2.0},
                  ["gamma_E", "E_max", "fwhm", "spectrum", "stability_margin"], 3),
                 ("effective", {"g": 5.0}, ["pair_rate", "spectrum", "gamma_E"], 2)):
-            solved.clear()
+            solves.clear()
             rows = run_sweep(SweepConfig(
                 model=model, fixed=fixed, quantities=quantities, jobs=1,
                 axes=[SweepAxis("delta", -15.0, 15.0, 4), SweepAxis("Delta", -1.5, 1.5, 5)])).rows
             assert {row.status for row in rows} == {"ok", "unstable"}
-            complex_sizes = {a.shape[-1] for a in solved if np.iscomplexobj(a)}
+            complex_sizes = {a.shape[-1] for a in solves if np.iscomplexobj(a)}
             assert complex_sizes == {k}
         assert built == []
 
