@@ -10,8 +10,7 @@ from .errors import (EntrateError, QuadratureError, UnphysicalStateError,
 from .gaussian import (CorrelatorTriple, CovarianceMatrix, covariance_from_correlators,
                        log_negativity_general, symplectic_form, symplectic_spectrum)
 from .models import (DriftMatrix, EffectiveModelParams, FullModelParams, StabilityReport,
-                     drift_effective, drift_full, stability, stability_batch,
-                     stability_boundary_effective)
+                     drift_effective, drift_full, stability, stability_boundary_effective)
 from .rates import (RateResult, entanglement_rate, entanglement_rates, log_negativity,
                     spectral_density)
 from .scattering import output_correlators, pair_rate_numeric

@@ -18,15 +18,16 @@ beam block on parameter arrays (beam_blocks); drift_full and
 drift_effective are its case of one point with the partner placed by the
 ordering. The drift's eigenvalues are the block's and their conjugates, so
 stability is decided from the block's k eigenvalues: stability_gate solves
-a stack of beam blocks at once and gives the verdicts as arrays, which the
-rate and the sweep gate on and stability_batch turns into reports. Every
+a stack of beam blocks at once and gives the eigenvalues and verdicts as
+arrays, which the rate and the sweep gate on and stack with the blocks
+(scattering.BeamBlocks); stability is its report on one drift. Every
 eigen-solve of the package's rate path goes through eigvals.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, fields
 from functools import cache, cached_property
 from typing import Mapping, Sequence
 
@@ -318,10 +319,6 @@ class StabilityReport:
     stable: bool
     max_real_part: float
     marginal: bool
-    #: The k eigenvalues of the beam block behind the verdict (the drift's
-    #: other k are their conjugates); the rate path reads its resonances
-    #: and frequency scale off them instead of solving again.
-    eigenvalues: NDArray[np.complex128] = field(repr=False, compare=False)
 
 
 def stability(d: DriftMatrix) -> StabilityReport:
@@ -332,20 +329,11 @@ def stability(d: DriftMatrix) -> StabilityReport:
     |max Re(eig)| <= STABILITY_TOL are flagged marginal and are not stable,
     so every gate that asks for a stable drift rejects a point on the
     instability boundary. Raises ValueError when d couples the beam block
-    to its partner.
+    to its partner. The verdict of stability_gate on the block alone.
     """
-    return stability_batch(d.beam_block[0][None])[0]
-
-
-def stability_batch(m: NDArray[np.complex128]) -> list[StabilityReport]:
-    """The stability report of each beam block of the stack m (P, k, k),
-    from stability_gate: each equals stability() of its drift bit for
-    bit."""
-    eigenvalues, margin, stable = stability_gate(m)
-    marginal = np.abs(margin) <= STABILITY_TOL
-    return [StabilityReport(stable=s, max_real_part=x, marginal=b, eigenvalues=e)
-            for s, x, b, e in zip(stable.tolist(), margin.tolist(), marginal.tolist(),
-                                  eigenvalues)]
+    _, (margin,), (stable,) = stability_gate(d.beam_block[0][None])
+    return StabilityReport(stable=bool(stable), max_real_part=float(margin),
+                           marginal=bool(abs(margin) <= STABILITY_TOL))
 
 
 def stability_gate(m: NDArray[np.complex128],

@@ -49,6 +49,7 @@ _W_G[1:-1:2] = np.concatenate([_WG[:-1], _WG[::-1]])       # Gauss weights on od
 #: holds about 1 KB of node arrays per panel at once.
 _PANELS_PER_CALL = 64
 _MAX_SWEEPS = 200        # refinement sweeps of adaptive_gk_batch
+_MAX_PANELS = 20000      # panel budget of each of its problems
 _MAX_BISECTIONS = 200    # halvings of bisect_all
 
 
@@ -57,8 +58,7 @@ def _at_round_off(val: np.ndarray, err: np.ndarray) -> np.ndarray:
 
 
 def adaptive_gk_batch(f_batch: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                      edges: np.ndarray, epsabs: np.ndarray, *,
-                      max_panels: int = 20000,
+                      edges: np.ndarray, epsabs: np.ndarray,
                       ) -> tuple[np.ndarray, np.ndarray, list[QuadratureError | None]]:
     """Integrate P problems at once: problem p over its row edges[p] of a
     (P, n) array, ascending and NaN-padded at the end, starting from the
@@ -75,8 +75,8 @@ def adaptive_gk_batch(f_batch: Callable[[np.ndarray, np.ndarray], np.ndarray],
     even if it is above epsabs.
 
     Returns (values, errors, failures): failures[p] is a QuadratureError
-    when problem p exhausted its panel budget (its value and error are then
-    NaN), else None.
+    when problem p exhausted its budget of _MAX_PANELS panels, else None;
+    its value and error are NaN then, and when its edges make no panel.
     """
     edges = np.asarray(edges, dtype=float)
     n_problems = len(edges)
@@ -106,7 +106,8 @@ def adaptive_gk_batch(f_batch: Callable[[np.ndarray, np.ndarray], np.ndarray],
     values, errors = np.full((2, n_problems), math.nan)
     failures: list[QuadratureError | None] = [None] * n_problems
 
-    for sweep in range(_MAX_SWEEPS + 1):
+    # nothing to refine, and no panel to split, where no problem has one
+    for sweep in range(_MAX_SWEEPS + 1 if pid.size else 0):
         converged = _at_round_off(val, err)
         # the problems with panels, with the start of their panels
         count = np.bincount(pid, minlength=n_problems)
@@ -118,7 +119,7 @@ def adaptive_gk_batch(f_batch: Callable[[np.ndarray, np.ndarray], np.ndarray],
         done = (total <= epsabs[ids]) | np.logical_and.reduceat(converged, start)
         if sweep == _MAX_SWEEPS:
             done[:] = True
-        stop = done | (count >= max_panels)
+        stop = done | (count >= _MAX_PANELS)
         if np.logical_or.reduce(stop):
             val_sum = np.add.reduceat(val, start)
             finished = ids[done]
@@ -148,7 +149,7 @@ def adaptive_gk_batch(f_batch: Callable[[np.ndarray, np.ndarray], np.ndarray],
         target = np.maximum(0.75 * (total - epsabs[ids]), 0.5 * padded[:, 0])
         covering = np.add.reduce(padded.cumsum(axis=1) < target[:, None], axis=1) + 1
         n_split = np.minimum(np.minimum(covering, act_count),
-                             np.minimum(512, np.maximum(1, max_panels - count)))
+                             np.minimum(512, np.maximum(1, _MAX_PANELS - count)))
         chosen = act[rank < n_split[row]]
 
         mid = 0.5 * (lo[chosen] + hi[chosen])

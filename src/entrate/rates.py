@@ -133,8 +133,8 @@ singular point, Piessens et al. 1983). Centres closer than a linewidth
 merge into the narrowest.
 
 The problem axis. _rates computes the rates of P stable beam blocks of one
-model (scattering.BeamBlocks with their eigenvalues: entanglement_rates
-gates its drifts onto it, a sweep calls it on the blocks of its grid)
+model (scattering.BeamBlocks, with the gate's eigenvalues: entanglement_rates
+stacks its stable drifts, a sweep each chunk of its stable grid points)
 together: the polynomials D, V and K of every problem (computed once, for
 the peaks and the flanks), the peak and crossing polynomials and their
 roots (stacked eigen-solves of the companion matrices), one Gauss-Kronrod
@@ -617,17 +617,16 @@ _fwhm_by_bisection = _fwhms
 _positive_intervals = minimize_scalar = _stationary
 
 
-def spectrum_peak(blocks: BeamBlocks, eigenvalues: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def spectrum_peak(blocks: BeamBlocks) -> tuple[np.ndarray, np.ndarray]:
     """(omega, height) of the maximum of the beam-1 output spectrum
-    nu_plus = N / D (module docstring) of each block, from the blocks with
-    their eigenvalues (P, k): the best real root of N' D - N D' after
-    Newton steps on the polynomials, measured on the kernel in one pass
-    with the mirrors; (0, 0) where the spectrum vanishes (g = 0). N' D -
-    N D' keeps its exact leading zeros (N has degree 2k - 4, or 0 without
-    the thermal input), so the rows go through in groups of one degree, a
-    kernel pass each; elementwise along the problem axis, so a row does
-    not depend on the batch. No stability check."""
-    s = _scale(eigenvalues, blocks.decay)
+    nu_plus = N / D (module docstring) of each block: the best real root of
+    N' D - N D' after Newton steps on the polynomials, measured on the
+    kernel in one pass with the mirrors; (0, 0) where the spectrum vanishes
+    (g = 0). N' D - N D' keeps its exact leading zeros (N has degree 2k - 4,
+    or 0 without the thermal input), so the rows go through in groups of
+    one degree, a kernel pass each; elementwise along the problem axis, so
+    a row does not depend on the batch. No stability check."""
+    s = _scale(blocks.eigenvalues, blocks.decay)
     dp, _, _, n = _beam_polynomials(blocks, s)
     table = _derivatives([n, dp])
     r = _polymul(table[1, 0], table[0, 1]) - _polymul(table[0, 0], table[1, 1])
@@ -705,16 +704,14 @@ def entanglement_rates(drifts: Sequence[DriftMatrix], n_ths: Sequence[float],
         live = [i for i, good in zip(live, ok.tolist()) if good]
         m, decay, n_th, eigenvalues = m[ok], decay[ok], n_th[ok], eigenvalues[ok]
     if live:
-        for i, result in zip(live, _rates(BeamBlocks.stack(m, decay, n_th), eigenvalues, tol)):
+        for i, result in zip(live, _rates(BeamBlocks.stack(m, decay, n_th, eigenvalues), tol)):
             out[i] = result
     return out
 
 
-def _rates(blocks: BeamBlocks, eigenvalues: np.ndarray, tol: float,
-           ) -> list[RateResult | Exception]:
-    """The batched rate of entanglement_rates for stable, reciprocal beam
-    blocks with their eigenvalues (P, k)."""
-    s = _scale(eigenvalues, blocks.decay)
+def _rates(blocks: BeamBlocks, tol: float) -> list[RateResult | Exception]:
+    """The batched rate of entanglement_rates for stable, reciprocal blocks."""
+    s = _scale(blocks.eigenvalues, blocks.decay)
     polys = _beam_polynomials(blocks, s)
     out: list[RateResult | Exception] = [_NO_ENTANGLEMENT] * len(blocks)
     # E > 0 on the whole line where K > 0, E = 0 everywhere where K = 0
@@ -723,12 +720,11 @@ def _rates(blocks: BeamBlocks, eigenvalues: np.ndarray, tol: float,
         return out
     if pos.size < len(blocks):
         blocks, s, polys = blocks.take(pos), s[pos], tuple(p[pos] for p in polys)
-        eigenvalues = eigenvalues[pos]
 
     # E has all its structure at the resonances, so panels that start
     # there only need polishing; half of tol * 2 pi is the budget
     scale = np.maximum.reduce(blocks.decay, axis=1)
-    edges = _panel_edges(eigenvalues, blocks.decay, scale)
+    edges = _panel_edges(blocks.eigenvalues, blocks.decay, scale)
     w, peaks_at = _stationary(s, polys, blocks.k)
     at_w = []
 

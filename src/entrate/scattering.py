@@ -65,12 +65,13 @@ to the instability boundary det m is small against its
 terms, so it is computed exactly from the float entries and rounded once;
 E then matches a 50-digit evaluation to a few ulp there, where a float64
 det m (or an LU solve) loses the ratio of terms to det in digits.
-BeamBlocks holds the coefficients of P beam blocks of one model side by
-side (the problem axis): the kernel takes one frequency array with a
-problem id per point, gathers each point's coefficients and is
-elementwise from there on, so a point's value does not depend on which
-other points or problems share the call. rates builds its crossing
-polynomials from the same coefficients.
+BeamBlocks holds P beam blocks of one model side by side (the problem
+axis), with their eigenvalues and kernel coefficients: the kernel takes
+one frequency array with a problem id per point, gathers each point's
+coefficients and is elementwise from there on, so a point's value does
+not depend on which other points or problems share the call. rates builds
+its crossing polynomials from the same coefficients, its panels from the
+eigenvalues.
 
 The photon pair rate of the effective model needs no quadrature. On its
 2x2 beam block n_plus - 1/2 = |s_+-|^2 = kappa_+ kappa_- |R_+-|^2 with
@@ -91,8 +92,8 @@ from numpy.typing import NDArray
 
 from .errors import UnstableSystemError
 from .gaussian import CorrelatorTriple
-from .models import (DriftMatrix, EffectiveModelParams, StabilityReport, drift_effective,
-                     eigvals, n_th_errors, stability)
+from .models import (DriftMatrix, EffectiveModelParams, drift_effective, eigvals,
+                     n_th_errors, stability, stability_gate)
 # unused here, but the benchmark tracer wraps scattering.adaptive_gk
 from .quadutil import adaptive_gk_batch as adaptive_gk  # noqa: F401
 
@@ -109,12 +110,11 @@ class SpectrumPoint:
     mechanical_part: float
 
 
-def _require_stable(d: DriftMatrix) -> StabilityReport:
-    """d's stability report; raises UnstableSystemError unless d is stable."""
+def _require_stable(d: DriftMatrix) -> None:
+    """Raise UnstableSystemError unless d is stable."""
     rep = stability(d)
     if not rep.stable:
         raise UnstableSystemError(rep.max_real_part)
-    return rep
 
 
 def _det(m: NDArray[np.complex128]) -> NDArray[np.complex128]:
@@ -178,32 +178,35 @@ _EYE = {k: np.eye(k) for k in (2, 3)}
 @dataclass(frozen=True)
 class BeamBlocks:
     """Beam blocks of P drifts of one model, stacked along a problem axis,
-    with the polynomial coefficients of the adjugate kernel (module
-    docstring): adj[p, j] multiplies t^(k-1-j) in A(t) and char[p, j]
-    multiplies t^(k-j) in det(m + t)."""
+    with their eigenvalues (models.stability_gate) and the coefficients of
+    the adjugate kernel (module docstring): adj[p, j] multiplies
+    t^(k-1-j) in A(t) and char[p, j] multiplies t^(k-j) in det(m + t)."""
 
     m: NDArray[np.complex128]        # (P, k, k)
     decay: NDArray[np.float64]       # (P, k)
     n_th: NDArray[np.float64]        # (P,)
+    eigenvalues: NDArray[np.complex128]  # (P, k)
     adj: NDArray[np.complex128]      # (P, k, k, k)
     char: NDArray[np.complex128]     # (P, k + 1)
 
     @classmethod
     def of(cls, drifts: Sequence[DriftMatrix], n_ths: Sequence[float]) -> "BeamBlocks":
-        """The beam blocks of the drifts; raises ValueError when a drift
-        couples its block to the partner, an n_th is not a finite number
-        >= 0 (models.n_th_errors) or the drifts mix the models."""
+        """The beam blocks of the drifts with their eigenvalues; raises
+        ValueError when a drift couples its block to the partner, an n_th
+        is not a finite number >= 0 (models.n_th_errors) or the drifts mix
+        the models, LinAlgError when a block has a non-finite entry."""
         m, decay = zip(*(d.beam_block for d in drifts))
         errors = n_th_errors(n_ths)
         if errors:
             raise ValueError(next(iter(errors.values())))
-        return cls.stack(_one_model(m), np.array(decay), np.asarray(n_ths, dtype=float))
+        m = _one_model(m)
+        return cls.stack(m, np.array(decay), np.asarray(n_ths, dtype=float), stability_gate(m)[0])
 
     @classmethod
     def stack(cls, m: NDArray[np.complex128], decay: NDArray[np.float64],
-              n_th: NDArray[np.float64]) -> "BeamBlocks":
+              n_th: NDArray[np.float64], eigenvalues: NDArray[np.complex128]) -> "BeamBlocks":
         """The stacked beam blocks m (P, k, k) with their decays (P, k) and
-        n_th (P,), as models.beam_blocks builds them."""
+        n_th (P,) of models.beam_blocks, and eigenvalues (P, k) of the gate."""
         n, k = m.shape[:2]
         eye = _EYE[k]
         adj = np.empty((n, k, k, k), dtype=complex)
@@ -221,7 +224,7 @@ class BeamBlocks:
             adj_m[:, 1, 0], adj_m[:, 1, 1] = -m[:, 1, 0], m[:, 0, 0]
         char[:, 1] = tr
         char[:, -1] = _det(m)
-        return cls(m, decay, n_th, adj, char)
+        return cls(m, decay, n_th, eigenvalues, adj, char)
 
     @property
     def k(self) -> int:
@@ -232,8 +235,8 @@ class BeamBlocks:
 
     def take(self, idx: np.ndarray) -> "BeamBlocks":
         """The sub-batch of the problems idx."""
-        return BeamBlocks(self.m[idx], self.decay[idx], self.n_th[idx], self.adj[idx],
-                          self.char[idx])
+        return BeamBlocks(self.m[idx], self.decay[idx], self.n_th[idx], self.eigenvalues[idx],
+                          self.adj[idx], self.char[idx])
 
     def _table(self, entries: Sequence[tuple[int, int]], weights: list[np.ndarray],
                ) -> tuple[np.ndarray, np.ndarray]:
@@ -313,7 +316,7 @@ def _passes(blocks: BeamBlocks, omegas: np.ndarray, pid: np.ndarray | None,
         det2 = _abs2(h[0])
         if not np.logical_and.reduce(det2 > 0):
             raise UnstableSystemError(
-                float(np.max(eigvals(blocks.m).real)),
+                float(np.max(blocks.eigenvalues.real)),
                 "singular response matrix: system at an instability threshold "
                 "for a requested frequency")
         return finish(h, det2, weights.take(p, axis=-1))

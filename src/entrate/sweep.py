@@ -4,16 +4,16 @@ A sweep builds the beam blocks of the valid grid points from the grid's
 parameter columns in one models.beam_blocks call, gates them on one
 stacked k x k eigen-solve (models.stability_gate), and computes the
 stable points' quantities in contiguous chunks, one chunk per worker of a
-process pool when jobs != 1. A chunk is arrays (blocks, decays, n_th and
-block eigenvalues; no DriftMatrix is built), and each quantity runs once
-per chunk on that problem axis: the rate fields in one rates._rates call,
-the pair rates in one stacked solve and the spectrum peaks in one
-rates.spectrum_peak call. A batched value equals the one-point value bit
-for bit, so the rows, emitted strictly in grid order, are byte-stable
-whatever the worker count and however the grid is split into sweeps.
-Unstable points are flagged in the status column rather than aborting the
-sweep, and so are points whose parameters are invalid or whose computation
-fails.
+process pool when jobs != 1. A chunk is one scattering.BeamBlocks (the
+blocks with the gate's eigenvalues; no DriftMatrix is built), and each
+quantity runs once per chunk on that problem axis: the rate fields in one
+rates._rates call, the pair rates in one stacked solve and the spectrum
+peaks in one rates.spectrum_peak call. A batched value equals the
+one-point value bit for bit, so the rows, emitted strictly in grid order,
+are byte-stable whatever the worker count and however the grid is split
+into sweeps. Unstable points are flagged in the status column rather than
+aborting the sweep, and so are points whose parameters are invalid or
+whose computation fails.
 """
 
 from __future__ import annotations
@@ -238,6 +238,8 @@ class SweepConfig:
             raise ValueError(f"unknown quantities {unknown}; allowed: {QUANTITIES}")
         if not self.quantities:
             raise ValueError("at least one quantity is required")
+        if len(set(self.quantities)) != len(self.quantities):
+            raise ValueError("quantities must be distinct")
         if not (_is_number(self.tol) and 0 < self.tol < math.inf):
             raise ValueError(f"tol must be a finite positive number, got {self.tol!r}")
         if not _is_integer(self.jobs):
@@ -341,26 +343,23 @@ class SweepResult:
         return vals.reshape(self.grid_shape())
 
 
-def _eval_chunk(payload: tuple[tuple[str, ...], float, np.ndarray, np.ndarray, np.ndarray,
-                               np.ndarray]) -> list[dict[str, float] | str]:
+def _eval_chunk(payload: tuple[tuple[str, ...], float, scattering.BeamBlocks],
+                ) -> list[dict[str, float] | str]:
     """The quantities of a contiguous chunk of stable points, given as
-    their stacked beam blocks, decays, n_th and block eigenvalues, each
-    quantity from one batched call over the chunk: the rate fields from
-    rates._rates, the pair rates from scattering._pair_rate and the
-    spectrum peaks from rates.spectrum_peak. A point whose rate fails gets
-    its `failed: ...` status instead; the pair rate and the spectrum peak
-    cannot fail at a stable point."""
-    quantities, tol, m, decay, n_th, eigenvalues = payload
+    their beam blocks, each quantity from one batched call over the chunk:
+    the rate fields from rates._rates, the pair rates from
+    scattering._pair_rate and the spectrum peaks from rates.spectrum_peak.
+    A point whose rate fails gets its `failed: ...` status instead; the
+    pair rate and the spectrum peak cannot fail at a stable point."""
+    quantities, tol, blocks = payload
     rate_fields = [q for q in ("E_max", "gamma_E", "fwhm") if q in quantities]
-    if rate_fields or "spectrum" in quantities:
-        blocks = scattering.BeamBlocks.stack(m, decay, n_th)
     columns: dict[str, list[float]] = {}
     if "pair_rate" in quantities:
-        columns["pair_rate"] = scattering._pair_rate(m, decay).tolist()
+        columns["pair_rate"] = scattering._pair_rate(blocks.m, blocks.decay).tolist()
     if "spectrum" in quantities:
-        omega, height = rates.spectrum_peak(blocks, eigenvalues)
+        omega, height = rates.spectrum_peak(blocks)
         columns["spectrum_peak_omega"], columns["spectrum_peak"] = omega.tolist(), height.tolist()
-    results = rates._rates(blocks, eigenvalues, tol) if rate_fields else [None] * len(m)
+    results = rates._rates(blocks, tol) if rate_fields else [None] * len(blocks)
     return [f"failed: {rr}" if isinstance(rr, Exception) else
             {**{q: getattr(rr, q) for q in rate_fields}, **{c: v[i] for c, v in columns.items()}}
             for i, rr in enumerate(results)]
@@ -401,7 +400,8 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
              else os.cpu_count() or 1)
     jobs = min(config.jobs if config.jobs > 0 else cores, stable.size)
-    payloads = [(quantities, config.tol, m[c], decay[c], n_th[c], eigenvalues[c])
+    payloads = [(quantities, config.tol,
+                 scattering.BeamBlocks.stack(m[c], decay[c], n_th[c], eigenvalues[c]))
                 for c in np.array_split(stable, max(jobs, 1)) if c.size]
     if jobs <= 1 or stable.size < 4:
         results = [_eval_chunk(p) for p in payloads]

@@ -146,7 +146,7 @@ def check_stability_boundary() -> tuple[float, float, str]:
     def margins(xs: np.ndarray) -> np.ndarray:
         m = models.beam_blocks("effective", {"g": g, "delta": delta, "kappa": KAPPA,
                                              "Delta": xs})[0]
-        return np.array([rep.max_real_part for rep in models.stability_batch(m)])
+        return models.stability_gate(m)[1]
 
     grid = np.linspace(-1.3, 0.1, 141)
     flips = np.nonzero(np.diff(np.sign(margins(grid))) != 0)[0]

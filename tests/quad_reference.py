@@ -21,8 +21,7 @@ _ZOOM_STEPS = np.arange(17.0)
 def adaptive_gk(f_batch: Callable[[np.ndarray], np.ndarray],
                 a: float, b: float, *,
                 epsabs: float,
-                initial_points: Sequence[float] = (),
-                max_panels: int = 20000) -> tuple[float, float]:
+                initial_points: Sequence[float] = ()) -> tuple[float, float]:
     """Integrate f over [a, b] to absolute tolerance epsabs: the one-problem
     call of adaptive_gk_batch. initial_points seeds interior panel
     boundaries (e.g. known resonance positions) so that narrow features are
@@ -36,7 +35,7 @@ def adaptive_gk(f_batch: Callable[[np.ndarray], np.ndarray],
     edges = np.array(sorted({float(a), float(b),
                              *(float(p) for p in initial_points if a < p < b)}))
     (value,), (error,), (failure,) = adaptive_gk_batch(
-        lambda x, _: f_batch(x), [edges], epsabs, max_panels=max_panels)
+        lambda x, _: f_batch(x), [edges], epsabs)
     if failure is not None:
         raise failure
     return float(value), float(error)

@@ -8,7 +8,7 @@ from scipy.optimize import linear_sum_assignment
 from entrate import models
 from entrate.models import (STABILITY_TOL, DriftMatrix, EffectiveModelParams, FullModelParams,
                             beam_blocks, drift_effective, drift_full, eigvals, pairing_defect,
-                            stability, stability_batch, stability_boundary_effective)
+                            stability, stability_boundary_effective, stability_gate)
 from entrate.rates import entanglement_rate
 from paper_helpers import CellParams, in_validity_regime, map_cell_params
 from strategies import stable_drifts
@@ -172,13 +172,14 @@ def _check_block_against_doubled_drift(d):
     # resonance at high C, where neither solve is the more accurate one)
     rep = stability(d)
     block = d.beam_block[0]
+    (eigenvalues,), _, _ = stability_gate(block[None])
     values, right = np.linalg.eig(block)
     left = np.linalg.inv(right).conj().T
     cond = (np.linalg.norm(left, axis=0) * np.linalg.norm(right, axis=0)
             / np.abs(np.sum(left.conj() * right, axis=0)))
     bound = 1e-14 * max(1.0, np.linalg.norm(d.m, 2)) * np.max(cond)
     doubled = np.linalg.eigvals(d.m)
-    expected = np.concatenate([rep.eigenvalues, rep.eigenvalues.conj()])
+    expected = np.concatenate([eigenvalues, eigenvalues.conj()])
     cost = np.abs(doubled[:, None] - expected[None, :])
     assert np.max(cost[linear_sum_assignment(cost)]) <= bound
     margin = float(np.max(doubled.real))
@@ -211,13 +212,13 @@ class TestBeamBlock:
         params = {"g": g.ravel(), "Gamma": 1e-3, "Delta": -0.2, "delta": delta.ravel(),
                   "n_th": 3.0, "kappa": 1.0}
         m, decay, n_th, errors = beam_blocks("full", params)
-        reports = stability_batch(m)
+        eigenvalues, _, _ = stability_gate(m)
         assert errors == {} and np.all(n_th == 3.0)
         for i in range(g.size):
             d = drift_full(full(g=g.flat[i], Delta=-0.2, delta=delta.flat[i]))
             block, rates = d.beam_block
             assert m[i].tobytes() == block.tobytes() and decay[i].tobytes() == rates.tobytes()
-            assert reports[i].eigenvalues.tobytes() == stability(d).eigenvalues.tobytes()
+            assert eigenvalues[i].tobytes() == stability_gate(block[None])[0][0].tobytes()
         m, decay, n_th, errors = beam_blocks("effective", {"g": 5.0, "delta": [10.0, -4.0]})
         for i, delta in enumerate((10.0, -4.0)):
             block, rates = drift_effective(EffectiveModelParams(g=5.0, delta=delta)).beam_block

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from entrate import quadutil
 from entrate.errors import QuadratureError
 from entrate.quadutil import adaptive_gk_batch
 from quad_reference import adaptive_gk, minimize_batch, minimize_scalar
@@ -87,15 +88,30 @@ class TestAdaptiveGkBatch:
                                      _EDGES[order], _EPS[order])
         assert list(shuffled[0]) == list(values[order])
 
-    def test_panel_budget_fails_its_problem_only(self):
-        values, errors, failures = adaptive_gk_batch(_by_problem, _EDGES, _EPS, max_panels=12)
+    def test_panel_budget_fails_its_problem_only(self, monkeypatch):
+        monkeypatch.setattr(quadutil, "_MAX_PANELS", 12)
+        values, errors, failures = adaptive_gk_batch(_by_problem, _EDGES, _EPS)
         assert failures[0] is None and values[0] == pytest.approx(math.sqrt(math.pi)
                                                                   * math.erf(3.0))
         assert isinstance(failures[1], QuadratureError) and math.isnan(values[1])
 
-    def test_scalar_call_raises_on_budget(self):
+    def test_scalar_call_raises_on_budget(self, monkeypatch):
+        monkeypatch.setattr(quadutil, "_MAX_PANELS", 12)
         with pytest.raises(QuadratureError, match="panel budget"):
-            adaptive_gk(_INTEGRANDS[1], -1.0, 1.0, epsabs=1e-8, max_panels=12)
+            adaptive_gk(_INTEGRANDS[1], -1.0, 1.0, epsabs=1e-8)
+
+    @pytest.mark.parametrize("edges", [np.empty((0, 3)), [[0.3, 0.3, np.nan]],
+                                       [[0.3, np.nan, np.nan], [1.0, 1.0, 1.0]]],
+                             ids=["no_problem", "one_edge", "no_panels"])
+    def test_problems_without_panels(self, edges):
+        # a NaN value and error and no failure, as next to a problem with
+        # panels, and no integrand call
+        def never(x, pid):
+            raise AssertionError("integrand called")
+
+        values, errors, failures = adaptive_gk_batch(never, edges, 1e-8)
+        assert failures == [None] * len(edges)
+        assert np.isnan(values).all() and np.isnan(errors).all() and values.size == len(edges)
 
 
 class TestMinimizeBatch:

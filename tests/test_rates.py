@@ -12,7 +12,7 @@ from entrate.closedforms import eta_minus_resonant
 from entrate.errors import UnstableSystemError
 from entrate.models import (BEAM_BLOCK, DriftMatrix, EffectiveModelParams, FullModelParams,
                             beam_blocks, drift_effective, drift_full, stability,
-                            stability_batch)
+                            stability_gate)
 from entrate import quadutil, rates, scattering
 from entrate.quadutil import bisect_all
 from entrate.rates import (_beam_polynomials, _count_local_maxima, _density, _fwhms,
@@ -489,10 +489,8 @@ class TestBatchedRates:
 class TestPanelEdges:
     @staticmethod
     def edges(d):
-        rep = stability(d)
         blocks = BeamBlocks.of([d], [0.0])
-        (row,) = _panel_edges(rep.eigenvalues[None], blocks.decay,
-                              np.max(blocks.decay, axis=1))
+        (row,) = _panel_edges(blocks.eigenvalues, blocks.decay, np.max(blocks.decay, axis=1))
         return row[np.isfinite(row)]
 
     def test_merged_centre_keeps_the_smallest_width(self):
@@ -520,10 +518,9 @@ class TestPanelEdges:
         # the stable points of the paper's 25 x 25 rate map
         drifts = [full_drift(delta=x, Delta=y) for x in np.linspace(-15.0, 15.0, 25)
                   for y in np.linspace(-1.5, 1.5, 25)]
-        reps = [stability(d) for d in drifts]
-        keep = [i for i, r in enumerate(reps) if r.stable]
+        keep = [i for i, d in enumerate(drifts) if stability(d).stable]
         blocks = BeamBlocks.of([drifts[i] for i in keep], [0.0] * len(keep))
-        eigenvalues = np.stack([reps[i].eigenvalues for i in keep])
+        eigenvalues = blocks.eigenvalues
         scale = np.max(blocks.decay, axis=1)
         batch = _panel_edges(eigenvalues, blocks.decay, scale)
         for p in range(len(eigenvalues)):
@@ -603,18 +600,17 @@ class TestCountedWork:
                                                         np.linspace(-1.5, 1.5, 25)))
         m, decay, n_th, _ = beam_blocks("full", {"g": 5.0, "Gamma": 1e-3, "n_th": 0.0,
                                                  "delta": delta, "Delta": Delta})
-        reports = stability_batch(m)
-        stable = np.flatnonzero([rep.stable for rep in reports])
+        eigenvalues, _, verdict = stability_gate(m)
+        stable = np.flatnonzero(verdict)
         assert stable.size == 143
-        for blocks, eigenvalues in (
-                (BeamBlocks.of([d], [0.0]), stability(d).eigenvalues[None]),
-                (BeamBlocks.stack(m[stable], decay[stable], n_th[stable]),
-                 np.stack([reports[i].eigenvalues for i in stable]))):
+        for blocks in (BeamBlocks.of([d], [0.0]),
+                       BeamBlocks.stack(m[stable], decay[stable], n_th[stable],
+                                        eigenvalues[stable])):
             passes.clear()
-            rates._rates(blocks, eigenvalues, 1e-6)
-            s = _scale(eigenvalues, blocks.decay)
+            rates._rates(blocks, 1e-6)
+            s = _scale(blocks.eigenvalues, blocks.decay)
             w, _ = _stationary(s, _beam_polynomials(blocks, s), blocks.k)
-            edges = _panel_edges(eigenvalues, blocks.decay, blocks.decay.max(axis=1))
+            edges = _panel_edges(blocks.eigenvalues, blocks.decay, blocks.decay.max(axis=1))
             # the start mesh in calls of up to 64 panels: one for the anchor
             panels = min(np.count_nonzero(edges[:, 1:] > edges[:, :-1]), 64)
             assert passes[0] == 15 * panels + w.size
@@ -625,12 +621,11 @@ class TestCountedWork:
         # holds the roots of its rows and their mirrors
         passes = self.count_passes(monkeypatch, "_gram")
         d = full_drift(delta=10.0)
-        spectrum_peak(BeamBlocks.of([d], [50.0]), stability(d).eigenvalues[None])
+        spectrum_peak(BeamBlocks.of([d], [50.0]))
         assert passes == [2 * 7]
         drifts = [d, full_drift(g=0.0), full_drift(delta=-3.0), full_drift(Delta=0.7),
                   full_drift(delta=5.0)]
-        eigenvalues = np.stack([stability(d).eigenvalues for d in drifts])
-        spectrum_peak(BeamBlocks.of(drifts, [50.0, 50.0, 0.0, 10.0, 0.0]), eigenvalues)
+        spectrum_peak(BeamBlocks.of(drifts, [50.0, 50.0, 0.0, 10.0, 0.0]))
         assert passes == [2 * 7, 2 * 2 * 7, 2 * 2 * 5]
 
     def test_anchor_rate_kernel_passes(self, monkeypatch):
@@ -731,7 +726,7 @@ class TestStationaryPeaks:
         d, n_th = drift_nth
         rr = entanglement_rate(d, n_th)
         blocks = BeamBlocks.of([d], [n_th])
-        s = _scale(stability(d).eigenvalues[None], blocks.decay)
+        s = _scale(blocks.eigenvalues, blocks.decay)
         found, (omega_ref,), (e_ref,) = stationary_peaks(blocks, s, _beam_polynomials(blocks, s))
         near = spectral_density_batch(d, omega_ref + np.arange(-16, 17) * np.spacing(omega_ref),
                                       n_th)
@@ -754,8 +749,7 @@ class TestStationaryPeaks:
         ids=["two_peaks", "two_peaks_nth0", "anchor", "thermal", "effective",
              "effective_two_peaks"])
     def test_spectrum_peak_against_dense_sampling(self, d, n_th):
-        (omega,), (height,) = spectrum_peak(BeamBlocks.of([d], [n_th]),
-                                            stability(d).eigenvalues[None])
+        (omega,), (height,) = spectrum_peak(BeamBlocks.of([d], [n_th]))
         assert height == np.sum(spectrum_parts(d, np.array([omega]), n_th))
 
         def total(w):
@@ -793,12 +787,10 @@ class TestStationaryPeaks:
             drifts = [drift_effective(EffectiveModelParams(g=g, delta=delta, Delta=big))
                       for g, delta, big, _ in points]
         n_ths = [pt[-1] for pt in points]
-        reports = [stability(d) for d in drifts]
-        assert all(rep.stable for rep in reports)
-        eigenvalues = np.stack([rep.eigenvalues for rep in reports])
-        batch = spectrum_peak(BeamBlocks.of(drifts, n_ths), eigenvalues)
+        assert all(stability(d).stable for d in drifts)
+        batch = spectrum_peak(BeamBlocks.of(drifts, n_ths))
         for p, (d, n_th) in enumerate(zip(drifts, n_ths)):
-            alone = spectrum_peak(BeamBlocks.of([d], [n_th]), eigenvalues[p:p + 1])
+            alone = spectrum_peak(BeamBlocks.of([d], [n_th]))
             assert [float(c[p]).hex() for c in batch] == [float(c[0]).hex() for c in alone]
         uncoupled = [pt[0] == 0.0 for pt in points]
         assert (batch[1] == 0).tolist() == uncoupled

@@ -8,10 +8,12 @@ from entrate.closedforms import full_model_correlators_resonant, pair_rate_close
 from entrate.errors import UnstableSystemError
 from entrate.gaussian import covariance_from_correlators, symplectic_spectrum
 from entrate.models import (BEAM_BLOCK, DriftMatrix, EffectiveModelParams,
-                            FullModelParams, drift_effective, drift_full, stability)
-from entrate.rates import spectral_density
-from entrate.scattering import (_det, _pair_rate, correlator_batch, output_correlators,
-                                output_spectrum, pair_rate_numeric)
+                            FullModelParams, drift_effective, drift_full, stability,
+                            stability_gate)
+from entrate.rates import spectral_density, spectral_density_batch
+from entrate.scattering import (BeamBlocks, _det, _pair_rate, correlator_batch,
+                                output_correlators, output_spectrum, pair_rate_numeric,
+                                spectrum_parts)
 from entrate.verify import block_scattering, effective_scattering_oracle
 from lu_reference import (input_noise_matrix, intra_beam_correlator, scattering_matrices,
                           scattering_matrix)
@@ -284,6 +286,28 @@ class TestBlockKernel:
         k_sig = np.diag([1.0, -1.0, 1.0][:s.shape[0]])
         scale = max(1.0, float(np.max(np.abs(s))) ** 2)
         assert np.max(np.abs(s @ k_sig @ s.conj().T - k_sig)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("kernel", [spectral_density_batch, spectrum_parts,
+                                        correlator_batch])
+    def test_singular_response_at_a_marginal_point(self, kernel):
+        # g = 2, delta = 2, Delta = -0.5 sits on the boundary (max Re eig =
+        # -2.5e-32): det(m + i omega) vanishes at omega = 0, and the error
+        # names the margin of the batch's eigenvalues
+        d = eff_drift(g=2.0, delta=2.0, Delta=-0.5)
+        with pytest.raises(UnstableSystemError, match="singular response matrix") as exc:
+            kernel(d, np.array([1.0, 0.0]))
+        assert exc.value.max_real_part == stability(d).max_real_part < 0
+
+    def test_batch_eigenvalues_are_the_gate_s(self):
+        drifts = [full_drift(), full_drift(Delta=0.3, delta=-4.0), full_drift(g=0.0),
+                  full_drift(Delta=-0.5, delta=10.0)]
+        blocks = BeamBlocks.of(drifts, [0.0, 5.0, 1.0, 0.0])
+        eigenvalues, _, _ = stability_gate(np.array([d.beam_block[0] for d in drifts]))
+        assert blocks.eigenvalues.tobytes() == eigenvalues.tobytes()
+        idx = np.array([3, 0, 2])
+        part = blocks.take(idx)
+        assert part.eigenvalues.tobytes() == eigenvalues[idx].tobytes()
+        assert part.m.tobytes() == blocks.m[idx].tobytes()
 
     def test_block_coupled_to_partner_rejected(self):
         d = full_drift(delta=10.0)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from entrate import cli
-from entrate.models import FullModelParams, drift_full, stability
+from entrate.models import FullModelParams, drift_full
 from entrate.rates import entanglement_rate, spectrum_peak
 from entrate.scattering import BeamBlocks, spectrum_parts
 from entrate.sweep import SweepAxis, SweepConfig, run_sweep
@@ -172,8 +172,7 @@ class TestRunSweep:
                              quantities=["spectrum"], jobs=1)
         for row in run_sweep(config).rows:
             d = drift_full(FullModelParams(g=5.0, Gamma=1e-3, delta=row.axis_values[0]))
-            (omega,), (height,) = spectrum_peak(BeamBlocks.of([d], [50.0]),
-                                                stability(d).eigenvalues[None])
+            (omega,), (height,) = spectrum_peak(BeamBlocks.of([d], [50.0]))
             assert (row.values["spectrum_peak_omega"], row.values["spectrum_peak"]) == (
                 omega, height)
             assert height >= np.max(np.add(*spectrum_parts(d, frequency_grid(d), 50.0)))
@@ -346,7 +345,11 @@ class TestCliCommands:
         # model's rules fails every point: a usage error, as for rate
         (["sweep", "--model", "effective", "--axis", "Delta:-0.6:-0.5:2"],
          "delta must be nonzero"),
-        (["sweep", "--gamma", "0", "--axis", "delta:-1:1:3"], "Gamma must be positive")])
+        (["sweep", "--gamma", "0", "--axis", "delta:-1:1:3"], "Gamma must be positive"),
+        # a repeated quantity would repeat a CSV column but not a JSON key
+        (["sweep", "--model", "effective", "--g", "5", "--delta", "10", "--axis",
+          "Delta:-0.3:0.3:2", "--quantity", "pair_rate", "--quantity", "pair_rate"],
+         "quantities must be distinct")])
     def test_non_finite_input_is_usage_error(self, argv, message, capsys):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -537,7 +540,8 @@ class TestCliCommands:
                 ({"quantities": {"gamma_E": 1}},
                  "quantities must be a list of names, got {'gamma_E': 1}"),
                 ({"quantities": ["E_max", 3]},
-                 "quantities must be a list of names, got ['E_max', 3]")):
+                 "quantities must be a list of names, got ['E_max', 3]"),
+                ({"quantities": ["E_max", "E_max"]}, "quantities must be distinct")):
             cfg.write_text(json.dumps({**base, **change}))
             capsys.readouterr()
             assert run_cli(["sweep", "--config", str(cfg)]) == 2

@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from entrate.models import (EffectiveModelParams, FullModelParams, drift_effective, drift_full,
-                            stability)
+from entrate.models import EffectiveModelParams, FullModelParams, drift_effective, drift_full
 from entrate.rates import _panel_omegas, log_negativity, spectral_density
-from entrate.scattering import correlator_batch
+from entrate.scattering import BeamBlocks, correlator_batch
 from entrate.wannier import (DEFAULT_CUTOFF, EPSREL, FilterSpec, filtered_entanglement,
                              kernel_normalization, kernel_tail_bound, wannier_kernel,
                              wannier_kernel_array)
@@ -235,7 +234,6 @@ class TestFilteredEntanglement:
             assert e == pytest.approx(0.0, abs=1e-9)
 
     def test_builds_its_beam_blocks_once(self, monkeypatch):
-        from entrate.scattering import BeamBlocks
         built = []
         of = BeamBlocks.of.__func__
         monkeypatch.setattr(BeamBlocks, "of",
@@ -258,8 +256,8 @@ class TestFilteredEntanglement:
             return np.stack([nu_plus, nu_minus, xi.real, xi.imag])
 
         # the runtime's edges: the rate's resonance ladders in omega
-        decay = d.beam_block[1][None]
-        (omegas,) = _panel_omegas(stability(d).eigenvalues[None], decay, decay.max(axis=1))
+        blocks = BeamBlocks.of([d], [n_th])
+        (omegas,) = _panel_omegas(blocks.eigenvalues, blocks.decay, blocks.decay.max(axis=1))
         seeds = unwarp(tau * (omegas[np.isfinite(omegas)] - omega))
         seeds = seeds[np.abs(seeds) < half]
         s_scale = float(np.max(np.abs(parts(np.append(seeds, 0.0))))) + 1e-12
