@@ -19,9 +19,9 @@ drift_effective are its case of one point with the partner placed by the
 ordering. The drift's eigenvalues are the block's and their conjugates, so
 stability is decided from the block's k eigenvalues: stability_gate solves
 a stack of beam blocks at once and gives the eigenvalues and verdicts as
-arrays, which the rate and the sweep gate on and stack with the blocks
-(scattering.BeamBlocks); stability is its report on one drift. Every
-eigen-solve of the package's rate path goes through eigvals.
+arrays, for the package's one gate (scattering.BeamBlocks.gate);
+stability is its report on one drift. Every eigen-solve of the package's
+rate path goes through eigvals.
 """
 
 from __future__ import annotations
@@ -177,15 +177,15 @@ def beam_blocks(model: str, params: Mapping[str, ArrayLike],
                            dict[int, str]]:
     """The beam blocks (a+, a-^dag[, b]) of model "full" or "effective" at
     the P points of params: the fields of its parameter set as numbers or
-    arrays that broadcast (defaults where left out; the other model's names
-    are ignored). Returns m (V, k, k), decay (V, k) and n_th (V,) of the V
-    valid points in order, and the ValueError message of each invalid
-    point by index."""
+    arrays that broadcast, the points in C order (defaults where left out;
+    the other model's names are ignored). Returns m (V, k, k), decay (V, k)
+    and n_th (V,) of the V valid points in order, and the ValueError
+    message of each invalid point by index."""
     cls = _MODELS[model]
-    cols = dict(zip(cls.__match_args__, np.broadcast_arrays(*(
-        np.atleast_1d(np.asarray(params[f.name] if f.default is MISSING
-                                 else params.get(f.name, f.default), dtype=float))
-        for f in fields(cls)))))
+    cols = dict(zip(cls.__match_args__, (c.ravel() for c in np.broadcast_arrays(*(
+        np.asarray(params[f.name] if f.default is MISSING
+                   else params.get(f.name, f.default), dtype=float)
+        for f in fields(cls))))))
     errors = _errors(cls, cols)
     valid = np.delete(np.arange(cols["g"].size), list(errors))
     return (*_BUILDERS[model](**{name: c[valid] for name, c in cols.items()}), errors)

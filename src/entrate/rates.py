@@ -133,19 +133,18 @@ singular point, Piessens et al. 1983). Centres closer than a linewidth
 merge into the narrowest.
 
 The problem axis. _rates computes the rates of P stable beam blocks of one
-model (scattering.BeamBlocks, with the gate's eigenvalues: entanglement_rates
-stacks its stable drifts, a sweep each chunk of its stable grid points)
-together: the polynomials D, V and K of every problem (computed once, for
-the peaks and the flanks), the peak and crossing polynomials and their
-roots (stacked eigen-solves of the companion matrices), one Gauss-Kronrod
-loop whose panels carry a problem id and whose first kernel pass measures
-the peaks and the flank starts too, and one FWHM polish, each step batched
-kernel passes over all problems. Every decision
-is taken per problem from that problem's numbers, and the kernel and the
-polynomial steps are elementwise, so a result does not depend on the
-batch it was computed in: entanglement_rate is the call with P = 1, and a
-sweep's rows equal it bit for bit.
-spectrum_peak runs on the same axis, one kernel pass per degree of
+model (the batch scattering.BeamBlocks.gate passes, with its eigenvalues:
+entanglement_rates gates its drifts, a sweep its grid) together: the
+polynomials D, V and K of every problem (computed once, for the peaks and
+the flanks), the peak and crossing polynomials and their roots (stacked
+eigen-solves of the companion matrices), one Gauss-Kronrod loop whose
+panels carry a problem id and whose first kernel pass measures the peaks
+and the flank starts too, and one FWHM polish, each step batched kernel
+passes over all problems. Every decision is taken per problem from that
+problem's numbers, and the kernel and the polynomial steps are
+elementwise, so a result does not depend on the batch it was computed in:
+entanglement_rate is the call with P = 1, and a sweep's rows equal it bit
+for bit. spectrum_peak runs on the same axis, one kernel pass per degree of
 N' D - N D'.
 """
 
@@ -157,15 +156,14 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from numpy.linalg import LinAlgError
 
-from .errors import QuadratureError, UnstableSystemError
-from .models import PAIRING_DEFECT_TOL, DriftMatrix, eigvals, n_th_errors, stability_gate
+from .errors import QuadratureError
+from .models import PAIRING_DEFECT_TOL, DriftMatrix, eigvals
 # unused here, but the benchmark tracer wraps these names in rates
 from .models import stability  # noqa: F401
 from .quadutil import adaptive_gk_batch
 from .quadutil import adaptive_gk_batch as adaptive_gk, bisect_all  # noqa: F401
-from .scattering import BeamBlocks, _gram, _one_model, _require_stable, _spectrum
+from .scattering import BeamBlocks, _gram, _spectrum
 from .scattering import correlator_batch  # noqa: F401
 
 #: Ratio of consecutive Gauss-Kronrod panel edges going out from a resonance.
@@ -246,8 +244,8 @@ def _reciprocal_blocks(d: DriftMatrix, n_th: float) -> BeamBlocks:
 def spectral_density_batch(d: DriftMatrix, omegas: np.ndarray,
                            n_th: float = 0.0) -> np.ndarray:
     """E[omega] over a frequency grid from the Gram form (module
-    docstring); raises ValueError when the beam block is not reciprocal,
-    no stability check."""
+    docstring); raises the gate's failure (BeamBlocks.of) where d is not
+    stable, and ValueError when its beam block is not reciprocal."""
     return _gram(_reciprocal_blocks(d, n_th), omegas, _gram_density)
 
 
@@ -255,15 +253,13 @@ def spectrum_and_density(d: DriftMatrix, omegas: np.ndarray, n_th: float = 0.0,
                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(optical, mechanical, E) over a frequency grid from one kernel pass:
     scattering.spectrum_parts and spectral_density_batch at once, equal to
-    them bit for bit; raises ValueError when the beam block is not
-    reciprocal, no stability check."""
+    them bit for bit; raises as spectral_density_batch does."""
     return _gram(_reciprocal_blocks(d, n_th), omegas,
                  lambda *terms: (*_spectrum(*terms), _gram_density(*terms)))
 
 
 def spectral_density(d: DriftMatrix, omega: float, n_th: float = 0.0) -> float:
     """Spectral density of entanglement at one frequency."""
-    _require_stable(d)
     return float(spectral_density_batch(d, np.array([omega]), n_th)[0])
 
 
@@ -625,7 +621,7 @@ def spectrum_peak(blocks: BeamBlocks) -> tuple[np.ndarray, np.ndarray]:
     (g = 0). N' D - N D' keeps its exact leading zeros (N has degree 2k - 4,
     or 0 without the thermal input), so the rows go through in groups of
     one degree, a kernel pass each; elementwise along the problem axis, so
-    a row does not depend on the batch. No stability check."""
+    a row does not depend on the batch."""
     s = _scale(blocks.eigenvalues, blocks.decay)
     dp, _, _, n = _beam_polynomials(blocks, s)
     table = _derivatives([n, dp])
@@ -663,49 +659,23 @@ def entanglement_rates(drifts: Sequence[DriftMatrix], n_ths: Sequence[float],
     computation (module docstring); each result equals entanglement_rate of
     its drift alone bit for bit. A problem that fails gets its exception in
     its slot instead of a RateResult, and the others are unaffected: the
-    ValueError of a beam block coupled to its partner or of an n_th that is
-    not a finite number >= 0, the LinAlgError of a block with a non-finite
-    entry, the UnstableSystemError of a block that models.stability_gate
-    does not pass, the ValueError of a block that is not reciprocal, or a
-    QuadratureError."""
+    failure of a drift that does not pass the gate
+    (scattering.BeamBlocks.gate_drifts), the ValueError of a block that is
+    not reciprocal, or a QuadratureError."""
     _check_tol(tol)
     drifts = list(drifts)
-    n_ths = [float(n) for n in n_ths]
-    if len(n_ths) != len(drifts):
-        raise ValueError("one n_th per drift is needed")
-    out: list[RateResult | Exception | None] = [None] * len(drifts)
-    bad_n_th = n_th_errors(n_ths)
-    live, m, decay = [], [], []
-    for i, d in enumerate(drifts):
-        try:
-            block, rates = d.beam_block
-        except ValueError as exc:
-            out[i] = exc
-            continue
-        if i in bad_n_th:
-            out[i] = ValueError(bad_n_th[i])
-        elif not np.logical_and.reduce(np.isfinite(block), axis=None):
-            # the stacked eigen-solve would raise for the whole batch
-            out[i] = LinAlgError("Array must not contain infs or NaNs")
-        else:
-            live.append(i)
-            m.append(block)
-            decay.append(rates)
-    if not live:
+    blocks, places, failures = BeamBlocks.gate_drifts(drifts, n_ths)
+    out: list[RateResult | Exception | None] = [failures.get(i) for i in range(len(drifts))]
+    if not places:
         return out
-    m = _one_model(m)
-    eigenvalues, margin, stable = stability_gate(m)
-    ok = stable & _reciprocal(m)
-    decay, n_th = np.array(decay), np.array([n_ths[i] for i in live])
-    if not np.logical_and.reduce(ok):
-        for j in (~ok).nonzero()[0].tolist():
-            out[live[j]] = (_not_reciprocal(m.shape[-1]) if stable[j]
-                            else UnstableSystemError(margin[j]))
-        live = [i for i, good in zip(live, ok.tolist()) if good]
-        m, decay, n_th, eigenvalues = m[ok], decay[ok], n_th[ok], eigenvalues[ok]
-    if live:
-        for i, result in zip(live, _rates(BeamBlocks.stack(m, decay, n_th, eigenvalues), tol)):
-            out[i] = result
+    reciprocal = _reciprocal(blocks.m)
+    if not np.logical_and.reduce(reciprocal):
+        for j in (~reciprocal).nonzero()[0].tolist():
+            out[places[j]] = _not_reciprocal(blocks.k)
+        places = [i for i, good in zip(places, reciprocal.tolist()) if good]
+        blocks = blocks.take(reciprocal.nonzero()[0])
+    for i, result in zip(places, _rates(blocks, tol) if places else []):
+        out[i] = result
     return out
 
 

@@ -71,7 +71,7 @@ one frequency array with a problem id per point, gathers each point's
 coefficients and is elementwise from there on, so a point's value does
 not depend on which other points or problems share the call. rates builds
 its crossing polynomials from the same coefficients, its panels from the
-eigenvalues.
+eigenvalues; every batch passes BeamBlocks.gate, the package's one gate.
 
 The photon pair rate of the effective model needs no quadrature. On its
 2x2 beam block n_plus - 1/2 = |s_+-|^2 = kappa_+ kappa_- |R_+-|^2 with
@@ -93,8 +93,9 @@ from numpy.typing import NDArray
 from .errors import UnstableSystemError
 from .gaussian import CorrelatorTriple
 from .models import (DriftMatrix, EffectiveModelParams, drift_effective, eigvals,
-                     n_th_errors, stability, stability_gate)
-# unused here, but the benchmark tracer wraps scattering.adaptive_gk
+                     n_th_errors, stability_gate)
+# unused here, but the benchmark tracer wraps these names in scattering
+from .models import stability  # noqa: F401
 from .quadutil import adaptive_gk_batch as adaptive_gk  # noqa: F401
 
 
@@ -108,13 +109,6 @@ class SpectrumPoint:
     total: float
     optical_part: float
     mechanical_part: float
-
-
-def _require_stable(d: DriftMatrix) -> None:
-    """Raise UnstableSystemError unless d is stable."""
-    rep = stability(d)
-    if not rep.stable:
-        raise UnstableSystemError(rep.max_real_part)
 
 
 def _det(m: NDArray[np.complex128]) -> NDArray[np.complex128]:
@@ -154,14 +148,6 @@ def _gaussian_det(k: int, v: list[int]) -> tuple[int, int]:
             ar * ui + ai * ur - (br * vi + bi * vr) + cr * wi + ci * wr)
 
 
-def _one_model(m: Sequence[np.ndarray]) -> np.ndarray:
-    """The beam blocks m stacked (P, k, k); raises ValueError when they
-    mix the models."""
-    if len({b.shape for b in m}) != 1:
-        raise ValueError("a batch of beam blocks needs drifts of one model")
-    return np.array(m)
-
-
 #: Block entries (row, column) of A besides det, with + = 0, - = 1, b = 2:
 #: the correlators use the first three (effective model) or all seven
 #: (full model), the Gram form only A_+b and A_-b (full model).
@@ -178,35 +164,89 @@ _EYE = {k: np.eye(k) for k in (2, 3)}
 @dataclass(frozen=True)
 class BeamBlocks:
     """Beam blocks of P drifts of one model, stacked along a problem axis,
-    with their eigenvalues (models.stability_gate) and the coefficients of
-    the adjugate kernel (module docstring): adj[p, j] multiplies
-    t^(k-1-j) in A(t) and char[p, j] multiplies t^(k-j) in det(m + t)."""
+    with their eigenvalues (gate) and, computed on first use, the kernel
+    coefficients (module docstring): adj[p, j] multiplies t^(k-1-j) in A(t)
+    and char[p, j] t^(k-j) in det(m + t). The constructor checks nothing."""
 
     m: NDArray[np.complex128]        # (P, k, k)
     decay: NDArray[np.float64]       # (P, k)
     n_th: NDArray[np.float64]        # (P,)
     eigenvalues: NDArray[np.complex128]  # (P, k)
-    adj: NDArray[np.complex128]      # (P, k, k, k)
-    char: NDArray[np.complex128]     # (P, k + 1)
+
+    @classmethod
+    def gate(cls, m: NDArray[np.complex128], decay: NDArray[np.float64], n_th: NDArray[np.float64],
+             ) -> tuple["BeamBlocks", NDArray[np.intp], NDArray[np.float64], dict[int, Exception]]:
+        """Of the stacked beam blocks m (P, k, k), decays (P, k) and n_th (P,):
+        the batch that passes, with the eigenvalues of one stacked solve
+        (models.stability_gate), its places among the P, each margin max Re(eig)
+        (NaN where unsolved; a solved block not in the batch is not stable) and
+        the failure of each unsolved block by place: the ValueError of an n_th
+        that is not a finite number >= 0, else the LinAlgError of a non-finite entry."""
+        failures = {i: ValueError(e) for i, e in n_th_errors(n_th.tolist()).items()}
+        solved = np.logical_and.reduce(np.isfinite(m), axis=(1, 2))
+        for i in (~solved).nonzero()[0].tolist():
+            # the stacked eigen-solve would raise for the whole batch
+            failures.setdefault(i, np.linalg.LinAlgError("Array must not contain infs or NaNs"))
+        solved[list(failures)] = False
+        solved = solved.nonzero()[0]
+        eigenvalues, solved_margin, stable = stability_gate(m[solved])
+        if not failures and np.logical_and.reduce(stable):
+            return cls(m, decay, n_th, eigenvalues), solved, solved_margin, failures
+        margin = np.full(len(m), np.nan)
+        margin[solved] = solved_margin
+        passed = solved[stable]
+        blocks = cls(m[passed], decay[passed], n_th[passed], eigenvalues[stable])
+        return blocks, passed, margin, failures
+
+    @classmethod
+    def gate_drifts(cls, drifts: Sequence[DriftMatrix], n_ths: Sequence[float],
+                    ) -> tuple["BeamBlocks | None", list[int], dict[int, Exception]]:
+        """gate on the drifts' beam blocks, one n_th each: the batch (None where
+        no drift has one), the drifts' places in it and each other drift's
+        failure by place, the first of: the ValueError of a block coupled to
+        its partner, a failure of gate, the UnstableSystemError, carrying the
+        margin, of a block that is not stable. Raises ValueError on mixed models."""
+        drifts, n_ths = list(drifts), [float(n) for n in n_ths]
+        if len(n_ths) != len(drifts):
+            raise ValueError("one n_th per drift is needed")
+        failures: dict[int, Exception] = {}
+        extracted = []
+        for i, d in enumerate(drifts):
+            try:
+                extracted.append((i, *d.beam_block, n_ths[i]))
+            except ValueError as exc:
+                failures[i] = exc
+        if not extracted:
+            return None, [], failures
+        places, m, decay, n_th = zip(*extracted)
+        if len({b.shape for b in m}) != 1:
+            raise ValueError("a batch of beam blocks needs drifts of one model")
+        blocks, passed, margin, failed = cls.gate(np.array(m), np.array(decay), np.array(n_th))
+        passed = passed.tolist()
+        failed.update((j, UnstableSystemError(margin[j]))
+                      for j in set(range(len(places))).difference(passed, failed))
+        failures.update((places[j], exc) for j, exc in failed.items())
+        return blocks, [places[j] for j in passed], failures
 
     @classmethod
     def of(cls, drifts: Sequence[DriftMatrix], n_ths: Sequence[float]) -> "BeamBlocks":
-        """The beam blocks of the drifts with their eigenvalues; raises
-        ValueError when a drift couples its block to the partner, an n_th
-        is not a finite number >= 0 (models.n_th_errors) or the drifts mix
-        the models, LinAlgError when a block has a non-finite entry."""
-        m, decay = zip(*(d.beam_block for d in drifts))
-        errors = n_th_errors(n_ths)
-        if errors:
-            raise ValueError(next(iter(errors.values())))
-        m = _one_model(m)
-        return cls.stack(m, np.array(decay), np.asarray(n_ths, dtype=float), stability_gate(m)[0])
+        """The gated beam blocks of the drifts (gate_drifts); raises the
+        failure of the first drift that does not pass."""
+        blocks, _, failures = cls.gate_drifts(drifts, n_ths)
+        if failures:
+            raise failures[min(failures)]
+        return blocks
 
-    @classmethod
-    def stack(cls, m: NDArray[np.complex128], decay: NDArray[np.float64],
-              n_th: NDArray[np.float64], eigenvalues: NDArray[np.complex128]) -> "BeamBlocks":
-        """The stacked beam blocks m (P, k, k) with their decays (P, k) and
-        n_th (P,) of models.beam_blocks, and eigenvalues (P, k) of the gate."""
+    @property
+    def k(self) -> int:
+        return self.m.shape[1]
+
+    def __len__(self) -> int:
+        return self.m.shape[0]
+
+    @cached_property
+    def _coefficients(self) -> tuple[NDArray[np.complex128], NDArray[np.complex128]]:
+        m = self.m
         n, k = m.shape[:2]
         eye = _EYE[k]
         adj = np.empty((n, k, k, k), dtype=complex)
@@ -224,19 +264,17 @@ class BeamBlocks:
             adj_m[:, 1, 0], adj_m[:, 1, 1] = -m[:, 1, 0], m[:, 0, 0]
         char[:, 1] = tr
         char[:, -1] = _det(m)
-        return cls(m, decay, n_th, eigenvalues, adj, char)
+        return adj, char
 
-    @property
-    def k(self) -> int:
-        return self.m.shape[1]
-
-    def __len__(self) -> int:
-        return self.m.shape[0]
+    adj = property(lambda self: self._coefficients[0])
+    char = property(lambda self: self._coefficients[1])
 
     def take(self, idx: np.ndarray) -> "BeamBlocks":
-        """The sub-batch of the problems idx."""
-        return BeamBlocks(self.m[idx], self.decay[idx], self.n_th[idx], self.eigenvalues[idx],
-                          self.adj[idx], self.char[idx])
+        """The sub-batch of the problems idx, with any coefficients computed."""
+        part = BeamBlocks(self.m[idx], self.decay[idx], self.n_th[idx], self.eigenvalues[idx])
+        if "_coefficients" in self.__dict__:
+            part.__dict__["_coefficients"] = tuple(c[idx] for c in self._coefficients)
+        return part
 
     def _table(self, entries: Sequence[tuple[int, int]], weights: list[np.ndarray],
                ) -> tuple[np.ndarray, np.ndarray]:
@@ -296,7 +334,8 @@ def _passes(blocks: BeamBlocks, omegas: np.ndarray, pid: np.ndarray | None,
     _CHUNK; each point's inputs are gathered by its problem id and every
     operation after that is elementwise on arrays of the pass's length, so
     a point's values do not depend on the rest of the call. Raises
-    UnstableSystemError at a root of det; no other stability check."""
+    UnstableSystemError at a root of det, which no block that passed the
+    gate has on the real line."""
     coef, weights = table
     omegas = np.ascontiguousarray(omegas, dtype=float).ravel()
     if pid is None:
@@ -365,7 +404,7 @@ def _gram(blocks: BeamBlocks, omegas: np.ndarray, finish, pid: np.ndarray | None
     mechanical part of the spectrum times D, M = n_th kappa_+ Gamma
     |A_+b|^2; T = M = 0 on the effective model. One Horner pass evaluates
     det, A_+b and A_-b only. Needs a reciprocal block (|A_b+-| = |A_+-b|)
-    for E; no stability check."""
+    for E."""
     def terms(h: np.ndarray, det2: np.ndarray, wt: np.ndarray):
         if len(h) == 1:
             return finish(det2, wt[0], 0.0, 0.0)
@@ -386,14 +425,12 @@ def _spectrum(d2: np.ndarray, k_pair: np.ndarray, thermal, mechanical,
 def correlator_batch(d: DriftMatrix, omegas: np.ndarray, n_th: float = 0.0,
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(nu_plus, nu_minus, xi, q - 1/4) arrays over a frequency grid, from
-    the kernel for one problem (see _kernel). No stability check (meant for
-    integrators that have already verified it)."""
+    the kernel for one problem (see _kernel), d gated by BeamBlocks.of."""
     return _kernel(BeamBlocks.of([d], [n_th]), omegas)
 
 
 def output_correlators(d: DriftMatrix, omega: float, n_th: float = 0.0) -> CorrelatorTriple:
     """Correlator triple of the output beams at (omega, -omega)."""
-    _require_stable(d)
     nu_plus, nu_minus, xi, _ = correlator_batch(d, np.array([omega]), n_th)
     return CorrelatorTriple(0.5 + float(nu_plus[0]), 0.5 + float(nu_minus[0]), complex(xi[0]))
 
@@ -404,16 +441,14 @@ def spectrum_parts(d: DriftMatrix, omegas: np.ndarray, n_th: float = 0.0,
     over a frequency grid, from the Gram form: the optical part
     |s_+-|^2 comes from the vacuum input of beam 2, the mechanical part
     n_th |s_+b|^2 from the thermal mechanical input (zero for the effective
-    model). No stability check."""
+    model), d gated by BeamBlocks.of."""
     return _gram(BeamBlocks.of([d], [n_th]), omegas, _spectrum)
 
 
 # only tests call it; it stays bound because the benchmark tracer wraps it
 def output_spectrum(d: DriftMatrix, omega: float, n_th: float = 0.0) -> SpectrumPoint:
     """Channel-resolved output intensity spectrum of beam 1 at one
-    frequency, total = n_plus(omega) - 1/2: spectrum_parts at one point,
-    after a stability check."""
-    _require_stable(d)
+    frequency, total = n_plus(omega) - 1/2: spectrum_parts at one point."""
     optical, mechanical = np.concatenate(spectrum_parts(d, np.array([omega]), n_th)).tolist()
     return SpectrumPoint(omega=float(omega), total=optical + mechanical,
                          optical_part=optical, mechanical_part=mechanical)
@@ -424,17 +459,15 @@ def pair_rate_numeric(p: EffectiveModelParams) -> float:
     effective optical model, exactly: kappa_+ kappa_- P_++ from the Gramian
     of the module docstring, with the Lyapunov equation solved as the
     linear system (m (x) I + I (x) conj(m)) vec P = -vec(e_- e_-^T)."""
-    d = drift_effective(p)
-    _require_stable(d)
-    m, decay = d.beam_block
-    return float(_pair_rate(m[None], decay[None])[0])
+    blocks = BeamBlocks.of([drift_effective(p)], [0.0])
+    return float(_pair_rate(blocks.m, blocks.decay)[0])
 
 
 def _pair_rate(m: NDArray[np.complex128], decay: NDArray[np.float64]) -> NDArray[np.float64]:
     """pair_rate_numeric of each effective-model beam block of the stack m
-    (P, 2, 2) with its decays (P, 2), from one stacked solve; no stability
-    check. LAPACK solves the stacked systems one by one, so each rate equals
-    that of its block alone bit for bit."""
+    (P, 2, 2) with its decays (P, 2), from one stacked solve, for blocks
+    that passed the gate. LAPACK solves the stacked systems one by one, so
+    each rate equals that of its block alone bit for bit."""
     eye = np.eye(2)
     rhs = np.array([0.0, 0.0, 0.0, -1.0])      # -vec(e_- e_-^T), row-major
     try:

@@ -1,11 +1,11 @@
 """Deterministic parameter sweeps over 1-d or 2-d grids.
 
 A sweep builds the beam blocks of the valid grid points from the grid's
-parameter columns in one models.beam_blocks call, gates them on one
-stacked k x k eigen-solve (models.stability_gate), and computes the
-stable points' quantities in contiguous chunks, one chunk per worker of a
-process pool when jobs != 1. A chunk is one scattering.BeamBlocks (the
-blocks with the gate's eigenvalues; no DriftMatrix is built), and each
+parameter columns in one models.beam_blocks call, passes them through
+scattering.BeamBlocks.gate (one stacked k x k eigen-solve), and computes
+the stable points' quantities in contiguous chunks, one chunk per worker
+of a process pool when jobs != 1. A chunk is one scattering.BeamBlocks
+(the gated blocks with their eigenvalues; no DriftMatrix is built), and each
 quantity runs once per chunk on that problem axis: the rate fields in one
 rates._rates call, the pair rates in one stacked solve and the spectrum
 peaks in one rates.spectrum_peak call. A batched value equals the
@@ -391,18 +391,18 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     m, decay, n_th, errors = models.beam_blocks(config.model, {
         **_DEFAULTS[config.model], **config.fixed,
         **{a.name: c for a, c in zip(config.axes, grid)}})
+    valid = np.delete(np.arange(len(points)), list(errors))
+    blocks, stable, margin, failures = scattering.BeamBlocks.gate(m, decay, n_th)
     computed: dict[int, dict[str, float] | str] = {
         i: f"failed: {message}" for i, message in errors.items()}
-    valid = np.delete(np.arange(len(points)), list(errors))
-    eigenvalues, margin, verdict = models.stability_gate(m)
-    stable = verdict.nonzero()[0]
+    # an unstable point has no entry: its row says so
+    computed.update((valid[j].item(), f"failed: {exc}") for j, exc in failures.items())
     # jobs = 0: the CPUs this process may run on
     cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
              else os.cpu_count() or 1)
     jobs = min(config.jobs if config.jobs > 0 else cores, stable.size)
-    payloads = [(quantities, config.tol,
-                 scattering.BeamBlocks.stack(m[c], decay[c], n_th[c], eigenvalues[c]))
-                for c in np.array_split(stable, max(jobs, 1)) if c.size]
+    payloads = [(quantities, config.tol, blocks.take(c))
+                for c in np.array_split(np.arange(stable.size), max(jobs, 1)) if c.size]
     if jobs <= 1 or stable.size < 4:
         results = [_eval_chunk(p) for p in payloads]
     else:

@@ -46,7 +46,7 @@ import numpy as np
 from .models import DriftMatrix
 from .quadutil import adaptive_gk_batch
 from .rates import _panel_omegas, log_negativity
-from .scattering import BeamBlocks, _kernel, _require_stable
+from .scattering import BeamBlocks, _kernel
 
 DEFAULT_CUTOFF = 100_000
 
@@ -142,7 +142,6 @@ def filtered_entanglement(d: DriftMatrix, n_th: float,
         raise ValueError("filters must sit at opposite centers (+omega, -omega)")
     if shape not in ("wannier", "lorentzian"):
         raise ValueError(f"unknown filter shape {shape!r}")
-    _require_stable(d)
 
     tau = spec1.tau
     wc = spec1.omega_center

@@ -16,7 +16,6 @@ from entrate.closedforms import full_model_correlators_resonant
 from entrate.gaussian import CorrelatorTriple
 from entrate.models import DriftMatrix, EffectiveModelParams, FullModelParams
 from entrate.rates import log_negativity, spectral_density_batch
-from entrate.scattering import _require_stable
 from entrate.wannier import DEFAULT_CUTOFF, _check_kernel_args, kernel_normalization
 
 
@@ -31,7 +30,6 @@ def symmetrized_density(d: DriftMatrix, omega: float, n_th: float = 0.0) -> floa
     """One-sided density E_N[omega] = E[omega] + E[-omega], omega > 0."""
     if omega <= 0:
         raise ValueError("the symmetrized density is defined for omega > 0")
-    _require_stable(d)
     return float(spectral_density_batch(d, np.array([omega, -omega]), n_th).sum())
 
 

@@ -273,6 +273,26 @@ class TestBeamBlock:
         assert errors == {1: "delta must be nonzero (the pair coupling is g^2/4delta)"}
         assert m.shape == (1, 2, 2)
 
+    @pytest.mark.parametrize("model, params", [
+        ("full", {"g": 5.0, "Gamma": 1e-3, "delta": np.linspace(-15.0, 15.0, 25)[None],
+                  "Delta": np.linspace(-1.5, 1.5, 25)[:, None]}),
+        ("full", {"g": np.array([[1.0], [-1.0], [2.0]]), "Gamma": [1e-3, 0.0, 0.5, 1e-3],
+                  "n_th": np.array([[[0.0]], [[-2.0]]])}),
+        ("effective", {"g": np.array([[1.0], [2.0]]), "delta": 10.0}),
+        ("effective", {"g": np.array([[1.0], [2.0]]), "delta": [10.0, 0.0, -4.0]})],
+        ids=["full_map", "full_invalid", "effective_column", "effective_invalid"])
+    def test_broadcast_points_in_c_order(self, model, params):
+        # arrays of any shape that broadcast: the points in C order, as the
+        # raveled broadcast columns give them, bit for bit, and so are the
+        # indices of the invalid points
+        shape = np.broadcast_shapes(*(np.shape(v) for v in params.values()))
+        raveled = {name: np.broadcast_to(v, shape).ravel() for name, v in params.items()}
+        got, want = beam_blocks(model, params), beam_blocks(model, raveled)
+        for a, b in zip(got[:3], want[:3]):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert got[3] == want[3]
+        assert len(got[0]) + len(got[3]) == math.prod(shape)
+
 
 class TestStabilityBoundary:
     def test_reference_roots(self):

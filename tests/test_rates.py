@@ -600,12 +600,9 @@ class TestCountedWork:
                                                         np.linspace(-1.5, 1.5, 25)))
         m, decay, n_th, _ = beam_blocks("full", {"g": 5.0, "Gamma": 1e-3, "n_th": 0.0,
                                                  "delta": delta, "Delta": Delta})
-        eigenvalues, _, verdict = stability_gate(m)
-        stable = np.flatnonzero(verdict)
-        assert stable.size == 143
-        for blocks in (BeamBlocks.of([d], [0.0]),
-                       BeamBlocks.stack(m[stable], decay[stable], n_th[stable],
-                                        eigenvalues[stable])):
+        stable, places, _, _ = BeamBlocks.gate(m, decay, n_th)
+        assert places.size == 143
+        for blocks in (BeamBlocks.of([d], [0.0]), stable):
             passes.clear()
             rates._rates(blocks, 1e-6)
             s = _scale(blocks.eigenvalues, blocks.decay)
@@ -623,9 +620,16 @@ class TestCountedWork:
         d = full_drift(delta=10.0)
         spectrum_peak(BeamBlocks.of([d], [50.0]))
         assert passes == [2 * 7]
+        # Delta = 0.7 is unstable: the gate rejects the batch, and the peaks
+        # of a batch stacked without it still take one pass per degree
         drifts = [d, full_drift(g=0.0), full_drift(delta=-3.0), full_drift(Delta=0.7),
                   full_drift(delta=5.0)]
-        spectrum_peak(BeamBlocks.of(drifts, [50.0, 50.0, 0.0, 10.0, 0.0]))
+        n_ths = [50.0, 50.0, 0.0, 10.0, 0.0]
+        with pytest.raises(UnstableSystemError) as exc:
+            BeamBlocks.of(drifts, n_ths)
+        assert exc.value.max_real_part == stability(drifts[3]).max_real_part > 0
+        m, decay = (np.array(c) for c in zip(*(d.beam_block for d in drifts)))
+        spectrum_peak(BeamBlocks(m, decay, np.array(n_ths), stability_gate(m)[0]))
         assert passes == [2 * 7, 2 * 2 * 7, 2 * 2 * 5]
 
     def test_anchor_rate_kernel_passes(self, monkeypatch):

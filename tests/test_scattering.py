@@ -10,11 +10,14 @@ from entrate.gaussian import covariance_from_correlators, symplectic_spectrum
 from entrate.models import (BEAM_BLOCK, DriftMatrix, EffectiveModelParams,
                             FullModelParams, drift_effective, drift_full, stability,
                             stability_gate)
-from entrate.rates import spectral_density, spectral_density_batch
-from entrate.scattering import (BeamBlocks, _det, _pair_rate, correlator_batch,
-                                output_correlators, output_spectrum, pair_rate_numeric,
-                                spectrum_parts)
+from entrate import cli, scattering
+from entrate.rates import (_gram_density, entanglement_rate, entanglement_rates,
+                           spectral_density, spectral_density_batch, spectrum_and_density)
+from entrate.scattering import (BeamBlocks, _det, _gram, _kernel, _pair_rate, _spectrum,
+                                correlator_batch, output_correlators, output_spectrum,
+                                pair_rate_numeric, spectrum_parts)
 from entrate.verify import block_scattering, effective_scattering_oracle
+from entrate.wannier import FilterSpec, filtered_entanglement
 from lu_reference import (input_noise_matrix, intra_beam_correlator, scattering_matrices,
                           scattering_matrix)
 from mp_reference import reference_point
@@ -287,27 +290,73 @@ class TestBlockKernel:
         scale = max(1.0, float(np.max(np.abs(s))) ** 2)
         assert np.max(np.abs(s @ k_sig @ s.conj().T - k_sig)) <= 1e-12 * scale
 
-    @pytest.mark.parametrize("kernel", [spectral_density_batch, spectrum_parts,
-                                        correlator_batch])
-    def test_singular_response_at_a_marginal_point(self, kernel):
+    @pytest.mark.parametrize("kernel, form", [
+        (spectral_density_batch, lambda b, w: _gram(b, w, _gram_density)),
+        (spectrum_parts, lambda b, w: _gram(b, w, _spectrum)),
+        (correlator_batch, _kernel)], ids=["spectral_density_batch", "spectrum_parts",
+                                           "correlator_batch"])
+    def test_singular_response_at_a_marginal_point(self, kernel, form):
         # g = 2, delta = 2, Delta = -0.5 sits on the boundary (max Re eig =
-        # -2.5e-32): det(m + i omega) vanishes at omega = 0, and the error
-        # names the margin of the batch's eigenvalues
+        # -2.5e-32): the gate rejects it, so the public kernel raises the
+        # gate's error; a marginal block stacked without the gate reaches
+        # the kernel, where det(m + i omega) vanishes at omega = 0, and the
+        # error names the margin of the batch's eigenvalues
         d = eff_drift(g=2.0, delta=2.0, Delta=-0.5)
-        with pytest.raises(UnstableSystemError, match="singular response matrix") as exc:
+        margin = stability(d).max_real_part
+        with pytest.raises(UnstableSystemError, match="system is unstable") as exc:
             kernel(d, np.array([1.0, 0.0]))
-        assert exc.value.max_real_part == stability(d).max_real_part < 0
+        assert exc.value.max_real_part == margin < 0
+        m, decay = (block[None] for block in d.beam_block)
+        blocks = BeamBlocks(m, decay, np.zeros(1), stability_gate(m)[0])
+        with pytest.raises(UnstableSystemError, match="singular response matrix") as exc:
+            form(blocks, np.array([1.0, 0.0]))
+        assert exc.value.max_real_part == margin
 
     def test_batch_eigenvalues_are_the_gate_s(self):
         drifts = [full_drift(), full_drift(Delta=0.3, delta=-4.0), full_drift(g=0.0),
                   full_drift(Delta=-0.5, delta=10.0)]
-        blocks = BeamBlocks.of(drifts, [0.0, 5.0, 1.0, 0.0])
-        eigenvalues, _, _ = stability_gate(np.array([d.beam_block[0] for d in drifts]))
-        assert blocks.eigenvalues.tobytes() == eigenvalues.tobytes()
+        n_ths = [0.0, 5.0, 1.0, 0.0]
+        m = np.array([d.beam_block[0] for d in drifts])
+        eigenvalues, _, _ = stability_gate(m)
+        # the second and the last drift are unstable: the gate keeps the
+        # others with their eigenvalues, and BeamBlocks.of raises the error
+        # of the first it rejects
+        gated, places, failures = BeamBlocks.gate_drifts(drifts, n_ths)
+        assert places == [0, 2] and sorted(failures) == [1, 3]
+        assert gated.eigenvalues.tobytes() == eigenvalues[places].tobytes()
+        blocks = BeamBlocks.of([drifts[i] for i in places], [n_ths[i] for i in places])
+        assert blocks.eigenvalues.tobytes() == eigenvalues[places].tobytes()
+        with pytest.raises(UnstableSystemError) as exc:
+            BeamBlocks.of(drifts, n_ths)
+        assert exc.value.max_real_part == stability(drifts[1]).max_real_part > 0
+        # a batch stacked without the gate keeps the rows it is given
+        unstable = BeamBlocks(m, np.array([d.beam_block[1] for d in drifts]),
+                              np.array(n_ths), eigenvalues)
         idx = np.array([3, 0, 2])
-        part = blocks.take(idx)
+        part = unstable.take(idx)
         assert part.eigenvalues.tobytes() == eigenvalues[idx].tobytes()
-        assert part.m.tobytes() == blocks.m[idx].tobytes()
+        assert part.m.tobytes() == unstable.m[idx].tobytes()
+
+    def test_coefficients_on_first_use(self, monkeypatch):
+        # adj and char are computed together when first read, once, and a
+        # sub-batch keeps them if they are; each equals the whole batch's rows
+        drifts = [full_drift(), full_drift(delta=-3.0), full_drift(g=0.0)]
+        dets = []
+        det = scattering._det
+        monkeypatch.setattr(scattering, "_det", lambda m: dets.append(len(m)) or det(m))
+        blocks = BeamBlocks.of(drifts, [0.0, 5.0, 1.0])
+        idx = np.array([2, 0])
+        assert "_coefficients" not in vars(blocks.take(idx)) and dets == []
+        char = blocks.char
+        assert dets == [3] and blocks.char is char and "_coefficients" in vars(blocks)
+        part = blocks.take(idx)
+        assert "_coefficients" in vars(part) and part.char.tobytes() == char[idx].tobytes()
+        assert part.adj.tobytes() == blocks.adj[idx].tobytes()
+        assert dets == [3]
+        # computed on the sub-batch alone, the same bits
+        alone = BeamBlocks.of([drifts[2], drifts[0]], [1.0, 0.0])
+        assert alone.char.tobytes() == part.char.tobytes()
+        assert alone.adj.tobytes() == part.adj.tobytes()
 
     def test_block_coupled_to_partner_rejected(self):
         d = full_drift(delta=10.0)
@@ -339,3 +388,58 @@ class TestExactDeterminant:
             with mp.workdps(400):
                 ref = mp.det(mp.matrix([[mp.mpc(complex(z)) for z in row] for row in block]))
                 assert got == complex(float(mp.re(ref)), float(mp.im(ref)))
+
+
+class TestOneGate:
+    """Every entry point gates its drifts through BeamBlocks.gate: one
+    verdict per input and one eigen-solve per call."""
+
+    @staticmethod
+    def entry_points(d, n_th):
+        spec = FilterSpec(0.3, 1e2), FilterSpec(-0.3, 1e2)
+        return {
+            "entanglement_rate": lambda: entanglement_rate(d, n_th),
+            "entanglement_rates": lambda: entanglement_rates([d], [n_th])[0],
+            "spectral_density": lambda: spectral_density(d, 0.3, n_th),
+            "spectral_density_batch": lambda: spectral_density_batch(d, np.array([0.3]), n_th),
+            "spectrum_and_density": lambda: spectrum_and_density(d, np.array([0.3]), n_th),
+            "output_correlators": lambda: output_correlators(d, 0.3, n_th),
+            "correlator_batch": lambda: correlator_batch(d, np.array([0.3]), n_th),
+            "spectrum_parts": lambda: spectrum_parts(d, np.array([0.3]), n_th),
+            "output_spectrum": lambda: output_spectrum(d, 0.3, n_th),
+            "filtered_entanglement": lambda: filtered_entanglement(d, n_th, *spec),
+            "BeamBlocks.of": lambda: BeamBlocks.of([d], [n_th]),
+        }
+
+    def test_one_input_one_verdict(self):
+        # an unstable drift with an invalid n_th: the n_th check comes
+        # first at every entry point
+        d = drift_full(FullModelParams(g=5.0, Gamma=1e-3, Delta=0.7))
+        assert not stability(d).stable
+        verdicts = {}
+        for name, call in self.entry_points(d, -1.0).items():
+            try:
+                result = call()
+            except Exception as exc:
+                result = exc
+            verdicts[name] = (type(result).__name__, str(result))
+        assert set(verdicts.values()) == {("ValueError", "n_th must be non-negative")}, verdicts
+
+    def test_one_eigen_solve_per_call(self, solves, tmp_path):
+        # the gate's solve is the only one of a call without a rate (a rate
+        # adds the roots of R and of P_c)
+        d = full_drift(delta=10.0)
+        calls = {name: call for name, call in self.entry_points(d, 2.0).items()
+                 if not name.startswith("entanglement_rate")}
+        calls["pair_rate_numeric"] = lambda: pair_rate_numeric(
+            EffectiveModelParams(g=5.0, delta=10.0, Delta=0.3))
+        for command in ("spectrum", "entanglement"):
+            calls[f"cli {command}"] = lambda command=command: cli.main(
+                [command, "--delta", "10", "--nth", "2", "--omega-steps", "11",
+                 "--output", str(tmp_path / f"{command}.csv")])
+        counts = {}
+        for name, call in calls.items():
+            solves.clear()
+            call()
+            counts[name] = [a.shape for a in solves]
+        assert all(shapes in ([(1, 3, 3)], [(1, 2, 2)]) for shapes in counts.values()), counts

@@ -230,6 +230,18 @@ class TestRunSweep:
             assert complex_sizes == {k}
         assert built == []
 
+    def test_non_finite_block_fails_its_row_only(self):
+        # g^2/4delta overflows at the last point: the gate fails the row of
+        # its non-finite block, and the other rows keep their status
+        with np.errstate(over="ignore", invalid="ignore"):
+            rows = run_sweep(SweepConfig(
+                model="effective", fixed={"delta": 10.0}, jobs=1,
+                quantities=["stability_margin", "pair_rate"],
+                axes=[SweepAxis("g", 1.0, 1e200, 3, log=True)])).rows
+        assert [row.status for row in rows] == [
+            "ok", "unstable", "failed: Array must not contain infs or NaNs"]
+        assert rows[1].values["stability_margin"] > 0
+
     def test_all_cores_are_the_cpus_this_process_may_use(self, monkeypatch):
         import concurrent.futures
         import os
