@@ -15,7 +15,7 @@ import dataclasses
 import functools
 import os
 import sys
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from typing import Sequence
 
 import numpy as np
@@ -54,12 +54,24 @@ def _model_params(args) -> dict[str, float]:
             "delta": args.delta, "n_th": args.nth}
 
 
+@contextmanager
+def _path_option(flag: str, path: str):
+    """Turn a failure to open the file of a path option into a usage error."""
+    try:
+        yield
+    except OSError as exc:
+        raise ValueError(f"cannot open {flag} {path}: {exc.strerror or exc}") from exc
+
+
 def _emit(args, header: list[str], columns: Sequence[Sequence[float | str]]) -> None:
     """Write the table as --format says to the --output file (closed
     afterwards) or to stdout."""
-    with (open(args.output, "w", encoding="utf-8", newline="\n") if args.output
-          else nullcontext(sys.stdout)) as fh:
-        write_table(fh, header, columns, args.format)
+    fh = nullcontext(sys.stdout)
+    if args.output:
+        with _path_option("--output", args.output):
+            fh = open(args.output, "w", encoding="utf-8", newline="\n")
+    with fh as out:
+        write_table(out, header, columns, args.format)
 
 
 def _omega_grid(args) -> np.ndarray:
@@ -144,7 +156,8 @@ def cmd_wannier_check(args) -> int:
 
 def cmd_sweep(args) -> int:
     if args.config:
-        config = SweepConfig.from_json(args.config)
+        with _path_option("--config", args.config):
+            config = SweepConfig.from_json(args.config)
     else:
         if not args.axis:
             print("sweep requires --config or at least one --axis", file=sys.stderr)

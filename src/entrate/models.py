@@ -120,6 +120,10 @@ def n_th_errors(n_th: Sequence[float]) -> dict[int, str]:
     """FullModelParams's ValueError message for each bath occupation of
     n_th that is not a finite number >= 0, by index: the check of every
     n_th that enters the kernel apart from a parameter set."""
+    # the sum is finite unless an n_th is not (or the sum overflows), and
+    # the least n_th is negative if any is
+    if not n_th or (math.isfinite(sum(n_th)) and min(n_th) >= 0.0):
+        return {}
     errors = {}
     for i, x in enumerate(n_th):
         if not 0.0 <= x < math.inf:
@@ -359,7 +363,8 @@ def eigvals(a: NDArray) -> NDArray[np.complex128]:
     gufunc, bit for bit) without its wrapper's work on the array's type,
     and complex even where they are all real. Keeps its two checks: raises
     LinAlgError on a non-finite entry, and when a solve does not converge."""
-    if not np.logical_and.reduce(np.isfinite(a), axis=None):
+    # (count_nonzero is the cheapest "all" of a small array)
+    if np.count_nonzero(np.isfinite(a)) < a.size:
         raise LinAlgError("Array must not contain infs or NaNs")
     # the gufunc flags a solve that did not converge as an invalid operation
     with np.errstate(call=_not_converged, invalid="call", over="ignore", divide="ignore",

@@ -43,6 +43,7 @@ _NODES = np.concatenate([-_XGK[:-1], _XGK[::-1]])          # 15 nodes
 _W_K = np.concatenate([_WGK[:-1], _WGK[::-1]])             # Kronrod weights
 _W_G = np.zeros(15)
 _W_G[1:-1:2] = np.concatenate([_WG[:-1], _WG[::-1]])       # Gauss weights on odd slots
+_W_KG = np.array([_W_K, _W_G])                              # both rules, [rule, node]
 #: Panels whose nodes go into one integrand call: 960 nodes, within one
 #: 1,024-point kernel chunk of the rate integrand, so the kernel never
 #: splits a call; without this bound a sweep over a batch of problems
@@ -83,18 +84,19 @@ def adaptive_gk_batch(f_batch: Callable[[np.ndarray, np.ndarray], np.ndarray],
     epsabs = np.full(n_problems, epsabs, dtype=float)
 
     def evaluate(lo: np.ndarray, hi: np.ndarray, pid: np.ndarray):
-        k15, g7 = np.empty(lo.size), np.empty(lo.size)
-        # a bounded number of panels per call keeps the memory of a sweep
-        # independent of the batch size
+        # [panel, K15 | G7]; a bounded number of panels per call keeps the
+        # memory of a sweep independent of the batch size
+        rules = []
         for i in range(0, lo.size, _PANELS_PER_CALL):
             part = slice(i, i + _PANELS_PER_CALL)
             half = 0.5 * (hi[part] - lo[part])
             nodes = 0.5 * (lo[part] + hi[part])[:, None] + half[:, None] * _NODES[None, :]
             vals = np.asarray(f_batch(nodes.ravel(), pid[part].repeat(_NODES.size)),
-                              dtype=float).reshape(nodes.shape)
-            k15[part] = np.add.reduce(vals * _W_K[None, :], axis=1) * half
-            g7[part] = np.add.reduce(vals * _W_G[None, :], axis=1) * half
-        return k15, np.abs(k15 - g7)
+                              dtype=float).reshape(-1, 1, _NODES.size)
+            rules.append(np.add.reduce(vals * _W_KG, axis=2) * half[:, None])
+        kg = rules[0] if len(rules) == 1 else np.concatenate([np.empty((0, 2)), *rules])
+        k15 = kg[:, 0]
+        return k15, np.abs(k15 - kg[:, 1])
 
     # repeated edges and the NaN padding make no panel; the panels stay in
     # order, by problem and then by position, so a problem's totals add its
@@ -103,24 +105,35 @@ def adaptive_gk_batch(f_batch: Callable[[np.ndarray, np.ndarray], np.ndarray],
     pid = panel.nonzero()[0]
     lo, hi = edges[:, :-1][panel], edges[:, 1:][panel]
     val, err = evaluate(lo, hi, pid)
-    values, errors = np.full((2, n_problems), math.nan)
+    values, errors = results = np.empty((2, n_problems))
+    results.fill(math.nan)
     failures: list[QuadratureError | None] = [None] * n_problems
+    # the problems with panels, their panel counts and their tolerances
+    count = np.bincount(pid, minlength=n_problems)
+    ids = count.nonzero()[0]
+    if ids.size < n_problems:
+        count, epsabs = count[ids], epsabs[ids]
 
     # nothing to refine, and no panel to split, where no problem has one
     for sweep in range(_MAX_SWEEPS + 1 if pid.size else 0):
-        converged = _at_round_off(val, err)
-        # the problems with panels, with the start of their panels
-        count = np.bincount(pid, minlength=n_problems)
-        ids = count.nonzero()[0]
-        count = count[ids]
+        # the start of each problem's panels
         start = count.cumsum() - count
         total = np.add.reduceat(err, start)
-        # done too: a problem whose panels are all at round-off level
-        done = (total <= epsabs[ids]) | np.logical_and.reduceat(converged, start)
+        done = total <= epsabs
         if sweep == _MAX_SWEEPS:
             done[:] = True
+        # (count_nonzero is the cheapest "all" of a small array)
+        finished = np.count_nonzero(done) == done.size
+        if not finished:
+            # done too: a problem whose panels are all at round-off level
+            converged = _at_round_off(val, err)
+            done |= np.logical_and.reduceat(converged, start)
+            finished = np.count_nonzero(done) == done.size
+        if finished:
+            values[ids], errors[ids] = np.add.reduceat(val, start), total
+            break
         stop = done | (count >= _MAX_PANELS)
-        if np.logical_or.reduce(stop):
+        if np.count_nonzero(stop):
             val_sum = np.add.reduceat(val, start)
             finished = ids[done]
             values[finished], errors[finished] = val_sum[done], total[done]
@@ -128,13 +141,13 @@ def adaptive_gk_batch(f_batch: Callable[[np.ndarray, np.ndarray], np.ndarray],
                 failures[ids[j]] = QuadratureError("panel budget exhausted",
                                                    value=float(val_sum[j]),
                                                    error_estimate=total[j])
-            if np.logical_and.reduce(stop):
+            if np.count_nonzero(stop) == stop.size:
                 break
             going = ~stop
             keep = going.repeat(count)
             lo, hi, val, err, converged, pid = (
                 a[keep] for a in (lo, hi, val, err, converged, pid))
-            ids, count, total = ids[going], count[going], total[going]
+            ids, count, total, epsabs = ids[going], count[going], total[going], epsabs[going]
 
         # per problem (each has an active panel, or it is done): its active
         # panels largest error first (a stable sort, so ties go by
@@ -146,11 +159,12 @@ def adaptive_gk_batch(f_batch: Callable[[np.ndarray, np.ndarray], np.ndarray],
         rank = np.arange(act.size) - (act_count.cumsum() - act_count)[row]
         padded = np.zeros((ids.size, int(act_count.max())))
         padded[row, rank] = err[act]
-        target = np.maximum(0.75 * (total - epsabs[ids]), 0.5 * padded[:, 0])
+        target = np.maximum(0.75 * (total - epsabs), 0.5 * padded[:, 0])
         covering = np.add.reduce(padded.cumsum(axis=1) < target[:, None], axis=1) + 1
         n_split = np.minimum(np.minimum(covering, act_count),
                              np.minimum(512, np.maximum(1, _MAX_PANELS - count)))
         chosen = act[rank < n_split[row]]
+        count = count + n_split
 
         mid = 0.5 * (lo[chosen] + hi[chosen])
         new_val, new_err = evaluate(np.concatenate([lo[chosen], mid]),

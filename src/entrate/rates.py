@@ -144,7 +144,11 @@ passes over all problems. Every decision is taken per problem from that
 problem's numbers, and the kernel and the polynomial steps are
 elementwise, so a result does not depend on the batch it was computed in:
 entanglement_rate is the call with P = 1, and a sweep's rows equal it bit
-for bit. spectrum_peak runs on the same axis, one kernel pass per degree of
+for bit. A problem whose polynomials overflow float64 (at an n_th near
+1e200, say) gets no candidates from the stacked solve of R's roots, which
+would reject every problem with it: it fails in its own slot with a
+QuadratureError, and the others take their peaks again without it.
+spectrum_peak runs on the same axis, one kernel pass per degree of
 N' D - N D'.
 """
 
@@ -156,6 +160,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from numpy.linalg import LinAlgError
 
 from .errors import QuadratureError
 from .models import PAIRING_DEFECT_TOL, DriftMatrix, eigvals
@@ -175,8 +180,6 @@ _OUTER_REACH = 2.0
 #: and the signs of the two sides.
 _RUNGS = np.concatenate([[0.0], _GRADING ** np.arange(64)])
 _SIDES = np.array([-1.0, 1.0])
-#: j < i at [i, j], for the k + 1 <= 4 resonance centres of a beam block.
-_EARLIER = np.tri(4, k=-1, dtype=bool)
 #: Batched secant steps that polish the FWHM flanks on the kernel, and the
 #: offsets of their two starts from a flank x, times |x| + 1.
 _POLISH_STEPS = 3
@@ -189,9 +192,16 @@ _LEVEL_TOL = 1e-6
 #: n - 1, ..., 1: the powers of the coefficients, highest first, of a
 #: polynomial of n coefficients, less the constant.
 _exponents = functools.cache(lambda n: np.arange(n - 1, 0, -1))
+#: k, ..., 1, 0 as complex numbers: the powers of t in det(m + t) and A(t)
+#: of a k x k block, highest first (complex, so that a power of a complex
+#: base takes no cast).
+_POWERS = {k: np.arange(k, -1, -1).astype(complex) for k in (2, 3)}
 #: [0, i, j]: j < i, and j > i, for n values.
 _BEFORE = functools.cache(lambda n: (np.tri(n, k=-1, dtype=bool)[None],
                                      ~np.tri(n, dtype=bool)[None]))
+#: Rows of the flattened _derivatives table of D and W = 2V (D, W, D', W',
+#: D'', W''): R's first stacked product multiplies W', W, D' by W', W', D'.
+_R_FACTORS = np.array([3, 1, 2, 3, 3, 2])
 #: Newton steps of the peak polish on the beam polynomials.
 _NEWTON_STEPS = 2
 #: Longest Newton step of the peak polish, in units of s.
@@ -283,8 +293,7 @@ def _resonances(eigenvalues: np.ndarray, decay: np.ndarray) -> tuple[np.ndarray,
     """(centres, linewidths) of the beam-block resonances, -Im and |Re| of
     its eigenvalues, plus omega = 0 with the largest decay rate as width,
     along the last axis of the eigenvalues and decays."""
-    shape = (*eigenvalues.shape[:-1], eigenvalues.shape[-1] + 1)
-    centres, widths = np.empty(shape), np.empty(shape)
+    centres, widths = np.empty((2, *eigenvalues.shape[:-1], eigenvalues.shape[-1] + 1))
     np.negative(eigenvalues.imag, out=centres[..., :-1])
     centres[..., -1] = 0.0
     np.maximum(np.abs(eigenvalues.real), 1e-12, out=widths[..., :-1])
@@ -312,22 +321,28 @@ def _panel_omegas(eigenvalues: np.ndarray, decay: np.ndarray, scale: np.ndarray)
     c, w = _resonances(eigenvalues, decay)
     outer = _OUTER_REACH * (np.maximum.reduce(np.abs(c), axis=1) + scale)
     m = c.shape[1]
-    # [p, i, j]: centre j is narrower than centre i, or as narrow and earlier
-    w_i, w_j = w[:, :, None], w[:, None, :]
-    narrower = np.where(_EARLIER[:m, :m], w_j <= w_i, w_j < w_i)
-    merged = narrower & (np.abs(c[:, None, :] - c[:, :, None]) <= w_j)
+    # [p, i, j]: centre j ranks below centre i by width, then by place (it
+    # is narrower, or as narrow and earlier), and lies within its own
+    # linewidth of centre i
+    rank = w.argsort(axis=1, kind="stable").argsort(axis=1)
+    merged = rank[:, None, :] < rank[:, :, None]
+    merged &= np.abs(c[:, None, :] - c[:, :, None]) <= w[:, None, :]
     c[np.logical_or.reduce(merged, axis=2)] = np.nan
     # signed by the side, [p, side, i]: each centre, the nearest remaining
     # centre on that side, and the half-way point to it (the same float from
     # both centres) or, with none, the outer reach
     sc = _SIDES[:, None] * c[:, None, :]
-    ahead = np.where(sc[:, :, None, :] > sc[..., None], sc[:, :, None, :], np.inf)
-    ahead = np.minimum.reduce(ahead, axis=3)
+    sc_j = sc[:, :, None, :].repeat(m, axis=2)
+    ahead = np.minimum.reduce(sc_j, axis=3, where=sc_j > sc[..., None], initial=np.inf)
     limit = np.minimum(0.5 * (sc + ahead), sc + outer[:, None, None])
     reach = np.maximum.reduce(outer, axis=None) / np.minimum.reduce(w, axis=None)
     rungs = w[:, None, :, None] * _RUNGS[:2 + int(math.log(reach, _GRADING))]
-    ladder = np.where(rungs < (limit - sc)[..., None], sc[..., None] + rungs, np.nan)
-    omega = np.concatenate([ladder, limit[..., None]], axis=3) * _SIDES[:, None, None]
+    # each side's ladder, then its limit, NaN where a rung is beyond it
+    omega = np.empty((*sc.shape, rungs.shape[-1] + 1))
+    omega.fill(np.nan)
+    np.add(sc[..., None], rungs, out=omega[..., :-1], where=rungs < (limit - sc)[..., None])
+    omega[..., -1] = limit
+    omega *= _SIDES[:, None, None]
     return omega.reshape(len(c), -1)
 
 
@@ -350,8 +365,11 @@ def _reciprocal(m: np.ndarray) -> np.ndarray:
     (to PAIRING_DEFECT_TOL of its largest entry), which the whole-line
     E > 0 region and the crossing polynomial rest on."""
     k = m.shape[-1]
-    defect = np.maximum.reduce(np.abs(m.transpose(0, 2, 1) - _RECIPROCITY[:k, :k] * m),
-                               axis=(1, 2))
+    defect = m.transpose(0, 2, 1) - _RECIPROCITY[:k, :k] * m
+    # the blocks the models build are reciprocal exactly: no scale is needed
+    if not np.count_nonzero(defect):
+        return np.ones(len(m), dtype=bool)
+    defect = np.maximum.reduce(np.abs(defect), axis=(1, 2))
     scale = np.fmax(np.maximum.reduce(np.abs(m), axis=(1, 2)), 1.0)
     return ~(defect > PAIRING_DEFECT_TOL * scale)
 
@@ -391,7 +409,7 @@ def _beam_polynomials(blocks: BeamBlocks, s: np.ndarray,
     coef, weights = blocks.gram_table
     # t^j = (i s y)^j times det [, A_+b, A_-b] (degree k - 1, with a leading
     # zero), all of them |.|^2 at once
-    p = (1j * s[:, None]) ** np.arange(k, -1, -1)
+    p = (1j * s[:, None]) ** _POWERS[k]
     p = p[:, None] * coef.transpose(2, 1, 0)
     sq = _polymul(p.conj(), p).real
     k_pair = weights[0]
@@ -425,36 +443,56 @@ def _newton(table: np.ndarray, y: np.ndarray, step) -> tuple[np.ndarray, object]
     finite or longer than _NEWTON_REACH is not taken, and a candidate stops
     once its step is below 4 ulp or was not taken. The caller ignores the
     floating-point errors of the steps not taken."""
-    # [power, polynomial, p, candidate], repeated to y's shape: an operation
-    # on arrays of one shape takes less time than a broadcast one
-    table = table.reshape(-1, *table.shape[2:]).transpose(2, 0, 1)[..., None].repeat(
+    # [power][polynomial, p, candidate], repeated to y's shape: an operation
+    # on arrays of one shape takes less time than a broadcast one (and a
+    # list of the powers less than iterating over an array's rows each step)
+    head, *middle, last = table.reshape(-1, *table.shape[2:]).transpose(2, 0, 1)[..., None].repeat(
         y.shape[1], axis=3)
-    y, active, at = y.copy(), np.ones(y.shape, dtype=bool), np.empty(table.shape[1:])
-    for _ in range(_NEWTON_STEPS):
+    y, at = y.copy(), np.empty(head.shape)
+    for i in range(_NEWTON_STEPS):
         at[...] = y
-        values = table[0] * at
-        for c in table[1:-1]:
+        values = head * at
+        for c in middle:
             values += c
             values *= at
-        values += table[-1]
+        values += last
         dy, aux = step(values)
         size = np.abs(dy)
-        active &= (size <= _NEWTON_REACH) & (size > _EPS4 * np.abs(y))
-        if not np.logical_or.reduce(active, axis=None):
+        taken = size <= _NEWTON_REACH
+        taken &= size > _EPS4 * np.abs(y)
+        if i:
+            taken &= active
+        active = taken
+        # a last step with none taken leaves y as it is
+        if i + 1 < _NEWTON_STEPS and not np.count_nonzero(active):
             break
         np.subtract(y, dy, out=y, where=active)
     return y, aux
 
 
+#: The subdiagonal of ones of an n x n companion matrix, as a stack of one.
+_SUBDIAGONAL = functools.cache(lambda n: np.eye(n, k=-1)[None])
+
+
 def _roots(p: np.ndarray) -> np.ndarray:
     """Complex roots of the polynomial of every row of p (nonzero leading
     coefficient), from one stacked eigen-solve of the companion matrices
-    (the matrix np.roots builds)."""
+    (the matrix np.roots builds). A row whose companion is not finite (its
+    coefficients overflowed) gets NaN roots: the solve rejects a stack that
+    holds one, so the finite rows are solved again without it."""
     n = p.shape[1] - 1
-    companion = np.zeros((len(p), n, n))
-    companion[:, 0] = -p[:, 1:] / p[:, :1]
-    companion.reshape(len(p), -1)[:, n::n + 1] = 1.0     # the subdiagonal
-    return eigvals(companion)
+    companion = _SUBDIAGONAL(n).repeat(len(p), axis=0)
+    np.divide(p[:, 1:], -p[:, :1], out=companion[:, 0])
+    try:
+        return eigvals(companion)
+    except LinAlgError:
+        finite = np.logical_and.reduce(np.isfinite(companion[:, 0]), axis=1)
+        if np.logical_and.reduce(finite):
+            raise
+    roots = np.full((len(p), n), np.nan, dtype=complex)
+    if np.logical_or.reduce(finite):
+        roots[finite] = eigvals(companion[finite])
+    return roots
 
 
 def _crossings(polys: tuple[np.ndarray, ...], s: np.ndarray, levels: np.ndarray) -> np.ndarray:
@@ -469,17 +507,20 @@ def _crossings(polys: tuple[np.ndarray, ...], s: np.ndarray, levels: np.ndarray)
     p[:, -1] -= k_poly
     roots = _roots(p)
     re, im2 = roots.real, roots.imag ** 2
-    return np.where(im2 <= 1e-16 * (re ** 2 + im2), s[:, None] * re, np.nan)
+    omega = s[:, None] * re
+    omega[~(im2 <= 1e-16 * (re ** 2 + im2))] = np.nan
+    return omega
 
 
 def _secant_starts(roots: np.ndarray, centres: np.ndarray) -> np.ndarray:
     """The secant starts of _fwhms [p, centre, point, side] at the roots x
     (P, n) nearest the centres (P, m) on either side: x + 1e-8 (|x| + 1),
     then x; NaN where there is no root."""
-    r, c = roots[:, None, :], centres[..., None]
+    # [p, centre, root]
+    r, c = roots[:, None, :].repeat(centres.shape[1], axis=1), centres[..., None]
     x = np.empty((*centres.shape, 1, 2))
-    np.fmax.reduce(np.where(r < c, r, np.nan), axis=2, out=x[..., 0, 0])
-    np.fmin.reduce(np.where(r > c, r, np.nan), axis=2, out=x[..., 0, 1])
+    np.fmax.reduce(r, axis=2, where=r < c, initial=np.nan, out=x[..., 0, 0])
+    np.fmin.reduce(r, axis=2, where=r > c, initial=np.nan, out=x[..., 0, 1])
     return x + _SECANT_STARTS * (np.abs(x) + 1.0)
 
 
@@ -502,20 +543,26 @@ def _fwhms(blocks: BeamBlocks, s: np.ndarray, polys: tuple[np.ndarray, ...],
                                              half[fresh]), omega_max[fresh, None])[:, 0]
         fresh = fresh[~np.isnan(x[fresh]).any(axis=(1, 2))]
         e[fresh] = _density(blocks, x[fresh].ravel(), np.repeat(fresh, 4)).reshape(-1, 2, 2)
-    found = ~np.logical_or.reduce(np.isnan(x.reshape(len(x), -1)), axis=1)
-    failures = [None if ok else QuadratureError(
-        f"no half-maximum crossing on one side of omega_max={w}")
-        for ok, w in zip(found.tolist(), omega_max.tolist())]
+    # a start is NaN on both points or neither: NaN where a side has no crossing
+    found = ~np.isnan(x[:, 0, 0] - x[:, 0, 1])
+    failures: list[QuadratureError | None] = [None] * found.size
+    for p in (~found).nonzero()[0].tolist():
+        failures[p] = QuadratureError(
+            f"no half-maximum crossing on one side of omega_max={float(omega_max[p])}")
     idx = found.nonzero()[0]
-    widths = np.full(len(e_max), np.nan)
-    x, f = x.take(idx, axis=0), e.take(idx, axis=0) - half.take(idx)[:, None, None]
+    if idx.size < found.size:
+        x, e, level = x[idx], e[idx], half[idx]
+    else:
+        x, level = x.copy(), half
+    f = e - level[:, None, None]
     (x0, x1), (f0, f1) = x.transpose(1, 0, 2), f.transpose(1, 0, 2)
     best, f_best = x1.copy(), np.abs(f1)
     # a problem that stops keeps its state, so it stops again
     for _ in range(_POLISH_STEPS):
         slope = f1 - f0
         step = np.divide(f1 * (x1 - x0), slope, out=np.zeros(slope.shape), where=slope != 0)
-        moving = np.logical_or.reduce(~(np.abs(step) <= _EPS4 * np.abs(x1)), axis=1).nonzero()[0]
+        still = np.abs(step) <= _EPS4 * np.abs(x1)
+        moving = (~(still[:, 0] & still[:, 1])).nonzero()[0]
         if not moving.size:
             break
         if moving.size == idx.size:
@@ -523,22 +570,26 @@ def _fwhms(blocks: BeamBlocks, s: np.ndarray, polys: tuple[np.ndarray, ...],
         x0[moving], f0[moving] = x1[moving], f1[moving]
         x1[moving] -= step[moving]
         pid = idx[moving].repeat(2)
-        f1[moving] = (_density(blocks, x1[moving].ravel(), pid) - half[pid]).reshape(-1, 2)
+        f1[moving] = (_density(blocks, x1[moving].ravel(), pid) - half.take(pid)).reshape(-1, 2)
         size = np.abs(f1)
         better = size < f_best
-        best, f_best = np.where(better, x1, best), np.where(better, size, f_best)
+        np.copyto(best, x1, where=better)
+        np.copyto(f_best, size, where=better)
+    if idx.size == found.size:
+        return best[:, 1] - best[:, 0], failures
+    widths = np.full(found.size, np.nan)
     widths[idx] = best[:, 1] - best[:, 0]
     return widths, failures
 
 
-def _peak(s: np.ndarray, y: np.ndarray, f: np.ndarray, f_mirror: np.ndarray,
-          ) -> tuple[np.ndarray, np.ndarray]:
+def _peak(s: np.ndarray, y: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(omega, f) of the best of the candidates y[p, :] (in units of s[p])
-    of each problem: the largest f, and of two mirror peaks equal to 4 ulp
-    the one at omega >= 0 (f_mirror is f at -omega)."""
-    rows = np.arange(s.size)
-    best = f.argmax(axis=1)
-    omega, top, mirror = s * y[rows, best], f[rows, best], f_mirror[rows, best]
+    of each problem, from f[p] = (f at the candidates, f at their mirrors
+    -omega): the largest f, and of two mirror peaks equal to 4 ulp the one
+    at omega >= 0."""
+    rows, n = np.arange(s.size), y.shape[1]
+    best = f[:, :n].argmax(axis=1)
+    omega, top, mirror = s * y[rows, best], f[rows, best], f[rows, best + n]
     tie = (omega < 0) & (mirror >= top - 4.0 * np.spacing(top))
     return np.where(tie, -omega, omega), np.where(tie, mirror, top)
 
@@ -554,55 +605,68 @@ def _stationary(s: np.ndarray, polys: tuple[np.ndarray, ...], k: int):
     d, v, k_pair = polys[:3]
     # D, W = 2V and their first two derivatives: R's and the Newton steps'
     table = _derivatives([d, 2.0 * v])
-    if k == 2:
-        # V is a constant, so R = -K D'^2 has the roots of D', each twice
-        y0 = _roots(table[1, 0, :, 1:]).real
-    else:
-        # R = W'^2 D - W W' D' - K D'^2 (4 V'^2 D - 4 V V' D' exactly) from two
-        # stacked products; V has degree 2k - 4, so R has 4k - 2: the leading zeros go
-        flat = table.reshape(-1, *table.shape[2:])     # D, W, D', W', D'', W''
-        first = _polymul(flat.take((3, 1, 2), axis=0), flat.take((3, 3, 2), axis=0))
-        r = _polymul(first[:2], flat[:3:2])[..., -(4 * k - 1):]
-        r[0] -= r[1]
-        r[0] -= k_pair[:, None] * first[2, :, -(4 * k - 1):]
-        y0 = _roots(r[0]).real
-    rows, n = np.arange(s.size), y0.shape[1]
-    k2, k4 = (2.0 * k_pair[:, None]).repeat(n, axis=1), (4.0 * k_pair[:, None]).repeat(n, axis=1)
+    # the floating-point errors of the steps not taken, and of a problem
+    # whose polynomials overflow (NaN candidates, _roots), are ignored
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if k == 2:
+            # V is a constant, so R = -K D'^2 has the roots of D', each twice
+            y0 = _roots(table[1, 0, :, 1:]).real
+        else:
+            # R = W'^2 D - W W' D' - K D'^2 (4 V'^2 D - 4 V V' D' exactly) from two
+            # stacked products; V has degree 2k - 4, so R has 4k - 2: the leading
+            # zeros go
+            flat = table.reshape(-1, *table.shape[2:])     # D, W, D', W', D'', W''
+            pairs = flat.take(_R_FACTORS, axis=0)
+            first = _polymul(pairs[:3], pairs[3:])         # W'^2, W W', D'^2
+            r = _polymul(first[:2], flat[:3:2])[..., -(4 * k - 1):]
+            r[0] -= r[1]
+            r[0] -= k_pair[:, None] * first[2, :, -(4 * k - 1):]
+            y0 = _roots(r[0]).real
+        n = y0.shape[1]
+        k2 = (2.0 * k_pair[:, None]).repeat(n, axis=1)
+        k4 = k2 + k2
 
-    def step(values):
-        # u' / u'' from P_u = 0 with W = 2V: a = u D' + W', q = -u' =
-        # u a / (2uD + W), u' / u'' = u a / (2 (D q - a - u D') q + u (u D'' + W''))
-        dy, wy, dy1, wy1, dy2, wy2 = values
-        u = k2 / (wy + np.sqrt(wy * wy + k4 * dy))
-        ud1 = u * dy1
-        a = ud1 + wy1
-        ua = u * a
-        ud = u * dy
-        q = ua / (ud + ud + wy)
-        return ua / (2.0 * (dy * q - (a + ud1)) * q + u * (u * dy2 + wy2)), u
+        def step(values):
+            # u' / u'' from P_u = 0 with W = 2V: a = u D' + W', q = -u' =
+            # u a / (2uD + W), u' / u'' = u a / (2 (D q - a - u D') q + u (u D'' + W''))
+            dy, wy, dy1, wy1, dy2, wy2 = values
+            u = k2 / (wy + np.sqrt(wy * wy + k4 * dy))
+            ud1 = u * dy1
+            a = ud1 + wy1
+            ua = u * a
+            ud = u * dy
+            q = ua / (ud + ud + wy)
+            return ua / (2.0 * (dy * q - (a + ud1)) * q + u * (u * dy2 + wy2)), u
 
-    with np.errstate(divide="ignore", invalid="ignore"):
         y, u = _newton(table, y0, step)
-        guess = u.argmax(axis=1)
-        e_guess = -np.log1p(-u[rows, guess])
+        # flat place of each problem's best candidate by the polynomials
+        guess = np.arange(0, y.size, n) + u.argmax(axis=1)
+        e_guess = -np.log1p(-u.take(guess))
     # where u rounds to 1 the polynomials cannot tell E_max: any level serves
-    x = _secant_starts(_crossings(polys, s, np.where(np.isfinite(e_guess), 0.5 * e_guess, 1.0)),
-                       (s * y[rows, guess])[:, None] * _SIDES)
-    sy = s[:, None] * y
-    # a point in the pass must be finite: 0 stands in for a missing crossing
-    w = np.concatenate([s[:, None] * y0, sy, -sy,
-                        np.where(np.isnan(x), 0.0, x).reshape(s.size, -1)], axis=1)
+    levels = 0.5 * e_guess
+    levels[~np.isfinite(levels)] = 1.0
+    x = _secant_starts(_crossings(polys, s, levels), (s * y.take(guess))[:, None] * _SIDES)
+    # the candidates sorted by omega, the polished ones, their mirrors and
+    # the flank starts; a point in the pass must be finite: 0 stands in for
+    # a missing crossing
+    sy, flanks = s[:, None] * y, x.reshape(s.size, -1)
+    w = np.concatenate([s[:, None] * np.sort(y0, axis=1), sy, -sy, flanks], axis=1)
+    w[:, 3 * n:][np.isnan(flanks)] = 0.0
+    # the starts as [p * centre, point, side], and the first centre of each p
+    starts_of, first = x.reshape(-1, 2, 2), np.arange(0, 2 * s.size, 2)
 
     def peaks(e: np.ndarray):
-        found = e[rows[:, None], y0.argsort(axis=1, kind="stable")]
-        omega_max, e_max = _peak(s, y, e[:, n:2 * n], e[:, 2 * n:3 * n])
+        omega_max, e_max = _peak(s, y, e[:, n:3 * n])
         # the starts around omega_max, if it lies between them and their
         # level is half the kernel's E_max to _LEVEL_TOL
         inside = (x[:, :, 1, 0] < omega_max[:, None]) & (omega_max[:, None] < x[:, :, 1, 1])
-        c = inside.argmax(axis=1)
-        starts, e_starts = x[rows, c], e[:, 3 * n:].reshape(x.shape)[rows, c]
-        starts[~inside[rows, c] | ~(np.abs(e_guess - e_max) <= _LEVEL_TOL * e_max)] = np.nan
-        return found, omega_max, e_max, (starts, e_starts)
+        c = first + inside.argmax(axis=1)
+        starts = starts_of.take(c, axis=0)
+        e_starts = e[:, 3 * n:].reshape(starts_of.shape).take(c, axis=0)
+        keep = inside.take(c)
+        keep &= np.abs(e_guess - e_max) <= _LEVEL_TOL * e_max
+        starts[~keep] = np.nan
+        return e[:, :n], omega_max, e_max, (starts, e_starts)
 
     return w, peaks
 
@@ -643,7 +707,7 @@ def spectrum_peak(blocks: BeamBlocks) -> tuple[np.ndarray, np.ndarray]:
         w = s[idx, None] * y
         f = _gram(blocks, np.concatenate([w, -w], axis=1).ravel(),
                   lambda *g: np.add(*_spectrum(*g)), idx.repeat(2 * y.shape[1]))
-        omega[idx], height[idx] = _peak(s[idx], y, *np.split(f.reshape(idx.size, -1), 2, axis=1))
+        omega[idx], height[idx] = _peak(s[idx], y, f.reshape(idx.size, -1))
     return omega, height
 
 
@@ -665,11 +729,13 @@ def entanglement_rates(drifts: Sequence[DriftMatrix], n_ths: Sequence[float],
     _check_tol(tol)
     drifts = list(drifts)
     blocks, places, failures = BeamBlocks.gate_drifts(drifts, n_ths)
-    out: list[RateResult | Exception | None] = [failures.get(i) for i in range(len(drifts))]
+    out: list[RateResult | Exception | None] = [None] * len(drifts)
+    for i, failure in failures.items():
+        out[i] = failure
     if not places:
         return out
     reciprocal = _reciprocal(blocks.m)
-    if not np.logical_and.reduce(reciprocal):
+    if np.count_nonzero(reciprocal) < reciprocal.size:
         for j in (~reciprocal).nonzero()[0].tolist():
             out[places[j]] = _not_reciprocal(blocks.k)
         places = [i for i, good in zip(places, reciprocal.tolist()) if good]
@@ -690,16 +756,27 @@ def _rates(blocks: BeamBlocks, tol: float) -> list[RateResult | Exception]:
         return out
     if pos.size < len(blocks):
         blocks, s, polys = blocks.take(pos), s[pos], tuple(p[pos] for p in polys)
+    w, peaks_at = _stationary(s, polys, blocks.k)
+    # a problem whose polynomials overflow has no peak candidates (_roots):
+    # it fails, and the others take theirs again without it
+    overflow = np.isnan(w[:, 0])
+    if np.count_nonzero(overflow):
+        for p, n_th in zip(pos[overflow].tolist(), blocks.n_th[overflow].tolist()):
+            out[p] = QuadratureError(f"the polynomials of E overflow float64 at n_th={n_th:g}")
+        ok = (~overflow).nonzero()[0]
+        blocks, s, polys, pos = blocks.take(ok), s[ok], tuple(p[ok] for p in polys), pos[ok]
+        if not pos.size:
+            return out
+        w, peaks_at = _stationary(s, polys, blocks.k)
 
     # E has all its structure at the resonances, so panels that start
     # there only need polishing; half of tol * 2 pi is the budget
     scale = np.maximum.reduce(blocks.decay, axis=1)
     edges = _panel_edges(blocks.eigenvalues, blocks.decay, scale)
-    w, peaks_at = _stationary(s, polys, blocks.k)
     at_w = []
 
     def integrand(theta: np.ndarray, pid: np.ndarray) -> np.ndarray:
-        t, sc = np.tan(theta), scale[pid]
+        t, sc = np.tan(theta), scale.take(pid)
         if at_w:
             return _density(blocks, sc * t, pid) * (sc * (1.0 + t * t))
         # the first call, on the quadrature's first start nodes (all of them
@@ -748,18 +825,20 @@ def _count_local_maxima(values: np.ndarray, e_max: np.ndarray) -> np.ndarray:
     rows, n = values.shape
     # a row that never rises after it falls has one maximum, so one peak
     step = values[:, 1:] - values[:, :-1]
-    if not (np.logical_or.accumulate(step < 0, axis=1)[:, :-1] & (step[:, 1:] > 0)).any():
+    rises = step[:, 1:] > 0
+    rises &= np.logical_or.accumulate(step[:, :-1] < 0, axis=1)
+    if not np.count_nonzero(rises):
         return np.ones(rows, dtype=int)
     y = np.zeros((rows, n + 2))
     y[:, 1:-1] = values
     # [row, i, j]: j lies before i (after it in after), y_i and y_j repeated
     # to that shape (as in _newton); left and right: the search from i
-    # reaches value j, not past a value that stops it
+    # reaches value j, not past a value that stops it (a > b: a and not b)
     before, after = _BEFORE(n + 2)
     y_j = y[:, None, :].repeat(n + 2, axis=1)
-    y_i = y_j.transpose(0, 2, 1).copy()
-    left = before & ~np.logical_or.accumulate(((y_j >= y_i) & before)[..., ::-1], axis=2)[..., ::-1]
-    right = after & ~np.logical_or.accumulate((y_j > y_i) & after, axis=2)
+    y_i = y[:, :, None].repeat(n + 2, axis=2)
+    left = before > np.logical_or.accumulate(((y_j >= y_i) & before)[..., ::-1], axis=2)[..., ::-1]
+    right = after > np.logical_or.accumulate((y_j > y_i) & after, axis=2)
     # a value that is no peak has nothing on one side: its low is inf
     lows = np.maximum(np.minimum.reduce(y_j, axis=2, where=left, initial=np.inf),
                       np.minimum.reduce(y_j, axis=2, where=right, initial=np.inf))

@@ -84,11 +84,12 @@ the Lyapunov equation m P + P m^dag + e_- e_-^T = 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Sequence
 
 import numpy as np
-from numpy.typing import NDArray
+from numpy.linalg import LinAlgError
+from numpy.typing import ArrayLike, NDArray
 
 from .errors import UnstableSystemError
 from .gaussian import CorrelatorTriple
@@ -158,6 +159,8 @@ _NEXT = np.array([1, 2, 0])
 _COF_ROWS = np.array([_NEXT, _NEXT[_NEXT]] * 2)[:, None, :]
 _COF_COLS = np.array([_NEXT, _NEXT[_NEXT], _NEXT[_NEXT], _NEXT])[:, :, None]
 _COF = 3 * _COF_ROWS + _COF_COLS           # flat places in m
+#: The flat places in a k x k matrix of the entries (row, column).
+_flat_entries = cache(lambda k, entries: np.array([k * i + j for i, j in entries]))
 _EYE = {k: np.eye(k) for k in (2, 3)}
 
 
@@ -181,16 +184,26 @@ class BeamBlocks:
         (models.stability_gate), its places among the P, each margin max Re(eig)
         (NaN where unsolved; a solved block not in the batch is not stable) and
         the failure of each unsolved block by place: the ValueError of an n_th
-        that is not a finite number >= 0, else the LinAlgError of a non-finite entry."""
-        failures = {i: ValueError(e) for i, e in n_th_errors(n_th.tolist()).items()}
-        solved = np.logical_and.reduce(np.isfinite(m), axis=(1, 2))
-        for i in (~solved).nonzero()[0].tolist():
-            # the stacked eigen-solve would raise for the whole batch
-            failures.setdefault(i, np.linalg.LinAlgError("Array must not contain infs or NaNs"))
-        solved[list(failures)] = False
-        solved = solved.nonzero()[0]
-        eigenvalues, solved_margin, stable = stability_gate(m[solved])
-        if not failures and np.logical_and.reduce(stable):
+        that is not a finite number >= 0, else the LinAlgError of a non-finite
+        entry (looked for only when the stacked solve rejects the stack)."""
+        failures: dict[int, Exception] = {
+            i: ValueError(e) for i, e in n_th_errors(n_th.tolist()).items()}
+        solved = np.arange(len(m))
+        if failures:
+            solved = np.delete(solved, list(failures))
+        try:
+            eigenvalues, solved_margin, stable = stability_gate(m[solved] if failures else m)
+        except LinAlgError:
+            # the stacked solve rejects a stack with a non-finite entry: the
+            # blocks that have one fail, and the others are solved again
+            finite = np.logical_and.reduce(np.isfinite(m[solved]), axis=(1, 2))
+            if np.logical_and.reduce(finite):
+                raise
+            for i in solved[~finite].tolist():
+                failures[i] = LinAlgError("Array must not contain infs or NaNs")
+            solved = solved[finite]
+            eigenvalues, solved_margin, stable = stability_gate(m[solved])
+        if not failures and np.count_nonzero(stable) == stable.size:
             return cls(m, decay, n_th, eigenvalues), solved, solved_margin, failures
         margin = np.full(len(m), np.nan)
         margin[solved] = solved_margin
@@ -222,6 +235,8 @@ class BeamBlocks:
         if len({b.shape for b in m}) != 1:
             raise ValueError("a batch of beam blocks needs drifts of one model")
         blocks, passed, margin, failed = cls.gate(np.array(m), np.array(decay), np.array(n_th))
+        if len(passed) == len(places):
+            return blocks, list(places), failures
         passed = passed.tolist()
         failed.update((j, UnstableSystemError(margin[j]))
                       for j in set(range(len(places))).difference(passed, failed))
@@ -256,7 +271,7 @@ class BeamBlocks:
             tr = m[:, 0, 0] + m[:, 1, 1] + m[:, 2, 2]
             f = m.reshape(n, -1).take(_COF, axis=1)
             np.subtract(f[:, 0] * f[:, 1], f[:, 2] * f[:, 3], out=adj_m)
-            adj[:, 1] = tr[:, None, None] * eye - m
+            np.subtract(tr[:, None, None] * eye, m, out=adj[:, 1])
             char[:, 2] = adj_m[:, 0, 0] + adj_m[:, 1, 1] + adj_m[:, 2, 2]
         else:
             tr = m[:, 0, 0] + m[:, 1, 1]
@@ -276,18 +291,19 @@ class BeamBlocks:
             part.__dict__["_coefficients"] = tuple(c[idx] for c in self._coefficients)
         return part
 
-    def _table(self, entries: Sequence[tuple[int, int]], weights: list[np.ndarray],
+    def _table(self, entries: Sequence[tuple[int, int]], weights: ArrayLike,
                ) -> tuple[np.ndarray, np.ndarray]:
         """A kernel form's inputs, one column per problem: coef[j, 0]
         multiplies t^(k-j) in det(m + t) and coef[j, 1 + e] multiplies
         t^(k-j) in A(t) at entries[e], shape (k + 1, 1 + entries, P), and
         the real channel weights, (weights, P)."""
-        coef = np.zeros((self.k + 1, 1 + len(entries), len(self)), dtype=complex)
+        k = self.k
+        coef = np.zeros((k + 1, 1 + len(entries), len(self)), dtype=complex)
         coef[:, 0] = self.char.T
         if entries:
-            adj = self.adj.reshape(*self.adj.shape[:2], -1)
-            coef[1:, 1:] = adj.take([self.k * i + j for i, j in entries], axis=2).transpose(1, 2, 0)
-        return coef, np.array(weights)
+            adj = self.adj.reshape(len(self), k, k * k)
+            coef[1:, 1:] = adj.take(_flat_entries(k, entries), axis=2).transpose(1, 2, 0)
+        return coef, np.asarray(weights)
 
     @cached_property
     def correlator_table(self) -> tuple[np.ndarray, np.ndarray]:
@@ -308,11 +324,14 @@ class BeamBlocks:
         model has m_+- = 0) and, on the full model, A_+b and A_-b with
         their thermal weights n_th kappa_+ Gamma and (n_th + 1) kappa_- Gamma."""
         kp, km = self.decay[:, 0], self.decay[:, 1]
-        k_pair = 4.0 * kp * km * _abs2(self.adj[:, -1, 0, 1])
+        weights = np.empty((3 if self.k == 3 else 1, len(self)))
+        np.multiply(4.0 * kp * km, _abs2(self.adj[:, -1, 0, 1]), out=weights[0])
         if self.k == 2:
-            return self._table((), [k_pair])
+            return self._table((), weights)
         gam, n = self.decay[:, 2], self.n_th
-        return self._table(_ENTRIES[3:5], [k_pair, n * kp * gam, (n + 1.0) * km * gam])
+        np.multiply(n * kp, gam, out=weights[1])
+        np.multiply((n + 1.0) * km, gam, out=weights[2])
+        return self._table(_ENTRIES[3:5], weights)
 
 
 #: Points per kernel pass: its temporaries stay in cache and its memory
@@ -326,7 +345,7 @@ def _abs2(z: np.ndarray) -> np.ndarray:
 
 def _passes(blocks: BeamBlocks, omegas: np.ndarray, pid: np.ndarray | None,
             table: tuple[np.ndarray, np.ndarray], finish):
-    """finish(h, |det|^2, weights) at each frequency, point i belonging to
+    """finish(h, |h|^2, weights) at each frequency, point i belonging to
     problem pid[i] (problem 0 where pid is left out): h holds
     det(m + i omega) in row 0 and the table's entries of A
     (BeamBlocks._table) in the rows after it, by Horner's rule, and weights
@@ -352,13 +371,13 @@ def _passes(blocks: BeamBlocks, omegas: np.ndarray, pid: np.ndarray | None,
             h += row
             h *= t
         h += c[-1]
-        det2 = _abs2(h[0])
-        if not np.logical_and.reduce(det2 > 0):
+        h2 = _abs2(h)
+        if not np.minimum.reduce(h2[0], initial=np.inf) > 0:
             raise UnstableSystemError(
                 float(np.max(blocks.eigenvalues.real)),
                 "singular response matrix: system at an instability threshold "
                 "for a requested frequency")
-        return finish(h, det2, weights.take(p, axis=-1))
+        return finish(h, h2, weights.take(p, axis=-1))
 
     out = [one_pass(omegas[i:i + _CHUNK], pid[i:i + _CHUNK])
            for i in range(0, max(omegas.size, 1), _CHUNK)]
@@ -369,14 +388,14 @@ def _passes(blocks: BeamBlocks, omegas: np.ndarray, pid: np.ndarray | None,
     return np.concatenate(out)
 
 
-def _correlators(h: np.ndarray, det2: np.ndarray, wt: np.ndarray) -> tuple[np.ndarray, ...]:
+def _correlators(h: np.ndarray, h2: np.ndarray, wt: np.ndarray) -> tuple[np.ndarray, ...]:
     """(nu_plus, nu_minus, xi, q - 1/4) of a correlator-table pass: the
     excesses nu = n - 1/2 of the occupations over vacuum and of
     q = n_plus n_minus - |xi|^2 over its vacuum value, each a sum of
     non-negative terms (module docstring)."""
     det, a = h[0], h[1:]
-    inv = 1.0 / det2
-    a2 = _abs2(a)
+    inv = 1.0 / h2[0]
+    a2 = h2[1:]
     kpm, kp, rpm = wt[:3]
     # s_++ conj(s_-+) |det|^2 / sqrt(kappa_+ kappa_-), s_++ = (det + kappa_+ A_++) / det
     xi = (det + kp * a[2]) * a[1].conj()
@@ -405,12 +424,11 @@ def _gram(blocks: BeamBlocks, omegas: np.ndarray, finish, pid: np.ndarray | None
     |A_+b|^2; T = M = 0 on the effective model. One Horner pass evaluates
     det, A_+b and A_-b only. Needs a reciprocal block (|A_b+-| = |A_+-b|)
     for E."""
-    def terms(h: np.ndarray, det2: np.ndarray, wt: np.ndarray):
+    def terms(h: np.ndarray, h2: np.ndarray, wt: np.ndarray):
         if len(h) == 1:
-            return finish(det2, wt[0], 0.0, 0.0)
-        a2 = _abs2(h[1:])
-        mechanical = wt[1] * a2[0]
-        return finish(det2, wt[0], mechanical + wt[2] * a2[1], mechanical)
+            return finish(h2[0], wt[0], 0.0, 0.0)
+        mechanical = wt[1] * h2[1]
+        return finish(h2[0], wt[0], mechanical + wt[2] * h2[2], mechanical)
 
     return _passes(blocks, omegas, pid, blocks.gram_table, terms)
 

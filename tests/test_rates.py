@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.signal import find_peaks
 
 from entrate.closedforms import eta_minus_resonant
-from entrate.errors import UnstableSystemError
+from entrate.errors import QuadratureError, UnstableSystemError
 from entrate.models import (BEAM_BLOCK, DriftMatrix, EffectiveModelParams, FullModelParams,
                             beam_blocks, drift_effective, drift_full, stability,
                             stability_gate)
@@ -447,7 +447,7 @@ class TestBatchedRates:
         failing = [(d, n, True) for d, n in (
             (full_drift(Delta=-0.5, delta=10.0), 0.0), (self.not_reciprocal(), 0.0),
             (self.coupled(), 0.0), (self.non_finite(), 0.0), (full_drift(), math.nan),
-            (full_drift(), -1.0))]
+            (full_drift(), -1.0), (full_drift(), math.inf), (full_drift(), -math.inf))]
         batch = stable[:2] + failing[:2] + stable[2:3] + failing[2:] + stable[3:]
         d_s, n_s, fails = zip(*batch)
         for d, n_th, fail, got in zip(d_s, n_s, fails, entanglement_rates(d_s, n_s, tol=tol)):
@@ -479,6 +479,18 @@ class TestBatchedRates:
             assert type(got.value) is ValueError and str(got.value) == str(params.value)
         (slot,) = entanglement_rates([d], [n_th])
         assert type(slot) is ValueError and str(slot) == str(params.value)
+
+    def test_overflowing_polynomials_fail_their_slot_only(self):
+        # at n_th = 1e200 the coefficients of R overflow: that problem fails
+        # with a QuadratureError before the stacked eigen-solve of the roots
+        # (which would reject the whole batch), and without a RuntimeWarning
+        d = full_drift()
+        with pytest.raises(QuadratureError, match="overflow") as single:
+            entanglement_rate(d, 1e200)
+        good, bad, good2 = entanglement_rates([d, d, full_drift(delta=10.0)], [1.0, 1e200, 0.0])
+        assert type(bad) is QuadratureError and str(bad) == str(single.value)
+        assert good == entanglement_rate(d, 1.0)
+        assert good2 == entanglement_rate(full_drift(delta=10.0))
 
     def test_drifts_of_two_models_rejected(self):
         d_eff = drift_effective(EffectiveModelParams(g=5.0, delta=10.0, Delta=-0.2))
@@ -649,10 +661,12 @@ class TestCountedWork:
         anchor = points[0]
         generic = next(pt for pt in points if pt[0] == "generic" and pt[1].dim == 6)
         effective = next(pt for pt in points if pt[1].dim == 4)
+        high_c = next(pt for pt in points if pt[0] == "high_c")
+        near_boundary = next(pt for pt in points if pt[0] == "near_boundary")
         dets, det = [], scattering._det
         monkeypatch.setattr(scattering, "_det", lambda m: dets.append(1) or det(m))
         passes = self.count_passes(monkeypatch, "_density")
-        for stratum, d, n_th in (anchor, generic, effective):
+        for stratum, d, n_th in (anchor, generic, effective, high_c, near_boundary):
             solves.clear(), dets.clear(), passes.clear()
             entanglement_rate(d, n_th)
             assert (len(solves), len(dets)) == (3, 1), stratum

@@ -242,6 +242,17 @@ class TestRunSweep:
             "ok", "unstable", "failed: Array must not contain infs or NaNs"]
         assert rows[1].values["stability_margin"] > 0
 
+    def test_overflowing_point_fails_its_row_only(self):
+        # at n_th = 1e200 the peak polynomial of the rate overflows: that row
+        # fails, and the n_th = 1 row is computed (a RuntimeWarning fails the test)
+        rows = run_sweep(SweepConfig(
+            model="full", fixed={"g": 5.0, "Gamma": 1e-3}, jobs=1, quantities=["gamma_E"],
+            axes=[SweepAxis("n_th", 1.0, 1e200, 2, log=True)])).rows
+        assert [row.status.split(":")[0] for row in rows] == ["ok", "failed"]
+        assert "overflow" in rows[1].status
+        assert rows[0].values["gamma_E"] == entanglement_rate(
+            drift_full(FullModelParams(g=5.0, Gamma=1e-3, n_th=1.0)), 1.0).gamma_E
+
     def test_all_cores_are_the_cpus_this_process_may_use(self, monkeypatch):
         import concurrent.futures
         import os
@@ -558,6 +569,17 @@ class TestCliCommands:
             capsys.readouterr()
             assert run_cli(["sweep", "--config", str(cfg)]) == 2
             assert f"error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["sweep", "--config", "{missing}"], "cannot open --config {missing}: "),
+        (["rate", "--output", "{missing}/x.csv"], "cannot open --output {missing}/x.csv: "),
+        (["rate", "--output", "{dir}"], "cannot open --output {dir}: ")],
+        ids=["missing_config", "output_in_missing_dir", "output_is_dir"])
+    def test_unopenable_file_exits_two(self, tmp_path, capsys, argv, message):
+        # a path that cannot be opened is a usage error, not a traceback
+        paths = {"missing": str(tmp_path / "missing"), "dir": str(tmp_path)}
+        assert run_cli([a.format(**paths) for a in argv]) == 2
+        assert capsys.readouterr().err.startswith("error: " + message.format(**paths))
 
     def test_entanglement_values_depend_only_on_C_and_nth(self, tmp_path):
         # fixed C = 2.5e4: E[0] identical across (Gamma, g) realizations
