@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 
 class EntrateError(Exception):
     """Base class for all package-specific errors."""
@@ -29,8 +31,10 @@ class QuadratureError(EntrateError, RuntimeError):
     """An adaptive integration did not converge to the requested tolerance,
     or a root search found no root where one must lie."""
 
-    def __init__(self, message: str, value: float = float("nan"),
-                 error_estimate: float = float("nan")):
-        self.value = value
-        self.error_estimate = error_estimate
-        super().__init__(f"{message} (value~{value:.6g}, error~{error_estimate:.3g})")
+    def __init__(self, message: str, value: float = math.nan,
+                 error_estimate: float = math.nan):
+        self.reason, self.value, self.error_estimate = message, value, error_estimate
+        # a root search that fails has no value to report
+        if not (math.isnan(value) and math.isnan(error_estimate)):
+            message = f"{message} (value~{value:.6g}, error~{error_estimate:.3g})"
+        super().__init__(message)

@@ -2,33 +2,29 @@
 network models.
 
 Two models are provided: the "full" model with two localized optical modes
-coupled to one mechanical mode (6 doubled operators), and the "effective"
-purely optical model obtained after adiabatic elimination of the mechanics
-(4 doubled operators).
+coupled to one mechanical mode, and the "effective" purely optical model
+obtained after adiabatic elimination of the mechanics.
 
 All rates are expressed in units of the optical intensity decay rate kappa,
 which is stored explicitly so that dimensional output remains possible.
-The operator ordering is fixed to (a+, a+^dag, a-, a-^dag[, b, b^dag]);
-the Langevin system reads dA/dt = m A - sqrt(decay) A_in per channel.
-
-The drift splits into the beam block (a+, a-^dag[, b]), which emits the
-two entangled beams, and its partner (a+^dag, a-[, b^dag]), the block's
-complex conjugate. Each model is written once, as the builder of its k x k
-beam block on parameter arrays (beam_blocks); drift_full and
-drift_effective are its case of one point with the partner placed by the
-ordering. The drift's eigenvalues are the block's and their conjugates, so
-stability is decided from the block's k eigenvalues: stability_gate solves
-a stack of beam blocks at once and gives the eigenvalues and verdicts as
-arrays, for the package's one gate (scattering.BeamBlocks.gate);
-stability is its report on one drift. Every eigen-solve of the package's
-rate path goes through eigvals.
+The Langevin system of the beam operators (a+, a-^dag[, b]), which emit the
+two entangled beams, reads dA/dt = m A - sqrt(decay) A_in per channel; that
+of their partners (a+^dag, a-[, b^dag]) is its complex conjugate, and the
+two do not couple. So a drift is the k x k beam block m (k = 3 full, 2
+effective) with its k decay rates. Each model is written once, as the
+builder of its beam block on parameter arrays (beam_blocks); drift_full and
+drift_effective are its case of one point. The eigenvalues of the partner
+block are the conjugates of the beam block's, so stability is decided from
+the block's k eigenvalues: stability_gate solves a stack of beam blocks at
+once and gives the eigenvalues and verdicts as arrays, for the package's
+one gate (scattering.BeamBlocks.gate); stability is its report on one
+drift. Every eigen-solve of the package's rate path goes through eigvals.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import MISSING, dataclass, fields
-from functools import cache, cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -37,16 +33,9 @@ from numpy.linalg import LinAlgError
 from numpy.linalg._umath_linalg import eigvals as _geev
 from numpy.typing import ArrayLike, NDArray
 
-FULL_ORDERING = ("a_plus", "a_plus_dag", "a_minus", "a_minus_dag", "b", "b_dag")
-EFFECTIVE_ORDERING = FULL_ORDERING[:4]
-#: Beam block of the drift: a+, a-^dag and (full model only) b.
-BEAM_BLOCK = ("a_plus", "a_minus_dag", "b")
-
 #: Eigenvalue real parts below minus this (in kappa units) count as stable;
 #: within this of zero a point is marginal.
 STABILITY_TOL = 1e-9
-#: Constructor tolerance on the (op, op^dag) pairing structure of drift matrices.
-PAIRING_DEFECT_TOL = 1e-12
 
 
 def _check(params) -> None:
@@ -197,114 +186,49 @@ def beam_blocks(model: str, params: Mapping[str, ArrayLike],
 
 @dataclass(frozen=True)
 class DriftMatrix:
-    """Generator of the linear Langevin dynamics in the doubled operator
-    basis, plus per-channel decay rates.
-
-    Rows/columns pair up as (op, op^dag); the constructor enforces the
-    conjugation symmetry m = P conj(m) P with P the partner swap.
-    """
+    """The drift of the beam operators (a+, a-^dag[, b]): the k x k beam
+    block m of the Langevin dynamics (k = 3 full, 2 effective) and the decay
+    rate of each of its channels. The partner operators' drift is the
+    complex conjugate of m."""
 
     m: NDArray[np.complex128]
     decay: NDArray[np.float64]
-    ordering: tuple[str, ...]
 
     def __post_init__(self):
         m = np.array(self.m, dtype=complex)
         decay = np.array(self.decay, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % 2:
-            raise ValueError(f"drift matrix must be square with even dim, got {m.shape}")
-        if decay.shape != (m.shape[0],):
-            raise ValueError("decay must hold one rate per operator row")
-        if (decay < 0).any():
+        if m.shape not in ((2, 2), (3, 3)) or decay.shape != m.shape[:1]:
+            raise ValueError("a drift is a 2x2 or 3x3 beam block with one decay rate per "
+                             f"row, got m of shape {m.shape} and decay of shape {decay.shape}")
+        if np.count_nonzero(decay < 0):
             raise ValueError("decay rates must be non-negative")
-        if len(self.ordering) != m.shape[0]:
-            raise ValueError("ordering must label every operator row")
-        scale = max(1.0, float(np.abs(m).max()))
-        if pairing_defect(m) > PAIRING_DEFECT_TOL * scale:
-            raise ValueError("drift matrix breaks the (op, op^dag) pairing structure")
-        m.flags.writeable = False
-        decay.flags.writeable = False
+        m.flags.writeable = decay.flags.writeable = False
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "decay", decay)
-        object.__setattr__(self, "ordering", tuple(self.ordering))
 
+    # the benchmark tracer reads it
     @property
     def dim(self) -> int:
-        return self.m.shape[0]
-
-    @cached_property
-    def beam_block(self) -> tuple[NDArray[np.complex128], NDArray[np.float64]]:
-        """(m, decay) restricted to the beam block (a+, a-^dag[, b]).
-
-        m splits into this block and its conjugate partner
-        (a+^dag, a-[, b^dag]). The block comes from the operator labels,
-        not from the sparsity of m, which loses the mechanical channel at
-        g = 0. Raises ValueError when m couples the block to its partner.
-        """
-        idx = [self.ordering.index(name) for name in BEAM_BLOCK[:self.dim // 2]]
-        partner = [i for i in range(self.dim) if i not in idx]
-        # the pairing symmetry mirrors partner -> block couplings onto these
-        if np.any(self.m[np.ix_(idx, partner)]):
-            raise ValueError("drift matrix couples the beam block "
-                             f"{BEAM_BLOCK[:len(idx)]} to its conjugate partner")
-        return self.m[np.ix_(idx, idx)], self.decay[idx]
+        """k, the number of beam operators."""
+        return len(self.m)
 
 
-def pairing_defect(m: np.ndarray) -> float:
-    """Max-norm violation of m = P conj(m) P, where P swaps each operator
-    with its daggered partner (rows and columns 2i <-> 2i+1)."""
-    n = len(m) // 2
-    # [i, a, j, b]: row 2i + a, column 2j + b; the swap reverses a and b
-    v = np.asarray(m).reshape(n, 2, n, 2)
-    return float(np.abs(v - np.conj(v[:, ::-1, :, ::-1])).max())
-
-
-@cache
-def _placement(ordering: tuple[str, ...], k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Where _doubled puts a k x k beam block in a drift of ordering: the
-    flat places of the block's entries, those of their partners, and for
-    each row of the drift the block operator it or its partner is."""
-    idx = np.array([ordering.index(name) for name in BEAM_BLOCK[:k]])
-    rows = np.empty(len(ordering), dtype=np.intp)
-    rows[idx] = rows[idx ^ 1] = np.arange(k)
-    n = len(ordering)
-    return idx[:, None] * n + idx, (idx[:, None] ^ 1) * n + (idx ^ 1), rows
-
-
-def _doubled(model: str, p, ordering: tuple[str, ...]) -> DriftMatrix:
-    """The drift at p: the model's beam block (its builder at one point) at
-    the block's operators of ordering, and the block's complex conjugate at
-    their partners (rows and columns 2i <-> 2i + 1). The drift keeps the
-    block as built, so beam_block does not extract it again, and is built
-    without __post_init__'s checks, which hold by construction: the
-    partner is the block's conjugate, so the pairing defect is exactly 0."""
+def _drift(model: str, p) -> DriftMatrix:
+    """The drift at p: the model's beam-block builder at one point."""
     # each parameter as an array of one point
     point = np.array(list(vars(p).values()), dtype=float)[:, None]
     m, decay, _ = _BUILDERS[model](**dict(zip(vars(p), point)))
-    block, rates = m[0], decay[0]
-    entries, partners, rows = _placement(ordering, len(block))
-    full = np.zeros((len(ordering),) * 2, dtype=complex)
-    full.put(entries, block)
-    full.put(partners, block.conj())
-    decays = rates.take(rows)
-    full.flags.writeable = decays.flags.writeable = False
-    d = DriftMatrix.__new__(DriftMatrix)
-    for name, value in (("m", full), ("decay", decays), ("ordering", ordering),
-                        ("beam_block", (block, rates))):   # the cached_property's slot
-        object.__setattr__(d, name, value)
-    return d
+    return DriftMatrix(m[0], decay[0])
 
 
 def drift_full(p: FullModelParams) -> DriftMatrix:
-    """6x6 drift matrix of the full model: its beam block at p and the
-    conjugate partner."""
-    return _doubled("full", p, FULL_ORDERING)
+    """3x3 beam block of the full model at p."""
+    return _drift("full", p)
 
 
 def drift_effective(p: EffectiveModelParams) -> DriftMatrix:
-    """4x4 drift matrix of the effective optical model: its beam block at p
-    and the conjugate partner."""
-    return _doubled("effective", p, EFFECTIVE_ORDERING)
+    """2x2 beam block of the effective optical model at p."""
+    return _drift("effective", p)
 
 
 def build_drift(model: str, params: dict[str, float]) -> tuple[DriftMatrix, float]:
@@ -327,15 +251,14 @@ class StabilityReport:
 
 def stability(d: DriftMatrix) -> StabilityReport:
     """Numerical stability verdict from the eigenvalues of d's beam block
-    (the drift's others are their conjugates, of the same real parts).
+    (the partner block's are their conjugates, of the same real parts).
 
     stable means max Re(eig) < -STABILITY_TOL; points with
     |max Re(eig)| <= STABILITY_TOL are flagged marginal and are not stable,
     so every gate that asks for a stable drift rejects a point on the
-    instability boundary. Raises ValueError when d couples the beam block
-    to its partner. The verdict of stability_gate on the block alone.
+    instability boundary. The verdict of stability_gate on the block alone.
     """
-    _, (margin,), (stable,) = stability_gate(d.beam_block[0][None])
+    _, (margin,), (stable,) = stability_gate(d.m[None])
     return StabilityReport(stable=bool(stable), max_real_part=float(margin),
                            marginal=bool(abs(margin) <= STABILITY_TOL))
 

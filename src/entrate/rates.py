@@ -163,7 +163,7 @@ import numpy as np
 from numpy.linalg import LinAlgError
 
 from .errors import QuadratureError
-from .models import PAIRING_DEFECT_TOL, DriftMatrix, eigvals
+from .models import DriftMatrix, eigvals
 # unused here, but the benchmark tracer wraps these names in rates
 from .models import stability  # noqa: F401
 from .quadutil import adaptive_gk_batch
@@ -212,6 +212,8 @@ _EPS4 = 4.0 * np.finfo(float).eps
 #: J_i J_j, the signs of J m J.
 _RECIPROCITY_SIGNS = np.array([1.0, -1.0, 1.0])
 _RECIPROCITY = np.outer(_RECIPROCITY_SIGNS, _RECIPROCITY_SIGNS)
+#: Tolerance of the reciprocity check, relative to a block's largest entry.
+_RECIPROCITY_TOL = 1e-12
 #: Floor of the one denominator of _gram_density that vanishes (where K = 0).
 _TINY = np.finfo(float).tiny
 
@@ -289,37 +291,38 @@ class RateResult:
 _NO_ENTANGLEMENT = RateResult(0.0, 0.0, 0.0, 0.0, 0.0, 0)
 
 
-def _resonances(eigenvalues: np.ndarray, decay: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _resonances(eigenvalues: np.ndarray, widest: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(centres, linewidths) of the beam-block resonances, -Im and |Re| of
-    its eigenvalues, plus omega = 0 with the largest decay rate as width,
-    along the last axis of the eigenvalues and decays."""
+    its eigenvalues along their last axis, plus omega = 0 with the largest
+    decay rate widest as width."""
     centres, widths = np.empty((2, *eigenvalues.shape[:-1], eigenvalues.shape[-1] + 1))
     np.negative(eigenvalues.imag, out=centres[..., :-1])
     centres[..., -1] = 0.0
     np.maximum(np.abs(eigenvalues.real), 1e-12, out=widths[..., :-1])
-    widths[..., -1] = np.maximum.reduce(decay, axis=-1)
+    widths[..., -1] = widest
     return centres, widths
 
 
-def _scale(eigenvalues: np.ndarray, decay: np.ndarray) -> np.ndarray:
+def _scale(eigenvalues: np.ndarray, widest: np.ndarray) -> np.ndarray:
     """Frequency scale s of the crossing polynomials, one per row of the
-    beam-block eigenvalues and decays: max |eig| + max decay."""
-    return np.maximum.reduce(np.abs(eigenvalues), axis=-1) + np.maximum.reduce(decay, axis=-1)
+    beam-block eigenvalues with its largest decay rate widest:
+    max |eig| + max decay."""
+    return np.maximum.reduce(np.abs(eigenvalues), axis=-1) + widest
 
 
-def _panel_omegas(eigenvalues: np.ndarray, decay: np.ndarray, scale: np.ndarray) -> np.ndarray:
+def _panel_omegas(eigenvalues: np.ndarray, widest: np.ndarray) -> np.ndarray:
     """The resonance-graded frequency edges of every problem p, from its
-    block eigenvalues (P, k), decays and span scale[p]: one row per
-    problem, unsorted, NaN where a ladder has no rung. Each resonance
+    block eigenvalues (P, k) and its largest decay rate widest[p]: one row
+    per problem, unsorted, NaN where a ladder has no rung. Each resonance
     centre (_resonances) gets edges at its linewidth times _GRADING^j
     either side, out to the half-way point to the neighbouring centre, or
-    to _OUTER_REACH times (max |centre| + scale[p]) on the outer sides, and
+    to _OUTER_REACH times (max |centre| + widest[p]) on the outer sides, and
     an edge there. Coincident centres merge: a centre within the linewidth
     of a narrower one (or of an earlier one as narrow) gives way to it.
     Elementwise along the problem axis, so a row does not depend on the
     batch."""
-    c, w = _resonances(eigenvalues, decay)
-    outer = _OUTER_REACH * (np.maximum.reduce(np.abs(c), axis=1) + scale)
+    c, w = _resonances(eigenvalues, widest)
+    outer = _OUTER_REACH * (np.maximum.reduce(np.abs(c), axis=1) + widest)
     m = c.shape[1]
     # [p, i, j]: centre j ranks below centre i by width, then by place (it
     # is narrower, or as narrow and earlier), and lies within its own
@@ -346,23 +349,23 @@ def _panel_omegas(eigenvalues: np.ndarray, decay: np.ndarray, scale: np.ndarray)
     return omega.reshape(len(c), -1)
 
 
-def _panel_edges(eigenvalues: np.ndarray, decay: np.ndarray, scale: np.ndarray) -> np.ndarray:
+def _panel_edges(eigenvalues: np.ndarray, widest: np.ndarray) -> np.ndarray:
     """Starting Gauss-Kronrod edges of Gamma_E in theta = arctan(omega /
-    scale[p]): the edges of _panel_omegas, one row per problem, ascending
+    widest[p]): the edges of _panel_omegas, one row per problem, ascending
     from -pi/2 to pi/2 and NaN-padded at the end (repeated edges make no
     panel in quadutil.adaptive_gk_batch)."""
-    omega = _panel_omegas(eigenvalues, decay, scale)
+    omega = _panel_omegas(eigenvalues, widest)
     edges = np.empty((len(omega), omega.shape[1] + 2))
     edges[:, :2] = -0.5 * math.pi, 0.5 * math.pi
     # + 0.0 makes -0.0 a 0.0: equal edges of two signs sort in either order
-    np.arctan(omega / scale[:, None] + 0.0, out=edges[:, 2:])
+    np.arctan(omega / widest[:, None] + 0.0, out=edges[:, 2:])
     edges.sort(axis=1)
     return edges
 
 
 def _reciprocal(m: np.ndarray) -> np.ndarray:
     """Whether each beam block of the stack m (P, k, k) obeys m^T = J m J
-    (to PAIRING_DEFECT_TOL of its largest entry), which the whole-line
+    (to _RECIPROCITY_TOL of its largest entry), which the whole-line
     E > 0 region and the crossing polynomial rest on."""
     k = m.shape[-1]
     defect = m.transpose(0, 2, 1) - _RECIPROCITY[:k, :k] * m
@@ -371,7 +374,7 @@ def _reciprocal(m: np.ndarray) -> np.ndarray:
         return np.ones(len(m), dtype=bool)
     defect = np.maximum.reduce(np.abs(defect), axis=(1, 2))
     scale = np.fmax(np.maximum.reduce(np.abs(m), axis=(1, 2)), 1.0)
-    return ~(defect > PAIRING_DEFECT_TOL * scale)
+    return ~(defect > _RECIPROCITY_TOL * scale)
 
 
 def _not_reciprocal(k: int) -> ValueError:
@@ -686,7 +689,7 @@ def spectrum_peak(blocks: BeamBlocks) -> tuple[np.ndarray, np.ndarray]:
     or 0 without the thermal input), so the rows go through in groups of
     one degree, a kernel pass each; elementwise along the problem axis, so
     a row does not depend on the batch."""
-    s = _scale(blocks.eigenvalues, blocks.decay)
+    s = _scale(blocks.eigenvalues, np.maximum.reduce(blocks.decay, axis=1))
     dp, _, _, n = _beam_polynomials(blocks, s)
     table = _derivatives([n, dp])
     r = _polymul(table[1, 0], table[0, 1]) - _polymul(table[0, 0], table[1, 1])
@@ -728,6 +731,8 @@ def entanglement_rates(drifts: Sequence[DriftMatrix], n_ths: Sequence[float],
     not reciprocal, or a QuadratureError."""
     _check_tol(tol)
     drifts = list(drifts)
+    if not drifts:
+        return []
     blocks, places, failures = BeamBlocks.gate_drifts(drifts, n_ths)
     out: list[RateResult | Exception | None] = [None] * len(drifts)
     for i, failure in failures.items():
@@ -747,7 +752,8 @@ def entanglement_rates(drifts: Sequence[DriftMatrix], n_ths: Sequence[float],
 
 def _rates(blocks: BeamBlocks, tol: float) -> list[RateResult | Exception]:
     """The batched rate of entanglement_rates for stable, reciprocal blocks."""
-    s = _scale(blocks.eigenvalues, blocks.decay)
+    widest = np.maximum.reduce(blocks.decay, axis=1)
+    s = _scale(blocks.eigenvalues, widest)
     polys = _beam_polynomials(blocks, s)
     out: list[RateResult | Exception] = [_NO_ENTANGLEMENT] * len(blocks)
     # E > 0 on the whole line where K > 0, E = 0 everywhere where K = 0
@@ -755,7 +761,8 @@ def _rates(blocks: BeamBlocks, tol: float) -> list[RateResult | Exception]:
     if not pos.size:
         return out
     if pos.size < len(blocks):
-        blocks, s, polys = blocks.take(pos), s[pos], tuple(p[pos] for p in polys)
+        blocks, s, widest, polys = (blocks.take(pos), s[pos], widest[pos],
+                                    tuple(p[pos] for p in polys))
     w, peaks_at = _stationary(s, polys, blocks.k)
     # a problem whose polynomials overflow has no peak candidates (_roots):
     # it fails, and the others take theirs again without it
@@ -764,19 +771,19 @@ def _rates(blocks: BeamBlocks, tol: float) -> list[RateResult | Exception]:
         for p, n_th in zip(pos[overflow].tolist(), blocks.n_th[overflow].tolist()):
             out[p] = QuadratureError(f"the polynomials of E overflow float64 at n_th={n_th:g}")
         ok = (~overflow).nonzero()[0]
-        blocks, s, polys, pos = blocks.take(ok), s[ok], tuple(p[ok] for p in polys), pos[ok]
+        blocks, s, widest, polys, pos = (blocks.take(ok), s[ok], widest[ok],
+                                         tuple(p[ok] for p in polys), pos[ok])
         if not pos.size:
             return out
         w, peaks_at = _stationary(s, polys, blocks.k)
 
     # E has all its structure at the resonances, so panels that start
     # there only need polishing; half of tol * 2 pi is the budget
-    scale = np.maximum.reduce(blocks.decay, axis=1)
-    edges = _panel_edges(blocks.eigenvalues, blocks.decay, scale)
+    edges = _panel_edges(blocks.eigenvalues, widest)
     at_w = []
 
     def integrand(theta: np.ndarray, pid: np.ndarray) -> np.ndarray:
-        t, sc = np.tan(theta), scale.take(pid)
+        t, sc = np.tan(theta), widest.take(pid)
         if at_w:
             return _density(blocks, sc * t, pid) * (sc * (1.0 + t * t))
         # the first call, on the quadrature's first start nodes (all of them
@@ -794,6 +801,10 @@ def _rates(blocks: BeamBlocks, tol: float) -> list[RateResult | Exception]:
     for p, gk_failure, fwhm_failure, total, top, where, width, error, count in zip(
             pos.tolist(), gk_failures, fwhm_failures, totals.tolist(), e_max.tolist(),
             omega_max.tolist(), widths.tolist(), errors.tolist(), peaks.tolist()):
+        if gk_failure:
+            # the quadrature integrates 2 pi Gamma_E
+            gk_failure = QuadratureError(gk_failure.reason, gk_failure.value / (2.0 * math.pi),
+                                         gk_failure.error_estimate / (2.0 * math.pi))
         out[p] = gk_failure or fwhm_failure or RateResult(
             gamma_E=total / (2.0 * math.pi), E_max=top, omega_max=where, fwhm=width,
             quadrature_error=error / (2.0 * math.pi), secondary_peaks=count - 1)

@@ -6,14 +6,14 @@ Langevin system dA/dt = m A - sqrt(D) A_in gives
     A_out(omega) = S(omega) A_in(omega),
     S(omega) = I + D^{1/2} (m + i omega I)^{-1} D^{1/2},
 
-with D = diag(decay). The drift of both models splits into two conjugate
-blocks: the beam block (a+, a-^dag[, b]) and its partner
-(a+^dag, a-[, b^dag]), and S(-omega) on the partner block is the complex
-conjugate of S(+omega) on the beam block. The output-pair correlators
-therefore need only the 3x3 (full) or 2x2 (effective) beam block at
-+omega. With s = S(omega) on that block, rows and columns indexed
-+ (a+), - (a-^dag), b, vacuum optical inputs and a thermal mechanical
-input of occupation n_th:
+with D = diag(decay), for the beam operators (a+, a-^dag[, b]) and for
+their partners (a+^dag, a-[, b^dag]) alike. A drift (models.DriftMatrix)
+is the beam block: the partners' block is its complex conjugate, and
+S(-omega) on it is the complex conjugate of S(+omega) on the beam block.
+The output-pair correlators therefore need only the 3x3 (full) or 2x2
+(effective) beam block at +omega. With s = S(omega) on that block, rows
+and columns indexed + (a+), - (a-^dag), b, vacuum optical inputs and a
+thermal mechanical input of occupation n_th:
 
     n_plus  = 1/2 + |s_+-|^2 + n_th |s_+b|^2
     n_minus = 1/2 + |s_-+|^2 + (n_th + 1) |s_-b|^2
@@ -213,35 +213,24 @@ class BeamBlocks:
 
     @classmethod
     def gate_drifts(cls, drifts: Sequence[DriftMatrix], n_ths: Sequence[float],
-                    ) -> tuple["BeamBlocks | None", list[int], dict[int, Exception]]:
-        """gate on the drifts' beam blocks, one n_th each: the batch (None where
-        no drift has one), the drifts' places in it and each other drift's
-        failure by place, the first of: the ValueError of a block coupled to
-        its partner, a failure of gate, the UnstableSystemError, carrying the
-        margin, of a block that is not stable. Raises ValueError on mixed models."""
-        drifts, n_ths = list(drifts), [float(n) for n in n_ths]
+                    ) -> tuple["BeamBlocks", list[int], dict[int, Exception]]:
+        """gate on the drifts' beam blocks (all of one model), one n_th each:
+        the batch, the drifts' places in it and each other drift's failure
+        by place: that of gate, else the UnstableSystemError, carrying the
+        margin, of a block that is not stable. Raises ValueError on mixed
+        models."""
         if len(n_ths) != len(drifts):
             raise ValueError("one n_th per drift is needed")
-        failures: dict[int, Exception] = {}
-        extracted = []
-        for i, d in enumerate(drifts):
-            try:
-                extracted.append((i, *d.beam_block, n_ths[i]))
-            except ValueError as exc:
-                failures[i] = exc
-        if not extracted:
-            return None, [], failures
-        places, m, decay, n_th = zip(*extracted)
-        if len({b.shape for b in m}) != 1:
+        if len({d.m.shape for d in drifts}) > 1:
             raise ValueError("a batch of beam blocks needs drifts of one model")
-        blocks, passed, margin, failed = cls.gate(np.array(m), np.array(decay), np.array(n_th))
-        if len(passed) == len(places):
-            return blocks, list(places), failures
+        blocks, passed, margin, failures = cls.gate(
+            np.array([d.m for d in drifts]), np.array([d.decay for d in drifts]),
+            np.array(n_ths, dtype=float))
         passed = passed.tolist()
-        failed.update((j, UnstableSystemError(margin[j]))
-                      for j in set(range(len(places))).difference(passed, failed))
-        failures.update((places[j], exc) for j, exc in failed.items())
-        return blocks, [places[j] for j in passed], failures
+        if len(passed) < len(drifts):
+            failures.update((i, UnstableSystemError(margin[i]))
+                            for i in set(range(len(drifts))).difference(passed, failures))
+        return blocks, passed, failures
 
     @classmethod
     def of(cls, drifts: Sequence[DriftMatrix], n_ths: Sequence[float]) -> "BeamBlocks":

@@ -4,12 +4,13 @@ A sweep builds the beam blocks of the valid grid points from the grid's
 parameter columns in one models.beam_blocks call, passes them through
 scattering.BeamBlocks.gate (one stacked k x k eigen-solve), and computes
 the stable points' quantities in contiguous chunks, one chunk per worker
-of a process pool when jobs != 1. A chunk is one scattering.BeamBlocks
-(the gated blocks with their eigenvalues; no DriftMatrix is built), and each
-quantity runs once per chunk on that problem axis: the rate fields in one
-rates._rates call, the pair rates in one stacked solve and the spectrum
-peaks in one rates.spectrum_peak call. A batched value equals the
-one-point value bit for bit, so the rows, emitted strictly in grid order,
+of a process pool when jobs != 1. A chunk is one scattering.BeamBlocks:
+the gated blocks stacked with their eigenvalues, each the k x k block that
+models.drift_full or drift_effective gives for its point alone, bit for
+bit. Each quantity runs once per chunk on that problem axis: the rate
+fields in one rates._rates call, the pair rates in one stacked solve and
+the spectrum peaks in one rates.spectrum_peak call. A batched value equals
+the one-point value bit for bit, so the rows, emitted strictly in grid order,
 are byte-stable whatever the worker count and however the grid is split
 into sweeps. Unstable points are flagged in the status column rather than
 aborting the sweep, and so are points whose parameters are invalid or

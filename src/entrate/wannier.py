@@ -157,7 +157,7 @@ def filtered_entanglement(d: DriftMatrix, n_th: float,
         return np.stack([nu_plus, nu_minus, xi.real, xi.imag])
 
     # the rate's resonance-graded edges (rates._panel_omegas), in theta
-    (omegas,) = _panel_omegas(blocks.eigenvalues, blocks.decay, blocks.decay.max(axis=1))
+    (omegas,) = _panel_omegas(blocks.eigenvalues, blocks.decay.max(axis=1))
     seeds = unwarp(tau * (omegas[np.isfinite(omegas)] - wc))
     seeds = seeds[np.abs(seeds) < half]
     s_scale = float(np.max(np.abs(parts(np.append(seeds, 0.0))))) + 1e-12

@@ -20,7 +20,7 @@ def frequency_grid(d: DriftMatrix) -> np.ndarray:
     """Sorted frequency grid seeded at the beam-block resonances of d:
     per-resonance offsets scaled by the local linewidth plus a coarse
     global grid over [-span, span]."""
-    centers, widths = _resonances(np.linalg.eigvals(d.beam_block[0]), d.decay)
+    centers, widths = _resonances(np.linalg.eigvals(d.m), d.decay.max())
     span = float(np.max(np.abs(centers)) + 20.0 * np.max(d.decay) + 1.0)
     out = np.unique(np.concatenate([np.linspace(-span, span, 241),
                                     (centers[:, None] + widths[:, None]

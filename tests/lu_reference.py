@@ -3,27 +3,27 @@ inversion, independent of the beam-block kernel that entrate.scattering
 evaluates from polynomial coefficients.
 
 S(omega) = I + D^1/2 (m + i omega I)^-1 D^1/2 over all operators
-(a+, a+^dag, a-, a-^dag[, b, b^dag]), and the within-beam correlator
-<a_out(omega) a_out(-omega)> = (S(omega) C S^T(-omega)) from the input
-noise coefficients C.
+(a+, a+^dag, a-, a-^dag[, b, b^dag]) of a doubled_reference drift, and the
+within-beam correlator <a_out(omega) a_out(-omega)> = (S(omega) C S^T(-omega))
+from the input noise coefficients C.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from entrate.models import DriftMatrix
+from doubled_reference import Doubled
 
 
-def scattering_matrices(d: DriftMatrix, omegas) -> np.ndarray:
-    """S(omega_k) stacked, shape (len(omegas), dim, dim)."""
+def scattering_matrices(d: Doubled, omegas) -> np.ndarray:
+    """S(omega_k) stacked, shape (len(omegas), 2k, 2k)."""
     omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
-    eye = np.eye(d.dim)
+    eye = np.eye(len(d.m))
     sq = np.sqrt(d.decay)
     return eye + np.outer(sq, sq) * np.linalg.inv(d.m + 1j * omegas[:, None, None] * eye)
 
 
-def scattering_matrix(d: DriftMatrix, omega: float) -> np.ndarray:
+def scattering_matrix(d: Doubled, omega: float) -> np.ndarray:
     return scattering_matrices(d, [omega])[0]
 
 
@@ -38,9 +38,9 @@ def input_noise_matrix(dim: int, n_th: float = 0.0) -> np.ndarray:
     return c
 
 
-def intra_beam_correlator(d: DriftMatrix, omega: float, n_th: float = 0.0,
+def intra_beam_correlator(d: Doubled, omega: float, n_th: float = 0.0,
                           beam: int = 1) -> complex:
     """<a_out(omega) a_out(-omega)> of beam 1 (a+) or beam 2 (a-)."""
     row = 0 if beam == 1 else 2
     s = scattering_matrices(d, [omega, -omega])
-    return complex(s[0, row] @ input_noise_matrix(d.dim, n_th) @ s[1, row])
+    return complex(s[0, row] @ input_noise_matrix(len(d.m), n_th) @ s[1, row])

@@ -1,8 +1,9 @@
 """Extended-precision references for the output-pair correlators and for
 the Lorentzian-filtered entanglement.
 
-correlators_mp evaluates the whole doubled-basis pipeline in mpmath: both
-6x6 (or 4x4) scattering matrices S(+omega) and S(-omega), the input noise
+correlators_mp evaluates the whole doubled-basis pipeline in mpmath from a
+doubled_reference drift: both 6x6 (or 4x4) scattering matrices S(+omega)
+and S(-omega), the input noise
 coefficients C, and W = S(omega) C S^T(-omega), then forms
 q = n_plus n_minus - |xi|^2 by direct subtraction, which 50 digits survive
 at any cooperativity the tests use. Shares no code with the float64 block
@@ -14,15 +15,16 @@ from __future__ import annotations
 
 import mpmath as mp
 
+from doubled_reference import Doubled
 from entrate.models import DriftMatrix
 
 
-def correlators_mp(d: DriftMatrix, omega: float, n_th: float = 0.0,
+def correlators_mp(d: Doubled, omega: float, n_th: float = 0.0,
                    dps: int = 50) -> tuple[mp.mpf, mp.mpf, mp.mpc]:
     """(n_plus, n_minus, xi) of the output pair at (omega, -omega), computed
-    at `dps` decimal digits from the float64 entries of d."""
+    at `dps` decimal digits from the float64 entries of the doubled drift d."""
     with mp.workdps(dps):
-        n = d.dim
+        n = len(d.m)
         sq = [mp.sqrt(mp.mpf(x)) for x in d.decay]
 
         def smat(w: mp.mpf) -> mp.matrix:
@@ -56,7 +58,7 @@ def correlators_mp(d: DriftMatrix, omega: float, n_th: float = 0.0,
         return n_plus, n_minus, xi
 
 
-def reference_point(d: DriftMatrix, omega: float, n_th: float = 0.0,
+def reference_point(d: Doubled, omega: float, n_th: float = 0.0,
                     dps: int = 50) -> tuple[float, float]:
     """(q, E) at one frequency: q = n_plus n_minus - |xi|^2 and the
     log-negativity E = max(0, -ln 2 eta_minus), both rounded to float."""
@@ -82,7 +84,7 @@ def lorentzian_filtered_mp(d: DriftMatrix, n_th: float, omega_c: float, tau: flo
     Solved as one vectorized linear system; shares no code with the angle
     quadrature of wannier.filtered_entanglement.
     """
-    m, decay = d.beam_block
+    m, decay = d.m, d.decay
     k = m.shape[0]
     n = k + 2
     with mp.workdps(dps):

@@ -11,9 +11,14 @@ from entrate.models import (EffectiveModelParams, FullModelParams, drift_effecti
                             drift_full, stability)
 
 
+def drift_of(p: FullModelParams | EffectiveModelParams):
+    """The drift of the model of the parameter set p."""
+    return drift_full(p) if isinstance(p, FullModelParams) else drift_effective(p)
+
+
 @st.composite
-def stable_drifts(draw):
-    """(drift, n_th) at a random strictly stable point of either model:
+def stable_points(draw):
+    """(params, n_th) at a random strictly stable point of either model:
     full model with C up to 1e5 (near double resonance for half the draws),
     effective model across its usual parameter box."""
     if draw(st.booleans()):
@@ -25,13 +30,18 @@ def stable_drifts(draw):
                             delta=scale * draw(st.floats(-15.0, 15.0)),
                             Delta=scale * draw(st.floats(-1.5, 1.5)),
                             n_th=draw(st.sampled_from([0.0, 1.0, 50.0, 1e3])))
-        d, n_th = drift_full(p), p.n_th
+        n_th = p.n_th
     else:
-        d = drift_effective(EffectiveModelParams(
+        p = EffectiveModelParams(
             g=draw(st.floats(0.5, 6.0)),
             delta=draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(2.0, 30.0)),
-            Delta=draw(st.floats(-1.0, 1.0))))
+            Delta=draw(st.floats(-1.0, 1.0)))
         n_th = 0.0
-    rep = stability(d)
+    rep = stability(drift_of(p))
     assume(rep.stable and not rep.marginal)
-    return d, n_th
+    return p, n_th
+
+
+def stable_drifts():
+    """(drift, n_th) at the points of stable_points."""
+    return stable_points().map(lambda point: (drift_of(point[0]), point[1]))

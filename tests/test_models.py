@@ -7,11 +7,13 @@ from scipy.optimize import linear_sum_assignment
 
 from entrate import models
 from entrate.models import (STABILITY_TOL, DriftMatrix, EffectiveModelParams, FullModelParams,
-                            beam_blocks, drift_effective, drift_full, eigvals, pairing_defect,
-                            stability, stability_boundary_effective, stability_gate)
+                            beam_blocks, drift_effective, drift_full, eigvals, stability,
+                            stability_boundary_effective, stability_gate)
 from entrate.rates import entanglement_rate
+from doubled_reference import BEAM, PARTNER, doubled_drift
+from lu_reference import intra_beam_correlator
 from paper_helpers import CellParams, in_validity_regime, map_cell_params
-from strategies import stable_drifts
+from strategies import drift_of, stable_points
 
 KAPPA = 1.0
 
@@ -26,18 +28,18 @@ class TestDriftFull:
         g, Delta, delta, Gamma = 5.0, 0.3, 10.0, 1e-3
         m = drift_full(full(g=g, Delta=Delta, delta=delta, Gamma=Gamma)).m
         hg = 0.5j * g
-        assert m[0, 4] == hg                       # a+ row, b column
-        assert m[4, 3] == hg                       # b row, a-^dag column
-        assert m[4, 0] == hg
-        assert m[0, 0] == 1j * Delta - 0.5
-        assert m[4, 4] == -1j * delta - Gamma / 2
-        assert m[2, 5] == hg and m[3, 4] == -hg
-        assert m[5, 1] == -hg and m[5, 2] == -hg
+        assert m[0, 2] == hg                       # a+ row, b column
+        assert m[2, 1] == hg                       # b row, a-^dag column
+        assert m[2, 0] == hg
+        assert m[0, 0] == 1j * Delta - 0.5 and m[1, 1] == -1j * Delta - 0.5
+        assert m[2, 2] == -1j * delta - Gamma / 2
+        assert m[1, 2] == -hg                      # a-^dag row, b column
+        assert m[0, 1] == 0 and m[1, 0] == 0
 
     def test_decoupled_limit(self):
         d = drift_full(full(g=0.0, Delta=0.7, delta=3.0))
         re = np.sort(np.linalg.eigvals(d.m).real)
-        np.testing.assert_allclose(re, [-0.5] * 4 + [-5e-4] * 2, atol=1e-12)
+        np.testing.assert_allclose(re, [-0.5] * 2 + [-5e-4], atol=1e-12)
 
     def test_fig4a_operating_point_stable(self):
         d = drift_full(full(Delta=0.0, delta=10.0))
@@ -45,47 +47,53 @@ class TestDriftFull:
 
     def test_decay_vector(self):
         d = drift_full(full())
-        np.testing.assert_allclose(d.decay, [1.0] * 4 + [1e-3] * 2)
-
-    def test_pairing_structure_enforced(self):
-        d = drift_full(full())
-        assert pairing_defect(d.m) == 0.0
-        broken = np.array(d.m)
-        broken[0, 4] = -broken[0, 4]
-        with pytest.raises(ValueError):
-            DriftMatrix(broken, d.decay, d.ordering)
+        np.testing.assert_allclose(d.decay, [1.0] * 2 + [1e-3])
 
     def test_random_parameters_keep_pairing(self):
-        # the model builders skip DriftMatrix's checks: each drift they
-        # build holds them, the pairing exactly, and the public constructor
-        # accepts it as it is
+        # stable or not, the drift is the doubled drift on the beam
+        # operators, whose partners carry its conjugate and nothing else;
+        # the public constructor takes it as it is, read-only
         rng = np.random.default_rng(5)
         for _ in range(20):
-            for d in (drift_full(full(g=rng.uniform(0, 8), Gamma=rng.uniform(1e-3, 0.5),
-                                      Delta=rng.uniform(-2, 2), delta=rng.uniform(-20, 20),
-                                      n_th=rng.uniform(0, 10))),
-                      drift_effective(EffectiveModelParams(
+            for p in (full(g=rng.uniform(0, 8), Gamma=rng.uniform(1e-3, 0.5),
+                           Delta=rng.uniform(-2, 2), delta=rng.uniform(-20, 20),
+                           n_th=rng.uniform(0, 10)),
+                      EffectiveModelParams(
                           g=rng.uniform(0, 8), delta=rng.choice([-1, 1]) * rng.uniform(0.5, 30),
-                          Delta=rng.uniform(-2, 2)))):
-                assert pairing_defect(d.m) == 0.0
-                public = DriftMatrix(d.m, d.decay, d.ordering)
+                          Delta=rng.uniform(-2, 2))):
+                d, doubled = drift_of(p), doubled_drift(p)
+                beam, partner = BEAM[:len(d.m)], PARTNER[:len(d.m)]
+                assert np.array_equal(doubled.m[np.ix_(beam, beam)], d.m)
+                assert np.array_equal(doubled.m[np.ix_(partner, partner)], d.m.conj())
+                assert np.array_equal(doubled.decay[list(beam)], d.decay)
+                public = DriftMatrix(d.m, d.decay)
                 assert public.m.tobytes() == d.m.tobytes() and public.m.dtype == d.m.dtype
                 assert public.decay.tobytes() == d.decay.tobytes()
-                assert public.ordering == d.ordering and type(d.ordering) is tuple
                 assert not d.m.flags.writeable and not d.decay.flags.writeable
+
+    def test_public_constructor_takes_a_beam_block(self):
+        d = drift_full(full())
+        m = np.array(d.m)
+        DriftMatrix(m, d.decay)
+        assert m.flags.writeable            # the drift holds a read-only copy
+        for bad_m, bad_decay in ((np.eye(6), np.ones(6)), (np.eye(4), np.ones(4)),
+                                 (d.m, d.decay[:2]), (d.m[:2], d.decay[:2].tolist() + [1.0])):
+            with pytest.raises(ValueError, match="2x2 or 3x3 beam block"):
+                DriftMatrix(bad_m, bad_decay)
+        with pytest.raises(ValueError, match="non-negative"):
+            DriftMatrix(d.m, [1.0, -1.0, 1e-3])
 
 
 class TestDriftEffective:
     def test_decoupled_limit(self):
         d = drift_effective(EffectiveModelParams(g=0.0, delta=10.0, Delta=0.4))
-        expected = np.diag([1j * 0.4 - 0.5, -1j * 0.4 - 0.5,
-                            1j * 0.4 - 0.5, -1j * 0.4 - 0.5])
+        expected = np.diag([1j * 0.4 - 0.5, -1j * 0.4 - 0.5])
         np.testing.assert_allclose(d.m, expected, atol=0)
 
     def test_pair_coupling_value(self):
         # g = 5k, delta = 10k: g^2/4delta = 0.625k
         d = drift_effective(EffectiveModelParams(g=5.0, delta=10.0))
-        assert d.m[0, 3] == 0.625j
+        assert d.m[0, 1] == 0.625j and d.m[1, 0] == -0.625j
         assert d.m[0, 0] == 0.625j - 0.5
 
     def test_max_real_part_formula(self):
@@ -144,41 +152,43 @@ class TestStability:
                     assert verdict == analytic, (de, dd)
 
 
-def _box_drifts(seed, n):
-    """n drifts of each model from the parameter box of stable_drifts, drawn
+def _box_points(seed, n):
+    """n parameter sets of each model from the box of stable_points, drawn
     by a seeded generator, stable or not."""
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(n):
         gamma = 10.0 ** rng.uniform(-3.0, -0.5)
         scale = rng.choice([1.0, 1e-3])
-        out.append(drift_full(full(g=math.sqrt(10.0 ** rng.uniform(0.0, 5.0) * gamma),
-                                   Gamma=gamma, delta=scale * rng.uniform(-15.0, 15.0),
-                                   Delta=scale * rng.uniform(-1.5, 1.5))))
-        out.append(drift_effective(EffectiveModelParams(
+        out.append(full(g=math.sqrt(10.0 ** rng.uniform(0.0, 5.0) * gamma),
+                        Gamma=gamma, delta=scale * rng.uniform(-15.0, 15.0),
+                        Delta=scale * rng.uniform(-1.5, 1.5)))
+        out.append(EffectiveModelParams(
             g=rng.uniform(0.5, 6.0), delta=rng.choice([-1.0, 1.0]) * rng.uniform(2.0, 30.0),
-            Delta=rng.uniform(-1.0, 1.0))))
+            Delta=rng.uniform(-1.0, 1.0)))
     return out
 
 
-UNSTABLE = [d for dim in (4, 6) for d in
-            [d for d in _box_drifts(7, 200) if d.dim == dim and not stability(d).stable][:12]]
+UNSTABLE = [p for k in (2, 3) for p in
+            [p for p in _box_points(7, 200)
+             if len(drift_of(p).m) == k and not stability(drift_of(p)).stable][:12]]
 
 
-def _check_block_against_doubled_drift(d):
-    # the drift's 2k eigenvalues are the block's k and their conjugates,
-    # and both eigen-solves are backward stable: each eigenvalue agrees to
-    # round-off of m times its condition number (up to 1e4 near double
-    # resonance at high C, where neither solve is the more accurate one)
+def _check_block_against_doubled_drift(p):
+    # the doubled drift's 2k eigenvalues are the block's k and their
+    # conjugates, and both eigen-solves are backward stable: each eigenvalue
+    # agrees to round-off of m times its condition number (up to 1e4 near
+    # double resonance at high C, where neither solve is the more accurate one)
+    d = drift_of(p)
     rep = stability(d)
-    block = d.beam_block[0]
-    (eigenvalues,), _, _ = stability_gate(block[None])
-    values, right = np.linalg.eig(block)
+    (eigenvalues,), _, _ = stability_gate(d.m[None])
+    values, right = np.linalg.eig(d.m)
     left = np.linalg.inv(right).conj().T
     cond = (np.linalg.norm(left, axis=0) * np.linalg.norm(right, axis=0)
             / np.abs(np.sum(left.conj() * right, axis=0)))
-    bound = 1e-14 * max(1.0, np.linalg.norm(d.m, 2)) * np.max(cond)
-    doubled = np.linalg.eigvals(d.m)
+    m = doubled_drift(p).m
+    bound = 1e-14 * max(1.0, np.linalg.norm(m, 2)) * np.max(cond)
+    doubled = np.linalg.eigvals(m)
     expected = np.concatenate([eigenvalues, eigenvalues.conj()])
     cost = np.abs(doubled[:, None] - expected[None, :])
     assert np.max(cost[linear_sum_assignment(cost)]) <= bound
@@ -191,20 +201,41 @@ def _check_block_against_doubled_drift(d):
 
 class TestBeamBlock:
     @settings(max_examples=100, deadline=None, derandomize=True)
-    @given(stable_drifts())
+    @given(stable_points())
     # eigenvalues with condition number 1.1e4 near double resonance at
     # C = 9e4: the two solves differ by 5.6e-13 |m|
-    @example((drift_full(full(g=62.54635382206832, Gamma=0.04368983708925621,
-                              delta=0.012201932038553067, Delta=9.11823041278348e-06)), 0.0))
-    def test_stable_block_eigenvalues_are_half_the_drift_spectrum(self, drift_nth):
-        _check_block_against_doubled_drift(drift_nth[0])
+    @example((full(g=62.54635382206832, Gamma=0.04368983708925621,
+                   delta=0.012201932038553067, Delta=9.11823041278348e-06), 0.0))
+    def test_stable_block_eigenvalues_are_half_the_drift_spectrum(self, point):
+        _check_block_against_doubled_drift(point[0])
 
-    @pytest.mark.parametrize("d", UNSTABLE, ids=lambda d: f"k{d.dim // 2}")
-    def test_unstable_block_eigenvalues_are_half_the_drift_spectrum(self, d):
-        _check_block_against_doubled_drift(d)
+    @pytest.mark.parametrize("p", UNSTABLE, ids=lambda p: f"k{len(drift_of(p).m)}")
+    def test_unstable_block_eigenvalues_are_half_the_drift_spectrum(self, p):
+        _check_block_against_doubled_drift(p)
 
     def test_unstable_points_of_both_models(self):
-        assert {d.dim for d in UNSTABLE} == {4, 6} and len(UNSTABLE) == 24
+        assert {len(drift_of(p).m) for p in UNSTABLE} == {2, 3} and len(UNSTABLE) == 24
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(stable_points())
+    def test_block_is_the_doubled_drift_on_the_beam_operators(self, point):
+        # the independent doubled drift restricted to (a+, a-^dag[, b]) is
+        # the block, which neither couples to the partners nor gives an
+        # intra-beam correlator, and a one-point beam_blocks call builds it
+        # bit for bit
+        p, n_th = point
+        d, doubled = drift_of(p), doubled_drift(p)
+        beam, partner = BEAM[:len(d.m)], PARTNER[:len(d.m)]
+        assert np.array_equal(doubled.m[np.ix_(beam, beam)], d.m)
+        assert not np.any(doubled.m[np.ix_(beam, partner)])
+        assert not np.any(doubled.m[np.ix_(partner, beam)])
+        for omega in (-3.0, 0.0, 0.7, 11.0):
+            for beam_no in (1, 2):
+                assert intra_beam_correlator(doubled, omega, n_th, beam_no) == 0
+        model = "full" if isinstance(p, FullModelParams) else "effective"
+        m, decay, _, errors = beam_blocks(model, vars(p))
+        assert errors == {}
+        assert m[0].tobytes() == d.m.tobytes() and decay[0].tobytes() == d.decay.tobytes()
 
     def test_stacked_blocks_equal_the_drift_blocks_bit_for_bit(self):
         # one call at P points, each block as drift_full builds it alone
@@ -216,43 +247,32 @@ class TestBeamBlock:
         assert errors == {} and np.all(n_th == 3.0)
         for i in range(g.size):
             d = drift_full(full(g=g.flat[i], Delta=-0.2, delta=delta.flat[i]))
-            block, rates = d.beam_block
-            assert m[i].tobytes() == block.tobytes() and decay[i].tobytes() == rates.tobytes()
-            assert eigenvalues[i].tobytes() == stability_gate(block[None])[0][0].tobytes()
+            assert m[i].tobytes() == d.m.tobytes() and decay[i].tobytes() == d.decay.tobytes()
+            assert eigenvalues[i].tobytes() == stability_gate(d.m[None])[0][0].tobytes()
         m, decay, n_th, errors = beam_blocks("effective", {"g": 5.0, "delta": [10.0, -4.0]})
         for i, delta in enumerate((10.0, -4.0)):
-            block, rates = drift_effective(EffectiveModelParams(g=5.0, delta=delta)).beam_block
-            assert m[i].tobytes() == block.tobytes() and decay[i].tobytes() == rates.tobytes()
+            d = drift_effective(EffectiveModelParams(g=5.0, delta=delta))
+            assert m[i].tobytes() == d.m.tobytes() and decay[i].tobytes() == d.decay.tobytes()
         assert errors == {} and np.all(n_th == 0.0)
 
-    @pytest.mark.parametrize("d, n_th", [
-        (drift_full(full()), 0.0),
-        (drift_full(full(g=2.0, Gamma=0.1, Delta=0.7, delta=-3.0, n_th=1e3)), 1e3),
-        (drift_effective(EffectiveModelParams(g=2.0, delta=-8.0, Delta=0.3)), 0.0)],
+    @pytest.mark.parametrize("p, n_th", [
+        (full(), 0.0),
+        (full(g=2.0, Gamma=0.1, Delta=0.7, delta=-3.0, n_th=1e3), 1e3),
+        (EffectiveModelParams(g=2.0, delta=-8.0, Delta=0.3), 0.0)],
         ids=["anchor", "full", "effective"])
-    def test_handed_over_block_equals_the_extracted_block(self, d, n_th):
-        # the model builders hand their block to the drift; the public
-        # constructor extracts it from the operator labels
-        public = DriftMatrix(d.m, d.decay, d.ordering)
-        assert "beam_block" in vars(d) and "beam_block" not in vars(public)
-        for got, extracted in zip(d.beam_block, public.beam_block):
-            assert got.dtype == extracted.dtype and got.tobytes() == extracted.tobytes()
+    def test_handed_over_block_equals_the_extracted_block(self, p, n_th):
+        # the block the model builder hands over, and the one extracted from
+        # the independent doubled drift by the operator places: the same
+        # entries, and the same rate to the bit
+        d, doubled = drift_of(p), doubled_drift(p)
+        beam = list(BEAM[:len(d.m)])
+        extracted = DriftMatrix(doubled.m[np.ix_(beam, beam)], doubled.decay[beam])
+        assert np.array_equal(extracted.m, d.m) and np.array_equal(extracted.decay, d.decay)
         fields = ("gamma_E", "E_max", "omega_max", "fwhm", "quadrature_error")
-        handed, built = entanglement_rate(d, n_th), entanglement_rate(public, n_th)
+        handed, built = entanglement_rate(d, n_th), entanglement_rate(extracted, n_th)
         assert [float(getattr(handed, f)).hex() for f in fields] == [
             float(getattr(built, f)).hex() for f in fields]
         assert handed.secondary_peaks == built.secondary_peaks
-
-    def test_public_drift_coupling_the_block_to_its_partner_raises(self):
-        d = drift_full(full(delta=2.0))
-        m = np.array(d.m)
-        m[0, 1] = 0.25j                 # a+ -> a+^dag
-        m[1, 0] = np.conj(m[0, 1])      # its partner, keeps the pairing structure
-        coupled = DriftMatrix(m, d.decay, d.ordering)
-        with pytest.raises(ValueError, match="conjugate partner"):
-            coupled.beam_block
-        with pytest.raises(ValueError, match="conjugate partner"):
-            entanglement_rate(coupled)
 
     def test_invalid_points_carry_the_parameter_set_message(self):
         # the valid points keep their order; names of the other model are

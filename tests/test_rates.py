@@ -10,9 +10,8 @@ from scipy.signal import find_peaks
 
 from entrate.closedforms import eta_minus_resonant
 from entrate.errors import QuadratureError, UnstableSystemError
-from entrate.models import (BEAM_BLOCK, DriftMatrix, EffectiveModelParams, FullModelParams,
-                            beam_blocks, drift_effective, drift_full, stability,
-                            stability_gate)
+from entrate.models import (DriftMatrix, EffectiveModelParams, FullModelParams, beam_blocks,
+                            drift_effective, drift_full, stability, stability_gate)
 from entrate import quadutil, rates, scattering
 from entrate.quadutil import bisect_all
 from entrate.rates import (_beam_polynomials, _count_local_maxima, _density, _fwhms,
@@ -21,6 +20,7 @@ from entrate.rates import (_beam_polynomials, _count_local_maxima, _density, _fw
                            spectral_density_batch, spectrum_and_density, spectrum_peak)
 from entrate.scattering import BeamBlocks, correlator_batch, spectrum_parts
 from entrate.sweep import SweepAxis, SweepConfig, run_sweep
+from doubled_reference import BEAM, doubled_drift
 from fwhm_reference import fwhm_by_bisection
 from grid_reference import frequency_grid
 from lu_reference import scattering_matrices
@@ -28,16 +28,19 @@ from mp_reference import reference_point
 from peak_reference import (candidate_peak_count, count_local_maxima, hysteresis_count,
                             refined_peaks, stationary_peaks)
 from paper_helpers import symmetrized_density, to_nats_per_second
-from strategies import stable_drifts
+from strategies import drift_of, stable_drifts
 import workloads
 
 KAPPA = 1.0
 _RATE_FIELDS = ("gamma_E", "E_max", "omega_max", "fwhm", "quadrature_error", "secondary_peaks")
 
 
-def full_drift(g=5.0, Gamma=1e-3, Delta=0.0, delta=0.0):
-    return drift_full(FullModelParams(g=g, Gamma=Gamma, kappa=KAPPA,
-                                      Delta=Delta, delta=delta))
+def full_params(g=5.0, Gamma=1e-3, Delta=0.0, delta=0.0):
+    return FullModelParams(g=g, Gamma=Gamma, kappa=KAPPA, Delta=Delta, delta=delta)
+
+
+def full_drift(**kwargs):
+    return drift_full(full_params(**kwargs))
 
 
 class TestSpectralDensity:
@@ -92,14 +95,15 @@ class TestExcessForm:
         # solve of the doubled-basis S; 1e-4 from the boundary that solve is
         # off by up to 8e-15 in E, so there E is checked against the
         # 50-digit reference instead
-        d = drift_effective(EffectiveModelParams(g=g, delta=delta, Delta=Delta))
+        p = EffectiveModelParams(g=g, delta=delta, Delta=Delta)
+        d, doubled = drift_effective(p), doubled_drift(p)
         w = np.geomspace(1e-3, 1e10, 80)
         w = np.concatenate([-w[::-1], [0.0], w])
         if Delta == -0.2499:
-            exact = np.array([reference_point(d, x)[1] for x in w])
+            exact = np.array([reference_point(doubled, x)[1] for x in w])
         else:
-            plus, minus = (d.ordering.index(name) for name in BEAM_BLOCK[:2])
-            s_pm = scattering_matrices(d, w)[:, plus, minus]
+            plus, minus = BEAM[:2]
+            s_pm = scattering_matrices(doubled, w)[:, plus, minus]
             exact = 2.0 * np.arcsinh(np.abs(s_pm))
         e = spectral_density_batch(d, w)
         assert np.all(e > 0)
@@ -115,14 +119,14 @@ class TestWholeLineAndCrossings:
         e = spectral_density_batch(d, probes, n_th)
         assert np.all(e > 0)
         # the same drift with every coupling removed: E = +0.0 everywhere
-        uncoupled = DriftMatrix(np.diag(np.diag(d.m)), d.decay, d.ordering)
+        uncoupled = DriftMatrix(np.diag(np.diag(d.m)), d.decay)
         e0 = spectral_density_batch(uncoupled, probes, n_th)
         assert np.all(e0 == 0) and not np.any(np.signbit(e0))
 
         # K |det|^-2 = 2 (nu+ + nu- - 2 (q - 1/4)), with K from the adjugate
         # and |det|^2 from the kernel's own characteristic polynomial
         blocks = BeamBlocks.of([d], [n_th])
-        s = np.array([_scale(np.linalg.eigvals(d.m), d.decay)])
+        s = np.array([_scale(np.linalg.eigvals(d.m), d.decay.max())])
         polys = _beam_polynomials(blocks, s)
         nu_plus, nu_minus, _, q_excess = correlator_batch(d, probes, n_th)
         det2 = np.abs(np.polyval(blocks.char[0], 1j * probes)) ** 2
@@ -144,9 +148,8 @@ class TestWholeLineAndCrossings:
     def test_non_reciprocal_block_rejected(self):
         d = full_drift(delta=10.0)
         m = np.array(d.m)
-        m[0, 4] *= 2.0             # a+ <- b no longer matches b <- a+
-        m[1, 5] = np.conj(m[0, 4])
-        bad = DriftMatrix(m, d.decay, d.ordering)
+        m[0, 2] *= 2.0             # a+ <- b no longer matches b <- a+
+        bad = DriftMatrix(m, d.decay)
         # the Gram form of E rests on reciprocity, so every E path checks it
         for call in (lambda: entanglement_rate(bad), lambda: spectral_density(bad, 0.3),
                      lambda: spectral_density_batch(bad, np.array([0.0, 0.3])),
@@ -162,18 +165,18 @@ def _full_near_boundary(distance):
         return np.array([stability(full_drift(Delta=x, delta=10.0)).max_real_part
                          for x in deltas])
     edge = bisect_all(margin, np.array([-0.3]), np.array([-0.2]), xtol=1e-15)[0]
-    return full_drift(Delta=edge + distance, delta=10.0)
+    return full_params(Delta=edge + distance, delta=10.0)
 
 
 def _effective_near_boundary(distance):
-    d = drift_effective(EffectiveModelParams(g=5.0, delta=10.0, Delta=-0.25 + distance))
-    assert -1.1 * distance < stability(d).max_real_part < 0
-    return d
+    p = EffectiveModelParams(g=5.0, delta=10.0, Delta=-0.25 + distance)
+    assert -1.1 * distance < stability(drift_effective(p)).max_real_part < 0
+    return p
 
 
 _HARD_POINTS = [
-    lambda: full_drift(),
-    lambda: full_drift(g=math.sqrt(3e3 * 1e-3), delta=0.02, Delta=-1e-3),
+    lambda: full_params(),
+    lambda: full_params(g=math.sqrt(3e3 * 1e-3), delta=0.02, Delta=-1e-3),
     lambda: _full_near_boundary(1e-4), lambda: _full_near_boundary(1e-5),
     lambda: _effective_near_boundary(1e-4), lambda: _effective_near_boundary(1e-5)]
 _HARD_IDS = ["anchor", "C3e3", "full_1e-4", "full_1e-5", "effective_1e-4", "effective_1e-5"]
@@ -181,7 +184,7 @@ _HARD_IDS = ["anchor", "C3e3", "full_1e-4", "full_1e-5", "effective_1e-4", "effe
 
 @pytest.mark.parametrize("make", _HARD_POINTS, ids=_HARD_IDS)
 def test_rate_within_reported_error_of_tight_reference(make):
-    d = make()
+    d = drift_of(make())
     rr = entanglement_rate(d, tol=1e-6)
     ref = entanglement_rate(d, tol=1e-11)
     assert rr.quadrature_error <= 1e-6
@@ -193,11 +196,12 @@ def test_kernel_matches_extended_precision_at_hard_points(make):
     # the adjugate kernel against the 50-digit doubled-basis pipeline, at
     # the peak and on both flanks and tails; 1e-4 from the boundary this
     # needs det m exact (measured within 5e-16 of the reference)
-    d = make()
+    p = make()
+    d = drift_of(p)
     omegas = np.array([0.0, entanglement_rate(d).omega_max, 0.3, -0.3, 1.0, -1.0,
                        4.0, -12.0, 100.0])
     for omega, e in zip(omegas, spectral_density_batch(d, omegas)):
-        _, e_ref = reference_point(d, omega)
+        _, e_ref = reference_point(doubled_drift(p), omega)
         assert abs(e - e_ref) <= 1e-14 * e_ref
 
 
@@ -364,7 +368,7 @@ class TestBatchedRates:
     def test_shuffled_batch_equals_single_rates(self, drift_nths, rnd):
         # the drifts of the first one's model, shuffled: each slot equals the
         # rate of its drift alone bit for bit, or raises what it holds
-        batch = [x for x in drift_nths if x[0].dim == drift_nths[0][0].dim]
+        batch = [x for x in drift_nths if len(x[0].m) == len(drift_nths[0][0].m)]
         rnd.shuffle(batch)
         for (d, n_th), got in zip(batch, entanglement_rates(*zip(*batch))):
             if isinstance(got, Exception):
@@ -390,9 +394,8 @@ class TestBatchedRates:
     def not_reciprocal():
         d = full_drift(delta=10.0)
         m = np.array(d.m)
-        m[0, 4] *= 2.0             # not reciprocal
-        m[1, 5] = np.conj(m[0, 4])
-        return DriftMatrix(m, d.decay, d.ordering)
+        m[0, 2] *= 2.0             # not reciprocal
+        return DriftMatrix(m, d.decay)
 
     def test_a_failure_stays_in_its_slot(self):
         d = full_drift(delta=10.0)
@@ -401,22 +404,12 @@ class TestBatchedRates:
         assert isinstance(odd, ValueError) and "not reciprocal" in str(odd)
         assert good == entanglement_rate(d) and good2 == entanglement_rate(full_drift())
 
-    @staticmethod
-    def coupled():
-        d = full_drift(delta=2.0)
-        m = np.array(d.m)
-        m[0, 1] = 0.25j                 # a+ -> a+^dag
-        m[1, 0] = np.conj(m[0, 1])      # its partner, keeps the pairing structure
-        return DriftMatrix(m, d.decay, d.ordering)
-
-    @pytest.mark.parametrize("case", ["unstable", "not_reciprocal", "coupled", "bad_n_th",
-                                      "bad_tol"])
+    @pytest.mark.parametrize("case", ["unstable", "not_reciprocal", "bad_n_th", "bad_tol"])
     def test_single_rate_raises_what_the_batch_reports(self, case):
         # the slot's exception for a drift the gate rejects, the raised one
         # for a tol that no drift can meet
         d, n_th, tol = {"unstable": (full_drift(Delta=-0.5, delta=10.0), 0.0, 1e-6),
                         "not_reciprocal": (self.not_reciprocal(), 0.0, 1e-6),
-                        "coupled": (self.coupled(), 0.0, 1e-6),
                         "bad_n_th": (full_drift(), -0.4, 1e-6),
                         "bad_tol": (full_drift(), 0.0, 0.0)}[case]
         try:
@@ -432,21 +425,19 @@ class TestBatchedRates:
     def non_finite():
         d = full_drift()
         m = np.array(d.m)
-        m[0, 4] = m[1, 5] = math.inf
-        with np.errstate(invalid="ignore"):     # its pairing defect is NaN
-            return DriftMatrix(m, d.decay, d.ordering)
+        m[0, 2] = math.inf
+        return DriftMatrix(m, d.decay)
 
     @pytest.mark.parametrize("tol", [1e-6, 1e-9])
     def test_failing_slots_among_stable_drifts(self, tol):
-        # an unstable drift, one that is not reciprocal, one coupled to its
-        # partner, one with an infinite entry and bad n_th amid stable
-        # drifts: each failing slot holds what its single call raises, each
-        # stable one its single rate
+        # an unstable drift, one that is not reciprocal, one with an infinite
+        # entry and bad n_th amid stable drifts: each failing slot holds what
+        # its single call raises, each stable one its single rate
         drifts, n_ths = self.drifts()
         stable = [(d, n, False) for d, n in zip(drifts, n_ths) if stability(d).stable]
         failing = [(d, n, True) for d, n in (
             (full_drift(Delta=-0.5, delta=10.0), 0.0), (self.not_reciprocal(), 0.0),
-            (self.coupled(), 0.0), (self.non_finite(), 0.0), (full_drift(), math.nan),
+            (self.non_finite(), 0.0), (full_drift(), math.nan),
             (full_drift(), -1.0), (full_drift(), math.inf), (full_drift(), -math.inf))]
         batch = stable[:2] + failing[:2] + stable[2:3] + failing[2:] + stable[3:]
         d_s, n_s, fails = zip(*batch)
@@ -492,6 +483,24 @@ class TestBatchedRates:
         assert good == entanglement_rate(d, 1.0)
         assert good2 == entanglement_rate(full_drift(delta=10.0))
 
+    def test_failures_report_gamma_e_or_no_value(self):
+        # C = 1e8, n_th = 1e4: tol 1e-13 is below the round-off of
+        # Gamma_E = 49.0, so the quadrature runs out of panels; its message
+        # gives Gamma_E and its error, not the 2 pi Gamma_E it integrates
+        d = full_drift(g=math.sqrt(1e7), Gamma=0.1)
+        with pytest.raises(QuadratureError, match="panel budget exhausted") as exc:
+            entanglement_rate(d, 1e4, tol=1e-13)
+        tight = entanglement_rate(d, 1e4, tol=1e-12)
+        assert exc.value.value == pytest.approx(tight.gamma_E, rel=1e-12)
+        assert f"(value~{tight.gamma_E:.6g}, error~" in str(exc.value)
+        assert 0 < exc.value.error_estimate < 1e-12
+        # a root search that fails has no value to report
+        for n_th, message in ((1e100, "no half-maximum crossing on one side of omega_max=0.0"),
+                              (1e200, "the polynomials of E overflow float64 at n_th=1e+200")):
+            with pytest.raises(QuadratureError) as exc:
+                entanglement_rate(full_drift(), n_th)
+            assert str(exc.value) == message
+
     def test_drifts_of_two_models_rejected(self):
         d_eff = drift_effective(EffectiveModelParams(g=5.0, delta=10.0, Delta=-0.2))
         with pytest.raises(ValueError, match="one model"):
@@ -502,7 +511,7 @@ class TestPanelEdges:
     @staticmethod
     def edges(d):
         blocks = BeamBlocks.of([d], [0.0])
-        (row,) = _panel_edges(blocks.eigenvalues, blocks.decay, np.max(blocks.decay, axis=1))
+        (row,) = _panel_edges(blocks.eigenvalues, np.max(blocks.decay, axis=1))
         return row[np.isfinite(row)]
 
     def test_merged_centre_keeps_the_smallest_width(self):
@@ -533,11 +542,10 @@ class TestPanelEdges:
         keep = [i for i, d in enumerate(drifts) if stability(d).stable]
         blocks = BeamBlocks.of([drifts[i] for i in keep], [0.0] * len(keep))
         eigenvalues = blocks.eigenvalues
-        scale = np.max(blocks.decay, axis=1)
-        batch = _panel_edges(eigenvalues, blocks.decay, scale)
+        widest = np.max(blocks.decay, axis=1)
+        batch = _panel_edges(eigenvalues, widest)
         for p in range(len(eigenvalues)):
-            (alone,) = _panel_edges(eigenvalues[p:p + 1], blocks.decay[p:p + 1],
-                                    scale[p:p + 1])
+            (alone,) = _panel_edges(eigenvalues[p:p + 1], widest[p:p + 1])
             row = batch[p]
             assert row[np.isfinite(row)].tobytes() == alone[np.isfinite(alone)].tobytes()
             assert np.all(np.isnan(row[np.isfinite(row).sum():]))
@@ -617,9 +625,10 @@ class TestCountedWork:
         for blocks in (BeamBlocks.of([d], [0.0]), stable):
             passes.clear()
             rates._rates(blocks, 1e-6)
-            s = _scale(blocks.eigenvalues, blocks.decay)
+            widest = blocks.decay.max(axis=1)
+            s = _scale(blocks.eigenvalues, widest)
             w, _ = _stationary(s, _beam_polynomials(blocks, s), blocks.k)
-            edges = _panel_edges(blocks.eigenvalues, blocks.decay, blocks.decay.max(axis=1))
+            edges = _panel_edges(blocks.eigenvalues, widest)
             # the start mesh in calls of up to 64 panels: one for the anchor
             panels = min(np.count_nonzero(edges[:, 1:] > edges[:, :-1]), 64)
             assert passes[0] == 15 * panels + w.size
@@ -640,7 +649,7 @@ class TestCountedWork:
         with pytest.raises(UnstableSystemError) as exc:
             BeamBlocks.of(drifts, n_ths)
         assert exc.value.max_real_part == stability(drifts[3]).max_real_part > 0
-        m, decay = (np.array(c) for c in zip(*(d.beam_block for d in drifts)))
+        m, decay = np.array([d.m for d in drifts]), np.array([d.decay for d in drifts])
         spectrum_peak(BeamBlocks(m, decay, np.array(n_ths), stability_gate(m)[0]))
         assert passes == [2 * 7, 2 * 2 * 7, 2 * 2 * 5]
 
@@ -659,8 +668,8 @@ class TestCountedWork:
                   else (stratum, drift_effective(EffectiveModelParams(**p)), 0.0)
                   for stratum, model, p in workloads.rate_point_set(1)]
         anchor = points[0]
-        generic = next(pt for pt in points if pt[0] == "generic" and pt[1].dim == 6)
-        effective = next(pt for pt in points if pt[1].dim == 4)
+        generic = next(pt for pt in points if pt[0] == "generic" and len(pt[1].m) == 3)
+        effective = next(pt for pt in points if len(pt[1].m) == 2)
         high_c = next(pt for pt in points if pt[0] == "high_c")
         near_boundary = next(pt for pt in points if pt[0] == "near_boundary")
         dets, det = [], scattering._det
@@ -729,7 +738,7 @@ class TestStationaryPeaks:
     @given(stable_drifts())
     @example((full_drift(), 0.0))
     # 1e-4 in Delta from the optical instability at g = 5, delta = 10
-    @example((_effective_near_boundary(1e-4), 0.0))
+    @example((drift_of(_effective_near_boundary(1e-4)), 0.0))
     # E_max 3 ulp below the reference at the mechanical resonance
     # omega = -13.714
     @example((full_drift(g=0.5882220509186006, Gamma=0.0030294391439698496,
@@ -744,7 +753,7 @@ class TestStationaryPeaks:
         d, n_th = drift_nth
         rr = entanglement_rate(d, n_th)
         blocks = BeamBlocks.of([d], [n_th])
-        s = _scale(blocks.eigenvalues, blocks.decay)
+        s = _scale(blocks.eigenvalues, blocks.decay.max(axis=1))
         found, (omega_ref,), (e_ref,) = stationary_peaks(blocks, s, _beam_polynomials(blocks, s))
         near = spectral_density_batch(d, omega_ref + np.arange(-16, 17) * np.spacing(omega_ref),
                                       n_th)
@@ -822,7 +831,7 @@ class TestFwhm:
         # round-off over 1 - u = e^-E, and at 1e-8 u rounds to 1 (flank
         # starts at half of it gave a width of 1.79 there); where it is off
         # the flanks start afresh from the kernel's E_max
-        d = _effective_near_boundary(distance)
+        d = drift_of(_effective_near_boundary(distance))
         rr = entanglement_rate(d)
         assert abs(rr.fwhm - fwhm_by_bisection(d, 0.0, rr.omega_max, rr.E_max)) <= 2e-9
 

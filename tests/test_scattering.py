@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 from entrate.closedforms import full_model_correlators_resonant, pair_rate_closed
 from entrate.errors import UnstableSystemError
 from entrate.gaussian import covariance_from_correlators, symplectic_spectrum
-from entrate.models import (BEAM_BLOCK, DriftMatrix, EffectiveModelParams,
-                            FullModelParams, drift_effective, drift_full, stability,
-                            stability_gate)
+from entrate.models import (EffectiveModelParams, FullModelParams, drift_effective, drift_full,
+                            stability, stability_gate)
 from entrate import cli, scattering
 from entrate.rates import (_gram_density, entanglement_rate, entanglement_rates,
                            spectral_density, spectral_density_batch, spectrum_and_density)
@@ -18,26 +17,34 @@ from entrate.scattering import (BeamBlocks, _det, _gram, _kernel, _pair_rate, _s
                                 pair_rate_numeric, spectrum_parts)
 from entrate.verify import block_scattering, effective_scattering_oracle
 from entrate.wannier import FilterSpec, filtered_entanglement
+from doubled_reference import BEAM, doubled_drift
 from lu_reference import (input_noise_matrix, intra_beam_correlator, scattering_matrices,
                           scattering_matrix)
 from mp_reference import reference_point
-from strategies import stable_drifts
+from strategies import drift_of, stable_points
 
 KAPPA = 1.0
 
 
-def full_drift(g=5.0, Gamma=1e-3, Delta=0.0, delta=0.0):
-    return drift_full(FullModelParams(g=g, Gamma=Gamma, kappa=KAPPA,
-                                      Delta=Delta, delta=delta))
+def full_params(g=5.0, Gamma=1e-3, Delta=0.0, delta=0.0):
+    return FullModelParams(g=g, Gamma=Gamma, kappa=KAPPA, Delta=Delta, delta=delta)
 
 
-def eff_drift(g=5.0, delta=10.0, Delta=0.0):
-    return drift_effective(EffectiveModelParams(g=g, delta=delta, kappa=KAPPA,
-                                                Delta=Delta))
+def eff_params(g=5.0, delta=10.0, Delta=0.0):
+    return EffectiveModelParams(g=g, delta=delta, kappa=KAPPA, Delta=Delta)
+
+
+def full_drift(**kwargs):
+    return drift_full(full_params(**kwargs))
+
+
+def eff_drift(**kwargs):
+    return drift_effective(eff_params(**kwargs))
 
 
 def beam_block(d):
-    return [d.ordering.index(name) for name in BEAM_BLOCK[:d.dim // 2]]
+    """The places of the beam operators of d in the doubled basis."""
+    return list(BEAM[:len(d.m)])
 
 
 class TestScatteringMatrix:
@@ -57,14 +64,14 @@ class TestScatteringMatrix:
                 assert np.max(np.abs(s - np.eye(len(s)))) < 1e-5
 
     def test_matches_effective_closed_form(self):
-        d = eff_drift()
+        d, doubled = eff_drift(), doubled_drift(eff_params())
         k_sig = np.diag([1.0, -1.0])
         for w in (0.0, 0.37, -2.2, 11.0):
             ref = effective_scattering_oracle(5.0, KAPPA, 10.0, 0.0, w)
             s = block_scattering(d, np.array([w]))[0]
             np.testing.assert_allclose(s, ref, atol=1e-12)
-            np.testing.assert_allclose(scattering_matrix(d, w)[np.ix_(beam_block(d),
-                                                                      beam_block(d))],
+            np.testing.assert_allclose(scattering_matrix(doubled, w)[np.ix_(beam_block(d),
+                                                                            beam_block(d))],
                                        ref, atol=1e-12)
             assert np.max(np.abs(s @ k_sig @ s.conj().T - k_sig)) < 1e-10
 
@@ -75,12 +82,14 @@ class TestScatteringMatrix:
             g = rng.uniform(0.2, 6.0)
             delta = rng.uniform(-15.0, 15.0)
             big = rng.uniform(-1.0, 1.0)
-            d = full_drift(g=g, Gamma=rng.uniform(1e-3, 0.2), Delta=big, delta=delta)
+            p = full_params(g=g, Gamma=rng.uniform(1e-3, 0.2), Delta=big, delta=delta)
+            d = drift_full(p)
             if not stability(d).stable:
                 continue
             checked += 1
             omegas = rng.uniform(-30, 30, size=20)
-            for s, k_sig in ((scattering_matrices(d, omegas), np.diag([1.0, -1.0] * 3)),
+            for s, k_sig in ((scattering_matrices(doubled_drift(p), omegas),
+                              np.diag([1.0, -1.0] * 3)),
                              (block_scattering(d, omegas), np.diag([1.0, -1.0, 1.0]))):
                 dev = np.max(np.abs(s @ k_sig @ s.conj().transpose(0, 2, 1) - k_sig))
                 assert dev < 1e-10
@@ -88,12 +97,13 @@ class TestScatteringMatrix:
     def test_conjugation_pairing_between_opposite_frequencies(self):
         # S(-omega) on the partner block is conj S(omega) on the beam block,
         # which the beam-block S equals: the block at +omega is all of S
-        d = full_drift(delta=10.0, Delta=-0.2)
+        p = full_params(delta=10.0, Delta=-0.2)
+        d, doubled = drift_full(p), doubled_drift(p)
         perm = [1, 0, 3, 2, 5, 4]
         block = beam_block(d)
         for w in (0.0, 1.3, -7.7):
-            sp = scattering_matrix(d, w)
-            sm = scattering_matrix(d, -w)
+            sp = scattering_matrix(doubled, w)
+            sm = scattering_matrix(doubled, -w)
             np.testing.assert_allclose(sp, np.conj(sm)[np.ix_(perm, perm)],
                                        atol=1e-10)
             np.testing.assert_allclose(block_scattering(d, np.array([w]))[0],
@@ -108,13 +118,13 @@ class TestOutputCorrelators:
         assert abs(t.xi) < 1e-14
 
     def test_effective_occupation_equals_s14(self):
-        d = eff_drift()
+        d, doubled = eff_drift(), doubled_drift(eff_params())
         for w in (0.0, 0.7, -4.0):
-            s = scattering_matrix(d, w)
+            s = scattering_matrix(doubled, w)
             t = output_correlators(d, w)
             assert t.n_plus == pytest.approx(abs(s[0, 3]) ** 2 + 0.5, rel=1e-12)
             assert t.n_minus == pytest.approx(abs(s[0, 3]) ** 2 + 0.5, rel=1e-12)
-            sm = scattering_matrix(d, -w)
+            sm = scattering_matrix(doubled, -w)
             assert t.xi == pytest.approx(s[0, 0] * sm[0, 3], rel=1e-12)
 
     def test_matches_resonant_closed_form(self):
@@ -137,7 +147,7 @@ class TestOutputCorrelators:
 
     def test_no_intra_beam_squeezing(self):
         rng = np.random.default_rng(9)
-        d = full_drift(delta=10.0, Delta=-0.2)
+        d = doubled_drift(full_params(delta=10.0, Delta=-0.2))
         for w in rng.uniform(-20, 20, size=10):
             assert abs(intra_beam_correlator(d, float(w), 50.0, beam=1)) <= 1e-12
             assert abs(intra_beam_correlator(d, float(w), 50.0, beam=2)) <= 1e-12
@@ -239,7 +249,8 @@ class TestPairRate:
                   for g, delta, big in [(5.0, 10.0, -0.2), (2.0, -8.0, 0.3), (0.0, 10.0, 0.0),
                                         (5.0, 10.0, -0.2499), (1.0, 30.0, 0.0),
                                         (5.0, 10.0, 1.5)]]
-        m, decay = (np.stack(c) for c in zip(*(drift_effective(p).beam_block for p in params)))
+        m = np.stack([drift_effective(p).m for p in params])
+        decay = np.stack([drift_effective(p).decay for p in params])
         stacked = _pair_rate(m, decay)
         assert [x.hex() for x in stacked.tolist()] == [pair_rate_numeric(p).hex() for p in params]
 
@@ -263,15 +274,15 @@ class TestPairRate:
 
 class TestBlockKernel:
     @settings(max_examples=150, deadline=None, derandomize=True)
-    @given(stable_drifts(), st.floats(-20.0, 20.0))
+    @given(stable_points(), st.floats(-20.0, 20.0))
     # thermal: N = nu+ + nu- + root - 4 (q - 1/4) cancelled to 38,155 ulp of
     # E here; the Gram form is within 1 ulp
-    @example((drift_full(FullModelParams(g=0.6, Gamma=0.02, Delta=-0.4, delta=3.9,
-                                         n_th=1e4)), 1e4), 3.95)
-    def test_exact_against_extended_precision(self, drift_nth, omega):
-        d, n_th = drift_nth
+    @example((FullModelParams(g=0.6, Gamma=0.02, Delta=-0.4, delta=3.9, n_th=1e4), 1e4), 3.95)
+    def test_exact_against_extended_precision(self, point, omega):
+        p, n_th = point
+        d, doubled = drift_of(p), doubled_drift(p)
         q = 0.25 + correlator_batch(d, np.array([omega]), n_th)[3]
-        q_ref, e_ref = reference_point(d, omega, n_th)
+        q_ref, e_ref = reference_point(doubled, omega, n_th)
         # q inherits the conditioning of the solve (~1e-12 relative at high
         # C); E does not, since the solve is backward stable and E is a
         # well-conditioned function of the drift
@@ -285,7 +296,7 @@ class TestBlockKernel:
         assert abs(e - e_ref) <= 2e-13 * e_ref
         # the beam block's rows and columns of the doubled-basis LU S
         block = beam_block(d)
-        s = scattering_matrix(d, omega)[np.ix_(block, block)]
+        s = scattering_matrix(doubled, omega)[np.ix_(block, block)]
         k_sig = np.diag([1.0, -1.0, 1.0][:s.shape[0]])
         scale = max(1.0, float(np.max(np.abs(s))) ** 2)
         assert np.max(np.abs(s @ k_sig @ s.conj().T - k_sig)) <= 1e-12 * scale
@@ -306,7 +317,7 @@ class TestBlockKernel:
         with pytest.raises(UnstableSystemError, match="system is unstable") as exc:
             kernel(d, np.array([1.0, 0.0]))
         assert exc.value.max_real_part == margin < 0
-        m, decay = (block[None] for block in d.beam_block)
+        m, decay = d.m[None], d.decay[None]
         blocks = BeamBlocks(m, decay, np.zeros(1), stability_gate(m)[0])
         with pytest.raises(UnstableSystemError, match="singular response matrix") as exc:
             form(blocks, np.array([1.0, 0.0]))
@@ -316,7 +327,7 @@ class TestBlockKernel:
         drifts = [full_drift(), full_drift(Delta=0.3, delta=-4.0), full_drift(g=0.0),
                   full_drift(Delta=-0.5, delta=10.0)]
         n_ths = [0.0, 5.0, 1.0, 0.0]
-        m = np.array([d.beam_block[0] for d in drifts])
+        m = np.array([d.m for d in drifts])
         eigenvalues, _, _ = stability_gate(m)
         # the second and the last drift are unstable: the gate keeps the
         # others with their eigenvalues, and BeamBlocks.of raises the error
@@ -330,7 +341,7 @@ class TestBlockKernel:
             BeamBlocks.of(drifts, n_ths)
         assert exc.value.max_real_part == stability(drifts[1]).max_real_part > 0
         # a batch stacked without the gate keeps the rows it is given
-        unstable = BeamBlocks(m, np.array([d.beam_block[1] for d in drifts]),
+        unstable = BeamBlocks(m, np.array([d.decay for d in drifts]),
                               np.array(n_ths), eigenvalues)
         idx = np.array([3, 0, 2])
         part = unstable.take(idx)
@@ -357,15 +368,6 @@ class TestBlockKernel:
         alone = BeamBlocks.of([drifts[2], drifts[0]], [1.0, 0.0])
         assert alone.char.tobytes() == part.char.tobytes()
         assert alone.adj.tobytes() == part.adj.tobytes()
-
-    def test_block_coupled_to_partner_rejected(self):
-        d = full_drift(delta=10.0)
-        m = np.array(d.m)
-        m[0, 1] = 0.1j              # a+ <- a+^dag
-        m[1, 0] = np.conj(m[0, 1])  # its partner, keeps the pairing structure
-        coupled = DriftMatrix(m, d.decay, d.ordering)
-        with pytest.raises(ValueError, match="conjugate partner"):
-            correlator_batch(coupled, np.array([0.0, 1.0]))
 
 
 class TestExactDeterminant:

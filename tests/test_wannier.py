@@ -257,7 +257,7 @@ class TestFilteredEntanglement:
 
         # the runtime's edges: the rate's resonance ladders in omega
         blocks = BeamBlocks.of([d], [n_th])
-        (omegas,) = _panel_omegas(blocks.eigenvalues, blocks.decay, blocks.decay.max(axis=1))
+        (omegas,) = _panel_omegas(blocks.eigenvalues, blocks.decay.max(axis=1))
         seeds = unwarp(tau * (omegas[np.isfinite(omegas)] - omega))
         seeds = seeds[np.abs(seeds) < half]
         s_scale = float(np.max(np.abs(parts(np.append(seeds, 0.0))))) + 1e-12
