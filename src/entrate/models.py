@@ -218,7 +218,13 @@ def _drift(model: str, p) -> DriftMatrix:
     # each parameter as an array of one point
     point = np.array(list(vars(p).values()), dtype=float)[:, None]
     m, decay, _ = _BUILDERS[model](**dict(zip(vars(p), point)))
-    return DriftMatrix(m[0], decay[0])
+    # the builder's rows have the checked shapes and dtypes: skip the copies
+    # of __post_init__, whose cost every timed rate would carry
+    d = DriftMatrix.__new__(DriftMatrix)
+    for name, value in (("m", m[0]), ("decay", decay[0])):
+        value.flags.writeable = False
+        object.__setattr__(d, name, value)
+    return d
 
 
 def drift_full(p: FullModelParams) -> DriftMatrix:

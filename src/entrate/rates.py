@@ -731,8 +731,6 @@ def entanglement_rates(drifts: Sequence[DriftMatrix], n_ths: Sequence[float],
     not reciprocal, or a QuadratureError."""
     _check_tol(tol)
     drifts = list(drifts)
-    if not drifts:
-        return []
     blocks, places, failures = BeamBlocks.gate_drifts(drifts, n_ths)
     out: list[RateResult | Exception | None] = [None] * len(drifts)
     for i, failure in failures.items():

@@ -213,19 +213,22 @@ class BeamBlocks:
 
     @classmethod
     def gate_drifts(cls, drifts: Sequence[DriftMatrix], n_ths: Sequence[float],
-                    ) -> tuple["BeamBlocks", list[int], dict[int, Exception]]:
+                    ) -> tuple["BeamBlocks | None", list[int], dict[int, Exception]]:
         """gate on the drifts' beam blocks (all of one model), one n_th each:
-        the batch, the drifts' places in it and each other drift's failure
-        by place: that of gate, else the UnstableSystemError, carrying the
-        margin, of a block that is not stable. Raises ValueError on mixed
-        models."""
+        the batch (None for no drifts), the drifts' places in it and each
+        other drift's failure by place: that of gate, else the
+        UnstableSystemError, carrying the margin, of a block that is not
+        stable. Raises ValueError on mixed models."""
+        drifts, n_ths = list(drifts), [float(n) for n in n_ths]
         if len(n_ths) != len(drifts):
             raise ValueError("one n_th per drift is needed")
+        if not drifts:
+            return None, [], {}
         if len({d.m.shape for d in drifts}) > 1:
             raise ValueError("a batch of beam blocks needs drifts of one model")
         blocks, passed, margin, failures = cls.gate(
             np.array([d.m for d in drifts]), np.array([d.decay for d in drifts]),
-            np.array(n_ths, dtype=float))
+            np.array(n_ths))
         passed = passed.tolist()
         if len(passed) < len(drifts):
             failures.update((i, UnstableSystemError(margin[i]))

@@ -506,6 +506,15 @@ class TestBatchedRates:
         with pytest.raises(ValueError, match="one model"):
             entanglement_rates([full_drift(), d_eff], [0.0, 0.0])
 
+    def test_batch_inputs(self):
+        # the n_th count is checked also for an empty batch, and n_ths may
+        # be any iterable of numbers
+        assert entanglement_rates([], []) == []
+        with pytest.raises(ValueError, match="one n_th per drift"):
+            entanglement_rates([], [1.0])
+        assert entanglement_rates([full_drift()], (n for n in [1])) == \
+            [entanglement_rate(full_drift(), 1.0)]
+
 
 class TestPanelEdges:
     @staticmethod
