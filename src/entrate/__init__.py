@@ -11,8 +11,7 @@ from .gaussian import (CorrelatorTriple, CovarianceMatrix, covariance_from_corre
                        log_negativity_general, symplectic_form, symplectic_spectrum)
 from .models import (DriftMatrix, EffectiveModelParams, FullModelParams, StabilityReport,
                      drift_effective, drift_full, stability, stability_boundary_effective)
-from .rates import (RateResult, entanglement_rate, entanglement_rates, log_negativity,
-                    spectral_density)
+from .rates import RateResult, entanglement_rate, log_negativity, spectral_density
 from .scattering import output_correlators, pair_rate_numeric
 from .sweep import SweepAxis, SweepConfig, SweepResult, run_sweep
 from .wannier import FilterSpec, filtered_entanglement, kernel_normalization, wannier_kernel

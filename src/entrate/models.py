@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import MISSING, dataclass, fields
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 from numpy.linalg import LinAlgError
@@ -103,24 +103,6 @@ _CHECKS = {
 _MODELS = {"full": FullModelParams, "effective": EffectiveModelParams}
 #: The parameter names of either model: the fields of their parameter sets.
 PARAMETER_NAMES = frozenset(f.name for cls in _MODELS.values() for f in fields(cls))
-
-
-def n_th_errors(n_th: Sequence[float]) -> dict[int, str]:
-    """FullModelParams's ValueError message for each bath occupation of
-    n_th that is not a finite number >= 0, by index: the check of every
-    n_th that enters the kernel apart from a parameter set."""
-    # the sum is finite unless an n_th is not (or the sum overflows), and
-    # the least n_th is negative if any is
-    if not n_th or (math.isfinite(sum(n_th)) and min(n_th) >= 0.0):
-        return {}
-    errors = {}
-    for i, x in enumerate(n_th):
-        if not 0.0 <= x < math.inf:
-            try:
-                FullModelParams(g=0.0, Gamma=1.0, n_th=x)
-            except ValueError as exc:
-                errors[i] = str(exc)
-    return errors
 
 
 def _errors(cls, columns: Mapping[str, NDArray]) -> dict[int, str]:

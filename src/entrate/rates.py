@@ -132,24 +132,25 @@ graded mesh starts on every scale at once (as QUADPACK does towards a
 singular point, Piessens et al. 1983). Centres closer than a linewidth
 merge into the narrowest.
 
-The problem axis. _rates computes the rates of P stable beam blocks of one
-model (the batch scattering.BeamBlocks.gate passes, with its eigenvalues:
-entanglement_rates gates its drifts, a sweep its grid) together: the
-polynomials D, V and K of every problem (computed once, for the peaks and
-the flanks), the peak and crossing polynomials and their roots (stacked
+The problem axis. _rates computes the rates of P stable, reciprocal beam
+blocks of one model together: a sweep's grid gated by
+scattering.BeamBlocks.gate, or one drift gated as a batch of one by
+BeamBlocks.of (entanglement_rate, through _reciprocal_blocks). It builds
+the polynomials D, V and K of every problem (once, for the peaks and the
+flanks), the peak and crossing polynomials and their roots (stacked
 eigen-solves of the companion matrices), one Gauss-Kronrod loop whose
 panels carry a problem id and whose first kernel pass measures the peaks
 and the flank starts too, and one FWHM polish, each step batched kernel
 passes over all problems. Every decision is taken per problem from that
 problem's numbers, and the kernel and the polynomial steps are
 elementwise, so a result does not depend on the batch it was computed in:
-entanglement_rate is the call with P = 1, and a sweep's rows equal it bit
-for bit. A problem whose polynomials overflow float64 (at an n_th near
-1e200, say) gets no candidates from the stacked solve of R's roots, which
-would reject every problem with it: it fails in its own slot with a
-QuadratureError, and the others take their peaks again without it.
-spectrum_peak runs on the same axis, one kernel pass per degree of
-N' D - N D'.
+a sweep's rows equal entanglement_rate bit for bit. A problem whose
+polynomials overflow float64 (at an n_th near 1e200 or a frequency scale s
+near 1e100, say) gets no candidates from the stacked solve of R's roots,
+which would reject every problem with it: it fails in its own slot with a
+QuadratureError that names n_th and s, and the others take their peaks
+again without it. spectrum_peak runs on the same axis, one kernel pass
+per degree of N' D - N D', and fails such a problem in its own row too.
 """
 
 from __future__ import annotations
@@ -245,11 +246,18 @@ def _density(blocks: BeamBlocks, omegas: np.ndarray, pid: np.ndarray) -> np.ndar
 
 
 def _reciprocal_blocks(d: DriftMatrix, n_th: float) -> BeamBlocks:
-    """The beam block of d as a batch of one; raises ValueError unless it
-    is reciprocal (_reciprocal)."""
-    blocks = BeamBlocks.of([d], [n_th])
-    if not _reciprocal(blocks.m)[0]:
-        raise _not_reciprocal(blocks.k)
+    """The beam block of d gated as a batch of one (BeamBlocks.of, whose
+    failures it raises); raises ValueError unless it obeys m^T = J m J (to
+    _RECIPROCITY_TOL of its largest entry), which the whole-line E > 0
+    region and the crossing polynomial rest on."""
+    blocks = BeamBlocks.of(d, n_th)
+    (m,), k = blocks.m, blocks.k
+    defect = m.T - _RECIPROCITY[:k, :k] * m
+    # the blocks the models build are reciprocal exactly: no scale is needed
+    if np.count_nonzero(defect) and (np.abs(defect).max()
+                                     > _RECIPROCITY_TOL * max(np.abs(m).max(), 1.0)):
+        raise ValueError("beam block is not reciprocal (m^T != J m J, "
+                         f"J = diag{tuple(_RECIPROCITY_SIGNS[:k])})")
     return blocks
 
 
@@ -361,25 +369,6 @@ def _panel_edges(eigenvalues: np.ndarray, widest: np.ndarray) -> np.ndarray:
     np.arctan(omega / widest[:, None] + 0.0, out=edges[:, 2:])
     edges.sort(axis=1)
     return edges
-
-
-def _reciprocal(m: np.ndarray) -> np.ndarray:
-    """Whether each beam block of the stack m (P, k, k) obeys m^T = J m J
-    (to _RECIPROCITY_TOL of its largest entry), which the whole-line
-    E > 0 region and the crossing polynomial rest on."""
-    k = m.shape[-1]
-    defect = m.transpose(0, 2, 1) - _RECIPROCITY[:k, :k] * m
-    # the blocks the models build are reciprocal exactly: no scale is needed
-    if not np.count_nonzero(defect):
-        return np.ones(len(m), dtype=bool)
-    defect = np.maximum.reduce(np.abs(defect), axis=(1, 2))
-    scale = np.fmax(np.maximum.reduce(np.abs(m), axis=(1, 2)), 1.0)
-    return ~(defect > _RECIPROCITY_TOL * scale)
-
-
-def _not_reciprocal(k: int) -> ValueError:
-    return ValueError("beam block is not reciprocal (m^T != J m J, "
-                      f"J = diag{tuple(_RECIPROCITY_SIGNS[:k])})")
 
 
 @functools.cache
@@ -597,20 +586,23 @@ def _peak(s: np.ndarray, y: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.n
     return np.where(tie, -omega, omega), np.where(tie, mirror, top)
 
 
-def _stationary(s: np.ndarray, polys: tuple[np.ndarray, ...], k: int):
-    """The peaks of each problem (K > 0, module docstring) around a kernel pass
-    that the caller makes at w: the real parts of the roots of R, the same
-    after Newton steps on the polynomials and mirrored, and the starts of
-    _fwhms at the crossings of P_c for half the polynomials' E_max around
-    their omega_max or its mirror; peaks(E at w) gives E at the first sorted
-    by omega, (omega_max, E_max) of the best of the second, and the starts
-    that hold the kernel's omega_max, with E there."""
-    d, v, k_pair = polys[:3]
-    # D, W = 2V and their first two derivatives: R's and the Newton steps'
-    table = _derivatives([d, 2.0 * v])
+def _stationary(blocks: BeamBlocks, s: np.ndarray):
+    """The _beam_polynomials of each problem (K > 0, module docstring) in
+    units of s, and its peaks around a kernel pass that the caller makes at
+    w: the real parts of the roots of R, the same after Newton steps on the
+    polynomials and mirrored, and the starts of _fwhms at the crossings of
+    P_c for half the polynomials' E_max around their omega_max or its
+    mirror; peaks(E at w) gives E at the first sorted by omega,
+    (omega_max, E_max) of the best of the second, and the starts that hold
+    the kernel's omega_max, with E there."""
+    k = blocks.k
     # the floating-point errors of the steps not taken, and of a problem
     # whose polynomials overflow (NaN candidates, _roots), are ignored
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        polys = _beam_polynomials(blocks, s)
+        d, v, k_pair = polys[:3]
+        # D, W = 2V and their first two derivatives: R's and the Newton steps'
+        table = _derivatives([d, 2.0 * v])
         if k == 2:
             # V is a constant, so R = -K D'^2 has the roots of D', each twice
             y0 = _roots(table[1, 0, :, 1:]).real
@@ -671,7 +663,7 @@ def _stationary(s: np.ndarray, polys: tuple[np.ndarray, ...], k: int):
         starts[~keep] = np.nan
         return e[:, :n], omega_max, e_max, (starts, e_starts)
 
-    return w, peaks
+    return polys, w, peaks
 
 
 # the benchmark tracer wraps these names; the peaks and the flanks are
@@ -680,7 +672,7 @@ _fwhm_by_bisection = _fwhms
 _positive_intervals = minimize_scalar = _stationary
 
 
-def spectrum_peak(blocks: BeamBlocks) -> tuple[np.ndarray, np.ndarray]:
+def spectrum_peak(blocks: BeamBlocks) -> tuple[np.ndarray, np.ndarray, dict[int, Exception]]:
     """(omega, height) of the maximum of the beam-1 output spectrum
     nu_plus = N / D (module docstring) of each block: the best real root of
     N' D - N D' after Newton steps on the polynomials, measured on the
@@ -688,14 +680,20 @@ def spectrum_peak(blocks: BeamBlocks) -> tuple[np.ndarray, np.ndarray]:
     (g = 0). N' D - N D' keeps its exact leading zeros (N has degree 2k - 4,
     or 0 without the thermal input), so the rows go through in groups of
     one degree, a kernel pass each; elementwise along the problem axis, so
-    a row does not depend on the batch."""
+    a row does not depend on the batch. A problem whose polynomials
+    overflow float64 has no candidates (_roots): it gets NaN and its
+    QuadratureError in the failures by row, the third item."""
     s = _scale(blocks.eigenvalues, np.maximum.reduce(blocks.decay, axis=1))
-    dp, _, _, n = _beam_polynomials(blocks, s)
-    table = _derivatives([n, dp])
-    r = _polymul(table[1, 0], table[0, 1]) - _polymul(table[0, 0], table[1, 1])
+    # an overflow gives NaN candidates below, so its floating-point errors
+    # are ignored, as are those of the Newton steps not taken
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        dp, _, _, n = _beam_polynomials(blocks, s)
+        table = _derivatives([n, dp])
+        r = _polymul(table[1, 0], table[0, 1]) - _polymul(table[0, 0], table[1, 1])
     # the leading zeros of each row: the place of its leading coefficient
     lead = np.logical_and.accumulate(r == 0, axis=1).sum(axis=1)
     omega, height = np.zeros(len(blocks)), np.zeros(len(blocks))
+    failures: dict[int, Exception] = {}
 
     def step(values):
         # Newton on N' D - N D', whose derivative is N'' D - N D''
@@ -705,13 +703,21 @@ def spectrum_peak(blocks: BeamBlocks) -> tuple[np.ndarray, np.ndarray]:
     # a constant (or zero) row has no root
     for first in sorted(set(lead[lead < r.shape[1] - 1].tolist())):
         idx = (lead == first).nonzero()[0]
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             y, _ = _newton(table[:, :, idx], _roots(r[idx, first:]).real, step)
+        # a row whose polynomials overflow has no candidates (_roots): it fails
+        overflow = np.isnan(y[:, 0])
+        for p in idx[overflow].tolist():
+            failures[p] = _overflow("the spectrum", blocks.n_th[p], s[p])
+        omega[idx[overflow]] = height[idx[overflow]] = np.nan
+        idx, y = idx[~overflow], y[~overflow]
+        if not idx.size:
+            continue
         w = s[idx, None] * y
         f = _gram(blocks, np.concatenate([w, -w], axis=1).ravel(),
                   lambda *g: np.add(*_spectrum(*g)), idx.repeat(2 * y.shape[1]))
         omega[idx], height[idx] = _peak(s[idx], y, f.reshape(idx.size, -1))
-    return omega, height
+    return omega, height, failures
 
 
 def _check_tol(tol: float) -> None:
@@ -720,60 +726,36 @@ def _check_tol(tol: float) -> None:
         raise ValueError(f"tol must be a finite positive number, got {tol}")
 
 
-def entanglement_rates(drifts: Sequence[DriftMatrix], n_ths: Sequence[float],
-                       tol: float = 1e-6) -> list[RateResult | Exception]:
-    """entanglement_rate of every drift (all of one model) in one batched
-    computation (module docstring); each result equals entanglement_rate of
-    its drift alone bit for bit. A problem that fails gets its exception in
-    its slot instead of a RateResult, and the others are unaffected: the
-    failure of a drift that does not pass the gate
-    (scattering.BeamBlocks.gate_drifts), the ValueError of a block that is
-    not reciprocal, or a QuadratureError."""
-    _check_tol(tol)
-    drifts = list(drifts)
-    blocks, places, failures = BeamBlocks.gate_drifts(drifts, n_ths)
-    out: list[RateResult | Exception | None] = [None] * len(drifts)
-    for i, failure in failures.items():
-        out[i] = failure
-    if not places:
-        return out
-    reciprocal = _reciprocal(blocks.m)
-    if np.count_nonzero(reciprocal) < reciprocal.size:
-        for j in (~reciprocal).nonzero()[0].tolist():
-            out[places[j]] = _not_reciprocal(blocks.k)
-        places = [i for i, good in zip(places, reciprocal.tolist()) if good]
-        blocks = blocks.take(reciprocal.nonzero()[0])
-    for i, result in zip(places, _rates(blocks, tol) if places else []):
-        out[i] = result
-    return out
+def _overflow(quantity: str, n_th: float, s: float) -> QuadratureError:
+    """The failure of a problem whose polynomials of quantity overflow float64."""
+    return QuadratureError(f"the polynomials of {quantity} overflow float64 at n_th={n_th:g} "
+                           f"and frequency scale s={s:g}")
 
 
 def _rates(blocks: BeamBlocks, tol: float) -> list[RateResult | Exception]:
-    """The batched rate of entanglement_rates for stable, reciprocal blocks."""
+    """The RateResult of each stable, reciprocal block of the batch (module
+    docstring), or in its slot the QuadratureError of a problem that fails."""
     widest = np.maximum.reduce(blocks.decay, axis=1)
     s = _scale(blocks.eigenvalues, widest)
-    polys = _beam_polynomials(blocks, s)
     out: list[RateResult | Exception] = [_NO_ENTANGLEMENT] * len(blocks)
     # E > 0 on the whole line where K > 0, E = 0 everywhere where K = 0
-    pos = (polys[2] > 0).nonzero()[0]
+    pos = (blocks.gram_table[1][0] > 0).nonzero()[0]
     if not pos.size:
         return out
     if pos.size < len(blocks):
-        blocks, s, widest, polys = (blocks.take(pos), s[pos], widest[pos],
-                                    tuple(p[pos] for p in polys))
-    w, peaks_at = _stationary(s, polys, blocks.k)
+        blocks, s, widest = blocks.take(pos), s[pos], widest[pos]
+    polys, w, peaks_at = _stationary(blocks, s)
     # a problem whose polynomials overflow has no peak candidates (_roots):
     # it fails, and the others take theirs again without it
     overflow = np.isnan(w[:, 0])
     if np.count_nonzero(overflow):
-        for p, n_th in zip(pos[overflow].tolist(), blocks.n_th[overflow].tolist()):
-            out[p] = QuadratureError(f"the polynomials of E overflow float64 at n_th={n_th:g}")
+        for j in overflow.nonzero()[0].tolist():
+            out[pos[j]] = _overflow("E", blocks.n_th[j], s[j])
         ok = (~overflow).nonzero()[0]
-        blocks, s, widest, polys, pos = (blocks.take(ok), s[ok], widest[ok],
-                                         tuple(p[ok] for p in polys), pos[ok])
+        blocks, s, widest, pos = blocks.take(ok), s[ok], widest[ok], pos[ok]
         if not pos.size:
             return out
-        w, peaks_at = _stationary(s, polys, blocks.k)
+        polys, w, peaks_at = _stationary(blocks, s)
 
     # E has all its structure at the resonances, so panels that start
     # there only need polishing; half of tol * 2 pi is the budget
@@ -813,8 +795,11 @@ def entanglement_rate(d: DriftMatrix, n_th: float = 0.0, tol: float = 1e-6) -> R
     """Gamma_E = int domega/2pi E[omega] over the whole line by adaptive
     quadrature in theta (module docstring) to absolute tolerance tol (in
     kappa units), plus E_max, its location, and the FWHM of the dominant
-    peak: entanglement_rates for one drift, its failure raised."""
-    (result,) = entanglement_rates([d], [n_th], tol)
+    peak: _rates of d's block gated as a batch of one. Raises, in this
+    order, the ValueError of a bad tol, the failures of _reciprocal_blocks
+    and the QuadratureError of its slot."""
+    _check_tol(tol)
+    (result,) = _rates(_reciprocal_blocks(d, n_th), tol)
     if isinstance(result, Exception):
         raise result
     return result

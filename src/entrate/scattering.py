@@ -93,8 +93,8 @@ from numpy.typing import ArrayLike, NDArray
 
 from .errors import UnstableSystemError
 from .gaussian import CorrelatorTriple
-from .models import (DriftMatrix, EffectiveModelParams, drift_effective, eigvals,
-                     n_th_errors, stability_gate)
+from .models import (DriftMatrix, EffectiveModelParams, FullModelParams, drift_effective,
+                     eigvals, stability_gate)
 # unused here, but the benchmark tracer wraps these names in scattering
 from .models import stability  # noqa: F401
 from .quadutil import adaptive_gk_batch as adaptive_gk  # noqa: F401
@@ -179,24 +179,21 @@ class BeamBlocks:
     @classmethod
     def gate(cls, m: NDArray[np.complex128], decay: NDArray[np.float64], n_th: NDArray[np.float64],
              ) -> tuple["BeamBlocks", NDArray[np.intp], NDArray[np.float64], dict[int, Exception]]:
-        """Of the stacked beam blocks m (P, k, k), decays (P, k) and n_th (P,):
-        the batch that passes, with the eigenvalues of one stacked solve
-        (models.stability_gate), its places among the P, each margin max Re(eig)
-        (NaN where unsolved; a solved block not in the batch is not stable) and
-        the failure of each unsolved block by place: the ValueError of an n_th
-        that is not a finite number >= 0, else the LinAlgError of a non-finite
-        entry (looked for only when the stacked solve rejects the stack)."""
-        failures: dict[int, Exception] = {
-            i: ValueError(e) for i, e in n_th_errors(n_th.tolist()).items()}
+        """Of the stacked beam blocks m (P, k, k), decays (P, k) and n_th (P,),
+        whose n_th the caller has checked: the batch that passes, with the
+        eigenvalues of one stacked solve (models.stability_gate), its places
+        among the P, each margin max Re(eig) (NaN where unsolved; a solved
+        block not in the batch is not stable) and the LinAlgError of each
+        block with a non-finite entry by place (looked for only when the
+        stacked solve rejects the stack)."""
+        failures: dict[int, Exception] = {}
         solved = np.arange(len(m))
-        if failures:
-            solved = np.delete(solved, list(failures))
         try:
-            eigenvalues, solved_margin, stable = stability_gate(m[solved] if failures else m)
+            eigenvalues, solved_margin, stable = stability_gate(m)
         except LinAlgError:
             # the stacked solve rejects a stack with a non-finite entry: the
             # blocks that have one fail, and the others are solved again
-            finite = np.logical_and.reduce(np.isfinite(m[solved]), axis=(1, 2))
+            finite = np.logical_and.reduce(np.isfinite(m), axis=(1, 2))
             if np.logical_and.reduce(finite):
                 raise
             for i in solved[~finite].tolist():
@@ -212,36 +209,19 @@ class BeamBlocks:
         return blocks, passed, margin, failures
 
     @classmethod
-    def gate_drifts(cls, drifts: Sequence[DriftMatrix], n_ths: Sequence[float],
-                    ) -> tuple["BeamBlocks | None", list[int], dict[int, Exception]]:
-        """gate on the drifts' beam blocks (all of one model), one n_th each:
-        the batch (None for no drifts), the drifts' places in it and each
-        other drift's failure by place: that of gate, else the
-        UnstableSystemError, carrying the margin, of a block that is not
-        stable. Raises ValueError on mixed models."""
-        drifts, n_ths = list(drifts), [float(n) for n in n_ths]
-        if len(n_ths) != len(drifts):
-            raise ValueError("one n_th per drift is needed")
-        if not drifts:
-            return None, [], {}
-        if len({d.m.shape for d in drifts}) > 1:
-            raise ValueError("a batch of beam blocks needs drifts of one model")
-        blocks, passed, margin, failures = cls.gate(
-            np.array([d.m for d in drifts]), np.array([d.decay for d in drifts]),
-            np.array(n_ths))
-        passed = passed.tolist()
-        if len(passed) < len(drifts):
-            failures.update((i, UnstableSystemError(margin[i]))
-                            for i in set(range(len(drifts))).difference(passed, failures))
-        return blocks, passed, failures
-
-    @classmethod
-    def of(cls, drifts: Sequence[DriftMatrix], n_ths: Sequence[float]) -> "BeamBlocks":
-        """The gated beam blocks of the drifts (gate_drifts); raises the
-        failure of the first drift that does not pass."""
-        blocks, _, failures = cls.gate_drifts(drifts, n_ths)
+    def of(cls, d: DriftMatrix, n_th: float) -> "BeamBlocks":
+        """d's beam block with n_th, gated as a batch of one: raises the
+        ValueError of an n_th that is not a finite number >= 0 (FullModelParams's
+        message), the LinAlgError of a non-finite entry, or the
+        UnstableSystemError, carrying the margin, of a block that is not stable."""
+        if not 0.0 <= n_th < np.inf:
+            # raises the parameter set's ValueError
+            FullModelParams(g=0.0, Gamma=1.0, n_th=n_th)
+        blocks, _, margin, failures = cls.gate(d.m[None], d.decay[None], np.array([float(n_th)]))
         if failures:
-            raise failures[min(failures)]
+            raise failures[0]
+        if not len(blocks):
+            raise UnstableSystemError(margin[0])
         return blocks
 
     @property
@@ -436,7 +416,7 @@ def correlator_batch(d: DriftMatrix, omegas: np.ndarray, n_th: float = 0.0,
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(nu_plus, nu_minus, xi, q - 1/4) arrays over a frequency grid, from
     the kernel for one problem (see _kernel), d gated by BeamBlocks.of."""
-    return _kernel(BeamBlocks.of([d], [n_th]), omegas)
+    return _kernel(BeamBlocks.of(d, n_th), omegas)
 
 
 def output_correlators(d: DriftMatrix, omega: float, n_th: float = 0.0) -> CorrelatorTriple:
@@ -452,7 +432,7 @@ def spectrum_parts(d: DriftMatrix, omegas: np.ndarray, n_th: float = 0.0,
     |s_+-|^2 comes from the vacuum input of beam 2, the mechanical part
     n_th |s_+b|^2 from the thermal mechanical input (zero for the effective
     model), d gated by BeamBlocks.of."""
-    return _gram(BeamBlocks.of([d], [n_th]), omegas, _spectrum)
+    return _gram(BeamBlocks.of(d, n_th), omegas, _spectrum)
 
 
 # only tests call it; it stays bound because the benchmark tracer wraps it
@@ -469,7 +449,7 @@ def pair_rate_numeric(p: EffectiveModelParams) -> float:
     effective optical model, exactly: kappa_+ kappa_- P_++ from the Gramian
     of the module docstring, with the Lyapunov equation solved as the
     linear system (m (x) I + I (x) conj(m)) vec P = -vec(e_- e_-^T)."""
-    blocks = BeamBlocks.of([drift_effective(p)], [0.0])
+    blocks = BeamBlocks.of(drift_effective(p), 0.0)
     return float(_pair_rate(blocks.m, blocks.decay)[0])
 
 

@@ -350,18 +350,21 @@ def _eval_chunk(payload: tuple[tuple[str, ...], float, scattering.BeamBlocks],
     their beam blocks, each quantity from one batched call over the chunk:
     the rate fields from rates._rates, the pair rates from
     scattering._pair_rate and the spectrum peaks from rates.spectrum_peak.
-    A point whose rate fails gets its `failed: ...` status instead; the
-    pair rate and the spectrum peak cannot fail at a stable point."""
+    A point whose rate or spectrum peak fails (its polynomials overflow,
+    say) gets its `failed: ...` status instead, the rate's failure first;
+    the pair rate cannot fail at a stable point."""
     quantities, tol, blocks = payload
     rate_fields = [q for q in ("E_max", "gamma_E", "fwhm") if q in quantities]
     columns: dict[str, list[float]] = {}
+    failures: dict[int, Exception] = {}
     if "pair_rate" in quantities:
         columns["pair_rate"] = scattering._pair_rate(blocks.m, blocks.decay).tolist()
     if "spectrum" in quantities:
-        omega, height = rates.spectrum_peak(blocks)
+        omega, height, failures = rates.spectrum_peak(blocks)
         columns["spectrum_peak_omega"], columns["spectrum_peak"] = omega.tolist(), height.tolist()
     results = rates._rates(blocks, tol) if rate_fields else [None] * len(blocks)
     return [f"failed: {rr}" if isinstance(rr, Exception) else
+            f"failed: {failures[i]}" if i in failures else
             {**{q: getattr(rr, q) for q in rate_fields}, **{c: v[i] for c, v in columns.items()}}
             for i, rr in enumerate(results)]
 

@@ -52,7 +52,7 @@ def block_scattering(d: models.DriftMatrix, omegas: np.ndarray) -> np.ndarray:
     the kernel's own coefficients: S = I + D^1/2 A(t) D^1/2 / det(m + t) at
     t = i omega, with A(t) = sum_j adj[j] t^(k-1-j) and det(m + t) the
     characteristic polynomial char (scattering.BeamBlocks)."""
-    blocks = scattering.BeamBlocks.of([d], [0.0])
+    blocks = scattering.BeamBlocks.of(d, 0.0)
     t = 1j * np.asarray(omegas, dtype=float)
     adj = np.tensordot(t[:, None] ** np.arange(blocks.k - 1, -1, -1), blocks.adj[0], 1)
     det = np.polyval(blocks.char[0], t)

@@ -150,7 +150,7 @@ def filtered_entanglement(d: DriftMatrix, n_th: float,
         half, warp, unwarp = math.pi, np.positive, np.positive
     else:
         half, warp, unwarp = 0.5 * math.pi, np.tan, np.arctan
-    blocks = BeamBlocks.of([d], [n_th])
+    blocks = BeamBlocks.of(d, n_th)
 
     def parts(theta: np.ndarray) -> np.ndarray:
         nu_plus, nu_minus, xi, _ = _kernel(blocks, wc + warp(theta) / tau)

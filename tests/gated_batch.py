@@ -1,0 +1,36 @@
+"""Many drifts' rates in one batch, the way a sweep computes its grid's:
+the drifts' beam blocks stacked, gated by scattering.BeamBlocks.gate and
+passed to rates._rates, the package's one batched rate."""
+
+from __future__ import annotations
+
+import numpy as np
+
+from entrate.errors import UnstableSystemError
+from entrate.rates import _rates
+from entrate.scattering import BeamBlocks
+
+
+def gated(drifts, n_ths) -> tuple[BeamBlocks, list[int], dict[int, Exception]]:
+    """BeamBlocks.gate on the stacked beam blocks of drifts (of one model)
+    with n_ths, which it does not check: the batch that passes, the drifts'
+    places in it and each other drift's failure by place, the gate's
+    LinAlgError or the UnstableSystemError, carrying the margin, of a block
+    that is not stable."""
+    blocks, passed, margin, failures = BeamBlocks.gate(
+        np.array([d.m for d in drifts]), np.array([d.decay for d in drifts]),
+        np.array(n_ths, dtype=float))
+    places = passed.tolist()
+    return blocks, places, {i: failures.get(i) or UnstableSystemError(margin[i])
+                            for i in range(len(drifts)) if i not in places}
+
+
+def batch_rates(drifts, n_ths, tol: float = 1e-6) -> list:
+    """The RateResult of each drift from one _rates call on the gated
+    batch, or in its slot its failure: the gate's, or _rates's
+    QuadratureError."""
+    blocks, places, failures = gated(drifts, n_ths)
+    out = [failures.get(i) for i in range(len(drifts))]
+    for i, result in zip(places, _rates(blocks, tol) if places else []):
+        out[i] = result
+    return out

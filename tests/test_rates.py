@@ -16,12 +16,13 @@ from entrate import quadutil, rates, scattering
 from entrate.quadutil import bisect_all
 from entrate.rates import (_beam_polynomials, _count_local_maxima, _density, _fwhms,
                            _panel_edges, _scale, _stationary, entanglement_rate,
-                           entanglement_rates, spectral_density,
-                           spectral_density_batch, spectrum_and_density, spectrum_peak)
+                           spectral_density, spectral_density_batch, spectrum_and_density,
+                           spectrum_peak)
 from entrate.scattering import BeamBlocks, correlator_batch, spectrum_parts
 from entrate.sweep import SweepAxis, SweepConfig, run_sweep
 from doubled_reference import BEAM, doubled_drift
 from fwhm_reference import fwhm_by_bisection
+from gated_batch import batch_rates, gated
 from grid_reference import frequency_grid
 from lu_reference import scattering_matrices
 from mp_reference import reference_point
@@ -125,7 +126,7 @@ class TestWholeLineAndCrossings:
 
         # K |det|^-2 = 2 (nu+ + nu- - 2 (q - 1/4)), with K from the adjugate
         # and |det|^2 from the kernel's own characteristic polynomial
-        blocks = BeamBlocks.of([d], [n_th])
+        blocks = BeamBlocks.of(d, n_th)
         s = np.array([_scale(np.linalg.eigvals(d.m), d.decay.max())])
         polys = _beam_polynomials(blocks, s)
         nu_plus, nu_minus, _, q_excess = correlator_batch(d, probes, n_th)
@@ -336,6 +337,10 @@ class TestEntanglementRate:
 
 
 class TestBatchedRates:
+    """Many drifts' rates from one gate and one _rates call, as a sweep
+    computes them (gated_batch), against entanglement_rate, the batch of
+    one."""
+
     @staticmethod
     def drifts():
         # stable points of the full model, an unstable one and a g = 0 one
@@ -346,7 +351,7 @@ class TestBatchedRates:
 
     def test_each_result_equals_the_single_rate_bit_for_bit(self):
         drifts, n_ths = self.drifts()
-        batch = entanglement_rates(drifts, n_ths)
+        batch = batch_rates(drifts, n_ths)
         for d, n, got in zip(drifts, n_ths, batch):
             if not stability(d).stable:
                 assert isinstance(got, UnstableSystemError)
@@ -355,8 +360,8 @@ class TestBatchedRates:
         # composition and order of the batch do not matter either, nor does
         # a batch longer than one pass of the probe scan
         order = [5, 2, 0, 1, 3] * 3
-        assert entanglement_rates([drifts[i] for i in order],
-                                  [n_ths[i] for i in order]) == [batch[i] for i in order]
+        assert batch_rates([drifts[i] for i in order],
+                           [n_ths[i] for i in order]) == [batch[i] for i in order]
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(st.lists(stable_drifts(), min_size=1, max_size=5), st.randoms(use_true_random=False))
@@ -370,7 +375,7 @@ class TestBatchedRates:
         # rate of its drift alone bit for bit, or raises what it holds
         batch = [x for x in drift_nths if len(x[0].m) == len(drift_nths[0][0].m)]
         rnd.shuffle(batch)
-        for (d, n_th), got in zip(batch, entanglement_rates(*zip(*batch))):
+        for (d, n_th), got in zip(batch, batch_rates(*zip(*batch))):
             if isinstance(got, Exception):
                 with pytest.raises(type(got), match=re.escape(str(got))):
                     entanglement_rate(d, n_th)
@@ -382,7 +387,7 @@ class TestBatchedRates:
         # the kernel's 1,024-point passes
         drifts, n_ths = self.drifts()
         keep = [i for i, d in enumerate(drifts) if stability(d).stable]
-        blocks = BeamBlocks.of([drifts[i] for i in keep], [n_ths[i] for i in keep])
+        blocks, _, _ = gated([drifts[i] for i in keep], [n_ths[i] for i in keep])
         rng = np.random.default_rng(5)
         omegas = rng.uniform(-20.0, 20.0, 2500)
         pid = rng.integers(0, len(keep), 2500)
@@ -397,23 +402,25 @@ class TestBatchedRates:
         m[0, 2] *= 2.0             # not reciprocal
         return DriftMatrix(m, d.decay)
 
-    def test_a_failure_stays_in_its_slot(self):
-        d = full_drift(delta=10.0)
-        good, odd, good2 = entanglement_rates([d, self.not_reciprocal(), full_drift()],
-                                              [0.0, 0.0, 0.0])
-        assert isinstance(odd, ValueError) and "not reciprocal" in str(odd)
-        assert good == entanglement_rate(d) and good2 == entanglement_rate(full_drift())
-
     @pytest.mark.parametrize("case", ["unstable", "not_reciprocal", "bad_n_th", "bad_tol"])
     def test_single_rate_raises_what_the_batch_reports(self, case):
-        # the slot's exception for a drift the gate rejects, the raised one
-        # for a tol that no drift can meet
+        # the gated batch's slot for a drift the gate rejects; for the checks
+        # of the point path alone, the parameter set's and the sweep
+        # config's messages, and the reciprocity message
         d, n_th, tol = {"unstable": (full_drift(Delta=-0.5, delta=10.0), 0.0, 1e-6),
                         "not_reciprocal": (self.not_reciprocal(), 0.0, 1e-6),
                         "bad_n_th": (full_drift(), -0.4, 1e-6),
                         "bad_tol": (full_drift(), 0.0, 0.0)}[case]
         try:
-            (expected,) = entanglement_rates([d], [n_th], tol)
+            if case == "bad_n_th":
+                FullModelParams(g=5.0, Gamma=1e-3, n_th=n_th)
+            elif case == "bad_tol":
+                SweepConfig(model="full", fixed={}, axes=[SweepAxis("delta", -1.0, 1.0, 2)],
+                            quantities=["gamma_E"], tol=tol)
+            elif case == "not_reciprocal":
+                raise ValueError("beam block is not reciprocal (m^T != J m J, "
+                                 f"J = diag{tuple(rates._RECIPROCITY_SIGNS)})")
+            (expected,) = batch_rates([d], [n_th], tol)
         except ValueError as exc:
             expected = exc
         assert isinstance(expected, (UnstableSystemError, ValueError))
@@ -430,18 +437,17 @@ class TestBatchedRates:
 
     @pytest.mark.parametrize("tol", [1e-6, 1e-9])
     def test_failing_slots_among_stable_drifts(self, tol):
-        # an unstable drift, one that is not reciprocal, one with an infinite
-        # entry and bad n_th amid stable drifts: each failing slot holds what
-        # its single call raises, each stable one its single rate
+        # an unstable drift, one with an infinite entry and one whose
+        # polynomials overflow amid stable drifts: each failing slot holds
+        # what its single call raises, each stable one its single rate
         drifts, n_ths = self.drifts()
         stable = [(d, n, False) for d, n in zip(drifts, n_ths) if stability(d).stable]
         failing = [(d, n, True) for d, n in (
-            (full_drift(Delta=-0.5, delta=10.0), 0.0), (self.not_reciprocal(), 0.0),
-            (self.non_finite(), 0.0), (full_drift(), math.nan),
-            (full_drift(), -1.0), (full_drift(), math.inf), (full_drift(), -math.inf))]
+            (full_drift(Delta=-0.5, delta=10.0), 0.0), (self.non_finite(), 0.0),
+            (full_drift(), 1e200))]
         batch = stable[:2] + failing[:2] + stable[2:3] + failing[2:] + stable[3:]
         d_s, n_s, fails = zip(*batch)
-        for d, n_th, fail, got in zip(d_s, n_s, fails, entanglement_rates(d_s, n_s, tol=tol)):
+        for d, n_th, fail, got in zip(d_s, n_s, fails, batch_rates(d_s, n_s, tol=tol)):
             assert isinstance(got, Exception) == fail
             if fail:
                 with pytest.raises(type(got)) as single:
@@ -463,13 +469,12 @@ class TestBatchedRates:
                  lambda: spectral_density(d, 0.3, n_th=n_th),
                  lambda: spectral_density_batch(d, np.array([0.3]), n_th),
                  lambda: correlator_batch(d, np.array([0.3]), n_th),
-                 lambda: spectrum_parts(d, np.array([0.3]), n_th)]
+                 lambda: spectrum_parts(d, np.array([0.3]), n_th),
+                 lambda: BeamBlocks.of(d, n_th)]
         for call in calls:
             with pytest.raises(ValueError) as got:
                 call()
             assert type(got.value) is ValueError and str(got.value) == str(params.value)
-        (slot,) = entanglement_rates([d], [n_th])
-        assert type(slot) is ValueError and str(slot) == str(params.value)
 
     def test_overflowing_polynomials_fail_their_slot_only(self):
         # at n_th = 1e200 the coefficients of R overflow: that problem fails
@@ -478,7 +483,7 @@ class TestBatchedRates:
         d = full_drift()
         with pytest.raises(QuadratureError, match="overflow") as single:
             entanglement_rate(d, 1e200)
-        good, bad, good2 = entanglement_rates([d, d, full_drift(delta=10.0)], [1.0, 1e200, 0.0])
+        good, bad, good2 = batch_rates([d, d, full_drift(delta=10.0)], [1.0, 1e200, 0.0])
         assert type(bad) is QuadratureError and str(bad) == str(single.value)
         assert good == entanglement_rate(d, 1.0)
         assert good2 == entanglement_rate(full_drift(delta=10.0))
@@ -494,32 +499,24 @@ class TestBatchedRates:
         assert exc.value.value == pytest.approx(tight.gamma_E, rel=1e-12)
         assert f"(value~{tight.gamma_E:.6g}, error~" in str(exc.value)
         assert 0 < exc.value.error_estimate < 1e-12
-        # a root search that fails has no value to report
-        for n_th, message in ((1e100, "no half-maximum crossing on one side of omega_max=0.0"),
-                              (1e200, "the polynomials of E overflow float64 at n_th=1e+200")):
+        # a root search that fails has no value to report; an overflow names
+        # n_th and the frequency scale s of the polynomials, which overflow
+        # through n_th = 1e200 or through s ~ delta = 1e100 (no RuntimeWarning)
+        for d, n_th, message in (
+                (full_drift(), 1e100, "no half-maximum crossing on one side of omega_max=0.0"),
+                (full_drift(), 1e200, "the polynomials of E overflow float64 at n_th=1e+200 "
+                                      "and frequency scale s=1.5"),
+                (full_drift(delta=1e100), 0.0, "the polynomials of E overflow float64 at "
+                                               "n_th=0 and frequency scale s=1e+100")):
             with pytest.raises(QuadratureError) as exc:
-                entanglement_rate(full_drift(), n_th)
+                entanglement_rate(d, n_th)
             assert str(exc.value) == message
-
-    def test_drifts_of_two_models_rejected(self):
-        d_eff = drift_effective(EffectiveModelParams(g=5.0, delta=10.0, Delta=-0.2))
-        with pytest.raises(ValueError, match="one model"):
-            entanglement_rates([full_drift(), d_eff], [0.0, 0.0])
-
-    def test_batch_inputs(self):
-        # the n_th count is checked also for an empty batch, and n_ths may
-        # be any iterable of numbers
-        assert entanglement_rates([], []) == []
-        with pytest.raises(ValueError, match="one n_th per drift"):
-            entanglement_rates([], [1.0])
-        assert entanglement_rates([full_drift()], (n for n in [1])) == \
-            [entanglement_rate(full_drift(), 1.0)]
 
 
 class TestPanelEdges:
     @staticmethod
     def edges(d):
-        blocks = BeamBlocks.of([d], [0.0])
+        blocks = BeamBlocks.of(d, 0.0)
         (row,) = _panel_edges(blocks.eigenvalues, np.max(blocks.decay, axis=1))
         return row[np.isfinite(row)]
 
@@ -549,7 +546,7 @@ class TestPanelEdges:
         drifts = [full_drift(delta=x, Delta=y) for x in np.linspace(-15.0, 15.0, 25)
                   for y in np.linspace(-1.5, 1.5, 25)]
         keep = [i for i, d in enumerate(drifts) if stability(d).stable]
-        blocks = BeamBlocks.of([drifts[i] for i in keep], [0.0] * len(keep))
+        blocks, _, _ = gated([drifts[i] for i in keep], [0.0] * len(keep))
         eigenvalues = blocks.eigenvalues
         widest = np.max(blocks.decay, axis=1)
         batch = _panel_edges(eigenvalues, widest)
@@ -631,12 +628,12 @@ class TestCountedWork:
                                                  "delta": delta, "Delta": Delta})
         stable, places, _, _ = BeamBlocks.gate(m, decay, n_th)
         assert places.size == 143
-        for blocks in (BeamBlocks.of([d], [0.0]), stable):
+        for blocks in (BeamBlocks.of(d, 0.0), stable):
             passes.clear()
             rates._rates(blocks, 1e-6)
             widest = blocks.decay.max(axis=1)
             s = _scale(blocks.eigenvalues, widest)
-            w, _ = _stationary(s, _beam_polynomials(blocks, s), blocks.k)
+            _, w, _ = _stationary(blocks, s)
             edges = _panel_edges(blocks.eigenvalues, widest)
             # the start mesh in calls of up to 64 panels: one for the anchor
             panels = min(np.count_nonzero(edges[:, 1:] > edges[:, :-1]), 64)
@@ -648,16 +645,16 @@ class TestCountedWork:
         # holds the roots of its rows and their mirrors
         passes = self.count_passes(monkeypatch, "_gram")
         d = full_drift(delta=10.0)
-        spectrum_peak(BeamBlocks.of([d], [50.0]))
+        spectrum_peak(BeamBlocks.of(d, 50.0))
         assert passes == [2 * 7]
-        # Delta = 0.7 is unstable: the gate rejects the batch, and the peaks
-        # of a batch stacked without it still take one pass per degree
+        # Delta = 0.7 is unstable: the gate fails it, and the peaks of a
+        # batch stacked without the gate still take one pass per degree
         drifts = [d, full_drift(g=0.0), full_drift(delta=-3.0), full_drift(Delta=0.7),
                   full_drift(delta=5.0)]
         n_ths = [50.0, 50.0, 0.0, 10.0, 0.0]
-        with pytest.raises(UnstableSystemError) as exc:
-            BeamBlocks.of(drifts, n_ths)
-        assert exc.value.max_real_part == stability(drifts[3]).max_real_part > 0
+        _, places, failures = gated(drifts, n_ths)
+        assert places == [0, 1, 2, 4]
+        assert failures[3].max_real_part == stability(drifts[3]).max_real_part > 0
         m, decay = np.array([d.m for d in drifts]), np.array([d.decay for d in drifts])
         spectrum_peak(BeamBlocks(m, decay, np.array(n_ths), stability_gate(m)[0]))
         assert passes == [2 * 7, 2 * 2 * 7, 2 * 2 * 5]
@@ -761,7 +758,7 @@ class TestStationaryPeaks:
         # against the lowest E within 16 floats of the reference's omega_max
         d, n_th = drift_nth
         rr = entanglement_rate(d, n_th)
-        blocks = BeamBlocks.of([d], [n_th])
+        blocks = BeamBlocks.of(d, n_th)
         s = _scale(blocks.eigenvalues, blocks.decay.max(axis=1))
         found, (omega_ref,), (e_ref,) = stationary_peaks(blocks, s, _beam_polynomials(blocks, s))
         near = spectral_density_batch(d, omega_ref + np.arange(-16, 17) * np.spacing(omega_ref),
@@ -785,7 +782,8 @@ class TestStationaryPeaks:
         ids=["two_peaks", "two_peaks_nth0", "anchor", "thermal", "effective",
              "effective_two_peaks"])
     def test_spectrum_peak_against_dense_sampling(self, d, n_th):
-        (omega,), (height,) = spectrum_peak(BeamBlocks.of([d], [n_th]))
+        (omega,), (height,), failures = spectrum_peak(BeamBlocks.of(d, n_th))
+        assert not failures
         assert height == np.sum(spectrum_parts(d, np.array([omega]), n_th))
 
         def total(w):
@@ -824,9 +822,10 @@ class TestStationaryPeaks:
                       for g, delta, big, _ in points]
         n_ths = [pt[-1] for pt in points]
         assert all(stability(d).stable for d in drifts)
-        batch = spectrum_peak(BeamBlocks.of(drifts, n_ths))
+        *batch, failures = spectrum_peak(gated(drifts, n_ths)[0])
+        assert not failures
         for p, (d, n_th) in enumerate(zip(drifts, n_ths)):
-            alone = spectrum_peak(BeamBlocks.of([d], [n_th]))
+            *alone, _ = spectrum_peak(BeamBlocks.of(d, n_th))
             assert [float(c[p]).hex() for c in batch] == [float(c[0]).hex() for c in alone]
         uncoupled = [pt[0] == 0.0 for pt in points]
         assert (batch[1] == 0).tolist() == uncoupled

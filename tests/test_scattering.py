@@ -7,17 +7,18 @@ from hypothesis import strategies as st
 from entrate.closedforms import full_model_correlators_resonant, pair_rate_closed
 from entrate.errors import UnstableSystemError
 from entrate.gaussian import covariance_from_correlators, symplectic_spectrum
-from entrate.models import (EffectiveModelParams, FullModelParams, drift_effective, drift_full,
-                            stability, stability_gate)
+from entrate.models import (DriftMatrix, EffectiveModelParams, FullModelParams, drift_effective,
+                            drift_full, stability, stability_gate)
 from entrate import cli, scattering
-from entrate.rates import (_gram_density, entanglement_rate, entanglement_rates,
-                           spectral_density, spectral_density_batch, spectrum_and_density)
+from entrate.rates import (_gram_density, entanglement_rate, spectral_density,
+                           spectral_density_batch, spectrum_and_density)
 from entrate.scattering import (BeamBlocks, _det, _gram, _kernel, _pair_rate, _spectrum,
                                 correlator_batch, output_correlators, output_spectrum,
                                 pair_rate_numeric, spectrum_parts)
 from entrate.verify import block_scattering, effective_scattering_oracle
 from entrate.wannier import FilterSpec, filtered_entanglement
 from doubled_reference import BEAM, doubled_drift
+from gated_batch import gated
 from lu_reference import (input_noise_matrix, intra_beam_correlator, scattering_matrices,
                           scattering_matrix)
 from mp_reference import reference_point
@@ -330,16 +331,21 @@ class TestBlockKernel:
         m = np.array([d.m for d in drifts])
         eigenvalues, _, _ = stability_gate(m)
         # the second and the last drift are unstable: the gate keeps the
-        # others with their eigenvalues, and BeamBlocks.of raises the error
-        # of the first it rejects
-        gated, places, failures = BeamBlocks.gate_drifts(drifts, n_ths)
+        # others with their eigenvalues, alone or stacked, and BeamBlocks.of
+        # raises the error of a drift it rejects, with its margin
+        batch, places, failures = gated(drifts, n_ths)
         assert places == [0, 2] and sorted(failures) == [1, 3]
-        assert gated.eigenvalues.tobytes() == eigenvalues[places].tobytes()
-        blocks = BeamBlocks.of([drifts[i] for i in places], [n_ths[i] for i in places])
+        assert batch.eigenvalues.tobytes() == eigenvalues[places].tobytes()
+        blocks, _, _ = gated([drifts[i] for i in places], [n_ths[i] for i in places])
         assert blocks.eigenvalues.tobytes() == eigenvalues[places].tobytes()
-        with pytest.raises(UnstableSystemError) as exc:
-            BeamBlocks.of(drifts, n_ths)
-        assert exc.value.max_real_part == stability(drifts[1]).max_real_part > 0
+        for i in places:
+            alone = BeamBlocks.of(drifts[i], n_ths[i])
+            assert alone.eigenvalues.tobytes() == eigenvalues[i:i + 1].tobytes()
+        for i in (1, 3):
+            with pytest.raises(UnstableSystemError) as exc:
+                BeamBlocks.of(drifts[i], n_ths[i])
+            assert exc.value.max_real_part == failures[i].max_real_part
+            assert exc.value.max_real_part == stability(drifts[i]).max_real_part > 0
         # a batch stacked without the gate keeps the rows it is given
         unstable = BeamBlocks(m, np.array([d.decay for d in drifts]),
                               np.array(n_ths), eigenvalues)
@@ -355,7 +361,7 @@ class TestBlockKernel:
         dets = []
         det = scattering._det
         monkeypatch.setattr(scattering, "_det", lambda m: dets.append(len(m)) or det(m))
-        blocks = BeamBlocks.of(drifts, [0.0, 5.0, 1.0])
+        blocks, _, _ = gated(drifts, [0.0, 5.0, 1.0])
         idx = np.array([2, 0])
         assert "_coefficients" not in vars(blocks.take(idx)) and dets == []
         char = blocks.char
@@ -365,7 +371,7 @@ class TestBlockKernel:
         assert part.adj.tobytes() == blocks.adj[idx].tobytes()
         assert dets == [3]
         # computed on the sub-batch alone, the same bits
-        alone = BeamBlocks.of([drifts[2], drifts[0]], [1.0, 0.0])
+        alone, _, _ = gated([drifts[2], drifts[0]], [1.0, 0.0])
         assert alone.char.tobytes() == part.char.tobytes()
         assert alone.adj.tobytes() == part.adj.tobytes()
 
@@ -401,7 +407,6 @@ class TestOneGate:
         spec = FilterSpec(0.3, 1e2), FilterSpec(-0.3, 1e2)
         return {
             "entanglement_rate": lambda: entanglement_rate(d, n_th),
-            "entanglement_rates": lambda: entanglement_rates([d], [n_th])[0],
             "spectral_density": lambda: spectral_density(d, 0.3, n_th),
             "spectral_density_batch": lambda: spectral_density_batch(d, np.array([0.3]), n_th),
             "spectrum_and_density": lambda: spectrum_and_density(d, np.array([0.3]), n_th),
@@ -410,22 +415,31 @@ class TestOneGate:
             "spectrum_parts": lambda: spectrum_parts(d, np.array([0.3]), n_th),
             "output_spectrum": lambda: output_spectrum(d, 0.3, n_th),
             "filtered_entanglement": lambda: filtered_entanglement(d, n_th, *spec),
-            "BeamBlocks.of": lambda: BeamBlocks.of([d], [n_th]),
+            "BeamBlocks.of": lambda: BeamBlocks.of(d, n_th),
         }
 
     def test_one_input_one_verdict(self):
         # an unstable drift with an invalid n_th: the n_th check comes
-        # first at every entry point
+        # first at every entry point; then the unstable drift alone, and a
+        # drift with an infinite entry
         d = drift_full(FullModelParams(g=5.0, Gamma=1e-3, Delta=0.7))
-        assert not stability(d).stable
-        verdicts = {}
-        for name, call in self.entry_points(d, -1.0).items():
-            try:
-                result = call()
-            except Exception as exc:
-                result = exc
-            verdicts[name] = (type(result).__name__, str(result))
-        assert set(verdicts.values()) == {("ValueError", "n_th must be non-negative")}, verdicts
+        margin = stability(d).max_real_part
+        assert margin > 0
+        m = np.array(full_drift().m)
+        m[0, 2] = np.inf
+        non_finite = DriftMatrix(m, full_drift().decay)
+        for drift, n_th, verdict in [
+                (d, -1.0, ("ValueError", "n_th must be non-negative")),
+                (d, 1.0, ("UnstableSystemError", str(UnstableSystemError(margin)))),
+                (non_finite, 0.0, ("LinAlgError", "Array must not contain infs or NaNs"))]:
+            verdicts = {}
+            for name, call in self.entry_points(drift, n_th).items():
+                try:
+                    result = call()
+                except Exception as exc:
+                    result = exc
+                verdicts[name] = (type(result).__name__, str(result))
+            assert set(verdicts.values()) == {verdict}, verdicts
 
     def test_one_eigen_solve_per_call(self, solves, tmp_path):
         # the gate's solve is the only one of a call without a rate (a rate

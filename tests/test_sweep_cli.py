@@ -172,7 +172,7 @@ class TestRunSweep:
                              quantities=["spectrum"], jobs=1)
         for row in run_sweep(config).rows:
             d = drift_full(FullModelParams(g=5.0, Gamma=1e-3, delta=row.axis_values[0]))
-            (omega,), (height,) = spectrum_peak(BeamBlocks.of([d], [50.0]))
+            (omega,), (height,), _ = spectrum_peak(BeamBlocks.of(d, 50.0))
             assert (row.values["spectrum_peak_omega"], row.values["spectrum_peak"]) == (
                 omega, height)
             assert height >= np.max(np.add(*spectrum_parts(d, frequency_grid(d), 50.0)))
@@ -252,6 +252,30 @@ class TestRunSweep:
         assert "overflow" in rows[1].status
         assert rows[0].values["gamma_E"] == entanglement_rate(
             drift_full(FullModelParams(g=5.0, Gamma=1e-3, n_th=1.0)), 1.0).gamma_E
+
+    def test_overflowing_spectrum_point_fails_its_row_only(self, tmp_path):
+        # at delta = 1e60 and 1e120 the polynomials of the spectrum peak
+        # (powers of the frequency scale s ~ delta) overflow: those rows
+        # fail, naming s, and the delta = 1 row of the same chunk is the
+        # one-point peak; where the rate fails too, its failure is the row's
+        # (a RuntimeWarning fails the test)
+        d = drift_full(FullModelParams(g=1.0, Gamma=1e-3, delta=1.0))
+        (omega,), (height,), _ = spectrum_peak(BeamBlocks.of(d, 0.0))
+        for quantities, name in ((["spectrum"], "the spectrum"), (["spectrum", "gamma_E"], "E")):
+            rows = run_sweep(SweepConfig(
+                model="full", fixed={}, jobs=1, quantities=quantities,
+                axes=[SweepAxis("delta", 1.0, 1e120, 3, log=True)])).rows
+            assert [row.status for row in rows] == ["ok"] + [
+                f"failed: the polynomials of {name} overflow float64 at n_th=0 "
+                f"and frequency scale s={s}" for s in ("1e+60", "1e+120")]
+            assert (rows[0].values["spectrum_peak_omega"],
+                    rows[0].values["spectrum_peak"]) == (omega, height)
+        # the command writes its table and exits 0
+        out = tmp_path / "overflow.csv"
+        assert run_cli(["sweep", "--model", "full", "--axis", "delta:1e60:1e120:3:log",
+                        "--quantity", "spectrum", "--output", str(out)]) == 0
+        assert [line.split(",")[-1].split(" at ")[0] for line in out.read_text().splitlines()[2:]] \
+            == ["failed: the polynomials of the spectrum overflow float64"] * 3
 
     def test_all_cores_are_the_cpus_this_process_may_use(self, monkeypatch):
         import concurrent.futures
@@ -411,6 +435,15 @@ class TestCliCommands:
 
     def test_missing_axis_usage_error(self, capsys):
         assert run_cli(["sweep"]) == 2
+
+    def test_overflowing_rate_names_the_frequency_scale(self, capsys):
+        # delta = 1e100: the rate's polynomials overflow through s ~ delta,
+        # not n_th; exit 1 with that message and no RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(["rate", "--delta", "1e100"]) == 1
+        assert capsys.readouterr().err == ("error: the polynomials of E overflow float64 at "
+                                           "n_th=0 and frequency scale s=1e+100\n")
 
     def test_rate_json(self, capsys):
         code = run_cli(["rate", "--g", "1", "--gamma", "1e-3", "--format", "json"])

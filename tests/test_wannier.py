@@ -256,7 +256,7 @@ class TestFilteredEntanglement:
             return np.stack([nu_plus, nu_minus, xi.real, xi.imag])
 
         # the runtime's edges: the rate's resonance ladders in omega
-        blocks = BeamBlocks.of([d], [n_th])
+        blocks = BeamBlocks.of(d, n_th)
         (omegas,) = _panel_omegas(blocks.eigenvalues, blocks.decay.max(axis=1))
         seeds = unwarp(tau * (omegas[np.isfinite(omegas)] - omega))
         seeds = seeds[np.abs(seeds) < half]
