@@ -211,7 +211,7 @@ _NEWTON_REACH = 1e-3
 _EPS4 = 4.0 * np.finfo(float).eps
 #: Sign pattern J of the reciprocity m^T = J m J of the beam block, and
 #: J_i J_j, the signs of J m J.
-_RECIPROCITY_SIGNS = np.array([1.0, -1.0, 1.0])
+_RECIPROCITY_SIGNS = (1.0, -1.0, 1.0)
 _RECIPROCITY = np.outer(_RECIPROCITY_SIGNS, _RECIPROCITY_SIGNS)
 #: Tolerance of the reciprocity check, relative to a block's largest entry.
 _RECIPROCITY_TOL = 1e-12
@@ -257,7 +257,7 @@ def _reciprocal_blocks(d: DriftMatrix, n_th: float) -> BeamBlocks:
     if np.count_nonzero(defect) and (np.abs(defect).max()
                                      > _RECIPROCITY_TOL * max(np.abs(m).max(), 1.0)):
         raise ValueError("beam block is not reciprocal (m^T != J m J, "
-                         f"J = diag{tuple(_RECIPROCITY_SIGNS[:k])})")
+                         f"J = diag{_RECIPROCITY_SIGNS[:k]})")
     return blocks
 
 
@@ -266,7 +266,9 @@ def spectral_density_batch(d: DriftMatrix, omegas: np.ndarray,
     """E[omega] over a frequency grid from the Gram form (module
     docstring); raises the gate's failure (BeamBlocks.of) where d is not
     stable, and ValueError when its beam block is not reciprocal."""
-    return _gram(_reciprocal_blocks(d, n_th), omegas, _gram_density)
+    blocks = _reciprocal_blocks(d, n_th)
+    with np.errstate(over="ignore"):    # S^2 of _gram_density at huge n_th: r = 0 is right
+        return _gram(blocks, omegas, _gram_density)
 
 
 def spectrum_and_density(d: DriftMatrix, omegas: np.ndarray, n_th: float = 0.0,
@@ -274,8 +276,9 @@ def spectrum_and_density(d: DriftMatrix, omegas: np.ndarray, n_th: float = 0.0,
     """(optical, mechanical, E) over a frequency grid from one kernel pass:
     scattering.spectrum_parts and spectral_density_batch at once, equal to
     them bit for bit; raises as spectral_density_batch does."""
-    return _gram(_reciprocal_blocks(d, n_th), omegas,
-                 lambda *terms: (*_spectrum(*terms), _gram_density(*terms)))
+    blocks = _reciprocal_blocks(d, n_th)
+    with np.errstate(over="ignore"):    # as in spectral_density_batch
+        return _gram(blocks, omegas, lambda *terms: (*_spectrum(*terms), _gram_density(*terms)))
 
 
 def spectral_density(d: DriftMatrix, omega: float, n_th: float = 0.0) -> float:

@@ -42,9 +42,9 @@ CSV_SCHEMA_LINE = "# schema=1"
 _DEFAULTS = {"full": {"g": 1.0, "Gamma": 1e-3}, "effective": {"g": 1.0, "delta": 10.0}}
 
 
-#: Rows formatted and written at a time: the writer holds the text of one
-#: block, never the whole table's.
-_BLOCK_ROWS = 2048
+#: Cells formatted and written at a time, as rows of the table's width: the
+#: writer holds the text of one block, never the whole table's.
+_BLOCK_CELLS = 10240
 
 
 def write_table(fh: IO[str], header: list[str], columns: Sequence[Sequence[float | str]],
@@ -59,9 +59,10 @@ def write_table(fh: IO[str], header: list[str], columns: Sequence[Sequence[float
     default=float) writes for a list of one object per row, non-finite
     floats as its NaN, Infinity and -Infinity tokens, and "[]" for no rows.
 
-    Both stream in blocks of _BLOCK_ROWS rows, each turned into text at
-    once (_block_text), so neither a dict or a string per cell nor the
-    whole text is ever built."""
+    Both stream in blocks of _BLOCK_CELLS // (number of columns) rows (at
+    least one; JSON's columns counted after a repeated key is merged), each
+    turned into text at once (_block_text), so neither a dict or a string
+    per cell nor the whole text is ever built."""
     n = len(columns[0])
     json_ = fmt == "json"
     if json_:
@@ -86,11 +87,12 @@ def write_table(fh: IO[str], header: list[str], columns: Sequence[Sequence[float
         # csv.writer quotes a row of one empty field, and no other empty field
         quote = _csv_cell if len(columns) > 1 else lambda s: _csv_cell(s) or '""'
         quotes = [quote if isinstance(col[0], str) else None for col in columns]
+    rows = max(1, _BLOCK_CELLS // len(columns))
     # each literal as a block's column of rows, built once
-    literals = [np.broadcast_to(np.frombuffer(b, np.uint8), (min(n, _BLOCK_ROWS), len(b)))
+    literals = [np.broadcast_to(np.frombuffer(b, np.uint8), (min(n, rows), len(b)))
                 for b in (s.encode() for s in literals)]
-    for i in range(0, n, _BLOCK_ROWS):
-        text = _block_text([col[i:i + _BLOCK_ROWS] for col in columns], literals, quotes, json_)
+    for i in range(0, n, rows):
+        text = _block_text([col[i:i + rows] for col in columns], literals, quotes, json_)
         fh.write("[" + text[1:] if json_ and i == 0 else text)
     if json_:
         fh.write("\n]\n")

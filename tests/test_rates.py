@@ -1,6 +1,7 @@
 import math
 import random
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -157,6 +158,29 @@ class TestWholeLineAndCrossings:
                      lambda: spectrum_and_density(bad, np.array([0.0, 0.3]))):
             with pytest.raises(ValueError, match="not reciprocal"):
                 call()
+
+    def test_non_reciprocal_message_prints_plain_signs(self):
+        # J as plain floats, not numpy scalars' reprs, for both block sizes
+        for d, signs in ((full_drift(delta=10.0), "1.0, -1.0, 1.0"),
+                         (drift_effective(EffectiveModelParams(g=2.0, delta=-8.0, Delta=0.3)),
+                          "1.0, -1.0")):
+            m = np.array(d.m)
+            m[0, -1] *= 2.0
+            with pytest.raises(ValueError) as exc:
+                spectral_density(DriftMatrix(m, d.decay), 0.3)
+            assert str(exc.value) == f"beam block is not reciprocal (m^T != J m J, J = diag({signs}))"
+
+    def test_no_overflow_warning_at_huge_n_th(self):
+        # S^2 of the Gram density overflows at n_th = 1e200, where r = 0 is
+        # right: no RuntimeWarning, and E stays finite and positive
+        d, omegas = full_drift(), np.array([-15.0, 0.0, 15.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            e = spectral_density_batch(d, omegas, 1e200)
+            *_, e_with_spectrum = spectrum_and_density(d, omegas, 1e200)
+            e_at_zero = spectral_density(d, 0.0, 1e200)
+        assert np.isfinite(e).all() and (e > 0).all()
+        assert e.tobytes() == e_with_spectrum.tobytes() and e_at_zero == e[1]
 
 
 def _full_near_boundary(distance):

@@ -47,9 +47,9 @@ def render(writer, header, columns, fmt):
 
 class TestWriteTable:
     @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(tables(), st.sampled_from([1, 2, 5, sweep._BLOCK_ROWS]))
-    def test_byte_identical_to_reference(self, table, block_rows):
-        with mock.patch.object(sweep, "_BLOCK_ROWS", block_rows):
+    @given(tables(), st.sampled_from([1, 2, 5, 7, sweep._BLOCK_CELLS]))
+    def test_byte_identical_to_reference(self, table, block_cells):
+        with mock.patch.object(sweep, "_BLOCK_CELLS", block_cells):
             for fmt in ("csv", "json"):
                 assert (render(sweep.write_table, *table, fmt)
                         == render(reference_write_table, *table, fmt))
@@ -59,7 +59,7 @@ class TestWriteTable:
         NaN and infinities, next to strings that need quoting or escaping;
         float columns as arrays and as lists."""
         rng = np.random.default_rng(5)
-        n = 2 * sweep._BLOCK_ROWS + 3
+        n = 2 * (sweep._BLOCK_CELLS // 4) + 3
         y = rng.standard_normal(n) * 10.0 ** rng.integers(-320, 300, n)
         y[::11] = np.nan
         y[5::13] = np.inf
@@ -190,7 +190,7 @@ class TestFloatKernel:
         monkeypatch.setattr(floattext, "_scaled",
                             lambda f, e, s: products.append(f.size) or scaled(f, e, s))
         rng = np.random.default_rng(3)
-        n = 2 * sweep._BLOCK_ROWS + 5
+        n = 2 * (sweep._BLOCK_CELLS // 2) + 5
         y = rng.standard_normal(n) * 10.0 ** rng.integers(-13, 19, n)
         y[::7] = 10.0 ** rng.integers(-11, 17, y[::7].size)        # powers of ten
         columns = [rng.standard_normal(n), y]
@@ -208,6 +208,22 @@ class TestFloatKernel:
         x = bits.ravel().view(np.float64)
         assert floattext._LOW in x
         assert_kernel_exact(np.concatenate([x, -x]))
+
+
+class TestCliTables:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_full_size_entanglement_table(self, tmp_path, monkeypatch, fmt):
+        """A 20001-row entanglement table, four blocks of two columns, equals
+        the reference writer's byte for byte."""
+        argv = ["entanglement", "--omega-steps", "20001", "--format", fmt, "--output"]
+        blocks, block_text = [], sweep._block_text
+        monkeypatch.setattr(sweep, "_block_text",
+                            lambda block, *rest: blocks.append(len(block[0])) or block_text(block, *rest))
+        assert cli.main([*argv, str(tmp_path / "got")]) == 0
+        monkeypatch.setattr(cli, "write_table", reference_write_table)
+        assert cli.main([*argv, str(tmp_path / "reference")]) == 0
+        assert (tmp_path / "got").read_bytes() == (tmp_path / "reference").read_bytes()
+        assert len(blocks) == 4 and sum(blocks) == 20001
 
 
 class TestCliJson:
