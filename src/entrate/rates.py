@@ -11,9 +11,10 @@ E from the Gram form. 2 eta_minus and 2 eta_plus are the two roots x of
     x^2 - 2 (n_plus + n_minus) x + 4 q = 0,
 
 and 2 eta_plus = n_plus + n_minus + root >= 1, root = sqrt((n_plus -
-n_minus)^2 + 4|xi|^2). In the excesses nu = n - 1/2 and q - 1/4 that
-scattering.correlator_batch returns, 2 eta_minus = 4q / (1 + nu_plus +
-nu_minus + root), so
+n_minus)^2 + 4|xi|^2). In the excesses nu = n - 1/2 and q - 1/4 of a
+correlator triple (scattering.correlator_batch, whose q - 1/4 = T / 2D
+comes from the Gram form below, in the same pass as nu and xi),
+2 eta_minus = 4q / (1 + nu_plus + nu_minus + root), so
 
     E = log1p(N / 4q),   N = nu_plus + nu_minus + root - 4 (q - 1/4),
 
@@ -31,7 +32,8 @@ and
     E = log1p(K (1 + D / (S + sqrt(S^2 + K D))) / (D + 2T)),
 
 every term non-negative (_gram_density): the E of the rate path and of
-spectral_density. It rests on the reciprocity below, which both check.
+spectral_density. It rests on the structure below, which
+scattering.BeamBlocks.of checks for every single drift.
 What is left is the Horner pass for det, which cancels terms of size
 |omega|^k down to |det| at a narrow resonance away from omega = 0 (up to
 7e-14 relative in E there).
@@ -56,10 +58,11 @@ off the diagonal (d the decay rates),
 
 A_+- = -t m_+- + adj(m)_+- on the 3x3 block of the full model and -m_+-
 on the 2x2 block of the effective model. The full model does not couple a+
-to a-^dag directly (m_+- = 0), so A_+- = m_+b m_b- there, and K is a
-constant in both models: K = kappa^2 g^4 / 4 (full) or
-kappa^2 g^4 / (4 delta^2) (effective). So E > 0 at every frequency when
-g > 0 and E = 0 everywhere when g = 0; the constant K tells the two apart.
+to a-^dag directly (m_+- = 0, which BeamBlocks.of requires of a 3x3
+block), so A_+- = m_+b m_b- there, and K is a constant in both models:
+K = kappa^2 g^4 / 4 (full) or kappa^2 g^4 / (4 delta^2) (effective). So
+E > 0 at every frequency when g > 0 and E = 0 everywhere when g = 0; the
+constant K tells the two apart.
 
 Crossings as polynomial roots. A(t) = t^2 I + t (tr m I - m) + adj m
 (k = 3) or t I + adj m (k = 2), and det(m + t) is the characteristic
@@ -135,7 +138,7 @@ merge into the narrowest.
 The problem axis. _rates computes the rates of P stable, reciprocal beam
 blocks of one model together: a sweep's grid gated by
 scattering.BeamBlocks.gate, or one drift gated as a batch of one by
-BeamBlocks.of (entanglement_rate, through _reciprocal_blocks). It builds
+BeamBlocks.of (entanglement_rate), which also checks its structure. It builds
 the polynomials D, V and K of every problem (once, for the peaks and the
 flanks), the peak and crossing polynomials and their roots (stacked
 eigen-solves of the companion matrices), one Gauss-Kronrod loop whose
@@ -209,12 +212,6 @@ _NEWTON_STEPS = 2
 _NEWTON_REACH = 1e-3
 #: The step below which a Newton or secant step is not taken, relative.
 _EPS4 = 4.0 * np.finfo(float).eps
-#: Sign pattern J of the reciprocity m^T = J m J of the beam block, and
-#: J_i J_j, the signs of J m J.
-_RECIPROCITY_SIGNS = (1.0, -1.0, 1.0)
-_RECIPROCITY = np.outer(_RECIPROCITY_SIGNS, _RECIPROCITY_SIGNS)
-#: Tolerance of the reciprocity check, relative to a block's largest entry.
-_RECIPROCITY_TOL = 1e-12
 #: Floor of the one denominator of _gram_density that vanishes (where K = 0).
 _TINY = np.finfo(float).tiny
 
@@ -245,28 +242,12 @@ def _density(blocks: BeamBlocks, omegas: np.ndarray, pid: np.ndarray) -> np.ndar
     return _gram(blocks, omegas, _gram_density, pid)
 
 
-def _reciprocal_blocks(d: DriftMatrix, n_th: float) -> BeamBlocks:
-    """The beam block of d gated as a batch of one (BeamBlocks.of, whose
-    failures it raises); raises ValueError unless it obeys m^T = J m J (to
-    _RECIPROCITY_TOL of its largest entry), which the whole-line E > 0
-    region and the crossing polynomial rest on."""
-    blocks = BeamBlocks.of(d, n_th)
-    (m,), k = blocks.m, blocks.k
-    defect = m.T - _RECIPROCITY[:k, :k] * m
-    # the blocks the models build are reciprocal exactly: no scale is needed
-    if np.count_nonzero(defect) and (np.abs(defect).max()
-                                     > _RECIPROCITY_TOL * max(np.abs(m).max(), 1.0)):
-        raise ValueError("beam block is not reciprocal (m^T != J m J, "
-                         f"J = diag{_RECIPROCITY_SIGNS[:k]})")
-    return blocks
-
-
 def spectral_density_batch(d: DriftMatrix, omegas: np.ndarray,
                            n_th: float = 0.0) -> np.ndarray:
     """E[omega] over a frequency grid from the Gram form (module
-    docstring); raises the gate's failure (BeamBlocks.of) where d is not
-    stable, and ValueError when its beam block is not reciprocal."""
-    blocks = _reciprocal_blocks(d, n_th)
+    docstring); raises the failures of BeamBlocks.of where d is not stable
+    or its beam block lacks the structure the Gram form rests on."""
+    blocks = BeamBlocks.of(d, n_th)
     with np.errstate(over="ignore"):    # S^2 of _gram_density at huge n_th: r = 0 is right
         return _gram(blocks, omegas, _gram_density)
 
@@ -276,7 +257,7 @@ def spectrum_and_density(d: DriftMatrix, omegas: np.ndarray, n_th: float = 0.0,
     """(optical, mechanical, E) over a frequency grid from one kernel pass:
     scattering.spectrum_parts and spectral_density_batch at once, equal to
     them bit for bit; raises as spectral_density_batch does."""
-    blocks = _reciprocal_blocks(d, n_th)
+    blocks = BeamBlocks.of(d, n_th)
     with np.errstate(over="ignore"):    # as in spectral_density_batch
         return _gram(blocks, omegas, lambda *terms: (*_spectrum(*terms), _gram_density(*terms)))
 
@@ -520,18 +501,17 @@ def _secant_starts(roots: np.ndarray, centres: np.ndarray) -> np.ndarray:
 
 
 def _fwhms(blocks: BeamBlocks, s: np.ndarray, polys: tuple[np.ndarray, ...],
-           omega_max: np.ndarray, e_max: np.ndarray,
-           starts: tuple[np.ndarray, np.ndarray] | None = None,
+           omega_max: np.ndarray, e_max: np.ndarray, starts: tuple[np.ndarray, np.ndarray],
            ) -> tuple[np.ndarray, list[QuadratureError | None]]:
     """Half-maximum width of the dominant peak of each problem (e_max > 0):
     the distance between the crossings of E = e_max / 2 nearest omega_max
     on either side, each polished by batched secant steps on the kernel
     (the point with the smallest |E - e_max / 2| seen is kept), from the
     starts [p, point, side] and E there of _stationary, or where those are
-    NaN (or not given) afresh. A problem with no crossing on one side gets
-    a QuadratureError and a NaN width."""
+    NaN afresh. A problem with no crossing on one side gets a
+    QuadratureError and a NaN width."""
     half = 0.5 * e_max
-    x, e = starts or (np.full((len(e_max), 2, 2), np.nan), np.full((len(e_max), 2, 2), np.nan))
+    x, e = starts
     fresh = np.isnan(x[:, 0, 0]).nonzero()[0]
     if fresh.size:
         x[fresh] = _secant_starts(_crossings(tuple(p[fresh] for p in polys[:3]), s[fresh],
@@ -799,10 +779,10 @@ def entanglement_rate(d: DriftMatrix, n_th: float = 0.0, tol: float = 1e-6) -> R
     quadrature in theta (module docstring) to absolute tolerance tol (in
     kappa units), plus E_max, its location, and the FWHM of the dominant
     peak: _rates of d's block gated as a batch of one. Raises, in this
-    order, the ValueError of a bad tol, the failures of _reciprocal_blocks
-    and the QuadratureError of its slot."""
+    order, the ValueError of a bad tol, the failures of BeamBlocks.of and
+    the QuadratureError of its slot."""
     _check_tol(tol)
-    (result,) = _rates(_reciprocal_blocks(d, n_th), tol)
+    (result,) = _rates(BeamBlocks.of(d, n_th), tol)
     if isinstance(result, Exception):
         raise result
     return result

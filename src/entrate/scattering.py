@@ -29,25 +29,34 @@ mechanical output row; that row's flux relation
 
     q = 1/4 + (n_th |s_b+|^2 + (n_th + 1) |s_b-|^2) / 2,
 
-a sum of non-negative terms, and exactly 1/4 for the effective model.
+a sum of non-negative terms, and exactly 1/4 for the effective model. On a
+reciprocal block (below) |s_b+| = |s_+b| and |s_b-| = |s_-b|, so q takes
+no entry of the mechanical row: q - 1/4 = T / (2D) below.
 
-The Gram form of E. The beam block is reciprocal (see rates), so
-|s_ij| = |s_ji|, and on the adjugate A(t) below, with
-D = |det(m + i omega)|^2, the pair constant K = 4 kappa_+ kappa_- |A_+-|^2
-(A_+- is a constant in both models) and the thermal weight
+The Gram form. BeamBlocks.of checks the structure that the models have
+(rates): the beam block is reciprocal, m^T = J m J with J = diag(1, -1[, 1]),
+so |s_ij| = |s_ji|; and a+ does not couple to a-^dag directly (m_+- = 0 on
+the 3x3 block), so the entries A_+- and A_-+ of the adjugate A(t) below
+are constants. With D = |det(m + i omega)|^2, the pair constant
+K = 4 kappa_+ kappa_- |A_+-|^2 and the thermal weight
 
     T = Gamma (n_th kappa_+ |A_+b|^2 + (n_th + 1) kappa_- |A_-b|^2)
 
 (T = 0 for the effective model), the excesses over vacuum are
 
-    nu_plus + nu_minus = (K/2 + T) / D,    q - 1/4 = T / (2D),
+    nu_plus  = (K/4 + n_th kappa_+ Gamma |A_+b|^2) / D,
+    nu_minus = (K/4 + (n_th + 1) kappa_- Gamma |A_-b|^2) / D,
+    q - 1/4  = T / (2D),
     (nu_plus - nu_minus)^2 + 4 |xi|^2 = (nu_plus + nu_minus)^2 + K / D,
 
-the last from q = n_plus n_minus - |xi|^2 and the first two. E (rates)
-and the beam-1 spectrum, K / 4D from the optical input and
+the last from q = n_plus n_minus - |xi|^2 and the others, and
+
+    xi D / sqrt(kappa_+ kappa_-) = (det + kappa_+ A_++) conj(A_-+)
+                                   + (n_th + 1) Gamma A_+b conj(A_-b).
+
+E (rates) and the beam-1 spectrum, K / 4D from the optical input and
 n_th kappa_+ Gamma |A_+b|^2 / D from the mechanical one, thus need det,
-A_+b and A_-b only (_gram); nu_minus and xi themselves (_kernel) only
-the callers that use them.
+A_+b and A_-b only (_gram); the correlator triple (_triple) A_++ too.
 
 The adjugate kernel. No matrix is inverted: with t = i omega and
 R = (m + t)^-1 = A(t) / det(m + t) on the k x k beam block,
@@ -56,11 +65,10 @@ R = (m + t)^-1 = A(t) / det(m + t) on the k x k beam block,
     det(m + t) = t^3 + t^2 tr m + t tr adj m + det m   (or t^2 + t tr m + det m),
 
 so s_ij = sqrt(d_i d_j) A_ij / det off the diagonal and
-s_++ = (det + kappa_+ A_++) / det (d the decay rates). The correlators need
-seven entries of A (s_+-, s_-+, s_++ and, full model only, s_+b, s_-b,
-s_b+, s_b-), the Gram form two (A_+b and A_-b, full model only), each a
-polynomial of degree <= k - 1 in t evaluated by Horner's rule in one pass
-with det; every term above is then a product of these over |det|^2. Next
+s_++ = (det + kappa_+ A_++) / det (d the decay rates). The Gram form needs
+two entries of A (A_+b and A_-b, full model only), the triple A_++ as well,
+each a polynomial of degree <= k - 1 in t evaluated by Horner's rule in one
+pass with det; every term above is then a product of these over |det|^2. Next
 to the instability boundary det m is small against its
 terms, so it is computed exactly from the float entries and rounded once;
 E then matches a 50-digit evaluation to a few ulp there, where a float64
@@ -150,9 +158,9 @@ def _gaussian_det(k: int, v: list[int]) -> tuple[int, int]:
 
 
 #: Block entries (row, column) of A besides det, with + = 0, - = 1, b = 2:
-#: the correlators use the first three (effective model) or all seven
-#: (full model), the Gram form only A_+b and A_-b (full model).
-_ENTRIES = ((0, 1), (1, 0), (0, 0), (0, 2), (1, 2), (2, 0), (2, 1))
+#: the Gram form uses A_+b and A_-b (full model only), the correlator triple
+#: A_++ too.
+_ENTRIES = ((0, 0), (0, 2), (1, 2))
 #: adj(m)_ji = m_i'j' m_i''j'' - m_i'j'' m_i''j' of a 3x3 block, i' the cyclic
 #: successor of i: factor f of term [j, i] is m[_COF_ROWS[f, 0, i], _COF_COLS[f, j, 0]].
 _NEXT = np.array([1, 2, 0])
@@ -162,6 +170,13 @@ _COF = 3 * _COF_ROWS + _COF_COLS           # flat places in m
 #: The flat places in a k x k matrix of the entries (row, column).
 _flat_entries = cache(lambda k, entries: np.array([k * i + j for i, j in entries]))
 _EYE = {k: np.eye(k) for k in (2, 3)}
+#: Sign pattern J of the reciprocity m^T = J m J of the beam block, and
+#: J_i J_j, the signs of J m J.
+_RECIPROCITY_SIGNS = (1.0, -1.0, 1.0)
+_RECIPROCITY = np.outer(_RECIPROCITY_SIGNS, _RECIPROCITY_SIGNS)
+#: Tolerance of the structure checks of BeamBlocks.of, relative to a block's
+#: largest entry.
+_STRUCTURE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -212,8 +227,13 @@ class BeamBlocks:
     def of(cls, d: DriftMatrix, n_th: float) -> "BeamBlocks":
         """d's beam block with n_th, gated as a batch of one: raises the
         ValueError of an n_th that is not a finite number >= 0 (FullModelParams's
-        message), the LinAlgError of a non-finite entry, or the
-        UnstableSystemError, carrying the margin, of a block that is not stable."""
+        message), the LinAlgError of a non-finite entry, the
+        UnstableSystemError, carrying the margin, of a block that is not
+        stable, or the ValueError of a block without the structure that the
+        Gram form rests on (module docstring), each to _STRUCTURE_TOL of its
+        largest entry: reciprocity, m^T = J m J, and on a 3x3 block no
+        direct a+ <-> a-^dag coupling, m_+- = 0, which makes A_+- and A_-+
+        constants."""
         if not 0.0 <= n_th < np.inf:
             # raises the parameter set's ValueError
             FullModelParams(g=0.0, Gamma=1.0, n_th=n_th)
@@ -222,6 +242,16 @@ class BeamBlocks:
             raise failures[0]
         if not len(blocks):
             raise UnstableSystemError(margin[0])
+        (m,), k = blocks.m, blocks.k
+        defect = m.T - _RECIPROCITY[:k, :k] * m
+        # the blocks the models build have this structure exactly: no scale is needed
+        if np.count_nonzero(defect) or k == 3 and m[0, 1]:
+            tol = _STRUCTURE_TOL * max(np.abs(m).max(), 1.0)
+            if np.abs(defect).max() > tol:
+                raise ValueError("beam block is not reciprocal (m^T != J m J, "
+                                 f"J = diag{_RECIPROCITY_SIGNS[:k]})")
+            if k == 3 and abs(m[0, 1]) > tol:
+                raise ValueError("beam block couples a+ to a-^dag directly (m_+- != 0)")
         return blocks
 
     @property
@@ -278,18 +308,6 @@ class BeamBlocks:
         return coef, np.asarray(weights)
 
     @cached_property
-    def correlator_table(self) -> tuple[np.ndarray, np.ndarray]:
-        """The inputs of the correlator form (_correlators)."""
-        kp, km = self.decay[:, 0], self.decay[:, 1]
-        weights = [kp * km, kp, np.sqrt(kp * km)]
-        if self.k == 2:
-            return self._table(_ENTRIES[:3], weights)
-        gam, n = self.decay[:, 2], self.n_th
-        weights += [n * kp * gam, (n + 1.0) * km * gam, (n + 1.0) * gam,
-                    0.5 * n * gam * kp, 0.5 * (n + 1.0) * gam * km]
-        return self._table(_ENTRIES, weights)
-
-    @cached_property
     def gram_table(self) -> tuple[np.ndarray, np.ndarray]:
         """The inputs of the Gram form (_gram): det, the pair constant
         K = 4 kappa_+ kappa_- |A_+-|^2 (A_+- = adj(m)_+-, since the full
@@ -303,7 +321,21 @@ class BeamBlocks:
         gam, n = self.decay[:, 2], self.n_th
         np.multiply(n * kp, gam, out=weights[1])
         np.multiply((n + 1.0) * km, gam, out=weights[2])
-        return self._table(_ENTRIES[3:5], weights)
+        return self._table(_ENTRIES[1:], weights)
+
+    @cached_property
+    def triple_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """The inputs of the correlator triple (_triple): det, A_++ and, on
+        the full model, A_+b and A_-b, with the complex weights K, kappa_+,
+        sqrt(kappa_+ kappa_-), conj(A_-+) (A_-+ = adj(m)_-+, a constant like
+        A_+-) and, on the full model, the thermal weights of the Gram form
+        and (n_th + 1) Gamma."""
+        kp, km = self.decay[:, 0], self.decay[:, 1]
+        gram = self.gram_table[1]
+        weights = [gram[0], kp, np.sqrt(kp * km), self.adj[:, -1, 1, 0].conj()]
+        if self.k == 2:
+            return self._table(_ENTRIES[:1], weights)
+        return self._table(_ENTRIES, [*weights, *gram[1:], (self.n_th + 1.0) * self.decay[:, 2]])
 
 
 #: Points per kernel pass: its temporaries stay in cache and its memory
@@ -360,32 +392,28 @@ def _passes(blocks: BeamBlocks, omegas: np.ndarray, pid: np.ndarray | None,
     return np.concatenate(out)
 
 
-def _correlators(h: np.ndarray, h2: np.ndarray, wt: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(nu_plus, nu_minus, xi, q - 1/4) of a correlator-table pass: the
+def _triple(blocks: BeamBlocks, omegas: np.ndarray,
+            ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(nu_plus, nu_minus, xi, q - 1/4) at each frequency of the one problem
+    of blocks, from the Gram form plus the row A_++ (module docstring): the
     excesses nu = n - 1/2 of the occupations over vacuum and of
     q = n_plus n_minus - |xi|^2 over its vacuum value, each a sum of
-    non-negative terms (module docstring)."""
-    det, a = h[0], h[1:]
-    inv = 1.0 / h2[0]
-    a2 = h2[1:]
-    kpm, kp, rpm = wt[:3]
-    # s_++ conj(s_-+) |det|^2 / sqrt(kappa_+ kappa_-), s_++ = (det + kappa_+ A_++) / det
-    xi = (det + kp * a[2]) * a[1].conj()
-    optical = kpm * a2[0] * inv
-    if len(a) == 3:
-        return optical, kpm * a2[1] * inv, xi * (rpm * inv), np.zeros_like(optical)
-    w_pb, w_mb, w_x, q_bp, q_bm = wt[3:]
-    xi = xi + w_x * (a[3] * a[4].conj())
-    return (optical + w_pb * a2[3] * inv, (kpm * a2[1] + w_mb * a2[4]) * inv,
-            xi * (rpm * inv), (q_bp * a2[5] + q_bm * a2[6]) * inv)
+    non-negative terms, and xi."""
+    def terms(h: np.ndarray, h2: np.ndarray, wt: np.ndarray):
+        inv = 1.0 / h2[0]
+        k_pair, kp, rpm, _, *thermal = wt.real
+        optical = 0.25 * k_pair
+        # s_++ conj(s_-+) |det|^2 / sqrt(kappa_+ kappa_-), s_++ = (det + kappa_+ A_++) / det
+        xi = (h[0] + kp * h[1]) * wt[3]
+        if len(h) == 2:
+            return optical * inv, optical * inv, xi * (rpm * inv), np.zeros_like(inv)
+        w_pb, w_mb, w_x = thermal
+        mechanical, minus = w_pb * h2[2], w_mb * h2[3]
+        xi += w_x * (h[2] * h[3].conj())
+        return (optical * inv + mechanical * inv, (optical + minus) * inv,
+                xi * (rpm * inv), 0.5 * (mechanical + minus) * inv)
 
-
-def _kernel(blocks: BeamBlocks, omegas: np.ndarray, pid: np.ndarray | None = None,
-            ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(nu_plus, nu_minus, xi, q - 1/4) at each frequency of problem pid[i]
-    (_correlators over the passes of _passes): the full correlator output,
-    for callers that need nu_minus or xi themselves."""
-    return _passes(blocks, omegas, pid, blocks.correlator_table, _correlators)
+    return _passes(blocks, omegas, None, blocks.triple_table, terms)
 
 
 def _gram(blocks: BeamBlocks, omegas: np.ndarray, finish, pid: np.ndarray | None = None):
@@ -415,8 +443,9 @@ def _spectrum(d2: np.ndarray, k_pair: np.ndarray, thermal, mechanical,
 def correlator_batch(d: DriftMatrix, omegas: np.ndarray, n_th: float = 0.0,
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(nu_plus, nu_minus, xi, q - 1/4) arrays over a frequency grid, from
-    the kernel for one problem (see _kernel), d gated by BeamBlocks.of."""
-    return _kernel(BeamBlocks.of(d, n_th), omegas)
+    one Horner pass of the Gram form plus A_++ (see _triple), d gated by
+    BeamBlocks.of."""
+    return _triple(BeamBlocks.of(d, n_th), omegas)
 
 
 def output_correlators(d: DriftMatrix, omega: float, n_th: float = 0.0) -> CorrelatorTriple:

@@ -46,7 +46,7 @@ import numpy as np
 from .models import DriftMatrix
 from .quadutil import adaptive_gk_batch
 from .rates import _panel_omegas, log_negativity
-from .scattering import BeamBlocks, _kernel
+from .scattering import BeamBlocks, _triple
 
 DEFAULT_CUTOFF = 100_000
 
@@ -65,8 +65,10 @@ class FilterSpec:
     tau: float
 
     def __post_init__(self):
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
+        if not self.tau > 0:
+            raise ValueError(f"tau must be positive, got tau={self.tau}")
+        if not math.isfinite(self.omega_center):
+            raise ValueError(f"omega_center must be finite, got omega_center={self.omega_center}")
 
 
 def _check_kernel_args(M: int, l: int = 0, cutoff: int = 1) -> None:
@@ -153,7 +155,7 @@ def filtered_entanglement(d: DriftMatrix, n_th: float,
     blocks = BeamBlocks.of(d, n_th)
 
     def parts(theta: np.ndarray) -> np.ndarray:
-        nu_plus, nu_minus, xi, _ = _kernel(blocks, wc + warp(theta) / tau)
+        nu_plus, nu_minus, xi, _ = _triple(blocks, wc + warp(theta) / tau)
         return np.stack([nu_plus, nu_minus, xi.real, xi.imag])
 
     # the rate's resonance-graded edges (rates._panel_omegas), in theta

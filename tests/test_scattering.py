@@ -12,7 +12,7 @@ from entrate.models import (DriftMatrix, EffectiveModelParams, FullModelParams, 
 from entrate import cli, scattering
 from entrate.rates import (_gram_density, entanglement_rate, spectral_density,
                            spectral_density_batch, spectrum_and_density)
-from entrate.scattering import (BeamBlocks, _det, _gram, _kernel, _pair_rate, _spectrum,
+from entrate.scattering import (BeamBlocks, _det, _gram, _pair_rate, _spectrum, _triple,
                                 correlator_batch, output_correlators, output_spectrum,
                                 pair_rate_numeric, spectrum_parts)
 from entrate.verify import block_scattering, effective_scattering_oracle
@@ -305,7 +305,7 @@ class TestBlockKernel:
     @pytest.mark.parametrize("kernel, form", [
         (spectral_density_batch, lambda b, w: _gram(b, w, _gram_density)),
         (spectrum_parts, lambda b, w: _gram(b, w, _spectrum)),
-        (correlator_batch, _kernel)], ids=["spectral_density_batch", "spectrum_parts",
+        (correlator_batch, _triple)], ids=["spectral_density_batch", "spectrum_parts",
                                            "correlator_batch"])
     def test_singular_response_at_a_marginal_point(self, kernel, form):
         # g = 2, delta = 2, Delta = -0.5 sits on the boundary (max Re eig =
@@ -420,18 +420,33 @@ class TestOneGate:
 
     def test_one_input_one_verdict(self):
         # an unstable drift with an invalid n_th: the n_th check comes
-        # first at every entry point; then the unstable drift alone, and a
-        # drift with an infinite entry
+        # first at every entry point; then the unstable drift alone, a
+        # drift with an infinite entry, and two stable drifts without the
+        # structure the Gram form rests on: one not reciprocal, and one
+        # whose a+ couples to a-^dag directly (m_+- != 0), where the E of
+        # a constant K was off by 3x at omega = 0.5
         d = drift_full(FullModelParams(g=5.0, Gamma=1e-3, Delta=0.7))
         margin = stability(d).max_real_part
         assert margin > 0
         m = np.array(full_drift().m)
         m[0, 2] = np.inf
         non_finite = DriftMatrix(m, full_drift().decay)
+        m = np.array(full_drift().m)
+        m[0, 2] *= 2.0
+        not_reciprocal = DriftMatrix(m, full_drift().decay)
+        plain = drift_full(FullModelParams(g=0.3, Gamma=0.1, delta=0.5, Delta=-0.2))
+        m = np.array(plain.m)
+        m[0, 1], m[1, 0] = 0.05j, -0.05j
+        direct = DriftMatrix(m, plain.decay)
+        assert stability(not_reciprocal).stable and stability(direct).stable
         for drift, n_th, verdict in [
                 (d, -1.0, ("ValueError", "n_th must be non-negative")),
                 (d, 1.0, ("UnstableSystemError", str(UnstableSystemError(margin)))),
-                (non_finite, 0.0, ("LinAlgError", "Array must not contain infs or NaNs"))]:
+                (non_finite, 0.0, ("LinAlgError", "Array must not contain infs or NaNs")),
+                (not_reciprocal, 1.0, ("ValueError", "beam block is not reciprocal "
+                                       "(m^T != J m J, J = diag(1.0, -1.0, 1.0))")),
+                (direct, 1.0, ("ValueError",
+                               "beam block couples a+ to a-^dag directly (m_+- != 0)"))]:
             verdicts = {}
             for name, call in self.entry_points(drift, n_th).items():
                 try:

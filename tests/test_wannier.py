@@ -318,6 +318,17 @@ class TestFilteredEntanglement:
             filtered_entanglement(d, 0.0, FilterSpec(0.0, 10.0), FilterSpec(0.0, 10.0),
                                   shape="boxcar")
 
+    @pytest.mark.parametrize("omega_center, tau, field", [
+        (0.3, math.nan, "tau"), (math.nan, 1e2, "omega_center"),
+        (math.inf, 1e2, "omega_center"), (-math.inf, 1e2, "omega_center")])
+    def test_filter_spec_rejects_a_non_number(self, omega_center, tau, field):
+        # the spec names its own field: a NaN tau or centre got past it to
+        # the pair checks of filtered_entanglement, whose messages blamed
+        # the pair, and an infinite centre on to the kernel, which warned
+        # and called a stable drift singular
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            FilterSpec(omega_center, tau)
+
     def test_off_center_filter_pair(self):
         # beam-1 filter at +omega, beam-2 at -omega, off the spectrum peak
         gamma = 0.3
