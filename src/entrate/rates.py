@@ -138,22 +138,26 @@ merge into the narrowest.
 The problem axis. _rates computes the rates of P stable, reciprocal beam
 blocks of one model together: a sweep's grid gated by
 scattering.BeamBlocks.gate, or one drift gated as a batch of one by
-BeamBlocks.of (entanglement_rate), which also checks its structure. It builds
-the polynomials D, V and K of every problem (once, for the peaks and the
-flanks), the peak and crossing polynomials and their roots (stacked
-eigen-solves of the companion matrices), one Gauss-Kronrod loop whose
-panels carry a problem id and whose first kernel pass measures the peaks
-and the flank starts too, and one FWHM polish, each step batched kernel
+BeamBlocks.of (entanglement_rate), which also checks its structure. It runs
+in two stages, each quantity with its own failure. The Gamma_E stage
+always runs: one Gauss-Kronrod loop whose panels carry a problem id. The
+E-peak stage (E_max, omega_max, the FWHM and the peak count) runs only for
+a caller that asks for one of them: it builds the polynomials D, V and K of
+every problem (once, for the peaks and the flanks), the peak and crossing
+polynomials and their roots (stacked eigen-solves of the companion
+matrices), has the quadrature's first kernel pass measure the peaks and
+the flank starts too, and polishes the FWHMs, each step batched kernel
 passes over all problems. Every decision is taken per problem from that
 problem's numbers, and the kernel and the polynomial steps are
 elementwise, so a result does not depend on the batch it was computed in:
 a sweep's rows equal entanglement_rate bit for bit. A problem whose
 polynomials overflow float64 (at an n_th near 1e200 or a frequency scale s
 near 1e100, say) gets no candidates from the stacked solve of R's roots,
-which would reject every problem with it: it fails in its own slot with a
-QuadratureError that names n_th and s, and the others take their peaks
-again without it. spectrum_peak runs on the same axis, one kernel pass
-per degree of N' D - N D', and fails such a problem in its own row too.
+which would reject every problem with it: its peak quantities fail with a
+QuadratureError that names n_th and s, and its Gamma_E stands. A peak
+without a half-maximum crossing on one side fails its FWHM alone.
+spectrum_peak runs on the same axis, one kernel pass per degree of
+N' D - N D', and fails such a problem in its own row too.
 """
 
 from __future__ import annotations
@@ -161,7 +165,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Collection, Sequence
 
 import numpy as np
 from numpy.linalg import LinAlgError
@@ -214,6 +218,8 @@ _NEWTON_REACH = 1e-3
 _EPS4 = 4.0 * np.finfo(float).eps
 #: Floor of the one denominator of _gram_density that vanishes (where K = 0).
 _TINY = np.finfo(float).tiny
+#: The Gamma_E quadrature integrates 2 pi Gamma_E.
+_TWO_PI = 2.0 * math.pi
 
 
 def log_negativity(nu_plus: np.ndarray, nu_minus: np.ndarray, xi: np.ndarray,
@@ -281,6 +287,9 @@ class RateResult:
 
 #: The rate of a drift whose pair constant K is 0: E = 0 on the whole line.
 _NO_ENTANGLEMENT = RateResult(0.0, 0.0, 0.0, 0.0, 0.0, 0)
+#: The fields of the E-peak stage of _rates; Gamma_E and quadrature_error
+#: are the quadrature's.
+_PEAK_FIELDS = frozenset({"E_max", "omega_max", "fwhm", "secondary_peaks"})
 
 
 def _resonances(eigenvalues: np.ndarray, widest: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -626,10 +635,11 @@ def _stationary(blocks: BeamBlocks, s: np.ndarray):
     x = _secant_starts(_crossings(polys, s, levels), (s * y.take(guess))[:, None] * _SIDES)
     # the candidates sorted by omega, the polished ones, their mirrors and
     # the flank starts; a point in the pass must be finite: 0 stands in for
-    # a missing crossing
-    sy, flanks = s[:, None] * y, x.reshape(s.size, -1)
-    w = np.concatenate([s[:, None] * np.sort(y0, axis=1), sy, -sy, flanks], axis=1)
-    w[:, 3 * n:][np.isnan(flanks)] = 0.0
+    # a missing crossing, and for every point of a problem whose polynomials
+    # overflow (its omega_max is NaN)
+    sy = s[:, None] * y
+    w = np.concatenate([s[:, None] * np.sort(y0, axis=1), sy, -sy, x.reshape(s.size, -1)], axis=1)
+    w[np.isnan(w)] = 0.0
     # the starts as [p * centre, point, side], and the first centre of each p
     starts_of, first = x.reshape(-1, 2, 2), np.arange(0, 2 * s.size, 2)
 
@@ -715,29 +725,27 @@ def _overflow(quantity: str, n_th: float, s: float) -> QuadratureError:
                            f"and frequency scale s={s:g}")
 
 
-def _rates(blocks: BeamBlocks, tol: float) -> list[RateResult | Exception]:
-    """The RateResult of each stable, reciprocal block of the batch (module
-    docstring), or in its slot the QuadratureError of a problem that fails."""
+def _rates(blocks: BeamBlocks, tol: float, names: Collection[str]) -> dict[str, list]:
+    """The RateResult fields of each stable, reciprocal block of the batch
+    (module docstring), each with its own failure: by field, in RateResult's
+    order, one entry per block, the value or the QuadratureError of the
+    stage that gives it. Gamma_E and quadrature_error come from the
+    quadrature, which always runs; the fields of the E-peak stage only
+    where names (fields or sweep quantities) holds one of them."""
+    peaks = not _PEAK_FIELDS.isdisjoint(names)
     widest = np.maximum.reduce(blocks.decay, axis=1)
-    s = _scale(blocks.eigenvalues, widest)
-    out: list[RateResult | Exception] = [_NO_ENTANGLEMENT] * len(blocks)
+    out = {f: [v] * len(blocks) for f, v in vars(_NO_ENTANGLEMENT).items()
+           if peaks or f not in _PEAK_FIELDS}
     # E > 0 on the whole line where K > 0, E = 0 everywhere where K = 0
     pos = (blocks.gram_table[1][0] > 0).nonzero()[0]
     if not pos.size:
         return out
     if pos.size < len(blocks):
-        blocks, s, widest = blocks.take(pos), s[pos], widest[pos]
-    polys, w, peaks_at = _stationary(blocks, s)
-    # a problem whose polynomials overflow has no peak candidates (_roots):
-    # it fails, and the others take theirs again without it
-    overflow = np.isnan(w[:, 0])
-    if np.count_nonzero(overflow):
-        for j in overflow.nonzero()[0].tolist():
-            out[pos[j]] = _overflow("E", blocks.n_th[j], s[j])
-        ok = (~overflow).nonzero()[0]
-        blocks, s, widest, pos = blocks.take(ok), s[ok], widest[ok], pos[ok]
-        if not pos.size:
-            return out
+        blocks, widest = blocks.take(pos), widest[pos]
+    # the points that the first kernel pass measures for the E-peak stage
+    w = np.empty((pos.size, 0))
+    if peaks:
+        s = _scale(blocks.eigenvalues, widest)
         polys, w, peaks_at = _stationary(blocks, s)
 
     # E has all its structure at the resonances, so panels that start
@@ -756,21 +764,28 @@ def _rates(blocks: BeamBlocks, tol: float) -> list[RateResult | Exception]:
         at_w.append(e[t.size:].reshape(w.shape))
         return e[:t.size] * (sc * (1.0 + t * t))
 
-    totals, errors, gk_failures = adaptive_gk_batch(integrand, edges,
-                                                    np.full(pos.size, math.pi * tol))
+    with np.errstate(over="ignore"):    # as in spectral_density_batch
+        totals, errors, failures = adaptive_gk_batch(integrand, edges,
+                                                     np.full(pos.size, math.pi * tol))
+    for p, failure, total, error in zip(pos.tolist(), failures, totals.tolist(), errors.tolist()):
+        failure = failure and QuadratureError(failure.reason, failure.value / _TWO_PI,
+                                              failure.error_estimate / _TWO_PI)
+        out["gamma_E"][p] = failure or total / _TWO_PI
+        out["quadrature_error"][p] = failure or error / _TWO_PI
+    if not peaks:
+        return out
     values, omega_max, e_max, starts = peaks_at(at_w[0])
+    # a problem whose polynomials overflow has no peak candidates (_roots),
+    # so no omega_max: a NaN E_max keeps it out of the flanks and the count
+    e_max[np.isnan(omega_max)] = np.nan
     widths, fwhm_failures = _fwhms(blocks, s, polys, omega_max, e_max, starts)
-    peaks = _count_local_maxima(values, e_max)
-    for p, gk_failure, fwhm_failure, total, top, where, width, error, count in zip(
-            pos.tolist(), gk_failures, fwhm_failures, totals.tolist(), e_max.tolist(),
-            omega_max.tolist(), widths.tolist(), errors.tolist(), peaks.tolist()):
-        if gk_failure:
-            # the quadrature integrates 2 pi Gamma_E
-            gk_failure = QuadratureError(gk_failure.reason, gk_failure.value / (2.0 * math.pi),
-                                         gk_failure.error_estimate / (2.0 * math.pi))
-        out[p] = gk_failure or fwhm_failure or RateResult(
-            gamma_E=total / (2.0 * math.pi), E_max=top, omega_max=where, fwhm=width,
-            quadrature_error=error / (2.0 * math.pi), secondary_peaks=count - 1)
+    top, where, width, count = (a.tolist() for a in (
+        e_max, omega_max, widths, _count_local_maxima(values, e_max)))
+    for j, p in enumerate(pos.tolist()):
+        failure = _overflow("E", blocks.n_th[j], s[j]) if math.isnan(where[j]) else None
+        out["E_max"][p], out["omega_max"][p] = failure or top[j], failure or where[j]
+        out["fwhm"][p] = failure or fwhm_failures[j] or width[j]
+        out["secondary_peaks"][p] = failure or count[j] - 1
     return out
 
 
@@ -780,12 +795,13 @@ def entanglement_rate(d: DriftMatrix, n_th: float = 0.0, tol: float = 1e-6) -> R
     kappa units), plus E_max, its location, and the FWHM of the dominant
     peak: _rates of d's block gated as a batch of one. Raises, in this
     order, the ValueError of a bad tol, the failures of BeamBlocks.of and
-    the QuadratureError of its slot."""
+    the first QuadratureError of its fields (Gamma_E's first)."""
     _check_tol(tol)
-    (result,) = _rates(BeamBlocks.of(d, n_th), tol)
-    if isinstance(result, Exception):
-        raise result
-    return result
+    values = [column[0] for column in _rates(BeamBlocks.of(d, n_th), tol, _PEAK_FIELDS).values()]
+    for value in values:
+        if isinstance(value, Exception):
+            raise value
+    return RateResult(*values)
 
 
 def _count_local_maxima(values: np.ndarray, e_max: np.ndarray) -> np.ndarray:

@@ -8,13 +8,15 @@ of a process pool when jobs != 1. A chunk is one scattering.BeamBlocks:
 the gated blocks stacked with their eigenvalues, each the k x k block that
 models.drift_full or drift_effective gives for its point alone, bit for
 bit. Each quantity runs once per chunk on that problem axis: the rate
-fields in one rates._rates call, the pair rates in one stacked solve and
-the spectrum peaks in one rates.spectrum_peak call. A batched value equals
-the one-point value bit for bit, so the rows, emitted strictly in grid order,
-are byte-stable whatever the worker count and however the grid is split
-into sweeps. Unstable points are flagged in the status column rather than
-aborting the sweep, and so are points whose parameters are invalid or
-whose computation fails.
+fields in one rates._rates call (its E-peak stage only for E_max or
+fwhm), the pair rates in one stacked solve and the spectrum peaks in one
+rates.spectrum_peak call. A batched value equals the one-point value bit
+for bit, so the rows, emitted strictly in grid order, are byte-stable
+whatever the worker count and however the grid is split into sweeps.
+Unstable points are flagged in the status column rather than aborting the
+sweep, and so are points whose parameters are invalid or where a quantity
+fails: the row keeps the quantities that succeeded, NaN for the others,
+and the first failure in column order is its status.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field, fields
+from itertools import repeat
 from typing import IO, Sequence
 
 import numpy as np
@@ -300,6 +303,12 @@ class SweepConfig:
         return cls.from_dict(doc)
 
 
+def _columns(quantities: Sequence[str]) -> list[str]:
+    """The value columns of quantities, in their order."""
+    return [c for q in quantities
+            for c in (("spectrum_peak", "spectrum_peak_omega") if q == "spectrum" else (q,))]
+
+
 @dataclass
 class SweepRow:
     axis_values: tuple[float, ...]
@@ -313,13 +322,7 @@ class SweepResult:
     rows: list[SweepRow] = field(default_factory=list)
 
     def columns(self) -> list[str]:
-        cols = [a.name for a in self.config.axes]
-        for q in self.config.quantities:
-            if q == "spectrum":
-                cols += ["spectrum_peak", "spectrum_peak_omega"]
-            else:
-                cols.append(q)
-        return cols
+        return [a.name for a in self.config.axes] + _columns(self.config.quantities)
 
     def header(self) -> list[str]:
         return [c + " [kappa]" if c in _KAPPA_COLUMNS else c for c in self.columns()]
@@ -346,46 +349,45 @@ class SweepResult:
         return vals.reshape(self.grid_shape())
 
 
-def _eval_chunk(payload: tuple[tuple[str, ...], float, scattering.BeamBlocks],
-                ) -> list[dict[str, float] | str]:
-    """The quantities of a contiguous chunk of stable points, given as
-    their beam blocks, each quantity from one batched call over the chunk:
-    the rate fields from rates._rates, the pair rates from
-    scattering._pair_rate and the spectrum peaks from rates.spectrum_peak.
-    A point whose rate or spectrum peak fails (its polynomials overflow,
-    say) gets its `failed: ...` status instead, the rate's failure first;
+def _eval_chunk(quantities: tuple[str, ...], tol: float, blocks: scattering.BeamBlocks,
+                ) -> list[tuple[dict[str, float], str]]:
+    """The values and the status of each of a contiguous chunk of stable
+    points, given as their beam blocks, each quantity from one batched call
+    over the chunk: the rate fields from rates._rates (the E-peak stage
+    only for E_max or fwhm), the pair rates from scattering._pair_rate and
+    the spectrum peaks from rates.spectrum_peak. A quantity that fails at a
+    point (its polynomials overflow, say) is left out of its values, and
+    the first such failure in column order is its `failed: ...` status;
     the pair rate cannot fail at a stable point."""
-    quantities, tol, blocks = payload
-    rate_fields = [q for q in ("E_max", "gamma_E", "fwhm") if q in quantities]
-    columns: dict[str, list[float]] = {}
-    failures: dict[int, Exception] = {}
+    columns: dict[str, list] = {}
+    if {"E_max", "gamma_E", "fwhm"}.intersection(quantities):
+        columns.update(rates._rates(blocks, tol, quantities))
     if "pair_rate" in quantities:
         columns["pair_rate"] = scattering._pair_rate(blocks.m, blocks.decay).tolist()
     if "spectrum" in quantities:
         omega, height, failures = rates.spectrum_peak(blocks)
-        columns["spectrum_peak_omega"], columns["spectrum_peak"] = omega.tolist(), height.tolist()
-    results = rates._rates(blocks, tol) if rate_fields else [None] * len(blocks)
-    return [f"failed: {rr}" if isinstance(rr, Exception) else
-            f"failed: {failures[i]}" if i in failures else
-            {**{q: getattr(rr, q) for q in rate_fields}, **{c: v[i] for c, v in columns.items()}}
-            for i, rr in enumerate(results)]
+        columns["spectrum_peak"], columns["spectrum_peak_omega"] = (
+            [failures.get(i, v) for i, v in enumerate(c.tolist())] for c in (height, omega))
+    names = [c for c in _columns(quantities) if c in columns]
+    cells = [dict(zip(names, row)) for row in zip(*(columns[c] for c in names))]
+    return [({c: v for c, v in row.items() if not isinstance(v, Exception)},
+             next((f"failed: {v}" for v in row.values() if isinstance(v, Exception)), "ok"))
+            for row in cells or [{}] * len(blocks)]
 
 
 def _eval_point(axis_values: tuple[float, ...], quantities: tuple[str, ...],
-                margin: float | None, computed: dict[str, float] | str | None) -> SweepRow:
+                margin: float | None, computed: tuple[dict[str, float], str] | None) -> SweepRow:
     """One grid point's row from its stability margin (None for invalid
-    parameters) and what its chunk computed: its quantities, a failure
-    status (also that of invalid parameters), or None where it is not
+    parameters) and what its chunk computed: its values and status (a
+    failure status also for invalid parameters), or None where it is not
     stable."""
     out: dict[str, float] = {}
     if margin is not None and "stability_margin" in quantities:
         out["stability_margin"] = margin
-    if isinstance(computed, str):
-        return SweepRow(axis_values, out, computed)
     if computed is None:
         return SweepRow(axis_values, out, "unstable")
-    out.update(computed)
-    return SweepRow(axis_values, out, "ok")
+    out.update(computed[0])
+    return SweepRow(axis_values, out, computed[1])
 
 
 def run_sweep(config: SweepConfig) -> SweepResult:
@@ -399,24 +401,24 @@ def run_sweep(config: SweepConfig) -> SweepResult:
         **{a.name: c for a, c in zip(config.axes, grid)}})
     valid = np.delete(np.arange(len(points)), list(errors))
     blocks, stable, margin, failures = scattering.BeamBlocks.gate(m, decay, n_th)
-    computed: dict[int, dict[str, float] | str] = {
-        i: f"failed: {message}" for i, message in errors.items()}
+    computed: dict[int, tuple[dict[str, float], str]] = {
+        i: ({}, f"failed: {message}") for i, message in errors.items()}
     # an unstable point has no entry: its row says so
-    computed.update((valid[j].item(), f"failed: {exc}") for j, exc in failures.items())
+    computed.update((valid[j].item(), ({}, f"failed: {exc}")) for j, exc in failures.items())
     # jobs = 0: the CPUs this process may run on
     cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
              else os.cpu_count() or 1)
     jobs = min(config.jobs if config.jobs > 0 else cores, stable.size)
-    payloads = [(quantities, config.tol, blocks.take(c))
-                for c in np.array_split(np.arange(stable.size), max(jobs, 1)) if c.size]
+    chunks = (repeat(quantities), repeat(config.tol), [
+        blocks.take(c) for c in np.array_split(np.arange(stable.size), max(jobs, 1)) if c.size])
     if jobs <= 1 or stable.size < 4:
-        results = [_eval_chunk(p) for p in payloads]
+        results = list(map(_eval_chunk, *chunks))
     else:
         # imported here: only a pooled sweep needs it, and it is a fifth of
         # the package's import time
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_eval_chunk, payloads))
+            results = list(pool.map(_eval_chunk, *chunks))
     computed.update(zip(valid[stable].tolist(), (c for chunk in results for c in chunk)))
     margin_of = dict(zip(valid.tolist(), margin.tolist()))
     rows = [_eval_point(pt, quantities, margin_of.get(i), computed.get(i))

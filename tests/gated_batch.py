@@ -7,7 +7,7 @@ from __future__ import annotations
 import numpy as np
 
 from entrate.errors import UnstableSystemError
-from entrate.rates import _rates
+from entrate.rates import _PEAK_FIELDS, RateResult, _rates
 from entrate.scattering import BeamBlocks
 
 
@@ -27,10 +27,11 @@ def gated(drifts, n_ths) -> tuple[BeamBlocks, list[int], dict[int, Exception]]:
 
 def batch_rates(drifts, n_ths, tol: float = 1e-6) -> list:
     """The RateResult of each drift from one _rates call on the gated
-    batch, or in its slot its failure: the gate's, or _rates's
-    QuadratureError."""
+    batch with every field, or in its slot its failure: the gate's, or the
+    first QuadratureError of its fields, which entanglement_rate raises."""
     blocks, places, failures = gated(drifts, n_ths)
     out = [failures.get(i) for i in range(len(drifts))]
-    for i, result in zip(places, _rates(blocks, tol) if places else []):
-        out[i] = result
+    columns = _rates(blocks, tol, _PEAK_FIELDS).values() if places else []
+    for i, values in zip(places, zip(*columns)):
+        out[i] = next((v for v in values if isinstance(v, Exception)), None) or RateResult(*values)
     return out

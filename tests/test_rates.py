@@ -185,15 +185,19 @@ class TestWholeLineAndCrossings:
 
     def test_no_overflow_warning_at_huge_n_th(self):
         # S^2 of the Gram density overflows at n_th = 1e200, where r = 0 is
-        # right: no RuntimeWarning, and E stays finite and positive
+        # right: no RuntimeWarning, and E stays finite and positive; so does
+        # Gamma_E alone, whose quadrature needs no peak polynomials
         d, omegas = full_drift(), np.array([-15.0, 0.0, 15.0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             e = spectral_density_batch(d, omegas, 1e200)
             *_, e_with_spectrum = spectrum_and_density(d, omegas, 1e200)
             e_at_zero = spectral_density(d, 0.0, 1e200)
+            rate = rates._rates(BeamBlocks.of(d, 1e200), 1e-6, ["gamma_E"])
         assert np.isfinite(e).all() and (e > 0).all()
         assert e.tobytes() == e_with_spectrum.tobytes() and e_at_zero == e[1]
+        assert list(rate) == ["gamma_E", "quadrature_error"]
+        assert rate["gamma_E"][0] == pytest.approx(6.25e-197, rel=1e-12)
 
 
 def _full_near_boundary(distance):
@@ -667,7 +671,7 @@ class TestCountedWork:
         assert places.size == 143
         for blocks in (BeamBlocks.of(d, 0.0), stable):
             passes.clear()
-            rates._rates(blocks, 1e-6)
+            rates._rates(blocks, 1e-6, rates._PEAK_FIELDS)
             widest = blocks.decay.max(axis=1)
             s = _scale(blocks.eigenvalues, widest)
             _, w, _ = _stationary(blocks, s)

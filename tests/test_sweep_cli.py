@@ -164,6 +164,32 @@ class TestRunSweep:
                 g=5.0, Gamma=1e-3, delta=delta, Delta=Delta)), n_th=0.0, tol=1e-6)
             assert row.values == {q: getattr(rr, q) for q in ("gamma_E", "E_max", "fwhm")}
 
+    def test_gamma_e_map_runs_no_peak_stage(self, monkeypatch):
+        # a 9 x 9 map without E_max or fwhm, unstable points among its
+        # rows, never enters the E-peak stage of the rate, and its Gamma_E is
+        # the one-point rate's bit for bit; with E_max it enters every step
+        from entrate import rates
+        called = []
+        for name in ("_stationary", "_fwhms", "_count_local_maxima"):
+            monkeypatch.setattr(rates, name, lambda *args, name=name, f=getattr(rates, name):
+                                called.append(name) or f(*args))
+        fixed = {"g": 5.0, "Gamma": 1e-3}
+        axes = [SweepAxis("delta", -15.0, 15.0, 9), SweepAxis("Delta", -1.5, 1.5, 9)]
+        rows = run_sweep(SweepConfig(model="full", fixed=fixed, axes=axes, jobs=1,
+                                     quantities=["gamma_E", "stability_margin", "spectrum"])).rows
+        assert called == []
+        run_sweep(SweepConfig(model="full", fixed=fixed, axes=axes[:1], quantities=["E_max"],
+                              jobs=1))
+        assert set(called) == {"_stationary", "_fwhms", "_count_local_maxima"}
+        monkeypatch.undo()
+        assert {row.status for row in rows} == {"ok", "unstable"}
+        for row in rows:
+            if row.status == "ok":
+                delta, Delta = row.axis_values
+                rr = entanglement_rate(drift_full(FullModelParams(delta=delta, Delta=Delta,
+                                                                  **fixed)))
+                assert float(row.values["gamma_E"]).hex() == rr.gamma_E.hex()
+
     def test_spectrum_quantity_is_the_stationary_peak(self):
         # the sweep's spectrum columns are rates.spectrum_peak of the point,
         # at least as high as every sample of the resonance grid
@@ -243,33 +269,38 @@ class TestRunSweep:
         assert rows[1].values["stability_margin"] > 0
 
     def test_overflowing_point_fails_its_row_only(self):
-        # at n_th = 1e200 the peak polynomial of the rate overflows: that row
-        # fails, and the n_th = 1 row is computed (a RuntimeWarning fails the test)
+        # at n_th = 1e200 the peak polynomials of the rate overflow: that
+        # row fails through E_max and keeps its Gamma_E, and the n_th = 1 row
+        # is computed (a RuntimeWarning fails the test)
         rows = run_sweep(SweepConfig(
-            model="full", fixed={"g": 5.0, "Gamma": 1e-3}, jobs=1, quantities=["gamma_E"],
+            model="full", fixed={"g": 5.0, "Gamma": 1e-3}, jobs=1, quantities=["gamma_E", "E_max"],
             axes=[SweepAxis("n_th", 1.0, 1e200, 2, log=True)])).rows
         assert [row.status.split(":")[0] for row in rows] == ["ok", "failed"]
-        assert "overflow" in rows[1].status
-        assert rows[0].values["gamma_E"] == entanglement_rate(
-            drift_full(FullModelParams(g=5.0, Gamma=1e-3, n_th=1.0)), 1.0).gamma_E
+        assert "overflow" in rows[1].status and "E_max" not in rows[1].values
+        assert rows[1].values["gamma_E"] == pytest.approx(6.25e-197, rel=1e-12)
+        rr = entanglement_rate(drift_full(FullModelParams(g=5.0, Gamma=1e-3, n_th=1.0)), 1.0)
+        assert rows[0].values == {"gamma_E": rr.gamma_E, "E_max": rr.E_max}
 
     def test_overflowing_spectrum_point_fails_its_row_only(self, tmp_path):
         # at delta = 1e60 and 1e120 the polynomials of the spectrum peak
         # (powers of the frequency scale s ~ delta) overflow: those rows
         # fail, naming s, and the delta = 1 row of the same chunk is the
-        # one-point peak; where the rate fails too, its failure is the row's
-        # (a RuntimeWarning fails the test)
+        # one-point peak; Gamma_E needs no polynomials, so it is written
+        # beside the spectrum's failure (a RuntimeWarning fails the test)
         d = drift_full(FullModelParams(g=1.0, Gamma=1e-3, delta=1.0))
         (omega,), (height,), _ = spectrum_peak(BeamBlocks.of(d, 0.0))
-        for quantities, name in ((["spectrum"], "the spectrum"), (["spectrum", "gamma_E"], "E")):
+        for quantities in (["spectrum"], ["spectrum", "gamma_E"]):
             rows = run_sweep(SweepConfig(
                 model="full", fixed={}, jobs=1, quantities=quantities,
                 axes=[SweepAxis("delta", 1.0, 1e120, 3, log=True)])).rows
             assert [row.status for row in rows] == ["ok"] + [
-                f"failed: the polynomials of {name} overflow float64 at n_th=0 "
+                "failed: the polynomials of the spectrum overflow float64 at n_th=0 "
                 f"and frequency scale s={s}" for s in ("1e+60", "1e+120")]
             assert (rows[0].values["spectrum_peak_omega"],
                     rows[0].values["spectrum_peak"]) == (omega, height)
+            assert all("spectrum_peak" not in row.values for row in rows[1:])
+        assert [row.values["gamma_E"] for row in rows[1:]] == pytest.approx([5e-61, 5e-121],
+                                                                          rel=1e-12)
         # the command writes its table and exits 0
         out = tmp_path / "overflow.csv"
         assert run_cli(["sweep", "--model", "full", "--axis", "delta:1e60:1e120:3:log",
@@ -292,8 +323,8 @@ class TestRunSweep:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, payloads):
-                return map(fn, payloads)
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
 
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
@@ -311,8 +342,8 @@ class TestRunSweep:
         from entrate.errors import QuadratureError
 
         def fail(blocks, *args, **kwargs):
-            return [QuadratureError("did not converge", value=1.0, error_estimate=2.0)
-                    for _ in range(len(blocks))]
+            failure = QuadratureError("did not converge", value=1.0, error_estimate=2.0)
+            return {"gamma_E": [failure] * len(blocks), "quadrature_error": [failure] * len(blocks)}
 
         monkeypatch.setattr(sweep.rates, "_rates", fail)
         config = SweepConfig(model="full", fixed={"g": 1.0},
