@@ -484,13 +484,26 @@ def _crossings(polys: tuple[np.ndarray, ...], s: np.ndarray, levels: np.ndarray)
     """Frequencies where E = levels[p] > 0 for each problem p, i.e.
     2 eta_minus = c = e^-level: the real roots of P_c (module docstring)
     built from the problems' _beam_polynomials, unpolished; NaN in place of
-    a complex root."""
+    a complex root. A row whose leading coefficient is negligible next to
+    its largest (u^2 D falls with the level, so at huge n_th) is solved
+    reversed, as P_c(1/y) y^(2k), and its roots inverted: the companion
+    eigen-solve is backward stable relative to the size of the whole
+    companion (Edelman & Murakami, Math. Comp. 1995), so it loses the
+    roots far below the largest, and the crossings near the frequency
+    scale are the large roots of the reversed polynomial."""
     d_poly, v_poly, k_poly = polys[:3]
     u = -np.expm1(-levels)[:, None]
     p = u * u * d_poly
     p[:, 2:] += 2.0 * u * v_poly
     p[:, -1] -= k_poly
     roots = _roots(p)
+    size = np.abs(p)
+    flip = (size[:, 0] <= _EPS4 * np.maximum.reduce(size, axis=1)).nonzero()[0]
+    if flip.size:
+        # a root of the reversed polynomial at 0 (or its constant at 0) is
+        # an infinite or NaN root here, which drops out below
+        with np.errstate(divide="ignore", invalid="ignore"):
+            roots[flip] = 1.0 / _roots(p[flip, ::-1])
     re, im2 = roots.real, roots.imag ** 2
     omega = s[:, None] * re
     omega[~(im2 <= 1e-16 * (re ** 2 + im2))] = np.nan

@@ -53,14 +53,15 @@ _BLOCK_CELLS = 10240
 def write_table(fh: IO[str], header: list[str], columns: Sequence[Sequence[float | str]],
                 fmt: str = "csv") -> None:
     """Write a table given as columns of equal length, one per header name
-    (at least one), as CSV or as JSON. A column holds strings or numbers,
-    told apart by its first cell.
+    (at least one), as CSV or as JSON.
 
-    CSV: the schema line, the header through csv.writer, then one line per
-    row: numbers as "%.17g" writes them, strings quoted as csv.writer
-    quotes them. JSON: byte for byte what json.dump(..., indent=2,
-    default=float) writes for a list of one object per row, non-finite
-    floats as its NaN, Infinity and -Infinity tokens, and "[]" for no rows.
+    CSV: a column holds strings or numbers, told apart by its first cell.
+    The schema line, the header through csv.writer, then one line per row:
+    numbers as "%.17g" writes them, strings quoted as csv.writer quotes
+    them. JSON: byte for byte what json.dump(..., indent=2, default=float)
+    writes for a list of one object per row, non-finite floats as its NaN,
+    Infinity and -Infinity tokens, and "[]" for no rows; a column may hold
+    any cells json.dump writes so.
 
     Both stream in blocks of _BLOCK_CELLS // (number of columns) rows (at
     least one; JSON's columns counted after a repeated key is merged), each
@@ -106,14 +107,14 @@ def _block_text(block: list[Sequence], literals: list[np.ndarray], quotes: list,
     """The text of a block of rows, given as columns: a byte matrix with
     one row per table row, holding each column's literal text (separator,
     or JSON's indent and key) and then its cell, left-aligned in zero
-    bytes, which are dropped at the end. All of the block's floats go
-    through one floattext.float_slots call, and a float column spans only
-    the byte places of the slot its cells use; strings (csv-quoted, their
-    NUL bytes carried as 0xff, a byte UTF-8 never uses) and JSON's other
-    cells are formatted cell by cell."""
+    bytes, which are dropped at the end. All of the block's float columns
+    go through one floattext.float_slots call, and each spans only the byte
+    places of the slot its cells use; a text column (csv-quoted, its NUL
+    bytes carried as 0xff, a byte UTF-8 never uses) is formatted cell by
+    cell."""
     rows = len(block[0])
     split = [_split_cells(cells, quote, json_) for cells, quote in zip(block, quotes)]
-    floats = [f for f, _ in split if f is not None]
+    floats = [c for c in split if isinstance(c, np.ndarray)]
     if floats:
         # imported on first use: the rate API, which `import entrate` also
         # loads, never writes a table
@@ -125,51 +126,35 @@ def _block_text(block: list[Sequence], literals: list[np.ndarray], quotes: list,
         slots = iter(cells[:, places[0]:places[-1] + 1] for cells, places
                      in zip(slots, map(np.flatnonzero, used.view(np.uint8))))
     parts = []
-    for literal, (f, texts) in zip(literals, split):
+    for literal, cells in zip(literals, split):
         parts.append(literal[:rows])
-        cells = None if f is None else next(slots)
-        if texts is not None:
-            raw = [b"" if t is None else t.encode("utf-8", "surrogatepass").replace(b"\0", b"\xff")
-                   for t in texts]
-            width = max(max(map(len, raw)), 0 if cells is None else cells.shape[1])
-            matrix = np.frombuffer(b"".join(t.ljust(width, b"\0") for t in raw),
-                                   np.uint8).reshape(rows, width)
-            if cells is not None:
-                matrix = matrix.copy()
-                kernel = np.array([t is None for t in texts])
-                matrix[kernel, :cells.shape[1]] = cells[kernel]
-            cells = matrix
-        parts.append(cells)
+        if isinstance(cells, np.ndarray):
+            parts.append(next(slots))
+            continue
+        raw = [t.encode("utf-8", "surrogatepass").replace(b"\0", b"\xff") for t in cells]
+        width = max(map(len, raw))
+        parts.append(np.frombuffer(b"".join(t.ljust(width, b"\0") for t in raw),
+                                   np.uint8).reshape(rows, width))
     parts.append(literals[-1][:rows])
     flat = np.concatenate(parts, axis=1).ravel()
     text = flat[flat != 0]
-    if any(texts is not None for _, texts in split):
+    if len(floats) < len(split):
         text = text.tobytes().replace(b"\xff", b"\0")
     return str(text, "utf-8", "surrogatepass")
 
 
-def _split_cells(cells: Sequence, quote, json_: bool) -> tuple[np.ndarray | None,
-                                                                list[str | None] | None]:
-    """A column's cells in a block as the floats for the kernel and the
-    texts of the other cells (None where a float is), either None when it
-    has no such cells."""
+def _split_cells(cells: Sequence, quote, json_: bool) -> np.ndarray | list[str]:
+    """A column's cells in a block: its floats for the kernel, or the text
+    of each cell. A CSV column that is not text is numbers, which "%.17g"
+    writes as their floats; a JSON column is floats (np.float64 too) only
+    if every cell is one, as json.dump writes a float by float.__repr__ and
+    each other cell otherwise."""
     if quote is not None:
-        return None, [quote(c) for c in cells]
-    if isinstance(cells, np.ndarray) and cells.dtype == np.float64:
-        return cells, None
-    if not json_:
-        values = np.asarray(cells)
-        if values.dtype.kind in "biuf":
-            return values.astype(np.float64), None
-        return None, ["%.17g" % c for c in cells]
-    # json.dump writes a float (np.float64 too) by float.__repr__
-    is_float = [isinstance(c, float) for c in cells]
-    if all(is_float):
-        return np.array(cells, np.float64), None
-    texts = [None if t else json.dumps(c, default=float) for c, t in zip(cells, is_float)]
-    if not any(is_float):
-        return None, texts
-    return np.array([c if t else 0.0 for c, t in zip(cells, is_float)]), texts
+        return [quote(c) for c in cells]
+    if (not json_ or getattr(cells, "dtype", None) == np.float64
+            or all(isinstance(c, float) for c in cells)):
+        return np.asarray(cells, np.float64)
+    return [json.dumps(c, default=float) for c in cells]
 
 
 def _csv_cell(s: str) -> str:
@@ -344,7 +329,11 @@ class SweepResult:
         return tuple(a.steps for a in self.config.axes)
 
     def value_grid(self, quantity: str) -> np.ndarray:
-        """Quantity as an array shaped like the grid (NaN where unavailable)."""
+        """Quantity as an array shaped like the grid (NaN where unavailable);
+        ValueError unless it names a value column of the sweep."""
+        names = _columns(self.config.quantities)
+        if quantity not in names:
+            raise ValueError(f"{quantity!r} is not a value column of this sweep; columns: {names}")
         vals = np.array([row.values.get(quantity, math.nan) for row in self.rows])
         return vals.reshape(self.grid_shape())
 

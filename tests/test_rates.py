@@ -529,7 +529,7 @@ class TestBatchedRates:
         assert good == entanglement_rate(d, 1.0)
         assert good2 == entanglement_rate(full_drift(delta=10.0))
 
-    def test_failures_report_gamma_e_or_no_value(self):
+    def test_failures_report_gamma_e_or_no_value(self, monkeypatch):
         # C = 1e8, n_th = 1e4: tol 1e-13 is below the round-off of
         # Gamma_E = 49.0, so the quadrature runs out of panels; its message
         # gives Gamma_E and its error, not the 2 pi Gamma_E it integrates
@@ -540,11 +540,10 @@ class TestBatchedRates:
         assert exc.value.value == pytest.approx(tight.gamma_E, rel=1e-12)
         assert f"(value~{tight.gamma_E:.6g}, error~" in str(exc.value)
         assert 0 < exc.value.error_estimate < 1e-12
-        # a root search that fails has no value to report; an overflow names
-        # n_th and the frequency scale s of the polynomials, which overflow
-        # through n_th = 1e200 or through s ~ delta = 1e100 (no RuntimeWarning)
+        # an overflow names n_th and the frequency scale s of the
+        # polynomials, which overflow through n_th = 1e200 or through s ~
+        # delta = 1e100 (no RuntimeWarning)
         for d, n_th, message in (
-                (full_drift(), 1e100, "no half-maximum crossing on one side of omega_max=0.0"),
                 (full_drift(), 1e200, "the polynomials of E overflow float64 at n_th=1e+200 "
                                       "and frequency scale s=1.5"),
                 (full_drift(delta=1e100), 0.0, "the polynomials of E overflow float64 at "
@@ -552,6 +551,13 @@ class TestBatchedRates:
             with pytest.raises(QuadratureError) as exc:
                 entanglement_rate(d, n_th)
             assert str(exc.value) == message
+        # a root search that fails has no value to report: here no crossing
+        # of P_c is real
+        monkeypatch.setattr(rates, "_crossings",
+                            lambda polys, s, levels: np.full((s.size, 1), np.nan))
+        with pytest.raises(QuadratureError) as exc:
+            entanglement_rate(full_drift(), 1.0)
+        assert str(exc.value) == "no half-maximum crossing on one side of omega_max=0.0"
 
 
 class TestPanelEdges:
@@ -883,6 +889,13 @@ class TestFwhm:
         d = drift_of(_effective_near_boundary(distance))
         rr = entanglement_rate(d)
         assert abs(rr.fwhm - fwhm_by_bisection(d, 0.0, rr.omega_max, rr.E_max)) <= 2e-9
+
+    @pytest.mark.parametrize("n_th", [1e50, 1e100, 1e150])
+    def test_width_at_huge_n_th(self, n_th):
+        # E(+-0.5) = E(0) / 2 at g = 5, Gamma = 1e-3 from n_th ~ 1e10 on; the
+        # leading coefficient u^2 D of P_c falls ~E_max below the others, and
+        # the crossings +-0.5 come from its reversed polynomial
+        assert abs(entanglement_rate(full_drift(), n_th).fwhm - 1.0) <= 1e-12
 
     def test_resonant_width_far_exceeds_mechanical_linewidth(self):
         gamma = 1e-3

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -112,6 +113,18 @@ class TestRunSweep:
                 inside = bool(roots) and roots[0] < dd < roots[1]
                 assert (margins[i, j] >= 1e-9) == inside, (de, dd)
         assert np.any(margins[:, bigs > 0.04] >= 1e-9)  # mechanical band
+
+    def test_value_grid_of_no_value_column_raises(self):
+        # a quantity whose columns have other names, an axis and a typo
+        result = run_sweep(SweepConfig(model="effective", fixed={"g": 5.0, "delta": 10.0},
+                                       axes=[SweepAxis("Delta", -0.2, 0.2, 3)],
+                                       quantities=["spectrum", "stability_margin"], jobs=1))
+        assert result.value_grid("spectrum_peak_omega").shape == (3,)
+        for name in ("spectrum", "Delta", "stability_margn"):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"{name!r} is not a value column of this sweep; columns: "
+                    "['spectrum_peak', 'spectrum_peak_omega', 'stability_margin']")):
+                result.value_grid(name)
 
     def test_parallel_equals_serial(self):
         config = SweepConfig(model="effective", fixed={"g": 5.0, "delta": 10.0},

@@ -20,23 +20,31 @@ SPECIAL_FLOATS = [0.0, -0.0, float("nan"), float("inf"), float("-inf"), 5e-324,
                   0.1, 1.0, 123456789.0, 3.1415926535897931, 2.0**-24, 1e-11, 1e15, 1e17]
 floats = st.one_of(st.floats(), st.sampled_from(SPECIAL_FLOATS))
 number_cells = st.one_of(floats, floats.map(np.float64))
+ints = st.one_of(st.integers(-2**80, 2**80), st.integers(-2**63, 2**63 - 1).map(np.int64))
+bools = st.one_of(st.booleans(), st.booleans().map(np.bool_))
 # the characters csv.writer and json.dump treat specially, and non-ASCII ones
 text = st.text(st.one_of(st.sampled_from(',"\n\r%\\ \t\x00é∑ 😀'), st.characters()),
                max_size=8)
+#: A column's cells by kind; "mixed" is a JSON column of any cells json.dump
+#: writes with default=float, the floats among them
+COLUMN_CELLS = {"text": text, "number": number_cells, "int": ints, "bool": bools,
+                "mixed": st.one_of(number_cells, ints, bools, st.none(), text,
+                                   st.floats(width=32).map(np.float32))}
 
 
 @st.composite
 def tables(draw):
-    """(header, columns): one to four columns of numbers or strings, zero
-    to twelve rows; header names may repeat."""
-    kinds = draw(st.lists(st.booleans(), min_size=1, max_size=4))
+    """(formats, header, columns): one to four columns of one kind of
+    COLUMN_CELLS each, zero to twelve rows; header names may repeat. A
+    table with a mixed column is JSON only, as CSV has no such column."""
+    kinds = draw(st.lists(st.sampled_from(sorted(COLUMN_CELLS)), min_size=1, max_size=4))
     header = [draw(st.one_of(st.sampled_from(["a", "E", "omega [kappa]", "%s"]), text))
               for _ in kinds]
     n = draw(st.integers(0, 12))
     col_type = draw(st.sampled_from([list, tuple]))
-    return header, [col_type(draw(st.lists(text if is_text else number_cells,
-                                           min_size=n, max_size=n)))
-                    for is_text in kinds]
+    formats = ("json",) if "mixed" in kinds else ("csv", "json")
+    return formats, header, [col_type(draw(st.lists(COLUMN_CELLS[kind], min_size=n, max_size=n)))
+                             for kind in kinds]
 
 
 def render(writer, header, columns, fmt):
@@ -49,8 +57,11 @@ class TestWriteTable:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(tables(), st.sampled_from([1, 2, 5, 7, sweep._BLOCK_CELLS]))
     def test_byte_identical_to_reference(self, table, block_cells):
+        """Every column kind, with the blocks of a mixed JSON column split
+        between the float and the text path."""
+        formats, *table = table
         with mock.patch.object(sweep, "_BLOCK_CELLS", block_cells):
-            for fmt in ("csv", "json"):
+            for fmt in formats:
                 assert (render(sweep.write_table, *table, fmt)
                         == render(reference_write_table, *table, fmt))
 
