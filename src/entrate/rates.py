@@ -82,7 +82,10 @@ other root is 2 eta_plus >= 1 > c. The FWHM flanks are the real roots
 nearest omega_max at c = e^(-E_max / 2), polished by a few batched secant
 steps on the kernel, which start at the roots for the polynomials' E_max,
 measured in the peaks' pass below (afresh where omega_max is outside them
-or that E_max is off the kernel's).
+or that E_max is off the kernel's). Every root of every polynomial here
+comes from _roots, one rule per row: at huge n_th the leading coefficient
+u^2 D of P_c is ~E_max below the others, and the crossings near the
+frequency scale are the large roots of the reversed polynomial.
 
 Peaks as polynomial roots. u = 1 - e^-E solves P_u = 0 at every y and
 rises with E, so E is stationary where u' = -(u^2 D' + 2 u V') / (2 (u D
@@ -151,13 +154,14 @@ passes over all problems. Every decision is taken per problem from that
 problem's numbers, and the kernel and the polynomial steps are
 elementwise, so a result does not depend on the batch it was computed in:
 a sweep's rows equal entanglement_rate bit for bit. A problem whose
-polynomials overflow float64 (at an n_th near 1e200 or a frequency scale s
-near 1e100, say) gets no candidates from the stacked solve of R's roots,
-which would reject every problem with it: its peak quantities fail with a
-QuadratureError that names n_th and s, and its Gamma_E stands. A peak
-without a half-maximum crossing on one side fails its FWHM alone.
-spectrum_peak runs on the same axis, one kernel pass per degree of
-N' D - N D', and fails such a problem in its own row too.
+polynomials overflow float64 (R has terms in n_th^2 and s^10: from
+n_th ~ 2e154 at g = 5, Gamma = 1e-3, or from delta ~ 1e26 there) gets no
+candidates from the stacked solve of R's roots, which would reject every
+problem with it: its peak quantities fail with a QuadratureError that
+names n_th and s, and its Gamma_E stands. A peak without a half-maximum
+crossing on one side fails its FWHM alone. spectrum_peak runs on the same
+axis, one root solve and one kernel pass for the whole batch, and fails
+such a problem in its own row too.
 """
 
 from __future__ import annotations
@@ -460,54 +464,93 @@ _SUBDIAGONAL = functools.cache(lambda n: np.eye(n, k=-1)[None])
 
 
 def _roots(p: np.ndarray) -> np.ndarray:
-    """Complex roots of the polynomial of every row of p (nonzero leading
-    coefficient), from one stacked eigen-solve of the companion matrices
-    (the matrix np.roots builds). A row whose companion is not finite (its
-    coefficients overflowed) gets NaN roots: the solve rejects a stack that
-    holds one, so the finite rows are solved again without it."""
+    """Complex roots of the polynomial of every row of p (n + 1 coefficients,
+    highest power first), n per row, by one rule per row. Exact zeros at the
+    end of a row are roots at exactly 0; exact zeros at its start are a lower
+    degree, with NaN in place of the missing roots. The nonzero core between
+    them is solved as it stands, or reversed, as core(1/y) y^degree, where its
+    leading coefficient is at most _EPS4 times its largest and no larger than
+    its last, and the roots inverted: the companion eigen-solve is backward
+    stable relative to the size of the whole companion (Edelman & Murakami,
+    Math. Comp. 1995), so it loses the roots far below the largest, which
+    are the large roots of the reversed core. A root that the solve of the
+    core as it stands returns as 0 is one below its resolution and stays 0;
+    one that the reversed solve returns as 0 (or too small to invert) lies
+    beyond float64 and is NaN. Every row goes through one stacked eigen-solve of n x n companion
+    matrices (the matrix np.roots builds), so a row's roots do not depend on
+    its batch. A row whose companion is not finite (its coefficients
+    overflowed) gets NaN roots."""
     n = p.shape[1] - 1
+    size = np.abs(p)
+    top = np.maximum.reduce(size, axis=1)
     companion = _SUBDIAGONAL(n).repeat(len(p), axis=0)
-    np.divide(p[:, 1:], -p[:, :1], out=companion[:, 0])
-    try:
-        return eigvals(companion)
-    except LinAlgError:
-        finite = np.logical_and.reduce(np.isfinite(companion[:, 0]), axis=1)
-        if np.logical_and.reduce(finite):
-            raise
-    roots = np.full((len(p), n), np.nan, dtype=complex)
-    if np.logical_or.reduce(finite):
-        roots[finite] = eigvals(companion[finite])
+    # a row whose first coefficient is above _EPS4 times its largest has no
+    # exact zero at its start and does not flip: it is solved as it stands
+    q, odd = p, not np.logical_and.reduce(size[:, 0] > _EPS4 * top)
+    if odd:
+        # the exact zeros at either end (none on a row of zeros, which flips)
+        zero = size == 0
+        lead, tail = zero.argmin(axis=1), zero[:, ::-1].argmin(axis=1)
+        # the first and last coefficients of the core
+        first, last = size.take(np.arange(0, size.size, n + 1) + [[0], [n]] + [lead, -tail])
+        flip = (first <= _EPS4 * top) & (first <= last)
+        # the core, reversed where it flips, then zeros (none on a row that
+        # is not finite); the last lead rows of the companion are a zero
+        # block of their own, which the solve isolates without touching the
+        # rest
+        i = np.arange(n + 1)
+        at = np.where(flip[:, None], (n - tail)[:, None] - i, lead[:, None] + i)
+        q = np.where(i <= np.where(top < np.inf, n - lead - tail, -1)[:, None],
+                     np.take_along_axis(p, np.clip(at, 0, n), axis=1), 0.0)
+        companion[:, i[1:-1], i[:-2]] = i[1:-1] < (n - lead)[:, None]
+    # a row without a core gets a NaN companion (0 / 0)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        np.divide(q[:, 1:], -q[:, :1], out=companion[:, 0])
+        try:
+            roots = eigvals(companion)
+        except LinAlgError:
+            finite = np.logical_and.reduce(np.isfinite(companion[:, 0]), axis=1)
+            roots = np.full((len(p), n), np.nan, dtype=complex)
+            roots[finite] = eigvals(companion[finite])
+        if odd:
+            # the zeros of the core's padding are missing roots, and so are
+            # those of the reversed solve: a row solved as it stands keeps its
+            # other zeros (roots the solve cannot tell from 0), a reversed one
+            # as many as it ends with
+            at_zero = roots == 0
+            count = np.add.accumulate(at_zero, axis=1)
+            at_zero &= count > np.where(flip, tail, count[:, -1] - lead)[:, None]
+            roots[at_zero] = np.nan
+            np.divide(1.0, roots, out=roots, where=flip[:, None] & (roots != 0))
+            roots[np.isinf(roots)] = np.nan
     return roots
+
+
+def _candidates(p: np.ndarray) -> np.ndarray:
+    """The real parts of the roots of every row of p (_roots) as peak
+    candidates, a missing root in a row replaced by the row's largest
+    candidate (a repeated candidate adds no peak and changes no count); NaN
+    on a row without any."""
+    y = _roots(p).real
+    np.copyto(y, np.fmax.reduce(y, axis=1)[:, None], where=np.isnan(y))
+    return y
 
 
 def _crossings(polys: tuple[np.ndarray, ...], s: np.ndarray, levels: np.ndarray) -> np.ndarray:
     """Frequencies where E = levels[p] > 0 for each problem p, i.e.
     2 eta_minus = c = e^-level: the real roots of P_c (module docstring)
     built from the problems' _beam_polynomials, unpolished; NaN in place of
-    a complex root. A row whose leading coefficient is negligible next to
-    its largest (u^2 D falls with the level, so at huge n_th) is solved
-    reversed, as P_c(1/y) y^(2k), and its roots inverted: the companion
-    eigen-solve is backward stable relative to the size of the whole
-    companion (Edelman & Murakami, Math. Comp. 1995), so it loses the
-    roots far below the largest, and the crossings near the frequency
-    scale are the large roots of the reversed polynomial."""
+    a complex or missing root (_roots). u^2 D falls with the level, so at
+    huge n_th the crossings near the frequency scale are the large roots of
+    the reversed P_c(1/y) y^(2k), as _roots finds them."""
     d_poly, v_poly, k_poly = polys[:3]
     u = -np.expm1(-levels)[:, None]
     p = u * u * d_poly
     p[:, 2:] += 2.0 * u * v_poly
     p[:, -1] -= k_poly
     roots = _roots(p)
-    size = np.abs(p)
-    flip = (size[:, 0] <= _EPS4 * np.maximum.reduce(size, axis=1)).nonzero()[0]
-    if flip.size:
-        # a root of the reversed polynomial at 0 (or its constant at 0) is
-        # an infinite or NaN root here, which drops out below
-        with np.errstate(divide="ignore", invalid="ignore"):
-            roots[flip] = 1.0 / _roots(p[flip, ::-1])
     re, im2 = roots.real, roots.imag ** 2
-    omega = s[:, None] * re
-    omega[~(im2 <= 1e-16 * (re ** 2 + im2))] = np.nan
-    return omega
+    return np.where(im2 <= 1e-16 * (re ** 2 + im2), s[:, None] * re, np.nan)
 
 
 def _secant_starts(roots: np.ndarray, centres: np.ndarray) -> np.ndarray:
@@ -542,16 +585,11 @@ def _fwhms(blocks: BeamBlocks, s: np.ndarray, polys: tuple[np.ndarray, ...],
         e[fresh] = _density(blocks, x[fresh].ravel(), np.repeat(fresh, 4)).reshape(-1, 2, 2)
     # a start is NaN on both points or neither: NaN where a side has no crossing
     found = ~np.isnan(x[:, 0, 0] - x[:, 0, 1])
-    failures: list[QuadratureError | None] = [None] * found.size
-    for p in (~found).nonzero()[0].tolist():
-        failures[p] = QuadratureError(
-            f"no half-maximum crossing on one side of omega_max={float(omega_max[p])}")
+    failures = [None if ok else QuadratureError(
+        f"no half-maximum crossing on one side of omega_max={w}")
+        for ok, w in zip(found.tolist(), omega_max.tolist())]
     idx = found.nonzero()[0]
-    if idx.size < found.size:
-        x, e, level = x[idx], e[idx], half[idx]
-    else:
-        x, level = x.copy(), half
-    f = e - level[:, None, None]
+    x, f = x.take(idx, axis=0), e.take(idx, axis=0) - half.take(idx)[:, None, None]
     (x0, x1), (f0, f1) = x.transpose(1, 0, 2), f.transpose(1, 0, 2)
     best, f_best = x1.copy(), np.abs(f1)
     # a problem that stops keeps its state, so it stops again
@@ -572,8 +610,6 @@ def _fwhms(blocks: BeamBlocks, s: np.ndarray, polys: tuple[np.ndarray, ...],
         better = size < f_best
         np.copyto(best, x1, where=better)
         np.copyto(f_best, size, where=better)
-    if idx.size == found.size:
-        return best[:, 1] - best[:, 0], failures
     widths = np.full(found.size, np.nan)
     widths[idx] = best[:, 1] - best[:, 0]
     return widths, failures
@@ -610,7 +646,7 @@ def _stationary(blocks: BeamBlocks, s: np.ndarray):
         table = _derivatives([d, 2.0 * v])
         if k == 2:
             # V is a constant, so R = -K D'^2 has the roots of D', each twice
-            y0 = _roots(table[1, 0, :, 1:]).real
+            y0 = _candidates(table[1, 0, :, 1:])
         else:
             # R = W'^2 D - W W' D' - K D'^2 (4 V'^2 D - 4 V V' D' exactly) from two
             # stacked products; V has degree 2k - 4, so R has 4k - 2: the leading
@@ -621,7 +657,7 @@ def _stationary(blocks: BeamBlocks, s: np.ndarray):
             r = _polymul(first[:2], flat[:3:2])[..., -(4 * k - 1):]
             r[0] -= r[1]
             r[0] -= k_pair[:, None] * first[2, :, -(4 * k - 1):]
-            y0 = _roots(r[0]).real
+            y0 = _candidates(r[0])
         n = y0.shape[1]
         k2 = (2.0 * k_pair[:, None]).repeat(n, axis=1)
         k4 = k2 + k2
@@ -643,8 +679,7 @@ def _stationary(blocks: BeamBlocks, s: np.ndarray):
         guess = np.arange(0, y.size, n) + u.argmax(axis=1)
         e_guess = -np.log1p(-u.take(guess))
     # where u rounds to 1 the polynomials cannot tell E_max: any level serves
-    levels = 0.5 * e_guess
-    levels[~np.isfinite(levels)] = 1.0
+    levels = np.where(np.isfinite(e_guess), 0.5 * e_guess, 1.0)
     x = _secant_starts(_crossings(polys, s, levels), (s * y.take(guess))[:, None] * _SIDES)
     # the candidates sorted by omega, the polished ones, their mirrors and
     # the flank starts; a point in the pass must be finite: 0 stands in for
@@ -683,46 +718,38 @@ def spectrum_peak(blocks: BeamBlocks) -> tuple[np.ndarray, np.ndarray, dict[int,
     nu_plus = N / D (module docstring) of each block: the best real root of
     N' D - N D' after Newton steps on the polynomials, measured on the
     kernel in one pass with the mirrors; (0, 0) where the spectrum vanishes
-    (g = 0). N' D - N D' keeps its exact leading zeros (N has degree 2k - 4,
-    or 0 without the thermal input), so the rows go through in groups of
-    one degree, a kernel pass each; elementwise along the problem axis, so
-    a row does not depend on the batch. A problem whose polynomials
+    (g = 0). N has degree 2k - 4, or 0 without the thermal input, so
+    N' D - N D' has degree 4k - 5 at most, and its exact leading zeros are a
+    lower degree to _roots: every row goes through one root solve, one
+    Newton polish and one kernel pass, each elementwise along the problem
+    axis, so a row does not depend on the batch. A problem whose polynomials
     overflow float64 has no candidates (_roots): it gets NaN and its
     QuadratureError in the failures by row, the third item."""
     s = _scale(blocks.eigenvalues, np.maximum.reduce(blocks.decay, axis=1))
-    # an overflow gives NaN candidates below, so its floating-point errors
-    # are ignored, as are those of the Newton steps not taken
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        dp, _, _, n = _beam_polynomials(blocks, s)
-        table = _derivatives([n, dp])
-        r = _polymul(table[1, 0], table[0, 1]) - _polymul(table[0, 0], table[1, 1])
-    # the leading zeros of each row: the place of its leading coefficient
-    lead = np.logical_and.accumulate(r == 0, axis=1).sum(axis=1)
-    omega, height = np.zeros(len(blocks)), np.zeros(len(blocks))
-    failures: dict[int, Exception] = {}
 
     def step(values):
         # Newton on N' D - N D', whose derivative is N'' D - N D''
         ny, dy, ny1, dy1, ny2, dy2 = values
         return (ny1 * dy - ny * dy1) / (ny2 * dy - ny * dy2), None
 
-    # a constant (or zero) row has no root
-    for first in sorted(set(lead[lead < r.shape[1] - 1].tolist())):
-        idx = (lead == first).nonzero()[0]
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            y, _ = _newton(table[:, :, idx], _roots(r[idx, first:]).real, step)
-        # a row whose polynomials overflow has no candidates (_roots): it fails
-        overflow = np.isnan(y[:, 0])
-        for p in idx[overflow].tolist():
-            failures[p] = _overflow("the spectrum", blocks.n_th[p], s[p])
-        omega[idx[overflow]] = height[idx[overflow]] = np.nan
-        idx, y = idx[~overflow], y[~overflow]
-        if not idx.size:
-            continue
-        w = s[idx, None] * y
+    # an overflow gives NaN candidates below, so its floating-point errors
+    # are ignored, as are those of the Newton steps not taken
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        dp, _, _, n = _beam_polynomials(blocks, s)
+        table = _derivatives([n, dp])
+        r = _polymul(table[1, 0], table[0, 1]) - _polymul(table[0, 0], table[1, 1])
+        y, _ = _newton(table, _candidates(r[:, 4 - 4 * blocks.k:]), step)
+    omega, height = np.zeros(len(blocks)), np.zeros(len(blocks))
+    # a row without candidates vanishes (N = 0) or overflowed
+    overflow = (np.isnan(y[:, 0]) & np.logical_or.reduce(r != 0, axis=1)).nonzero()[0]
+    failures = {p: _overflow("the spectrum", blocks.n_th[p], s[p]) for p in overflow.tolist()}
+    omega[overflow] = height[overflow] = np.nan
+    idx = np.isfinite(y[:, 0]).nonzero()[0]
+    if idx.size:
+        w = s[idx, None] * y[idx]
         f = _gram(blocks, np.concatenate([w, -w], axis=1).ravel(),
                   lambda *g: np.add(*_spectrum(*g)), idx.repeat(2 * y.shape[1]))
-        omega[idx], height[idx] = _peak(s[idx], y, f.reshape(idx.size, -1))
+        omega[idx], height[idx] = _peak(s[idx], y[idx], f.reshape(idx.size, -1))
     return omega, height, failures
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from entrate.rates import _density, _polymul, _roots
+from entrate.rates import _density, _polymul
 from quad_reference import minimize_batch
 
 
@@ -133,17 +133,26 @@ def polish(value, s: np.ndarray, y: np.ndarray, newton_step,
     return found, omega_max, f_max
 
 
+def r_polynomial(k: int, polys: tuple[np.ndarray, ...]) -> np.ndarray:
+    """The coefficients of R = 4 V'^2 D - 4 V V' D' - K D'^2 (entrate.rates
+    docstring) of each problem of a k x k block, from its beam polynomials
+    (D, V, K, ...), to degree 4k - 2."""
+    d, v, k_pair = polys[:3]
+    d1, v1 = _polyder(d), _polyder(v)
+    r = 4.0 * (_polymul(_polymul(v1, v1), d) - _polymul(_polymul(v, v1), d1))[:, -(4 * k - 1):]
+    return r - k_pair[:, None] * _polymul(d1, d1)
+
+
 def stationary_peaks(blocks, s: np.ndarray, polys: tuple[np.ndarray, ...],
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The peak candidates of each problem (K > 0) by polish: E at the real
-    parts of the roots of R (entrate.rates docstring), sorted by omega, and
-    (omega_max, E_max) after Newton steps on u' with u from the kernel."""
-    d, v, k = polys[:3]
+    parts of the roots of R (r_polynomial), sorted by omega, and
+    (omega_max, E_max) after Newton steps on u' with u from the kernel. The
+    roots come from np.roots row by row, not from the root rule of
+    entrate.rates._roots that this reference checks."""
+    d, v = polys[:2]
     d1, v1 = _polyder(d), _polyder(v)
     d2, v2 = _polyder(d1), _polyder(v1)
-    r = 4.0 * (_polymul(_polymul(v1, v1), d)
-               - _polymul(_polymul(v, v1), d1))[:, -(4 * blocks.k - 1):]
-    r -= k[:, None] * _polymul(d1, d1)
 
     def newton_step(e: np.ndarray, y: np.ndarray) -> np.ndarray:
         # u' / u'' by implicit differentiation of P_u = 0 in y
@@ -155,4 +164,5 @@ def stationary_peaks(blocks, s: np.ndarray, polys: tuple[np.ndarray, ...],
                 + u * (u * polyval(d2, y) + 2.0 * polyval(v2, y))) / f_u
         return du / ddu
 
-    return polish(lambda w, pid: _density(blocks, w, pid), s, _roots(r).real, newton_step)
+    y = np.array([np.roots(row) for row in r_polynomial(blocks.k, polys)]).real
+    return polish(lambda w, pid: _density(blocks, w, pid), s, y, newton_step)

@@ -16,30 +16,40 @@ def drift_of(p: FullModelParams | EffectiveModelParams):
     return drift_full(p) if isinstance(p, FullModelParams) else drift_effective(p)
 
 
+#: The thermal occupations of the full-model points of stable_points.
+_N_TH = st.sampled_from([0.0, 1.0, 50.0, 1e3])
+
+
+@st.composite
+def full_points(draw, n_th=_N_TH):
+    """(params, n_th) at a random strictly stable point of the full model
+    with C up to 1e5 (near double resonance for half the draws) and n_th
+    drawn from the strategy n_th."""
+    c = 10.0 ** draw(st.floats(0.0, 5.0))
+    gamma = 10.0 ** draw(st.floats(-3.0, -0.5))
+    # near double resonance |delta|, |Delta| shrink with the stable window
+    scale = draw(st.sampled_from([1.0, 1e-3]))
+    p = FullModelParams(g=math.sqrt(c * gamma), Gamma=gamma,
+                        delta=scale * draw(st.floats(-15.0, 15.0)),
+                        Delta=scale * draw(st.floats(-1.5, 1.5)), n_th=draw(n_th))
+    rep = stability(drift_full(p))
+    assume(rep.stable and not rep.marginal)
+    return p, p.n_th
+
+
 @st.composite
 def stable_points(draw):
     """(params, n_th) at a random strictly stable point of either model:
-    full model with C up to 1e5 (near double resonance for half the draws),
-    effective model across its usual parameter box."""
+    full_points, or the effective model across its usual parameter box."""
     if draw(st.booleans()):
-        c = 10.0 ** draw(st.floats(0.0, 5.0))
-        gamma = 10.0 ** draw(st.floats(-3.0, -0.5))
-        # near double resonance |delta|, |Delta| shrink with the stable window
-        scale = draw(st.sampled_from([1.0, 1e-3]))
-        p = FullModelParams(g=math.sqrt(c * gamma), Gamma=gamma,
-                            delta=scale * draw(st.floats(-15.0, 15.0)),
-                            Delta=scale * draw(st.floats(-1.5, 1.5)),
-                            n_th=draw(st.sampled_from([0.0, 1.0, 50.0, 1e3])))
-        n_th = p.n_th
-    else:
-        p = EffectiveModelParams(
-            g=draw(st.floats(0.5, 6.0)),
-            delta=draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(2.0, 30.0)),
-            Delta=draw(st.floats(-1.0, 1.0)))
-        n_th = 0.0
-    rep = stability(drift_of(p))
+        return draw(full_points())
+    p = EffectiveModelParams(
+        g=draw(st.floats(0.5, 6.0)),
+        delta=draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(2.0, 30.0)),
+        Delta=draw(st.floats(-1.0, 1.0)))
+    rep = stability(drift_effective(p))
     assume(rep.stable and not rep.marginal)
-    return p, n_th
+    return p, 0.0
 
 
 def stable_drifts():

@@ -17,7 +17,7 @@ from entrate.models import (DriftMatrix, EffectiveModelParams, FullModelParams, 
 from entrate import quadutil, rates, scattering
 from entrate.quadutil import bisect_all
 from entrate.rates import (_beam_polynomials, _count_local_maxima, _density, _fwhms,
-                           _panel_edges, _scale, _stationary, entanglement_rate,
+                           _panel_edges, _roots, _scale, _stationary, entanglement_rate,
                            spectral_density, spectral_density_batch, spectrum_and_density,
                            spectrum_peak)
 from entrate.scattering import BeamBlocks, correlator_batch, spectrum_parts
@@ -29,9 +29,9 @@ from grid_reference import frequency_grid
 from lu_reference import scattering_matrices
 from mp_reference import correlators_mp, reference_point
 from peak_reference import (candidate_peak_count, count_local_maxima, hysteresis_count,
-                            refined_peaks, stationary_peaks)
+                            r_polynomial, refined_peaks, stationary_peaks)
 from paper_helpers import symmetrized_density, to_nats_per_second
-from strategies import drift_of, stable_drifts, stable_points
+from strategies import drift_of, full_points, stable_drifts, stable_points
 import workloads
 
 KAPPA = 1.0
@@ -687,15 +687,19 @@ class TestCountedWork:
             assert passes[0] == 15 * panels + w.size
 
     def test_spectrum_peak_takes_one_kernel_pass(self, monkeypatch):
-        # one pass per degree of N' D - N D' in the batch: 7 where n_th > 0,
-        # 5 where n_th = 0, and none where g = 0 (it vanishes); each pass
-        # holds the roots of its rows and their mirrors
+        # one root solve and one kernel pass per call, whatever the degree of
+        # N' D - N D' of its rows: 7 where n_th > 0, 5 where n_th = 0 (its
+        # two missing roots repeat a candidate), and no candidate where g = 0
+        # (it vanishes); the pass holds 7 candidates of each row with
+        # candidates, and their mirrors
         passes = self.count_passes(monkeypatch, "_gram")
+        solves, roots = [], rates._roots
+        monkeypatch.setattr(rates, "_roots", lambda p: solves.append(len(p)) or roots(p))
         d = full_drift(delta=10.0)
         spectrum_peak(BeamBlocks.of(d, 50.0))
-        assert passes == [2 * 7]
+        assert (passes, solves) == ([2 * 7], [1])
         # Delta = 0.7 is unstable: the gate fails it, and the peaks of a
-        # batch stacked without the gate still take one pass per degree
+        # batch stacked without the gate still take one solve and one pass
         drifts = [d, full_drift(g=0.0), full_drift(delta=-3.0), full_drift(Delta=0.7),
                   full_drift(delta=5.0)]
         n_ths = [50.0, 50.0, 0.0, 10.0, 0.0]
@@ -704,7 +708,7 @@ class TestCountedWork:
         assert failures[3].max_real_part == stability(drifts[3]).max_real_part > 0
         m, decay = np.array([d.m for d in drifts]), np.array([d.decay for d in drifts])
         spectrum_peak(BeamBlocks(m, decay, np.array(n_ths), stability_gate(m)[0]))
-        assert passes == [2 * 7, 2 * 2 * 7, 2 * 2 * 5]
+        assert (passes, solves) == ([2 * 7, 4 * 2 * 7], [1, 5])
 
     def test_anchor_rate_kernel_passes(self, monkeypatch):
         # the Gamma_E quadrature with the peaks, and the FWHM secant steps
@@ -879,6 +883,58 @@ class TestStationaryPeaks:
         assert not batch[0][uncoupled].any()
 
 
+class TestRoots:
+    # one rule per row of rates._roots, each case in a row of 7 coefficients
+
+    def test_trailing_zeros_are_roots_at_zero(self):
+        (roots,) = _roots(np.array([[1.0, -6.0, 11.0, -6.0, 0.0, 0.0, 0.0]]))
+        assert np.count_nonzero(roots == 0) == 3
+        assert np.allclose(np.sort(roots[roots != 0].real), [1.0, 2.0, 3.0], rtol=1e-12, atol=0)
+
+    def test_leading_zeros_are_missing_roots(self):
+        row = np.array([0.0, 0.0, 2.0, -3.0, 0.5, 4.0, -1.0])
+        (roots,) = _roots(row[None])
+        assert np.isnan(roots).sum() == 2
+        expected = np.sort_complex(np.roots(row[2:]))
+        got = np.sort_complex(roots[~np.isnan(roots)])
+        assert np.all(np.abs(got - expected) <= 1e-12 * np.abs(expected))
+
+    def test_negligible_leading_coefficient_solves_reversed(self):
+        # P_c at g = 5, Gamma = 1e-3, n_th = 1e50 in y = omega / s, s = 1.5:
+        # the crossings +-0.5 are y = +-sqrt(78 / 703) to the rounding of the
+        # coefficients; the forward solve gives them as 0. The other four,
+        # of modulus ~2.5e23, come out of the reversed solve as 0: NaN
+        row = np.array([1.8e-91, 0.0, 4.0e-92, 0.0, 703.0, 0.0, -78.0])
+        assert np.all(np.roots(row)[-2:] == 0)
+        (roots,) = _roots(row[None])
+        assert np.isnan(roots).sum() == 4
+        got = np.sort(roots[~np.isnan(roots)].real)
+        expected = math.sqrt(78.0 / 703.0) * np.array([-1.0, 1.0])
+        assert np.all(np.abs(got - expected) <= 1e-12 * abs(expected[1]))
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    @pytest.mark.parametrize("place", [0, 3, 6])
+    def test_overflowed_row_has_nan_roots(self, bad, place):
+        p = np.array([[1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]])
+        p[0, place] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isnan(_roots(p)).all()
+
+    def test_stacked_call_equals_one_row_calls(self):
+        rows = np.array([[1.0, -6.0, 11.0, -6.0, 0.0, 0.0, 0.0],
+                         [0.0, 0.0, 0.0, 1.0, -6.0, 11.0, -6.0],
+                         [1.8e-91, 0.0, 4.0e-92, 0.0, 703.0, 0.0, -78.0],
+                         [math.inf, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0],
+                         [0.0, 0.0, 1e-20, 1.0, -3.0, 2.0, 0.0],
+                         [0.0] * 7,
+                         [0.0, 2.0, -3.0, 0.5, 4.0, -1.0, 3.0]])
+        stacked = _roots(rows)
+        assert stacked.shape == (7, 6)
+        for i, row in enumerate(rows):
+            assert stacked[i].tobytes() == _roots(row[None])[0].tobytes()
+
+
 class TestFwhm:
     @pytest.mark.parametrize("distance", [1e-4, 1e-6, 1e-8])
     def test_width_next_to_the_boundary(self, distance):
@@ -896,6 +952,40 @@ class TestFwhm:
         # leading coefficient u^2 D of P_c falls ~E_max below the others, and
         # the crossings +-0.5 come from its reversed polynomial
         assert abs(entanglement_rate(full_drift(), n_th).fwhm - 1.0) <= 1e-12
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(full_points(n_th=st.floats(0.0, 150.0).map(lambda e: 10.0 ** e)))
+    @example((FullModelParams(g=5.0, Gamma=1e-3, n_th=1e50), 1e50))
+    # off resonance: a reversed solve's roots at 0, kept as 0, put a crossing
+    # at omega = 0 (a width of -7.35e6 for 1.178)
+    @example((FullModelParams(g=0.268, Gamma=0.0229, delta=-3.90, Delta=0.312, n_th=7.2e93),
+              7.2e93))
+    # there at 3.16e152, R reversed (its leading coefficient 1e-300 of its
+    # largest, but above its constant) overflowed its companion: no peak
+    @example((FullModelParams(g=0.268, Gamma=0.0229, delta=-3.90, Delta=0.312, n_th=3.16e152),
+              3.16e152))
+    @example((FullModelParams(g=5.0, Gamma=1e-3, n_th=1e150), 1e150))
+    def test_width_against_bisection_at_every_n_th(self, point):
+        # the crossings of P_c where its leading coefficient u^2 D is ~E_max
+        # below the rest, up to n_th = 1e150 (log-uniform); the peak is the
+        # highest E on the resonance-seeded grid too (off resonance, where R
+        # is solved as it stands, the candidate at omega ~ 0 is a root the
+        # solve gives as 0)
+        p, n_th = point
+        d = drift_full(p)
+        try:
+            rr = entanglement_rate(d, n_th)
+        except QuadratureError as exc:
+            # the peak quantities fail where the polynomials of E overflow
+            # float64 (from n_th ~ 1e149 at s ~ 8, say), and only there
+            blocks = BeamBlocks.of(d, n_th)
+            s = _scale(blocks.eigenvalues, blocks.decay.max(axis=1))
+            with np.errstate(over="ignore", invalid="ignore"):
+                r = r_polynomial(3, _beam_polynomials(blocks, s))
+            assert "overflow" in str(exc) and not np.isfinite(r).all()
+            return
+        assert spectral_density_batch(d, frequency_grid(d), n_th).max() <= rr.E_max * (1 + 2e-12)
+        assert abs(rr.fwhm - fwhm_by_bisection(d, n_th, rr.omega_max, rr.E_max)) <= 2e-9
 
     def test_resonant_width_far_exceeds_mechanical_linewidth(self):
         gamma = 1e-3
