@@ -144,8 +144,9 @@ scattering.BeamBlocks.gate, or one drift gated as a batch of one by
 BeamBlocks.of (entanglement_rate), which also checks its structure. It runs
 in two stages, each quantity with its own failure. The Gamma_E stage
 always runs: one Gauss-Kronrod loop whose panels carry a problem id. The
-E-peak stage (E_max, omega_max, the FWHM and the peak count) runs only for
-a caller that asks for one of them: it builds the polynomials D, V and K of
+E-peak stage (E_max, omega_max and the FWHM) runs only for a caller that
+asks for one of them, and the peak count only for one that asks for it
+(entanglement_rate; a sweep has no such column): it builds the polynomials D, V and K of
 every problem (once, for the peaks and the flanks), the peak and crossing
 polynomials and their roots (stacked eigen-solves of the companion
 matrices), has the quadrature's first kernel pass measure the peaks and
@@ -159,9 +160,11 @@ n_th ~ 2e154 at g = 5, Gamma = 1e-3, or from delta ~ 1e26 there) gets no
 candidates from the stacked solve of R's roots, which would reject every
 problem with it: its peak quantities fail with a QuadratureError that
 names n_th and s, and its Gamma_E stands. A peak without a half-maximum
-crossing on one side fails its FWHM alone. spectrum_peak runs on the same
-axis, one root solve and one kernel pass for the whole batch, and fails
-such a problem in its own row too.
+crossing on one side fails its FWHM alone. Each field comes back as a
+float64 array over the batch, NaN where it fails, with its failures by
+row. spectrum_peak runs on the same axis, one root solve and one kernel
+pass for the whole batch, and returns its peaks so too, failing such a
+problem, or one whose peak height overflows, in its own row.
 """
 
 from __future__ import annotations
@@ -289,8 +292,6 @@ class RateResult:
     secondary_peaks: int
 
 
-#: The rate of a drift whose pair constant K is 0: E = 0 on the whole line.
-_NO_ENTANGLEMENT = RateResult(0.0, 0.0, 0.0, 0.0, 0.0, 0)
 #: The fields of the E-peak stage of _rates; Gamma_E and quadrature_error
 #: are the quadrature's.
 _PEAK_FIELDS = frozenset({"E_max", "omega_max", "fwhm", "secondary_peaks"})
@@ -567,14 +568,13 @@ def _secant_starts(roots: np.ndarray, centres: np.ndarray) -> np.ndarray:
 
 def _fwhms(blocks: BeamBlocks, s: np.ndarray, polys: tuple[np.ndarray, ...],
            omega_max: np.ndarray, e_max: np.ndarray, starts: tuple[np.ndarray, np.ndarray],
-           ) -> tuple[np.ndarray, list[QuadratureError | None]]:
+           ) -> np.ndarray:
     """Half-maximum width of the dominant peak of each problem (e_max > 0):
     the distance between the crossings of E = e_max / 2 nearest omega_max
     on either side, each polished by batched secant steps on the kernel
     (the point with the smallest |E - e_max / 2| seen is kept), from the
     starts [p, point, side] and E there of _stationary, or where those are
-    NaN afresh. A problem with no crossing on one side gets a
-    QuadratureError and a NaN width."""
+    NaN afresh. A problem with no crossing on one side gets a NaN width."""
     half = 0.5 * e_max
     x, e = starts
     fresh = np.isnan(x[:, 0, 0]).nonzero()[0]
@@ -584,11 +584,7 @@ def _fwhms(blocks: BeamBlocks, s: np.ndarray, polys: tuple[np.ndarray, ...],
         fresh = fresh[~np.isnan(x[fresh]).any(axis=(1, 2))]
         e[fresh] = _density(blocks, x[fresh].ravel(), np.repeat(fresh, 4)).reshape(-1, 2, 2)
     # a start is NaN on both points or neither: NaN where a side has no crossing
-    found = ~np.isnan(x[:, 0, 0] - x[:, 0, 1])
-    failures = [None if ok else QuadratureError(
-        f"no half-maximum crossing on one side of omega_max={w}")
-        for ok, w in zip(found.tolist(), omega_max.tolist())]
-    idx = found.nonzero()[0]
+    idx = (~np.isnan(x[:, 0, 0] - x[:, 0, 1])).nonzero()[0]
     x, f = x.take(idx, axis=0), e.take(idx, axis=0) - half.take(idx)[:, None, None]
     (x0, x1), (f0, f1) = x.transpose(1, 0, 2), f.transpose(1, 0, 2)
     best, f_best = x1.copy(), np.abs(f1)
@@ -610,9 +606,9 @@ def _fwhms(blocks: BeamBlocks, s: np.ndarray, polys: tuple[np.ndarray, ...],
         better = size < f_best
         np.copyto(best, x1, where=better)
         np.copyto(f_best, size, where=better)
-    widths = np.full(found.size, np.nan)
+    widths = np.full(omega_max.size, np.nan)
     widths[idx] = best[:, 1] - best[:, 0]
-    return widths, failures
+    return widths
 
 
 def _peak(s: np.ndarray, y: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -713,7 +709,7 @@ _fwhm_by_bisection = _fwhms
 _positive_intervals = minimize_scalar = _stationary
 
 
-def spectrum_peak(blocks: BeamBlocks) -> tuple[np.ndarray, np.ndarray, dict[int, Exception]]:
+def spectrum_peak(blocks: BeamBlocks) -> tuple[np.ndarray, np.ndarray, dict[int, QuadratureError]]:
     """(omega, height) of the maximum of the beam-1 output spectrum
     nu_plus = N / D (module docstring) of each block: the best real root of
     N' D - N D' after Newton steps on the polynomials, measured on the
@@ -723,8 +719,9 @@ def spectrum_peak(blocks: BeamBlocks) -> tuple[np.ndarray, np.ndarray, dict[int,
     lower degree to _roots: every row goes through one root solve, one
     Newton polish and one kernel pass, each elementwise along the problem
     axis, so a row does not depend on the batch. A problem whose polynomials
-    overflow float64 has no candidates (_roots): it gets NaN and its
-    QuadratureError in the failures by row, the third item."""
+    overflow float64 has no candidates (_roots), and one whose height does
+    (n_th ~ 1e304 at g = 5, Gamma = 1e-3) is not finite: either gets NaN and
+    its QuadratureError in the failures by row, the third item."""
     s = _scale(blocks.eigenvalues, np.maximum.reduce(blocks.decay, axis=1))
 
     def step(values):
@@ -740,46 +737,49 @@ def spectrum_peak(blocks: BeamBlocks) -> tuple[np.ndarray, np.ndarray, dict[int,
         r = _polymul(table[1, 0], table[0, 1]) - _polymul(table[0, 0], table[1, 1])
         y, _ = _newton(table, _candidates(r[:, 4 - 4 * blocks.k:]), step)
     omega, height = np.zeros(len(blocks)), np.zeros(len(blocks))
-    # a row without candidates vanishes (N = 0) or overflowed
-    overflow = (np.isnan(y[:, 0]) & np.logical_or.reduce(r != 0, axis=1)).nonzero()[0]
-    failures = {p: _overflow("the spectrum", blocks.n_th[p], s[p]) for p in overflow.tolist()}
-    omega[overflow] = height[overflow] = np.nan
     idx = np.isfinite(y[:, 0]).nonzero()[0]
     if idx.size:
         w = s[idx, None] * y[idx]
-        f = _gram(blocks, np.concatenate([w, -w], axis=1).ravel(),
-                  lambda *g: np.add(*_spectrum(*g)), idx.repeat(2 * y.shape[1]))
+        with np.errstate(over="ignore"):    # a height beyond float64 fails its row below
+            f = _gram(blocks, np.concatenate([w, -w], axis=1).ravel(),
+                      lambda *g: np.add(*_spectrum(*g)), idx.repeat(2 * y.shape[1]))
         omega[idx], height[idx] = _peak(s[idx], y[idx], f.reshape(idx.size, -1))
-    return omega, height, failures
+    # a row without candidates vanishes (N = 0) or its polynomials overflow
+    unsolved = np.isnan(y[:, 0]) & np.logical_or.reduce(r != 0, axis=1)
+    failed = (unsolved | ~np.isfinite(height)).nonzero()[0]
+    omega[failed] = height[failed] = np.nan
+    return omega, height, {p: _overflow("the polynomials of the spectrum overflow" if unsolved[p]
+                                        else "the spectrum peak overflows", blocks.n_th[p], s[p])
+                           for p in failed.tolist()}
 
 
-def _check_tol(tol: float) -> None:
-    """Raise ValueError unless tol is a finite positive number."""
-    if not 0 < tol < math.inf:
-        raise ValueError(f"tol must be a finite positive number, got {tol}")
+def _overflow(what: str, n_th: float, s: float) -> QuadratureError:
+    """The failure of a problem where what, a subject and its verb ("the
+    polynomials of E overflow"), passes float64."""
+    return QuadratureError(f"{what} float64 at n_th={n_th:g} and frequency scale s={s:g}")
 
 
-def _overflow(quantity: str, n_th: float, s: float) -> QuadratureError:
-    """The failure of a problem whose polynomials of quantity overflow float64."""
-    return QuadratureError(f"the polynomials of {quantity} overflow float64 at n_th={n_th:g} "
-                           f"and frequency scale s={s:g}")
-
-
-def _rates(blocks: BeamBlocks, tol: float, names: Collection[str]) -> dict[str, list]:
+def _rates(blocks: BeamBlocks, tol: float, names: Collection[str],
+           ) -> tuple[dict[str, np.ndarray], dict[str, dict[int, QuadratureError]]]:
     """The RateResult fields of each stable, reciprocal block of the batch
-    (module docstring), each with its own failure: by field, in RateResult's
-    order, one entry per block, the value or the QuadratureError of the
-    stage that gives it. Gamma_E and quadrature_error come from the
-    quadrature, which always runs; the fields of the E-peak stage only
-    where names (fields or sweep quantities) holds one of them."""
+    (module docstring), each with its own failure: (values, failures) by
+    field in RateResult's order, a float64 array over the batch, NaN where
+    the field fails, and the QuadratureError of the stage that gives it by
+    row. Gamma_E and quadrature_error come from the quadrature, which always
+    runs; E_max, omega_max and the FWHM from the E-peak stage, only where
+    names (fields or sweep quantities) holds one of _PEAK_FIELDS; the peak
+    count only where names holds secondary_peaks."""
     peaks = not _PEAK_FIELDS.isdisjoint(names)
+    # the quadrature's fields, the E-peak stage's but the count where names
+    # asks for one of them, and the count where it asks for the count
+    values = {f: np.zeros(len(blocks)) for f in RateResult.__match_args__
+              if f in names or f not in _PEAK_FIELDS or peaks and f != "secondary_peaks"}
+    failures: dict[str, dict[int, QuadratureError]] = {f: {} for f in values}
     widest = np.maximum.reduce(blocks.decay, axis=1)
-    out = {f: [v] * len(blocks) for f, v in vars(_NO_ENTANGLEMENT).items()
-           if peaks or f not in _PEAK_FIELDS}
     # E > 0 on the whole line where K > 0, E = 0 everywhere where K = 0
     pos = (blocks.gram_table[1][0] > 0).nonzero()[0]
     if not pos.size:
-        return out
+        return values, failures
     if pos.size < len(blocks):
         blocks, widest = blocks.take(pos), widest[pos]
     # the points that the first kernel pass measures for the E-peak stage
@@ -805,28 +805,36 @@ def _rates(blocks: BeamBlocks, tol: float, names: Collection[str]) -> dict[str, 
         return e[:t.size] * (sc * (1.0 + t * t))
 
     with np.errstate(over="ignore"):    # as in spectral_density_batch
-        totals, errors, failures = adaptive_gk_batch(integrand, edges,
-                                                     np.full(pos.size, math.pi * tol))
-    for p, failure, total, error in zip(pos.tolist(), failures, totals.tolist(), errors.tolist()):
-        failure = failure and QuadratureError(failure.reason, failure.value / _TWO_PI,
-                                              failure.error_estimate / _TWO_PI)
-        out["gamma_E"][p] = failure or total / _TWO_PI
-        out["quadrature_error"][p] = failure or error / _TWO_PI
+        totals, errors, gk_failures = adaptive_gk_batch(integrand, edges,
+                                                        np.full(pos.size, math.pi * tol))
+    # NaN where the quadrature fails
+    values["gamma_E"][pos], values["quadrature_error"][pos] = totals / _TWO_PI, errors / _TWO_PI
+    rows = pos.tolist()
+    # one failure of the quadrature fails both of its fields
+    failures["gamma_E"] = failures["quadrature_error"] = {
+        p: QuadratureError(f.reason, f.value / _TWO_PI, f.error_estimate / _TWO_PI)
+        for p, f in zip(rows, gk_failures) if f}
     if not peaks:
-        return out
-    values, omega_max, e_max, starts = peaks_at(at_w[0])
+        return values, failures
+    at, omega_max, e_max, starts = peaks_at(at_w[0])
     # a problem whose polynomials overflow has no peak candidates (_roots),
     # so no omega_max: a NaN E_max keeps it out of the flanks and the count
-    e_max[np.isnan(omega_max)] = np.nan
-    widths, fwhm_failures = _fwhms(blocks, s, polys, omega_max, e_max, starts)
-    top, where, width, count = (a.tolist() for a in (
-        e_max, omega_max, widths, _count_local_maxima(values, e_max)))
-    for j, p in enumerate(pos.tolist()):
-        failure = _overflow("E", blocks.n_th[j], s[j]) if math.isnan(where[j]) else None
-        out["E_max"][p], out["omega_max"][p] = failure or top[j], failure or where[j]
-        out["fwhm"][p] = failure or fwhm_failures[j] or width[j]
-        out["secondary_peaks"][p] = failure or count[j] - 1
-    return out
+    overflow = np.isnan(omega_max)
+    e_max[overflow] = np.nan
+    peak = {"E_max": e_max, "omega_max": omega_max,
+            "fwhm": _fwhms(blocks, s, polys, omega_max, e_max, starts)}
+    if "secondary_peaks" in values:
+        peak["secondary_peaks"] = _count_local_maxima(at, e_max) - 1.0
+    failed = {rows[j]: _overflow("the polynomials of E overflow", blocks.n_th[j], s[j])
+              for j in overflow.nonzero()[0].tolist()}
+    for f, v in peak.items():
+        v[overflow] = np.nan
+        values[f][pos] = v
+        failures[f].update(failed)
+    for j in (np.isnan(peak["fwhm"]) & ~overflow).nonzero()[0].tolist():
+        failures["fwhm"][rows[j]] = QuadratureError(
+            f"no half-maximum crossing on one side of omega_max={omega_max[j].item()}")
+    return values, failures
 
 
 def entanglement_rate(d: DriftMatrix, n_th: float = 0.0, tol: float = 1e-6) -> RateResult:
@@ -836,12 +844,13 @@ def entanglement_rate(d: DriftMatrix, n_th: float = 0.0, tol: float = 1e-6) -> R
     peak: _rates of d's block gated as a batch of one. Raises, in this
     order, the ValueError of a bad tol, the failures of BeamBlocks.of and
     the first QuadratureError of its fields (Gamma_E's first)."""
-    _check_tol(tol)
-    values = [column[0] for column in _rates(BeamBlocks.of(d, n_th), tol, _PEAK_FIELDS).values()]
-    for value in values:
-        if isinstance(value, Exception):
-            raise value
-    return RateResult(*values)
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be a finite positive number, got {tol}")
+    values, failures = _rates(BeamBlocks.of(d, n_th), tol, _PEAK_FIELDS)
+    for failed in filter(None, failures.values()):
+        raise failed[0]
+    *floats, count = (v.item() for v in values.values())
+    return RateResult(*floats, int(count))
 
 
 def _count_local_maxima(values: np.ndarray, e_max: np.ndarray) -> np.ndarray:

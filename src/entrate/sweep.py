@@ -9,23 +9,33 @@ the gated blocks stacked with their eigenvalues, each the k x k block that
 models.drift_full or drift_effective gives for its point alone, bit for
 bit. Each quantity runs once per chunk on that problem axis: the rate
 fields in one rates._rates call (its E-peak stage only for E_max or
-fwhm), the pair rates in one stacked solve and the spectrum peaks in one
-rates.spectrum_peak call. A batched value equals the one-point value bit
-for bit, so the rows, emitted strictly in grid order, are byte-stable
-whatever the worker count and however the grid is split into sweeps.
-Unstable points are flagged in the status column rather than aborting the
-sweep, and so are points whose parameters are invalid or where a quantity
-fails: the row keeps the quantities that succeeded, NaN for the others,
-and the first failure in column order is its status.
+fwhm, and never the peak count, which no column shows), the pair rates in
+one stacked solve and the spectrum peaks in one rates.spectrum_peak call.
+Each gives a float64 array over the chunk, NaN where it fails, and its
+failures by row. A batched value equals the one-point value bit for bit,
+so the rows, emitted strictly in grid order, are byte-stable whatever the
+worker count and however the grid is split into sweeps.
+
+The result is columns: the chunks' arrays go into one NaN-filled column
+per value column at the grid's stable points, the stability margins come
+from the gate, and each point's status from its parameter error, the
+gate, or the first failure of its quantities in column order. Unstable
+points are flagged in the status column rather than aborting the sweep,
+and so are points whose parameters are invalid or where a quantity fails
+(the polynomials of E or of the spectrum overflow, or the spectrum peak's
+height passes float64): the row keeps the quantities that succeeded, NaN
+for the others. SweepResult.table, value_grid and write_csv read the
+columns; SweepResult.rows, a SweepRow per point, is built on first use.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from itertools import repeat
 from typing import IO, Sequence
 
@@ -288,12 +298,6 @@ class SweepConfig:
         return cls.from_dict(doc)
 
 
-def _columns(quantities: Sequence[str]) -> list[str]:
-    """The value columns of quantities, in their order."""
-    return [c for q in quantities
-            for c in (("spectrum_peak", "spectrum_peak_omega") if q == "spectrum" else (q,))]
-
-
 @dataclass
 class SweepRow:
     axis_values: tuple[float, ...]
@@ -303,23 +307,32 @@ class SweepRow:
 
 @dataclass
 class SweepResult:
+    """The sweep's table as columns, one cell per grid point in row-major
+    order: the axis values, each value column (NaN where unavailable), the
+    status, and whether the point's parameters are valid."""
     config: SweepConfig
-    rows: list[SweepRow] = field(default_factory=list)
+    axis_values: list[np.ndarray]
+    values: dict[str, np.ndarray]
+    status: list[str]
+    valid: np.ndarray
+
+    @functools.cached_property
+    def rows(self) -> list[SweepRow]:
+        """One SweepRow per grid point (_eval_point), built on first use."""
+        cells = zip(*(c.tolist() for c in self.values.values()))
+        return list(map(_eval_point, zip(*(c.tolist() for c in self.axis_values)),
+                        repeat(list(self.values)), cells, self.valid.tolist(), self.status))
 
     def columns(self) -> list[str]:
-        return [a.name for a in self.config.axes] + _columns(self.config.quantities)
+        return [a.name for a in self.config.axes] + list(self.values)
 
     def header(self) -> list[str]:
         return [c + " [kappa]" if c in _KAPPA_COLUMNS else c for c in self.columns()]
 
-    def table(self) -> tuple[list[str], list[list[float | str]]]:
+    def table(self) -> tuple[list[str], list[Sequence[float | str]]]:
         """Header and columns, one cell per grid point: axis values,
         quantities (NaN where unavailable) and the status."""
-        quantities = self.columns()[len(self.config.axes):]
-        return self.header() + ["status"], [
-            *([row.axis_values[i] for row in self.rows] for i in range(len(self.config.axes))),
-            *([row.values.get(c, math.nan) for row in self.rows] for c in quantities),
-            [row.status for row in self.rows]]
+        return self.header() + ["status"], [*self.axis_values, *self.values.values(), self.status]
 
     def write_csv(self, fh: IO[str]) -> None:
         """The table as CSV (a failure status with commas is quoted)."""
@@ -331,75 +344,61 @@ class SweepResult:
     def value_grid(self, quantity: str) -> np.ndarray:
         """Quantity as an array shaped like the grid (NaN where unavailable);
         ValueError unless it names a value column of the sweep."""
-        names = _columns(self.config.quantities)
-        if quantity not in names:
-            raise ValueError(f"{quantity!r} is not a value column of this sweep; columns: {names}")
-        vals = np.array([row.values.get(quantity, math.nan) for row in self.rows])
-        return vals.reshape(self.grid_shape())
+        if quantity not in self.values:
+            raise ValueError(f"{quantity!r} is not a value column of this sweep; "
+                             f"columns: {list(self.values)}")
+        return self.values[quantity].reshape(self.grid_shape()).copy()
 
 
 def _eval_chunk(quantities: tuple[str, ...], tol: float, blocks: scattering.BeamBlocks,
-                ) -> list[tuple[dict[str, float], str]]:
-    """The values and the status of each of a contiguous chunk of stable
-    points, given as their beam blocks, each quantity from one batched call
-    over the chunk: the rate fields from rates._rates (the E-peak stage
-    only for E_max or fwhm), the pair rates from scattering._pair_rate and
-    the spectrum peaks from rates.spectrum_peak. A quantity that fails at a
-    point (its polynomials overflow, say) is left out of its values, and
-    the first such failure in column order is its `failed: ...` status;
-    the pair rate cannot fail at a stable point."""
-    columns: dict[str, list] = {}
-    if {"E_max", "gamma_E", "fwhm"}.intersection(quantities):
-        columns.update(rates._rates(blocks, tol, quantities))
+                ) -> tuple[dict[str, np.ndarray], dict[str, dict[int, Exception]]]:
+    """The quantities of a contiguous chunk of stable points, given as their
+    beam blocks, each from one batched call over the chunk: by column, a
+    float64 array over the chunk (NaN where it fails) and its failures by
+    row. The rate fields come from rates._rates (the E-peak stage only for
+    E_max or fwhm; other fields than the columns ride along), the pair rates
+    from scattering._pair_rate, which cannot fail at a stable point, and the
+    spectrum peaks from rates.spectrum_peak."""
+    rated = {"E_max", "gamma_E", "fwhm"}.intersection(quantities)
+    values, failures = rates._rates(blocks, tol, quantities) if rated else ({}, {})
     if "pair_rate" in quantities:
-        columns["pair_rate"] = scattering._pair_rate(blocks.m, blocks.decay).tolist()
+        values["pair_rate"] = scattering._pair_rate(blocks.m, blocks.decay)
     if "spectrum" in quantities:
-        omega, height, failures = rates.spectrum_peak(blocks)
-        columns["spectrum_peak"], columns["spectrum_peak_omega"] = (
-            [failures.get(i, v) for i, v in enumerate(c.tolist())] for c in (height, omega))
-    names = [c for c in _columns(quantities) if c in columns]
-    cells = [dict(zip(names, row)) for row in zip(*(columns[c] for c in names))]
-    return [({c: v for c, v in row.items() if not isinstance(v, Exception)},
-             next((f"failed: {v}" for v in row.values() if isinstance(v, Exception)), "ok"))
-            for row in cells or [{}] * len(blocks)]
+        # the peak's omega fails with its height, whose column comes first
+        omega, height, failures["spectrum_peak"] = rates.spectrum_peak(blocks)
+        values.update(spectrum_peak=height, spectrum_peak_omega=omega)
+    return values, failures
 
 
-def _eval_point(axis_values: tuple[float, ...], quantities: tuple[str, ...],
-                margin: float | None, computed: tuple[dict[str, float], str] | None) -> SweepRow:
-    """One grid point's row from its stability margin (None for invalid
-    parameters) and what its chunk computed: its values and status (a
-    failure status also for invalid parameters), or None where it is not
-    stable."""
-    out: dict[str, float] = {}
-    if margin is not None and "stability_margin" in quantities:
-        out["stability_margin"] = margin
-    if computed is None:
-        return SweepRow(axis_values, out, "unstable")
-    out.update(computed[0])
-    return SweepRow(axis_values, out, computed[1])
+def _eval_point(axis_values: tuple, names: list, cells: tuple, valid: bool, status: str):
+    """One grid point's SweepRow from its cells of the value columns names:
+    its values are the cells that hold one, not NaN, and the stability
+    margin of a point whose parameters are valid also where the gate could
+    not solve its block (NaN)."""
+    return SweepRow(axis_values, {c: v for c, v in zip(names, cells) if not math.isnan(v)
+                                  or valid and c == "stability_margin"}, status)
 
 
 def run_sweep(config: SweepConfig) -> SweepResult:
-    """Evaluate the grid; row order is the row-major product of axis values."""
+    """Evaluate the grid; row order is the row-major product of axis values.
+    Each chunk's columns go into the grid's columns at its stable points;
+    a point's status is its parameter error, the gate's failure or verdict,
+    or the first failure of its quantities in column order."""
     grid = [c.ravel() for c in np.meshgrid(*(a.values() for a in config.axes), indexing="ij")]
-    points = list(zip(*(c.tolist() for c in grid)))
-    quantities = tuple(config.quantities)
+    n, quantities = grid[0].size, tuple(config.quantities)
 
     m, decay, n_th, errors = models.beam_blocks(config.model, {
         **_DEFAULTS[config.model], **config.fixed,
         **{a.name: c for a, c in zip(config.axes, grid)}})
-    valid = np.delete(np.arange(len(points)), list(errors))
-    blocks, stable, margin, failures = scattering.BeamBlocks.gate(m, decay, n_th)
-    computed: dict[int, tuple[dict[str, float], str]] = {
-        i: ({}, f"failed: {message}") for i, message in errors.items()}
-    # an unstable point has no entry: its row says so
-    computed.update((valid[j].item(), ({}, f"failed: {exc}")) for j, exc in failures.items())
+    valid = np.delete(np.arange(n), list(errors))
+    blocks, passed, margin, failures = scattering.BeamBlocks.gate(m, decay, n_th)
+    stable = valid[passed]
     # jobs = 0: the CPUs this process may run on
     cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
              else os.cpu_count() or 1)
     jobs = min(config.jobs if config.jobs > 0 else cores, stable.size)
-    chunks = (repeat(quantities), repeat(config.tol), [
-        blocks.take(c) for c in np.array_split(np.arange(stable.size), max(jobs, 1)) if c.size])
+    parts = [c for c in np.array_split(np.arange(stable.size), max(jobs, 1)) if c.size]
+    chunks = (repeat(quantities), repeat(config.tol), [blocks.take(c) for c in parts])
     if jobs <= 1 or stable.size < 4:
         results = list(map(_eval_chunk, *chunks))
     else:
@@ -408,8 +407,20 @@ def run_sweep(config: SweepConfig) -> SweepResult:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_eval_chunk, *chunks))
-    computed.update(zip(valid[stable].tolist(), (c for chunk in results for c in chunk)))
-    margin_of = dict(zip(valid.tolist(), margin.tolist()))
-    rows = [_eval_point(pt, quantities, margin_of.get(i), computed.get(i))
-            for i, pt in enumerate(points)]
-    return SweepResult(config=config, rows=rows)
+
+    values = {c: np.full(n, np.nan) for q in quantities
+              for c in (("spectrum_peak", "spectrum_peak_omega") if q == "spectrum" else (q,))}
+    if "stability_margin" in values:
+        values["stability_margin"][valid] = margin
+    status = np.full(n, "unstable", dtype=object)
+    status[stable] = "ok"
+    for i, failure in [*errors.items(), *zip(valid[list(failures)], failures.values())]:
+        status[i] = f"failed: {failure}"
+    for part, (chunk, chunk_failures) in zip(parts, results):
+        # the last column first: a row's status is its first failure in column order
+        for c in reversed(values):
+            if c in chunk:
+                values[c][stable[part]] = chunk[c]
+            for j, exc in chunk_failures.get(c, {}).items():
+                status[stable[part[j]]] = f"failed: {exc}"
+    return SweepResult(config, grid, values, status.tolist(), np.isin(np.arange(n), valid))

@@ -31,7 +31,10 @@ def batch_rates(drifts, n_ths, tol: float = 1e-6) -> list:
     first QuadratureError of its fields, which entanglement_rate raises."""
     blocks, places, failures = gated(drifts, n_ths)
     out = [failures.get(i) for i in range(len(drifts))]
-    columns = _rates(blocks, tol, _PEAK_FIELDS).values() if places else []
-    for i, values in zip(places, zip(*columns)):
-        out[i] = next((v for v in values if isinstance(v, Exception)), None) or RateResult(*values)
+    if places:
+        values, failed = _rates(blocks, tol, _PEAK_FIELDS)
+        for j, i in enumerate(places):
+            *floats, count = (v[j].item() for v in values.values())
+            out[i] = (next((f[j] for f in failed.values() if j in f), None)
+                      or RateResult(*floats, int(count)))
     return out

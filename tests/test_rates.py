@@ -155,9 +155,8 @@ class TestWholeLineAndCrossings:
         assert entanglement_rate(d, n_th).E_max >= e_max - 2e-12 * max(1.0, e_max)
         # NaN starts: the crossings are found afresh
         fresh = np.full((1, 2, 2), np.nan), np.full((1, 2, 2), np.nan)
-        (width,), (failure,) = _fwhms(blocks, s, polys, np.array([omega_max]),
-                                      np.array([e_max]), fresh)
-        assert failure is None
+        (width,) = _fwhms(blocks, s, polys, np.array([omega_max]), np.array([e_max]), fresh)
+        assert np.isfinite(width)
         assert abs(width - fwhm_by_bisection(d, n_th, omega_max, e_max)) <= 2e-9
 
     def test_non_reciprocal_block_rejected(self):
@@ -193,10 +192,11 @@ class TestWholeLineAndCrossings:
             e = spectral_density_batch(d, omegas, 1e200)
             *_, e_with_spectrum = spectrum_and_density(d, omegas, 1e200)
             e_at_zero = spectral_density(d, 0.0, 1e200)
-            rate = rates._rates(BeamBlocks.of(d, 1e200), 1e-6, ["gamma_E"])
+            rate, failures = rates._rates(BeamBlocks.of(d, 1e200), 1e-6, ["gamma_E"])
         assert np.isfinite(e).all() and (e > 0).all()
         assert e.tobytes() == e_with_spectrum.tobytes() and e_at_zero == e[1]
-        assert list(rate) == ["gamma_E", "quadrature_error"]
+        assert list(rate) == list(failures) == ["gamma_E", "quadrature_error"]
+        assert failures == {"gamma_E": {}, "quadrature_error": {}}
         assert rate["gamma_E"][0] == pytest.approx(6.25e-197, rel=1e-12)
 
 

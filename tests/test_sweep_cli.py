@@ -181,6 +181,7 @@ class TestRunSweep:
         # a 9 x 9 map without E_max or fwhm, unstable points among its
         # rows, never enters the E-peak stage of the rate, and its Gamma_E is
         # the one-point rate's bit for bit; with E_max it enters every step
+        # but the peak count, which no column shows
         from entrate import rates
         called = []
         for name in ("_stationary", "_fwhms", "_count_local_maxima"):
@@ -193,7 +194,7 @@ class TestRunSweep:
         assert called == []
         run_sweep(SweepConfig(model="full", fixed=fixed, axes=axes[:1], quantities=["E_max"],
                               jobs=1))
-        assert set(called) == {"_stationary", "_fwhms", "_count_local_maxima"}
+        assert set(called) == {"_stationary", "_fwhms"}
         monkeypatch.undo()
         assert {row.status for row in rows} == {"ok", "unstable"}
         for row in rows:
@@ -321,6 +322,117 @@ class TestRunSweep:
         assert [line.split(",")[-1].split(" at ")[0] for line in out.read_text().splitlines()[2:]] \
             == ["failed: the polynomials of the spectrum overflow float64"] * 3
 
+    def test_overflowing_spectrum_height_fails_its_row_only(self):
+        # at g = 5, Gamma = 1e-3 the height of the spectrum peak grows like
+        # n_th and passes float64 from n_th ~ 1e304: those rows fail, naming
+        # the overflow, with NaN in both spectrum columns and no
+        # RuntimeWarning, and the rows below stay ok and finite
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = run_sweep(SweepConfig(
+                model="full", fixed={"g": 5.0, "Gamma": 1e-3}, jobs=1, quantities=["spectrum"],
+                axes=[SweepAxis("n_th", 1e302, 1e305, 4, log=True)]))
+        assert result.status == ["ok", "ok"] + [
+            f"failed: the spectrum peak overflows float64 at n_th={n} and frequency scale s=1.5"
+            for n in ("1e+304", "1e+305")]
+        for column in ("spectrum_peak", "spectrum_peak_omega"):
+            cells = result.value_grid(column)
+            assert np.isfinite(cells[:2]).all() and np.isnan(cells[2:]).all()
+        assert result.value_grid("spectrum_peak")[1] == pytest.approx(1e308, rel=1e-12)
+
+    def test_sweeps_count_no_peaks(self, monkeypatch):
+        # no sweep column shows the peak count, so the 25 x 25 rate map
+        # never counts peaks, and its CSV is the one written when the count
+        # is made; entanglement_rate still counts them
+        from entrate import rates
+        calls = []
+        count, rate_fields = rates._count_local_maxima, rates._rates
+        monkeypatch.setattr(rates, "_count_local_maxima",
+                            lambda *args: calls.append(len(args[0])) or count(*args))
+        config = SweepConfig(model="full", fixed={"g": 5.0, "Gamma": 1e-3, "n_th": 0.0}, jobs=1,
+                             axes=[SweepAxis("delta", -15.0, 15.0, 25),
+                                   SweepAxis("Delta", -1.5, 1.5, 25)],
+                             quantities=["gamma_E", "E_max", "fwhm", "stability_margin"])
+
+        def csv_text():
+            buf = io.StringIO()
+            run_sweep(config).write_csv(buf)
+            return buf.getvalue()
+
+        text = csv_text()
+        assert calls == []
+        monkeypatch.setattr(rates, "_rates", lambda blocks, tol, names: rate_fields(
+            blocks, tol, [*names, "secondary_peaks"]))
+        assert csv_text() == text and calls == [143]
+        monkeypatch.setattr(rates, "_rates", rate_fields)
+        calls.clear()
+        count = entanglement_rate(drift_full(FullModelParams(g=5.0, Gamma=1e-3))).secondary_peaks
+        assert type(count) is int and calls == [1]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_row_view_agrees_with_the_columns(self, jobs):
+        # sweeps with ok, unstable, invalid-parameter, gate-failed and
+        # quantity-failed rows: the rows, the table and the value grids agree
+        # cell for cell, and a row's values hold the margin of every point
+        # with valid parameters (NaN where the gate cannot solve its block)
+        # and each quantity that does not fail in the one-point calls
+        from entrate import models, rates, scattering
+        from entrate.errors import UnstableSystemError
+        configs = [
+            SweepConfig(model="full", fixed={"g": 5.0, "n_th": 0.0}, jobs=jobs,
+                        quantities=["gamma_E", "E_max", "fwhm", "stability_margin"],
+                        axes=[SweepAxis("Gamma", -1e-3, 1e-3, 3),
+                              SweepAxis("delta", -15.0, 15.0, 5)]),
+            SweepConfig(model="full", fixed={"g": 5.0, "Gamma": 1e-3}, jobs=jobs,
+                        quantities=["stability_margin", "gamma_E", "E_max", "fwhm", "spectrum"],
+                        axes=[SweepAxis("n_th", 1.0, 1e200, 5, log=True)]),
+            SweepConfig(model="effective", fixed={"g": 5.0, "delta": 10.0}, jobs=jobs,
+                        quantities=["pair_rate", "spectrum", "stability_margin"],
+                        axes=[SweepAxis("Delta", -1.5, 1.5, 13)]),
+            SweepConfig(model="effective", fixed={"delta": 10.0}, jobs=jobs,
+                        quantities=["stability_margin", "pair_rate"],
+                        axes=[SweepAxis("g", 1.0, 1e200, 3, log=True)])]
+        statuses = set()
+        for config in configs:
+            with np.errstate(over="ignore", invalid="ignore"):
+                result = run_sweep(config)
+            header, columns = result.table()
+            k = len(config.axes)
+            names = result.columns()[k:]
+            assert len(result.rows) == len(columns[-1]) == math.prod(result.grid_shape())
+            for i, row in enumerate(result.rows):
+                assert row.axis_values == tuple(c[i] for c in columns[:k])
+                assert row.status == columns[-1][i]
+                for name, column in zip(names, columns[k:-1]):
+                    cell = float(row.values.get(name, math.nan)).hex()
+                    assert cell == float(column[i]).hex()
+                    assert cell == float(result.value_grid(name).flat[i]).hex()
+                params = {**config.fixed, **dict(zip(result.columns(), row.axis_values))}
+                try:
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        d, n_th = models.build_drift(config.model, params)
+                except ValueError:
+                    statuses.add("invalid")
+                    assert row.values == {} and row.status.startswith("failed: ")
+                    continue
+                keys = {"stability_margin"} & set(names)
+                try:
+                    blocks = scattering.BeamBlocks.of(d, n_th)
+                except (UnstableSystemError, np.linalg.LinAlgError) as exc:
+                    statuses.add(type(exc).__name__)
+                    assert set(row.values) == keys
+                    if isinstance(exc, np.linalg.LinAlgError):
+                        assert math.isnan(row.values.get("stability_margin", 0.0))
+                    continue
+                failures = rates._rates(blocks, config.tol, config.quantities)[1]
+                if "spectrum" in config.quantities:
+                    failed = bool(spectrum_peak(blocks)[2])
+                    failures.update(spectrum_peak=failed, spectrum_peak_omega=failed)
+                keys |= {c for c in names if c not in keys and not failures.get(c)}
+                statuses.add(row.status.split(":")[0])
+                assert set(row.values) == keys
+        assert statuses == {"invalid", "UnstableSystemError", "LinAlgError", "ok", "failed"}
+
     def test_all_cores_are_the_cpus_this_process_may_use(self, monkeypatch):
         import concurrent.futures
         import os
@@ -356,7 +468,10 @@ class TestRunSweep:
 
         def fail(blocks, *args, **kwargs):
             failure = QuadratureError("did not converge", value=1.0, error_estimate=2.0)
-            return {"gamma_E": [failure] * len(blocks), "quadrature_error": [failure] * len(blocks)}
+            failed = dict.fromkeys(range(len(blocks)), failure)
+            return ({"gamma_E": np.full(len(blocks), np.nan),
+                     "quadrature_error": np.full(len(blocks), np.nan)},
+                    {"gamma_E": failed, "quadrature_error": failed})
 
         monkeypatch.setattr(sweep.rates, "_rates", fail)
         config = SweepConfig(model="full", fixed={"g": 1.0},
