@@ -5,7 +5,7 @@ pair-rate, wannier-check. Output is CSV (schema-versioned header comment,
 17-significant-digit floats, deterministic row order) or JSON via
 --format json. Exit codes: 0 ok, 1 verification/physics failure, 2 usage
 error, 141 stdout closed by its reader. All frequencies and rates are in
-units of kappa.
+the units of the rates given: units of kappa at the default --kappa 1.
 """
 
 from __future__ import annotations
@@ -22,13 +22,15 @@ import numpy as np
 
 from . import __version__, closedforms, models, rates, scattering, verify, wannier
 from .errors import EntrateError, QuadratureError, UnstableSystemError
-from .sweep import SweepAxis, SweepConfig, run_sweep, write_table
+from .sweep import QUANTITIES, SweepAxis, SweepConfig, run_sweep, write_table
 
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--model", choices=("full", "effective"), default="full")
     p.add_argument("--g", type=float, default=5.0, help="coupling rate [kappa]")
-    p.add_argument("--kappa", type=float, default=1.0, help="optical decay (the unit)")
+    p.add_argument("--kappa", type=float, default=1.0,
+                   help="optical decay rate; outputs are in the units of the rates given, "
+                        "so [kappa] means units of kappa only at the default 1")
     p.add_argument("--gamma", type=float, default=1e-3,
                    help="mechanical damping [kappa] (full model)")
     p.add_argument("--delta", type=float, default=0.0,
@@ -244,8 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--axis", action="append", default=None,
                    metavar="name:min:max:steps[:log]")
     p.add_argument("--quantity", action="append", default=None,
-                   choices=("stability_margin", "E_max", "gamma_E", "fwhm",
-                            "pair_rate", "spectrum"))
+                   choices=QUANTITIES)
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--jobs", type=int, default=None,
                    help="worker processes (0 = all cores)")

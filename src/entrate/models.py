@@ -135,12 +135,14 @@ def _block_full(g, Gamma, kappa, Delta, delta, n_th):
 
 def _block_effective(g, delta, kappa, Delta):
     """Beam block of the effective model: diagonal +-i(Delta + g^2/4delta)
-    - kappa/2 with the pair couplings +-i g^2/4delta off it; n_th = 0."""
-    gp = g ** 2 / (4.0 * delta)
-    dg = 1j * (Delta + gp) - kappa / 2
+    - kappa/2 with the pair couplings +-i g^2/4delta off it; n_th = 0. An
+    overflowing g^2/4delta gives a non-finite block, which the gate fails."""
     m = np.empty((g.size, 2, 2), dtype=complex)
-    m[:, 0, 0] = dg;            m[:, 0, 1] = 1j * gp
-    m[:, 1, 0] = -1j * gp;      m[:, 1, 1] = np.conj(dg)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gp = g ** 2 / (4.0 * delta)
+        dg = 1j * (Delta + gp) - kappa / 2
+        m[:, 0, 0] = dg;            m[:, 0, 1] = 1j * gp
+        m[:, 1, 0] = -1j * gp;      m[:, 1, 1] = np.conj(dg)
     return m, np.array([kappa, kappa]).T, np.zeros(g.size)
 
 
@@ -182,8 +184,9 @@ class DriftMatrix:
         if m.shape not in ((2, 2), (3, 3)) or decay.shape != m.shape[:1]:
             raise ValueError("a drift is a 2x2 or 3x3 beam block with one decay rate per "
                              f"row, got m of shape {m.shape} and decay of shape {decay.shape}")
-        if np.count_nonzero(decay < 0):
-            raise ValueError("decay rates must be non-negative")
+        # (NaN fails both comparisons)
+        if np.count_nonzero((0 <= decay) & (decay < np.inf)) < decay.size:
+            raise ValueError("decay rates must be finite and non-negative")
         m.flags.writeable = decay.flags.writeable = False
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "decay", decay)
@@ -245,8 +248,11 @@ def stability(d: DriftMatrix) -> StabilityReport:
     |max Re(eig)| <= STABILITY_TOL are flagged marginal and are not stable,
     so every gate that asks for a stable drift rejects a point on the
     instability boundary. The verdict of stability_gate on the block alone.
+    Raises LinAlgError when the block has a non-finite entry.
     """
     _, (margin,), (stable,) = stability_gate(d.m[None])
+    if np.isnan(margin):
+        raise LinAlgError("Array must not contain infs or NaNs")
     return StabilityReport(stable=bool(stable), max_real_part=float(margin),
                            marginal=bool(abs(margin) <= STABILITY_TOL))
 
@@ -258,7 +264,8 @@ def stability_gate(m: NDArray[np.complex128],
     its verdict stable, margin < -STABILITY_TOL (P,). A block within
     STABILITY_TOL of the boundary is marginal: not stable. LAPACK solves
     the stacked matrices one by one, so a block's verdict does not depend
-    on the others. Raises LinAlgError when a block has a non-finite entry."""
+    on the others. A block with a non-finite entry has NaN eigenvalues and
+    margin (eigvals), and is not stable."""
     eigenvalues = eigvals(m)
     margin = np.maximum.reduce(eigenvalues.real, axis=-1)
     return eigenvalues, margin, margin < -STABILITY_TOL
@@ -272,15 +279,22 @@ def eigvals(a: NDArray) -> NDArray[np.complex128]:
     """The complex eigenvalues of each matrix of the stack a (..., n, n),
     real or complex, as np.linalg.eigvals finds them (the same LAPACK
     gufunc, bit for bit) without its wrapper's work on the array's type,
-    and complex even where they are all real. Keeps its two checks: raises
-    LinAlgError on a non-finite entry, and when a solve does not converge."""
+    and complex even where they are all real. A matrix with a non-finite
+    entry is not solved: its eigenvalues are NaN, and the other matrices'
+    are those of their own solves. Raises LinAlgError when a solve does not
+    converge."""
+    finite, bad = np.isfinite(a), None
     # (count_nonzero is the cheapest "all" of a small array)
-    if np.count_nonzero(np.isfinite(a)) < a.size:
-        raise LinAlgError("Array must not contain infs or NaNs")
+    if np.count_nonzero(finite) < a.size:
+        bad = ~np.logical_and.reduce(finite, axis=(-2, -1))
+        a = np.where(bad[..., None, None], 0, a)
     # the gufunc flags a solve that did not converge as an invalid operation
     with np.errstate(call=_not_converged, invalid="call", over="ignore", divide="ignore",
                      under="ignore"):
-        return _geev(a, signature="D->D" if a.dtype.kind == "c" else "d->D")
+        eigenvalues = _geev(a, signature="D->D" if a.dtype.kind == "c" else "d->D")
+    if bad is not None:
+        eigenvalues[bad] = np.nan
+    return eigenvalues
 
 
 def stability_boundary_effective(g: float, kappa: float, delta: float) -> tuple[float, ...]:

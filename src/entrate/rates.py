@@ -175,7 +175,6 @@ from dataclasses import dataclass
 from typing import Collection, Sequence
 
 import numpy as np
-from numpy.linalg import LinAlgError
 
 from .errors import QuadratureError
 from .models import DriftMatrix, eigvals
@@ -507,12 +506,7 @@ def _roots(p: np.ndarray) -> np.ndarray:
     # a row without a core gets a NaN companion (0 / 0)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         np.divide(q[:, 1:], -q[:, :1], out=companion[:, 0])
-        try:
-            roots = eigvals(companion)
-        except LinAlgError:
-            finite = np.logical_and.reduce(np.isfinite(companion[:, 0]), axis=1)
-            roots = np.full((len(p), n), np.nan, dtype=complex)
-            roots[finite] = eigvals(companion[finite])
+        roots = eigvals(companion)
         if odd:
             # the zeros of the core's padding are missing roots, and so are
             # those of the reversed solve: a row solved as it stands keeps its

@@ -197,30 +197,17 @@ class BeamBlocks:
         """Of the stacked beam blocks m (P, k, k), decays (P, k) and n_th (P,),
         whose n_th the caller has checked: the batch that passes, with the
         eigenvalues of one stacked solve (models.stability_gate), its places
-        among the P, each margin max Re(eig) (NaN where unsolved; a solved
-        block not in the batch is not stable) and the LinAlgError of each
-        block with a non-finite entry by place (looked for only when the
-        stacked solve rejects the stack)."""
-        failures: dict[int, Exception] = {}
-        solved = np.arange(len(m))
-        try:
-            eigenvalues, solved_margin, stable = stability_gate(m)
-        except LinAlgError:
-            # the stacked solve rejects a stack with a non-finite entry: the
-            # blocks that have one fail, and the others are solved again
-            finite = np.logical_and.reduce(np.isfinite(m), axis=(1, 2))
-            if np.logical_and.reduce(finite):
-                raise
-            for i in solved[~finite].tolist():
-                failures[i] = LinAlgError("Array must not contain infs or NaNs")
-            solved = solved[finite]
-            eigenvalues, solved_margin, stable = stability_gate(m[solved])
-        if not failures and np.count_nonzero(stable) == stable.size:
-            return cls(m, decay, n_th, eigenvalues), solved, solved_margin, failures
-        margin = np.full(len(m), np.nan)
-        margin[solved] = solved_margin
-        passed = solved[stable]
-        blocks = cls(m[passed], decay[passed], n_th[passed], eigenvalues[stable])
+        among the P, each margin max Re(eig) (P,) and the LinAlgError of each
+        block with a non-finite entry by place: such a block has NaN
+        eigenvalues and margin (models.eigvals), and does not pass."""
+        eigenvalues, margin, stable = stability_gate(m)
+        if np.count_nonzero(stable) == stable.size:
+            return cls(m, decay, n_th, eigenvalues), np.arange(len(m)), margin, {}
+        failures: dict[int, Exception] = {
+            i: LinAlgError("Array must not contain infs or NaNs")
+            for i in np.flatnonzero(np.isnan(margin)).tolist()}
+        passed = np.flatnonzero(stable)
+        blocks = cls(m[passed], decay[passed], n_th[passed], eigenvalues[passed])
         return blocks, passed, margin, failures
 
     @classmethod

@@ -80,8 +80,18 @@ class TestDriftFull:
                                  (d.m, d.decay[:2]), (d.m[:2], d.decay[:2].tolist() + [1.0])):
             with pytest.raises(ValueError, match="2x2 or 3x3 beam block"):
                 DriftMatrix(bad_m, bad_decay)
-        with pytest.raises(ValueError, match="non-negative"):
-            DriftMatrix(d.m, [1.0, -1.0, 1e-3])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    def test_decay_outside_zero_to_inf_rejected(self, bad):
+        # a NaN decay once gave a silent zero rate: K = NaN failed the K > 0
+        # filter, so the drift was taken for g = 0
+        d = drift_full(full())
+        for i in range(3):
+            decay = np.array(d.decay)
+            decay[i] = bad
+            with pytest.raises(ValueError, match="^decay rates must be finite and non-negative$"):
+                DriftMatrix(d.m, decay)
+        DriftMatrix(d.m, [0.0, 1.0, 1e-3])
 
 
 class TestDriftEffective:
@@ -125,6 +135,13 @@ class TestStability:
     def test_inside_boundary_interval_unstable(self):
         d = drift_effective(EffectiveModelParams(g=5.0, delta=10.0, Delta=-0.5))
         assert not stability(d).stable
+
+    def test_non_finite_block_raises(self):
+        # eigvals gives the block NaN eigenvalues; the report has no verdict
+        m = np.array(drift_full(full()).m)
+        m[0, 2] = np.inf
+        with pytest.raises(np.linalg.LinAlgError, match="Array must not contain infs or NaNs"):
+            stability(DriftMatrix(m, [1.0, 1.0, 1e-3]))
 
     def test_marginal_point_is_not_stable(self):
         # exactly on the boundary: max Re(eig) = -2.5e-32
@@ -414,11 +431,22 @@ class TestEigvals:
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     @pytest.mark.parametrize("dtype", [float, complex])
-    def test_non_finite_entry_raises(self, bad, dtype):
-        a = np.eye(3, dtype=dtype)[None].repeat(2, axis=0)
-        a[1, 2, 0] = bad
-        with pytest.raises(np.linalg.LinAlgError, match="infs or NaNs"):
-            eigvals(a)
+    def test_non_finite_matrix_has_nan_eigenvalues(self, bad, dtype):
+        # a matrix with a non-finite entry is not solved and has NaN
+        # eigenvalues; the others are np.linalg.eigvals's bit for bit, in
+        # the stack and as one matrix alone
+        rng = np.random.default_rng(7)
+        a = rng.standard_normal((5, 3, 3)).astype(dtype)
+        if dtype is complex:
+            a += 1j * rng.standard_normal((5, 3, 3))
+        a[1, 2, 0] = a[4, 0, 1] = bad
+        got = eigvals(a)
+        assert got.dtype == complex and np.isnan(got[[1, 4]]).all()
+        finite = [0, 2, 3]
+        assert not np.isnan(got[finite]).any()
+        assert got[finite].tobytes() == np.linalg.eigvals(a[finite]).astype(complex).tobytes()
+        assert np.isnan(eigvals(a[1])).all()
+        assert eigvals(a[0]).tobytes() == got[0].tobytes()
 
     def test_solve_that_does_not_converge_raises(self, monkeypatch):
         # LAPACK reports a solve that did not converge by NaN eigenvalues

@@ -275,6 +275,55 @@ class TestSymmetrizedDensity:
         assert one_sided == pytest.approx(rr.gamma_E, rel=1e-3)
 
 
+class TestKappaScaling:
+    """Outputs are in the units of the rates given: scaling every rate,
+    kappa and tol with it, by c scales every output rate and frequency by c
+    and leaves E_max and the peak count as they are. c = 2 and 1/2 scale
+    exactly in float64."""
+
+    @staticmethod
+    def scaled(c, model, rates_, n_th=0.0):
+        p = {"full": FullModelParams, "effective": EffectiveModelParams}[model](
+            kappa=c, **{name: value * c for name, value in rates_.items()})
+        return p, entanglement_rate(drift_of(p), n_th=n_th, tol=1e-6 * c)
+
+    @staticmethod
+    def per_unit(c, rr):
+        return [getattr(rr, f) if f in ("E_max", "secondary_peaks") else getattr(rr, f) / c
+                for f in _RATE_FIELDS]
+
+    @pytest.mark.parametrize("c", [0.5, 2.0])
+    def test_full_model(self, c):
+        rates_ = {"g": 0.3, "Gamma": 0.1, "delta": 0.5, "Delta": -0.2}
+        _, one = self.scaled(1.0, "full", rates_, n_th=2.0)
+        _, rr = self.scaled(c, "full", rates_, n_th=2.0)
+        assert one.omega_max != 0.0 and one.E_max > 0
+        assert self.per_unit(c, rr) == self.per_unit(1.0, one)
+
+    @pytest.mark.parametrize("c", [0.5, 2.0])
+    def test_effective_model(self, c):
+        rates_ = {"g": 2.0, "delta": -8.0, "Delta": 0.3}
+        p1, one = self.scaled(1.0, "effective", rates_)
+        p, rr = self.scaled(c, "effective", rates_)
+        assert self.per_unit(c, rr) == self.per_unit(1.0, one)
+        assert scattering.pair_rate_numeric(p) / c == scattering.pair_rate_numeric(p1)
+
+    @pytest.mark.parametrize("c", [0.5, 2.0])
+    def test_resonant_high_cooperativity_to_round_off(self, c):
+        # at C = 2.5e4, delta = Delta = 0 the block has a nearly double
+        # eigenvalue at -kappa/2 (split by ~sqrt(eps)), whose LAPACK solve
+        # moves by ~1e-8 relative with the scale, and the panel edges with
+        # it: Gamma_E is off by about one ulp and the error estimate by
+        # ~5e-9 relative; the peak is exact
+        rates_ = {"g": 5.0, "Gamma": 1e-3}
+        _, one = self.scaled(1.0, "full", rates_, n_th=2.0)
+        _, rr = self.scaled(c, "full", rates_, n_th=2.0)
+        got, expected = self.per_unit(c, rr), self.per_unit(1.0, one)
+        assert got[1:4] + got[5:] == expected[1:4] + expected[5:]
+        assert got[0] == pytest.approx(expected[0], rel=1e-15, abs=0.0)
+        assert got[4] == pytest.approx(expected[4], rel=1e-7)
+
+
 class TestEntanglementRate:
     def test_zero_coupling(self):
         rr = entanglement_rate(full_drift(g=0.0))

@@ -456,6 +456,24 @@ class TestOneGate:
                 verdicts[name] = (type(result).__name__, str(result))
             assert set(verdicts.values()) == {verdict}, verdicts
 
+    def test_gate_of_stable_unstable_and_non_finite_blocks(self):
+        # one stack: the stable block passes with the eigenvalues of its
+        # solve alone, the unstable one keeps its margin, and the one with
+        # an infinite entry fails with a NaN margin
+        stable, unstable = full_drift(), full_drift(Delta=0.7)
+        m = np.array([stable.m, unstable.m, stable.m])
+        m[2, 0, 2] = np.inf
+        decay = np.array([stable.decay] * 3)
+        blocks, passed, margin, failures = BeamBlocks.gate(m, decay, np.array([0.0, 1.0, 2.0]))
+        alone, (stable_margin, unstable_margin), _ = stability_gate(m[:2])
+        assert passed.tolist() == [0] and blocks.n_th.tolist() == [0.0]
+        assert blocks.eigenvalues.tobytes() == stability_gate(m[:1])[0].tobytes()
+        assert blocks.eigenvalues.tobytes() == alone[:1].tobytes()
+        assert margin[:2].tolist() == [stable_margin, unstable_margin]
+        assert stable_margin < 0 < unstable_margin and np.isnan(margin[2])
+        assert {i: (type(e).__name__, str(e)) for i, e in failures.items()} == {
+            2: ("LinAlgError", "Array must not contain infs or NaNs")}
+
     def test_one_eigen_solve_per_call(self, solves, tmp_path):
         # the gate's solve is the only one of a call without a rate (a rate
         # adds the roots of R and of P_c)
