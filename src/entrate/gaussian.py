@@ -28,8 +28,6 @@ from .errors import UnphysicalStateError
 VACUUM = 0.5
 #: Absolute slack allowed below the vacuum floor of symplectic eigenvalues.
 PHYSICALITY_TOL = 1e-9
-#: Tolerance for pairing the conjugate eigenvalues of i*J*V.
-PAIRING_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -62,13 +60,7 @@ class CovarianceMatrix:
     mode_partition: tuple[int, ...]
 
     def __post_init__(self):
-        v = np.array(self.entries, dtype=float)
-        if v.ndim != 2 or v.shape[0] != v.shape[1] or v.shape[0] % 2:
-            raise ValueError(f"covariance matrix must be square with even dim, got {v.shape}")
-        scale = max(1.0, float(np.max(np.abs(v))))
-        if np.max(np.abs(v - v.T)) > 1e-10 * scale:
-            raise ValueError("covariance matrix is not symmetric")
-        v = 0.5 * (v + v.T)
+        v = _symmetric(self.entries)
         v.flags.writeable = False
         object.__setattr__(self, "entries", v)
         part = tuple(int(b) for b in self.mode_partition)
@@ -102,36 +94,44 @@ def covariance_from_correlators(t: CorrelatorTriple) -> CovarianceMatrix:
     return CovarianceMatrix(v, (1, 2))
 
 
-def _as_matrix(v: CovarianceMatrix | np.ndarray) -> np.ndarray:
-    if isinstance(v, CovarianceMatrix):
-        return v.entries
-    arr = np.asarray(v, dtype=float)
-    scale = max(1.0, float(np.max(np.abs(arr)))) if arr.size else 1.0
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] % 2:
-        raise ValueError("expected a square even-dimensional matrix")
-    if np.max(np.abs(arr - arr.T)) > 1e-10 * scale:
+def _symmetric(v: np.ndarray) -> np.ndarray:
+    """v as a float array, symmetrized, after checking that it is square,
+    of even dimension and symmetric to 1e-10 of its largest entry."""
+    v = np.array(v, dtype=float)
+    if v.ndim != 2 or v.shape[0] != v.shape[1] or v.shape[0] % 2:
+        raise ValueError(f"covariance matrix must be square with even dim, got {v.shape}")
+    if np.max(np.abs(v - v.T)) > 1e-10 * max(1.0, float(np.max(np.abs(v)))):
         raise ValueError("covariance matrix is not symmetric")
-    return arr
+    return 0.5 * (v + v.T)
+
+
+def _cholesky(m: np.ndarray) -> np.ndarray:
+    """The lower-triangular L with V = L L^T; raises UnphysicalStateError
+    when V is not positive definite, as every physical covariance matrix is."""
+    try:
+        return np.linalg.cholesky(m)
+    except np.linalg.LinAlgError as exc:
+        raise UnphysicalStateError("covariance matrix is not positive definite") from exc
+
+
+def _as_matrix(v: CovarianceMatrix | np.ndarray) -> np.ndarray:
+    """V's entries, a bare V checked by _symmetric."""
+    return v.entries if isinstance(v, CovarianceMatrix) else _symmetric(v)
+
+
+def _williamson(l: np.ndarray) -> NDArray[np.float64]:
+    """Symplectic eigenvalues of V = L L^T, ascending: by Williamson's
+    theorem, the positive eigenvalues of the Hermitian i L^T J L, whose
+    spectrum is +-nu (Williamson, Am. J. Math. 58, 141 (1936))."""
+    n_modes = l.shape[0] // 2
+    return np.linalg.eigvalsh(1j * (l.T @ symplectic_form(n_modes) @ l))[n_modes:]
 
 
 def symplectic_spectrum(v: CovarianceMatrix | np.ndarray) -> NDArray[np.float64]:
-    """Symplectic eigenvalues of a covariance matrix, sorted ascending.
-
-    Computed as the moduli of the eigenvalues of i*J*V, which come in
-    conjugate pairs; the pairs are averaged and checked against
-    PAIRING_TOL (scaled by the matrix norm).
-    """
-    m = _as_matrix(v)
-    n_modes = m.shape[0] // 2
-    j_form = symplectic_form(n_modes)
-    vals = np.abs(np.linalg.eigvals(1j * j_form @ m))
-    vals.sort()
-    scale = max(1.0, float(np.max(vals)))
-    pairs = vals.reshape(n_modes, 2)
-    if np.max(np.abs(pairs[:, 1] - pairs[:, 0])) > PAIRING_TOL * scale * 100:
-        raise UnphysicalStateError(
-            f"could not pair conjugate eigenvalues of i*J*V: {vals}")
-    return pairs.mean(axis=1)
+    """Symplectic eigenvalues of a covariance matrix, sorted ascending, from
+    its Cholesky factor (_williamson). Raises UnphysicalStateError when V is
+    not positive definite."""
+    return _williamson(_cholesky(_as_matrix(v)))
 
 
 def partial_transpose_signs(mode_partition: tuple[int, ...]) -> NDArray[np.float64]:
@@ -161,19 +161,14 @@ def log_negativity_general(v: CovarianceMatrix | np.ndarray,
     if len(partition) != m.shape[0] // 2:
         raise ValueError("partition length must equal the number of modes")
 
-    # the eigenvalue moduli of iJV can clear the vacuum floor when V is not positive definite
-    try:
-        np.linalg.cholesky(m)
-    except np.linalg.LinAlgError as exc:
-        raise UnphysicalStateError("covariance matrix is not positive definite") from exc
-    scale = max(1.0, float(np.max(np.abs(m))))
-    nu = symplectic_spectrum(m)
-    if nu.min() < VACUUM - PHYSICALITY_TOL * scale:
+    l = _cholesky(m)
+    nu = _williamson(l)
+    if nu.min() < VACUUM - PHYSICALITY_TOL * max(1.0, float(np.max(np.abs(m)))):
         raise UnphysicalStateError(
             f"covariance matrix violates the uncertainty bound: min nu = {nu.min():.12g}")
 
-    signs = partial_transpose_signs(tuple(partition))
-    vt = signs[:, None] * m * signs[None, :]
-    nu_t = symplectic_spectrum(vt)
+    # the partial transpose P V P is a congruence by the sign matrix P, so
+    # P L is a factor of it
+    nu_t = _williamson(partial_transpose_signs(tuple(partition))[:, None] * l)
     total = -sum(math.log(2.0 * x) for x in nu_t if x < VACUUM)
     return max(0.0, total)

@@ -108,18 +108,6 @@ from .models import stability  # noqa: F401
 from .quadutil import adaptive_gk_batch as adaptive_gk  # noqa: F401
 
 
-@dataclass(frozen=True)
-class SpectrumPoint:
-    """Output intensity spectrum of beam 1 at one frequency, split into the
-    contributions of the optical and mechanical input channels (the input
-    baths are uncorrelated, so the two parts add up to the total)."""
-
-    omega: float
-    total: float
-    optical_part: float
-    mechanical_part: float
-
-
 def _det(m: NDArray[np.complex128]) -> NDArray[np.complex128]:
     """det of each k x k matrix of the stack (P, k, k), correctly rounded.
 
@@ -452,12 +440,12 @@ def spectrum_parts(d: DriftMatrix, omegas: np.ndarray, n_th: float = 0.0,
 
 
 # only tests call it; it stays bound because the benchmark tracer wraps it
-def output_spectrum(d: DriftMatrix, omega: float, n_th: float = 0.0) -> SpectrumPoint:
-    """Channel-resolved output intensity spectrum of beam 1 at one
-    frequency, total = n_plus(omega) - 1/2: spectrum_parts at one point."""
+def output_spectrum(d: DriftMatrix, omega: float, n_th: float = 0.0) -> tuple[float, float]:
+    """(optical, mechanical) parts of the beam-1 output intensity spectrum
+    at one frequency, whose sum is n_plus(omega) - 1/2: spectrum_parts at
+    one point."""
     optical, mechanical = np.concatenate(spectrum_parts(d, np.array([omega]), n_th)).tolist()
-    return SpectrumPoint(omega=float(omega), total=optical + mechanical,
-                         optical_part=optical, mechanical_part=mechanical)
+    return optical, mechanical
 
 
 def pair_rate_numeric(p: EffectiveModelParams) -> float:

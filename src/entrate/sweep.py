@@ -63,7 +63,7 @@ _BLOCK_CELLS = 10240
 def write_table(fh: IO[str], header: list[str], columns: Sequence[Sequence[float | str]],
                 fmt: str = "csv") -> None:
     """Write a table given as columns of equal length, one per header name
-    (at least one), as CSV or as JSON.
+    (at least one, no two alike), as CSV or as JSON.
 
     CSV: a column holds strings or numbers, told apart by its first cell.
     The schema line, the header through csv.writer, then one line per row:
@@ -74,23 +74,18 @@ def write_table(fh: IO[str], header: list[str], columns: Sequence[Sequence[float
     any cells json.dump writes so.
 
     Both stream in blocks of _BLOCK_CELLS // (number of columns) rows (at
-    least one; JSON's columns counted after a repeated key is merged), each
-    turned into text at once (_block_text), so neither a dict or a string
-    per cell nor the whole text is ever built."""
+    least one), each turned into text at once (_block_text), so neither a
+    dict or a string per cell nor the whole text is ever built."""
     n = len(columns[0])
     json_ = fmt == "json"
     if json_:
         if not n:
             fh.write("[]\n")
             return
-        # as in dict(zip(header, row)): a repeated key keeps its first place
-        # and its last column
-        keys = {key: i for i, key in enumerate(header)}
-        columns = [columns[i] for i in keys.values()]
         # each row starts with the "," that joins it to the one before
         literals = [("," if j else ",\n  {") + "\n    "
                     + json.encoder.encode_basestring_ascii(key) + ": "
-                    for j, key in enumerate(keys)] + ["\n  }"]
+                    for j, key in enumerate(header)] + ["\n  }"]
         quotes = [None] * len(columns)
     else:
         fh.write(CSV_SCHEMA_LINE + "\n")

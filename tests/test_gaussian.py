@@ -189,11 +189,26 @@ class TestLogNegativityGeneral:
     def test_rejects_unphysical(self):
         with pytest.raises(UnphysicalStateError):
             log_negativity_general(0.3 * np.eye(4), partition=(1, 2))
-        # V has eigenvalues -0.5 and 1.5, yet both symplectic eigenvalues
-        # (0.866) clear the vacuum floor
-        with pytest.raises(UnphysicalStateError, match="not positive definite"):
-            log_negativity_general(covariance_from_correlators(
-                CorrelatorTriple(0.5, 0.5, 1.0)))
+        # V has eigenvalues -0.5 and 1.5, yet the moduli of the eigenvalues
+        # of iJV (0.866) clear the vacuum floor: no Cholesky factor, so
+        # neither entry point gets as far as a spectrum
+        v = covariance_from_correlators(CorrelatorTriple(0.5, 0.5, 1.0))
+        for call in (lambda: log_negativity_general(v), lambda: symplectic_spectrum(v),
+                     lambda: log_negativity_general(np.array(v.entries), (1, 2)),
+                     lambda: symplectic_spectrum(np.array(v.entries))):
+            with pytest.raises(UnphysicalStateError, match="not positive definite"):
+                call()
+
+    def test_strong_squeezing_with_thermal_noise(self):
+        # r = 8 with 1e-3 thermal noise on one beam: a physical state whose
+        # eigenvalues of iJV were once too far apart to pair; float64 V
+        # leaves E ~1e-7 relative here (eta_- ~ 5e-4 against |V| ~ 2e6)
+        sh2 = math.sinh(8.0) ** 2
+        t = CorrelatorTriple(0.5 + sh2 + 1e-3, 0.5 + sh2, 0.5 * math.sinh(16.0))
+        e = log_negativity_general(covariance_from_correlators(t))
+        fast = excess_form(sh2 + 1e-3, sh2, complex(0.5 * math.sinh(16.0)), 0.5e-3 + 1e-3 * sh2)
+        assert fast == pytest.approx(6.9076428, rel=1e-7)
+        assert e == pytest.approx(fast, rel=1e-6)
 
     def test_partition_required_for_ndarray(self):
         with pytest.raises(ValueError):

@@ -552,7 +552,7 @@ class TestCliCommands:
         (["sweep", "--model", "effective", "--axis", "Delta:-0.6:-0.5:2"],
          "delta must be nonzero"),
         (["sweep", "--gamma", "0", "--axis", "delta:-1:1:3"], "Gamma must be positive"),
-        # a repeated quantity would repeat a CSV column but not a JSON key
+        # a repeated quantity would give two columns one name
         (["sweep", "--model", "effective", "--g", "5", "--delta", "10", "--axis",
           "Delta:-0.3:0.3:2", "--quantity", "pair_rate", "--quantity", "pair_rate"],
          "quantities must be distinct")])

@@ -35,11 +35,11 @@ COLUMN_CELLS = {"text": text, "number": number_cells, "int": ints, "bool": bools
 @st.composite
 def tables(draw):
     """(formats, header, columns): one to four columns of one kind of
-    COLUMN_CELLS each, zero to twelve rows; header names may repeat. A
+    COLUMN_CELLS each, zero to twelve rows, under distinct header names. A
     table with a mixed column is JSON only, as CSV has no such column."""
     kinds = draw(st.lists(st.sampled_from(sorted(COLUMN_CELLS)), min_size=1, max_size=4))
-    header = [draw(st.one_of(st.sampled_from(["a", "E", "omega [kappa]", "%s"]), text))
-              for _ in kinds]
+    header = draw(st.lists(st.one_of(st.sampled_from(["a", "E", "omega [kappa]", "%s"]), text),
+                           min_size=len(kinds), max_size=len(kinds), unique=True))
     n = draw(st.integers(0, 12))
     col_type = draw(st.sampled_from([list, tuple]))
     formats = ("json",) if "mixed" in kinds else ("csv", "json")
