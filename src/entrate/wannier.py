@@ -164,9 +164,14 @@ def filtered_entanglement(d: DriftMatrix, n_th: float,
     seeds = seeds[np.abs(seeds) < half]
     s_scale = float(np.max(np.abs(parts(np.append(seeds, 0.0))))) + 1e-12
     edges = np.array(sorted({-half, half, *seeds.tolist()}))
-    vals, _, failures = adaptive_gk_batch(
-        lambda theta, pid: parts(theta)[pid, np.arange(theta.size)], [edges] * 4,
-        EPSREL * s_scale * 2.0 * half)
+
+    def integrand(theta: np.ndarray, pid: np.ndarray) -> np.ndarray:
+        # the four averages share their edges, so a node of one is often a
+        # node of the others: each distinct node is evaluated once
+        nodes, where = np.unique(theta, return_inverse=True)
+        return parts(nodes)[pid, where]
+
+    vals, _, failures = adaptive_gk_batch(integrand, [edges] * 4, EPSREL * s_scale * 2.0 * half)
     for failure in filter(None, failures):
         raise failure
     nu_plus, nu_minus, xi_re, xi_im = (vals / (2.0 * half)).tolist()

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from entrate import wannier
 from entrate.models import EffectiveModelParams, FullModelParams, drift_effective, drift_full
 from entrate.rates import _panel_omegas, log_negativity, spectral_density
 from entrate.scattering import BeamBlocks, correlator_batch
@@ -242,6 +243,19 @@ class TestFilteredEntanglement:
             filtered_entanglement(self.drift(), 1.0, FilterSpec(0.5, 1e2),
                                   FilterSpec(-0.5, 1e2), shape)
         assert len(built) == 2
+
+    @pytest.mark.parametrize("shape, tau, points", [
+        ("wannier", 1e2, 16), ("wannier", 1e3, 16), ("wannier", 1e4, 16), ("lorentzian", 1e2, 1321)])
+    def test_each_node_evaluated_once(self, monkeypatch, shape, tau, points):
+        # the four averages share their panels: the kernel sees each node
+        # once per call (the scale's seeds, then one call per GK sweep), 16
+        # and 1,321 points where one evaluation per average took 61 and 3,046
+        points_seen, triple = [], wannier._triple
+        monkeypatch.setattr(wannier, "_triple",
+                            lambda b, w: points_seen.append(w.size) or triple(b, w))
+        d = drift_full(FullModelParams(g=5.0, Gamma=0.3, delta=1.0))
+        filtered_entanglement(d, 0.0, FilterSpec(0.3, tau), FilterSpec(-0.3, tau), shape)
+        assert sum(points_seen) == points
 
     @pytest.mark.parametrize("shape", ["wannier", "lorentzian"])
     @pytest.mark.parametrize("omega", [0.0, 0.5])
