@@ -69,8 +69,9 @@ s_++ = (det + kappa_+ A_++) / det (d the decay rates). The Gram form needs
 two entries of A (A_+b and A_-b, full model only), the triple A_++ as well,
 each a polynomial of degree <= k - 1 in t evaluated by Horner's rule in one
 pass with det; every term above is then a product of these over |det|^2. Next
-to the instability boundary det m is small against its
-terms, so it is computed exactly from the float entries and rounded once;
+to the instability boundary det m is small against its terms, and at
+high cooperativity the g^2 terms of tr adj m cancel on resonance, so both
+are computed exactly from the float entries and rounded once (_exact_char);
 E then matches a 50-digit evaluation to a few ulp there, where a float64
 det m (or an LU solve) loses the ratio of terms to det in digits.
 BeamBlocks holds P beam blocks of one model side by side (the problem
@@ -108,41 +109,50 @@ from .models import stability  # noqa: F401
 from .quadutil import adaptive_gk_batch as adaptive_gk  # noqa: F401
 
 
-def _det(m: NDArray[np.complex128]) -> NDArray[np.complex128]:
-    """det of each k x k matrix of the stack (P, k, k), correctly rounded.
+def _exact_char(m: NDArray[np.complex128]) -> NDArray[np.complex128]:
+    """The coefficients of det(m + t) that sum cancelling products, for
+    each k x k matrix of the stack (P, k, k), correctly rounded, (P, k - 1):
+    on a 3x3 matrix the t-coefficient, the sum of its principal 2x2
+    minors, and det m; on a 2x2 one det m.
 
     Next to the instability boundary det m is small against its terms:
     1e-4 from the edge a float64 sum of rounded products loses a factor of
-    5e3 to cancellation. Here every entry of a matrix is an integer
-    multiple of 1/2^j (2^j the largest denominator of its real and
-    imaginary parts), the det of those integers is expanded exactly, and
-    one correctly rounded integer division by 2^(k j) gives the result."""
+    5e3 to cancellation. On resonance the +-g^2/4 terms of two minors
+    cancel exactly, and a float64 sum of the rounded minors keeps an
+    absolute error of about eps g^2/4 (E ~1e3 ulp off at C = 1e12). Here
+    every entry of a matrix is an integer multiple of 1/2^j (2^j the
+    largest denominator of its real and imaginary parts), the minors and
+    det of those integers are expanded exactly, and one correctly rounded
+    integer division by 2^(2j) or 2^(k j) gives each coefficient."""
     k = m.shape[1]
     out = []
     # the real and imaginary parts of each matrix as exact fractions
     for x in m.reshape(len(m), -1).view(float).tolist():
         nums, dens = zip(*[a.as_integer_ratio() for a in x])
         den = max(dens)
-        re, im = _gaussian_det(k, [a * (den // b) for a, b in zip(nums, dens)])
-        scale = den ** k
-        out.append(complex(re / scale, im / scale))
-    return np.array(out, dtype=complex)
+        # the coefficient summing p x p minors has degree p in the entries
+        out.append([complex(re / den ** p, im / den ** p) for p, (re, im) in enumerate(
+            _gaussian_char(k, [a * (den // b) for a, b in zip(nums, dens)]), start=2)])
+    return np.array(out, dtype=complex).reshape(len(m), k - 1)
 
 
-def _gaussian_det(k: int, v: list[int]) -> tuple[int, int]:
-    """(re, im) of the det of the k x k matrix (k = 2 or 3) of Gaussian
-    integers whose real and imaginary parts v lists row by row, entry by
-    entry: a d - b c, or along the first row of [[a, b, c], [d, e, f],
-    [g, h, i]], a (e i - f h) - b (d i - f g) + c (d h - e g)."""
+def _gaussian_char(k: int, v: list[int]) -> list[tuple[int, int]]:
+    """(re, im) of the coefficients of _exact_char for the k x k matrix
+    (k = 2 or 3) of Gaussian integers whose real and imaginary parts v
+    lists row by row, entry by entry: a d - b c, or for [[a, b, c],
+    [d, e, f], [g, h, i]] the minor sum (e i - f h) + (a i - c g) + (a e - b d)
+    and the det along the first row, a (e i - f h) - b (d i - f g) + c (d h - e g)."""
     if k == 2:
         ar, ai, br, bi, cr, ci, dr, di = v
-        return ar * dr - ai * di - (br * cr - bi * ci), ar * di + ai * dr - (br * ci + bi * cr)
+        return [(ar * dr - ai * di - (br * cr - bi * ci), ar * di + ai * dr - (br * ci + bi * cr))]
     ar, ai, br, bi, cr, ci, dr, di, er, ei, fr, fi, gr, gi, hr, hi, ir, ii = v
     ur, ui = er * ir - ei * ii - (fr * hr - fi * hi), er * ii + ei * ir - (fr * hi + fi * hr)
     vr, vi = dr * ir - di * ii - (fr * gr - fi * gi), dr * ii + di * ir - (fr * gi + fi * gr)
     wr, wi = dr * hr - di * hi - (er * gr - ei * gi), dr * hi + di * hr - (er * gi + ei * gr)
-    return (ar * ur - ai * ui - (br * vr - bi * vi) + cr * wr - ci * wi,
-            ar * ui + ai * ur - (br * vi + bi * vr) + cr * wi + ci * wr)
+    minors = (ur + ar * ir - ai * ii - (cr * gr - ci * gi) + ar * er - ai * ei - (br * dr - bi * di),
+              ui + ar * ii + ai * ir - (cr * gi + ci * gr) + ar * ei + ai * er - (br * di + bi * dr))
+    return [minors, (ar * ur - ai * ui - (br * vr - bi * vi) + cr * wr - ci * wi,
+                     ar * ui + ai * ur - (br * vi + bi * vr) + cr * wi + ci * wr)]
 
 
 #: Block entries (row, column) of A besides det, with + = 0, - = 1, b = 2:
@@ -249,13 +259,12 @@ class BeamBlocks:
             f = m.reshape(n, -1).take(_COF, axis=1)
             np.subtract(f[:, 0] * f[:, 1], f[:, 2] * f[:, 3], out=adj_m)
             np.subtract(tr[:, None, None] * eye, m, out=adj[:, 1])
-            char[:, 2] = adj_m[:, 0, 0] + adj_m[:, 1, 1] + adj_m[:, 2, 2]
         else:
             tr = m[:, 0, 0] + m[:, 1, 1]
             adj_m[:, 0, 0], adj_m[:, 0, 1] = m[:, 1, 1], -m[:, 0, 1]
             adj_m[:, 1, 0], adj_m[:, 1, 1] = -m[:, 1, 0], m[:, 0, 0]
         char[:, 1] = tr
-        char[:, -1] = _det(m)
+        char[:, 2:] = _exact_char(m)
         return adj, char
 
     adj = property(lambda self: self._coefficients[0])

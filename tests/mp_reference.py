@@ -8,10 +8,14 @@ coefficients C, and W = S(omega) C S^T(-omega), then forms
 q = n_plus n_minus - |xi|^2 by direct subtraction, which 50 digits survive
 at any cooperativity the tests use. Shares no code with the float64 block
 kernel it checks. lorentzian_filtered_mp solves the filtered pair as a
-Lyapunov equation instead of a frequency average.
+Lyapunov equation instead of a frequency average. resonant_density_mp
+and resonant_rate_mp evaluate E and Gamma_E from the resonant-drive closed
+form (entrate.closedforms) at 60 digits.
 """
 
 from __future__ import annotations
+
+import math
 
 import mpmath as mp
 
@@ -64,11 +68,58 @@ def reference_point(d: Doubled, omega: float, n_th: float = 0.0,
     log-negativity E = max(0, -ln 2 eta_minus), both rounded to float."""
     n_plus, n_minus, xi = correlators_mp(d, omega, n_th, dps)
     with mp.workdps(dps):
-        xi_sq = xi.real ** 2 + xi.imag ** 2
-        q = n_plus * n_minus - xi_sq
-        root = mp.sqrt((n_plus - n_minus) ** 2 + 4 * xi_sq)
-        two_eta = 4 * q / (n_plus + n_minus + root)
-        return float(q), float(max(mp.mpf(0), -mp.log(two_eta)))
+        return float(n_plus * n_minus - _abs2(xi)), float(_log_negativity(n_plus, n_minus, xi))
+
+
+def _abs2(z: mp.mpc) -> mp.mpf:
+    return z.real ** 2 + z.imag ** 2
+
+
+def _log_negativity(n_plus: mp.mpf, n_minus: mp.mpf, xi: mp.mpc) -> mp.mpf:
+    """E = max(0, -ln 2 eta_minus) of a correlator triple at the working
+    precision: q = n_plus n_minus - |xi|^2 by direct subtraction."""
+    q = n_plus * n_minus - _abs2(xi)
+    two_eta = 4 * q / (n_plus + n_minus + mp.sqrt((n_plus - n_minus) ** 2 + 4 * _abs2(xi)))
+    return max(mp.mpf(0), -mp.log(two_eta))
+
+
+def resonant_correlators_mp(g: float, kappa: float, Gamma: float, delta: float,
+                            n_th: float, omega: float) -> tuple[mp.mpf, mp.mpf, mp.mpc]:
+    """(n_plus, n_minus, xi) of the full model at resonant drive (Delta = 0)
+    at the working precision: the formulas of
+    entrate.closedforms.full_model_correlators_resonant, from the exact
+    float parameters."""
+    g, kappa, Gamma, delta, n_th, omega = map(mp.mpf, (g, kappa, Gamma, delta, n_th, omega))
+    d1 = ((delta - omega) ** 2 + (Gamma / 2) ** 2) * (omega ** 2 + (kappa / 2) ** 2)
+    g2 = (g / 2) ** 2
+    coherent = kappa ** 2 * g2 ** 2 / (d1 * (omega ** 2 + (kappa / 2) ** 2))
+    n_plus = kappa * Gamma * n_th * g2 / d1 + coherent + mp.mpf(0.5)
+    n_minus = kappa * Gamma * (n_th + 1) * g2 / d1 + coherent + mp.mpf(0.5)
+    xi = -coherent + kappa * g2 * (-Gamma * (n_th + mp.mpf(0.5)) + mp.mpc(0, delta - omega)) / d1
+    return n_plus, n_minus, xi
+
+
+def resonant_density_mp(g: float, kappa: float, Gamma: float, n_th: float, omega: float,
+                        dps: int = 60) -> float:
+    """E[omega] of the full model at Delta = delta = 0 from the closed-form
+    correlators at `dps` digits (q cancels ~2 log10 C of them)."""
+    with mp.workdps(dps):
+        return float(_log_negativity(*resonant_correlators_mp(g, kappa, Gamma, 0.0, n_th, omega)))
+
+
+def resonant_rate_mp(g: float, kappa: float, Gamma: float, n_th: float, dps: int = 60) -> float:
+    """Gamma_E = int E domega / 2 pi of the full model at Delta = delta = 0,
+    E from the closed-form correlators at `dps` digits: E is even in omega
+    there, so twice mpmath's quadrature over omega > 0 with a break at each
+    power of ten from below the mechanical linewidth to far above the
+    high-cooperativity scale (kappa g^2)^(1/3)."""
+    with mp.workdps(dps):
+        lo = math.floor(math.log10(min(Gamma, kappa))) - 1
+        hi = math.ceil(math.log10(max(g, kappa))) + 3
+        breaks = [0, *(mp.mpf(10) ** k for k in range(lo, hi + 1)), mp.inf]
+        e = mp.quad(lambda w: _log_negativity(*resonant_correlators_mp(g, kappa, Gamma, 0.0, n_th, w)),
+                    breaks)
+        return float(e / mp.pi)
 
 
 def lorentzian_filtered_mp(d: DriftMatrix, n_th: float, omega_c: float, tau: float,
@@ -118,12 +169,7 @@ def lorentzian_filtered_mp(d: DriftMatrix, n_th: float, omega_c: float, tau: flo
         p = mp.lu_solve(lhs, rhs)
         n_plus = p[k * n + k].real
         n_minus = p[(k + 1) * n + k + 1].real
-        xi = p[k * n + k + 1]
-        xi_sq = xi.real ** 2 + xi.imag ** 2
-        q = n_plus * n_minus - xi_sq
-        root = mp.sqrt((n_plus - n_minus) ** 2 + 4 * xi_sq)
-        two_eta = 4 * q / (n_plus + n_minus + root)
-        return float(max(mp.mpf(0), -mp.log(two_eta)))
+        return float(_log_negativity(n_plus, n_minus, p[k * n + k + 1]))
 
 
 def squeezed_thermal_log_negativity_mp(r: float, t1: float, t2: float, phi: float,

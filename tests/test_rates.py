@@ -27,7 +27,8 @@ from fwhm_reference import fwhm_by_bisection
 from gated_batch import batch_rates, gated
 from grid_reference import frequency_grid
 from lu_reference import scattering_matrices
-from mp_reference import correlators_mp, reference_point
+from mp_reference import (correlators_mp, reference_point, resonant_density_mp,
+                          resonant_rate_mp)
 from peak_reference import (candidate_peak_count, count_local_maxima, hysteresis_count,
                             r_polynomial, refined_peaks, stationary_peaks)
 from paper_helpers import symmetrized_density, to_nats_per_second
@@ -86,6 +87,30 @@ class TestSpectralDensity:
             parts = spectrum_parts(d, omegas, n_th)
             assert np.array_equal(optical, parts[0]) and np.array_equal(mechanical, parts[1])
             assert np.array_equal(e, spectral_density_batch(d, omegas, n_th))
+
+
+class TestHighCooperativity:
+    """C = 1e12 on resonance (delta = Delta = n_th = 0) against the closed
+    form at 60 digits: the t-coefficient of det(m + t), whose g^2/4 terms
+    cancel there, is exact, so E is a few ulp off on the squeezing tail
+    (1,091 ulp with a float64 sum of the minors) and Gamma_E is off by no
+    more than its error estimate (8.8e-10 against 4.5e-11 at Gamma = 1e-2)."""
+
+    GAMMAS = [1e-2, 1e-4]
+
+    @pytest.mark.parametrize("gamma", GAMMAS)
+    def test_density_within_4_ulp(self, gamma):
+        g = math.sqrt(1e12 * KAPPA * gamma)
+        w = np.array([3.0, 30.0, 300.0, 3000.0])
+        e = spectral_density_batch(full_drift(g=g, Gamma=gamma), w)
+        exact = np.array([resonant_density_mp(g, KAPPA, gamma, 0.0, x) for x in w])
+        assert np.all(np.abs(e - exact) <= 4 * np.spacing(exact)), (e - exact) / np.spacing(exact)
+
+    @pytest.mark.parametrize("gamma", GAMMAS)
+    def test_rate_within_its_error_estimate(self, gamma):
+        g = math.sqrt(1e12 * KAPPA * gamma)
+        r = entanglement_rate(full_drift(g=g, Gamma=gamma), tol=1e-10)
+        assert abs(r.gamma_E - resonant_rate_mp(g, KAPPA, gamma, 0.0)) <= r.quadrature_error
 
 
 class TestExcessForm:
@@ -340,6 +365,20 @@ class TestEntanglementRate:
         rates = [entanglement_rate(d, n_th=n).gamma_E for n in (0.0, 50.0, 500.0)]
         assert rates[0] >= rates[1] >= rates[2]
         assert rates[2] > 0
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(full_points(), st.sampled_from([0.0, 1e-3, 1.0, 50.0, 1e3, 1e5]))
+    def test_non_increasing_in_n_th(self, point, extra):
+        # raising n_th adds the same classical noise to both beams, which
+        # cannot raise the log-negativity; every step of the Gram density is
+        # monotone in the thermal weight and correctly rounded, so E is
+        # exactly non-increasing, and Gamma_E to its two error estimates
+        p, n_th = point
+        d, hotter = drift_full(p), n_th + extra
+        w = np.concatenate([np.linspace(-20.0, 20.0, 401), np.geomspace(1e-4, 1e4, 81)])
+        assert np.all(spectral_density_batch(d, w, hotter) <= spectral_density_batch(d, w, n_th))
+        cold, hot = entanglement_rate(d, n_th), entanglement_rate(d, hotter)
+        assert hot.gamma_E <= cold.gamma_E + cold.quadrature_error + hot.quadrature_error
 
     def test_boundary_point_smaller_rate_than_resonant(self):
         r_res = entanglement_rate(full_drift())
@@ -778,8 +817,8 @@ class TestCountedWork:
         effective = next(pt for pt in points if len(pt[1].m) == 2)
         high_c = next(pt for pt in points if pt[0] == "high_c")
         near_boundary = next(pt for pt in points if pt[0] == "near_boundary")
-        dets, det = [], scattering._det
-        monkeypatch.setattr(scattering, "_det", lambda m: dets.append(1) or det(m))
+        dets, det = [], scattering._exact_char
+        monkeypatch.setattr(scattering, "_exact_char", lambda m: dets.append(1) or det(m))
         passes = self.count_passes(monkeypatch, "_density")
         for stratum, d, n_th in (anchor, generic, effective, high_c, near_boundary):
             solves.clear(), dets.clear(), passes.clear()

@@ -12,7 +12,7 @@ from entrate.models import (DriftMatrix, EffectiveModelParams, FullModelParams, 
 from entrate import cli, scattering
 from entrate.rates import (_gram_density, entanglement_rate, spectral_density,
                            spectral_density_batch, spectrum_and_density)
-from entrate.scattering import (BeamBlocks, _det, _gram, _pair_rate, _spectrum, _triple,
+from entrate.scattering import (BeamBlocks, _exact_char, _gram, _pair_rate, _spectrum, _triple,
                                 correlator_batch, output_correlators, output_spectrum,
                                 pair_rate_numeric, spectrum_parts)
 from entrate.verify import block_scattering, effective_scattering_oracle
@@ -360,8 +360,8 @@ class TestBlockKernel:
         # sub-batch keeps them if they are; each equals the whole batch's rows
         drifts = [full_drift(), full_drift(delta=-3.0), full_drift(g=0.0)]
         dets = []
-        det = scattering._det
-        monkeypatch.setattr(scattering, "_det", lambda m: dets.append(len(m)) or det(m))
+        det = scattering._exact_char
+        monkeypatch.setattr(scattering, "_exact_char", lambda m: dets.append(len(m)) or det(m))
         blocks, _, _ = gated(drifts, [0.0, 5.0, 1.0])
         idx = np.array([2, 0])
         assert "_coefficients" not in vars(blocks.take(idx)) and dets == []
@@ -393,10 +393,21 @@ class TestExactDeterminant:
         m[3] *= 1e100
         m[4, 1, 1] = 3e-320
         m[5] = 2.0 ** 60
-        for got, block in zip(_det(m), m):
+        # and on a 3x3 matrix the sum of its principal 2x2 minors, here
+        # with two minors that cancel to ~1e-9 of their terms
+        if k == 3:
+            b = m[6:20]
+            rest = (b[:, 0, 0] * b[:, 2, 2] - b[:, 1, 2] * b[:, 2, 1] - b[:, 0, 2] * b[:, 2, 0]
+                    - b[:, 0, 1] * b[:, 1, 0])
+            b[:, 1, 1] = -rest / (b[:, 0, 0] + b[:, 2, 2]) * (1 - 1e-9)
+        for got, block in zip(_exact_char(m), m):
             with mp.workdps(400):
-                ref = mp.det(mp.matrix([[mp.mpc(complex(z)) for z in row] for row in block]))
-                assert got == complex(float(mp.re(ref)), float(mp.im(ref)))
+                a = mp.matrix([[mp.mpc(complex(z)) for z in row] for row in block])
+                refs = [mp.det(a)]
+                if k == 3:
+                    refs.insert(0, mp.fsum(a[i, i] * a[j, j] - a[i, j] * a[j, i]
+                                           for i, j in ((1, 2), (0, 2), (0, 1))))
+                assert list(got) == [complex(float(mp.re(r)), float(mp.im(r))) for r in refs]
 
 
 class TestOneGate:
