@@ -83,19 +83,19 @@ def _log_negativity(n_plus: mp.mpf, n_minus: mp.mpf, xi: mp.mpc) -> mp.mpf:
     return max(mp.mpf(0), -mp.log(two_eta))
 
 
-def resonant_correlators_mp(g: float, kappa: float, Gamma: float, delta: float,
-                            n_th: float, omega: float) -> tuple[mp.mpf, mp.mpf, mp.mpc]:
-    """(n_plus, n_minus, xi) of the full model at resonant drive (Delta = 0)
-    at the working precision: the formulas of
+def resonant_correlators_mp(g: float, kappa: float, Gamma: float, n_th: float,
+                            omega: float) -> tuple[mp.mpf, mp.mpf, mp.mpc]:
+    """(n_plus, n_minus, xi) of the full model at Delta = delta = 0 at the
+    working precision: the formulas of
     entrate.closedforms.full_model_correlators_resonant, from the exact
     float parameters."""
-    g, kappa, Gamma, delta, n_th, omega = map(mp.mpf, (g, kappa, Gamma, delta, n_th, omega))
-    d1 = ((delta - omega) ** 2 + (Gamma / 2) ** 2) * (omega ** 2 + (kappa / 2) ** 2)
+    g, kappa, Gamma, n_th, omega = map(mp.mpf, (g, kappa, Gamma, n_th, omega))
+    d1 = (omega ** 2 + (Gamma / 2) ** 2) * (omega ** 2 + (kappa / 2) ** 2)
     g2 = (g / 2) ** 2
     coherent = kappa ** 2 * g2 ** 2 / (d1 * (omega ** 2 + (kappa / 2) ** 2))
     n_plus = kappa * Gamma * n_th * g2 / d1 + coherent + mp.mpf(0.5)
     n_minus = kappa * Gamma * (n_th + 1) * g2 / d1 + coherent + mp.mpf(0.5)
-    xi = -coherent + kappa * g2 * (-Gamma * (n_th + mp.mpf(0.5)) + mp.mpc(0, delta - omega)) / d1
+    xi = -coherent - kappa * g2 * mp.mpc(Gamma * (n_th + mp.mpf(0.5)), omega) / d1
     return n_plus, n_minus, xi
 
 
@@ -104,7 +104,7 @@ def resonant_density_mp(g: float, kappa: float, Gamma: float, n_th: float, omega
     """E[omega] of the full model at Delta = delta = 0 from the closed-form
     correlators at `dps` digits (q cancels ~2 log10 C of them)."""
     with mp.workdps(dps):
-        return float(_log_negativity(*resonant_correlators_mp(g, kappa, Gamma, 0.0, n_th, omega)))
+        return float(_log_negativity(*resonant_correlators_mp(g, kappa, Gamma, n_th, omega)))
 
 
 def resonant_rate_mp(g: float, kappa: float, Gamma: float, n_th: float, dps: int = 60) -> float:
@@ -117,7 +117,7 @@ def resonant_rate_mp(g: float, kappa: float, Gamma: float, n_th: float, dps: int
         lo = math.floor(math.log10(min(Gamma, kappa))) - 1
         hi = math.ceil(math.log10(max(g, kappa))) + 3
         breaks = [0, *(mp.mpf(10) ** k for k in range(lo, hi + 1)), mp.inf]
-        e = mp.quad(lambda w: _log_negativity(*resonant_correlators_mp(g, kappa, Gamma, 0.0, n_th, w)),
+        e = mp.quad(lambda w: _log_negativity(*resonant_correlators_mp(g, kappa, Gamma, n_th, w)),
                     breaks)
         return float(e / mp.pi)
 

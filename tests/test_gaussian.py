@@ -200,9 +200,9 @@ class TestLogNegativityGeneral:
                 call()
 
     def test_strong_squeezing_with_thermal_noise(self):
-        # r = 8 with 1e-3 thermal noise on one beam: a physical state whose
-        # eigenvalues of iJV were once too far apart to pair; float64 V
-        # leaves E ~1e-7 relative here (eta_- ~ 5e-4 against |V| ~ 2e6)
+        # r = 8 with 1e-3 thermal noise on one beam is a physical state: the
+        # general path gives its E to ~1e-7 relative, the rounding of a
+        # float64 V (|V| ~ 2e6) against eta_- ~ 5e-4
         sh2 = math.sinh(8.0) ** 2
         t = CorrelatorTriple(0.5 + sh2 + 1e-3, 0.5 + sh2, 0.5 * math.sinh(16.0))
         e = log_negativity_general(covariance_from_correlators(t))
