@@ -170,9 +170,6 @@ def cmd_sweep(args) -> int:
             axes=[_parse_axis(s) for s in args.axis],
             quantities=args.quantity or ["gamma_E"],
             tol=args.tol)
-    if args.jobs is not None:
-        # the flag overrides the config's value, checked as the config is
-        config = dataclasses.replace(config, jobs=args.jobs)
     _emit(args, *run_sweep(config).table())
     return 0
 
@@ -248,8 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quantity", action="append", default=None,
                    choices=QUANTITIES)
     p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--jobs", type=int, default=None,
-                   help="worker processes (0 = all cores)")
 
     p = sub.add_parser("verify", help="run the oracle cross-check suite")
     _add_io_flags(p)

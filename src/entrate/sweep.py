@@ -3,20 +3,20 @@
 A sweep builds the beam blocks of the valid grid points from the grid's
 parameter columns in one models.beam_blocks call, passes them through
 scattering.BeamBlocks.gate (one stacked k x k eigen-solve), and computes
-the stable points' quantities in contiguous chunks, one chunk per worker
-of a process pool when jobs != 1. A chunk is one scattering.BeamBlocks:
-the gated blocks stacked with their eigenvalues, each the k x k block that
-models.drift_full or drift_effective gives for its point alone, bit for
-bit. Each quantity runs once per chunk on that problem axis: the rate
-fields in one rates._rates call (its E-peak stage only for E_max or
-fwhm, and never the peak count, which no column shows), the pair rates in
-one stacked solve and the spectrum peaks in one rates.spectrum_peak call.
-Each gives a float64 array over the chunk, NaN where it fails, and its
-failures by row. A batched value equals the one-point value bit for bit,
-so the rows, emitted strictly in grid order, are byte-stable whatever the
-worker count and however the grid is split into sweeps.
+the stable points' quantities in this process on the one
+scattering.BeamBlocks the gate returns: the gated blocks stacked with
+their eigenvalues, each the k x k block that models.drift_full or
+drift_effective gives for its point alone, bit for bit. Each quantity runs
+once per sweep on that problem axis: the rate fields in one rates._rates
+call (its E-peak stage only for E_max or fwhm, and never the peak count,
+which no column shows), the pair rates in one stacked solve and the
+spectrum peaks in one rates.spectrum_peak call. Each gives a float64
+array over the stable points, NaN where it fails, and its failures by
+row. A batched value equals the one-point value bit for bit, so the rows,
+emitted strictly in grid order, are byte-stable however the grid is split
+into sweeps.
 
-The result is columns: the chunks' arrays go into one NaN-filled column
+The result is columns: the batched arrays go into one NaN-filled column
 per value column at the grid's stable points, the stability margins come
 from the gate, and each point's status from its parameter error, the
 gate, or the first failure of its quantities in column order. Unstable
@@ -34,7 +34,6 @@ import csv
 import functools
 import json
 import math
-import os
 from dataclasses import dataclass, fields
 from itertools import repeat
 from typing import IO, Sequence
@@ -219,7 +218,9 @@ class SweepConfig:
     axes: list[SweepAxis]
     quantities: list[str]
     tol: float = 1e-6
-    jobs: int = 0          # 0 = all available cores
+    # read by nothing in the package: kept, with its checks, only because
+    # the benchmark's rate_map workload (perfbench/workloads.py) passes it
+    jobs: int = 0
 
     def __post_init__(self):
         if self.model not in ("full", "effective"):
@@ -241,7 +242,7 @@ class SweepConfig:
         if not _is_integer(self.jobs):
             raise ValueError(f"jobs must be an integer, got {self.jobs!r}")
         if self.jobs < 0:
-            raise ValueError(f"jobs must be >= 0 (0 = all cores), got {self.jobs}")
+            raise ValueError(f"jobs must be >= 0, got {self.jobs}")
         unknown = sorted(set(self.fixed) - models.PARAMETER_NAMES)
         if unknown:
             raise ValueError(f"unknown parameters {unknown} in fixed; "
@@ -345,26 +346,6 @@ class SweepResult:
         return self.values[quantity].reshape(self.grid_shape()).copy()
 
 
-def _eval_chunk(quantities: tuple[str, ...], tol: float, blocks: scattering.BeamBlocks,
-                ) -> tuple[dict[str, np.ndarray], dict[str, dict[int, Exception]]]:
-    """The quantities of a contiguous chunk of stable points, given as their
-    beam blocks, each from one batched call over the chunk: by column, a
-    float64 array over the chunk (NaN where it fails) and its failures by
-    row. The rate fields come from rates._rates (the E-peak stage only for
-    E_max or fwhm; other fields than the columns ride along), the pair rates
-    from scattering._pair_rate, which cannot fail at a stable point, and the
-    spectrum peaks from rates.spectrum_peak."""
-    rated = {"E_max", "gamma_E", "fwhm"}.intersection(quantities)
-    values, failures = rates._rates(blocks, tol, quantities) if rated else ({}, {})
-    if "pair_rate" in quantities:
-        values["pair_rate"] = scattering._pair_rate(blocks.m, blocks.decay)
-    if "spectrum" in quantities:
-        # the peak's omega fails with its height, whose column comes first
-        omega, height, failures["spectrum_peak"] = rates.spectrum_peak(blocks)
-        values.update(spectrum_peak=height, spectrum_peak_omega=omega)
-    return values, failures
-
-
 def _eval_point(axis_values: tuple, names: list, cells: tuple, valid: bool, status: str):
     """One grid point's SweepRow from its cells of the value columns names:
     its values are the cells that hold one, not NaN, and the stability
@@ -376,11 +357,15 @@ def _eval_point(axis_values: tuple, names: list, cells: tuple, valid: bool, stat
 
 def run_sweep(config: SweepConfig) -> SweepResult:
     """Evaluate the grid; row order is the row-major product of axis values.
-    Each chunk's columns go into the grid's columns at its stable points;
-    a point's status is its parameter error, the gate's failure or verdict,
-    or the first failure of its quantities in column order."""
+    The gated blocks of the stable points are one problem axis: the rate
+    fields come from one rates._rates call (the E-peak stage only for E_max
+    or fwhm; other fields than the columns ride along), the pair rates from
+    scattering._pair_rate, which cannot fail at a stable point, and the
+    spectrum peaks from one rates.spectrum_peak call. A point's status is
+    its parameter error, the gate's failure or verdict, or the first
+    failure of its quantities in column order."""
     grid = [c.ravel() for c in np.meshgrid(*(a.values() for a in config.axes), indexing="ij")]
-    n, quantities = grid[0].size, tuple(config.quantities)
+    n, quantities = grid[0].size, config.quantities
 
     m, decay, n_th, errors = models.beam_blocks(config.model, {
         **_DEFAULTS[config.model], **config.fixed,
@@ -388,20 +373,6 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     valid = np.delete(np.arange(n), list(errors))
     blocks, passed, margin, failures = scattering.BeamBlocks.gate(m, decay, n_th)
     stable = valid[passed]
-    # jobs = 0: the CPUs this process may run on
-    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-             else os.cpu_count() or 1)
-    jobs = min(config.jobs if config.jobs > 0 else cores, stable.size)
-    parts = [c for c in np.array_split(np.arange(stable.size), max(jobs, 1)) if c.size]
-    chunks = (repeat(quantities), repeat(config.tol), [blocks.take(c) for c in parts])
-    if jobs <= 1 or stable.size < 4:
-        results = list(map(_eval_chunk, *chunks))
-    else:
-        # imported here: only a pooled sweep needs it, and it is a fifth of
-        # the package's import time
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_eval_chunk, *chunks))
 
     values = {c: np.full(n, np.nan) for q in quantities
               for c in (("spectrum_peak", "spectrum_peak_omega") if q == "spectrum" else (q,))}
@@ -411,11 +382,19 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     status[stable] = "ok"
     for i, failure in [*errors.items(), *zip(valid[list(failures)], failures.values())]:
         status[i] = f"failed: {failure}"
-    for part, (chunk, chunk_failures) in zip(parts, results):
+    if stable.size:
+        rated = {"E_max", "gamma_E", "fwhm"}.intersection(quantities)
+        found, failed = rates._rates(blocks, config.tol, quantities) if rated else ({}, {})
+        if "pair_rate" in quantities:
+            found["pair_rate"] = scattering._pair_rate(blocks.m, blocks.decay)
+        if "spectrum" in quantities:
+            # the peak's omega fails with its height, whose column comes first
+            omega, height, failed["spectrum_peak"] = rates.spectrum_peak(blocks)
+            found.update(spectrum_peak=height, spectrum_peak_omega=omega)
         # the last column first: a row's status is its first failure in column order
         for c in reversed(values):
-            if c in chunk:
-                values[c][stable[part]] = chunk[c]
-            for j, exc in chunk_failures.get(c, {}).items():
-                status[stable[part[j]]] = f"failed: {exc}"
+            if c in found:
+                values[c][stable] = found[c]
+            for j, exc in failed.get(c, {}).items():
+                status[stable[j]] = f"failed: {exc}"
     return SweepResult(config, grid, values, status.tolist(), np.isin(np.arange(n), valid))

@@ -291,7 +291,7 @@ def check_rate_map_argmax() -> tuple[float, float, str]:
         fixed={"g": 5.0, "Gamma": 1e-3, "kappa": KAPPA, "n_th": 0.0},
         axes=[sweep.SweepAxis("delta", -15.0, 15.0, 25),
               sweep.SweepAxis("Delta", -1.5, 1.5, 25)],
-        quantities=["gamma_E"], tol=1e-6, jobs=1)
+        quantities=["gamma_E"], tol=1e-6)
     result = sweep.run_sweep(config)
     grid = result.value_grid("gamma_E")
     i, j = np.unravel_index(np.nanargmax(grid), grid.shape)

@@ -214,6 +214,11 @@ class TestLogNegativityGeneral:
         with pytest.raises(ValueError):
             log_negativity_general(0.5 * np.eye(4))
 
+    def test_partition_of_wrong_length(self):
+        for partition in ((1,), (1, 2, 1)):
+            with pytest.raises(ValueError, match="partition length must equal the number"):
+                log_negativity_general(0.5 * np.eye(4), partition=partition)
+
     def test_covariance_matrix_validation(self):
         with pytest.raises(ValueError):
             CovarianceMatrix(np.eye(3), (1, 2))

@@ -95,6 +95,21 @@ class TestAdaptiveGkBatch:
                                                                   * math.erf(3.0))
         assert isinstance(failures[1], QuadratureError) and math.isnan(values[1])
 
+    def test_sweep_budget_keeps_the_achieved_estimate(self, monkeypatch):
+        # after _MAX_SWEEPS sweeps each problem keeps its estimate, above
+        # epsabs or not, with no failure: one call for the starting panels
+        # and one per sweep
+        monkeypatch.setattr(quadutil, "_MAX_SWEEPS", 2)
+        sizes = []
+        values, errors, failures = adaptive_gk_batch(
+            lambda x, pid: sizes.append(x.size) or _by_problem(x, pid), _EDGES, _EPS)
+        exact = [math.sqrt(math.pi) * math.erf(3.0), 2e3 * math.atan(1e3),
+                 1.0 - math.sin(160.0) / 160.0]
+        assert failures == [None, None, None] and len(sizes) == 3
+        assert np.all(np.isfinite(values)) and np.any(errors > _EPS)
+        for v, e, ref in zip(values, errors, exact):
+            assert abs(v - ref) <= e
+
     def test_scalar_call_raises_on_budget(self, monkeypatch):
         monkeypatch.setattr(quadutil, "_MAX_PANELS", 12)
         with pytest.raises(QuadratureError, match="panel budget"):

@@ -732,8 +732,7 @@ class TestCountedWork:
                 model="full", fixed={"g": 5.0, "Gamma": 1e-3, "n_th": 0.0},
                 axes=[SweepAxis("delta", float(deltas[i]), float(deltas[i + 4]), 5),
                       SweepAxis("Delta", -1.5, 1.5, 25)],
-                quantities=["gamma_E", "E_max", "fwhm", "stability_margin"], tol=1e-6,
-                jobs=1))
+                quantities=["gamma_E", "E_max", "fwhm", "stability_margin"], tol=1e-6))
         assert work["problems"] == 143
         assert work["points"] / work["problems"] <= 500
         assert work["sweeps"] <= 30

@@ -118,7 +118,7 @@ class TestRunSweep:
         # a quantity whose columns have other names, an axis and a typo
         result = run_sweep(SweepConfig(model="effective", fixed={"g": 5.0, "delta": 10.0},
                                        axes=[SweepAxis("Delta", -0.2, 0.2, 3)],
-                                       quantities=["spectrum", "stability_margin"], jobs=1))
+                                       quantities=["spectrum", "stability_margin"]))
         assert result.value_grid("spectrum_peak_omega").shape == (3,)
         for name in ("spectrum", "Delta", "stability_margn"):
             with pytest.raises(ValueError, match=re.escape(
@@ -127,48 +127,66 @@ class TestRunSweep:
                 result.value_grid(name)
 
     def test_parallel_equals_serial(self):
-        config = SweepConfig(model="effective", fixed={"g": 5.0, "delta": 10.0},
-                             axes=[SweepAxis("Delta", -0.2, 0.2, 6)],
-                             quantities=["pair_rate", "stability_margin"], jobs=1)
-        serial = run_sweep(config)
-        config.jobs = 2
-        parallel = run_sweep(config)
-        for a, b in zip(serial.rows, parallel.rows):
-            assert a.axis_values == b.axis_values
-            assert a.status == b.status
-            assert a.values == b.values
+        # a config's jobs is accepted and read by nothing: jobs=4 writes the
+        # bytes jobs=1 writes, and a default-config sweep (jobs=0) loads no
+        # process-pool module
+        import os
+        import subprocess
+        import sys
 
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_no_stable_or_no_valid_point(self, jobs):
+        import entrate
+
+        def csv_text(jobs):
+            buf = io.StringIO()
+            run_sweep(SweepConfig(model="full", fixed={"g": 5.0, "Gamma": 1e-3},
+                                  axes=[SweepAxis("delta", -15.0, 15.0, 9),
+                                        SweepAxis("Delta", -1.5, 1.5, 9)],
+                                  quantities=["gamma_E", "E_max", "fwhm", "stability_margin"],
+                                  jobs=jobs)).write_csv(buf)
+            return buf.getvalue()
+
+        assert csv_text(4) == csv_text(1)
+        src = os.path.dirname(os.path.dirname(entrate.__file__))
+        code = ("import sys\n"
+                "from entrate.sweep import SweepAxis, SweepConfig, run_sweep\n"
+                "run_sweep(SweepConfig(model='full', fixed={'g': 5.0}, axes=[\n"
+                "    SweepAxis('delta', -15.0, 15.0, 5), SweepAxis('Delta', -1.5, 1.5, 5)],\n"
+                "    quantities=['gamma_E', 'E_max']))\n"
+                "print(sorted(m for m in sys.modules\n"
+                "             if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, check=True)
+        assert done.stdout.strip() == "[]"
+
+    def test_no_stable_or_no_valid_point(self):
         unstable = run_sweep(SweepConfig(model="effective", fixed={"g": 5.0, "delta": 10.0},
                                          axes=[SweepAxis("Delta", -0.5, -0.4, 3)],
-                                         quantities=["gamma_E"], jobs=jobs))
+                                         quantities=["gamma_E"]))
         assert [row.status for row in unstable.rows] == ["unstable"] * 3
         invalid = run_sweep(SweepConfig(model="full", fixed={"g": 5.0},
                                         axes=[SweepAxis("Gamma", -1.0, 0.0, 2)],
-                                        quantities=["gamma_E"], jobs=jobs))
+                                        quantities=["gamma_E"]))
         assert all(row.status.startswith("failed: ") for row in invalid.rows)
 
-    def test_rate_map_independent_of_workers_and_batches(self):
+    def test_rate_map_independent_of_batches(self):
         # the 25x25 rate map: a sweep's rates come from batched calls, so
-        # neither the worker count nor the split of the grid into strips
-        # changes a byte, and a row holds the one-point rate bit for bit
-        def sweep(jobs, delta=(-15.0, 15.0, 25)):
+        # the split of the grid into strips changes no byte, and a row
+        # holds the one-point rate bit for bit
+        def sweep(delta=(-15.0, 15.0, 25)):
             config = SweepConfig(model="full", fixed={"g": 5.0, "Gamma": 1e-3, "n_th": 0.0},
                                  axes=[SweepAxis("delta", *delta),
                                        SweepAxis("Delta", -1.5, 1.5, 25)],
-                                 quantities=["gamma_E", "E_max", "fwhm"], jobs=jobs)
+                                 quantities=["gamma_E", "E_max", "fwhm"])
             result = run_sweep(config)
             buf = io.StringIO()
             result.write_csv(buf)
             return buf.getvalue(), result.rows
 
-        serial, rows = sweep(1)
+        whole, rows = sweep()
         deltas = np.linspace(-15.0, 15.0, 25)
-        strips = [sweep(1, (deltas[i], deltas[i + 4], 5))[0].splitlines(True)
+        strips = [sweep((deltas[i], deltas[i + 4], 5))[0].splitlines(True)
                   for i in range(0, 25, 5)]
-        assert "".join(strips[0][:2] + [line for s in strips for line in s[2:]]) == serial
-        assert sweep(2)[0] == serial
+        assert "".join(strips[0][:2] + [line for s in strips for line in s[2:]]) == whole
         ok = [row for row in rows if row.status == "ok"]
         assert len(ok) == 143
         for row in ok[::24]:
@@ -189,11 +207,10 @@ class TestRunSweep:
                                 called.append(name) or f(*args))
         fixed = {"g": 5.0, "Gamma": 1e-3}
         axes = [SweepAxis("delta", -15.0, 15.0, 9), SweepAxis("Delta", -1.5, 1.5, 9)]
-        rows = run_sweep(SweepConfig(model="full", fixed=fixed, axes=axes, jobs=1,
+        rows = run_sweep(SweepConfig(model="full", fixed=fixed, axes=axes,
                                      quantities=["gamma_E", "stability_margin", "spectrum"])).rows
         assert called == []
-        run_sweep(SweepConfig(model="full", fixed=fixed, axes=axes[:1], quantities=["E_max"],
-                              jobs=1))
+        run_sweep(SweepConfig(model="full", fixed=fixed, axes=axes[:1], quantities=["E_max"]))
         assert set(called) == {"_stationary", "_fwhms"}
         monkeypatch.undo()
         assert {row.status for row in rows} == {"ok", "unstable"}
@@ -209,7 +226,7 @@ class TestRunSweep:
         # at least as high as every sample of the resonance grid
         config = SweepConfig(model="full", fixed={"g": 5.0, "Gamma": 1e-3, "n_th": 50.0},
                              axes=[SweepAxis("delta", 0.0, 10.0, 3)],
-                             quantities=["spectrum"], jobs=1)
+                             quantities=["spectrum"])
         for row in run_sweep(config).rows:
             d = drift_full(FullModelParams(g=5.0, Gamma=1e-3, delta=row.axis_values[0]))
             (omega,), (height,), _ = spectrum_peak(BeamBlocks.of(d, 50.0))
@@ -263,7 +280,7 @@ class TestRunSweep:
                 ("effective", {"g": 5.0}, ["pair_rate", "spectrum", "gamma_E"], 2)):
             solves.clear()
             rows = run_sweep(SweepConfig(
-                model=model, fixed=fixed, quantities=quantities, jobs=1,
+                model=model, fixed=fixed, quantities=quantities,
                 axes=[SweepAxis("delta", -15.0, 15.0, 4), SweepAxis("Delta", -1.5, 1.5, 5)])).rows
             assert {row.status for row in rows} == {"ok", "unstable"}
             complex_sizes = {a.shape[-1] for a in solves if np.iscomplexobj(a)}
@@ -275,7 +292,7 @@ class TestRunSweep:
         # its non-finite block, and the other rows keep their status
         # (a RuntimeWarning fails the test)
         rows = run_sweep(SweepConfig(
-            model="effective", fixed={"delta": 10.0}, jobs=1,
+            model="effective", fixed={"delta": 10.0},
             quantities=["stability_margin", "pair_rate"],
             axes=[SweepAxis("g", 1.0, 1e200, 3, log=True)])).rows
         assert [row.status for row in rows] == [
@@ -287,7 +304,7 @@ class TestRunSweep:
         # row fails through E_max and keeps its Gamma_E, and the n_th = 1 row
         # is computed (a RuntimeWarning fails the test)
         rows = run_sweep(SweepConfig(
-            model="full", fixed={"g": 5.0, "Gamma": 1e-3}, jobs=1, quantities=["gamma_E", "E_max"],
+            model="full", fixed={"g": 5.0, "Gamma": 1e-3}, quantities=["gamma_E", "E_max"],
             axes=[SweepAxis("n_th", 1.0, 1e200, 2, log=True)])).rows
         assert [row.status.split(":")[0] for row in rows] == ["ok", "failed"]
         assert "overflow" in rows[1].status and "E_max" not in rows[1].values
@@ -305,7 +322,7 @@ class TestRunSweep:
         (omega,), (height,), _ = spectrum_peak(BeamBlocks.of(d, 0.0))
         for quantities in (["spectrum"], ["spectrum", "gamma_E"]):
             rows = run_sweep(SweepConfig(
-                model="full", fixed={}, jobs=1, quantities=quantities,
+                model="full", fixed={}, quantities=quantities,
                 axes=[SweepAxis("delta", 1.0, 1e120, 3, log=True)])).rows
             assert [row.status for row in rows] == ["ok"] + [
                 "failed: the polynomials of the spectrum overflow float64 at n_th=0 "
@@ -330,7 +347,7 @@ class TestRunSweep:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             result = run_sweep(SweepConfig(
-                model="full", fixed={"g": 5.0, "Gamma": 1e-3}, jobs=1, quantities=["spectrum"],
+                model="full", fixed={"g": 5.0, "Gamma": 1e-3}, quantities=["spectrum"],
                 axes=[SweepAxis("n_th", 1e302, 1e305, 4, log=True)]))
         assert result.status == ["ok", "ok"] + [
             f"failed: the spectrum peak overflows float64 at n_th={n} and frequency scale s=1.5"
@@ -349,7 +366,7 @@ class TestRunSweep:
         count, rate_fields = rates._count_local_maxima, rates._rates
         monkeypatch.setattr(rates, "_count_local_maxima",
                             lambda *args: calls.append(len(args[0])) or count(*args))
-        config = SweepConfig(model="full", fixed={"g": 5.0, "Gamma": 1e-3, "n_th": 0.0}, jobs=1,
+        config = SweepConfig(model="full", fixed={"g": 5.0, "Gamma": 1e-3, "n_th": 0.0},
                              axes=[SweepAxis("delta", -15.0, 15.0, 25),
                                    SweepAxis("Delta", -1.5, 1.5, 25)],
                              quantities=["gamma_E", "E_max", "fwhm", "stability_margin"])
@@ -369,8 +386,7 @@ class TestRunSweep:
         count = entanglement_rate(drift_full(FullModelParams(g=5.0, Gamma=1e-3))).secondary_peaks
         assert type(count) is int and calls == [1]
 
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_row_view_agrees_with_the_columns(self, jobs):
+    def test_row_view_agrees_with_the_columns(self):
         # sweeps with ok, unstable, invalid-parameter, gate-failed and
         # quantity-failed rows: the rows, the table and the value grids agree
         # cell for cell, and a row's values hold the margin of every point
@@ -379,17 +395,17 @@ class TestRunSweep:
         from entrate import models, rates, scattering
         from entrate.errors import UnstableSystemError
         configs = [
-            SweepConfig(model="full", fixed={"g": 5.0, "n_th": 0.0}, jobs=jobs,
+            SweepConfig(model="full", fixed={"g": 5.0, "n_th": 0.0},
                         quantities=["gamma_E", "E_max", "fwhm", "stability_margin"],
                         axes=[SweepAxis("Gamma", -1e-3, 1e-3, 3),
                               SweepAxis("delta", -15.0, 15.0, 5)]),
-            SweepConfig(model="full", fixed={"g": 5.0, "Gamma": 1e-3}, jobs=jobs,
+            SweepConfig(model="full", fixed={"g": 5.0, "Gamma": 1e-3},
                         quantities=["stability_margin", "gamma_E", "E_max", "fwhm", "spectrum"],
                         axes=[SweepAxis("n_th", 1.0, 1e200, 5, log=True)]),
-            SweepConfig(model="effective", fixed={"g": 5.0, "delta": 10.0}, jobs=jobs,
+            SweepConfig(model="effective", fixed={"g": 5.0, "delta": 10.0},
                         quantities=["pair_rate", "spectrum", "stability_margin"],
                         axes=[SweepAxis("Delta", -1.5, 1.5, 13)]),
-            SweepConfig(model="effective", fixed={"delta": 10.0}, jobs=jobs,
+            SweepConfig(model="effective", fixed={"delta": 10.0},
                         quantities=["stability_margin", "pair_rate"],
                         axes=[SweepAxis("g", 1.0, 1e200, 3, log=True)])]
         statuses = set()
@@ -433,35 +449,6 @@ class TestRunSweep:
                 assert set(row.values) == keys
         assert statuses == {"invalid", "UnstableSystemError", "LinAlgError", "ok", "failed"}
 
-    def test_all_cores_are_the_cpus_this_process_may_use(self, monkeypatch):
-        import concurrent.futures
-        import os
-        workers = []
-
-        class Pool:
-            def __init__(self, max_workers):
-                workers.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 64)
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
-        config = SweepConfig(model="effective", fixed={"g": 5.0, "delta": 10.0},
-                             axes=[SweepAxis("Delta", -0.2, 0.2, 8)],
-                             quantities=["pair_rate"], jobs=0)
-        pooled = run_sweep(config).rows
-        assert workers == [3]
-        config.jobs = 1
-        assert run_sweep(config).rows == pooled and workers == [3]
-
     def test_failed_row_keeps_column_count(self, tmp_path, monkeypatch):
         from entrate import sweep
         from entrate.errors import QuadratureError
@@ -476,7 +463,7 @@ class TestRunSweep:
         monkeypatch.setattr(sweep.rates, "_rates", fail)
         config = SweepConfig(model="full", fixed={"g": 1.0},
                              axes=[SweepAxis("delta", -1.0, 1.0, 3)],
-                             quantities=["gamma_E", "stability_margin"], jobs=1)
+                             quantities=["gamma_E", "stability_margin"])
         result = run_sweep(config)
         assert all(row.status.startswith("failed:") and ", " in row.status
                    for row in result.rows)
@@ -519,6 +506,10 @@ class TestCliCommands:
         with pytest.raises(SystemExit) as exc:
             run_cli(["spectrum", "--model", "bogus"])
         assert exc.value.code == 2
+        # a sweep runs in this process: there is no --jobs flag
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["sweep", "--jobs", "2", "--axis", "delta:-1:1:3"])
+        assert exc.value.code == 2
 
     @pytest.mark.parametrize("argv, message", [
         (["spectrum", "--omega-steps", "3", "--omega-max", "nan"], "--omega-max must be finite"),
@@ -532,7 +523,8 @@ class TestCliCommands:
         (["rate", "--tol", "inf"], "tol must be a finite positive number, got inf"),
         (["sweep", "--tol", "nan", "--axis", "delta:-1:1:3"],
          "tol must be a finite positive number, got nan"),
-        (["sweep", "--jobs", "-3", "--axis", "delta:-1:1:3"], "jobs must be >= 0"),
+        (["sweep", "--axis", "delta:-1:1"],
+         "axis must be name:min:max:steps[:log], got 'delta:-1:1'"),
         # a fifth field other than log would otherwise build a linear axis
         (["sweep", "--axis", "delta:1:10:3:lgo"],
          "axis field after steps must be 'log', got 'lgo' in 'delta:1:10:3:lgo'"),
@@ -555,7 +547,9 @@ class TestCliCommands:
         # a repeated quantity would give two columns one name
         (["sweep", "--model", "effective", "--g", "5", "--delta", "10", "--axis",
           "Delta:-0.3:0.3:2", "--quantity", "pair_rate", "--quantity", "pair_rate"],
-         "quantities must be distinct")])
+         "quantities must be distinct"),
+        (["sweep", "--axis", "delta:1:10:3:log:2"],
+         "axis must be name:min:max:steps[:log], got 'delta:1:10:3:log:2'")])
     def test_non_finite_input_is_usage_error(self, argv, message, capsys):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -653,7 +647,7 @@ class TestCliCommands:
 
     def test_pair_rate_sweep_marginal_row_unstable(self, capsys):
         code = run_cli(["sweep", *self.MARGINAL, "--axis", "Delta:-0.6:-0.5:2",
-                        "--quantity", "pair_rate", "--jobs", "1", "--format", "json"])
+                        "--quantity", "pair_rate", "--format", "json"])
         assert code == 0
         rows = json.loads(capsys.readouterr().out)
         assert [r["status"] for r in rows] == ["ok", "unstable"]
@@ -691,21 +685,22 @@ class TestCliCommands:
     def test_pair_rate_sweep_near_boundary_is_ok(self, capsys):
         code = run_cli(["sweep", "--model", "effective", "--g", "5", "--delta", "10",
                         "--axis", "Delta:-0.26:-0.2499:3", "--quantity", "pair_rate",
-                        "--jobs", "1", "--format", "json"])
+                        "--format", "json"])
         assert code == 0
         rows = json.loads(capsys.readouterr().out)
         assert [r["status"] for r in rows] == ["unstable", "unstable", "ok"]
         assert rows[-1]["pair_rate [kappa]"] == pytest.approx(2603.8194907348, rel=1e-9)
 
     def test_determinism_across_runs_and_jobs(self, tmp_path):
+        # two runs of one command write the same bytes
         args = ["sweep", "--model", "effective", "--g", "5", "--delta", "10",
                 "--axis", "Delta:-0.2:0.2:5", "--quantity", "pair_rate"]
         outs = []
-        for tag, jobs in (("a", "1"), ("b", "1"), ("c", "2")):
+        for tag in "ab":
             path = tmp_path / f"{tag}.csv"
-            assert run_cli(args + ["--jobs", jobs, "--output", str(path)]) == 0
+            assert run_cli(args + ["--output", str(path)]) == 0
             outs.append(path.read_bytes())
-        assert outs[0] == outs[1] == outs[2]
+        assert outs[0] == outs[1]
 
     def test_sweep_from_config_file(self, tmp_path):
         config = {"model": "effective", "fixed": {"g": 5.0, "delta": 10.0},
@@ -748,6 +743,7 @@ class TestCliCommands:
                 ({"tol": True}, "tol must be a finite positive number, got True"),
                 ({"jobs": 2.5}, "jobs must be an integer, got 2.5"),
                 ({"jobs": True}, "jobs must be an integer, got True"),
+                ({"jobs": -3}, "jobs must be >= 0, got -3"),
                 ({"fixed": {"g": True}}, "g must be finite, got True"),
                 # dict() would take pairs and list() the keys of an object
                 ({"fixed": [["g", 2.0]]},
@@ -756,7 +752,27 @@ class TestCliCommands:
                  "quantities must be a list of names, got {'gamma_E': 1}"),
                 ({"quantities": ["E_max", 3]},
                  "quantities must be a list of names, got ['E_max', 3]"),
-                ({"quantities": ["E_max", "E_max"]}, "quantities must be distinct")):
+                ({"quantities": ["E_max", "E_max"]}, "quantities must be distinct"),
+                ({"quantities": []}, "at least one quantity is required"),
+                ({"axes": [{"name": "n_th", "min": 0, "max": 10, "steps": 3, "log": True}]},
+                 "log axis needs min > 0"),
+                ({"model": "bogus"}, "model must be 'full' or 'effective', got 'bogus'"),
+                ({"axes": []}, "sweeps support one or two axes"),
+                ({"axes": [{"name": name, "min": 0, "max": 1, "steps": 2}
+                           for name in ("delta", "Delta", "g")]},
+                 "sweeps support one or two axes"),
+                ({"axes": [{"name": "delta", "min": -1, "max": 1, "steps": 3}] * 2},
+                 "axis names must be distinct"),
+                ({"model": "effective", "axes": [{"name": "Gamma", "min": 0.1, "max": 1,
+                                                  "steps": 3}]},
+                 "the effective model has no Gamma or n_th axis"),
+                ({"model": "effective", "axes": [{"name": "n_th", "min": 0, "max": 1,
+                                                  "steps": 3}]},
+                 "the effective model has no Gamma or n_th axis"),
+                # a TypeError while building the config
+                ({"axes": [{"name": "delta", "min": -1, "max": 1, "steps": 3, "stpes": 3}]},
+                 "malformed sweep config: "),
+                ({"axes": [5]}, "malformed sweep config: ")):
             cfg.write_text(json.dumps({**base, **change}))
             capsys.readouterr()
             assert run_cli(["sweep", "--config", str(cfg)]) == 2
@@ -854,7 +870,11 @@ class TestCliCommands:
         assert result.measured == math.inf and not result.passed
 
     def test_verify_unknown_filter(self, capsys):
+        from entrate import verify
         assert run_cli(["verify", "--only", "no_such_check"]) == 2
+        # run_checks itself rejects a name that is no check
+        with pytest.raises(ValueError, match=r"unknown checks: \['no_such_check'\]"):
+            verify.run_checks(["wannier_norm", "no_such_check"])
 
     @pytest.mark.parametrize("argv", [
         ["--model", "effective", "--g", "5", "--delta", "10",
@@ -862,7 +882,7 @@ class TestCliCommands:
         ["--axis", "Gamma:0:0.1:3"]])                       # Gamma = 0 is invalid
     def test_sweep_flags_invalid_points(self, tmp_path, argv):
         out = tmp_path / "sweep.csv"
-        code = run_cli(["sweep", *argv, "--quantity", "E_max", "--jobs", "1",
+        code = run_cli(["sweep", *argv, "--quantity", "E_max",
                         "--output", str(out)])
         assert code == 0
         with open(out) as fh:
@@ -900,7 +920,7 @@ class TestCliCommands:
                 "entrate.entanglement_rate(entrate.drift_full(p))\n"
                 "run_sweep(SweepConfig(model='full', fixed={'g': 5.0}, axes=[\n"
                 "    SweepAxis('delta', -15.0, 15.0, 5), SweepAxis('Delta', -1.5, 1.5, 5)],\n"
-                "    quantities=['gamma_E', 'E_max', 'fwhm'], jobs=1))\n"
+                "    quantities=['gamma_E', 'E_max', 'fwhm']))\n"
                 "print(sorted({m for m in sys.modules if m.split('.')[0] in ('scipy', 'mpmath')}\n"
                 "             | {'numpy.ma'} & set(sys.modules)))")
         done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,

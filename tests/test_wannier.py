@@ -322,6 +322,17 @@ class TestFilteredEntanglement:
         slope = np.polyfit(np.log(taus), np.log(devs), 1)[0]
         assert slope == pytest.approx(-1.0, abs=0.3)
 
+    def test_panel_budget_raises(self, monkeypatch):
+        # an average that runs out of panels fails the call with its
+        # QuadratureError, not a value short of its tolerance
+        from entrate import quadutil
+        from entrate.errors import QuadratureError
+        monkeypatch.setattr(quadutil, "_MAX_PANELS", 8)
+        d = drift_full(FullModelParams(g=5.0, Gamma=0.3, delta=1.0))
+        with pytest.raises(QuadratureError, match="panel budget exhausted"):
+            filtered_entanglement(d, 0.0, FilterSpec(0.3, 1e2), FilterSpec(-0.3, 1e2),
+                                  "lorentzian")
+
     def test_mismatched_filters_rejected(self):
         d = self.drift()
         with pytest.raises(ValueError):
