@@ -158,14 +158,17 @@ class TestRunSweep:
                               env={**os.environ, "PYTHONPATH": src}, check=True)
         assert done.stdout.strip() == "[]"
 
-    def test_no_stable_or_no_valid_point(self):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_no_stable_or_no_valid_point(self, jobs):
+        # a grid with no stable or no valid point evaluates nothing, and the
+        # config's unread jobs changes no row
         unstable = run_sweep(SweepConfig(model="effective", fixed={"g": 5.0, "delta": 10.0},
                                          axes=[SweepAxis("Delta", -0.5, -0.4, 3)],
-                                         quantities=["gamma_E"]))
+                                         quantities=["gamma_E"], jobs=jobs))
         assert [row.status for row in unstable.rows] == ["unstable"] * 3
         invalid = run_sweep(SweepConfig(model="full", fixed={"g": 5.0},
                                         axes=[SweepAxis("Gamma", -1.0, 0.0, 2)],
-                                        quantities=["gamma_E"]))
+                                        quantities=["gamma_E"], jobs=jobs))
         assert all(row.status.startswith("failed: ") for row in invalid.rows)
 
     def test_rate_map_independent_of_batches(self):
@@ -386,7 +389,8 @@ class TestRunSweep:
         count = entanglement_rate(drift_full(FullModelParams(g=5.0, Gamma=1e-3))).secondary_peaks
         assert type(count) is int and calls == [1]
 
-    def test_row_view_agrees_with_the_columns(self):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_row_view_agrees_with_the_columns(self, jobs):
         # sweeps with ok, unstable, invalid-parameter, gate-failed and
         # quantity-failed rows: the rows, the table and the value grids agree
         # cell for cell, and a row's values hold the margin of every point
@@ -395,17 +399,17 @@ class TestRunSweep:
         from entrate import models, rates, scattering
         from entrate.errors import UnstableSystemError
         configs = [
-            SweepConfig(model="full", fixed={"g": 5.0, "n_th": 0.0},
+            SweepConfig(model="full", fixed={"g": 5.0, "n_th": 0.0}, jobs=jobs,
                         quantities=["gamma_E", "E_max", "fwhm", "stability_margin"],
                         axes=[SweepAxis("Gamma", -1e-3, 1e-3, 3),
                               SweepAxis("delta", -15.0, 15.0, 5)]),
-            SweepConfig(model="full", fixed={"g": 5.0, "Gamma": 1e-3},
+            SweepConfig(model="full", fixed={"g": 5.0, "Gamma": 1e-3}, jobs=jobs,
                         quantities=["stability_margin", "gamma_E", "E_max", "fwhm", "spectrum"],
                         axes=[SweepAxis("n_th", 1.0, 1e200, 5, log=True)]),
-            SweepConfig(model="effective", fixed={"g": 5.0, "delta": 10.0},
+            SweepConfig(model="effective", fixed={"g": 5.0, "delta": 10.0}, jobs=jobs,
                         quantities=["pair_rate", "spectrum", "stability_margin"],
                         axes=[SweepAxis("Delta", -1.5, 1.5, 13)]),
-            SweepConfig(model="effective", fixed={"delta": 10.0},
+            SweepConfig(model="effective", fixed={"delta": 10.0}, jobs=jobs,
                         quantities=["stability_margin", "pair_rate"],
                         axes=[SweepAxis("g", 1.0, 1e200, 3, log=True)])]
         statuses = set()
@@ -523,8 +527,8 @@ class TestCliCommands:
         (["rate", "--tol", "inf"], "tol must be a finite positive number, got inf"),
         (["sweep", "--tol", "nan", "--axis", "delta:-1:1:3"],
          "tol must be a finite positive number, got nan"),
-        (["sweep", "--axis", "delta:-1:1"],
-         "axis must be name:min:max:steps[:log], got 'delta:-1:1'"),
+        # a config's jobs is read by nothing, but keeps its range check
+        (["sweep", "--config", "{jobs_config}"], "jobs must be >= 0"),
         # a fifth field other than log would otherwise build a linear axis
         (["sweep", "--axis", "delta:1:10:3:lgo"],
          "axis field after steps must be 'log', got 'lgo' in 'delta:1:10:3:lgo'"),
@@ -549,8 +553,14 @@ class TestCliCommands:
           "Delta:-0.3:0.3:2", "--quantity", "pair_rate", "--quantity", "pair_rate"],
          "quantities must be distinct"),
         (["sweep", "--axis", "delta:1:10:3:log:2"],
-         "axis must be name:min:max:steps[:log], got 'delta:1:10:3:log:2'")])
-    def test_non_finite_input_is_usage_error(self, argv, message, capsys):
+         "axis must be name:min:max:steps[:log], got 'delta:1:10:3:log:2'"),
+        (["sweep", "--axis", "delta:-1:1"],
+         "axis must be name:min:max:steps[:log], got 'delta:-1:1'")])
+    def test_non_finite_input_is_usage_error(self, argv, message, capsys, tmp_path):
+        cfg = tmp_path / "jobs.json"
+        cfg.write_text(json.dumps({"model": "full", "quantities": ["E_max"], "jobs": -3,
+                                   "axes": [{"name": "delta", "min": -1, "max": 1, "steps": 3}]}))
+        argv = [str(cfg) if a == "{jobs_config}" else a for a in argv]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert run_cli(argv) == 2
