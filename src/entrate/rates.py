@@ -103,15 +103,16 @@ both ends of the line and is monotonic between its stationary points, so
 among the candidates sorted by omega, with E = 0 at both ends, every
 local maximum of E is a candidate and a candidate that is no stationary
 point of E is no strict local maximum: the peak count runs on that list,
-by prominence with ties broken by position (_count_local_maxima: of equal
-values the leftmost is the higher). So two equal mirror peaks count once
-unless the dip between them reaches the prominence floor. Newton steps on u'
-polish the candidates without the kernel: u = K / (V + sqrt(V^2 + K D))
-solves P_u = 0, and u' and u'' follow by implicit differentiation from D,
-V and their first two derivatives. A step longer than a thousandth of s
-is not taken: it starts from a candidate that is no stationary point of
-E. Newton steps may carry such a candidate onto a peak, which is why the
-count uses the candidates as found. No kernel is needed up to here: the
+by prominence with ties broken by position (of equal values the leftmost
+is the higher), which _count_local_maxima counts in one walk from left to
+right. So two equal mirror peaks count once unless the dip between them
+reaches the prominence floor. Newton steps on u' polish the candidates
+without the kernel: u = K / (V + sqrt(V^2 + K D)) solves P_u = 0, and u'
+and u'' follow by implicit differentiation from D, V and their first two
+derivatives. A step longer than a thousandth of s is not taken: it
+starts from a candidate that is no stationary point of E. Newton steps
+may carry such a candidate onto a peak, which is why the count uses the
+candidates as found. No kernel is needed up to here: the
 quadrature's first kernel pass, on its start mesh, also measures E at the
 candidates as found, the polished ones and their mirrors; E_max is the
 best polished one, and of two mirror peaks equal to 4 ulp, omega_max is
@@ -210,9 +211,6 @@ _exponents = functools.cache(lambda n: np.arange(n - 1, 0, -1))
 #: of a k x k block, highest first (complex, so that a power of a complex
 #: base takes no cast).
 _POWERS = {k: np.arange(k, -1, -1).astype(complex) for k in (2, 3)}
-#: [0, i, j]: j < i, and j > i, for n values.
-_BEFORE = functools.cache(lambda n: (np.tri(n, k=-1, dtype=bool)[None],
-                                     ~np.tri(n, dtype=bool)[None]))
 #: Rows of the flattened _derivatives table of D and W = 2V (D, W, D', W',
 #: D'', W''): R's first stacked product multiplies W', W, D' by W', W', D'.
 _R_FACTORS = np.array([3, 1, 2, 3, 3, 2])
@@ -850,33 +848,27 @@ def entanglement_rate(d: DriftMatrix, n_th: float = 0.0, tol: float = 1e-6) -> R
 def _count_local_maxima(values: np.ndarray, e_max: np.ndarray) -> np.ndarray:
     """Peak count of every row of peak candidates (E at the candidates of a
     problem, sorted by omega; module docstring), with E = 0 at both ends of
-    the line and a prominence floor of 1% of the row's e_max, so the
-    float-level jitter of strongly squeezed points does not register. A
-    peak is a value above its left neighbour and not below its right one;
-    its prominence is its height above the higher of the lowest values on
-    each side, searched outward to the left until a value at least as high,
-    to the right until a higher one, or the border. Of equal values the
-    leftmost is the higher: of two equal peaks only the first can stand on
-    its own, the other counts by its dip from it. At least 1 per row."""
-    rows, n = values.shape
-    # a row that never rises after it falls has one maximum, so one peak
-    step = values[:, 1:] - values[:, :-1]
-    rises = step[:, 1:] > 0
-    rises &= np.logical_or.accumulate(step[:, :-1] < 0, axis=1)
-    if not np.count_nonzero(rises):
-        return np.ones(rows, dtype=int)
-    y = np.zeros((rows, n + 2))
-    y[:, 1:-1] = values
-    # [row, i, j]: j lies before i (after it in after), y_i and y_j repeated
-    # to that shape (as in _newton); left and right: the search from i
-    # reaches value j, not past a value that stops it (a > b: a and not b)
-    before, after = _BEFORE(n + 2)
-    y_j = y[:, None, :].repeat(n + 2, axis=1)
-    y_i = y[:, :, None].repeat(n + 2, axis=2)
-    left = before > np.logical_or.accumulate(((y_j >= y_i) & before)[..., ::-1], axis=2)[..., ::-1]
-    right = after > np.logical_or.accumulate((y_j > y_i) & after, axis=2)
-    # a value that is no peak has nothing on one side: its low is inf
-    lows = np.maximum(np.minimum.reduce(y_j, axis=2, where=left, initial=np.inf),
-                      np.minimum.reduce(y_j, axis=2, where=right, initial=np.inf))
-    floor = np.maximum(1e-9, 1e-2 * e_max)[:, None]
-    return np.maximum(np.add.reduce(y - lows >= floor, axis=1), 1)
+    the line and a floor of 1% of the row's e_max (at least 1e-9), so the
+    float-level jitter of strongly squeezed points does not register. One
+    walk from left to right per row counts a peak each time E rises by the
+    floor from the lowest value since the last peak (or the start) and then
+    falls by the floor from the highest value since. That equals the count
+    by prominence that the README gives: a value above its left neighbour
+    and not below its right one counts if it stands at least the floor
+    above the higher of the lowest values on each side, searched outward to
+    the left until a value at least as high, to the right until a higher
+    one, or the border. At least 1 per row; a NaN e_max gives 1."""
+    counts = []
+    for row, floor in zip(values.tolist(), np.maximum(1e-9, 1e-2 * e_max).tolist()):
+        count, rising, low, high = 0, False, 0.0, 0.0
+        for v in row + [0.0]:
+            if rising and v > high:
+                high = v
+            elif rising and high - v >= floor:
+                count, rising, low = count + 1, False, v
+            elif not rising and v < low:
+                low = v
+            elif not rising and v - low >= floor:
+                rising, high = True, v
+        counts.append(max(count, 1))
+    return np.array(counts, dtype=int)

@@ -30,7 +30,6 @@ columns; SweepResult.rows, a SweepRow per point, is built on first use.
 
 from __future__ import annotations
 
-import csv
 import functools
 import json
 import math
@@ -65,12 +64,12 @@ def write_table(fh: IO[str], header: list[str], columns: Sequence[Sequence[float
     (at least one, no two alike), as CSV or as JSON.
 
     CSV: a column holds strings or numbers, told apart by its first cell.
-    The schema line, the header through csv.writer, then one line per row:
-    numbers as "%.17g" writes them, strings quoted as csv.writer quotes
-    them. JSON: byte for byte what json.dump(..., indent=2, default=float)
-    writes for a list of one object per row, non-finite floats as its NaN,
-    Infinity and -Infinity tokens, and "[]" for no rows; a column may hold
-    any cells json.dump writes so.
+    The schema line, the header, then one line per row: numbers as "%.17g"
+    writes them, the header's names and the strings quoted as csv.writer
+    quotes them (_csv_cell). JSON: byte for byte what json.dump(...,
+    indent=2, default=float) writes for a list of one object per row,
+    non-finite floats as its NaN, Infinity and -Infinity tokens, and "[]"
+    for no rows; a column may hold any cells json.dump writes so.
 
     Both stream in blocks of _BLOCK_CELLS // (number of columns) rows (at
     least one), each turned into text at once (_block_text), so neither a
@@ -87,13 +86,12 @@ def write_table(fh: IO[str], header: list[str], columns: Sequence[Sequence[float
                     for j, key in enumerate(header)] + ["\n  }"]
         quotes = [None] * len(columns)
     else:
-        fh.write(CSV_SCHEMA_LINE + "\n")
-        csv.writer(fh, lineterminator="\n").writerow(header)
+        # csv.writer quotes a row of one empty field, and no other empty field
+        quote = _csv_cell if len(columns) > 1 else lambda s: _csv_cell(s) or '""'
+        fh.write(CSV_SCHEMA_LINE + "\n" + ",".join(map(quote, header)) + "\n")
         if not n:
             return
         literals = [""] + [","] * (len(columns) - 1) + ["\n"]
-        # csv.writer quotes a row of one empty field, and no other empty field
-        quote = _csv_cell if len(columns) > 1 else lambda s: _csv_cell(s) or '""'
         quotes = [quote if isinstance(col[0], str) else None for col in columns]
     rows = max(1, _BLOCK_CELLS // len(columns))
     # each literal as a block's column of rows, built once

@@ -1151,12 +1151,14 @@ class TestPeakCount:
     @given(candidate_rows())
     # a unimodal row in one batch with a two-peak row; a plateau top; a twin
     # top whose second candidate is 2 ulp below the first; equal twin peaks
-    # whose dip of 0.01 is under the floor of 0.03: one peak
+    # whose dip of 0.01 is under the floor of 0.03: one peak; equal twin
+    # peaks whose dip is the floor exactly: two
     @example((np.array([[0.5, 1.0, 3.0, 2.0, 0.2], [0.5, 3.0, 1.0, 3.0, 0.2]]),
               np.array([3.0, 3.0])))
     @example((np.array([[0.5, 2.0, 2.0, 2.0, 1.0]]), np.array([2.0])))
     @example((np.array([[1.0, 3.0, 3.0 - 2.0 * np.spacing(3.0), 3.0, 1.0]]), np.array([3.0])))
     @example((np.array([[1.0, 3.0, 2.99, 3.0, 1.0]]), np.array([3.0])))
+    @example((np.array([[0.5, 100.0, 99.0, 100.0, 0.5]]), np.array([100.0])))
     def test_batched_count_equals_the_one_row_reference(self, rows_e_max):
         # the search per peak and the hysteresis walk share no code
         rows, e_max = rows_e_max
