@@ -71,13 +71,17 @@ def adaptive_gk_batch(f_batch: Callable[[np.ndarray, np.ndarray], np.ndarray],
     set of its panels, largest error first, whose errors cover most of the
     problem's excess over epsabs, and evaluates the new halves of all
     problems together, in calls of up to _PANELS_PER_CALL panels. Panels
-    whose error is at round-off level are not split again; when only such
-    panels remain, or after _MAX_SWEEPS sweeps, the achieved estimate stands
-    even if it is above epsabs.
+    whose error is at round-off level are not split again.
+
+    Before each sweep a problem stops with its achieved estimate, above
+    epsabs or not, when the estimate meets epsabs, when all its panels are
+    at round-off level, or after _MAX_SWEEPS sweeps (even with its budget of
+    _MAX_PANELS panels reached then), and otherwise fails once it holds
+    _MAX_PANELS panels.
 
     Returns (values, errors, failures): failures[p] is a QuadratureError
-    when problem p exhausted its budget of _MAX_PANELS panels, else None;
-    its value and error are NaN then, and when its edges make no panel.
+    when problem p failed, else None; its value and error are NaN then, and
+    when its edges make no panel.
     """
     edges = np.asarray(edges, dtype=float)
     n_problems = len(edges)
@@ -119,29 +123,31 @@ def adaptive_gk_batch(f_batch: Callable[[np.ndarray, np.ndarray], np.ndarray],
         # the start of each problem's panels
         start = count.cumsum() - count
         total = np.add.reduceat(err, start)
-        done = total <= epsabs
+        # a problem is done when it meets epsabs, when all its panels are at
+        # round-off level, or on the last sweep; it fails when it holds its
+        # panel budget without being done. The round-off and budget tests run
+        # only when some problem has not met epsabs (count_nonzero is the
+        # cheapest "all" of a small array)
+        stop = done = total <= epsabs
+        failed = []
         if sweep == _MAX_SWEEPS:
             done[:] = True
-        # (count_nonzero is the cheapest "all" of a small array)
-        finished = np.count_nonzero(done) == done.size
-        if not finished:
-            # done too: a problem whose panels are all at round-off level
+        elif np.count_nonzero(done) < done.size:
             converged = _at_round_off(val, err)
             done |= np.logical_and.reduceat(converged, start)
-            finished = np.count_nonzero(done) == done.size
-        if finished:
+            stop = done | (count >= _MAX_PANELS)
+            failed = ids[stop ^ done].tolist()
+        # the one place where problems stop: every problem left gets its
+        # estimate, final where it is done (the others write theirs again when
+        # they stop), and a failed one its failure and NaN
+        n_stop = np.count_nonzero(stop)
+        if n_stop:
             values[ids], errors[ids] = np.add.reduceat(val, start), total
-            break
-        stop = done | (count >= _MAX_PANELS)
-        if np.count_nonzero(stop):
-            val_sum = np.add.reduceat(val, start)
-            finished = ids[done]
-            values[finished], errors[finished] = val_sum[done], total[done]
-            for j in (stop & ~done).nonzero()[0]:
-                failures[ids[j]] = QuadratureError("panel budget exhausted",
-                                                   value=float(val_sum[j]),
-                                                   error_estimate=total[j])
-            if np.count_nonzero(stop) == stop.size:
+            for p in failed:
+                failures[p] = QuadratureError("panel budget exhausted", value=float(values[p]),
+                                              error_estimate=errors[p])
+                values[p] = errors[p] = math.nan
+            if n_stop == stop.size:
                 break
             going = ~stop
             keep = going.repeat(count)

@@ -110,6 +110,21 @@ class TestAdaptiveGkBatch:
         for v, e, ref in zip(values, errors, exact):
             assert abs(v - ref) <= e
 
+    @pytest.mark.parametrize("max_panels, value, error, failure", [
+        (2, 1329.7917786517603, 1106.101206349329, None),
+        (1, math.nan, math.nan, "panel budget exhausted")],
+        ids=["budget_on_the_last_sweep", "budget_before_it"])
+    def test_stop_at_the_budget_edge(self, monkeypatch, max_panels, value, error, failure):
+        # one sweep splits the one panel in two: a problem that reaches its
+        # panel budget on the last sweep keeps its estimate, far above
+        # epsabs, with no failure; one that holds it before fails
+        monkeypatch.setattr(quadutil, "_MAX_SWEEPS", 1)
+        monkeypatch.setattr(quadutil, "_MAX_PANELS", max_panels)
+        values, errors, failures = adaptive_gk_batch(
+            lambda x, pid: _INTEGRANDS[1](x), _EDGES[1:2], 1e-14)
+        np.testing.assert_array_equal([values[0], errors[0]], [value, error])
+        assert [f and f.reason for f in failures] == [failure]
+
     def test_scalar_call_raises_on_budget(self, monkeypatch):
         monkeypatch.setattr(quadutil, "_MAX_PANELS", 12)
         with pytest.raises(QuadratureError, match="panel budget"):

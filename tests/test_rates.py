@@ -372,13 +372,15 @@ class TestEntanglementRate:
         # raising n_th adds the same classical noise to both beams, which
         # cannot raise the log-negativity; every step of the Gram density is
         # monotone in the thermal weight and correctly rounded, so E is
-        # exactly non-increasing, and Gamma_E to its two error estimates
+        # exactly non-increasing, and so are its peak and (to its two error
+        # estimates) Gamma_E
         p, n_th = point
         d, hotter = drift_full(p), n_th + extra
         w = np.concatenate([np.linspace(-20.0, 20.0, 401), np.geomspace(1e-4, 1e4, 81)])
         assert np.all(spectral_density_batch(d, w, hotter) <= spectral_density_batch(d, w, n_th))
         cold, hot = entanglement_rate(d, n_th), entanglement_rate(d, hotter)
         assert hot.gamma_E <= cold.gamma_E + cold.quadrature_error + hot.quadrature_error
+        assert hot.E_max <= cold.E_max
 
     def test_boundary_point_smaller_rate_than_resonant(self):
         r_res = entanglement_rate(full_drift())
